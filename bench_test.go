@@ -282,8 +282,8 @@ func BenchmarkRouteBatching(b *testing.B) {
 }
 
 // BenchmarkOverlayAblation checks the DHT-agnosticism claim: the same
-// query answers correctly over Chord, Kademlia, and CAN — all three
-// DHT schemes the paper cites.
+// query answers correctly over Chord and Kademlia, both behind
+// overlay.Router.
 func BenchmarkOverlayAblation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -298,9 +298,6 @@ func BenchmarkOverlayAblation(b *testing.B) {
 		}
 		b.ReportMetric(results[0].MeanHops, "hops-chord")
 		b.ReportMetric(results[1].MeanHops, "hops-kademlia")
-		if len(results) > 2 {
-			b.ReportMetric(results[2].MeanHops, "hops-can")
-		}
 	}
 }
 
@@ -377,35 +374,5 @@ func BenchmarkAnalyze(b *testing.B) {
 		}
 		b.ReportMetric(float64(out.DefaultsMsgs), "query-msgs-defaults")
 		b.ReportMetric(float64(out.MeasuredMsgs), "query-msgs-measured")
-	}
-}
-
-// BenchmarkSpillSweep runs the join memory-budget sweep: the same
-// join under budgets from unlimited down to 64KB must return rows
-// byte-identical to the centralized baseline with peak resident
-// memory tracking the budget, spilling the difference to temp files.
-func BenchmarkSpillSweep(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out, err := bench.SpillSweep(4, 0, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range out.Points {
-			if !p.RowsMatch {
-				b.Fatalf("budget %d: rows diverged from centralized baseline", p.Budget)
-			}
-			if p.Budget > 0 && p.PeakMem > 4*uint64(p.Budget) {
-				b.Fatalf("budget %d: peak resident %d beyond 4x budget", p.Budget, p.PeakMem)
-			}
-		}
-		smallest := out.Points[len(out.Points)-1]
-		if smallest.Spilled == 0 || smallest.Passes == 0 {
-			b.Fatalf("smallest budget %d did not spill (spilled=%d passes=%d)",
-				smallest.Budget, smallest.Spilled, smallest.Passes)
-		}
-		b.ReportMetric(float64(out.BuildBytes), "build-bytes")
-		b.ReportMetric(float64(smallest.PeakMem), "peak-mem-64kb")
-		b.ReportMetric(float64(smallest.Spilled), "spilled-64kb")
 	}
 }

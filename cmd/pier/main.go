@@ -62,7 +62,7 @@ func main() {
 	log.SetFlags(0)
 	listen := flag.String("listen", "127.0.0.1:0", "UDP address to listen on")
 	join := flag.String("join", "", "address of any existing node to join")
-	overlayKind := flag.String("overlay", "chord", "overlay: chord, kademlia, or can")
+	overlayKind := flag.String("overlay", "chord", "overlay: chord or kademlia")
 	batchOn := flag.Bool("batch", true, "coalesce routed traffic (join rehash, aggregation partials, DHT puts) into per-destination frames")
 	batchRecords := flag.Int("batch-records", 0, "flush a route batch at this record count (0 = default 64)")
 	batchBytes := flag.Int("batch-bytes", 0, "flush a route batch at this payload byte budget (0 = default 8192)")

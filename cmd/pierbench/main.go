@@ -15,13 +15,11 @@
 //	pierbench -experiment batching
 //	pierbench -experiment multiway
 //	pierbench -experiment analyze
-//	pierbench -experiment spill
 //	pierbench -experiment overlay
 //	pierbench -experiment explain
 //	pierbench -experiment localpipe
 //	pierbench -experiment obs
 //	pierbench -experiment serve
-//	pierbench -experiment completion
 //	pierbench -experiment all
 //
 // With -json out.json every experiment additionally records
@@ -173,11 +171,6 @@ func main() {
 			return analyze(*n, *seed, rec)
 		})
 	}
-	if want("spill") {
-		run("spill", func() error {
-			return spillSweep(*n, *seed, rec)
-		})
-	}
 	if want("overlay") {
 		run("overlay", func() error {
 			return overlay(*n, *seed)
@@ -201,11 +194,6 @@ func main() {
 	if want("serve") {
 		run("serve", func() error {
 			return serve(*n, *seed, rec)
-		})
-	}
-	if want("completion") {
-		run("completion", func() error {
-			return completion(*seed, rec)
 		})
 	}
 
@@ -395,37 +383,6 @@ func analyze(n int, seed int64, rec *recorder) error {
 	if !out.RowsMatch {
 		return fmt.Errorf("result rows diverged across statistics regimes")
 	}
-	return nil
-}
-
-func spillSweep(n int, seed int64, rec *recorder) error {
-	out, err := bench.SpillSweep(minInt(n, 4), 0, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-10s %12s %12s %12s %8s %8s %8s\n",
-		"budget", "wall", "peak mem", "spilled", "passes", "rows", "match")
-	for _, p := range out.Points {
-		budget := "unlimited"
-		if p.Budget > 0 {
-			budget = fmt.Sprintf("%dKB", p.Budget>>10)
-		}
-		fmt.Printf("%-10s %12v %12d %12d %8d %8d %8v\n",
-			budget, p.Wall.Round(time.Millisecond), p.PeakMem, p.Spilled,
-			p.Passes, p.Rows, p.RowsMatch)
-		rec.metric("wall-ms."+budget, float64(p.Wall.Milliseconds()))
-		rec.metric("peak-mem."+budget, float64(p.PeakMem))
-		rec.metric("spilled."+budget, float64(p.Spilled))
-		rec.metric("passes."+budget, float64(p.Passes))
-		if !p.RowsMatch {
-			return fmt.Errorf("budget %s: rows diverged from centralized baseline", budget)
-		}
-		if p.Budget > 0 && p.PeakMem > 4*uint64(p.Budget) {
-			return fmt.Errorf("budget %s: peak resident %d beyond 4x budget", budget, p.PeakMem)
-		}
-	}
-	fmt.Printf("unbounded build state: %d bytes\n", out.BuildBytes)
-	rec.metric("build-bytes", float64(out.BuildBytes))
 	return nil
 }
 
@@ -631,13 +588,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // serve runs the query-service benchmark: concurrent TCP clients
 // against one pierd front door, then the shared-scan on/off
 // comparison for concurrent continuous queries.
@@ -692,36 +642,6 @@ func serve(n int, seed int64, rec *recorder) error {
 	if out.SharedOn.Delivered < out.SharedOn.Subscribers {
 		return fmt.Errorf("shared mode delivered to %d/%d subscribers",
 			out.SharedOn.Delivered, out.SharedOn.Subscribers)
-	}
-	return nil
-}
-
-// completion compares one-shot query latency under deterministic EOS
-// completion vs the quiescence timer it replaced, at n=16 and n=32.
-func completion(seed int64, rec *recorder) error {
-	out, err := bench.Completion(bench.CompletionConfig{Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-6s %-12s %10s %10s %10s   %s\n",
-		"nodes", "mode", "queries", "p50", "p95", "reasons")
-	for _, sz := range out.Sizes {
-		for _, m := range []bench.CompletionMode{sz.EOS, sz.Timer} {
-			fmt.Printf("%-6d %-12s %10d %10v %10v   %v\n",
-				sz.N, m.Mode, m.Queries,
-				m.P50.Round(time.Millisecond), m.P95.Round(time.Millisecond), m.Reasons)
-			tag := fmt.Sprintf(".%d.%s", sz.N, m.Mode)
-			rec.metric("completion-p50-ms"+tag, float64(m.P50.Milliseconds()))
-			rec.metric("completion-p95-ms"+tag, float64(m.P95.Milliseconds()))
-		}
-		fmt.Printf("       p50 speedup %.1fx\n", sz.Speedup)
-		rec.metric(fmt.Sprintf("completion-speedup.%d", sz.N), sz.Speedup)
-		// The happy path must complete deterministically: an idle
-		// cluster has no churn or loss for the fallback to absorb.
-		if got := sz.EOS.Reasons[pier.ReasonEOS]; got != sz.EOS.Queries {
-			return fmt.Errorf("n=%d: only %d/%d EOS-mode queries completed with reason %q: %v",
-				sz.N, got, sz.EOS.Queries, pier.ReasonEOS, sz.EOS.Reasons)
-		}
 	}
 	return nil
 }

@@ -56,7 +56,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "UDP address for overlay traffic")
 	serve := flag.String("serve", "127.0.0.1:7070", "TCP address for client connections")
 	join := flag.String("join", "", "address of any existing node to join")
-	overlayKind := flag.String("overlay", "chord", "overlay: chord, kademlia, or can")
+	overlayKind := flag.String("overlay", "chord", "overlay: chord or kademlia")
 	maxInflight := flag.Int("max-inflight", 64, "concurrently executing one-shot queries before arrivals queue")
 	maxQueued := flag.Int("max-queued", 256, "queued queries before arrivals shed immediately")
 	queueTimeout := flag.Duration("queue-timeout", time.Second, "max time a queued query waits for an execution slot")

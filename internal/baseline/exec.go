@@ -6,8 +6,8 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/expr"
-	"repro/internal/ops"
 	"repro/internal/physical"
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
@@ -133,7 +133,7 @@ func (c *Centralized) executeSpec(ctx context.Context, spec *plan.Spec, settle t
 	if spec.IsAggregate() {
 		type group struct {
 			key tuple.Tuple
-			acc *ops.Accumulator
+			acc *agg.Accumulator
 		}
 		groups := map[string]*group{}
 		for _, t := range work {
@@ -141,7 +141,7 @@ func (c *Centralized) executeSpec(ctx context.Context, spec *plan.Spec, settle t
 			key := string(keyTuple.Bytes())
 			g, ok := groups[key]
 			if !ok {
-				g = &group{key: keyTuple, acc: ops.NewAccumulator(spec.Aggs)}
+				g = &group{key: keyTuple, acc: agg.NewAccumulator(spec.Aggs)}
 				groups[key] = g
 			}
 			if err := g.acc.AddRaw(t); err != nil {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/can"
 	"repro/internal/catalog"
 	"repro/internal/chord"
 	"repro/internal/id"
@@ -1105,7 +1104,6 @@ func OverlayAblation(n, lookups int, seed int64) ([]OverlayResult, error) {
 		cfg := piertest.FastConfig()
 		cfg.Overlay = overlayKind
 		cfg.Kademlia = kademlia.Config{K: 8, Alpha: 3, RefreshEvery: 50 * time.Millisecond}
-		cfg.CAN = can.Config{PingEvery: 50 * time.Millisecond}
 		cluster, err := piertest.New(piertest.Options{N: n, Seed: seed, NodeCfg: &cfg})
 		if err != nil {
 			return OverlayResult{}, err
@@ -1138,9 +1136,6 @@ func OverlayAblation(n, lookups int, seed int64) ([]OverlayResult, error) {
 			case *kademlia.Node:
 				_, _, _, m := r.MetricsSnapshot()
 				maint += m
-			case *can.Node:
-				_, _, _, m := r.MetricsSnapshot()
-				maint += m
 			}
 		}
 		return OverlayResult{
@@ -1152,7 +1147,7 @@ func OverlayAblation(n, lookups int, seed int64) ([]OverlayResult, error) {
 	}
 
 	var out []OverlayResult
-	for _, k := range []string{"chord", "kademlia", "can"} {
+	for _, k := range []string{"chord", "kademlia"} {
 		r, err := run(k)
 		if err != nil {
 			return nil, err

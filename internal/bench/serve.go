@@ -37,9 +37,8 @@ func percentileDur(ds []time.Duration, p float64) time.Duration {
 
 // ServeConfig parameterizes the serve experiment.
 type ServeConfig struct {
-	N           int   // cluster size (default 16)
-	Seed        int64 // simulation seed (default 1)
-	Concurrency []int // client tiers (default 10, 100, 1000)
+	N    int   // cluster size (default 16)
+	Seed int64 // simulation seed (default 1)
 	// MaxInFlight bounds concurrently executing queries at the
 	// service; the tiers above it measure queueing (default 16 — on
 	// the in-process simulation, more concurrent broadcasts than this
@@ -97,9 +96,6 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if len(cfg.Concurrency) == 0 {
-		cfg.Concurrency = []int{10, 100, 1000}
-	}
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = 16
 	}
@@ -140,18 +136,18 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	srv := server.Serve(ln, svc)
 	defer srv.Close()
 
-	out := &ServeResult{}
-	for _, clients := range cfg.Concurrency {
-		fmt.Printf("  tier %d clients...", clients)
-		tier, err := serveTier(srv.Addr().String(), clients)
-		if err != nil {
-			fmt.Println()
-			return nil, fmt.Errorf("tier %d: %w", clients, err)
-		}
-		fmt.Printf(" %d queries in %v\n", tier.Queries, tier.Wall.Round(time.Millisecond))
-		out.Tiers = append(out.Tiers, *tier)
+	// One tier: a thousand connections queueing far past MaxInFlight.
+	// Light and saturated load are benchmark/'s serve_light and
+	// serve_saturated, which deliberately stop short of this.
+	const clients = 1000
+	fmt.Printf("  tier %d clients...", clients)
+	tier, err := serveTier(srv.Addr().String(), clients)
+	if err != nil {
+		fmt.Println()
+		return nil, fmt.Errorf("tier %d: %w", clients, err)
 	}
-	out.CacheStats = svc.Cache().Stats()
+	fmt.Printf(" %d queries in %v\n", tier.Queries, tier.Wall.Round(time.Millisecond))
+	out := &ServeResult{Tiers: []ServeTier{*tier}, CacheStats: svc.Cache().Stats()}
 
 	// Shared-scan comparison: the same subscriber count, one
 	// continuous statement, sharing on vs off. Uses engine sessions

@@ -14,9 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/dataflow"
 	"repro/internal/expr"
-	"repro/internal/ops"
 	"repro/internal/tuple"
 )
 
@@ -129,7 +129,7 @@ func windowRun(t *testing.T, batchSize int) (map[uint64][]string, map[string][2]
 	p.Connect(src, f)
 	wb := p.Add("window", WindowBuffer(time.Second, batchSize))
 	p.Connect(f, wb)
-	agg := p.Add("partial-agg", PartialAgg([]int{0}, []ops.AggSpec{{Func: ops.Sum, ArgCol: 1}}, false, false, batchSize))
+	agg := p.Add("partial-agg", PartialAgg([]int{0}, []agg.AggSpec{{Func: agg.Sum, ArgCol: 1}}, false, false, batchSize))
 	p.Connect(wb, agg)
 	var mu sync.Mutex
 	windows := make(map[uint64][]string)

@@ -6,11 +6,11 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/bloom"
 	"repro/internal/dataflow"
 	"repro/internal/expr"
 	"repro/internal/id"
-	"repro/internal/ops"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -680,13 +680,13 @@ func JoinProbe(arity [2]int, keyCols [2][]int) OpFunc {
 // group order. In eager mode every input row becomes one single-row
 // partial immediately: the streaming collector shape, where relay
 // combining and the collector merge absorb the fan-in.
-func PartialAgg(groupCols []int, aggs []ops.AggSpec, eager, flushAtEOS bool, batchSize int) OpFunc {
+func PartialAgg(groupCols []int, aggs []agg.AggSpec, eager, flushAtEOS bool, batchSize int) OpFunc {
 	if batchSize < 1 {
 		batchSize = 1
 	}
 	return func(c *Counters) dataflow.RunFunc {
 		makePartial := func(t tuple.Tuple) (tuple.Tuple, bool) {
-			acc := ops.NewAccumulator(aggs)
+			acc := agg.NewAccumulator(aggs)
 			if err := acc.AddRaw(t); err != nil {
 				return nil, false
 			}
@@ -740,7 +740,7 @@ func PartialAgg(groupCols []int, aggs []ops.AggSpec, eager, flushAtEOS bool, bat
 
 			type group struct {
 				key tuple.Tuple
-				acc *ops.Accumulator
+				acc *agg.Accumulator
 			}
 			groups := make(map[string]*group)
 			var order []string
@@ -817,7 +817,7 @@ func PartialAgg(groupCols []int, aggs []ops.AggSpec, eager, flushAtEOS bool, bat
 					g, ok := groups[string(w.Bytes())]
 					if !ok {
 						key := string(w.Bytes())
-						g = &group{key: t.Project(groupCols), acc: ops.NewAccumulator(aggs)}
+						g = &group{key: t.Project(groupCols), acc: agg.NewAccumulator(aggs)}
 						groups[key] = g
 						order = append(order, key)
 					}
@@ -844,13 +844,13 @@ func PartialAgg(groupCols []int, aggs []ops.AggSpec, eager, flushAtEOS bool, bat
 // (followed by a punctuation for that window) once arrivals go quiet.
 // State is retained after a flush so stragglers trigger a refined
 // re-flush; the coordinator replaces rows per group.
-func FinalAgg(groupCols []int, aggs []ops.AggSpec, hold time.Duration, batchSize int) OpFunc {
+func FinalAgg(groupCols []int, aggs []agg.AggSpec, hold time.Duration, batchSize int) OpFunc {
 	if batchSize < 1 {
 		batchSize = 1
 	}
 	type group struct {
 		key tuple.Tuple
-		acc *ops.Accumulator
+		acc *agg.Accumulator
 	}
 	type windowState struct {
 		groups map[string]*group
@@ -861,7 +861,7 @@ func FinalAgg(groupCols []int, aggs []ops.AggSpec, hold time.Duration, batchSize
 		// on repeated drains of quiesced state producing no new rows).
 		dirty bool
 	}
-	stateWidth := ops.StateWidth(aggs)
+	stateWidth := agg.StateWidth(aggs)
 	groupKeyCols := identityCols(len(groupCols))
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
@@ -957,7 +957,7 @@ func FinalAgg(groupCols []int, aggs []ops.AggSpec, hold time.Duration, batchSize
 						t[:len(groupCols)].AppendKey(kw, groupKeyCols)
 						g := ws.groups[string(kw.Bytes())]
 						if g == nil {
-							g = &group{key: t[:len(groupCols)].Clone(), acc: ops.NewAccumulator(aggs)}
+							g = &group{key: t[:len(groupCols)].Clone(), acc: agg.NewAccumulator(aggs)}
 							ws.groups[string(kw.Bytes())] = g
 						}
 						wire.PutWriter(kw)

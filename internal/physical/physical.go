@@ -85,8 +85,6 @@ type Env struct {
 	// OnFetchSwitch fires when a fetch-matches stage switches
 	// strategies mid-flight (metrics hook, may be nil).
 	OnFetchSwitch func(stage int)
-	// RowBatch bounds rows per result message.
-	RowBatch int
 	// BatchSize is the vectorization width: tuples per dataflow batch
 	// message. <= 0 takes dataflow.DefaultBatchSize; 1 reproduces
 	// tuple-at-a-time execution exactly.
@@ -98,6 +96,10 @@ type Env struct {
 	// finalizing a window.
 	CollectorHold time.Duration
 }
+
+// rowBatch is how many result rows a compiled plan's ship-rows sink
+// gathers per call to Env.ShipRows.
+const rowBatch = 64
 
 // bloomFor resolves the gathered filter for a stage (nil: none).
 func (e *Env) bloomFor(stage int) *bloom.Filter { return e.Blooms[stage] }
@@ -395,7 +397,7 @@ func CompileAggCollector(spec *plan.Spec, env *Env) (*Pipeline, *Inlet) {
 	src := p.Add("merge-src", in.Source)
 	fa := p.Add("final-agg", FinalAgg(spec.GroupCols, spec.Aggs, env.CollectorHold, env.batchSize()))
 	p.Connect(src, fa)
-	ship := p.Add("ship-rows", ShipRows(env.ShipRows, env.RowBatch, false, nil, env.DrainAck))
+	ship := p.Add("ship-rows", ShipRows(env.ShipRows, rowBatch, false, nil, env.DrainAck))
 	p.Connect(fa, ship)
 	return p, in
 }
@@ -487,7 +489,7 @@ func (p *Pipeline) addTail(spec *plan.Spec, env *Env, prev *dataflow.Node, strea
 		p.Connect(agg, ship)
 		return
 	}
-	ship := p.Add("ship-rows", ShipRows(env.ShipRows, env.RowBatch, streaming, env.FlushRoutes, env.DrainAck))
+	ship := p.Add("ship-rows", ShipRows(env.ShipRows, rowBatch, streaming, env.FlushRoutes, env.DrainAck))
 	p.Connect(prev, ship)
 }
 

@@ -7,11 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/bloom"
 	"repro/internal/dataflow"
 	"repro/internal/expr"
 	"repro/internal/id"
-	"repro/internal/ops"
 	"repro/internal/tuple"
 )
 
@@ -316,7 +316,7 @@ func TestJoinProbeMatchesDedupsAndIsolatesWindows(t *testing.T) {
 }
 
 func TestPartialAggBatchFlushesOnPunctAndEOS(t *testing.T) {
-	aggs := []ops.AggSpec{{Func: ops.Sum, ArgCol: 1}}
+	aggs := []agg.AggSpec{{Func: agg.Sum, ArgCol: 1}}
 	in := []dataflow.Msg{
 		{Kind: dataflow.Data, T: row("a", 1), Seq: 3},
 		{Kind: dataflow.Data, T: row("a", 2), Seq: 3},
@@ -347,7 +347,7 @@ func TestPartialAggBatchFlushesOnPunctAndEOS(t *testing.T) {
 }
 
 func TestPartialAggEagerEmitsPerRow(t *testing.T) {
-	aggs := []ops.AggSpec{{Func: ops.Count, ArgCol: -1}}
+	aggs := []agg.AggSpec{{Func: agg.Count, ArgCol: -1}}
 	in := []dataflow.Msg{
 		{Kind: dataflow.Data, T: row("a", 1), Seq: 2},
 		{Kind: dataflow.Data, T: row("a", 9), Seq: 2},
@@ -365,7 +365,7 @@ func TestPartialAggEagerEmitsPerRow(t *testing.T) {
 }
 
 func TestFinalAggDebouncedFlushAndRefinement(t *testing.T) {
-	aggs := []ops.AggSpec{{Func: ops.Sum, ArgCol: 1}}
+	aggs := []agg.AggSpec{{Func: agg.Sum, ArgCol: 1}}
 	in := NewInlet()
 	p := NewPipeline("test")
 	src := p.Add("src", in.Source)

@@ -42,6 +42,18 @@ const (
 	// maxAnalyzeTables bounds one ANALYZE request's table list; the
 	// sender validates against the same limit receivers decode with.
 	maxAnalyzeTables = plan.MaxTables * 16
+
+	// statsTTL is the soft-state lifetime of ANALYZE-measured
+	// statistics (and the TTL their gossip digests carry).
+	statsTTL = 60 * time.Second
+	// statsGossipFanout is how many overlay neighbors receive each
+	// gossip round (plus one digest routed to a random key for
+	// epidemic mixing across the ring).
+	statsGossipFanout = 2
+	// analyzeSampleEvery is the ANALYZE scan's sampling stride as sent
+	// in every stats-gather request: 1 feeds every tuple to the
+	// distinct counters and the row sample.
+	analyzeSampleEvery = 1
 )
 
 // AnalyzedTable is one table's merged, network-wide measurement.
@@ -212,7 +224,7 @@ func (n *Node) Analyze(ctx context.Context, tables ...string) (*AnalyzeResult, e
 			Sample:     sk.Sample.Clone(),
 			Source:     catalog.StatsMeasured,
 			MeasuredAt: measuredAt,
-			TTL:        n.cfg.StatsTTL,
+			TTL:        statsTTL,
 		}
 		if err := n.cat.InstallMeasured(t, st); err != nil {
 			return nil, err
@@ -231,7 +243,7 @@ func encodeAnalyzeMsg(qid uint64, coord string, cfg Config, tables []string) []b
 	w.Uint64(qid)
 	w.String(coord)
 	w.Bool(cfg.AnalyzeFromSketches)
-	w.Uvarint(uint64(cfg.AnalyzeSampleEvery))
+	w.Uvarint(analyzeSampleEvery)
 	w.Uvarint(uint64(len(tables)))
 	for _, t := range tables {
 		w.String(t)
@@ -469,8 +481,7 @@ func (n *Node) gossipStatsOnce(rng *rand.Rand) {
 	if len(nbs) > 1 {
 		rng.Shuffle(len(nbs), func(i, j int) { nbs[i], nbs[j] = nbs[j], nbs[i] })
 	}
-	fanout := n.cfg.StatsGossipFanout
-	for i := 0; i < len(nbs) && i < fanout; i++ {
+	for i := 0; i < len(nbs) && i < statsGossipFanout; i++ {
 		if nbs[i].Addr == n.Addr() {
 			continue
 		}

@@ -134,6 +134,14 @@ func TestBatchingAggregationEquivalence(t *testing.T) {
 			rows[i] = string(r.Bytes())
 		}
 		sort.Strings(rows)
+		// Nothing else routes here (local partitions, no measured
+		// statistics), and one-shot partials bypass the batcher: no
+		// node uses a collector key twice, so no lookup is ever repaid.
+		for _, nd := range nodes {
+			if m := nd.Batcher().MetricsRef(); m.OwnerMisses.Load() != 0 || m.RecordsIn.Load() != 0 {
+				t.Fatalf("%s resolved %d owners for %d batched records", nd.Addr(), m.OwnerMisses.Load(), m.RecordsIn.Load())
+			}
+		}
 		return rows
 	}
 	batched, unbatched := run(false), run(true)

@@ -2,8 +2,11 @@ package pier
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/tuple"
 )
 
 // Churn-tolerant execution: queries over a cluster losing members must
@@ -144,6 +147,53 @@ func TestCrashMidQueryCompletes(t *testing.T) {
 	}
 	if res.Duration > nodes[0].cfg.MaxQueryLife/2 {
 		t.Fatalf("completion took %v under a single crash", res.Duration)
+	}
+}
+
+// TestRecursiveCrashedMemberSaysSo: a recursive query over a cluster
+// that lost a member closes only the links it could reach. Both
+// distributed queries underneath it (the base block and the step
+// table's materialization) end degraded, and the recursive result must
+// carry that, not present a silent partial closure as complete.
+func TestRecursiveCrashedMemberSaysSo(t *testing.T) {
+	const n = 8
+	nodes, net := cluster(t, n, 906)
+	setMembers(nodes, n)
+	defineEverywhere(t, nodes, linkSchema, time.Minute)
+	// A chain v0 -> v1 -> ... -> v8, one link per node's partition (the
+	// coordinator holds two).
+	for i := 0; i <= n; i++ {
+		link := tuple.Tuple{tuple.String(fmt.Sprintf("v%d", i)), tuple.String(fmt.Sprintf("v%d", i+1))}
+		if err := nodes[i%n].PublishLocal("link", link); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.SetDown(nodes[6].Addr(), true)
+	time.Sleep(300 * time.Millisecond) // let chord route around the body
+
+	res, err := nodes[0].Query(context.Background(), `
+		WITH RECURSIVE reach AS (
+			SELECT src, dst FROM link
+			UNION
+			SELECT reach.src, l.dst FROM link l JOIN reach ON reach.dst = l.src
+		) SELECT src, dst FROM reach`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reason == ReasonEOS || res.Reason == "" {
+		t.Fatalf("closure over a crashed member ended %q", res.Reason)
+	}
+	if res.Coverage <= 0 || res.Coverage >= 1 || res.CoverageByTable["link"] != res.Coverage {
+		t.Fatalf("coverage %v %v, want in (0, 1) on the one table", res.Coverage, res.CoverageByTable)
+	}
+	// The dead node held v6 -> v7, the only way into v7.
+	for _, row := range res.Rows {
+		if row[1].S == "v7" {
+			t.Fatalf("closure reaches v7 over the dead node's link: %v", row)
+		}
+	}
+	if len(res.Rows) == 0 {
+		t.Fatal("surviving links produced no closure")
 	}
 }
 

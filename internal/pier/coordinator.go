@@ -459,6 +459,10 @@ func (q *queryState) coverage(reason string, members int, suspects map[string]bo
 // the stop broadcast for participant counter RPCs to arrive.
 const analyzeGrace = 200 * time.Millisecond
 
+// bloomHashes is the hash count of Bloom-join filters; every site
+// must build with the same one for the coordinator to OR them.
+const bloomHashes = 4
+
 // QueryContinuous plans and launches a continuous (windowed) query.
 func (n *Node) QueryContinuous(ctx context.Context, sql string) (*Continuous, error) {
 	return n.QueryContinuousWithOptions(ctx, sql, plan.Options{})
@@ -561,7 +565,7 @@ func (n *Node) gatherBloom(ctx context.Context, qid uint64, spec *plan.Spec) (ma
 	stages := bloomStages(spec)
 	n.bloomMu.Lock()
 	for _, s := range stages {
-		n.bloomGather[bloomKey{qid: qid, stage: s}] = bloom.NewWithBits(uint64(n.cfg.BloomBits), n.cfg.BloomHashes)
+		n.bloomGather[bloomKey{qid: qid, stage: s}] = bloom.NewWithBits(uint64(n.cfg.BloomBits), bloomHashes)
 	}
 	n.bloomMu.Unlock()
 	defer func() {
@@ -602,7 +606,7 @@ func (n *Node) answerBloomPhase(qid uint64, coord string, spec *plan.Spec) {
 	var bloomStats []plan.OpStats
 	for _, s := range bloomStages(spec) {
 		sc, keyCols := bloomScanFor(spec, s)
-		f := bloom.NewWithBits(uint64(n.cfg.BloomBits), n.cfg.BloomHashes)
+		f := bloom.NewWithBits(uint64(n.cfg.BloomBits), bloomHashes)
 		pipe := physical.CompileBloomScan(sc, keyCols, q.pipelineEnv(), spec.Analyze, f.Add)
 		if err := pipe.Run(context.Background()); err != nil {
 			return
@@ -692,7 +696,7 @@ func (q *queryState) flushWindow(window uint64, closeAt time.Time) {
 	default:
 	}
 	rows := q.canonicalRows(window)
-	final, err := q.finalize(q.ctx, rows)
+	final, err := finalizeRows(q.ctx, q.spec, rows, q.node.cfg.BatchSize)
 	if err != nil {
 		return
 	}
@@ -732,11 +736,6 @@ func (q *queryState) canonicalRows(window uint64) []tuple.Tuple {
 		return out
 	}
 	return append([]tuple.Tuple(nil), q.plainRows[window]...)
-}
-
-// finalize runs the coordinator-local tail of the plan.
-func (q *queryState) finalize(ctx context.Context, rows []tuple.Tuple) ([]tuple.Tuple, error) {
-	return finalizeRows(ctx, q.spec, rows, q.node.cfg.BatchSize)
 }
 
 // finalizeRows runs the coordinator-local tail of a plan over

@@ -36,6 +36,17 @@ import (
 // of EOS accounting. Kinds mirror wire.EosChannel.
 type chanKey struct{ kind, stage, side uint8 }
 
+// less orders channels by kind, stage, side: a ledger's wire order.
+func (a chanKey) less(b chanKey) bool {
+	if a.kind != b.kind {
+		return a.kind < b.kind
+	}
+	if a.stage != b.stage {
+		return a.stage < b.stage
+	}
+	return a.side < b.side
+}
+
 const (
 	chanRows uint8 = iota // result rows to the coordinator
 	chanAgg               // aggregation partials toward collectors
@@ -145,26 +156,15 @@ func (q *queryState) eosFrame() *wire.EosFrame {
 		DrainRound: e.drainRound,
 	}
 	keys := make([]chanKey, 0, len(e.sent)+len(e.recv))
-	seen := make(map[chanKey]bool, len(e.sent)+len(e.recv))
 	for k := range e.sent {
 		keys = append(keys, k)
-		seen[k] = true
 	}
 	for k := range e.recv {
-		if !seen[k] {
+		if _, sent := e.sent[k]; !sent {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if a.stage != b.stage {
-			return a.stage < b.stage
-		}
-		return a.side < b.side
-	})
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 	for _, k := range keys {
 		f.Channels = append(f.Channels, wire.EosChannel{
 			Kind: k.kind, Stage: k.stage, Side: k.side,
@@ -518,16 +518,7 @@ func (q *queryState) eosStatus(round uint64, suspects map[string]bool) eosStatus
 	for k := range totals {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if a.stage != b.stage {
-			return a.stage < b.stage
-		}
-		return a.side < b.side
-	})
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 	buf := make([]byte, 0, 24*len(keys))
 	for _, k := range keys {
 		t := totals[k]

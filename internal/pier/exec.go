@@ -2,6 +2,7 @@ package pier
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -422,9 +423,7 @@ func decodeTupleMsg(payload []byte) (*wire.TupleFrame, []tuple.Tuple, error) {
 // aggregates at one node.
 func aggCollectorKey(qid uint64, groupKey []byte) id.ID {
 	var qb [8]byte
-	for i := 0; i < 8; i++ {
-		qb[i] = byte(qid >> (56 - 8*i))
-	}
+	binary.BigEndian.PutUint64(qb[:], qid)
 	return id.HashParts("pier.agg", string(qb[:]), string(groupKey))
 }
 
@@ -433,9 +432,7 @@ func aggCollectorKey(qid uint64, groupKey []byte) id.ID {
 // over different collector nodes even when key values collide.
 func joinCollectorKey(qid uint64, stage int, joinKey []byte) id.ID {
 	var qb [9]byte
-	for i := 0; i < 8; i++ {
-		qb[i] = byte(qid >> (56 - 8*i))
-	}
+	binary.BigEndian.PutUint64(qb[:8], qid)
 	qb[8] = byte(stage)
 	return id.HashParts("pier.join", string(qb[:]), string(joinKey))
 }

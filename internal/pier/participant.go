@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/dht"
 	"repro/internal/id"
+	"repro/internal/overlay"
 	"repro/internal/physical"
 	"repro/internal/plan"
 	"repro/internal/tuple"
@@ -53,7 +54,6 @@ func (q *queryState) pipelineEnv() *physical.Env {
 		OnFetchSwitch: func(stage int) {
 			n.Metrics.StrategySwitches.Add(1)
 		},
-		RowBatch:      n.cfg.RowBatch,
 		BatchSize:     n.cfg.BatchSize,
 		ScanWorkers:   n.cfg.ScanParallel,
 		CollectorHold: n.cfg.CollectorHold,
@@ -199,24 +199,42 @@ func (q *queryState) startPeriodicStats() func() {
 // shipPartials routes a batch of canonical partial tuples (group
 // values then states) toward their groups' collectors. Partials stay
 // one per routed record so relay combining keeps merging them
-// in-network; the whole batch is handed to the route batcher in one
-// call.
+// in-network.
 func (q *queryState) shipPartials(window uint64, partials []tuple.Tuple) int {
 	q.node.Metrics.PartialsSent.Add(uint64(len(partials)))
 	q.shipSpan()
 	q.countSent(chanKey{kind: chanAgg}, len(partials))
 	nGroup := len(q.spec.GroupCols)
 	total := 0
-	recs := make([]batch.Record, len(partials))
-	for i, partial := range partials {
-		groupKey := partial[:nGroup].Bytes()
+	r := q.partialRouter()
+	for _, partial := range partials {
 		payload := encodeTupleMsg(q.id, window, 0, 0, partial)
 		total += len(payload)
-		recs[i] = batch.Record{Key: aggCollectorKey(q.id, groupKey), Tag: tagAgg, Payload: payload}
+		_ = r.Route(aggCollectorKey(q.id, partial[:nGroup].Bytes()), tagAgg, payload)
 	}
-	q.node.routeRecords(recs)
 	return total
 }
+
+// partialRouter is where this query's aggregation partials (its own
+// and, at a relay, the merged ones) enter the overlay. A one-shot
+// query's collector keys hash the query id, so no node has met one
+// before and each node uses each key once: the batcher's owner
+// resolution (a lookup of several RPC round trips per new key before
+// the record may leave, awaited by the flush barrier that gates the
+// scan-done ledger) can never be repaid by a cache hit and costs more
+// datagrams than routing the record. Those partials go hop by hop
+// through the raw overlay; relays intercept and combine them all the
+// same. A continuous query meets its keys again every window and
+// keeps the batcher.
+func (q *queryState) partialRouter() overlay.Router {
+	if q.eos != nil {
+		return q.node.base
+	}
+	return q.node.router
+}
+
+// rowBatch bounds rows per result message to the coordinator.
+const rowBatch = 64
 
 // sendRows ships canonical result rows to the coordinator.
 func (q *queryState) sendRows(window uint64, rows []tuple.Tuple) int {
@@ -226,8 +244,8 @@ func (q *queryState) sendRows(window uint64, rows []tuple.Tuple) int {
 	q.shipSpan()
 	q.countSent(chanKey{kind: chanRows}, len(rows))
 	total := 0
-	for off := 0; off < len(rows); off += q.node.cfg.RowBatch {
-		end := off + q.node.cfg.RowBatch
+	for off := 0; off < len(rows); off += rowBatch {
+		end := off + rowBatch
 		if end > len(rows) {
 			end = len(rows)
 		}

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/bloom"
-	"repro/internal/can"
 	"repro/internal/catalog"
 	"repro/internal/chord"
 	"repro/internal/dataflow"
@@ -35,14 +34,13 @@ import (
 
 // Config assembles a node. Zero values give simulation-scale defaults.
 type Config struct {
-	// Overlay selects the DHT scheme: "chord" (default), "kademlia",
-	// or "can" — the paper's point that PIER is overlay-agnostic,
-	// over all three of the schemes it cites.
+	// Overlay selects the DHT scheme: "chord" (default) or "kademlia"
+	// — the paper's point that PIER is overlay-agnostic: everything
+	// above sees only overlay.Router.
 	Overlay string
-	// Chord / Kademlia / CAN configure the chosen overlay.
+	// Chord / Kademlia configure the chosen overlay.
 	Chord    chord.Config
 	Kademlia kademlia.Config
-	CAN      can.Config
 	// DHT configures the storage layer.
 	DHT dht.Config
 	// Batch configures per-destination coalescing of routed traffic
@@ -86,12 +84,8 @@ type Config struct {
 	// per-site filters before disseminating the main query.
 	// Default 250ms.
 	BloomWait time.Duration
-	// BloomBits and BloomHashes size Bloom-join filters.
-	// Defaults 8192 bits, 4 hashes.
-	BloomBits   int
-	BloomHashes int
-	// RowBatch bounds rows per result message. Default 64.
-	RowBatch int
+	// BloomBits sizes Bloom-join filters. Default 8192 bits.
+	BloomBits int
 	// BatchSize is the vectorization width of the local execution
 	// pipelines: tuples per dataflow batch message. Default 256
 	// (dataflow.DefaultBatchSize); 1 reproduces tuple-at-a-time
@@ -134,26 +128,10 @@ type Config struct {
 	// StatsDriftMinInterval rate-limits auto re-ANALYZE per table.
 	// Default 10s.
 	StatsDriftMinInterval time.Duration
-	// DisableAutoAnalyze turns the drift trigger off.
-	DisableAutoAnalyze bool
 
-	// StatsTTL is the soft-state lifetime of ANALYZE-measured
-	// statistics (and the TTL their gossip digests carry).
-	// Default 60s.
-	StatsTTL time.Duration
 	// StatsGossipEvery is the stats-digest gossip period. Default
 	// 250ms (simulation scale).
 	StatsGossipEvery time.Duration
-	// StatsGossipFanout is how many overlay neighbors receive each
-	// gossip round (plus one digest routed to a random key for
-	// epidemic mixing across the ring). Default 2.
-	StatsGossipFanout int
-	// DisableStatsGossip turns the digest gossip off.
-	DisableStatsGossip bool
-	// AnalyzeSampleEvery makes the ANALYZE scan feed only every k-th
-	// tuple to the distinct counters and row sample (rows stay
-	// exact). Default 1 = every tuple.
-	AnalyzeSampleEvery int
 	// AnalyzeFromSketches makes participants answer ANALYZE from
 	// their incrementally maintained sketches instead of rescanning —
 	// cheaper, but row counts drift high across churn because
@@ -189,26 +167,11 @@ func (c Config) withDefaults() Config {
 	if c.BloomBits == 0 {
 		c.BloomBits = 8192
 	}
-	if c.BloomHashes == 0 {
-		c.BloomHashes = 4
-	}
-	if c.RowBatch == 0 {
-		c.RowBatch = 64
-	}
 	if c.BatchSize == 0 {
 		c.BatchSize = dataflow.DefaultBatchSize
 	}
-	if c.StatsTTL == 0 {
-		c.StatsTTL = 60 * time.Second
-	}
 	if c.StatsGossipEvery == 0 {
 		c.StatsGossipEvery = 250 * time.Millisecond
-	}
-	if c.StatsGossipFanout == 0 {
-		c.StatsGossipFanout = 2
-	}
-	if c.AnalyzeSampleEvery == 0 {
-		c.AnalyzeSampleEvery = 1
 	}
 	if c.SwitchFactor == 0 {
 		c.SwitchFactor = 4
@@ -251,7 +214,8 @@ type Metrics struct {
 // Node is one PIER participant.
 type Node struct {
 	cfg     Config
-	base    overlay.Router // the raw overlay (chord/kademlia/can)
+	base    overlay.Router // the raw overlay (chord/kademlia)
+	join    func(ctx context.Context, bootstrapAddr string) error
 	router  overlay.Router // the batching wrapper all hot paths use
 	batcher *batch.Batcher
 	peer    *rpc.Peer
@@ -352,14 +316,12 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 		c := chord.New(tr, cfg.Chord)
 		n.base = c
 		n.peer = c.Peer()
+		n.join = c.Join
 	case "kademlia":
 		k := kademlia.New(tr, cfg.Kademlia)
 		n.base = k
 		n.peer = k.Peer()
-	case "can":
-		c := can.New(tr, cfg.CAN)
-		n.base = c
-		n.peer = c.Peer()
+		n.join = k.Join
 	default:
 		return nil, fmt.Errorf("pier: unknown overlay %q", cfg.Overlay)
 	}
@@ -387,11 +349,9 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 	}
 	n.registerMetrics()
 	n.registerHandlers()
-	if !cfg.DisableStatsGossip {
-		n.wg.Add(1)
-		go n.statsGossipLoop()
-	}
-	if !cfg.DisableAutoAnalyze && cfg.StatsDriftFactor > 0 {
+	n.wg.Add(1)
+	go n.statsGossipLoop()
+	if cfg.StatsDriftFactor > 0 {
 		n.wg.Add(1)
 		go n.statsDriftLoop()
 	}
@@ -400,16 +360,7 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 
 // Join merges the node into the overlay via any existing member.
 func (n *Node) Join(ctx context.Context, bootstrapAddr string) error {
-	switch r := n.base.(type) {
-	case *chord.Node:
-		return r.Join(ctx, bootstrapAddr)
-	case *kademlia.Node:
-		return r.Join(ctx, bootstrapAddr)
-	case *can.Node:
-		return r.Join(ctx, bootstrapAddr)
-	default:
-		return fmt.Errorf("pier: overlay does not support Join")
-	}
+	return n.join(ctx, bootstrapAddr)
 }
 
 // Addr returns the node's transport address.

@@ -245,26 +245,6 @@ func TestLossyNetworkQueryStillAnswers(t *testing.T) {
 	}
 }
 
-// TestQueryOnCANOverlay runs a distributed aggregate over the CAN
-// overlay — the third DHT scheme the paper cites.
-func TestQueryOnCANOverlay(t *testing.T) {
-	cfg := testNodeConfig("chord")
-	cfg.Overlay = "can"
-	cfg.CAN.PingEvery = 50 * time.Millisecond
-	nodes, _ := clusterWithConfig(t, 6, 71, cfg)
-	defineEverywhere(t, nodes, trafficSchema, time.Minute)
-	for i, nd := range nodes {
-		nd.PublishLocal("traffic", tuple.Tuple{tuple.String(nd.Addr()), tuple.Float(float64(i + 1))})
-	}
-	res, err := nodes[0].Query(context.Background(), "SELECT SUM(rate), COUNT(*) FROM traffic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].F != 21 || res.Rows[0][1].I != 6 {
-		t.Fatalf("CAN overlay result %v", res.Rows)
-	}
-}
-
 // TestExplainSurface exercises the EXPLAIN entry point.
 func TestExplainSurface(t *testing.T) {
 	nodes, _ := cluster(t, 1, 72)

@@ -504,12 +504,14 @@ func TestContinuousTracksFailures(t *testing.T) {
 	}
 }
 
+var linkSchema = tuple.MustSchema("link", []tuple.Column{
+	{Name: "src", Type: tuple.TString},
+	{Name: "dst", Type: tuple.TString},
+}, "src", "dst")
+
 func TestRecursiveReachability(t *testing.T) {
 	nodes, _ := cluster(t, 5, 13)
-	linkSchema := tuple.MustSchema("link", []tuple.Column{
-		{Name: "src", Type: tuple.TString},
-		{Name: "dst", Type: tuple.TString},
-	}, "src", "dst")
+	setMembers(nodes, 5)
 	defineEverywhere(t, nodes, linkSchema, time.Minute)
 	// Chain a->b->c->d spread across different nodes' partitions.
 	links := [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}}
@@ -531,6 +533,14 @@ func TestRecursiveReachability(t *testing.T) {
 	}
 	if res.Rows[0][0].S != "a" || res.Rows[0][1].S != "b" {
 		t.Fatalf("first fact %v", res.Rows[0])
+	}
+	// A healthy run says so: proven complete, every partition covered,
+	// traceable under the base query's ID.
+	if res.Reason != ReasonEOS || res.Coverage != 1 || res.CoverageByTable["link"] != 1 {
+		t.Fatalf("healthy closure ended %q, coverage %v %v", res.Reason, res.Coverage, res.CoverageByTable)
+	}
+	if res.QueryID == 0 || res.Participants != 5 {
+		t.Fatalf("query ID %d, %d participants", res.QueryID, res.Participants)
 	}
 }
 

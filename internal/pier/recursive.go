@@ -5,35 +5,47 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/catalog"
-	"repro/internal/dataflow"
 	"repro/internal/expr"
-	"repro/internal/ops"
+	"repro/internal/physical"
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
 	"repro/internal/tuple"
-	"repro/internal/wire"
 )
 
 // ExecuteRecursive executes WITH RECURSIVE cte AS (base UNION step)
-// outer. The base query runs as a normal distributed query; the
-// recursive step's non-CTE table is materialized at the coordinator
-// with a distributed scan; the fixpoint itself runs locally through
-// the dataflow engine's semi-naive Fixpoint operator. (Fully
-// in-network recursion — rehashing deltas through the DHT, as the
-// topology paper [2] does — is provided by internal/topology; the SQL
-// surface takes the coordinator-materialized route.)
+// outer, materialized at the coordinator. The base query and the scan
+// of the step's table run as normal distributed queries; the step and
+// the outer block are compiled by the planner against a scratch
+// catalog holding the CTE's schema; the fixpoint is a worklist over a
+// hash index of the step table; the outer block runs through the
+// physical operators. (Fully in-network recursion — rehashing deltas
+// through the DHT, as the topology paper [2] does — is provided by
+// internal/topology.) The result reports how the two distributed
+// queries underneath it ended: the worse reason, and per table the
+// lower coverage.
 func (n *Node) ExecuteRecursive(ctx context.Context, stmt *sqlparser.SelectStmt) (*Result, error) {
+	start := time.Now()
 	w := stmt.With
 	if stmt.IsContinuous() {
 		return nil, fmt.Errorf("pier: continuous recursive queries are not supported")
 	}
-	// The outer block must read only the CTE.
 	if len(stmt.From) != 1 || stmt.From[0].Name != w.Name {
 		return nil, fmt.Errorf("pier: the outer select must read FROM %s only", w.Name)
 	}
+	if len(w.Step.From) != 2 {
+		return nil, fmt.Errorf("pier: the recursive step must join %s with one table", w.Name)
+	}
+	tblName := w.Step.From[0].Name
+	if tblName == w.Name {
+		tblName = w.Step.From[1].Name
+	}
+	tbl, ok := n.cat.Lookup(tblName)
+	if !ok {
+		return nil, fmt.Errorf("pier: unknown table %q in recursive step", tblName)
+	}
 
-	// 1. Run the base query distributed.
 	baseSpec, err := plan.Compile(w.Base, n.cat, plan.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("pier: recursive base: %w", err)
@@ -41,241 +53,193 @@ func (n *Node) ExecuteRecursive(ctx context.Context, stmt *sqlparser.SelectStmt)
 	if baseSpec.IsAggregate() {
 		return nil, fmt.Errorf("pier: recursive base must not aggregate")
 	}
-	baseRes, err := n.ExecuteSpec(ctx, baseSpec)
-	if err != nil {
-		return nil, err
-	}
 
-	// CTE schema: column names from the base select list.
-	cteCols := make([]tuple.Column, len(baseRes.Columns))
-	for i, name := range baseRes.Columns {
+	// The scratch catalog: the CTE, named by the base select list, and
+	// the step's table. The step and the outer block compile against it
+	// before anything is sent, so a bad statement costs no query.
+	cteCols := make([]tuple.Column, len(baseSpec.OutNames))
+	for i, name := range baseSpec.OutNames {
 		cteCols[i] = tuple.Column{Name: name}
 	}
-	cteSchema := &tuple.Schema{Name: w.Name, Columns: cteCols}
-
-	// 2. Analyze the step: FROM must pair the CTE with one table.
-	step, err := n.buildRecursiveStep(ctx, w, cteSchema)
+	scratch := catalog.New()
+	if _, err := scratch.Define(&tuple.Schema{Name: w.Name, Columns: cteCols}, 0); err != nil {
+		return nil, err
+	}
+	if _, err := scratch.Define(tbl.Schema, 0); err != nil {
+		return nil, err
+	}
+	stepSpec, err := plan.Compile(w.Step, scratch, plan.Options{})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pier: recursive step: %w", err)
 	}
-
-	// 3. Fixpoint over the dataflow engine.
-	g := dataflow.New("recursive")
-	src := g.Add("base", ops.SliceSource(baseRes.Rows))
-	fix := g.Add("fixpoint", ops.Fixpoint(step))
-	var cteRows []tuple.Tuple
-	sink := g.Add("collect", ops.CollectSink(&cteRows))
-	g.Connect(src, fix)
-	g.Connect(fix, sink)
-	if err := g.Run(ctx); err != nil {
-		return nil, err
+	cteSide := 0
+	if stepSpec.Scans[1].Table == w.Name {
+		cteSide = 1
 	}
-
-	// 4. Execute the outer block locally over the materialized CTE.
+	if stepSpec.Scans[cteSide].Table != w.Name || stepSpec.Scans[1-cteSide].Table == w.Name {
+		return nil, fmt.Errorf("pier: the recursive step must join %s with one table", w.Name)
+	}
+	if stepSpec.IsAggregate() || len(stepSpec.Proj) != len(cteCols) {
+		return nil, fmt.Errorf("pier: the recursive step must select exactly %d plain columns", len(cteCols))
+	}
 	outerStmt := *stmt
 	outerStmt.With = nil
-	outerSpec, err := compileAgainst(cteSchema, &outerStmt)
+	outerSpec, err := plan.Compile(&outerStmt, scratch, plan.Options{})
 	if err != nil {
 		return nil, err
 	}
-	rows, err := localExecuteSpec(ctx, outerSpec, cteRows, n.cfg.BatchSize)
+
+	res, err := n.ExecuteSpec(ctx, baseSpec)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Columns:      outerSpec.OutNames,
-		Rows:         rows,
-		Duration:     baseRes.Duration,
-		Participants: baseRes.Participants,
-	}, nil
+	mat, err := n.Query(ctx, "SELECT * FROM "+tblName)
+	if err != nil {
+		return nil, fmt.Errorf("pier: materializing %s: %w", tblName, err)
+	}
+	res.foldCompletion(mat)
+
+	cte := fixpoint(res.Rows, stepSpec, cteSide, mat.Rows)
+	rows, err := runLocal(ctx, outerSpec, cte, n.cfg.BatchSize)
+	if err != nil {
+		return nil, err
+	}
+	res.Columns = outerSpec.OutNames
+	res.Rows = rows
+	res.Duration = time.Since(start)
+	return res, nil
 }
 
-// buildRecursiveStep compiles the recursive member into a closure:
-// given one new CTE tuple, produce the derived CTE tuples, by joining
-// against a coordinator-materialized copy of the step's base table.
-func (n *Node) buildRecursiveStep(ctx context.Context, w *sqlparser.WithRecursive, cteSchema *tuple.Schema) (func(tuple.Tuple) []tuple.Tuple, error) {
-	step := w.Step
-	if len(step.From) != 2 {
-		return nil, fmt.Errorf("pier: the recursive step must join the CTE with one table")
+// reasonRank orders completion reasons from proven complete to least
+// known; a recursive result carries the worst one underneath it.
+var reasonRank = map[string]int{
+	ReasonEOS:           0,
+	ReasonChurnDegraded: 1,
+	ReasonQuietTimeout:  2,
+	ReasonDeadline:      3,
+}
+
+// foldCompletion folds the completion of another query that fed this
+// result into it: the worse reason wins and each table keeps its lower
+// coverage. Coverage stays untracked when either side's is.
+func (r *Result) foldCompletion(sub *Result) {
+	if reasonRank[sub.Reason] > reasonRank[r.Reason] {
+		r.Reason = sub.Reason
 	}
-	cteIdx := -1
-	for i, ref := range step.From {
-		if ref.Name == w.Name {
-			cteIdx = i
+	if r.CoverageByTable == nil || sub.CoverageByTable == nil {
+		r.Coverage, r.CoverageByTable = 0, nil
+		return
+	}
+	for t, c := range sub.CoverageByTable {
+		if mine, ok := r.CoverageByTable[t]; !ok || c < mine {
+			r.CoverageByTable[t] = c
 		}
 	}
-	if cteIdx < 0 {
-		return nil, fmt.Errorf("pier: the recursive step must reference %s", w.Name)
+	sum := 0.0
+	for _, c := range r.CoverageByTable {
+		sum += c
 	}
-	tblRef := step.From[1-cteIdx]
-	tbl, ok := n.cat.Lookup(tblRef.Name)
-	if !ok {
-		return nil, fmt.Errorf("pier: unknown table %q in recursive step", tblRef.Name)
-	}
+	r.Coverage = sum / float64(len(r.CoverageByTable))
+}
 
-	// Qualified schemas in FROM order.
-	schemas := make([]*tuple.Schema, 2)
-	schemas[cteIdx] = cteSchema.Qualify(step.From[cteIdx].Binding())
-	schemas[1-cteIdx] = tbl.Schema.Qualify(tblRef.Binding())
-	concat := schemas[0].Concat(schemas[1])
-
-	// Conjuncts: equi-join pairs between the two sides; the rest is a
-	// residual filter over the joined tuple.
-	var conjuncts []expr.Expr
-	if step.JoinOn != nil {
-		conjuncts = append(conjuncts, expr.Conjuncts(step.JoinOn)...)
+// fixpoint closes base under the compiled step: every new CTE tuple
+// probes a hash index of the step table on the step's join columns,
+// and what the step's filters and projection derive from the matches
+// joins the worklist unless already seen. Rows the expressions cannot
+// evaluate derive nothing, as in the physical Filter and Project.
+func fixpoint(base []tuple.Tuple, step *plan.Spec, cteSide int, table []tuple.Tuple) []tuple.Tuple {
+	join := &step.Joins[0]
+	cteJoin, tblJoin := join.LeftCols, join.RightCols
+	if cteSide == 1 {
+		cteJoin, tblJoin = tblJoin, cteJoin
 	}
-	if step.Where != nil {
-		conjuncts = append(conjuncts, expr.Conjuncts(step.Where)...)
-	}
-	var cteJoin, tblJoin []int
-	var residual []expr.Expr
-	for _, c := range conjuncts {
-		if cmp, ok := c.(*expr.Cmp); ok && cmp.Op == expr.EQ {
-			lc, lok := cmp.L.(*expr.Col)
-			rc, rok := cmp.R.(*expr.Col)
-			if lok && rok {
-				li, ri := schemas[cteIdx].ColIndex(lc.Name), schemas[1-cteIdx].ColIndex(rc.Name)
-				if li >= 0 && ri >= 0 {
-					cteJoin = append(cteJoin, li)
-					tblJoin = append(tblJoin, ri)
-					continue
-				}
-				li, ri = schemas[cteIdx].ColIndex(rc.Name), schemas[1-cteIdx].ColIndex(lc.Name)
-				if li >= 0 && ri >= 0 {
-					cteJoin = append(cteJoin, li)
-					tblJoin = append(tblJoin, ri)
-					continue
-				}
-			}
+	passes := func(pred expr.Expr, t tuple.Tuple) bool {
+		if pred == nil {
+			return true
 		}
-		cc, err := cloneResolvedExpr(c, concat)
-		if err != nil {
-			return nil, fmt.Errorf("pier: recursive step predicate %s: %w", c, err)
-		}
-		residual = append(residual, cc)
-	}
-	if len(cteJoin) == 0 {
-		return nil, fmt.Errorf("pier: the recursive step needs an equality between %s and %s", w.Name, tblRef.Name)
-	}
-	residualPred := expr.AndAll(residual)
-
-	// Step projection: the select items over the concatenated schema;
-	// arity must equal the CTE's.
-	if len(step.Items) != cteSchema.Arity() || step.Star {
-		return nil, fmt.Errorf("pier: the recursive step must select exactly %d columns", cteSchema.Arity())
-	}
-	proj := make([]expr.Expr, len(step.Items))
-	for i, item := range step.Items {
-		e, err := cloneResolvedExpr(item.Expr, concat)
-		if err != nil {
-			return nil, err
-		}
-		proj[i] = e
-	}
-
-	// Materialize the step table at the coordinator and index it by
-	// its join columns.
-	matRes, err := n.Query(ctx, "SELECT * FROM "+tblRef.Name)
-	if err != nil {
-		return nil, fmt.Errorf("pier: materializing %s: %w", tblRef.Name, err)
+		v, err := pred.Eval(t)
+		return err == nil && expr.Truthy(v)
 	}
 	index := make(map[string][]tuple.Tuple)
-	for _, t := range matRes.Rows {
-		key := string(t.Project(tblJoin).Bytes())
-		index[key] = append(index[key], t)
+	for _, t := range table {
+		if passes(step.Scans[1-cteSide].Where, t) {
+			key := string(t.Project(tblJoin).Bytes())
+			index[key] = append(index[key], t)
+		}
 	}
 
-	return func(cteT tuple.Tuple) []tuple.Tuple {
-		key := string(cteT.Project(cteJoin).Bytes())
-		matches := index[key]
-		var out []tuple.Tuple
-		for _, mt := range matches {
-			var joined tuple.Tuple
-			if cteIdx == 0 {
-				joined = cteT.Concat(mt)
-			} else {
-				joined = mt.Concat(cteT)
+	seen := make(map[string]struct{})
+	var closure, work []tuple.Tuple
+	push := func(t tuple.Tuple) {
+		key := string(t.Bytes())
+		if _, dup := seen[key]; !dup {
+			seen[key] = struct{}{}
+			work = append(work, t)
+		}
+	}
+	for _, b := range base {
+		push(b)
+		for len(work) > 0 {
+			t := work[len(work)-1]
+			work = work[:len(work)-1]
+			closure = append(closure, t)
+			if !passes(step.Scans[cteSide].Where, t) {
+				continue
 			}
-			if residualPred != nil {
-				v, err := residualPred.Eval(joined)
-				if err != nil || v.Kind != tuple.TBool || !v.B {
+		match:
+			for _, m := range index[string(t.Project(cteJoin).Bytes())] {
+				joined := t.Concat(m)
+				if cteSide == 1 {
+					joined = m.Concat(t)
+				}
+				if !passes(step.PostFilter, joined) {
 					continue
 				}
-			}
-			derived := make(tuple.Tuple, len(proj))
-			ok := true
-			for i, e := range proj {
-				v, err := e.Eval(joined)
-				if err != nil {
-					ok = false
-					break
+				derived := make(tuple.Tuple, len(step.Proj))
+				for i, e := range step.Proj {
+					v, err := e.Eval(joined)
+					if err != nil {
+						continue match
+					}
+					derived[i] = v
 				}
-				derived[i] = v
-			}
-			if ok {
-				out = append(out, derived)
+				push(derived)
 			}
 		}
-		return out
-	}, nil
+	}
+	return closure
 }
 
-// cloneResolvedExpr copies an expression via the wire codec and
-// resolves it against sch (the pier-side twin of the planner's
-// helper).
-func cloneResolvedExpr(e expr.Expr, sch *tuple.Schema) (expr.Expr, error) {
-	w := wire.NewWriter(64)
-	expr.Encode(w, e)
-	cp, err := expr.Decode(wire.NewReader(w.Bytes()))
-	if err != nil {
-		return nil, err
-	}
-	if cp == nil {
-		return nil, fmt.Errorf("pier: expression %s not serializable", e)
-	}
-	if err := expr.Resolve(cp, sch); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// compileAgainst compiles a single-table statement against an
-// in-memory schema (for CTE outer blocks).
-func compileAgainst(schema *tuple.Schema, stmt *sqlparser.SelectStmt) (*plan.Spec, error) {
-	cat := catalog.New()
-	if _, err := cat.Define(schema, time.Minute); err != nil {
-		return nil, err
-	}
-	return plan.Compile(stmt, cat, plan.Options{})
-}
-
-// localExecuteSpec runs a single-scan spec entirely locally over
-// in-memory rows — used for CTE outer blocks.
-func localExecuteSpec(ctx context.Context, spec *plan.Spec, raw []tuple.Tuple, batchSize int) ([]tuple.Tuple, error) {
-	if len(spec.Scans) != 1 {
-		return nil, fmt.Errorf("pier: local execution supports one scan")
-	}
-	sc := &spec.Scans[0]
-	g := dataflow.New("local")
-	prev := g.Add("rows", ops.SliceSource(raw))
-	if sc.Where != nil {
-		sel := g.Add("where", ops.Select(sc.Where))
-		g.Connect(prev, sel)
-		prev = sel
-	}
-	proj := g.Add("proj", ops.Project(spec.Proj))
-	g.Connect(prev, proj)
-	prev = proj
-	if spec.IsAggregate() {
-		agg := g.Add("agg", ops.Aggregate(spec.GroupCols, spec.Aggs, ops.Complete))
-		g.Connect(prev, agg)
-		prev = agg
+// runLocal runs a one-scan plan with this node as its only
+// participant and rows as its partition of the scanned table: the
+// participant pipeline the plan compiles to, its ship sinks landing
+// here, then the coordinator tail. PartialAgg ships one mergeable state
+// row per group at end of scan; with no collector to merge at, each is
+// finished on arrival.
+func runLocal(ctx context.Context, spec *plan.Spec, rows []tuple.Tuple, batchSize int) ([]tuple.Tuple, error) {
+	payloads := make([][]byte, len(rows))
+	for i, t := range rows {
+		payloads[i] = t.Bytes()
 	}
 	var canonical []tuple.Tuple
-	sink := g.Add("collect", ops.CollectSink(&canonical))
-	g.Connect(prev, sink)
-	if err := g.Run(ctx); err != nil {
+	ng := len(spec.GroupCols)
+	env := &physical.Env{
+		Scan: func(string, int) [][][]byte { return [][][]byte{payloads} },
+		ShipRows: func(_ uint64, rs []tuple.Tuple) int {
+			canonical = append(canonical, rs...)
+			return 0
+		},
+		ShipPartial: func(_ uint64, partials []tuple.Tuple) int {
+			for _, p := range partials {
+				acc := agg.NewAccumulator(spec.Aggs)
+				_ = acc.MergeStates(p[ng:]) // PartialAgg's own state segment: well-formed
+				canonical = append(canonical, append(p[:ng:ng], acc.FinalValues()...))
+			}
+			return 0
+		},
+		BatchSize: batchSize,
+	}
+	if err := physical.CompileOneShot(spec, env).Run(ctx); err != nil {
 		return nil, err
 	}
 	return finalizeRows(ctx, spec, canonical, batchSize)

@@ -3,8 +3,8 @@ package pier
 import (
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/id"
-	"repro/internal/ops"
 	"repro/internal/tuple"
 )
 
@@ -25,7 +25,7 @@ type combineKey struct {
 }
 
 type combineEntry struct {
-	acc   *ops.Accumulator
+	acc   *agg.Accumulator
 	group tuple.Tuple
 	key   idKey // destination collector key
 	n     int   // partials absorbed into acc
@@ -38,7 +38,7 @@ type combineEntry struct {
 func (q *queryState) combineInto(key idKey, window uint64, partial tuple.Tuple) bool {
 	spec := q.spec
 	nGroup := len(spec.GroupCols)
-	if len(partial) != nGroup+ops.StateWidth(spec.Aggs) {
+	if len(partial) != nGroup+agg.StateWidth(spec.Aggs) {
 		return false
 	}
 	ck := combineKey{window: window, group: string(partial[:nGroup].Bytes())}
@@ -49,7 +49,7 @@ func (q *queryState) combineInto(key idKey, window uint64, partial tuple.Tuple) 
 	e := q.combining[ck]
 	first := e == nil
 	if first {
-		e = &combineEntry{acc: ops.NewAccumulator(spec.Aggs), group: partial[:nGroup].Clone(), key: key}
+		e = &combineEntry{acc: agg.NewAccumulator(spec.Aggs), group: partial[:nGroup].Clone(), key: key}
 		q.combining[ck] = e
 	}
 	_ = e.acc.MergeStates(partial[nGroup:])
@@ -84,7 +84,7 @@ func (q *queryState) emitCombined(window uint64, e *combineEntry) {
 	q.countRecv(chanKey{kind: chanAgg}, e.n)
 	q.countSent(chanKey{kind: chanAgg}, 1)
 	merged := append(e.group.Clone(), e.acc.StateValues()...)
-	_ = q.node.router.Route(e.key, tagAgg, encodeTupleMsg(q.id, window, 0, 0, merged))
+	_ = q.partialRouter().Route(e.key, tagAgg, encodeTupleMsg(q.id, window, 0, 0, merged))
 }
 
 // flushCombining force-emits every held combine buffer — the relay's

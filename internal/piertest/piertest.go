@@ -102,11 +102,6 @@ func New(opts Options) (*Cluster, error) {
 			c.Close()
 			return nil, fmt.Errorf("piertest: joining node %d: %w", i, err)
 		}
-		if nodeCfg.Overlay == "can" {
-			// CAN joins mutate the splitter's zone; serialize them so
-			// concurrent splits never hand out overlapping zones.
-			time.Sleep(20 * time.Millisecond)
-		}
 	}
 	if err := c.WaitConverged(opts.ConvergeTimeout); err != nil {
 		c.Close()

@@ -3,9 +3,9 @@ package plan
 import (
 	"fmt"
 
+	"repro/internal/agg"
 	"repro/internal/catalog"
 	"repro/internal/expr"
-	"repro/internal/ops"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -168,9 +168,9 @@ func Decode(r *wire.Reader) (*Spec, error) {
 		return nil, fmt.Errorf("plan: %d aggregates", nAggs)
 	}
 	for i := 0; i < nAggs; i++ {
-		fn := ops.AggFunc(r.Byte())
+		fn := agg.AggFunc(r.Byte())
 		arg := int(r.Varint())
-		s.Aggs = append(s.Aggs, ops.AggSpec{Func: fn, ArgCol: arg})
+		s.Aggs = append(s.Aggs, agg.AggSpec{Func: fn, ArgCol: arg})
 	}
 	if s.OutPerm, err = decodeInts(r); err != nil {
 		return nil, err

@@ -6,9 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/agg"
 	"repro/internal/catalog"
 	"repro/internal/expr"
-	"repro/internal/ops"
 	"repro/internal/tuple"
 )
 
@@ -73,7 +73,7 @@ func randSpec(r *rand.Rand) *Spec {
 	}
 	if r.Intn(2) == 0 {
 		s.GroupCols = []int{0}
-		s.Aggs = []ops.AggSpec{{Func: ops.AggFunc(r.Intn(5)), ArgCol: -1 + r.Intn(nProj+1)}}
+		s.Aggs = []agg.AggSpec{{Func: agg.AggFunc(r.Intn(5)), ArgCol: -1 + r.Intn(nProj+1)}}
 		if r.Intn(2) == 0 {
 			s.Having = &expr.Cmp{Op: expr.GE,
 				L: &expr.Col{Name: "h", Index: 1}, R: expr.NewLit(tuple.Int(3))}

@@ -13,9 +13,9 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/agg"
 	"repro/internal/catalog"
 	"repro/internal/expr"
-	"repro/internal/ops"
 	"repro/internal/sqlparser"
 	"repro/internal/tuple"
 	"repro/internal/wire"
@@ -105,7 +105,7 @@ type Spec struct {
 	Proj []expr.Expr
 	// GroupCols index into Proj output; Aggs consume Proj output.
 	GroupCols []int
-	Aggs      []ops.AggSpec
+	Aggs      []agg.AggSpec
 	// OutPerm permutes the canonical output layout (group columns
 	// then aggregates, or the Proj output) into select-list order.
 	OutPerm []int
@@ -469,19 +469,19 @@ func fetchLegalFor(right *tuple.Schema, rightCols []int) bool {
 	return true
 }
 
-// aggFromFunc maps a SQL aggregate call onto an ops.AggFunc.
-func aggFromFunc(name string) (ops.AggFunc, bool) {
+// aggFromFunc maps a SQL aggregate call onto an agg.AggFunc.
+func aggFromFunc(name string) (agg.AggFunc, bool) {
 	switch name {
 	case "COUNT":
-		return ops.Count, true
+		return agg.Count, true
 	case "SUM":
-		return ops.Sum, true
+		return agg.Sum, true
 	case "AVG":
-		return ops.Avg, true
+		return agg.Avg, true
 	case "MIN":
-		return ops.Min, true
+		return agg.Min, true
 	case "MAX":
-		return ops.Max, true
+		return agg.Max, true
 	}
 	return 0, false
 }
@@ -562,7 +562,7 @@ func buildOutputs(stmt *sqlparser.SelectStmt, spec *Spec, workInput *tuple.Schem
 	}
 
 	type aggKey struct {
-		fn  ops.AggFunc
+		fn  agg.AggFunc
 		arg string
 	}
 	aggIdx := map[aggKey]int{}
@@ -584,11 +584,11 @@ func buildOutputs(stmt *sqlparser.SelectStmt, spec *Spec, workInput *tuple.Schem
 			}
 			argCol = len(spec.Proj)
 			spec.Proj = append(spec.Proj, e)
-		} else if fn != ops.Count {
+		} else if fn != agg.Count {
 			return 0, fmt.Errorf("plan: %s(*) is not valid", f.Name)
 		}
 		idx := len(spec.Aggs)
-		spec.Aggs = append(spec.Aggs, ops.AggSpec{Func: fn, ArgCol: argCol})
+		spec.Aggs = append(spec.Aggs, agg.AggSpec{Func: fn, ArgCol: argCol})
 		aggIdx[key] = idx
 		return idx, nil
 	}

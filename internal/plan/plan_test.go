@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/catalog"
-	"repro/internal/ops"
 	"repro/internal/sqlparser"
 	"repro/internal/tuple"
 )
@@ -89,7 +89,7 @@ func TestAggregatePlanTable1(t *testing.T) {
 	if len(spec.GroupCols) != 1 || len(spec.Aggs) != 1 {
 		t.Fatalf("groups=%v aggs=%v", spec.GroupCols, spec.Aggs)
 	}
-	if spec.Aggs[0].Func != ops.Sum {
+	if spec.Aggs[0].Func != agg.Sum {
 		t.Fatalf("agg func %v", spec.Aggs[0].Func)
 	}
 	if len(spec.OrderCols) != 1 || spec.OrderCols[0] != 1 || !spec.OrderDesc[0] {
@@ -112,7 +112,7 @@ func TestOrderByAlias(t *testing.T) {
 
 func TestCountStarPlan(t *testing.T) {
 	spec := compile(t, "SELECT COUNT(*) FROM traffic", Options{})
-	if len(spec.Aggs) != 1 || spec.Aggs[0].Func != ops.Count || spec.Aggs[0].ArgCol != -1 {
+	if len(spec.Aggs) != 1 || spec.Aggs[0].Func != agg.Count || spec.Aggs[0].ArgCol != -1 {
 		t.Fatalf("%+v", spec.Aggs)
 	}
 	if len(spec.GroupCols) != 0 {
