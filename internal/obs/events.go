@@ -22,6 +22,7 @@ const (
 	EvSuspectCleared = "suspicion-cleared"
 	EvSpillStarted   = "spill-started"
 	EvAutoAnalyze    = "auto-analyze"
+	EvRowsUnacked    = "rows-unacked"
 )
 
 // Event is one structured entry in the node's event ring.

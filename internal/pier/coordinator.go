@@ -158,8 +158,12 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	}
 	start := time.Now()
 	qid := n.nextQueryID()
+	// One reading of the member count serves both the partition count
+	// every participant rehashes into and the EOS completion below.
+	members := n.Members()
+	msg := queryMsg{qid: qid, coord: n.Addr(), joinParts: joinPartitions(members), spec: spec}
 	q := n.getQuery(qid, func() *queryState {
-		s := n.newQueryState(qid, spec, n.Addr())
+		s := n.newQueryState(qid, spec, n.Addr(), msg.joinParts)
 		s.isCoord = true
 		s.lastActivity = time.Now()
 		return s
@@ -171,21 +175,21 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	q.initTrace(0)
 	rootSpan := q.spans.Root("query")
 	q.traceRoot = rootSpan
+	msg.rootSpan = rootSpan
 	n.traceStart(qid, rootSpan)
 	defer n.dropQuery(qid)
 
-	var filters map[int]*bloom.Filter
 	if bloomStages(spec) != nil {
 		var err error
 		bloomSpan := q.spans.Start("gather-bloom")
-		filters, err = n.gatherBloom(ctx, qid, spec)
+		msg.filters, err = n.gatherBloom(ctx, msg)
 		q.spans.End(bloomSpan)
 		if err != nil {
 			return nil, err
 		}
 	}
 	dissSpan := q.spans.Start("disseminate")
-	if err := n.router.Broadcast(tagQuery, encodeQueryMsg(qid, n.Addr(), rootSpan, spec, filters)); err != nil {
+	if err := n.router.Broadcast(tagQuery, msg.encode()); err != nil {
 		return nil, fmt.Errorf("pier: disseminating query: %w", err)
 	}
 	q.spans.End(dissSpan)
@@ -203,7 +207,6 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	// quiescence timer stays underneath as the last-resort fallback
 	// (pure message loss), and MaxQueryLife (plus the caller's
 	// context) bounds everything.
-	members := n.Members()
 	eosOn := members > 0 && q.eos != nil
 	suspectWin := time.Duration(n.cfg.SuspectAfter) * n.cfg.HeartbeatEvery
 	// Grace before inferring churn: every live member needs time to
@@ -351,9 +354,15 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 		n.events.Emit(obs.SevInfo, obs.EvQueryCompleted, qid,
 			"rows=%d participants=%d dur=%s", len(final), participants, time.Since(start).Round(time.Millisecond))
 	} else {
+		// A query that gave up waiting under EOS says which channels'
+		// books (kind.stage.side:sent/recv) never balanced.
+		books := ""
+		if members > 0 && q.eos != nil && reason != ReasonChurnDegraded {
+			books = " books=" + q.eosStatus(issuedRound, suspects).canon
+		}
 		n.events.Emit(obs.SevWarn, obs.EvQueryDegraded, qid,
-			"reason=%s coverage=%.0f%% rows=%d participants=%d dur=%s",
-			reason, cov*100, len(final), participants, time.Since(start).Round(time.Millisecond))
+			"reason=%s coverage=%.0f%% rows=%d participants=%d dur=%s%s",
+			reason, cov*100, len(final), participants, time.Since(start).Round(time.Millisecond), books)
 	}
 	res := &Result{
 		QueryID:         qid,
@@ -494,8 +503,9 @@ func (n *Node) ExecuteSpecContinuous(ctx context.Context, spec *plan.Spec) (*Con
 		return nil, fmt.Errorf("pier: continuous joins are not supported")
 	}
 	qid := n.nextQueryID()
+	msg := queryMsg{qid: qid, coord: n.Addr(), joinParts: joinPartitions(n.Members()), spec: spec}
 	q := n.getQuery(qid, func() *queryState {
-		s := n.newQueryState(qid, spec, n.Addr())
+		s := n.newQueryState(qid, spec, n.Addr(), msg.joinParts)
 		s.isCoord = true
 		s.lastActivity = time.Now()
 		s.results = make(chan WindowResult, 64)
@@ -505,7 +515,7 @@ func (n *Node) ExecuteSpecContinuous(ctx context.Context, spec *plan.Spec) (*Con
 		return nil, fmt.Errorf("pier: node stopped")
 	}
 	n.Metrics.QueriesCoordinated.Add(1)
-	if err := n.router.Broadcast(tagQuery, encodeQueryMsg(qid, n.Addr(), 0, spec, nil)); err != nil {
+	if err := n.router.Broadcast(tagQuery, msg.encode()); err != nil {
 		n.dropQuery(qid)
 		return nil, fmt.Errorf("pier: disseminating query: %w", err)
 	}
@@ -560,9 +570,11 @@ func bloomScanFor(spec *plan.Spec, stage int) (*plan.ScanSpec, []int) {
 
 // gatherBloom runs Bloom-join phase 1 for every Bloom stage at once:
 // broadcast one request, gather per-site per-stage filters, OR them
-// together per stage.
-func (n *Node) gatherBloom(ctx context.Context, qid uint64, spec *plan.Spec) (map[int]*bloom.Filter, error) {
-	stages := bloomStages(spec)
+// together per stage. The request is the query message itself, not yet
+// carrying filters.
+func (n *Node) gatherBloom(ctx context.Context, m queryMsg) (map[int]*bloom.Filter, error) {
+	qid := m.qid
+	stages := bloomStages(m.spec)
 	n.bloomMu.Lock()
 	for _, s := range stages {
 		n.bloomGather[bloomKey{qid: qid, stage: s}] = bloom.NewWithBits(uint64(n.cfg.BloomBits), bloomHashes)
@@ -575,7 +587,7 @@ func (n *Node) gatherBloom(ctx context.Context, qid uint64, spec *plan.Spec) (ma
 		}
 		n.bloomMu.Unlock()
 	}()
-	if err := n.router.Broadcast(tagBloomQ, encodeQueryMsg(qid, n.Addr(), 0, spec, nil)); err != nil {
+	if err := n.router.Broadcast(tagBloomQ, m.encode()); err != nil {
 		return nil, err
 	}
 	select {

@@ -52,6 +52,9 @@ type queryState struct {
 	// Bloom filters attached to the query, keyed by join stage
 	// (BloomJoin phase 2).
 	filters map[int]*bloom.Filter
+	// joinParts is the routing partition count of every rehash-join
+	// stage, as the query message carried it.
+	joinParts int
 
 	// --- physical pipelines this node runs for the query ---
 	// (participant scan/window pipeline, lazily started collectors)
@@ -61,6 +64,8 @@ type queryState struct {
 	joinInlets map[int][2]*physical.Inlet // join stage -> side inlets
 	aggIn      *physical.Inlet
 	statsOnce  sync.Once
+	// rowsFailOnce limits the rows-unacked event to one per query.
+	rowsFailOnce sync.Once
 
 	// --- tracing (one-shot queries only) ---
 	// spans buffers this node's phase spans for the query; traceRoot
@@ -280,7 +285,7 @@ func (n *Node) sendStatsRPC(qid uint64, coord, channel string, stats []plan.OpSt
 	}()
 }
 
-func (n *Node) newQueryState(qid uint64, spec *plan.Spec, coord string) *queryState {
+func (n *Node) newQueryState(qid uint64, spec *plan.Spec, coord string, joinParts int) *queryState {
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &queryState{
 		id:         qid,
@@ -295,6 +300,7 @@ func (n *Node) newQueryState(qid uint64, spec *plan.Spec, coord string) *querySt
 		winFlushed: make(map[uint64]bool),
 		winTimers:  make(map[uint64]*time.Timer),
 		eosEval:    make(chan struct{}, 1),
+		joinParts:  joinParts,
 	}
 	if !spec.IsContinuous() {
 		q.eos = newEosTracker()
@@ -333,17 +339,44 @@ type bloomKey struct {
 	stage int
 }
 
-// encodeQueryMsg frames a query dissemination: the trace context
-// (query id + the coordinator's root span id) rides in the same wire
-// frame as the plan, so every participant parents its spans correctly
-// with no extra message.
-func encodeQueryMsg(qid uint64, coord string, rootSpan uint64, spec *plan.Spec, filters map[int]*bloom.Filter) []byte {
+// queryMsg is a query dissemination: the trace context (query id + the
+// coordinator's root span id) and the join partition count ride in the
+// same wire frame as the plan, so every participant parents its spans
+// correctly and rehashes into the same partitions with no extra
+// message. Participants read joinParts from here only — never from
+// their own Members(), which may disagree during a membership change.
+type queryMsg struct {
+	qid       uint64
+	coord     string
+	rootSpan  uint64
+	joinParts int
+	spec      *plan.Spec
+	filters   map[int]*bloom.Filter
+}
+
+// maxJoinPartitions bounds the partition count a message may carry.
+const maxJoinPartitions = 1 << 16
+
+// joinPartitions chooses P for a cluster of members nodes: 64 up to 16
+// members — one stage's owner lookups then fit the route batcher's
+// in-flight lookup cap — and the next power of two ≥ 4×members above
+// that, so every member still owns a few partitions.
+func joinPartitions(members int) int {
+	p := 64
+	for p < 4*members && p < maxJoinPartitions {
+		p *= 2
+	}
+	return p
+}
+
+func (m queryMsg) encode() []byte {
 	w := wire.NewWriter(512)
-	w.Uint64(qid)
-	w.String(coord)
-	w.Uint64(rootSpan)
-	stages := make([]int, 0, len(filters))
-	for s, f := range filters {
+	w.Uint64(m.qid)
+	w.String(m.coord)
+	w.Uint64(m.rootSpan)
+	w.Uvarint(uint64(m.joinParts))
+	stages := make([]int, 0, len(m.filters))
+	for s, f := range m.filters {
 		if f != nil {
 			stages = append(stages, s)
 		}
@@ -352,40 +385,43 @@ func encodeQueryMsg(qid uint64, coord string, rootSpan uint64, spec *plan.Spec, 
 	w.Uvarint(uint64(len(stages)))
 	for _, s := range stages {
 		w.Uvarint(uint64(s))
-		filters[s].Encode(w)
+		m.filters[s].Encode(w)
 	}
-	w.BytesLP(spec.Bytes())
+	w.BytesLP(m.spec.Bytes())
 	return w.Bytes()
 }
 
-func decodeQueryMsg(payload []byte) (qid uint64, coord string, rootSpan uint64, spec *plan.Spec, filters map[int]*bloom.Filter, err error) {
+func decodeQueryMsg(payload []byte) (m queryMsg, err error) {
 	r := wire.NewReader(payload)
-	qid = r.Uint64()
-	coord = r.String()
-	rootSpan = r.Uint64()
+	m.qid = r.Uint64()
+	m.coord = r.String()
+	m.rootSpan = r.Uint64()
+	parts := r.Uvarint()
+	if r.Err() == nil && (parts < 1 || parts > maxJoinPartitions) {
+		return m, fmt.Errorf("pier: query message with %d join partitions", parts)
+	}
+	m.joinParts = int(parts)
 	nf := int(r.Uvarint())
 	if nf > plan.MaxTables {
-		err = fmt.Errorf("pier: query message with %d bloom filters", nf)
-		return
+		return m, fmt.Errorf("pier: query message with %d bloom filters", nf)
 	}
 	for i := 0; i < nf; i++ {
 		stage := int(r.Uvarint())
-		var f *bloom.Filter
-		f, err = bloom.Decode(r)
+		f, err := bloom.Decode(r)
 		if err != nil {
-			return
+			return m, err
 		}
-		if filters == nil {
-			filters = make(map[int]*bloom.Filter, nf)
+		if m.filters == nil {
+			m.filters = make(map[int]*bloom.Filter, nf)
 		}
-		filters[stage] = f
+		m.filters[stage] = f
 	}
 	specBytes := r.BytesLP()
 	if err = r.Err(); err != nil {
-		return
+		return m, err
 	}
-	spec, err = plan.FromBytes(specBytes)
-	return
+	m.spec, err = plan.FromBytes(specBytes)
+	return m, err
 }
 
 // All tuple-carrying engine traffic (aggregation partials, rehashed
@@ -427,14 +463,27 @@ func aggCollectorKey(qid uint64, groupKey []byte) id.ID {
 	return id.HashParts("pier.agg", string(qb[:]), string(groupKey))
 }
 
-// joinCollectorKey places the join work for one join-key value of one
-// join stage. The stage is part of the key so a query's stages spread
-// over different collector nodes even when key values collide.
-func joinCollectorKey(qid uint64, stage int, joinKey []byte) id.ID {
+// joinOrigin hashes (query, stage) to the ring position of the stage's
+// routing partition 0, so queries, and one query's stages, spread over
+// different collector nodes.
+func joinOrigin(qid uint64, stage int) id.ID {
 	var qb [9]byte
 	binary.BigEndian.PutUint64(qb[:8], qid)
 	qb[8] = byte(stage)
-	return id.HashParts("pier.join", string(qb[:]), string(joinKey))
+	return id.HashParts("pier.join", string(qb[:]))
+}
+
+// joinCollectorKey places the join work for one routing partition of a
+// stage (physical.RehashPartition maps a join-key value to its
+// partition): partition p of parts sits p/parts of the way around the
+// ring from the stage's origin. Even spacing hands every node its arc's
+// share of the partitions to within one, where independently hashed
+// keys left the heaviest collector holding 1.2× as much at 64
+// partitions on 8 nodes.
+func joinCollectorKey(origin id.ID, partition, parts int) id.ID {
+	top := binary.BigEndian.Uint32(origin[:4]) + uint32(uint64(partition)<<32/uint64(parts))
+	binary.BigEndian.PutUint32(origin[:4], top)
+	return origin
 }
 
 // ---------------------------------------------------------------------------
@@ -443,22 +492,22 @@ func joinCollectorKey(qid uint64, stage int, joinKey []byte) id.ID {
 func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte) {
 	switch tag {
 	case tagQuery:
-		qid, coord, rootSpan, spec, filters, err := decodeQueryMsg(payload)
+		m, err := decodeQueryMsg(payload)
 		if err != nil {
 			return
 		}
-		q := n.getQuery(qid, func() *queryState {
-			qs := n.newQueryState(qid, spec, coord)
-			if coord != n.Addr() {
-				qs.initTrace(rootSpan)
+		q := n.getQuery(m.qid, func() *queryState {
+			qs := n.newQueryState(m.qid, m.spec, m.coord, m.joinParts)
+			if m.coord != n.Addr() {
+				qs.initTrace(m.rootSpan)
 			}
 			return qs
 		})
 		if q == nil {
 			return
 		}
-		if filters != nil {
-			q.filters = filters
+		if m.filters != nil {
+			q.filters = m.filters
 		}
 		q.participateOnce.Do(func() {
 			n.Metrics.QueriesParticipated.Add(1)
@@ -470,14 +519,14 @@ func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte) {
 			}()
 		})
 	case tagBloomQ:
-		qid, coord, _, spec, _, err := decodeQueryMsg(payload)
+		m, err := decodeQueryMsg(payload)
 		if err != nil {
 			return
 		}
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			n.answerBloomPhase(qid, coord, spec)
+			n.answerBloomPhase(m.qid, m.coord, m.spec)
 		}()
 	case tagAnalyzeQ:
 		n.onAnalyzeBroadcast(from, payload)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/dht"
 	"repro/internal/id"
+	"repro/internal/obs"
 	"repro/internal/overlay"
 	"repro/internal/physical"
 	"repro/internal/plan"
@@ -236,7 +237,11 @@ func (q *queryState) partialRouter() overlay.Router {
 // rowBatch bounds rows per result message to the coordinator.
 const rowBatch = 64
 
-// sendRows ships canonical result rows to the coordinator.
+// sendRows ships canonical result rows to the coordinator. The rows
+// enter the sent books before the calls, so a call that fails leaves
+// the query's books unbalanced; the first failure per query is put on
+// record. There is no retry: without frame-sequence dedup at the
+// coordinator a retry trades a short result for duplicate rows.
 func (q *queryState) sendRows(window uint64, rows []tuple.Tuple) int {
 	if len(rows) == 0 {
 		return 0
@@ -252,44 +257,43 @@ func (q *queryState) sendRows(window uint64, rows []tuple.Tuple) int {
 		payload := encodeTupleMsg(q.id, window, 0, 0, rows[off:end]...)
 		total += len(payload)
 		ctx, cancel := context.WithTimeout(q.ctx, 2*time.Second)
-		_, _ = q.node.peer.Call(ctx, q.coord, methRows, payload)
+		_, err := q.node.peer.Call(ctx, q.coord, methRows, payload)
 		cancel()
+		if err != nil && q.ctx.Err() == nil {
+			q.rowsFailOnce.Do(func() {
+				q.node.events.Emit(obs.SevWarn, obs.EvRowsUnacked, q.id,
+					"coord=%s rows=%d: %v", q.coord, end-off, err)
+			})
+		}
 	}
 	return total
 }
 
 // rehashShip routes a batch of tuples of one join stage's side toward
-// the collectors responsible for their join-key values at that stage.
-// Tuples sharing a collector key are packed into one multi-record
-// frame (the receiver feeds them to its join pipeline as one batch),
-// and the whole vector is handed to the route batcher in one call.
+// the stage's collectors: one routing partition per tuple (a hash of
+// its join-key value), one collector key per partition. Tuples sharing
+// a partition are packed into one multi-record frame in arrival order
+// (the receiver feeds them to its join pipeline as one batch), and the
+// whole vector is handed to the route batcher in one call.
 func (q *queryState) rehashShip(stage, side int, window uint64, keys [][]byte, ts []tuple.Tuple) int {
 	q.node.Metrics.JoinTuplesRehashed.Add(uint64(len(ts)))
 	q.shipSpan()
 	q.countSent(chanKey{kind: chanJoin, stage: uint8(stage), side: uint8(side)}, len(ts))
-	if len(ts) == 1 {
-		k := joinCollectorKey(q.id, stage, keys[0])
-		payload := encodeTupleMsg(q.id, window, uint8(stage), uint8(side), ts[0])
-		_ = q.node.router.Route(k, tagJoin, payload)
-		return len(payload)
-	}
-	// Group by destination collector, preserving arrival order within
-	// a group.
-	order := make([]id.ID, 0, len(ts))
-	groups := make(map[id.ID][]tuple.Tuple, len(ts))
+	parts := make([][]tuple.Tuple, q.joinParts)
 	for i, t := range ts {
-		k := joinCollectorKey(q.id, stage, keys[i])
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], t)
+		p := physical.RehashPartition(keys[i], len(parts))
+		parts[p] = append(parts[p], t)
 	}
 	total := 0
-	recs := make([]batch.Record, 0, len(order))
-	for _, k := range order {
-		payload := encodeTupleMsg(q.id, window, uint8(stage), uint8(side), groups[k]...)
+	origin := joinOrigin(q.id, stage)
+	recs := make([]batch.Record, 0, min(len(ts), len(parts)))
+	for p, rows := range parts {
+		if len(rows) == 0 {
+			continue
+		}
+		payload := encodeTupleMsg(q.id, window, uint8(stage), uint8(side), rows...)
 		total += len(payload)
-		recs = append(recs, batch.Record{Key: k, Tag: tagJoin, Payload: payload})
+		recs = append(recs, batch.Record{Key: joinCollectorKey(origin, p, len(parts)), Tag: tagJoin, Payload: payload})
 	}
 	q.node.routeRecords(recs)
 	return total

@@ -1,0 +1,167 @@
+package pier_test
+
+// Partitioned rehash, end to end: a join over many distinct join
+// values must return the centralized baseline's rows byte for byte
+// while every node resolves at most one collector owner per routing
+// partition per join stage — not one per join value.
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/pier"
+	"repro/internal/plan"
+	"repro/internal/tuple"
+)
+
+var (
+	// Every table is keyed on (node, …) and loaded with PublishLocal, so
+	// no DHT put or republish shares the route batcher's owner-miss
+	// counter with the queries under test.
+	rehashUsers = tuple.MustSchema("users", []tuple.Column{
+		{Name: "node", Type: tuple.TString},
+		{Name: "uid", Type: tuple.TInt},
+		{Name: "name", Type: tuple.TString},
+	}, "node", "uid")
+	rehashItems = tuple.MustSchema("items", []tuple.Column{
+		{Name: "node", Type: tuple.TString},
+		{Name: "item", Type: tuple.TInt},
+		{Name: "price", Type: tuple.TFloat},
+	}, "node", "item")
+	rehashOrders = tuple.MustSchema("orders", []tuple.Column{
+		{Name: "node", Type: tuple.TString},
+		{Name: "oid", Type: tuple.TInt},
+		{Name: "uid", Type: tuple.TInt},
+		{Name: "item", Type: tuple.TInt},
+		{Name: "pad", Type: tuple.TString},
+	}, "node", "oid")
+)
+
+func seedRehashJoin(t *testing.T, nodes []*pier.Node, nOrders, nUsers, nItems int) {
+	t.Helper()
+	for _, nd := range nodes {
+		for _, s := range []*tuple.Schema{rehashUsers, rehashItems, rehashOrders} {
+			if err := nd.DefineTable(s, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pad := strings.Repeat("x", 64)
+	for i := 0; i < nOrders || i < nUsers || i < nItems; i++ {
+		nd := nodes[i%len(nodes)]
+		var err error
+		if i < nUsers {
+			err = nd.PublishLocal("users", tuple.Tuple{
+				tuple.String(nd.Addr()), tuple.Int(int64(i)), tuple.String(fmt.Sprintf("user-%d", i))})
+		}
+		if err == nil && i < nItems {
+			err = nd.PublishLocal("items", tuple.Tuple{
+				tuple.String(nd.Addr()), tuple.Int(int64(i)), tuple.Float(float64(i) + 0.5)})
+		}
+		if err == nil && i < nOrders {
+			err = nd.PublishLocal("orders", tuple.Tuple{
+				tuple.String(nd.Addr()), tuple.Int(int64(i)),
+				tuple.Int(int64(i % nUsers)), tuple.Int(int64(i % nItems)), tuple.String(pad)})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRehashPartitionedJoinOwnerLookups: 8 nodes, 1000 distinct join
+// values. The coordinator picks 64 routing partitions for 8 members, so
+// a node may miss the owner cache at most 64 times per join stage (the
+// keys hash the query id: every query's are new) where routing by join
+// value missed about once per value — and the rows stay byte-identical
+// to the centralized baseline, for one stage, for two, and with the
+// collectors spilling under a 64 KB budget.
+func TestRehashPartitionedJoinOwnerLookups(t *testing.T) {
+	const (
+		parts   = 64 // joinPartitions(8)
+		nOrders = 4000
+		nUsers  = 1000
+		nItems  = 40
+	)
+	queries := []struct {
+		name   string
+		sql    string
+		stages uint64
+	}{
+		{"two-table", "SELECT o.oid, u.name FROM orders o JOIN users u ON o.uid = u.uid", 1},
+		{"three-table", "SELECT o.oid, u.name, i.price FROM orders o JOIN users u ON o.uid = u.uid JOIN items i ON o.item = i.item", 2},
+	}
+	want := make(map[string][]string)
+	seed := int64(1700)
+	for _, budget := range []int64{0, 64 * 1024} {
+		seed++
+		cl := spillCluster(t, 8, seed, func(cfg *pier.Config) {
+			cfg.JoinMemBudget = budget
+			cfg.SpillDir = t.TempDir()
+		})
+		seedRehashJoin(t, cl.Nodes, nOrders, nUsers, nItems)
+		for _, qc := range queries {
+			if want[qc.name] == nil {
+				res, err := centralizedBaseline(cl.Nodes).QuerySQL(context.Background(), qc.sql, 500*time.Millisecond)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) != nOrders {
+					t.Fatalf("%s: baseline produced %d rows, want %d", qc.name, len(res.Rows), nOrders)
+				}
+				want[qc.name] = encodeSorted(res.Rows)
+			}
+			t.Run(fmt.Sprintf("%s/budget=%d", qc.name, budget), func(t *testing.T) {
+				type counts struct{ misses, alone, coalesced uint64 }
+				read := func(nd *pier.Node) counts {
+					m := nd.Batcher().MetricsRef()
+					return counts{m.OwnerMisses.Load(), m.Passthrough.Load(), m.RecordsIn.Load()}
+				}
+				before := make([]counts, len(cl.Nodes))
+				for i, nd := range cl.Nodes {
+					before[i] = read(nd)
+				}
+				sym := plan.SymmetricHash
+				res, err := cl.Nodes[0].QueryWithOptions(context.Background(), qc.sql,
+					plan.Options{Strategy: &sym, Analyze: budget > 0})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := encodeSorted(res.Rows)
+				if len(got) != len(want[qc.name]) {
+					t.Fatalf("%d rows, want %d (reason %s)", len(got), len(want[qc.name]), res.Reason)
+				}
+				for i := range got {
+					if got[i] != want[qc.name][i] {
+						t.Fatalf("row %d differs from the centralized baseline", i)
+					}
+				}
+				for i, nd := range cl.Nodes {
+					after := read(nd)
+					if misses := after.misses - before[i].misses; misses > parts*qc.stages {
+						t.Errorf("node %d: %d owner misses, want ≤ %d (%d partitions × %d stages)",
+							i, misses, parts*qc.stages, parts, qc.stages)
+					}
+					// Past the batcher's lookup cap a record is routed alone,
+					// hop by hop: one key per join value sent most that way.
+					alone, coalesced := after.alone-before[i].alone, after.coalesced-before[i].coalesced
+					if alone > coalesced {
+						t.Errorf("node %d: %d records routed alone, %d coalesced into frames", i, alone, coalesced)
+					}
+				}
+				if budget > 0 {
+					var spilled uint64
+					for _, op := range res.Analysis.Ops {
+						spilled += op.Spilled
+					}
+					if spilled == 0 {
+						t.Fatalf("64 KB budget did not spill:\n%s", res.AnalyzeReport)
+					}
+				}
+			})
+		}
+	}
+}

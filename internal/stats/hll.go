@@ -44,7 +44,7 @@ func (h *HLL) AddHash(x uint64) {
 }
 
 // Add inserts a value by its canonical byte encoding.
-func (h *HLL) Add(b []byte) { h.AddHash(hash64(b)) }
+func (h *HLL) Add(b []byte) { h.AddHash(Hash64(b)) }
 
 // Estimate returns the distinct-count estimate, with the linear
 // counting small-range correction.
@@ -100,11 +100,12 @@ func DecodeHLL(r *wire.Reader) (*HLL, error) {
 	return h, r.Err()
 }
 
-// hash64 maps a byte string onto 64 bits: FNV-1a with a splitmix64
+// Hash64 maps a byte string onto 64 bits: FNV-1a with a splitmix64
 // finisher for avalanche (FNV alone biases the low bits HLL's rho
 // computation reads). Deterministic across nodes — sketches built on
-// different machines must agree on hashes to merge.
-func hash64(b []byte) uint64 {
+// different machines must agree on hashes to merge, and so must the
+// senders of a distributed join (physical.RehashPartition).
+func Hash64(b []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
