@@ -16,6 +16,7 @@ package chord
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,9 +94,14 @@ type Node struct {
 	predecessor overlay.Node
 	successors  []overlay.Node // [0] is the immediate successor
 	fingers     [id.Bits]overlay.Node
-	nextFinger  int
-	deadCache   map[string]time.Time // recently-failed addrs to route around
-	stopped     bool
+	// contacts caches the distinct nodes of successors and fingers, self
+	// excluded, clockwise from self: every route and broadcast hop reads
+	// it. Nil when stale — whatever changes successors or fingers resets
+	// it; liveness is checked at use, not cached.
+	contacts   []overlay.Node
+	nextFinger int
+	deadCache  map[string]time.Time // recently-failed addrs to route around
+	stopped    bool
 
 	deliver   overlay.DeliverFunc
 	intercept overlay.InterceptFunc
@@ -188,7 +194,7 @@ func (n *Node) Join(ctx context.Context, bootstrapAddr string) error {
 	}
 	n.mu.Lock()
 	n.predecessor = overlay.Node{}
-	n.successors = []overlay.Node{succ}
+	n.setSuccessorsLocked([]overlay.Node{succ})
 	n.mu.Unlock()
 	// Kick one stabilize round immediately so the ring links us in
 	// without waiting for the first timer tick.
@@ -355,30 +361,47 @@ func (n *Node) firstLiveSuccessorLocked() overlay.Node {
 	return n.self
 }
 
-// closestPrecedingLocked scans fingers and successors for the live
-// contact whose ID most closely precedes key.
+// closestPrecedingLocked returns the live contact whose ID most
+// closely precedes key: contacts run clockwise from self, so it is the
+// last live one inside (self, key).
 func (n *Node) closestPrecedingLocked(key id.ID) overlay.Node {
-	best := n.self
-	consider := func(c overlay.Node) {
-		if c.IsZero() || c.Addr == n.self.Addr {
-			return
-		}
-		if n.isDeadLocked(c.Addr) {
-			return
-		}
-		if id.Between(c.ID, n.self.ID, key) {
-			if best.Addr == n.self.Addr || id.Between(best.ID, n.self.ID, c.ID) {
-				best = c
-			}
+	contacts := n.contactsLocked()
+	for i := len(contacts) - 1; i >= 0; i-- {
+		if c := contacts[i]; id.Between(c.ID, n.self.ID, key) && !n.isDeadLocked(c.Addr) {
+			return c
 		}
 	}
-	for i := id.Bits - 1; i >= 0; i-- {
-		consider(n.fingers[i])
+	return n.self
+}
+
+// contactsLocked returns the contact list, rebuilding it if a change to
+// successors or fingers reset it.
+func (n *Node) contactsLocked() []overlay.Node {
+	if n.contacts != nil {
+		return n.contacts
+	}
+	seen := map[string]bool{n.self.Addr: true}
+	n.contacts = make([]overlay.Node, 0, len(n.successors)) // non-nil even when empty
+	add := func(c overlay.Node) {
+		if !c.IsZero() && !seen[c.Addr] {
+			seen[c.Addr] = true
+			n.contacts = append(n.contacts, c)
+		}
 	}
 	for _, s := range n.successors {
-		consider(s)
+		add(s)
 	}
-	return best
+	for i := range n.fingers {
+		add(n.fingers[i])
+	}
+	sortByDistance(n.self.ID, n.contacts)
+	return n.contacts
+}
+
+// setSuccessorsLocked installs a successor list.
+func (n *Node) setSuccessorsLocked(list []overlay.Node) {
+	n.successors = list
+	n.contacts = nil
 }
 
 func (n *Node) markDead(addr string) {
@@ -398,7 +421,7 @@ func (n *Node) markDead(addr string) {
 	if len(live) == 0 {
 		live = append(live, n.self)
 	}
-	n.successors = live
+	n.setSuccessorsLocked(live)
 	for i := range n.fingers {
 		if n.fingers[i].Addr == addr {
 			n.fingers[i] = overlay.Node{}
@@ -491,31 +514,14 @@ func (n *Node) Broadcast(tag string, payload []byte) error {
 // forwardBroadcast delegates coverage of (self, limit) to fingers.
 func (n *Node) forwardBroadcast(origin overlay.Node, tag string, payload []byte, limit id.ID) error {
 	n.mu.Lock()
-	// Collect distinct live contacts in clockwise order from self.
-	seen := map[string]bool{n.self.Addr: true}
+	// The live contacts, clockwise from self.
 	var contacts []overlay.Node
-	add := func(c overlay.Node) {
-		if c.IsZero() || seen[c.Addr] {
-			return
+	for _, c := range n.contactsLocked() {
+		if !n.isDeadLocked(c.Addr) {
+			contacts = append(contacts, c)
 		}
-		if n.isDeadLocked(c.Addr) {
-			return
-		}
-		seen[c.Addr] = true
-		contacts = append(contacts, c)
-	}
-	for _, s := range n.successors {
-		add(s)
-	}
-	for i := 0; i < id.Bits; i++ {
-		add(n.fingers[i])
 	}
 	n.mu.Unlock()
-	if len(contacts) == 0 {
-		return nil
-	}
-	// Sort by clockwise distance from self.
-	sortByDistance(n.self.ID, contacts)
 	var firstErr error
 	for i, c := range contacts {
 		// Only contacts strictly inside (self, limit) receive the
@@ -669,7 +675,7 @@ func (n *Node) stabilizeOnce() {
 		// predecessor here and adopts it), or every successor died.
 		if !pred.IsZero() && pred.Addr != n.self.Addr {
 			n.mu.Lock()
-			n.successors = []overlay.Node{pred}
+			n.setSuccessorsLocked([]overlay.Node{pred})
 			n.mu.Unlock()
 			w := wire.NewWriter(64)
 			n.self.Encode(w)
@@ -713,7 +719,10 @@ func (n *Node) stabilizeOnce() {
 			list = append(list, s)
 		}
 	}
-	n.successors = list
+	// Most rounds confirm the list they found: keep the contacts then.
+	if !slices.Equal(n.successors, list) {
+		n.setSuccessorsLocked(list)
+	}
 	n.mu.Unlock()
 
 	w := wire.NewWriter(64)
@@ -749,7 +758,7 @@ func (n *Node) adoptFromFingers() {
 		return
 	}
 	n.mu.Lock()
-	n.successors = []overlay.Node{succ}
+	n.setSuccessorsLocked([]overlay.Node{succ})
 	n.mu.Unlock()
 }
 
@@ -805,7 +814,10 @@ func (n *Node) fixOneFinger() {
 		return
 	}
 	n.mu.Lock()
-	n.fingers[k] = owner
+	if n.fingers[k] != owner {
+		n.fingers[k] = owner
+		n.contacts = nil
+	}
 	n.mu.Unlock()
 }
 

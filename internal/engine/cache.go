@@ -80,6 +80,9 @@ type PlanCache struct {
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
 	stats   CacheStats
+	// compiling holds one channel per key whose plan is being compiled
+	// by Resolve, closed when that compile ends.
+	compiling map[string]chan struct{}
 }
 
 // DefaultPlanCacheSize bounds the cache when the config leaves it 0.
@@ -92,47 +95,68 @@ func NewPlanCache(capacity int) *PlanCache {
 		capacity = DefaultPlanCacheSize
 	}
 	return &PlanCache{
-		cap:     capacity,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
+		cap:       capacity,
+		entries:   make(map[string]*list.Element),
+		lru:       list.New(),
+		compiling: make(map[string]chan struct{}),
 	}
 }
 
-// Get returns the cached plan for key if it was compiled under the
-// given (current) catalog-stats epoch. An epoch mismatch drops the
-// entry, counts an invalidation, and misses.
-func (c *PlanCache) Get(key string, epoch uint64) (*plan.Spec, bool) {
+// Resolve returns key's plan, from the cache (hit true) if it was
+// compiled under the given (current) catalog-stats epoch — an epoch
+// mismatch drops the entry and counts an invalidation — or from
+// compile, whose result it stores. Concurrent misses of one key are
+// single-flighted: the first caller compiles, the rest wait for it and
+// then hit, so a herd of sessions sending one new statement costs one
+// compile and one miss. A compile that fails, or returns a nil plan
+// (a statement that is not cached), stores nothing, and the next
+// waiter compiles for itself.
+func (c *PlanCache) Resolve(key string, epoch uint64, compile func() (*plan.Spec, error)) (spec *plan.Spec, hit bool, err error) {
 	c.mu.Lock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.stats.Misses++
+	for {
+		if el, ok := c.entries[key]; ok {
+			e := el.Value.(*cacheEntry)
+			if e.epoch == epoch {
+				e.hits++
+				c.stats.Hits++
+				c.lru.MoveToFront(el)
+				encoded := e.spec
+				c.mu.Unlock()
+				spec, err = plan.FromBytes(encoded) // fails only if the codec breaks
+				return spec, true, err
+			}
+			c.lru.Remove(el)
+			delete(c.entries, key)
+			c.stats.Invalidations++
+		}
+		first := c.compiling[key]
+		if first == nil {
+			break
+		}
 		c.mu.Unlock()
-		return nil, false
+		<-first
+		c.mu.Lock()
 	}
-	e := el.Value.(*cacheEntry)
-	if e.epoch != epoch {
-		c.lru.Remove(el)
-		delete(c.entries, key)
-		c.stats.Invalidations++
-		c.stats.Misses++
-		c.mu.Unlock()
-		return nil, false
-	}
-	e.hits++
-	c.stats.Hits++
-	c.lru.MoveToFront(el)
-	encoded := e.spec
+	c.stats.Misses++
+	done := make(chan struct{})
+	c.compiling[key] = done
 	c.mu.Unlock()
-	spec, err := plan.FromBytes(encoded)
-	if err != nil {
-		return nil, false // unreachable unless the codec breaks
+	defer func() {
+		c.mu.Lock()
+		delete(c.compiling, key)
+		c.mu.Unlock()
+		close(done)
+	}()
+	spec, err = compile()
+	if err == nil && spec != nil {
+		c.put(key, spec, epoch)
 	}
-	return spec, true
+	return spec, false, err
 }
 
-// Put stores a freshly compiled plan under key for the given epoch,
+// put stores a freshly compiled plan under key for the given epoch,
 // evicting the LRU tail at capacity.
-func (c *PlanCache) Put(key string, spec *plan.Spec, epoch uint64) {
+func (c *PlanCache) put(key string, spec *plan.Spec, epoch uint64) {
 	encoded := spec.Bytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -265,23 +265,22 @@ func (s *Service) resolve(sql string, opts plan.Options) (*plan.Spec, *sqlparser
 	if err != nil {
 		return nil, nil, false, err
 	}
-	epoch := s.node.Catalog().Epoch()
-	if spec, ok := s.cache.Get(key, epoch); ok {
-		return spec, nil, true, nil
-	}
-	stmt, err := sqlparser.Parse(sql)
+	var stmt *sqlparser.SelectStmt
+	spec, hit, err := s.cache.Resolve(key, s.node.Catalog().Epoch(), func() (*plan.Spec, error) {
+		parsed, err := sqlparser.Parse(sql)
+		if err != nil {
+			return nil, err
+		}
+		if parsed.Analyze != nil || parsed.With != nil {
+			stmt = parsed
+			return nil, nil
+		}
+		return plan.Compile(parsed, s.node.Catalog(), opts)
+	})
 	if err != nil {
 		return nil, nil, false, err
 	}
-	if stmt.Analyze != nil || stmt.With != nil {
-		return nil, stmt, false, nil
-	}
-	spec, err := plan.Compile(stmt, s.node.Catalog(), opts)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	s.cache.Put(key, spec, epoch)
-	return spec, nil, false, nil
+	return spec, stmt, hit, nil
 }
 
 // SessionStats is a session's cumulative resource accounting.

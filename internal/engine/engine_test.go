@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -94,36 +95,36 @@ func TestPlanCacheByteIdentical(t *testing.T) {
 	}
 	epoch := cat.Epoch()
 	for _, sql := range queries {
-		fresh := func() *plan.Spec {
-			spec, err := compileForTest(sql, cat)
-			if err != nil {
-				t.Fatalf("%q: %v", sql, err)
-			}
-			return spec
+		fresh := func() (*plan.Spec, error) { return compileForTest(sql, cat) }
+		want, err := fresh()
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
 		}
 		key, err := normalizedKey(sql, plan.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache.Put(key, fresh(), epoch)
-		hit, ok := cache.Get(key, epoch)
-		if !ok {
+		if _, hit, err := cache.Resolve(key, epoch, fresh); hit || err != nil {
+			t.Fatalf("%q: first resolve hit=%v err=%v", sql, hit, err)
+		}
+		got, hit, _ := cache.Resolve(key, epoch, lookupOnly)
+		if !hit {
 			t.Fatalf("%q: no hit", sql)
 		}
-		if string(hit.Bytes()) != string(fresh().Bytes()) {
+		if string(got.Bytes()) != string(want.Bytes()) {
 			t.Fatalf("%q: cached plan differs from fresh compile", sql)
 		}
 		// Mutating the returned spec must not poison the cache.
-		hit.Limit = 1234
-		hit2, ok := cache.Get(key, epoch)
-		if !ok || hit2.Limit == 1234 {
+		got.Limit = 1234
+		again, hit, _ := cache.Resolve(key, epoch, lookupOnly)
+		if !hit || again.Limit == 1234 {
 			t.Fatalf("%q: cache entry mutated through a returned spec", sql)
 		}
 		// An epoch bump (ANALYZE installing stats, DDL) invalidates.
-		if _, ok := cache.Get(key, epoch+1); ok {
+		if _, hit, _ := cache.Resolve(key, epoch+1, lookupOnly); hit {
 			t.Fatalf("%q: stale-epoch entry served", sql)
 		}
-		if _, ok := cache.Get(key, epoch); ok {
+		if _, hit, _ := cache.Resolve(key, epoch, lookupOnly); hit {
 			t.Fatalf("%q: invalidated entry still present", sql)
 		}
 	}
@@ -132,6 +133,10 @@ func TestPlanCacheByteIdentical(t *testing.T) {
 		t.Fatalf("invalidations = %d, want %d", st.Invalidations, len(queries))
 	}
 }
+
+// lookupOnly is a Resolve compile that yields no plan, so a miss stores
+// nothing: what is left is the lookup.
+func lookupOnly() (*plan.Spec, error) { return nil, nil }
 
 func compileForTest(sql string, cat *catalog.Catalog) (*plan.Spec, error) {
 	stmt, err := sqlparser.Parse(sql)
@@ -151,26 +156,53 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	keys := make([]string, 3)
 	for i := range keys {
 		sql := fmt.Sprintf("SELECT node FROM traffic WHERE rate > %d", i)
-		spec, err := compileForTest(sql, cat)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var err error
 		keys[i], err = normalizedKey(sql, plan.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache.Put(keys[i], spec, epoch)
+		if _, _, err := cache.Resolve(keys[i], epoch, func() (*plan.Spec, error) { return compileForTest(sql, cat) }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := cache.Get(keys[0], epoch); ok {
+	if _, hit, _ := cache.Resolve(keys[0], epoch, lookupOnly); hit {
 		t.Fatal("LRU tail not evicted at capacity")
 	}
 	for _, k := range keys[1:] {
-		if _, ok := cache.Get(k, epoch); !ok {
+		if _, hit, _ := cache.Resolve(k, epoch, lookupOnly); !hit {
 			t.Fatalf("entry %q evicted prematurely", k)
 		}
 	}
 	if st := cache.Stats(); st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("stats %+v, want 1 eviction / 2 entries", st)
+	}
+}
+
+// TestResolveSingleFlight: sessions that send one new statement at the
+// same moment compile it once — the rest wait for that compile and hit.
+func TestResolveSingleFlight(t *testing.T) {
+	c := newTestCluster(t, 1, 12)
+	svc := New(c.Nodes[0], Config{})
+	defer svc.Close()
+
+	const herd = 16
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < herd; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			spec, _, _, err := svc.resolve("SELECT rule, SUM(hits) FROM alerts WHERE hits > 3 GROUP BY rule", plan.Options{})
+			if err != nil || spec == nil {
+				t.Errorf("resolve: spec %v, err %v", spec, err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if st := svc.Cache().Stats(); st.Misses != 1 || st.Hits != herd-1 {
+		t.Fatalf("cache stats %+v, want 1 miss / %d hits", st, herd-1)
 	}
 }
 

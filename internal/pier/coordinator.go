@@ -210,14 +210,17 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	eosOn := members > 0 && q.eos != nil
 	suspectWin := time.Duration(n.cfg.SuspectAfter) * n.cfg.HeartbeatEvery
 	// Grace before inferring churn: every live member needs time to
-	// land its first heartbeat ledger after the query broadcast.
-	grace := start.Add(suspectWin + n.cfg.HeartbeatEvery)
+	// land its first heartbeat ledger after the query broadcast — which
+	// a Bloom gather puts BloomWait after start, past the whole grace.
+	grace := time.Now().Add(suspectWin + n.cfg.HeartbeatEvery)
 	var issuedRound uint64 // last drain round broadcast (0 = none yet)
 	var issuedCanon string // totals snapshot at that broadcast
 	var issuedAt time.Time // for re-issuing lost round broadcasts
 	var suspects map[string]bool
 	reason := ReasonQuietTimeout
 	deadline := time.Now().Add(n.cfg.MaxQueryLife)
+	poll := time.NewTicker(25 * time.Millisecond) // evaluations no kick asks for: churn inference, Quiet
+	defer poll.Stop()
 	for {
 		select {
 		case <-ctx.Done():
@@ -234,7 +237,7 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 			// under us: bail out without touching the router again.
 			return nil, fmt.Errorf("pier: query cancelled: node stopping")
 		case <-q.eosEval:
-		case <-time.After(25 * time.Millisecond):
+		case <-poll.C:
 		}
 		if time.Now().After(deadline) {
 			reason = ReasonDeadline
@@ -326,13 +329,20 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	q.spans.EndDetail(waitSpan, fmt.Sprintf("reason=%s rounds=%d", reason, issuedRound))
 	n.stopQuery(qid)
 	if spec.Analyze {
-		// Merge this node's own counters and give remote nodes a
-		// moment to RPC theirs in (best effort — the stop broadcast
-		// itself is best effort).
+		// Merge this node's own counters and wait for the remote nodes
+		// to RPC theirs in, analyzeGrace at most (best effort — the stop
+		// broadcast itself is best effort).
 		q.shipStats()
-		select {
-		case <-ctx.Done():
-		case <-time.After(analyzeGrace):
+		statsCap := time.After(analyzeGrace)
+	wait:
+		for !q.allStatsIn() {
+			select {
+			case <-ctx.Done():
+				break wait
+			case <-statsCap:
+				break wait
+			case <-q.eosEval:
+			}
 		}
 	}
 
@@ -464,9 +474,22 @@ func (q *queryState) coverage(reason string, members int, suspects map[string]bo
 	return float64(total) / float64(len(tables)*members), byTable
 }
 
-// analyzeGrace is how long an EXPLAIN ANALYZE coordinator waits after
+// analyzeGrace caps how long an EXPLAIN ANALYZE coordinator waits after
 // the stop broadcast for participant counter RPCs to arrive.
 const analyzeGrace = 200 * time.Millisecond
+
+// allStatsIn reports whether every member that finished its scan has
+// delivered its pipeline counters (setNodeStats pokes eosEval).
+func (q *queryState) allStatsIn() bool {
+	q.coMu.Lock()
+	defer q.coMu.Unlock()
+	for addr := range q.doneNodes {
+		if q.nodeStats[addr+"|"+statsChanPipes] == nil {
+			return false
+		}
+	}
+	return true
+}
 
 // bloomHashes is the hash count of Bloom-join filters; every site
 // must build with the same one for the coordinator to OR them.

@@ -66,8 +66,7 @@ type eosTracker struct {
 	// every ledger.
 	scans map[string]bool
 	// shipOnce guards the single start of the ledger shipper
-	// goroutine (participation start under churn-aware heartbeating,
-	// scan completion otherwise).
+	// goroutine, at participation start.
 	shipOnce sync.Once
 	// seq numbers shipped frames so the coordinator can discard
 	// reordered datagrams.
@@ -77,8 +76,12 @@ type eosTracker struct {
 	drainRound uint64
 	drainSeen  map[uint64]bool
 	gate       *drainGate
-	// dirty coalesces ledger re-ship signals for the shipper goroutine.
-	dirty chan struct{}
+	// dirty and urgent wake the shipper goroutine: dirty for count
+	// movements, which wait out a settle pause; urgent for state
+	// transitions (scan done, a drain round acknowledged), which the
+	// coordinator's next step waits on and which leave at once.
+	dirty  chan struct{}
+	urgent chan struct{}
 }
 
 // drainGate tracks one in-flight drain round on this node: remaining
@@ -97,7 +100,15 @@ func newEosTracker() *eosTracker {
 		scans:     make(map[string]bool),
 		drainSeen: make(map[uint64]bool),
 		dirty:     make(chan struct{}, 1),
+		urgent:    make(chan struct{}, 1),
 	}
+}
+
+// drainStarted reports whether any drain round has reached this node.
+func (e *eosTracker) drainStarted() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.drainSeen) > 0
 }
 
 // countSent enters n records put on the wire for a channel.
@@ -125,20 +136,29 @@ func (q *queryState) countRecv(k chanKey, n int) {
 }
 
 // eosKick signals that this node's books moved: the coordinator
-// re-evaluates completion, participants re-ship their ledger.
+// re-evaluates completion, participants re-ship their ledger after the
+// settle pause.
 func (q *queryState) eosKick() {
-	if q.isCoord {
-		select {
-		case q.eosEval <- struct{}{}:
-		default:
-		}
-		return
-	}
 	if e := q.eos; e != nil {
-		select {
-		case e.dirty <- struct{}{}:
-		default:
-		}
+		q.eosSignal(e.dirty)
+	}
+}
+
+// eosKickNow signals a state transition — scan done or a drain round
+// acknowledged: the participant's ledger leaves without the pause.
+func (q *queryState) eosKickNow() {
+	if e := q.eos; e != nil {
+		q.eosSignal(e.urgent)
+	}
+}
+
+func (q *queryState) eosSignal(wake chan struct{}) {
+	if q.isCoord {
+		wake = q.eosEval
+	}
+	select {
+	case wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -195,8 +215,8 @@ func (q *queryState) eosMarkScansServed() {
 	e.mu.Unlock()
 }
 
-// eosMarkScanDone records local scan completion and starts reporting
-// to the coordinator — the EOS replacement for the old "done" RPC.
+// eosMarkScanDone records local scan completion and reports it to the
+// coordinator — the EOS replacement for the old "done" RPC.
 func (q *queryState) eosMarkScanDone() {
 	e := q.eos
 	if e == nil {
@@ -216,25 +236,24 @@ func (q *queryState) eosMarkScanDone() {
 		q.doneNodes[q.node.Addr()] = true
 		q.lastActivity = time.Now()
 		q.coMu.Unlock()
-		q.eosKick()
-		return
 	}
 	q.startEosShipper()
-	q.eosKick()
+	q.eosKickNow()
 }
 
-// startEosShipper ships the first ledger and starts the shipper
-// goroutine exactly once. Participants call it when participation
-// begins — not at scan completion — so the ledger doubles as a
-// liveness heartbeat from the start and the coordinator learns every
-// member's address before any scan finishes.
+// startEosShipper starts the shipper goroutine exactly once, when
+// participation begins — not at scan completion — so the ledger doubles
+// as a liveness heartbeat and the coordinator learns a member's address
+// before a long scan finishes. The first ledger is a count movement, not
+// a frame of its own: a scan shorter than the settle pause reports "I am
+// a member" and "my scan is done" in one frame.
 func (q *queryState) startEosShipper() {
 	e := q.eos
 	if e == nil || q.isCoord {
 		return
 	}
 	e.shipOnce.Do(func() {
-		q.shipEosLedger()
+		q.eosKick()
 		q.node.wg.Add(1)
 		go func() {
 			defer q.node.wg.Done()
@@ -260,36 +279,53 @@ func (q *queryState) shipEosLedger() {
 // coordinator's failure detector counts missed beats). It runs from
 // participation start until query teardown, bounded by MaxQueryLife
 // in case the stop broadcast never arrives (dead coordinator).
-// Bursts coalesce twice: the dirty channel absorbs signals while a
-// ship is in flight, and a short settle pause lets a batch of
+// Count movements coalesce twice: the dirty channel absorbs signals
+// while a ship is in flight, and a short settle pause lets a batch of
 // arrivals (e.g. a collector absorbing many frames) land in one
-// ledger instead of one RPC each.
+// ledger instead of one RPC each. A state transition ships at once,
+// cutting short a pause in progress: the frame is the full ledger, so
+// the counts that were waiting ride along.
 func (q *queryState) eosShipperLoop() {
 	const settle = time.Millisecond
+	e := q.eos
 	hb := q.node.cfg.HeartbeatEvery
 	if hb <= 0 {
 		hb = 50 * time.Millisecond
 	}
 	tick := time.NewTicker(hb)
 	defer tick.Stop()
+	pause := time.NewTimer(settle)
+	defer pause.Stop()
 	deadline := time.Now().Add(q.node.cfg.MaxQueryLife)
 	for {
 		select {
 		case <-q.ctx.Done():
 			return
-		case <-q.eos.dirty:
+		case <-e.urgent:
+		case <-e.dirty:
+			if !pause.Stop() { // a reused timer may hold a stale fire
+				select {
+				case <-pause.C:
+				default:
+				}
+			}
+			pause.Reset(settle)
 			select {
 			case <-q.ctx.Done():
 				return
-			case <-time.After(settle):
-			}
-			select { // fold movements that arrived during the pause
-			case <-q.eos.dirty:
-			default:
+			case <-e.urgent:
+			case <-pause.C:
 			}
 		case <-tick.C:
 			if time.Now().After(deadline) {
 				return
+			}
+		}
+		// The frame built next carries every signal raised so far.
+		for _, wake := range [2]chan struct{}{e.dirty, e.urgent} {
+			select {
+			case <-wake:
+			default:
 			}
 		}
 		q.shipEosLedger()
@@ -347,7 +383,7 @@ func (q *queryState) drainLocal(round uint64) {
 		e.drainRound = round
 	}
 	e.mu.Unlock()
-	q.eosKick()
+	q.eosKickNow()
 }
 
 // eosDrainAck is the physical pipelines' Env.DrainAck: a sink

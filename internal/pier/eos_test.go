@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agg"
+	"repro/internal/plan"
 	"repro/internal/simnet"
+	"repro/internal/sqlparser"
 	"repro/internal/tuple"
 )
 
@@ -306,5 +309,141 @@ func TestEOSReorderingAndLoss(t *testing.T) {
 			t.Fatalf("lossy trial %d: unexpected completion reason %q", trial, res.Reason)
 		}
 		check(trial, res, true)
+	}
+}
+
+// TestEosTupleBufferedAfterReplay: a routed tuple whose handler found no
+// query, was held off the CPU while the announcement registered the
+// query and replayed the (still empty) pending buffer, and only then
+// buffered, must still reach the query — stranded, it is a record sent
+// and never received, and the query waits out Quiet with its books one
+// short.
+func TestEosTupleBufferedAfterReplay(t *testing.T) {
+	nodes, _ := cluster(t, 1, 79)
+	defineEverywhere(t, nodes, trafficSchema, time.Minute)
+	n := nodes[0]
+	stmt, err := sqlparser.Parse("SELECT COUNT(*) FROM traffic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := plan.Compile(stmt, n.cat, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const qid = 4242
+	q := n.getQuery(qid, func() *queryState { return n.newQueryState(qid, spec, "elsewhere", 64) })
+	defer n.dropQuery(qid)
+	n.replayPending(q) // the announcement's replay: nothing buffered yet
+
+	partial := agg.NewAccumulator(spec.Aggs).StateValues()
+	n.bufferPending(qid, tagAgg, encodeTupleMsg(qid, 0, 0, 0, partial))
+
+	n.pendMu.Lock()
+	stranded := len(n.pending[qid])
+	n.pendMu.Unlock()
+	if stranded != 0 {
+		t.Fatalf("%d tuple(s) left in the pending buffer of a registered query", stranded)
+	}
+	q.eos.mu.Lock()
+	recv := q.eos.recv[chanKey{kind: chanAgg}]
+	q.eos.mu.Unlock()
+	if recv != 1 {
+		t.Fatalf("partials received = %d, want 1", recv)
+	}
+}
+
+// TestEosLedgerShipsWhen: what a member's shipper puts on the wire,
+// counted in frames. The heartbeat is an hour, so every frame is one the
+// books asked for. A stall of this goroutine can only add a frame (a
+// settle pause runs out between two calls), so each case is the least
+// of three tries.
+func TestEosLedgerShipsWhen(t *testing.T) {
+	cfg := testNodeConfig("chord")
+	cfg.HeartbeatEvery = time.Hour
+	nodes, _ := clusterWithConfig(t, 1, 80, cfg)
+	defineEverywhere(t, nodes, trafficSchema, time.Minute)
+	n := nodes[0]
+	stmt, err := sqlparser.Parse("SELECT COUNT(*) FROM traffic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := plan.Compile(stmt, n.cat, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partials := chanKey{kind: chanAgg}
+	cases := []struct {
+		name string
+		do   func(q *queryState)
+	}{
+		{"participation start and the end of a short scan", func(q *queryState) {
+			q.startEosShipper()
+			q.eosMarkScanDone()
+		}},
+		{"a burst of count movements", func(q *queryState) {
+			q.startEosShipper()
+			for i := 0; i < 200; i++ {
+				q.countSent(partials, 1)
+			}
+		}},
+		{"a drain acknowledgement behind a count movement", func(q *queryState) {
+			q.startEosShipper()
+			q.countSent(partials, 1)
+			q.drainLocal(1)
+		}},
+	}
+	for _, c := range cases {
+		least := uint64(1 << 62)
+		for try := 0; try < 3 && least != 1; try++ {
+			q := n.newQueryState(uint64(5000+try), spec, "elsewhere", 64)
+			before := n.hbSent.Load()
+			c.do(q)
+			deadline := time.Now().Add(5 * time.Second)
+			for n.hbSent.Load() == before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(10 * time.Millisecond) // ten settle pauses: nothing more follows
+			least = min(least, n.hbSent.Load()-before)
+			q.cancel()
+		}
+		if least != 1 {
+			t.Errorf("%s: %d ledger frames, want 1", c.name, least)
+		}
+	}
+}
+
+// TestExplainAnalyzeEndsWithLastSnapshot: an EXPLAIN ANALYZE coordinator
+// returns once every member's counters are in, not analyzeGrace later —
+// which it silently would if the stats RPC's peer address and the
+// ledger's Addr ever named one member two ways. The fastest of five
+// runs is held to half the cap; an idle COUNT(*) itself takes a few ms.
+func TestExplainAnalyzeEndsWithLastSnapshot(t *testing.T) {
+	nodes, _ := cluster(t, 8, 81)
+	setMembers(nodes, 8)
+	defineEverywhere(t, nodes, trafficSchema, time.Minute)
+	for _, nd := range nodes {
+		if err := nd.PublishLocal("traffic", tuple.Tuple{tuple.String(nd.Addr()), tuple.Float(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fastest := time.Hour
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		res, err := nodes[2].QueryWithOptions(context.Background(), "SELECT COUNT(*) FROM traffic", plan.Options{Analyze: true})
+		fastest = min(fastest, time.Since(start))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reason != ReasonEOS {
+			t.Fatalf("reason %q, want eos", res.Reason)
+		}
+		for _, op := range res.Analysis.Ops {
+			if op.Stage == "participant" && op.Op == "scan" && op.Nodes != uint64(len(nodes)) {
+				t.Fatalf("scan counters of %d nodes, want %d:\n%s", op.Nodes, len(nodes), res.AnalyzeReport)
+			}
+		}
+	}
+	if fastest >= analyzeGrace/2 {
+		t.Errorf("fastest EXPLAIN ANALYZE took %v: the coordinator waited out analyzeGrace (%v)", fastest, analyzeGrace)
 	}
 }

@@ -246,6 +246,7 @@ func (q *queryState) setNodeStats(node, channel string, a *plan.Analysis) {
 	}
 	q.nodeStats[node+"|"+channel] = a
 	q.coMu.Unlock()
+	q.eosKick() // an EXPLAIN ANALYZE coordinator may be waiting for this snapshot
 }
 
 // mergedAnalysis folds every node's latest snapshot (plus any extra
@@ -614,7 +615,6 @@ const (
 
 func (n *Node) bufferPending(qid uint64, tag string, payload []byte) {
 	n.pendMu.Lock()
-	defer n.pendMu.Unlock()
 	if n.pending == nil {
 		n.pending = make(map[uint64][]pendingMsg)
 	}
@@ -625,10 +625,17 @@ func (n *Node) bufferPending(qid uint64, tag string, payload []byte) {
 			delete(n.pending, id)
 		}
 	}
-	if len(n.pending[qid]) >= pendingPerQuery {
-		return
+	if len(n.pending[qid]) < pendingPerQuery {
+		n.pending[qid] = append(n.pending[qid], pendingMsg{tag: tag, payload: append([]byte(nil), payload...), at: now})
 	}
-	n.pending[qid] = append(n.pending[qid], pendingMsg{tag: tag, payload: append([]byte(nil), payload...), at: now})
+	n.pendMu.Unlock()
+	// The announcement may have registered the query and replayed an
+	// empty buffer between the caller's lookup and this append; the
+	// tuple would then wait for a replay that already happened, and the
+	// query's books would never balance.
+	if q := n.getQuery(qid, nil); q != nil {
+		n.replayPending(q)
+	}
 }
 
 // replayPending re-dispatches tuples that arrived before the query.

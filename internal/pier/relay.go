@@ -27,14 +27,17 @@ type combineKey struct {
 type combineEntry struct {
 	acc   *agg.Accumulator
 	group tuple.Tuple
-	key   idKey // destination collector key
-	n     int   // partials absorbed into acc
+	key   idKey       // destination collector key
+	n     int         // partials absorbed into acc
+	hold  *time.Timer // emits the entry after CombineHold unless a drain round flushes it first
 }
 
 // combineInto merges a passing partial into this relay's buffer for
 // (window, collector-key, group); the first arrival schedules the
 // combined forward. Returns false when the message should just be
-// forwarded (e.g. non-aggregate plans).
+// forwarded: non-aggregate plans, and a one-shot query that has seen a
+// drain round — what passes then is another relay's flushed merge, and
+// a second hold costs a round per overlay hop and combines nothing.
 func (q *queryState) combineInto(key idKey, window uint64, partial tuple.Tuple) bool {
 	spec := q.spec
 	nGroup := len(spec.GroupCols)
@@ -47,16 +50,16 @@ func (q *queryState) combineInto(key idKey, window uint64, partial tuple.Tuple) 
 		q.combining = make(map[combineKey]*combineEntry)
 	}
 	e := q.combining[ck]
-	first := e == nil
-	if first {
+	if e == nil {
+		// Asked under combMu, which a drain round takes only after it has
+		// marked itself seen: an entry is flushed by the round or never made.
+		if q.eos != nil && q.eos.drainStarted() {
+			q.combMu.Unlock()
+			return false
+		}
 		e = &combineEntry{acc: agg.NewAccumulator(spec.Aggs), group: partial[:nGroup].Clone(), key: key}
 		q.combining[ck] = e
-	}
-	_ = e.acc.MergeStates(partial[nGroup:])
-	e.n++
-	q.combMu.Unlock()
-	if first {
-		time.AfterFunc(q.node.cfg.CombineHold, func() {
+		e.hold = time.AfterFunc(q.node.cfg.CombineHold, func() {
 			select {
 			case <-q.ctx.Done():
 				return
@@ -72,6 +75,9 @@ func (q *queryState) combineInto(key idKey, window uint64, partial tuple.Tuple) 
 			q.emitCombined(ck.window, e)
 		})
 	}
+	_ = e.acc.MergeStates(partial[nGroup:])
+	e.n++
+	q.combMu.Unlock()
 	return true
 }
 
@@ -95,6 +101,7 @@ func (q *queryState) flushCombining() {
 	q.combining = nil
 	q.combMu.Unlock()
 	for ck, e := range entries {
+		e.hold.Stop()
 		q.emitCombined(ck.window, e)
 	}
 }
