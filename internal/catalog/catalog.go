@@ -222,10 +222,12 @@ func (c *Catalog) SetStats(name string, stats TableStats) error {
 }
 
 // InstallMeasured records measured or gossiped statistics, respecting
-// soft-state precedence: an expired entry always yields; a live
-// measured entry is never displaced by gossip; within one source the
-// newer measurement wins. The caller sets Source, MeasuredAt, and
-// TTL. Declared stats live separately and always win at read time.
+// soft-state precedence: an expired entry always yields; against a
+// live entry the strictly newer measurement wins whichever way it
+// arrived — a node's own old count must not outlive another node's
+// fresh one that reaches it as gossip — and at equal age measured
+// beats gossiped. The caller sets Source, MeasuredAt, and TTL.
+// Declared stats live separately and always win at read time.
 func (c *Catalog) InstallMeasured(name string, stats TableStats) error {
 	if stats.Source != StatsMeasured && stats.Source != StatsGossiped {
 		return fmt.Errorf("catalog: InstallMeasured with source %v", stats.Source)
@@ -247,10 +249,10 @@ func (c *Catalog) InstallMeasured(name string, stats TableStats) error {
 	stats = stats.clone()
 	stats.Distinct = norm
 	if cur, ok := c.measured[name]; ok && !cur.Expired(now) {
-		if cur.Source > stats.Source {
+		if stats.MeasuredAt.Before(cur.MeasuredAt) {
 			return nil
 		}
-		if cur.Source == stats.Source && !stats.MeasuredAt.After(cur.MeasuredAt) {
+		if stats.MeasuredAt.Equal(cur.MeasuredAt) && stats.Source <= cur.Source {
 			return nil
 		}
 	}

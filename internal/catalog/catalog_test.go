@@ -147,13 +147,19 @@ func TestStatsPrecedence(t *testing.T) {
 	if st, src, _ := c.StatsInfo("t"); src != StatsMeasured || st.Rows != 200 {
 		t.Fatalf("measured did not displace gossip: %v %v", st.Rows, src)
 	}
-	// Gossip does not displace live measured, even when newer.
-	c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsGossiped, MeasuredAt: now.Add(time.Second), TTL: time.Minute})
+	// Gossip of the same or an older age does not displace live measured.
+	c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsGossiped, MeasuredAt: now, TTL: time.Minute})
+	c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsGossiped, MeasuredAt: now.Add(-time.Second), TTL: time.Minute})
 	if st, _, _ := c.StatsInfo("t"); st.Rows != 200 {
-		t.Fatalf("gossip displaced measured: %v", st.Rows)
+		t.Fatalf("gossip no newer displaced measured: %v", st.Rows)
+	}
+	// Strictly newer gossip does: another node has counted since.
+	c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsGossiped, MeasuredAt: now.Add(time.Second), TTL: time.Minute})
+	if st, src, _ := c.StatsInfo("t"); src != StatsGossiped || st.Rows != 300 {
+		t.Fatalf("newer gossip refused: %v %v", st.Rows, src)
 	}
 	// A newer measurement replaces an older one; an older one does not.
-	c.InstallMeasured("t", TableStats{Rows: 400, Source: StatsMeasured, MeasuredAt: now.Add(time.Second), TTL: time.Minute})
+	c.InstallMeasured("t", TableStats{Rows: 400, Source: StatsMeasured, MeasuredAt: now.Add(2 * time.Second), TTL: time.Minute})
 	if st, _, _ := c.StatsInfo("t"); st.Rows != 400 {
 		t.Fatalf("newer measurement ignored: %v", st.Rows)
 	}

@@ -42,7 +42,8 @@ func TestEpochBumpsOnPlanAffectingMutations(t *testing.T) {
 		t.Fatalf("SetStats did not bump epoch: %d -> %d", e1, e2)
 	}
 
-	if err := c.InstallMeasured("t", TableStats{Rows: 200, Source: StatsMeasured, MeasuredAt: time.Now(), TTL: time.Minute}); err != nil {
+	measuredAt := time.Now()
+	if err := c.InstallMeasured("t", TableStats{Rows: 200, Source: StatsMeasured, MeasuredAt: measuredAt, TTL: time.Minute}); err != nil {
 		t.Fatal(err)
 	}
 	e3 := c.Epoch()
@@ -50,8 +51,8 @@ func TestEpochBumpsOnPlanAffectingMutations(t *testing.T) {
 		t.Fatalf("InstallMeasured did not bump epoch: %d -> %d", e2, e3)
 	}
 
-	// A gossiped entry losing to a live measured one installs nothing.
-	if err := c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsGossiped, MeasuredAt: time.Now(), TTL: time.Minute}); err != nil {
+	// A gossiped entry no newer than a live measured one installs nothing.
+	if err := c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsGossiped, MeasuredAt: measuredAt, TTL: time.Minute}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Epoch(); got != e3 {

@@ -377,9 +377,14 @@ func ForEach(ctx context.Context, in <-chan Msg, fn func(Msg) error) error {
 }
 
 // Merge multiplexes several inputs into one channel, closing it when
-// every input has closed. Message order across inputs is arbitrary,
-// as in any exchange.
+// every input has closed or ctx ends. Message order across inputs is
+// arbitrary, as in any exchange. A single input is returned as it is —
+// no forwarding goroutine, no second hop per message: the operator
+// upstream closes it when it returns, and it returns when ctx ends.
 func Merge(ctx context.Context, ins []<-chan Msg) <-chan Msg {
+	if len(ins) == 1 {
+		return ins[0]
+	}
 	out := make(chan Msg, DefaultEdgeDepth)
 	var wg sync.WaitGroup
 	for _, in := range ins {

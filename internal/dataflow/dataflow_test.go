@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -376,5 +377,69 @@ func TestMsgTuplesAndNRows(t *testing.T) {
 	punct := PunctMsg(1, time.Now())
 	if punct.NRows() != 0 {
 		t.Fatalf("punct NRows %d", punct.NRows())
+	}
+}
+
+// TestMergeSingleInputChainStops cancels a three-operator chain in
+// mid-stream. With one input Merge hands the operator its input
+// channel itself, so each `for range` ends only because the operator
+// upstream returned on cancel and had its outputs closed; Stop must
+// return and leave no goroutine behind.
+func TestMergeSingleInputChainStops(t *testing.T) {
+	in := make(chan Msg)
+	if got := Merge(context.Background(), []<-chan Msg{in}); got != (<-chan Msg)(in) {
+		t.Fatal("Merge of one input is not that input")
+	}
+	before := runtime.NumGoroutine()
+	g := New("chain")
+	src := g.Add("src", func(ctx context.Context, _ []<-chan Msg, outs []chan<- Msg) error {
+		for i := 0; ; i++ { // endless: only cancellation stops it
+			if !EmitAll(ctx, outs, DataMsg(tuple.Tuple{tuple.Int(int64(i))})) {
+				return nil
+			}
+		}
+	})
+	pass := g.Add("pass", func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
+		for m := range Merge(ctx, ins) {
+			if !EmitAll(ctx, outs, m) {
+				return nil
+			}
+		}
+		return nil
+	})
+	midStream := make(chan struct{})
+	sink := g.Add("sink", func(ctx context.Context, ins []<-chan Msg, _ []chan<- Msg) error {
+		n := 0
+		for range Merge(ctx, ins) {
+			if n++; n == 10*DefaultEdgeDepth {
+				close(midStream)
+			}
+		}
+		return nil
+	})
+	g.Connect(src, pass)
+	g.Connect(pass, sink)
+	r, err := g.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-midStream
+	stopped := make(chan error, 1)
+	go func() { stopped <- r.Stop() }()
+	select {
+	case err := <-stopped:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("chain did not stop on cancel")
+	}
+	// The goroutine that closes Running.done may still be returning.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -378,10 +378,8 @@ var builtins = map[string]func([]tuple.Value) (tuple.Value, error){
 			return tuple.Null(), err
 		}
 		switch args[0].Kind {
-		case tuple.TString:
+		case tuple.TString, tuple.TBytes:
 			return tuple.Int(int64(len(args[0].S))), nil
-		case tuple.TBytes:
-			return tuple.Int(int64(len(args[0].Bs))), nil
 		case tuple.TNull:
 			return tuple.Null(), nil
 		default:

@@ -1093,11 +1093,12 @@ func ShipPartial(ship func(window uint64, partials []tuple.Tuple) int, flushRout
 	}
 }
 
-// ShipRows delivers result rows to the coordinator. In batched mode
-// rows accumulate up to rowBatch (flushing early when the window
-// sequence changes) and flush on punctuation and at end of stream; in
-// eager mode every message ships immediately — the streaming collector
-// behavior, where the coordinator's quiescence clock watches arrivals.
+// ShipRows delivers result rows to the coordinator. Rows accumulate up
+// to rowBatch (flushing early when the window sequence changes) and
+// flush on punctuation and at end of stream. In eager mode — a
+// collector, whose input never ends — held rows also ship as soon as
+// the input runs dry: an idle node sends each arrival at once, a node
+// that is behind fills whole result frames.
 func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, rowBatch int, eager bool, flushRoutes func(), drainAck func(round uint64)) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
@@ -1111,7 +1112,22 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, rowBatch int, ea
 				c.EmitRows(len(batch), ship(batchSeq, batch))
 				batch = nil
 			}
-			for m := range dataflow.Merge(ctx, ins) {
+			in := dataflow.Merge(ctx, ins)
+			next := func() (dataflow.Msg, bool) {
+				if eager && len(batch) > 0 {
+					select {
+					case m, ok := <-in:
+						return m, ok
+					default:
+						start := time.Now()
+						flush()
+						c.Busy(start)
+					}
+				}
+				m, ok := <-in
+				return m, ok
+			}
+			for m, ok := next(); ok; m, ok = next() {
 				start := time.Now()
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
@@ -1127,14 +1143,6 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, rowBatch int, ea
 				}
 				ts := m.Tuples(&scratch)
 				c.RecvRows(len(ts))
-				if eager {
-					c.EmitRows(len(ts), ship(m.Seq, ts))
-					if m.Batch != nil {
-						dataflow.PutBatch(m.Batch)
-					}
-					c.Busy(start)
-					continue
-				}
 				if len(batch) > 0 && m.Seq != batchSeq {
 					flush()
 				}

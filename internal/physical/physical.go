@@ -476,8 +476,9 @@ func (p *Pipeline) maybeFilter(prev *dataflow.Node, name string, pred expr.Expr)
 // operators: projection, then partial aggregation shipped toward
 // collectors, or result rows shipped to the coordinator. streaming
 // marks collector pipelines, whose input never ends — partials go out
-// eagerly per row and result rows ship immediately, keeping the
-// coordinator's quiescence clock honest.
+// eagerly per row, and result rows ship whenever the collector has
+// caught up with its input (ShipRows), so nothing waits for an end of
+// stream that does not come.
 func (p *Pipeline) addTail(spec *plan.Spec, env *Env, prev *dataflow.Node, streaming bool) {
 	proj := p.Add("project", Project(spec.Proj))
 	p.Connect(prev, proj)

@@ -500,40 +500,105 @@ func TestWindowTickerPunctuatesAlignedBoundaries(t *testing.T) {
 }
 
 func TestShipRowsBatchedAndEager(t *testing.T) {
-	var mu sync.Mutex
 	type call struct {
 		window uint64
 		n      int
 	}
 	var calls []call
 	ship := func(window uint64, rows []tuple.Tuple) int {
-		mu.Lock()
 		calls = append(calls, call{window, len(rows)})
-		mu.Unlock()
 		return len(rows)
 	}
-	in := []dataflow.Msg{
+	// run drives the operator body directly over one input channel the
+	// test owns, so what is ready when the operator looks is the test's
+	// choice, not the scheduler's.
+	run := func(op OpFunc, in <-chan dataflow.Msg) {
+		if err := op(&Counters{})(context.Background(), []<-chan dataflow.Msg{in}, nil); err != nil {
+			t.Errorf("ship-rows: %v", err)
+		}
+	}
+	filled := func(ms ...dataflow.Msg) <-chan dataflow.Msg {
+		ch := make(chan dataflow.Msg, len(ms))
+		for _, m := range ms {
+			ch <- m
+		}
+		close(ch)
+		return ch
+	}
+	check := func(what string, want ...call) {
+		t.Helper()
+		if fmt.Sprint(calls) != fmt.Sprint(want) {
+			t.Fatalf("%s: calls %v, want %v", what, calls, want)
+		}
+		calls = nil
+	}
+
+	script := []dataflow.Msg{
 		{Kind: dataflow.Data, T: row(1), Seq: 1},
 		{Kind: dataflow.Data, T: row(2), Seq: 1},
 		{Kind: dataflow.Data, T: row(3), Seq: 1},
 		{Kind: dataflow.Data, T: row(4), Seq: 2}, // seq change flushes
 		dataflow.PunctMsg(2, time.Now()),         // punct flushes
 	}
-	runOp(t, ShipRows(ship, 2, false, nil, nil), in)
-	want := []call{{1, 2}, {1, 1}, {2, 1}}
-	if len(calls) != len(want) {
-		t.Fatalf("calls %v", calls)
+	run(ShipRows(ship, 2, false, nil, nil), filled(script...))
+	check("batched", call{1, 2}, call{1, 1}, call{2, 1})
+	// Eager with the same input already waiting: the same frames.
+	run(ShipRows(ship, 2, true, nil, nil), filled(script...))
+	check("eager, input ready", call{1, 2}, call{1, 1}, call{2, 1})
+
+	// Eager, a node that is behind: N waiting rows leave in whole
+	// frames, at most ceil(N/rowBatch) + 1 calls.
+	const n = 200
+	backlog := make([]dataflow.Msg, n)
+	for i := range backlog {
+		backlog[i] = dataflow.DataMsg(row(i))
 	}
-	for i, w := range want {
-		if calls[i] != w {
-			t.Fatalf("call %d = %v, want %v", i, calls[i], w)
+	run(ShipRows(ship, rowBatch, true, nil, nil), filled(backlog...))
+	if len(calls) > (n+rowBatch-1)/rowBatch+1 {
+		t.Fatalf("%d waiting rows shipped in %d calls: %v", n, len(calls), calls)
+	}
+	total := 0
+	for _, c := range calls {
+		total += c.n
+	}
+	if total != n {
+		t.Fatalf("shipped %d of %d rows: %v", total, n, calls)
+	}
+	calls = nil
+
+	// Eager, an idle node: each row leaves the moment nothing else is
+	// waiting — the feeder sends the next only after the last shipped.
+	feed := make(chan dataflow.Msg)
+	shipped := make(chan int)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		run(ShipRows(func(_ uint64, rows []tuple.Tuple) int {
+			shipped <- len(rows)
+			return len(rows)
+		}, rowBatch, true, nil, nil), feed)
+	}()
+	for i := 0; i < 5; i++ {
+		feed <- dataflow.DataMsg(row(i))
+		if got := <-shipped; got != 1 {
+			t.Fatalf("row %d shipped in a call of %d rows", i, got)
 		}
 	}
-	// Eager mode: one ship per row.
-	calls = nil
-	runOp(t, ShipRows(ship, 64, true, nil, nil), in)
-	if len(calls) != 4 {
-		t.Fatalf("eager calls %v", calls)
+	close(feed)
+	<-done
+
+	// A Drain behind held rows: the rows ship, then routes flush, then
+	// the round is acknowledged.
+	var order []string
+	run(ShipRows(func(_ uint64, rows []tuple.Tuple) int {
+		order = append(order, fmt.Sprintf("ship %d", len(rows)))
+		return len(rows)
+	}, rowBatch, true,
+		func() { order = append(order, "flush-routes") },
+		func(round uint64) { order = append(order, fmt.Sprintf("ack %d", round)) }),
+		filled(dataflow.DataMsg(row(1)), dataflow.DataMsg(row(2)), dataflow.DataMsg(row(3)), dataflow.DrainMsg(7)))
+	if want := "[ship 3 flush-routes ack 7]"; fmt.Sprint(order) != want {
+		t.Fatalf("drain order %v, want %s", order, want)
 	}
 }
 

@@ -76,7 +76,7 @@ func SketchMerge(merge func(table string, enc []byte) error) OpFunc {
 					if len(t) != 2 || t[0].Kind != tuple.TString || t[1].Kind != tuple.TBytes {
 						continue
 					}
-					_ = merge(t[0].S, t[1].Bs) // schema conflicts: skip the partition
+					_ = merge(t[0].S, t[1].AsBytes()) // schema conflicts: skip the partition
 				}
 				c.Busy(start)
 				if m.Batch != nil {

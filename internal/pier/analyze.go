@@ -427,7 +427,8 @@ func (n *Node) statsDigests() []stats.Digest {
 // installDigests folds received digests into the catalog as gossiped
 // soft state. Tables this node never defined are skipped — stats are
 // useless without a schema to plan against — and the catalog's
-// precedence keeps declared and own-measured stats on top.
+// precedence keeps declared stats, and any measurement at least as
+// new as the digest, on top.
 func (n *Node) installDigests(ds []stats.Digest) {
 	now := time.Now()
 	for _, d := range ds {

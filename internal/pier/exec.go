@@ -433,8 +433,16 @@ func decodeQueryMsg(payload []byte) (m queryMsg, err error) {
 func encodeTupleMsg(qid, window uint64, stage, side uint8, rows ...tuple.Tuple) []byte {
 	f := wire.TupleFrame{Query: qid, Window: window, Stage: stage, Side: side}
 	f.Records = make([][]byte, len(rows))
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	for i, t := range rows {
-		f.Records[i] = t.Bytes()
+		start := w.Len()
+		t.Encode(w)
+		f.Records[i] = w.Bytes()[start:] // re-sliced below: the buffer may still move
+	}
+	buf := w.Bytes()
+	for i, rec := range f.Records {
+		f.Records[i], buf = buf[:len(rec):len(rec)], buf[len(rec):]
 	}
 	return f.Bytes()
 }
@@ -444,13 +452,9 @@ func decodeTupleMsg(payload []byte) (*wire.TupleFrame, []tuple.Tuple, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rows := make([]tuple.Tuple, 0, len(f.Records))
-	for _, rec := range f.Records {
-		t, err := tuple.FromBytes(rec)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows = append(rows, t)
+	rows, err := tuple.DecodeRecords(f.Records)
+	if err != nil {
+		return nil, nil, err
 	}
 	return f, rows, nil
 }

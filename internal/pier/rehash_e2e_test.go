@@ -165,3 +165,55 @@ func TestRehashPartitionedJoinOwnerLookups(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinResultRowsFullFrames: the benchmark's join at test scale — 8
+// nodes, 8000 orders over 1000 users. A collector under this load is
+// behind its input, so its ship-rows fills whole result frames instead
+// of one call per arriving rehash frame; the answer must stay the
+// centralized baseline's byte for byte and end `eos` (every shipped row
+// booked before its call and acknowledged), in memory and spilling
+// under 64 KB. How many `pier.rows` calls that takes is a reading of
+// the box, not asserted (benchmark: rpc.calls_per_query).
+func TestJoinResultRowsFullFrames(t *testing.T) {
+	const nOrders, nUsers = 8000, 1000
+	sql := "SELECT o.oid, u.name FROM orders o JOIN users u ON o.uid = u.uid"
+	var want []string
+	for i, budget := range []int64{0, 64 * 1024} {
+		cl := spillCluster(t, 8, int64(1900+i), func(cfg *pier.Config) {
+			cfg.JoinMemBudget = budget
+			cfg.SpillDir = t.TempDir()
+			// A loaded `go test ./...` can hold a goroutine off the CPU
+			// past FastConfig's 250 ms; a query that balances its books
+			// never waits for this.
+			cfg.Quiet = 4 * time.Second
+		})
+		seedRehashJoin(t, cl.Nodes, nOrders, nUsers, 1)
+		if want == nil {
+			res, err := centralizedBaseline(cl.Nodes).QuerySQL(context.Background(), sql, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != nOrders {
+				t.Fatalf("baseline produced %d rows, want %d", len(res.Rows), nOrders)
+			}
+			want = encodeSorted(res.Rows)
+		}
+		sym := plan.SymmetricHash
+		res, err := cl.Nodes[0].QueryWithOptions(context.Background(), sql, plan.Options{Strategy: &sym})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reason != pier.ReasonEOS {
+			t.Errorf("budget %d: ended %q, want %q", budget, res.Reason, pier.ReasonEOS)
+		}
+		got := encodeSorted(res.Rows)
+		if len(got) != len(want) {
+			t.Fatalf("budget %d: %d rows, want %d (reason %s)", budget, len(got), len(want), res.Reason)
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("budget %d: row %d differs from the centralized baseline", budget, j)
+			}
+		}
+	}
+}

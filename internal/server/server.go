@@ -485,7 +485,7 @@ func coerce(raw interface{}, ty tuple.Type) (tuple.Value, error) {
 		if err != nil {
 			return tuple.Value{}, err
 		}
-		return tuple.Value{Kind: tuple.TTime, T: ts}, nil
+		return tuple.Time(ts), nil
 	default:
 		return tuple.Value{}, fmt.Errorf("unsupported column type")
 	}
@@ -515,11 +515,11 @@ func encodeValue(v tuple.Value) interface{} {
 	case tuple.TString:
 		return v.S
 	case tuple.TBytes:
-		return base64.StdEncoding.EncodeToString(v.Bs)
+		return base64.StdEncoding.EncodeToString(v.AsBytes())
 	case tuple.TTime:
-		return v.T.Format(time.RFC3339Nano)
+		return v.AsTime().Format(time.RFC3339Nano)
 	case tuple.TID:
-		return v.ID.String()
+		return v.AsID().String()
 	default:
 		return nil
 	}

@@ -5,7 +5,9 @@
 package tuple
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -54,18 +56,24 @@ func (t Type) String() string {
 	}
 }
 
-// Value is one typed scalar. The zero Value is NULL.
+// Value is one typed scalar. The zero Value is NULL. It is 40 bytes
+// with one pointer (TestValueSize): every operator copies values row
+// by row and the collector scans what it retains, so the kinds no hot
+// path reads share the five fields the hot kinds need (DESIGN.md
+// "What a value costs").
 type Value struct {
 	Kind Type
 	// Exactly one of the following is meaningful, selected by Kind.
-	B  bool
-	I  int64
-	F  float64
-	S  string
-	Bs []byte
-	T  time.Time
-	ID id.ID
+	B bool
+	I int64   // TInt; TTime as Unix nanoseconds, zeroTimeNanos for the zero time
+	F float64 // TFloat
+	S string  // TString; the payload of TBytes and TID (read through AsBytes, AsID)
 }
+
+// zeroTimeNanos stands for the zero time.Time, which has no Unix
+// nanosecond reading — the same sentinel wire.Writer.Time puts on the
+// wire, so a TTime value encodes as its I field.
+const zeroTimeNanos = math.MinInt64
 
 // Null returns the SQL NULL value.
 func Null() Value { return Value{} }
@@ -82,14 +90,38 @@ func Float(f float64) Value { return Value{Kind: TFloat, F: f} }
 // String wraps a string.
 func String(s string) Value { return Value{Kind: TString, S: s} }
 
-// Bytes wraps a byte string.
-func Bytes(b []byte) Value { return Value{Kind: TBytes, Bs: b} }
+// Bytes wraps a copy of a byte string.
+func Bytes(b []byte) Value { return Value{Kind: TBytes, S: string(b)} }
 
-// Time wraps a timestamp.
-func Time(t time.Time) Value { return Value{Kind: TTime, T: t} }
+// Time wraps a timestamp at nanosecond precision. Location and
+// monotonic reading are dropped, as the wire always dropped them.
+func Time(t time.Time) Value {
+	if t.IsZero() {
+		return Value{Kind: TTime, I: zeroTimeNanos}
+	}
+	return Value{Kind: TTime, I: t.UnixNano()}
+}
 
 // IDVal wraps an overlay identifier.
-func IDVal(v id.ID) Value { return Value{Kind: TID, ID: v} }
+func IDVal(v id.ID) Value { return Value{Kind: TID, S: string(v[:])} }
+
+// AsBytes returns a copy of a TBytes value's payload.
+func (v Value) AsBytes() []byte { return []byte(v.S) }
+
+// AsTime returns a TTime value's timestamp, in the local zone.
+func (v Value) AsTime() time.Time {
+	if v.I == zeroTimeNanos {
+		return time.Time{}
+	}
+	return time.Unix(0, v.I)
+}
+
+// AsID returns a TID value's identifier.
+func (v Value) AsID() id.ID {
+	var out id.ID
+	copy(out[:], v.S)
+	return out
+}
 
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.Kind == TNull }
@@ -154,14 +186,7 @@ func (v Value) Compare(o Value) int {
 		}
 	case TInt, TFloat:
 		if v.Kind == TInt && o.Kind == TInt {
-			switch {
-			case v.I < o.I:
-				return -1
-			case v.I > o.I:
-				return 1
-			default:
-				return 0
-			}
+			return cmp.Compare(v.I, o.I)
 		}
 		a, _ := v.AsFloat()
 		b, _ := o.AsFloat()
@@ -173,44 +198,13 @@ func (v Value) Compare(o Value) int {
 		default:
 			return 0
 		}
-	case TString:
+	case TString, TBytes:
 		return strings.Compare(v.S, o.S)
-	case TBytes:
-		return compareBytes(v.Bs, o.Bs)
-	case TTime:
-		switch {
-		case v.T.Before(o.T):
-			return -1
-		case v.T.After(o.T):
-			return 1
-		default:
-			return 0
-		}
 	case TID:
-		return v.ID.Cmp(o.ID)
-	default:
-		return 0
-	}
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
+		return v.AsID().Cmp(o.AsID())
+	case TTime:
+		// The zero time sorts first, as it does under time.Time.Before.
+		return cmp.Compare(v.I, o.I)
 	default:
 		return 0
 	}
@@ -231,14 +225,13 @@ func (v Value) Encode(w *wire.Writer) {
 		w.Varint(v.I)
 	case TFloat:
 		w.Float64(v.F)
-	case TString:
+	case TString, TBytes:
 		w.String(v.S)
-	case TBytes:
-		w.BytesLP(v.Bs)
 	case TTime:
-		w.Time(v.T)
+		w.Varint(v.I)
 	case TID:
-		w.Raw(v.ID[:])
+		x := v.AsID()
+		w.Raw(x[:])
 	}
 }
 
@@ -257,13 +250,11 @@ func DecodeValue(r *wire.Reader) Value {
 	case TString:
 		return String(r.String())
 	case TBytes:
-		return Bytes(append([]byte(nil), r.BytesLP()...))
+		return Value{Kind: TBytes, S: r.String()}
 	case TTime:
-		return Time(r.Time())
+		return Value{Kind: TTime, I: r.Varint()}
 	case TID:
-		var v id.ID
-		copy(v[:], r.Raw(id.Bytes))
-		return IDVal(v)
+		return Value{Kind: TID, S: string(r.Raw(id.Bytes))}
 	default:
 		// Poison the reader so the frame decode fails loudly.
 		r.Raw(-1)
@@ -285,11 +276,11 @@ func (v Value) String() string {
 	case TString:
 		return v.S
 	case TBytes:
-		return fmt.Sprintf("0x%x", v.Bs)
+		return fmt.Sprintf("0x%x", v.S)
 	case TTime:
-		return v.T.Format(time.RFC3339Nano)
+		return v.AsTime().Format(time.RFC3339Nano)
 	case TID:
-		return v.ID.Short()
+		return v.AsID().Short()
 	default:
 		return "?"
 	}
@@ -304,15 +295,10 @@ func (v Value) hashInto(w *wire.Writer) { v.Encode(w) }
 // Tuple is one row: a flat slice of values.
 type Tuple []Value
 
-// Clone copies the tuple (and any byte-slice values).
+// Clone copies the tuple's slots; payloads are strings and shared.
 func (t Tuple) Clone() Tuple {
 	out := make(Tuple, len(t))
 	copy(out, t)
-	for i, v := range out {
-		if v.Kind == TBytes {
-			out[i].Bs = append([]byte(nil), v.Bs...)
-		}
-	}
 	return out
 }
 
@@ -457,6 +443,38 @@ func (d *Decoder) Decode(buf []byte) (Tuple, error) {
 	return Tuple(d.arena[lo:hi:hi]), nil
 }
 
+// DecodeRecords decodes the records of one frame into tuples that share
+// a single arena block. The block is sized from the first record's
+// arity — a frame carries one schema's rows — and never beyond one
+// value per payload byte, so a corrupt arity cannot ask for more than
+// the frame could hold; rows of another arity still decode, from
+// further blocks.
+func DecodeRecords(recs [][]byte) ([]Tuple, error) {
+	if len(recs) == 0 {
+		return nil, nil
+	}
+	var d Decoder
+	d.r.Reset(recs[0])
+	want := d.r.Uvarint() * uint64(len(recs))
+	size := 0
+	for _, rec := range recs {
+		size += len(rec)
+	}
+	if want > uint64(size) {
+		want = uint64(size)
+	}
+	d.arena = make([]Value, 0, want)
+	out := make([]Tuple, len(recs))
+	for i, rec := range recs {
+		t, err := d.Decode(rec)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = t
+	}
+	return out, nil
+}
+
 // ConcatInto appends l ++ r (the join output) drawn from arena,
 // returning the capped tuple and the grown arena — the batch loop's
 // amortized form of Concat: one arena allocation serves a whole batch
@@ -495,11 +513,10 @@ func (t Tuple) AppendKey(w *wire.Writer, cols []int) {
 	}
 }
 
-// valueHeaderSize approximates the in-memory footprint of one Value
-// struct (kind tag, scalar union, slice/string headers). The exact
-// figure depends on architecture padding; memory budgeting needs a
-// stable, cheap estimate rather than unsafe.Sizeof precision.
-const valueHeaderSize = 80
+// valueHeaderSize is the in-memory size of one Value struct on a
+// 64-bit platform (TestValueSize holds it to unsafe.Sizeof), so a
+// memory budget accounts what is resident.
+const valueHeaderSize = 40
 
 // MemSize estimates the resident heap bytes a retained tuple pins:
 // the slot array plus any out-of-line string/byte payloads. Used by
@@ -508,12 +525,7 @@ const valueHeaderSize = 80
 func (t Tuple) MemSize() int64 {
 	size := int64(len(t)) * valueHeaderSize
 	for _, v := range t {
-		switch v.Kind {
-		case TString:
-			size += int64(len(v.S))
-		case TBytes:
-			size += int64(len(v.Bs))
-		}
+		size += int64(len(v.S))
 	}
 	return size
 }

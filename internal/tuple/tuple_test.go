@@ -127,11 +127,17 @@ func TestQuickTupleRoundTrip(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	tp := Tuple{Bytes([]byte{1, 2}), Int(5)}
+	src := []byte{1, 2}
+	tp := Tuple{Bytes(src), Int(5)}
 	cl := tp.Clone()
-	tp[0].Bs[0] = 99
-	if cl[0].Bs[0] == 99 {
-		t.Fatal("clone shares byte storage")
+	src[0] = 99
+	tp[1] = Int(6)
+	if b := cl[0].AsBytes(); b[0] != 1 || cl[1].I != 5 {
+		t.Fatalf("clone shares storage: %v", cl)
+	}
+	cl[0].AsBytes()[1] = 99
+	if cl[0].AsBytes()[1] != 2 {
+		t.Fatal("AsBytes exposes the value's storage")
 	}
 }
 

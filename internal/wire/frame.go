@@ -59,12 +59,15 @@ func DecodeTupleFrame(r *Reader) (*TupleFrame, error) {
 		Stage:  r.Byte(),
 		Side:   r.Byte(),
 	}
-	n := int(r.Uvarint())
-	if n > MaxFrameRecords {
-		return nil, fmt.Errorf("wire: tuple frame with %d records", n)
+	n := r.Uvarint()
+	// A record is at least its length byte, so the count is bounded by
+	// what is left to read as well as by the cap.
+	if n > MaxFrameRecords || n > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("wire: tuple frame with %d records in %d bytes", n, r.Remaining())
 	}
-	for i := 0; i < n; i++ {
-		f.Records = append(f.Records, r.BytesLP())
+	f.Records = make([][]byte, n)
+	for i := range f.Records {
+		f.Records[i] = r.BytesLP()
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
