@@ -55,7 +55,8 @@ func (c *Centralized) executeSpec(ctx context.Context, spec *plan.Spec, settle t
 	// Collect and filter each scan. Identical duplicates within one
 	// scan are dropped: CollectAll sees DHT replicas of published
 	// tuples on several nodes, and the distributed join collectors
-	// dedup identical rehashed tuples the same way.
+	// dedup identical rehashed tuples the same way. The dedup is over
+	// the stored row; the plan reads what the scan keeps of it.
 	scans := make([][]tuple.Tuple, len(spec.Scans))
 	for i := range spec.Scans {
 		sc := &spec.Scans[i]
@@ -64,15 +65,16 @@ func (c *Centralized) executeSpec(ctx context.Context, spec *plan.Spec, settle t
 			return nil, err
 		}
 		seen := map[string]bool{}
-		for _, t := range raw {
-			if len(t) != sc.Schema.Arity() {
-				continue
-			}
-			k := string(t.Bytes())
+		for _, stored := range raw {
+			k := string(stored.Bytes())
 			if seen[k] {
 				continue
 			}
 			seen[k] = true
+			t, ok := sc.Narrow(stored)
+			if !ok {
+				continue
+			}
 			if sc.Where != nil {
 				v, err := sc.Where.Eval(t)
 				if err != nil || !expr.Truthy(v) {

@@ -142,7 +142,7 @@ func (wl *LocalJoinWorkload) run(batchSize, workers int, reg *obs.Registry) (int
 	side := func(name string, payloads [][]byte, sideNo int, keyCols []int, in *physical.Inlet) error {
 		p := physical.NewPipeline(name)
 		p.SetDetail(false)
-		src := p.Add("scan", physical.ScanSource(shard(payloads), name, 2, batchSize, workers))
+		src := p.Add("scan", physical.ScanSource(shard(payloads), name, 2, []int{0, 1}, batchSize, workers))
 		prev := src
 		if sideNo == 0 {
 			f := p.Add("filter", physical.Filter(pred))

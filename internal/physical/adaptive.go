@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
-	"repro/internal/expr"
 	"repro/internal/id"
+	"repro/internal/plan"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -42,7 +42,7 @@ type FetchAdapt struct {
 // FetchMatches. After the switch, left tuples pass through to the
 // rehash exchange instead of probing; tuples probed before the switch
 // are never shipped, so the two regimes partition the stream.
-func FetchMatchesAdaptive(probeOrder []int, rightArity int, rightWhere expr.Expr,
+func FetchMatchesAdaptive(probeOrder []int, right *plan.ScanSpec,
 	leftCols, rightCols []int,
 	fetch func(ctx context.Context, rid id.ID) ([][]byte, error),
 	adapt *FetchAdapt) OpFunc {
@@ -50,29 +50,15 @@ func FetchMatchesAdaptive(probeOrder []int, rightArity int, rightWhere expr.Expr
 		adapt = nil
 	}
 	return func(c *Counters) dataflow.RunFunc {
+		var dec tuple.Decoder
+		var rights []tuple.Tuple // one probe's right rows, reused by the next
 		probe := func(ctx context.Context, lt tuple.Tuple, joined []tuple.Tuple) []tuple.Tuple {
-			rid := lt.HashKey(probeOrder)
-			payloads, err := fetch(ctx, rid)
+			payloads, err := fetch(ctx, lt.HashKey(probeOrder))
 			if err != nil {
 				return joined
 			}
-			for _, p := range payloads {
-				rt, err := tuple.FromBytes(p)
-				if err != nil || len(rt) != rightArity {
-					continue
-				}
-				if rightWhere != nil {
-					v, err := rightWhere.Eval(rt)
-					if err != nil || !expr.Truthy(v) {
-						continue
-					}
-				}
-				if !joinKeysEqual(lt, rt, leftCols, rightCols) {
-					continue
-				}
-				joined = append(joined, lt.Concat(rt))
-			}
-			return joined
+			rights = fetchedRight(rights[:0], &dec, right, payloads)
+			return appendMatches(joined, lt, rights, leftCols, rightCols)
 		}
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			var seen int64
@@ -149,7 +135,7 @@ func FetchMatchesAdaptive(probeOrder []int, rightArity int, rightWhere expr.Expr
 // DHT get per distinct key serves every tuple via the probe cache.
 // The collector must never switch strategies itself: shipping its own
 // stage's tuples would route them straight back to itself.
-func FetchCollector(probeOrder []int, rightArity int, rightWhere expr.Expr,
+func FetchCollector(probeOrder []int, right *plan.ScanSpec,
 	leftArity int, leftCols, rightCols []int,
 	fetch func(ctx context.Context, rid id.ID) ([][]byte, error)) OpFunc {
 	type windowState struct {
@@ -160,6 +146,7 @@ func FetchCollector(probeOrder []int, rightArity int, rightWhere expr.Expr,
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			windows := make(map[uint64]*windowState)
 			var scratch [1]tuple.Tuple
+			var dec tuple.Decoder
 			probe := func(ctx context.Context, ws *windowState, lt tuple.Tuple, joined []tuple.Tuple) []tuple.Tuple {
 				rid := lt.HashKey(probeOrder)
 				rows, hit := ws.cache[rid]
@@ -168,28 +155,10 @@ func FetchCollector(probeOrder []int, rightArity int, rightWhere expr.Expr,
 					if err != nil {
 						return joined // dropped probe; retransmit retries
 					}
-					for _, p := range payloads {
-						rt, err := tuple.FromBytes(p)
-						if err != nil || len(rt) != rightArity {
-							continue
-						}
-						if rightWhere != nil {
-							v, err := rightWhere.Eval(rt)
-							if err != nil || !expr.Truthy(v) {
-								continue
-							}
-						}
-						rows = append(rows, rt)
-					}
+					rows = fetchedRight(nil, &dec, right, payloads)
 					ws.cache[rid] = rows
 				}
-				for _, rt := range rows {
-					if !joinKeysEqual(lt, rt, leftCols, rightCols) {
-						continue
-					}
-					joined = append(joined, lt.Concat(rt))
-				}
-				return joined
+				return appendMatches(joined, lt, rows, leftCols, rightCols)
 			}
 			for m := range dataflow.Merge(ctx, ins) {
 				if m.Kind != dataflow.Data {

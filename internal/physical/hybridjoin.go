@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/spill"
-	"repro/internal/stats"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -66,7 +65,7 @@ func partHash(key []byte, level int) uint64 {
 // This one takes the high bits of the finalized hash the statistics
 // sketches use.
 func RehashPartition(key []byte, parts int) int {
-	return int((stats.Hash64(key) >> 32) * uint64(parts) >> 32)
+	return int((wire.Hash64(key) >> 32) * uint64(parts) >> 32)
 }
 
 // hybridBucket holds one join-key value's resident tuples of one side.
@@ -209,7 +208,12 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 
 			// add inserts one tuple into a resident partition: dedup
 			// identical retransmits, probe the other side, emit matches.
-			add := func(p *hybridPart, side int, key []byte, t tuple.Tuple, out []tuple.Tuple, arena []tuple.Value) ([]tuple.Tuple, []tuple.Value) {
+			// A message's first match allocates its output arena, for
+			// about one match per tuple of the message still to come
+			// (rest, this one included); a message that matches nothing
+			// — one side's frames arriving before the other's —
+			// allocates none.
+			add := func(p *hybridPart, side int, key []byte, t tuple.Tuple, out []tuple.Tuple, arena []tuple.Value, rest int) ([]tuple.Tuple, []tuple.Value) {
 				mine := p.tables[side][string(key)]
 				if mine != nil {
 					for _, existing := range mine.rows {
@@ -228,6 +232,9 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 				resident += grew
 				other := p.tables[1-side][string(key)]
 				if other != nil {
+					if arena == nil {
+						arena = make([]tuple.Value, 0, joinedArity*rest)
+					}
 					for _, o := range other.rows {
 						var j tuple.Tuple
 						if side == 0 {
@@ -534,10 +541,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 					}
 					joined := dataflow.GetBatch()
 					var arena []tuple.Value
-					if len(ts) > 0 {
-						arena = make([]tuple.Value, 0, joinedArity*len(ts))
-					}
-					for _, t := range ts {
+					for i, t := range ts {
 						if len(t) != arity[side] {
 							continue
 						}
@@ -550,7 +554,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 							wire.PutWriter(w)
 							continue
 						}
-						joined, arena = add(p, side, key, t, joined, arena)
+						joined, arena = add(p, side, key, t, joined, arena, len(ts)-i)
 						wire.PutWriter(w)
 					}
 					if err := flushPends(m.Seq); err != nil {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/expr"
 	"repro/internal/id"
+	"repro/internal/plan"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -34,14 +35,16 @@ type OpFunc func(c *Counters) dataflow.RunFunc
 // Sources
 
 // ScanSource reads the live local partition of one namespace: decode
-// every stored payload, skip malformed or wrong-arity tuples (best
-// effort, as the store is schema-less), push the rest in batches of
-// batchSize. The scan callback splits the partition into up to
-// workers shards, each drained by its own goroutine feeding the same
-// downstream edge — the parallel partitioned scan. One-shot scans
-// carry no punctuation, so shard interleaving (like any exchange) is
-// unordered and alignment semantics are untouched.
-func ScanSource(scan func(ns string, partitions int) [][][]byte, ns string, arity, batchSize, workers int) OpFunc {
+// every stored payload down to the columns the plan keeps (cols of
+// stored, as plan.ScanSpec.Narrow does for a decoded row), skip
+// malformed or wrong-arity tuples (best effort, as the store is
+// schema-less), push the rest in batches of batchSize. The scan
+// callback splits the partition into up to workers shards, each drained
+// by its own goroutine feeding the same downstream edge — the parallel
+// partitioned scan. One-shot scans carry no punctuation, so shard
+// interleaving (like any exchange) is unordered and alignment semantics
+// are untouched.
+func ScanSource(scan func(ns string, partitions int) [][][]byte, ns string, stored int, cols []int, batchSize, workers int) OpFunc {
 	if batchSize < 1 {
 		batchSize = 1
 	}
@@ -53,39 +56,40 @@ func ScanSource(scan func(ns string, partitions int) [][][]byte, ns string, arit
 			parts := scan(ns, workers)
 			drain := func(payloads [][]byte) {
 				var dec tuple.Decoder
-				var batch []tuple.Tuple
-				if batchSize > 1 {
-					batch = dataflow.GetBatch()
-				}
-				for _, payload := range payloads {
+				var single [1]tuple.Tuple
+				for len(payloads) > 0 {
+					// One output message per clock reading: the payloads
+					// it takes to fill it, or the rest of the shard.
 					start := time.Now()
-					c.RecvRow()
-					t, err := dec.Decode(payload)
-					if err != nil || len(t) != arity {
-						c.Busy(start)
-						continue
-					}
-					c.EmitRows(1, len(payload))
-					if batchSize <= 1 {
-						c.Busy(start)
-						if !dataflow.EmitAll(ctx, outs, dataflow.DataMsg(t)) {
-							return
-						}
-						continue
-					}
-					batch = append(batch, t)
-					c.Busy(start)
-					if len(batch) >= batchSize {
-						if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, 0)) {
-							return
-						}
+					batch := single[:0]
+					if batchSize > 1 {
 						batch = dataflow.GetBatch()
 					}
-				}
-				if len(batch) > 0 {
-					dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, 0))
-				} else if batch != nil {
-					dataflow.PutBatch(batch)
+					for len(payloads) > 0 && len(batch) < batchSize {
+						payload := payloads[0]
+						payloads = payloads[1:]
+						c.RecvRow()
+						t, err := dec.DecodeCols(payload, stored, cols)
+						if err != nil {
+							continue
+						}
+						c.EmitRows(1, len(payload))
+						batch = append(batch, t)
+					}
+					c.Busy(start)
+					if len(batch) == 0 {
+						if batchSize > 1 {
+							dataflow.PutBatch(batch)
+						}
+						continue
+					}
+					m := dataflow.BatchMsg(batch, 0)
+					if batchSize == 1 {
+						m = dataflow.DataMsg(batch[0])
+					}
+					if !dataflow.EmitAll(ctx, outs, m) {
+						return
+					}
 				}
 			}
 			if len(parts) == 1 {
@@ -473,38 +477,56 @@ func WindowBuffer(window time.Duration, batchSize int) OpFunc {
 // ---------------------------------------------------------------------------
 // Joins
 
+// fetchedRight appends to dst the right rows the plan reads among the
+// payloads a fetch-matches probe returned: decoded down to the columns
+// the right scan keeps (a malformed row or one of another stored arity
+// is dropped) and held against its pushed-down filter.
+func fetchedRight(dst []tuple.Tuple, dec *tuple.Decoder, right *plan.ScanSpec, payloads [][]byte) []tuple.Tuple {
+	for _, p := range payloads {
+		rt, err := dec.DecodeCols(p, right.Stored, right.Cols)
+		if err != nil {
+			continue
+		}
+		if right.Where != nil {
+			v, err := right.Where.Eval(rt)
+			if err != nil || !expr.Truthy(v) {
+				continue
+			}
+		}
+		dst = append(dst, rt)
+	}
+	return dst
+}
+
+// appendMatches appends lt ++ rt for every right row whose join columns
+// equal lt's.
+func appendMatches(joined []tuple.Tuple, lt tuple.Tuple, rights []tuple.Tuple, leftCols, rightCols []int) []tuple.Tuple {
+	for _, rt := range rights {
+		if joinKeysEqual(lt, rt, leftCols, rightCols) {
+			joined = append(joined, lt.Concat(rt))
+		}
+	}
+	return joined
+}
+
 // FetchMatches probes the right-hand table in place: the right table
 // is already published into the DHT keyed by the join columns, so
 // each left tuple issues one DHT get (via the env's fetch callback)
 // instead of rehashing anything. Emits left ++ right for matches,
 // batched per input batch.
-func FetchMatches(probeOrder []int, rightArity int, rightWhere expr.Expr,
+func FetchMatches(probeOrder []int, right *plan.ScanSpec,
 	leftCols, rightCols []int,
 	fetch func(ctx context.Context, rid id.ID) ([][]byte, error)) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
+		var dec tuple.Decoder
+		var rights []tuple.Tuple // one probe's right rows, reused by the next
 		probe := func(ctx context.Context, lt tuple.Tuple, joined []tuple.Tuple) []tuple.Tuple {
-			rid := lt.HashKey(probeOrder)
-			payloads, err := fetch(ctx, rid)
+			payloads, err := fetch(ctx, lt.HashKey(probeOrder))
 			if err != nil {
 				return joined
 			}
-			for _, p := range payloads {
-				rt, err := tuple.FromBytes(p)
-				if err != nil || len(rt) != rightArity {
-					continue
-				}
-				if rightWhere != nil {
-					v, err := rightWhere.Eval(rt)
-					if err != nil || !expr.Truthy(v) {
-						continue
-					}
-				}
-				if !joinKeysEqual(lt, rt, leftCols, rightCols) {
-					continue
-				}
-				joined = append(joined, lt.Concat(rt))
-			}
-			return joined
+			rights = fetchedRight(rights[:0], &dec, right, payloads)
+			return appendMatches(joined, lt, rights, leftCols, rightCols)
 		}
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			for m := range dataflow.Merge(ctx, ins) {

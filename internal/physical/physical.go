@@ -123,6 +123,12 @@ func (e *Env) fetchAdapt(spec *plan.Spec, stage int) *FetchAdapt {
 	}
 }
 
+// scanSource builds the source of one of the plan's table accesses:
+// the stored rows of its namespace, each narrowed to the kept columns.
+func (e *Env) scanSource(sc *plan.ScanSpec) OpFunc {
+	return ScanSource(e.Scan, sc.Namespace, sc.Stored, sc.Cols, e.batchSize(), e.scanWorkers())
+}
+
 // batchSize resolves the configured vectorization width.
 func (e *Env) batchSize() int {
 	if e.BatchSize > 0 {
@@ -212,7 +218,7 @@ func CompileOneShot(spec *plan.Spec, env *Env) *Pipeline {
 	p.detail = spec.Analyze
 	if len(spec.Scans) == 1 {
 		sc := &spec.Scans[0]
-		prev := p.Add("scan", ScanSource(env.Scan, sc.Namespace, sc.Schema.Arity(), env.batchSize(), env.scanWorkers()))
+		prev := p.Add("scan", env.scanSource(sc))
 		prev = p.maybeFilter(prev, "filter", sc.Where)
 		prev = p.maybeFilter(prev, "post-filter", spec.PostFilter)
 		p.addTail(spec, env, prev, false)
@@ -221,7 +227,7 @@ func CompileOneShot(spec *plan.Spec, env *Env) *Pipeline {
 	// Left chain: scan the leftmost table, fold in the leading run of
 	// fetch-matches stages.
 	sc0 := &spec.Scans[0]
-	prev := p.Add("scan.0", ScanSource(env.Scan, sc0.Namespace, sc0.Schema.Arity(), env.batchSize(), env.scanWorkers()))
+	prev := p.Add("scan.0", env.scanSource(sc0))
 	prev = p.maybeFilter(prev, "filter.0", sc0.Where)
 	prev, stage := p.addFetchChain(spec, env, prev, 0)
 	if stage == len(spec.Joins) {
@@ -247,7 +253,7 @@ func CompileOneShot(spec *plan.Spec, env *Env) *Pipeline {
 			continue // probed in place by the upstream collector
 		}
 		sc := &spec.Scans[s+1]
-		rprev := p.Add(fmt.Sprintf("scan.%d", s+1), ScanSource(env.Scan, sc.Namespace, sc.Schema.Arity(), env.batchSize(), env.scanWorkers()))
+		rprev := p.Add(fmt.Sprintf("scan.%d", s+1), env.scanSource(sc))
 		rprev = p.maybeFilter(rprev, fmt.Sprintf("filter.%d", s+1), sc.Where)
 		if s == 0 && j.Strategy == plan.BloomJoin {
 			bp := p.Add("bloom-probe", BloomProbe(env.bloomFor(0), j.RightCols))
@@ -274,8 +280,7 @@ func (p *Pipeline) addFetchChain(spec *plan.Spec, env *Env, prev *dataflow.Node,
 			return env.Fetch(ctx, ns, rid)
 		}
 		fm := p.Add(fmt.Sprintf("fetch-matches.%d", stage), FetchMatchesAdaptive(
-			probeOrder(j, right), right.Schema.Arity(), right.Where,
-			j.LeftCols, j.RightCols, fetch, env.fetchAdapt(spec, stage)))
+			probeOrder(j, right), right, j.LeftCols, j.RightCols, fetch, env.fetchAdapt(spec, stage)))
 		p.Connect(prev, fm)
 		prev = fm
 		stage++
@@ -357,8 +362,7 @@ func CompileFetchCollector(spec *plan.Spec, stage int, env *Env) (*Pipeline, [2]
 	l := p.Add("probe-src.l", inlets[0].Source)
 	r := p.Add("probe-src.r", inlets[1].Source)
 	fc := p.Add("fetch-collector", FetchCollector(
-		probeOrder(j, right), right.Schema.Arity(), right.Where,
-		spec.LeftArity(stage), j.LeftCols, j.RightCols, fetch))
+		probeOrder(j, right), right, spec.LeftArity(stage), j.LeftCols, j.RightCols, fetch))
 	p.Connect(l, fc)
 	p.Connect(r, fc)
 	p.addJoinContinuation(spec, env, fc, stage+1)
@@ -453,7 +457,7 @@ func CompileFinalize(spec *plan.Spec, rows []tuple.Tuple, out *[]tuple.Tuple, ba
 func CompileBloomScan(sc *plan.ScanSpec, keyCols []int, env *Env, analyze bool, add func(key []byte)) *Pipeline {
 	p := NewPipeline("participant")
 	p.detail = analyze
-	prev := p.Add("bloom-scan", ScanSource(env.Scan, sc.Namespace, sc.Schema.Arity(), env.batchSize(), env.scanWorkers()))
+	prev := p.Add("bloom-scan", env.scanSource(sc))
 	prev = p.maybeFilter(prev, "bloom-scan-filter", sc.Where)
 	sink := p.Add("bloom-build", FuncSink(func(t tuple.Tuple) {
 		add(t.Project(keyCols).Bytes())

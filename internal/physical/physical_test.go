@@ -12,6 +12,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/expr"
 	"repro/internal/id"
+	"repro/internal/plan"
 	"repro/internal/tuple"
 )
 
@@ -127,7 +128,7 @@ func TestScanSourceSkipsMalformed(t *testing.T) {
 		return [][][]byte{{good, {0xff, 0x01}, wrongArity, good}}
 	}
 	for _, batchSize := range []int{1, 3, 64} {
-		got := runOp(t, ScanSource(scan, "t", 2, batchSize, 1), nil)
+		got := runOp(t, ScanSource(scan, "t", 2, []int{0, 1}, batchSize, 1), nil)
 		rows := dataMsgs(got)
 		if len(rows) != 2 {
 			t.Fatalf("batch %d: got %d rows, want 2", batchSize, len(rows))
@@ -136,6 +137,29 @@ func TestScanSourceSkipsMalformed(t *testing.T) {
 			if !r.Equal(row("a", 1)) {
 				t.Fatalf("unexpected row %v", r)
 			}
+		}
+	}
+}
+
+// TestScanSourceKeepsPlanColumns: the scan emits the kept columns of
+// each stored row, in stored order, then the stored row's identity, and
+// still refuses a row of another stored arity — here one that has
+// exactly as many values as are kept. Two stored rows that differ only
+// in the dropped column leave as two different rows.
+func TestScanSourceKeepsPlanColumns(t *testing.T) {
+	a1, a2, c := row("a", 1, "pad"), row("a", 1, "other pad"), row("c", 3, "pad")
+	scan := func(string, int) [][][]byte {
+		return [][][]byte{{a1.Bytes(), row("b", 2).Bytes(), a2.Bytes(), c.Bytes()}}
+	}
+	cols := []int{0, 1}
+	for _, batchSize := range []int{1, 64} {
+		rows := dataMsgs(runOp(t, ScanSource(scan, "t", 3, cols, batchSize, 1), nil))
+		if len(rows) != 3 || !rows[0].Equal(tuple.Narrow(a1, cols)) || !rows[1].Equal(tuple.Narrow(a2, cols)) ||
+			!rows[2].Equal(tuple.Narrow(c, cols)) {
+			t.Fatalf("batch %d: got %v", batchSize, rows)
+		}
+		if !rows[0][:2].Equal(row("a", 1)) || rows[0].Equal(rows[1]) {
+			t.Fatalf("batch %d: rows equal in the kept columns: %v, %v", batchSize, rows[0], rows[1])
 		}
 	}
 }
@@ -157,7 +181,7 @@ func TestScanSourceParallelPartitions(t *testing.T) {
 		}
 		return out
 	}
-	got := runOp(t, ScanSource(scan, "t", 2, 16, 4), nil)
+	got := runOp(t, ScanSource(scan, "t", 2, []int{0, 1}, 16, 4), nil)
 	rows := dataMsgs(got)
 	if len(rows) != total {
 		t.Fatalf("parallel scan emitted %d rows, want %d", len(rows), total)
@@ -270,11 +294,16 @@ func TestRehashExchangeRoutes(t *testing.T) {
 }
 
 func TestFetchMatchesProbes(t *testing.T) {
-	// Right table: k → (k, info), published keyed on column 0.
+	// Right table: k → (k, info, blurb), published keyed on column 0;
+	// the plan reads k and info. A stored row of another arity under the
+	// same key is skipped.
 	rightRows := map[string][][]byte{}
 	for k := 1; k <= 3; k++ {
 		rid := row(k).HashKey([]int{0})
-		rightRows[string(rid[:])] = [][]byte{row(k, fmt.Sprintf("info-%d", k)).Bytes()}
+		rightRows[string(rid[:])] = [][]byte{
+			row(k, fmt.Sprintf("info-%d", k), "blurb").Bytes(),
+			row(k, "two columns").Bytes(),
+		}
 	}
 	fetch := func(ctx context.Context, rid id.ID) ([][]byte, error) {
 		return rightRows[string(rid[:])], nil
@@ -284,10 +313,11 @@ func TestFetchMatchesProbes(t *testing.T) {
 		dataflow.DataMsg(row("a", 2)),
 		dataflow.DataMsg(row("b", 9)), // no match
 	}
-	got := runOp(t, FetchMatches([]int{1}, 2, nil, []int{1}, []int{0}, fetch), in)
+	got := runOp(t, FetchMatches([]int{1}, &plan.ScanSpec{Stored: 3, Cols: []int{0, 1}}, []int{1}, []int{0}, fetch), in)
 	rows := dataMsgs(got)
-	if len(rows) != 1 || !rows[0].Equal(row("a", 2, 2, "info-2")) {
-		t.Fatalf("got %v", rows)
+	want := row("a", 2).Concat(tuple.Narrow(row(2, "info-2", "blurb"), []int{0, 1}))
+	if len(rows) != 1 || !rows[0].Equal(want) || !rows[0][:4].Equal(row("a", 2, 2, "info-2")) {
+		t.Fatalf("got %v, want %v", rows, want)
 	}
 }
 

@@ -90,11 +90,12 @@ func SketchMerge(merge func(table string, enc []byte) error) OpFunc {
 
 // CompileStatsGather builds a participant's stats-gather pipeline for
 // one table: scan the local partition (parallel partitioned, like any
-// scan) into a sketch-build sink.
+// scan; every column, as the sketch measures them all) into a
+// sketch-build sink.
 func CompileStatsGather(ns string, arity int, env *Env, sampleEvery int, sk *stats.TableSketch) *Pipeline {
 	p := NewPipeline("stats-gather")
 	p.SetDetail(false)
-	src := p.Add("stats-scan", ScanSource(env.Scan, ns, arity, env.batchSize(), env.scanWorkers()))
+	src := p.Add("stats-scan", ScanSource(env.Scan, ns, arity, identityCols(arity), env.batchSize(), env.scanWorkers()))
 	sb := p.Add("sketch-build", SketchBuild(sk, sampleEvery))
 	p.Connect(src, sb)
 	return p

@@ -468,14 +468,16 @@ func aggCollectorKey(qid uint64, groupKey []byte) id.ID {
 	return id.HashParts("pier.agg", string(qb[:]), string(groupKey))
 }
 
-// joinOrigin hashes (query, stage) to the ring position of the stage's
-// routing partition 0, so queries, and one query's stages, spread over
-// different collector nodes.
-func joinOrigin(qid uint64, stage int) id.ID {
-	var qb [9]byte
-	binary.BigEndian.PutUint64(qb[:8], qid)
-	qb[8] = byte(stage)
-	return id.HashParts("pier.join", string(qb[:]))
+// joinOrigin is the ring position of a join stage's routing partition
+// 0. It depends on the stage and nothing else, so a stage's collector
+// keys are the same for every query and the owner a node resolved for
+// one serves the next query from the batcher's cache, while one query's
+// stages still sit on different keys. The even spacing of
+// joinCollectorKey gives every node its arc's share of a stage's
+// partitions whatever the origin; a fixed one only means the rounding
+// remainder falls to the same nodes every time.
+func joinOrigin(stage int) id.ID {
+	return id.HashParts("pier.join", string([]byte{byte(stage)}))
 }
 
 // joinCollectorKey places the join work for one routing partition of a

@@ -128,11 +128,13 @@ func (q *queryState) participateContinuous() {
 	q.trackPipeline(pipe)
 
 	admit := func(payload []byte, at time.Time) {
-		t, err := tuple.FromBytes(payload)
-		if err != nil || len(t) != sc.Schema.Arity() {
+		stored, err := tuple.FromBytes(payload)
+		if err != nil {
 			return
 		}
-		in.Push(dataflow.Msg{Kind: dataflow.Data, T: t, Time: at})
+		if t, ok := sc.Narrow(stored); ok {
+			in.Push(dataflow.Msg{Kind: dataflow.Data, T: t, Time: at})
+		}
 	}
 	// Existing live items seed the first window; new arrivals stream
 	// in through the newData upcall.
@@ -285,7 +287,7 @@ func (q *queryState) rehashShip(stage, side int, window uint64, keys [][]byte, t
 		parts[p] = append(parts[p], t)
 	}
 	total := 0
-	origin := joinOrigin(q.id, stage)
+	origin := joinOrigin(stage)
 	recs := make([]batch.Record, 0, min(len(ts), len(parts)))
 	for p, rows := range parts {
 		if len(rows) == 0 {

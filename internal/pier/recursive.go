@@ -145,7 +145,9 @@ func (r *Result) foldCompletion(sub *Result) {
 // fixpoint closes base under the compiled step: every new CTE tuple
 // probes a hash index of the step table on the step's join columns,
 // and what the step's filters and projection derive from the matches
-// joins the worklist unless already seen. Rows the expressions cannot
+// joins the worklist unless already seen. table holds the step table's
+// rows as stored and the worklist the CTE's; the step reads either as
+// its scan of that side narrows it. Rows the expressions cannot
 // evaluate derive nothing, as in the physical Filter and Project.
 func fixpoint(base []tuple.Tuple, step *plan.Spec, cteSide int, table []tuple.Tuple) []tuple.Tuple {
 	join := &step.Joins[0]
@@ -153,6 +155,7 @@ func fixpoint(base []tuple.Tuple, step *plan.Spec, cteSide int, table []tuple.Tu
 	if cteSide == 1 {
 		cteJoin, tblJoin = tblJoin, cteJoin
 	}
+	cteScan, tblScan := &step.Scans[cteSide], &step.Scans[1-cteSide]
 	passes := func(pred expr.Expr, t tuple.Tuple) bool {
 		if pred == nil {
 			return true
@@ -161,8 +164,8 @@ func fixpoint(base []tuple.Tuple, step *plan.Spec, cteSide int, table []tuple.Tu
 		return err == nil && expr.Truthy(v)
 	}
 	index := make(map[string][]tuple.Tuple)
-	for _, t := range table {
-		if passes(step.Scans[1-cteSide].Where, t) {
+	for _, stored := range table {
+		if t, ok := tblScan.Narrow(stored); ok && passes(tblScan.Where, t) {
 			key := string(t.Project(tblJoin).Bytes())
 			index[key] = append(index[key], t)
 		}
@@ -180,10 +183,11 @@ func fixpoint(base []tuple.Tuple, step *plan.Spec, cteSide int, table []tuple.Tu
 	for _, b := range base {
 		push(b)
 		for len(work) > 0 {
-			t := work[len(work)-1]
+			full := work[len(work)-1]
 			work = work[:len(work)-1]
-			closure = append(closure, t)
-			if !passes(step.Scans[cteSide].Where, t) {
+			closure = append(closure, full)
+			t, ok := cteScan.Narrow(full)
+			if !ok || !passes(cteScan.Where, t) {
 				continue
 			}
 		match:

@@ -74,9 +74,10 @@ func seedRehashJoin(t *testing.T, nodes []*pier.Node, nOrders, nUsers, nItems in
 
 // TestRehashPartitionedJoinOwnerLookups: 8 nodes, 1000 distinct join
 // values. The coordinator picks 64 routing partitions for 8 members, so
-// a node may miss the owner cache at most 64 times per join stage (the
-// keys hash the query id: every query's are new) where routing by join
-// value missed about once per value — and the rows stay byte-identical
+// a node may miss the owner cache at most 64 times per join stage (a
+// stage's keys are the same for every query, so a later query on a warm
+// cluster misses fewer) where routing by join value missed about once
+// per value — and the rows stay byte-identical
 // to the centralized baseline, for one stage, for two, and with the
 // collectors spilling under a 64 KB budget.
 func TestRehashPartitionedJoinOwnerLookups(t *testing.T) {

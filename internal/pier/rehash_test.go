@@ -2,10 +2,15 @@ package pier
 
 import (
 	"context"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/id"
 	"repro/internal/obs"
 	"repro/internal/physical"
 	"repro/internal/plan"
@@ -20,6 +25,57 @@ func TestRehashJoinPartitionsRule(t *testing.T) {
 	} {
 		if got := joinPartitions(tc.members); got != tc.want {
 			t.Errorf("joinPartitions(%d) = %d, want %d", tc.members, got, tc.want)
+		}
+	}
+}
+
+// TestJoinOriginArcShare: a stage's origin is fixed, so the balance of
+// its collectors must not lean on the origin being re-drawn per query.
+// Over 100 seeded rings of 5, 8 and 16 nodes (a node owns the arc from
+// its predecessor up to itself, as chord assigns keys), every node
+// holds its arc's share of each stage's evenly spaced partitions to
+// within one — and two stages never share a collector key.
+func TestJoinOriginArcShare(t *testing.T) {
+	frac := func(a id.ID) float64 { // position on the ring in [0, 1)
+		return float64(binary.BigEndian.Uint64(a[:8])) / math.Exp2(64)
+	}
+	for _, n := range []int{5, 8, 16} {
+		parts := joinPartitions(n)
+		for seed := int64(0); seed < 100; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ring := make([]id.ID, n)
+			for i := range ring {
+				rng.Read(ring[i][:])
+			}
+			sort.Slice(ring, func(i, j int) bool { return ring[i].Less(ring[j]) })
+			for stage := 0; stage < 2; stage++ {
+				held := make([]int, n)
+				for p := 0; p < parts; p++ {
+					key := joinCollectorKey(joinOrigin(stage), p, parts)
+					owner := sort.Search(n, func(i int) bool { return !ring[i].Less(key) }) % n
+					held[owner]++
+				}
+				for i, got := range held {
+					arc := frac(ring[i]) - frac(ring[(i+n-1)%n])
+					if arc < 0 {
+						arc++
+					}
+					if share := arc * float64(parts); math.Abs(float64(got)-share) > 1 {
+						t.Fatalf("%d nodes, seed %d, stage %d: node %d holds %d of %d partitions, its arc's share is %.2f",
+							n, seed, stage, i, got, parts, share)
+					}
+				}
+			}
+		}
+	}
+	seen := make(map[id.ID]int)
+	for stage := 0; stage < 2; stage++ {
+		for p := 0; p < 64; p++ {
+			key := joinCollectorKey(joinOrigin(stage), p, 64)
+			if other, dup := seen[key]; dup {
+				t.Fatalf("stages %d and %d share collector key %s", other, stage, key)
+			}
+			seen[key] = stage
 		}
 	}
 }
@@ -63,7 +119,7 @@ func TestRehashCollectorKeyFromQueryMessage(t *testing.T) {
 			var got [2]string
 			for i, q := range states {
 				p := physical.RehashPartition(key, q.joinParts)
-				got[i] = joinCollectorKey(joinOrigin(q.id, stage), p, q.joinParts).String()
+				got[i] = joinCollectorKey(joinOrigin(stage), p, q.joinParts).String()
 			}
 			if got[0] != got[1] {
 				t.Fatalf("stage %d value %d: collector %s at node0, %s at node1", stage, v, got[0], got[1])

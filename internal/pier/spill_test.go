@@ -135,7 +135,10 @@ func TestSpillBudgetsByteIdentical(t *testing.T) {
 					cfg.SpillDir = t.TempDir()
 					cfg.BatchSize = bs
 				})
-				seedSpillJoin(t, cl.Nodes, 1200, 40)
+				// 3000 orders: the query reads three ints and a short
+				// string of each (pad is pruned at the scan), and the
+				// busiest collector must still hold well over 64KB.
+				seedSpillJoin(t, cl.Nodes, 3000, 40)
 				if want == nil {
 					bl := centralizedBaseline(cl.Nodes)
 					res, err := bl.QuerySQL(context.Background(), spillJoinSQL, 500*time.Millisecond)
@@ -143,8 +146,8 @@ func TestSpillBudgetsByteIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					want = encodeSorted(res.Rows)
-					if len(want) != 1200 {
-						t.Fatalf("baseline produced %d rows, want 1200", len(want))
+					if len(want) != 3000 {
+						t.Fatalf("baseline produced %d rows, want 3000", len(want))
 					}
 				}
 				sym := plan.SymmetricHash
@@ -204,7 +207,7 @@ func TestSpillTempFileCleanup(t *testing.T) {
 		cfg.JoinMemBudget = 32 * 1024
 		cfg.SpillDir = dir
 	})
-	seedSpillJoin(t, cl.Nodes, 900, 30)
+	seedSpillJoin(t, cl.Nodes, 1800, 30)
 
 	sym := plan.SymmetricHash
 	if _, err := cl.Nodes[0].QueryWithOptions(context.Background(), spillJoinSQL,

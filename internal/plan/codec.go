@@ -20,6 +20,8 @@ func (s *Spec) Encode(w *wire.Writer) {
 		sc := &s.Scans[i]
 		w.String(sc.Table)
 		w.String(sc.Namespace)
+		w.Uvarint(uint64(sc.Stored))
+		encodeInts(w, sc.Cols)
 		tuple.EncodeSchema(w, sc.Schema)
 		expr.Encode(w, sc.Where)
 		w.Byte(byte(sc.StatsSource))
@@ -83,11 +85,34 @@ func Decode(r *wire.Reader) (*Spec, error) {
 		var sc ScanSpec
 		sc.Table = r.String()
 		sc.Namespace = r.String()
-		sch, err := tuple.DecodeSchema(r)
-		if err != nil {
+		stored := r.Uvarint()
+		if stored > 4096 {
+			return nil, fmt.Errorf("plan: scan %d over %d stored columns", i, stored)
+		}
+		sc.Stored = int(stored)
+		var err error
+		if sc.Cols, err = decodeInts(r); err != nil {
 			return nil, err
 		}
-		sc.Schema = sch
+		if sc.Schema, err = tuple.DecodeSchema(r); err != nil {
+			return nil, err
+		}
+		// Cols drive tuple.Narrow and the decoder's column walk on
+		// every node, and the schema names what they yield: the kept
+		// columns, then the row identity if any was dropped.
+		want := len(sc.Cols)
+		if want < sc.Stored {
+			want++
+		}
+		if want != sc.Schema.Arity() {
+			return nil, fmt.Errorf("plan: scan %d keeps %d of %d stored columns under a %d-column schema",
+				i, len(sc.Cols), sc.Stored, sc.Schema.Arity())
+		}
+		for p, c := range sc.Cols {
+			if c < 0 || c >= sc.Stored || (p > 0 && c <= sc.Cols[p-1]) {
+				return nil, fmt.Errorf("plan: scan %d kept columns %v not ascending inside %d", i, sc.Cols, sc.Stored)
+			}
+		}
 		sc.Where, err = expr.Decode(r)
 		if err != nil {
 			return nil, err

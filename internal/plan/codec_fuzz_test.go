@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/agg"
@@ -29,9 +30,19 @@ func randSpec(r *rand.Rand) *Spec {
 		if r.Intn(2) == 0 {
 			sch.Key = []int{r.Intn(arity)}
 		}
+		// Half the scans keep every stored column; the rest drop one to
+		// three, in order, and carry the row identity as their last.
+		stored, kept := arity, arity
+		if r.Intn(2) == 0 {
+			stored, kept = arity+r.Intn(3), arity-1
+		}
+		keptCols := r.Perm(stored)[:kept]
+		sort.Ints(keptCols)
 		sc := ScanSpec{
 			Table:       fmt.Sprintf("t%d", i),
 			Namespace:   fmt.Sprintf("table:t%d", i),
+			Stored:      stored,
+			Cols:        keptCols,
 			Schema:      sch,
 			StatsSource: catalog.StatsSource(r.Intn(4)),
 			StatsAge:    int64(r.Intn(120)) * 1e9,
@@ -122,8 +133,55 @@ func TestSpecCodecRandomTrees(t *testing.T) {
 				t.Fatalf("iter %d: stage %d join cols changed", i, k)
 			}
 		}
+		for k := range spec.Scans {
+			if decoded.Scans[k].Stored != spec.Scans[k].Stored ||
+				fmt.Sprint(decoded.Scans[k].Cols) != fmt.Sprint(spec.Scans[k].Cols) {
+				t.Fatalf("iter %d: scan %d kept columns changed across codec", i, k)
+			}
+		}
 		if decoded.Analyze != spec.Analyze {
 			t.Fatalf("iter %d: Analyze flag lost", i)
+		}
+	}
+}
+
+// keptSpec encodes a one-scan spec that keeps cols of stored columns
+// under a three-column schema.
+func keptSpec(stored int, cols []int) []byte {
+	sch := &tuple.Schema{Name: "t", Columns: []tuple.Column{{Name: "a"}, {Name: "b"}, {Name: "c"}}}
+	s := &Spec{Limit: -1, Scans: []ScanSpec{{Table: "t", Namespace: "table:t", Stored: stored, Cols: cols, Schema: sch}},
+		Proj: []expr.Expr{&expr.Col{Name: "a", Index: 0}}, OutPerm: []int{0}, OutNames: []string{"a"}}
+	return s.Bytes()
+}
+
+// badKeptColumns returns one encoded spec per kind of kept-column list
+// the decoder refuses: out of order, outside the stored arity, and of
+// another length than the schema allows — a narrowed scan's schema is
+// one longer than its list, for the row identity, a whole scan's
+// exactly as long.
+func badKeptColumns() map[string][]byte {
+	return map[string][]byte{
+		"descending":  keptSpec(4, []int{2, 0}),
+		"repeated":    keptSpec(4, []int{1, 1}),
+		"outside":     keptSpec(4, []int{0, 4}),
+		"negative":    keptSpec(4, []int{-1, 0}),
+		"no identity": keptSpec(4, []int{0, 1, 2}),
+		"too short":   keptSpec(3, []int{0}),
+	}
+}
+
+// TestSpecCodecRefusesBadKeptColumns: Cols drive tuple.Narrow and the
+// decoder's column walk on every node, so a list the planner could not
+// have produced fails the decode; the lists it does produce pass.
+func TestSpecCodecRefusesBadKeptColumns(t *testing.T) {
+	for name, buf := range badKeptColumns() {
+		if _, err := FromBytes(buf); err == nil {
+			t.Errorf("%s kept-column list accepted", name)
+		}
+	}
+	for name, buf := range map[string][]byte{"narrowed": keptSpec(4, []int{0, 2}), "whole": keptSpec(3, []int{0, 1, 2})} {
+		if _, err := FromBytes(buf); err != nil {
+			t.Errorf("%s kept-column list refused: %v", name, err)
 		}
 	}
 }
@@ -135,6 +193,9 @@ func FuzzSpecCodec(f *testing.F) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 16; i++ {
 		f.Add(randSpec(r).Bytes())
+	}
+	for _, buf := range badKeptColumns() {
+		f.Add(buf)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x03})

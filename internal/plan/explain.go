@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/tuple"
 	"repro/internal/wire"
 )
 
@@ -71,7 +72,7 @@ func (s *Spec) Explain() string {
 	}
 	scan := func(depth, i int) {
 		sc := &s.Scans[i]
-		line := fmt.Sprintf("Scan %s [%s]", sc.Table, sc.Namespace)
+		line := fmt.Sprintf("Scan %s [%s] cols=%s", sc.Table, sc.Namespace, sc.keptNote())
 		if sc.Where != nil {
 			line += fmt.Sprintf(" filter %s", sc.Where)
 		}
@@ -115,6 +116,20 @@ func (s *Spec) Explain() string {
 		}
 	}
 	return b.String()
+}
+
+// keptNote names what the scan yields of a stored row, by base name:
+// "*" when it keeps every column, else the kept ones and the row
+// identity over the stored arity, "[oid, uid, #row]/5".
+func (sc *ScanSpec) keptNote() string {
+	if len(sc.Cols) == sc.Stored {
+		return "*"
+	}
+	names := make([]string, len(sc.Schema.Columns))
+	for i, c := range sc.Schema.Columns {
+		names[i] = tuple.BaseName(c.Name)
+	}
+	return fmt.Sprintf("[%s]/%d", strings.Join(names, ", "), sc.Stored)
 }
 
 // StatsNote renders the provenance and age of the statistics the

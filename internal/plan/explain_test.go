@@ -65,7 +65,7 @@ func TestExplainDeterministic(t *testing.T) {
 // and age the optimizer costed it with.
 func TestExplainStatsAnnotation(t *testing.T) {
 	spec := compile(t, "SELECT node FROM traffic", Options{})
-	if !strings.Contains(spec.Explain(), "Scan traffic [table:traffic] stats=default") {
+	if !strings.Contains(spec.Explain(), "Scan traffic [table:traffic] cols=[node, #row]/2 stats=default") {
 		t.Fatalf("missing default stats note:\n%s", spec.Explain())
 	}
 

@@ -205,7 +205,7 @@ func fetchLegalStage(inputs []joinInput, edges []joinEdge, leftOrder []int, t in
 			rightCols = append(rightCols, e.ca)
 		}
 	}
-	return fetchLegalFor(inputs[t].schema, rightCols)
+	return fetchLegalFor(inputs[t].Schema, rightCols)
 }
 
 // scanRows estimates a scan's output cardinality: known table rows
@@ -217,7 +217,7 @@ func fetchLegalStage(inputs []joinInput, edges []joinEdge, leftOrder []int, t in
 // used.
 func scanRows(in *joinInput) float64 {
 	rows := float64(defaultRows)
-	if in.stats.Rows > 0 || in.statsSrc != catalog.StatsDefault {
+	if in.stats.Rows > 0 || in.StatsSource != catalog.StatsDefault {
 		rows = float64(in.stats.Rows)
 	}
 	sel := filterSelectivity(in)
@@ -239,23 +239,22 @@ const minSampleRows = 8
 // equalities, ranges, and everything else fall back to the textbook
 // constants.
 func filterSelectivity(in *joinInput) float64 {
-	if in.where == nil {
+	if in.Where == nil {
 		return 1
 	}
 	if sel, ok := sampleSelectivity(in); ok {
 		return sel
 	}
 	sel := 1.0
-	for _, c := range expr.Conjuncts(in.where) {
+	for _, c := range expr.Conjuncts(in.Where) {
 		sel *= conjunctSelectivity(c, in)
 	}
 	return math.Max(sel, 1e-6)
 }
 
 // sampleSelectivity evaluates the resolved filter against the
-// measured row sample. Sample rows are base tuples with the table's
-// natural arity — the same positions the qualified schema the filter
-// was resolved against keeps — so the filter evaluates directly;
+// measured row sample. Sample rows are stored rows, so each goes
+// through Narrow to become the row the filter was resolved against;
 // rows of another arity (a schema change since the measurement) are
 // skipped, and the estimate stands only when enough rows remain. A
 // filter matching nothing in the sample is costed at half a sample
@@ -265,14 +264,14 @@ func sampleSelectivity(in *joinInput) (float64, bool) {
 	if in.stats.Sample == nil {
 		return 0, false
 	}
-	arity := in.schema.Arity()
 	total, matched := 0, 0
-	for _, row := range in.stats.Sample.Rows() {
-		if len(row) != arity {
+	for _, stored := range in.stats.Sample.Rows() {
+		row, ok := in.Narrow(stored)
+		if !ok {
 			continue
 		}
 		total++
-		if v, err := in.where.Eval(row); err == nil && expr.Truthy(v) {
+		if v, err := in.Where.Eval(row); err == nil && expr.Truthy(v) {
 			matched++
 		}
 	}
@@ -298,7 +297,7 @@ func conjunctSelectivity(c expr.Expr, in *joinInput) float64 {
 	switch cmp.Op {
 	case expr.EQ:
 		if colOK && litOK {
-			if ci := in.schema.ColIndex(col.Name); ci >= 0 {
+			if ci := in.Schema.ColIndex(col.Name); ci >= 0 {
 				return 1 / math.Max(distinctOf(in, ci), 1)
 			}
 		}
@@ -316,13 +315,13 @@ func conjunctSelectivity(c expr.Expr, in *joinInput) float64 {
 // scanRows).
 func distinctOf(in *joinInput, col int) float64 {
 	rows := float64(defaultRows)
-	if in.stats.Rows > 0 || in.statsSrc != catalog.StatsDefault {
+	if in.stats.Rows > 0 || in.StatsSource != catalog.StatsDefault {
 		rows = float64(in.stats.Rows)
 	}
 	if in.stats.Distinct != nil {
 		// Stats key by base column name; the qualified schema keeps
 		// column positions, so strip the binding prefix.
-		name := tuple.BaseName(in.schema.Columns[col].Name)
+		name := tuple.BaseName(in.Schema.Columns[col].Name)
 		if d, ok := in.stats.Distinct[name]; ok && d > 0 {
 			return float64(d)
 		}

@@ -225,15 +225,14 @@ func TestSampleSelectivity(t *testing.T) {
 			R: expr.NewLit(tuple.Int(4))}
 	}
 	in := &joinInput{
-		schema:   sch,
-		where:    lt4(0, "a"),
-		stats:    catalog.TableStats{Rows: 1600, Sample: sample, Source: catalog.StatsMeasured},
-		statsSrc: catalog.StatsMeasured,
+		ScanSpec: ScanSpec{Stored: 2, Cols: []int{0, 1}, Schema: sch,
+			Where: lt4(0, "a"), StatsSource: catalog.StatsMeasured},
+		stats: catalog.TableStats{Rows: 1600, Sample: sample, Source: catalog.StatsMeasured},
 	}
 	if sel, ok := sampleSelectivity(in); !ok || sel != 0.25 {
 		t.Fatalf("sampled selectivity = %v (ok=%v), want 0.25", sel, ok)
 	}
-	in.where = &expr.And{L: lt4(0, "a"), R: lt4(1, "b")}
+	in.Where = &expr.And{L: lt4(0, "a"), R: lt4(1, "b")}
 	if sel, ok := sampleSelectivity(in); !ok || sel != 0.25 {
 		t.Fatalf("correlated conjuncts = %v (ok=%v), want 0.25", sel, ok)
 	}
@@ -242,7 +241,7 @@ func TestSampleSelectivity(t *testing.T) {
 	}
 	// A filter matching no sampled row is rare, not impossible: floor
 	// at half a sample row.
-	in.where = &expr.Cmp{Op: expr.GT,
+	in.Where = &expr.Cmp{Op: expr.GT,
 		L: &expr.Col{Name: "a", Index: 0}, R: expr.NewLit(tuple.Int(100))}
 	if sel, ok := sampleSelectivity(in); !ok || sel != 0.5/16 {
 		t.Fatalf("zero-match selectivity = %v (ok=%v), want %v", sel, ok, 0.5/16)
@@ -287,14 +286,14 @@ func TestExplainMultiwayTree(t *testing.T) {
 // EXPLAIN stats= annotation always names the numbers actually used.
 func TestMeasuredEmptyTableIsKnown(t *testing.T) {
 	in := &joinInput{
-		schema:   tuple.MustSchema("t", []tuple.Column{{Name: "k", Type: tuple.TInt}}),
-		stats:    catalog.TableStats{Rows: 0, Source: catalog.StatsMeasured},
-		statsSrc: catalog.StatsMeasured,
+		ScanSpec: ScanSpec{Stored: 1, Cols: []int{0}, StatsSource: catalog.StatsMeasured,
+			Schema: tuple.MustSchema("t", []tuple.Column{{Name: "k", Type: tuple.TInt}})},
+		stats: catalog.TableStats{Rows: 0, Source: catalog.StatsMeasured},
 	}
 	if rows := scanRows(in); rows != 1 {
 		t.Fatalf("measured-empty table costed at %v rows, want 1", rows)
 	}
-	in.statsSrc = catalog.StatsDefault
+	in.StatsSource = catalog.StatsDefault
 	in.stats = catalog.TableStats{}
 	if rows := scanRows(in); rows != 1000 {
 		t.Fatalf("stat-less table costed at %v rows, want the 1000 default", rows)

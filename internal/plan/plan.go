@@ -1,7 +1,7 @@
 // Package plan compiles parsed SQL into the distributed plan
 // specification that PIER disseminates to every node. Compilation
-// performs the paper's rule-based optimizations — predicate pushdown
-// into per-table scans, extraction of equi-join keys for DHT
+// performs the paper's rule-based optimizations — predicate and column
+// pushdown into per-table scans, extraction of equi-join keys for DHT
 // rehashing, partial/final aggregate splitting for in-network
 // aggregation — and a cost-based pass (optimize.go) that enumerates
 // left-deep join orders over catalog statistics and picks a join
@@ -51,8 +51,17 @@ const MaxTables = 8
 type ScanSpec struct {
 	Table     string
 	Namespace string
-	// Schema is the scan's output schema, column names qualified by
-	// the query's binding for the table.
+	// Stored is the arity of the table's rows as they are stored, and
+	// Cols the stored positions, ascending, of the columns this plan
+	// keeps: every column the statement reads (all of them for
+	// SELECT *). Narrow applies the two to a stored row.
+	Stored int
+	Cols   []int
+	// Schema is the scan's output schema: the kept columns and, when
+	// any was dropped, the row's identity (tuple.RowIDColumn) after
+	// them. Column names are qualified by the query's binding for the
+	// table; Key is the table's, remapped, when every key column is
+	// kept and empty otherwise.
 	Schema *tuple.Schema
 	// Where is the pushed-down filter, resolved against Schema (nil
 	// for none).
@@ -63,6 +72,20 @@ type ScanSpec struct {
 	// annotation that makes plan regressions diagnosable.
 	StatsSource catalog.StatsSource
 	StatsAge    int64
+}
+
+// Narrow turns a row as the table stores it into the row this plan
+// reads: a row of another arity is refused, the rest keep Cols
+// (tuple.Narrow). Every reader of stored rows goes through it, or
+// through tuple.Decoder.DecodeCols, which is the same rule over an
+// encoded row. A narrowed row ends in its stored row's identity, so two
+// stored rows that differ only in a column nobody reads stay two rows
+// under the whole-row dedup of the join collectors.
+func (sc *ScanSpec) Narrow(stored tuple.Tuple) (tuple.Tuple, bool) {
+	if len(stored) != sc.Stored {
+		return nil, false
+	}
+	return tuple.Narrow(stored, sc.Cols), true
 }
 
 // JoinSpec is one stage of the left-deep join chain: stage k joins
@@ -213,6 +236,7 @@ func Compile(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts Options) (*S
 	// Resolve table references; qualify schemas when a join or alias
 	// demands it.
 	qualify := len(stmt.From) > 1
+	read := readColumns(stmt)
 	inputs := make([]joinInput, len(stmt.From))
 	seen := map[string]bool{}
 	for i, ref := range stmt.From {
@@ -224,18 +248,24 @@ func Compile(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts Options) (*S
 			return nil, fmt.Errorf("plan: duplicate table binding %q", ref.Binding())
 		}
 		seen[ref.Binding()] = true
-		sch := tbl.Schema
+		sch, rowID := tbl.Schema, tuple.RowIDColumn
 		if qualify || ref.Alias != "" {
 			sch = tbl.Schema.Qualify(ref.Binding())
+			rowID = ref.Binding() + "." + rowID
 		}
 		st, src, age := cat.StatsInfo(ref.Name)
+		cols := keptColumns(sch, read, stmt.Star)
 		inputs[i] = joinInput{
-			table:     ref.Name,
-			namespace: tbl.Namespace,
-			schema:    sch,
-			stats:     st,
-			statsSrc:  src,
-			statsAge:  int64(age),
+			ScanSpec: ScanSpec{
+				Table:       ref.Name,
+				Namespace:   tbl.Namespace,
+				Stored:      sch.Arity(),
+				Cols:        cols,
+				Schema:      keepSchema(sch, cols, rowID),
+				StatsSource: src,
+				StatsAge:    int64(age),
+			},
+			stats: st,
 		}
 	}
 
@@ -261,15 +291,15 @@ func Compile(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts Options) (*S
 		}
 		placed := false
 		for i := range inputs {
-			if resolvesAgainst(c, inputs[i].schema) {
-				cc, err := cloneResolved(c, inputs[i].schema)
+			if resolvesAgainst(c, inputs[i].Schema) {
+				cc, err := cloneResolved(c, inputs[i].Schema)
 				if err != nil {
 					return nil, err
 				}
-				if inputs[i].where == nil {
-					inputs[i].where = cc
+				if inputs[i].Where == nil {
+					inputs[i].Where = cc
 				} else {
-					inputs[i].where = &expr.And{L: inputs[i].where, R: cc}
+					inputs[i].Where = &expr.And{L: inputs[i].Where, R: cc}
 				}
 				placed = true
 				break
@@ -291,9 +321,7 @@ func Compile(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts Options) (*S
 			return nil, err
 		}
 	} else {
-		in := inputs[0]
-		spec.Scans = []ScanSpec{{Table: in.table, Namespace: in.namespace, Schema: in.schema, Where: in.where,
-			StatsSource: in.statsSrc, StatsAge: in.statsAge}}
+		spec.Scans = []ScanSpec{inputs[0].ScanSpec}
 	}
 
 	// Residual predicates resolve against the concatenated schema in
@@ -316,15 +344,93 @@ func Compile(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts Options) (*S
 	return spec, nil
 }
 
-// joinInput is one FROM entry during compilation.
+// joinInput is one FROM entry during compilation: the scan it becomes
+// (Where filled in as conjuncts are pushed down) and the statistics the
+// cost-based pass prices it with.
 type joinInput struct {
-	table     string
-	namespace string
-	schema    *tuple.Schema // qualified by the query's binding
-	where     expr.Expr     // pushed-down filter (resolved)
-	stats     catalog.TableStats
-	statsSrc  catalog.StatsSource
-	statsAge  int64 // nanoseconds at compile time
+	ScanSpec
+	stats catalog.TableStats
+}
+
+// readColumns lists the column names the statement reads anywhere: the
+// select list, WHERE, JOIN ... ON, GROUP BY, HAVING and ORDER BY. A
+// name that is a select-item alias or an aggregate's rendering is on
+// the list too and resolves to no column (or to one that is then kept
+// for nothing), which costs width, never a row.
+func readColumns(stmt *sqlparser.SelectStmt) []string {
+	var names []string
+	walk := func(e expr.Expr) {
+		if e == nil {
+			return
+		}
+		e.Walk(func(x expr.Expr) {
+			if c, ok := x.(*expr.Col); ok {
+				names = append(names, c.Name)
+			}
+		})
+	}
+	for _, item := range stmt.Items {
+		walk(item.Expr)
+	}
+	walk(stmt.Where)
+	walk(stmt.JoinOn)
+	names = append(names, stmt.GroupBy...)
+	walk(stmt.Having)
+	for _, o := range stmt.OrderBy {
+		walk(o.Expr)
+	}
+	return names
+}
+
+// keptColumns decides which stored columns of one FROM input (sch, as
+// the query binds it) the plan carries: those a read name resolves to
+// through Schema.ColIndex — the resolution the predicates and the
+// select list go through afterwards, so an ambiguous bare name keeps a
+// column on each side and fails where it always did. SELECT * keeps
+// everything.
+func keptColumns(sch *tuple.Schema, read []string, star bool) []int {
+	keep := make([]bool, sch.Arity())
+	for _, name := range read {
+		if ci := sch.ColIndex(name); ci >= 0 {
+			keep[ci] = true
+		}
+	}
+	cols := make([]int, 0, len(keep))
+	for i, k := range keep {
+		if k || star {
+			cols = append(cols, i)
+		}
+	}
+	return cols
+}
+
+// keepSchema is sch restricted to cols (ascending). A restriction that
+// drops a column gains the row-identity column, named rowID, at the
+// end: the schema of what ScanSpec.Narrow returns. Key is remapped to
+// the restricted positions when every key column is kept; otherwise
+// the narrow rows no longer carry their resource id and Key is empty
+// (fetch-matches, the one reader of a scan's Key, needs the key columns
+// to be the join columns, which are read).
+func keepSchema(sch *tuple.Schema, cols []int, rowID string) *tuple.Schema {
+	if len(cols) == sch.Arity() {
+		return sch
+	}
+	pos := make(map[int]int, len(cols))
+	out := &tuple.Schema{Name: sch.Name, Columns: make([]tuple.Column, len(cols), len(cols)+1)}
+	for i, c := range cols {
+		out.Columns[i] = sch.Columns[c]
+		pos[c] = i
+	}
+	out.Columns = append(out.Columns, tuple.Column{Name: rowID, Type: tuple.TInt})
+	for _, k := range sch.Key {
+		p, kept := pos[k]
+		if !kept {
+			out.Key = nil
+			break
+		}
+		out.Key = append(out.Key, p)
+	}
+	return out
 }
 
 // joinEdge is one equi-join predicate `inputs[a].ca = inputs[b].cb`
@@ -349,7 +455,7 @@ func equiJoinEdge(c expr.Expr, inputs []joinInput) (joinEdge, bool) {
 	bind := func(name string) (int, int, bool) {
 		tbl, col := -1, -1
 		for i := range inputs {
-			if ci := inputs[i].schema.ColIndex(name); ci >= 0 {
+			if ci := inputs[i].Schema.ColIndex(name); ci >= 0 {
 				if tbl >= 0 {
 					return 0, 0, false // ambiguous
 				}
@@ -382,14 +488,8 @@ func buildJoinChain(spec *Spec, inputs []joinInput, edges []joinEdge,
 	for p, in := range order {
 		pos[in] = p
 		offset[p] = off
-		off += inputs[in].schema.Arity()
-	}
-	for _, in := range order {
-		i := inputs[in]
-		spec.Scans = append(spec.Scans, ScanSpec{
-			Table: i.table, Namespace: i.namespace, Schema: i.schema, Where: i.where,
-			StatsSource: i.statsSrc, StatsAge: i.statsAge,
-		})
+		off += inputs[in].Schema.Arity()
+		spec.Scans = append(spec.Scans, inputs[in].ScanSpec)
 	}
 	spec.Joins = make([]JoinSpec, len(order)-1)
 	for k := range spec.Joins {

@@ -332,8 +332,13 @@ func TestProjExpressionPlan(t *testing.T) {
 	if len(spec.Proj) != 1 || spec.OutNames[0] != "bits" {
 		t.Fatalf("%+v", spec)
 	}
-	// Resolved against traffic schema: evaluating against a row works.
-	v, err := spec.Proj[0].Eval(tuple.Tuple{tuple.String("n"), tuple.Float(2)})
+	// Resolved against what the scan keeps of a traffic row:
+	// evaluating against a narrowed row works.
+	row, ok := spec.Scans[0].Narrow(tuple.Tuple{tuple.String("n"), tuple.Float(2)})
+	if !ok {
+		t.Fatal("a traffic row refused")
+	}
+	v, err := spec.Proj[0].Eval(row)
 	if err != nil || v.F != 16 {
 		t.Fatalf("proj eval: %v %v", v, err)
 	}

@@ -44,7 +44,7 @@ func (h *HLL) AddHash(x uint64) {
 }
 
 // Add inserts a value by its canonical byte encoding.
-func (h *HLL) Add(b []byte) { h.AddHash(Hash64(b)) }
+func (h *HLL) Add(b []byte) { h.AddHash(wire.Hash64(b)) }
 
 // Estimate returns the distinct-count estimate, with the linear
 // counting small-range correction.
@@ -98,28 +98,4 @@ func DecodeHLL(r *wire.Reader) (*HLL, error) {
 	h := NewHLL()
 	copy(h.regs, r.Raw(hllM))
 	return h, r.Err()
-}
-
-// Hash64 maps a byte string onto 64 bits: FNV-1a with a splitmix64
-// finisher for avalanche (FNV alone biases the low bits HLL's rho
-// computation reads). Deterministic across nodes — sketches built on
-// different machines must agree on hashes to merge, and so must the
-// senders of a distributed join (physical.RehashPartition).
-func Hash64(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	// splitmix64 finisher.
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
 }

@@ -83,7 +83,7 @@ func (s *TableSketch) Add(t tuple.Tuple) {
 	w.Reset()
 	t.Encode(w)
 	enc := w.Bytes()
-	s.Sample.Add(Hash64(enc), enc)
+	s.Sample.Add(wire.Hash64(enc), enc)
 	wire.PutWriter(w)
 }
 

@@ -172,10 +172,10 @@ func TestSampleBottomK(t *testing.T) {
 	}
 	fwd, rev := NewSample(16), NewSample(16)
 	for _, b := range rows {
-		fwd.Add(Hash64(b), b)
+		fwd.Add(wire.Hash64(b), b)
 	}
 	for i := len(rows) - 1; i >= 0; i-- {
-		rev.Add(Hash64(rows[i]), rows[i])
+		rev.Add(wire.Hash64(rows[i]), rows[i])
 	}
 	wf, wr := wire.NewWriter(64), wire.NewWriter(64)
 	fwd.Encode(wf)

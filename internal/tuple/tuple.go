@@ -262,6 +262,26 @@ func DecodeValue(r *wire.Reader) Value {
 	}
 }
 
+// skipValue steps over one value written by Encode without building
+// it; an unknown kind tag poisons the reader as in DecodeValue.
+func skipValue(r *wire.Reader) {
+	switch Type(r.Byte()) {
+	case TNull:
+	case TBool:
+		r.Byte()
+	case TInt, TTime:
+		r.Varint()
+	case TFloat:
+		r.Raw(8)
+	case TString, TBytes:
+		r.BytesLP()
+	case TID:
+		r.Raw(id.Bytes)
+	default:
+		r.Raw(-1)
+	}
+}
+
 // String renders the value for display.
 func (v Value) String() string {
 	switch v.Kind {
@@ -418,23 +438,91 @@ func (d *Decoder) Decode(buf []byte) (Tuple, error) {
 	if n > 4096 {
 		return nil, fmt.Errorf("tuple: decode: absurd arity %d", n)
 	}
-	if cap(d.arena)-len(d.arena) < int(n) {
-		size := 2 * cap(d.arena)
-		if size < decoderMinBlock {
-			size = decoderMinBlock
-		}
-		if size > decoderBlock {
-			size = decoderBlock
-		}
-		if int(n) > size {
-			size = int(n)
-		}
-		d.arena = make([]Value, 0, size)
-	}
+	d.reserve(int(n))
 	lo := len(d.arena)
 	for i := uint64(0); i < n; i++ {
 		d.arena = append(d.arena, DecodeValue(&d.r))
 	}
+	return d.finish(lo)
+}
+
+// RowIDColumn names the column a narrowed row carries its identity in.
+// No SQL identifier contains '#', so no statement can read it.
+const RowIDColumn = "#row"
+
+// RowID is the identity of one stored row, given its encoding: 64 bits
+// of hash, the same on every node. The store tells two items of one
+// resource id apart by the hash of their payloads, and nothing else
+// does — a table's declared key places a row, it does not name it — so
+// a row that has dropped columns carries this in their place, and two
+// stored rows that differ only in a dropped column stay two rows under
+// whole-row comparison.
+func RowID(payload []byte) Value { return Int(int64(wire.Hash64(payload))) }
+
+// Narrow keeps cols (ascending indexes into stored) of a decoded stored
+// row. All of them is the row itself; fewer is those columns followed
+// by the row's RowID. DecodeCols is the same rule over an encoded row.
+func Narrow(stored Tuple, cols []int) Tuple {
+	if len(cols) == len(stored) {
+		return stored
+	}
+	out := make(Tuple, len(cols)+1)
+	for i, c := range cols {
+		out[i] = stored[c]
+	}
+	out[len(cols)] = RowID(stored.Bytes())
+	return out
+}
+
+// DecodeCols decodes a payload of exactly arity values into what
+// Decode, an arity check and Narrow(cols) return, except that a value
+// not kept is stepped over and never built — no string is allocated
+// for a column the plan does not read. The checks are Decode's: a bad
+// kind tag in a skipped column and trailing bytes still fail the row.
+func (d *Decoder) DecodeCols(buf []byte, arity int, cols []int) (Tuple, error) {
+	d.r.Reset(buf)
+	if n := d.r.Uvarint(); n != uint64(arity) {
+		return nil, fmt.Errorf("tuple: decode: arity %d, want %d", n, arity)
+	}
+	d.reserve(len(cols) + 1)
+	lo := len(d.arena)
+	next := 0
+	for i := 0; i < arity; i++ {
+		if next < len(cols) && cols[next] == i {
+			d.arena = append(d.arena, DecodeValue(&d.r))
+			next++
+		} else {
+			skipValue(&d.r)
+		}
+	}
+	if len(cols) < arity {
+		d.arena = append(d.arena, RowID(buf))
+	}
+	return d.finish(lo)
+}
+
+// reserve makes room for n more values in the current arena block,
+// starting a new block when it is full.
+func (d *Decoder) reserve(n int) {
+	if cap(d.arena)-len(d.arena) >= n {
+		return
+	}
+	size := 2 * cap(d.arena)
+	if size < decoderMinBlock {
+		size = decoderMinBlock
+	}
+	if size > decoderBlock {
+		size = decoderBlock
+	}
+	if n > size {
+		size = n
+	}
+	d.arena = make([]Value, 0, size)
+}
+
+// finish caps the values appended since lo into one tuple, or gives
+// their slots back when the payload was malformed or had bytes left.
+func (d *Decoder) finish(lo int) (Tuple, error) {
 	if err := d.r.Done(); err != nil {
 		d.arena = d.arena[:lo]
 		return nil, fmt.Errorf("tuple: decode: %w", err)

@@ -282,3 +282,134 @@ func TestValueStringRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeColsAgreesWithNarrow: over a row holding every kind, each
+// ascending column subset decodes to what Decode followed by Narrow
+// returns — the kept columns, and after them the row's identity unless
+// every column is kept.
+func TestDecodeColsAgreesWithNarrow(t *testing.T) {
+	row := Tuple(allKinds())
+	buf := row.Bytes()
+	var d Decoder
+	// None, each column alone, each column alone left out, all, and two
+	// interleaved picks.
+	subsets := [][]int{{}, allFrom(0, len(row)), {1, 3, 5, 8, 9, 13}, {0, 2, 4, 10, 11, 12}}
+	for i := range row {
+		subsets = append(subsets, []int{i}, append(allFrom(0, i), allFrom(i+1, len(row))...))
+	}
+	for _, cols := range subsets {
+		got, err := d.DecodeCols(buf, len(row), cols)
+		if err != nil {
+			t.Fatalf("cols %v: %v", cols, err)
+		}
+		want := row.Project(cols)
+		if len(cols) < len(row) {
+			want = append(want, RowID(buf))
+		}
+		if !got.Equal(want) || len(got) != len(want) {
+			t.Fatalf("cols %v: got %v, want %v", cols, got, want)
+		}
+		for i := range got {
+			if got[i].Kind != want[i].Kind {
+				t.Fatalf("cols %v: column %d decoded as %v, want %v", cols, i, got[i].Kind, want[i].Kind)
+			}
+		}
+		decoded, err := d.Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := Narrow(decoded, cols); !n.Equal(got) || len(n) != len(got) {
+			t.Fatalf("cols %v: Narrow %v, DecodeCols %v", cols, n, got)
+		}
+	}
+}
+
+// TestRowIDTellsDroppedColumnsApart: two stored rows equal in every
+// kept column and different in a dropped one narrow to different rows;
+// the same stored row narrows to the same row every time, whichever
+// form of the rule reads it.
+func TestRowIDTellsDroppedColumnsApart(t *testing.T) {
+	a := Tuple{String("fish"), String("file-1"), Int(3)}
+	b := Tuple{String("fish"), String("file-2"), Int(3)}
+	cols := []int{0, 2}
+	na, nb := Narrow(a, cols), Narrow(b, cols)
+	if na.Equal(nb) {
+		t.Fatalf("rows that differ in a dropped column narrowed to one: %v", na)
+	}
+	if !na.Project([]int{0, 1}).Equal(nb.Project([]int{0, 1})) {
+		t.Fatalf("kept columns differ: %v, %v", na, nb)
+	}
+	var d Decoder
+	again, err := d.DecodeCols(a.Bytes(), 3, cols)
+	if err != nil || !again.Equal(na) {
+		t.Fatalf("the same stored row narrowed to %v then %v (%v)", na, again, err)
+	}
+	if all := Narrow(a, []int{0, 1, 2}); len(all) != 3 || !all.Equal(a) {
+		t.Fatalf("keeping every column changed the row: %v", all)
+	}
+}
+
+func allFrom(lo, hi int) []int {
+	var out []int
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// TestDecodeColsChecksWhatItSkips: a row of another arity, bytes after
+// the last value, and a bad kind tag in a column that is not kept all
+// fail the row, as they fail Decode.
+func TestDecodeColsChecksWhatItSkips(t *testing.T) {
+	row := Tuple{Int(1), String("skipped"), Int(3)}
+	var d Decoder
+	if _, err := d.DecodeCols(row.Bytes(), 3, []int{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.DecodeCols(row.Bytes(), 2, []int{0}); err == nil {
+		t.Fatal("a 3-value row passed as a 2-column one")
+	}
+	if _, err := d.DecodeCols(row.Bytes(), 4, []int{0, 2}); err == nil {
+		t.Fatal("a 3-value row passed as a 4-column one")
+	}
+	if _, err := d.DecodeCols(append(row.Bytes(), 0), 3, []int{0, 2}); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	bad := row.Bytes()
+	// Layout: arity, (TInt, varint 1), then the skipped string's tag.
+	if Type(bad[3]) != TString {
+		t.Fatalf("test layout: byte 3 is %d, not the string tag", bad[3])
+	}
+	bad[3] = 0xee
+	if _, err := d.DecodeCols(bad, 3, []int{0, 2}); err == nil {
+		t.Fatal("bad kind tag in a skipped column accepted")
+	}
+	truncated := row.Bytes()
+	if _, err := d.DecodeCols(truncated[:6], 3, []int{0}); err == nil {
+		t.Fatal("a skipped string running past the payload accepted")
+	}
+}
+
+// TestDecodeColsSkipsWithoutAllocating: once the arena block exists, a
+// row whose string column is not kept decodes with no allocation; the
+// same row decoded whole pays one for the string.
+func TestDecodeColsSkipsWithoutAllocating(t *testing.T) {
+	buf := Tuple{Int(7), String("a string long enough to need the heap"), Int(9)}.Bytes()
+	var d Decoder
+	d.arena = make([]Value, 0, 1<<16)
+	cols := []int{0, 2}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := d.DecodeCols(buf, 3, cols); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("skipping a string column allocated %v times per row", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := d.Decode(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("decoding the string column allocated %v times per row, want 1", n)
+	}
+}

@@ -318,3 +318,28 @@ func (r *Reader) Time() time.Time {
 func (r *Reader) Duration() time.Duration {
 	return time.Duration(r.Varint())
 }
+
+// Hash64 maps a byte string onto 64 bits: FNV-1a with a splitmix64
+// finisher for avalanche (FNV alone biases the low bits HLL's rho
+// computation reads). Deterministic across nodes — sketches built on
+// different machines must agree on hashes to merge, and so must the
+// senders of a distributed join (physical.RehashPartition) and every
+// reader of one stored row (tuple.RowID).
+func Hash64(b []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	// splitmix64 finisher.
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
+}
