@@ -302,10 +302,9 @@ func BenchmarkOverlayAblation(b *testing.B) {
 }
 
 // BenchmarkLocalJoinPipeline measures the local-execution join hot
-// path (scan → filter → rehash exchange → symmetric-hash probe) with
-// no network, at the default vectorization width — the
-// batch-at-a-time speedup BENCH_PR4.json tracks. Compare against
-// BenchmarkLocalJoinPipelineScalar for the tuple-at-a-time baseline.
+// path (scan → filter → rehash exchange → HybridJoin) with no network,
+// at the default vectorization width. BENCH_PR4.json records its ratio
+// to the tuple-at-a-time path, since deleted.
 func BenchmarkLocalJoinPipeline(b *testing.B) {
 	b.ReportAllocs()
 	const nLeft, nRight = 20000, 1000
@@ -313,26 +312,6 @@ func BenchmarkLocalJoinPipeline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows, err := wl.Run(256, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows != nLeft {
-			b.Fatalf("rows %d", rows)
-		}
-	}
-	b.ReportMetric(float64(nLeft+nRight)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
-}
-
-// BenchmarkLocalJoinPipelineScalar is the same workload at batch size
-// 1 and one scan worker: exactly the engine's tuple-at-a-time
-// behavior, kept as the baseline for the vectorization ratio.
-func BenchmarkLocalJoinPipelineScalar(b *testing.B) {
-	b.ReportAllocs()
-	const nLeft, nRight = 20000, 1000
-	wl := bench.NewLocalJoinWorkload(nLeft, nRight)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := wl.Run(1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -68,8 +68,6 @@ func main() {
 	batchBytes := flag.Int("batch-bytes", 0, "flush a route batch at this payload byte budget (0 = default 8192)")
 	batchDelay := flag.Duration("batch-delay", 0, "max time a record may wait in a route batch (0 = default 2ms; capped at a quarter of the quiescence horizon)")
 	explain := flag.Bool("explain", false, "run one-shot queries as EXPLAIN ANALYZE: print the per-operator pipeline counters gathered from every node after the rows")
-	batchSize := flag.Int("batch-size", 0, "vectorization width: tuples per dataflow batch message (0 = default 256, 1 = tuple-at-a-time)")
-	scanParallel := flag.Int("scan-parallel", 0, "parallel partitioned-scan workers (0 = GOMAXPROCS)")
 	members := flag.Int("members", 0, "expected cluster size: enables deterministic EOS completion for one-shot queries (0 = quiescence timer only)")
 	joinMem := flag.String("join-mem", "0", "per-stage join build-state memory budget, e.g. 64kb or 1mb (0 = unlimited, never spill)")
 	spillDir := flag.String("spill-dir", "", "directory for join spill temp files (default: the system temp dir)")
@@ -94,8 +92,6 @@ func main() {
 	cfg.Batch.MaxRecords = *batchRecords
 	cfg.Batch.MaxBytes = *batchBytes
 	cfg.Batch.MaxDelay = *batchDelay
-	cfg.BatchSize = *batchSize
-	cfg.ScanParallel = *scanParallel
 	cfg.Members = *members
 	if cfg.JoinMemBudget, err = pier.ParseMemSize(*joinMem); err != nil {
 		log.Fatal(err)

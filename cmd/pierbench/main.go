@@ -221,37 +221,28 @@ func main() {
 	}
 }
 
-// localpipe measures the local-execution join hot path (no network)
-// tuple-at-a-time vs vectorized — ns/op, rows/sec, and allocs/op for
-// the batch-at-a-time speedup BENCH_PR4.json tracks.
+// localpipe measures the local-execution join hot path (no network):
+// ns/op, rows/sec, and allocs/op, under the "vectorized" names
+// BENCH_PR4.json recorded them (beside the tuple-at-a-time path's,
+// since deleted).
 func localpipe(rec *recorder) error {
 	const nLeft, nRight = 20000, 1000
 	wl := bench.NewLocalJoinWorkload(nLeft, nRight)
-	fmt.Printf("%-12s %14s %14s %12s %12s\n", "mode", "ns/op", "rows/sec", "allocs/op", "B/op")
-	for _, mode := range []struct {
-		name     string
-		bs, wrks int
-	}{
-		{"scalar", 1, 1},
-		{"vectorized", 256, 4},
-	} {
-		mode := mode
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := wl.Run(mode.bs, mode.wrks); err != nil {
-					b.Fatal(err)
-				}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := wl.Run(256, 4); err != nil {
+				b.Fatal(err)
 			}
-		})
-		rowsPerSec := float64(nLeft+nRight) / (float64(r.NsPerOp()) / 1e9)
-		fmt.Printf("%-12s %14d %14.0f %12d %12d\n",
-			mode.name, r.NsPerOp(), rowsPerSec, r.AllocsPerOp(), r.AllocedBytesPerOp())
-		rec.metric(mode.name+".ns/op", float64(r.NsPerOp()))
-		rec.metric(mode.name+".rows/sec", rowsPerSec)
-		rec.metric(mode.name+".allocs/op", float64(r.AllocsPerOp()))
-		rec.metric(mode.name+".bytes/op", float64(r.AllocedBytesPerOp()))
-	}
+		}
+	})
+	rowsPerSec := float64(nLeft+nRight) / (float64(r.NsPerOp()) / 1e9)
+	fmt.Printf("%14s %14s %12s %12s\n", "ns/op", "rows/sec", "allocs/op", "B/op")
+	fmt.Printf("%14d %14.0f %12d %12d\n", r.NsPerOp(), rowsPerSec, r.AllocsPerOp(), r.AllocedBytesPerOp())
+	rec.metric("vectorized.ns/op", float64(r.NsPerOp()))
+	rec.metric("vectorized.rows/sec", rowsPerSec)
+	rec.metric("vectorized.allocs/op", float64(r.AllocsPerOp()))
+	rec.metric("vectorized.bytes/op", float64(r.AllocedBytesPerOp()))
 	return nil
 }
 

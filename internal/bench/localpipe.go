@@ -36,11 +36,11 @@ func NewLocalJoinWorkload(nLeft, nRight int) *LocalJoinWorkload {
 }
 
 // Run drives the local-execution join hot path with no network: left
-// and right scan pipelines (scan → filter → rehash exchange) feed a
-// symmetric-hash join collector through the same batch ship shape the
-// distributed engine uses, at the given vectorization width and scan
-// parallelism. Returns the joined row count; wrap the call in
-// testing.Benchmark (or b.N loops) for ns/op, rows/sec, and
+// and right scan pipelines (scan → filter → rehash exchange) feed the
+// join collector's HybridJoin (no memory budget) through the same batch
+// ship shape the distributed engine uses, at the given vectorization
+// width and scan parallelism. Returns the joined row count; wrap the
+// call in testing.Benchmark (or b.N loops) for ns/op, rows/sec, and
 // allocs/op — this is the microcosm BENCH_PR4.json tracks for the
 // batch-at-a-time speedup.
 func (wl *LocalJoinWorkload) Run(batchSize, workers int) (int, error) {
@@ -97,14 +97,14 @@ func (wl *LocalJoinWorkload) run(batchSize, workers int, reg *obs.Registry) (int
 		}
 	}
 
-	// Collector: the symmetric-hash probe plus a counting sink, fed
-	// through inlets exactly like rehashed network arrivals.
+	// Collector: the join a plan's collector runs plus a counting sink,
+	// fed through inlets exactly like rehashed network arrivals.
 	collector := physical.NewPipeline("join-collector")
 	collector.SetDetail(false)
 	inL, inR := physical.NewInlet(), physical.NewInlet()
 	l := collector.Add("probe-src.l", inL.Source)
 	r := collector.Add("probe-src.r", inR.Source)
-	jp := collector.Add("join-probe", physical.JoinProbe([2]int{2, 2}, [2][]int{{1}, {0}}))
+	jp := collector.Add("hybrid-join", physical.HybridJoin([2]int{2, 2}, [2][]int{{1}, {0}}, physical.HybridJoinConfig{}))
 	collector.Connect(l, jp)
 	collector.Connect(r, jp)
 	rows := 0
@@ -129,10 +129,6 @@ func (wl *LocalJoinWorkload) run(batchSize, workers int, reg *obs.Registry) (int
 			// The exchange recycles its container after the call, so
 			// hand the inlet a copy — the same transfer the network
 			// decode path performs.
-			if len(ts) == 1 {
-				in.Push(dataflow.DataMsg(ts[0]))
-				return 1
-			}
 			in.Push(dataflow.BatchMsg(append(dataflow.GetBatch(), ts...), window))
 			return len(ts)
 		}

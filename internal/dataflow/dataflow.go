@@ -1,10 +1,8 @@
 // Package dataflow is PIER's generic "boxes and arrows" execution
 // engine: operators are boxes running as goroutines, arrows are
-// bounded channels carrying tuples and punctuations. The engine
-// supports trees, DAGs, and cyclic graphs (recursive queries use an
-// unbounded back edge so cycles cannot deadlock on channel
-// backpressure), one-shot queries (terminated by end-of-stream) and
-// continuous queries (terminated by cancellation).
+// bounded channels carrying batches of tuples and punctuations. The
+// engine supports trees and DAGs, one-shot queries (terminated by
+// end-of-stream) and continuous queries (terminated by cancellation).
 package dataflow
 
 import (
@@ -21,7 +19,7 @@ import (
 type MsgKind uint8
 
 const (
-	// Data carries one tuple.
+	// Data carries a batch of tuples.
 	Data MsgKind = iota
 	// Punct is a punctuation: a promise that no tuple belonging to
 	// window Seq (closed at Time) will arrive later on this edge.
@@ -36,10 +34,10 @@ const (
 	Drain
 )
 
-// Msg is one stream element. A Data message carries either a single
-// tuple in T (Batch nil — the tuple-at-a-time form, and exactly what
-// batch-size 1 produces) or a batch of tuples in Batch, all stamped
-// with the same Seq. Punctuations are always singleton messages.
+// Msg is one stream element. A Data message carries its tuples — one
+// or many — in Batch, all stamped with the same Seq (and, for samples
+// of a continuous query, the same arrival Time). Punctuations and drain
+// markers carry no tuples.
 //
 // Batch ownership rule (the batch-reuse contract every operator obeys):
 //
@@ -58,19 +56,15 @@ const (
 //     tuple that will later be mutated in place (Concat/Project must
 //     allocate fresh tuples, never write through into input backing
 //     arrays).
-//   - EmitAll enforces the single-owner rule on fan-out: when a batch
-//     message goes to more than one output, every output after the
-//     first receives a copy of the container.
+//   - EmitAll enforces the single-owner rule on fan-out: when a data
+//     message goes to more than one output, every output but the last
+//     receives a copy of the container.
 type Msg struct {
 	Kind  MsgKind
-	T     tuple.Tuple
 	Batch []tuple.Tuple
 	Seq   uint64
 	Time  time.Time
 }
-
-// DataMsg wraps a tuple.
-func DataMsg(t tuple.Tuple) Msg { return Msg{Kind: Data, T: t} }
 
 // BatchMsg wraps a batch of tuples sharing one window stamp. The
 // container is owned by the receiver once emitted (see Msg).
@@ -86,27 +80,6 @@ func PunctMsg(seq uint64, ts time.Time) Msg {
 // DrainMsg builds an end-of-stream marker for one drain round.
 func DrainMsg(round uint64) Msg {
 	return Msg{Kind: Drain, Seq: round}
-}
-
-// NRows returns how many data tuples the message carries.
-func (m Msg) NRows() int {
-	if m.Kind != Data {
-		return 0
-	}
-	if m.Batch != nil {
-		return len(m.Batch)
-	}
-	return 1
-}
-
-// Tuples returns the message's data tuples without allocating:
-// batches are returned as-is, singletons are staged in scratch.
-func (m Msg) Tuples(scratch *[1]tuple.Tuple) []tuple.Tuple {
-	if m.Batch != nil {
-		return m.Batch
-	}
-	scratch[0] = m.T
-	return scratch[:1]
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +145,6 @@ const DefaultEdgeDepth = 64
 type Graph struct {
 	name    string
 	nodes   []*Node
-	pumps   []func(ctx context.Context, wg *sync.WaitGroup)
 	started bool
 }
 
@@ -194,54 +166,6 @@ func (g *Graph) Connect(from, to *Node) {
 	to.ins = append(to.ins, ch)
 }
 
-// ConnectUnbounded wires from to to through an elastic buffer, for
-// back edges of cyclic (recursive) plans where bounded channels could
-// deadlock: the producer never blocks, the buffer grows as needed.
-func (g *Graph) ConnectUnbounded(from, to *Node) {
-	in := make(chan Msg, DefaultEdgeDepth)
-	out := make(chan Msg, DefaultEdgeDepth)
-	from.outs = append(from.outs, in)
-	to.ins = append(to.ins, out)
-	g.pumps = append(g.pumps, func(ctx context.Context, wg *sync.WaitGroup) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(out)
-			var queue []Msg
-			inOpen := true
-			for inOpen || len(queue) > 0 {
-				var sendCh chan Msg
-				var head Msg
-				if len(queue) > 0 {
-					sendCh = out
-					head = queue[0]
-				}
-				if inOpen {
-					select {
-					case m, ok := <-in:
-						if !ok {
-							inOpen = false
-							continue
-						}
-						queue = append(queue, m)
-					case sendCh <- head:
-						queue = queue[1:]
-					case <-ctx.Done():
-						return
-					}
-				} else {
-					select {
-					case sendCh <- head:
-						queue = queue[1:]
-					case <-ctx.Done():
-						return
-					}
-				}
-			}
-		}()
-	})
-}
-
 // Running is a started graph.
 type Running struct {
 	cancel context.CancelFunc
@@ -260,9 +184,6 @@ func (g *Graph) Start(parent context.Context) (*Running, error) {
 	ctx, cancel := context.WithCancel(parent)
 	r := &Running{cancel: cancel, done: make(chan struct{})}
 	var wg sync.WaitGroup
-	for _, pump := range g.pumps {
-		pump(ctx, &wg)
-	}
 	for _, n := range g.nodes {
 		n := n
 		wg.Add(1)
@@ -356,24 +277,6 @@ func EmitAll(ctx context.Context, outs []chan<- Msg, m Msg) bool {
 		}
 	}
 	return true
-}
-
-// ForEach consumes one input until it closes, invoking fn per message.
-// A non-nil error from fn aborts and is returned.
-func ForEach(ctx context.Context, in <-chan Msg, fn func(Msg) error) error {
-	for {
-		select {
-		case m, ok := <-in:
-			if !ok {
-				return nil
-			}
-			if err := fn(m); err != nil {
-				return err
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
 }
 
 // Merge multiplexes several inputs into one channel, closing it when

@@ -11,11 +11,14 @@ import (
 	"repro/internal/tuple"
 )
 
-// producer emits n integer tuples then returns.
+// one wraps a tuple as a one-row data message.
+func one(t tuple.Tuple) Msg { return BatchMsg([]tuple.Tuple{t}, 0) }
+
+// producer emits n integer tuples, one per message, then returns.
 func producer(n int) RunFunc {
 	return func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
 		for i := 0; i < n; i++ {
-			if !EmitAll(ctx, outs, DataMsg(tuple.Tuple{tuple.Int(int64(i))})) {
+			if !EmitAll(ctx, outs, one(tuple.Tuple{tuple.Int(int64(i))})) {
 				return ctx.Err()
 			}
 		}
@@ -26,12 +29,10 @@ func producer(n int) RunFunc {
 // collector appends every received tuple to sink.
 func collector(sink *[]tuple.Tuple) RunFunc {
 	return func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
-		return ForEach(ctx, ins[0], func(m Msg) error {
-			if m.Kind == Data {
-				*sink = append(*sink, m.T)
-			}
-			return nil
-		})
+		for m := range ins[0] {
+			*sink = append(*sink, m.Batch...)
+		}
+		return nil
 	}
 }
 
@@ -39,15 +40,15 @@ func TestLinearPipeline(t *testing.T) {
 	g := New("linear")
 	src := g.Add("src", producer(10))
 	double := g.Add("double", func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
-		return ForEach(ctx, ins[0], func(m Msg) error {
-			if m.Kind == Data {
-				m.T = tuple.Tuple{tuple.Int(m.T[0].I * 2)}
+		for m := range ins[0] {
+			for i, t := range m.Batch {
+				m.Batch[i] = tuple.Tuple{tuple.Int(t[0].I * 2)}
 			}
 			if !EmitAll(ctx, outs, m) {
 				return ctx.Err()
 			}
-			return nil
-		})
+		}
+		return nil
 	})
 	var got []tuple.Tuple
 	sink := g.Add("sink", collector(&got))
@@ -70,21 +71,19 @@ func TestFanOutFanIn(t *testing.T) {
 	g := New("diamond")
 	src := g.Add("src", producer(20))
 	pass := func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
-		return ForEach(ctx, ins[0], func(m Msg) error {
+		for m := range ins[0] {
 			if !EmitAll(ctx, outs, m) {
 				return ctx.Err()
 			}
-			return nil
-		})
+		}
+		return nil
 	}
 	left := g.Add("left", pass)
 	right := g.Add("right", pass)
 	var got []tuple.Tuple
 	merge := g.Add("merge", func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
 		for m := range Merge(ctx, ins) {
-			if m.Kind == Data {
-				got = append(got, m.T)
-			}
+			got = append(got, m.Batch...)
 		}
 		return nil
 	})
@@ -105,7 +104,7 @@ func TestOperatorErrorCancelsGraph(t *testing.T) {
 	src := g.Add("src", func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
 		// Infinite producer: only cancellation stops it.
 		for i := 0; ; i++ {
-			if !EmitAll(ctx, outs, DataMsg(tuple.Tuple{tuple.Int(int64(i))})) {
+			if !EmitAll(ctx, outs, one(tuple.Tuple{tuple.Int(int64(i))})) {
 				return ctx.Err()
 			}
 		}
@@ -113,13 +112,13 @@ func TestOperatorErrorCancelsGraph(t *testing.T) {
 	boom := errors.New("boom")
 	failing := g.Add("failing", func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
 		n := 0
-		return ForEach(ctx, ins[0], func(m Msg) error {
+		for range ins[0] {
 			n++
 			if n == 5 {
 				return boom
 			}
-			return nil
-		})
+		}
+		return nil
 	})
 	g.Connect(src, failing)
 	err := g.Run(context.Background())
@@ -138,16 +137,16 @@ func TestContinuousQueryStop(t *testing.T) {
 				return nil
 			case <-time.After(time.Millisecond):
 			}
-			if !EmitAll(ctx, outs, DataMsg(tuple.Tuple{tuple.Int(int64(i))})) {
+			if !EmitAll(ctx, outs, one(tuple.Tuple{tuple.Int(int64(i))})) {
 				return nil
 			}
 		}
 	})
 	sink := g.Add("sink", func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
-		return ForEach(ctx, ins[0], func(m Msg) error {
+		for range ins[0] {
 			count++
-			return nil
-		})
+		}
+		return nil
 	})
 	g.Connect(src, sink)
 	r, err := g.Start(context.Background())
@@ -166,24 +165,24 @@ func TestContinuousQueryStop(t *testing.T) {
 func TestPunctuationFlowsThrough(t *testing.T) {
 	g := New("punct")
 	src := g.Add("src", func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
-		EmitAll(ctx, outs, DataMsg(tuple.Tuple{tuple.Int(1)}))
+		EmitAll(ctx, outs, one(tuple.Tuple{tuple.Int(1)}))
 		EmitAll(ctx, outs, PunctMsg(1, time.Unix(100, 0)))
-		EmitAll(ctx, outs, DataMsg(tuple.Tuple{tuple.Int(2)}))
+		EmitAll(ctx, outs, one(tuple.Tuple{tuple.Int(2)}))
 		EmitAll(ctx, outs, PunctMsg(2, time.Unix(200, 0)))
 		return nil
 	})
 	var puncts []uint64
 	var datas int
 	sink := g.Add("sink", func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
-		return ForEach(ctx, ins[0], func(m Msg) error {
+		for m := range ins[0] {
 			switch m.Kind {
 			case Punct:
 				puncts = append(puncts, m.Seq)
 			case Data:
 				datas++
 			}
-			return nil
-		})
+		}
+		return nil
 	})
 	g.Connect(src, sink)
 	if err := g.Run(context.Background()); err != nil {
@@ -191,82 +190,6 @@ func TestPunctuationFlowsThrough(t *testing.T) {
 	}
 	if datas != 2 || len(puncts) != 2 || puncts[0] != 1 || puncts[1] != 2 {
 		t.Fatalf("datas=%d puncts=%v", datas, puncts)
-	}
-}
-
-func TestCyclicGraphWithUnboundedEdge(t *testing.T) {
-	// A feedback loop: injector seeds 1 value; the loop body
-	// re-circulates values, decrementing until zero. With a bounded
-	// back edge this could deadlock; the unbounded edge must not.
-	g := New("cycle")
-	seed := g.Add("seed", func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
-		EmitAll(ctx, outs, DataMsg(tuple.Tuple{tuple.Int(500)}))
-		return nil
-	})
-	var results []int64
-	loop := g.Add("loop", func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
-		// ins[0] = seed, ins[1] = back edge; outs[0] = back edge,
-		// outs[1] = result sink.
-		pending := 1 // tuples in flight (seed)
-		merged := Merge(ctx, ins)
-		for m := range merged {
-			if m.Kind != Data {
-				continue
-			}
-			v := m.T[0].I
-			results = append(results, v)
-			pending--
-			if v > 0 {
-				pending++
-				if !Emit(ctx, outs[0], DataMsg(tuple.Tuple{tuple.Int(v - 1)})) {
-					return ctx.Err()
-				}
-			}
-			if pending == 0 {
-				return nil // fixpoint reached
-			}
-		}
-		return nil
-	})
-	g.Connect(seed, loop)
-	g.ConnectUnbounded(loop, loop)
-	done := make(chan error, 1)
-	go func() {
-		done <- g.Run(context.Background())
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cyclic graph deadlocked")
-	}
-	if len(results) != 501 {
-		t.Fatalf("fixpoint visited %d values, want 501", len(results))
-	}
-}
-
-func TestUnboundedEdgeDoesNotBlockProducer(t *testing.T) {
-	// Producer floods 10k messages before the consumer reads any;
-	// bounded edges would block at DefaultEdgeDepth.
-	g := New("flood")
-	const n = 10000
-	src := g.Add("src", producer(n))
-	var got int
-	sink := g.Add("sink", func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
-		time.Sleep(50 * time.Millisecond) // let the producer finish first
-		return ForEach(ctx, ins[0], func(m Msg) error {
-			got++
-			return nil
-		})
-	})
-	g.ConnectUnbounded(src, sink)
-	if err := g.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got != n {
-		t.Fatalf("got %d, want %d", got, n)
 	}
 }
 
@@ -285,7 +208,7 @@ func TestEmitHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	full := make(chan Msg) // unbuffered, nobody reading
-	if Emit(ctx, full, DataMsg(nil)) {
+	if Emit(ctx, full, one(nil)) {
 		t.Fatal("Emit succeeded on cancelled context")
 	}
 }
@@ -296,12 +219,12 @@ func TestManyOperators(t *testing.T) {
 	prev := g.Add("src", producer(5))
 	for i := 0; i < 100; i++ {
 		stage := g.Add(fmt.Sprintf("stage%d", i), func(ctx context.Context, ins []<-chan Msg, outs []chan<- Msg) error {
-			return ForEach(ctx, ins[0], func(m Msg) error {
+			for m := range ins[0] {
 				if !EmitAll(ctx, outs, m) {
 					return ctx.Err()
 				}
-				return nil
-			})
+			}
+			return nil
 		})
 		g.Connect(prev, stage)
 		prev = stage
@@ -357,29 +280,6 @@ func TestBatchPoolRecycles(t *testing.T) {
 	}
 }
 
-func TestMsgTuplesAndNRows(t *testing.T) {
-	var scratch [1]tuple.Tuple
-	single := DataMsg(tuple.Tuple{tuple.Int(5)})
-	if single.NRows() != 1 {
-		t.Fatalf("singleton NRows %d", single.NRows())
-	}
-	ts := single.Tuples(&scratch)
-	if len(ts) != 1 || ts[0][0].I != 5 {
-		t.Fatalf("singleton Tuples %v", ts)
-	}
-	batch := BatchMsg([]tuple.Tuple{{tuple.Int(1)}, {tuple.Int(2)}, {tuple.Int(3)}}, 0)
-	if batch.NRows() != 3 {
-		t.Fatalf("batch NRows %d", batch.NRows())
-	}
-	if got := batch.Tuples(&scratch); len(got) != 3 {
-		t.Fatalf("batch Tuples %v", got)
-	}
-	punct := PunctMsg(1, time.Now())
-	if punct.NRows() != 0 {
-		t.Fatalf("punct NRows %d", punct.NRows())
-	}
-}
-
 // TestMergeSingleInputChainStops cancels a three-operator chain in
 // mid-stream. With one input Merge hands the operator its input
 // channel itself, so each `for range` ends only because the operator
@@ -394,7 +294,7 @@ func TestMergeSingleInputChainStops(t *testing.T) {
 	g := New("chain")
 	src := g.Add("src", func(ctx context.Context, _ []<-chan Msg, outs []chan<- Msg) error {
 		for i := 0; ; i++ { // endless: only cancellation stops it
-			if !EmitAll(ctx, outs, DataMsg(tuple.Tuple{tuple.Int(int64(i))})) {
+			if !EmitAll(ctx, outs, one(tuple.Tuple{tuple.Int(int64(i))})) {
 				return nil
 			}
 		}

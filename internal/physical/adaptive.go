@@ -37,11 +37,15 @@ type FetchAdapt struct {
 	OnSwitch func(stage int)
 }
 
-// FetchMatchesAdaptive is FetchMatches plus the mid-flight switch.
-// With a nil adapt (or non-positive threshold) it behaves exactly like
-// FetchMatches. After the switch, left tuples pass through to the
-// rehash exchange instead of probing; tuples probed before the switch
-// are never shipped, so the two regimes partition the stream.
+// FetchMatchesAdaptive probes the right-hand table in place: the right
+// table is already published into the DHT keyed by the join columns, so
+// each left tuple issues one DHT get (via the env's fetch callback)
+// instead of rehashing anything, and left ++ right goes out for every
+// match, batched per input batch. With a nil adapt (or non-positive
+// threshold) that is all it does. Otherwise, after the switch, left
+// tuples go to the rehash exchange instead of probing; tuples probed
+// before the switch are never shipped, so the two regimes partition
+// the stream.
 func FetchMatchesAdaptive(probeOrder []int, right *plan.ScanSpec,
 	leftCols, rightCols []int,
 	fetch func(ctx context.Context, rid id.ID) ([][]byte, error),
@@ -79,7 +83,6 @@ func FetchMatchesAdaptive(probeOrder []int, right *plan.ScanSpec,
 				c.EmitRows(len(ts), bytes)
 				wire.PutWriter(w)
 			}
-			var scratch [1]tuple.Tuple
 			for m := range dataflow.Merge(ctx, ins) {
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
@@ -89,10 +92,9 @@ func FetchMatchesAdaptive(probeOrder []int, right *plan.ScanSpec,
 					continue
 				}
 				start := time.Now()
-				ts := m.Tuples(&scratch)
-				c.RecvRows(len(ts))
+				c.RecvRows(len(m.Batch))
 				var joined, shipped []tuple.Tuple
-				for _, lt := range ts {
+				for _, lt := range m.Batch {
 					if adapt != nil && !switched && seen >= adapt.Threshold {
 						switched = true
 						if adapt.OnSwitch != nil {
@@ -107,9 +109,7 @@ func FetchMatchesAdaptive(probeOrder []int, right *plan.ScanSpec,
 					joined = probe(ctx, lt, joined)
 				}
 				ship(m.Seq, shipped)
-				if m.Batch != nil {
-					dataflow.PutBatch(m.Batch)
-				}
+				dataflow.PutBatch(m.Batch)
 				c.Busy(start)
 				if len(joined) == 0 {
 					continue
@@ -130,7 +130,7 @@ func FetchMatchesAdaptive(probeOrder []int, right *plan.ScanSpec,
 // stage's left stream and runs the probes the participants stopped
 // running. Two things make the collector the better place for them —
 // identical retransmits are deduplicated once per window (the overlay
-// redelivers, and unlike FetchMatches a shipped stream can repeat),
+// redelivers, and unlike a local scan a shipped stream can repeat),
 // and all tuples sharing a join key land at the same collector, so one
 // DHT get per distinct key serves every tuple via the probe cache.
 // The collector must never switch strategies itself: shipping its own
@@ -145,7 +145,6 @@ func FetchCollector(probeOrder []int, right *plan.ScanSpec,
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			windows := make(map[uint64]*windowState)
-			var scratch [1]tuple.Tuple
 			var dec tuple.Decoder
 			probe := func(ctx context.Context, ws *windowState, lt tuple.Tuple, joined []tuple.Tuple) []tuple.Tuple {
 				rid := lt.HashKey(probeOrder)
@@ -169,15 +168,14 @@ func FetchCollector(probeOrder []int, right *plan.ScanSpec,
 					continue
 				}
 				start := time.Now()
-				ts := m.Tuples(&scratch)
-				c.RecvRows(len(ts))
+				c.RecvRows(len(m.Batch))
 				ws := windows[m.Seq]
 				if ws == nil {
 					ws = &windowState{seen: make(map[string]struct{}), cache: make(map[id.ID][]tuple.Tuple)}
 					windows[m.Seq] = ws
 				}
 				var joined []tuple.Tuple
-				for _, lt := range ts {
+				for _, lt := range m.Batch {
 					if len(lt) != leftArity {
 						continue
 					}
@@ -188,9 +186,7 @@ func FetchCollector(probeOrder []int, right *plan.ScanSpec,
 					ws.seen[enc] = struct{}{}
 					joined = probe(ctx, ws, lt, joined)
 				}
-				if m.Batch != nil {
-					dataflow.PutBatch(m.Batch)
-				}
+				dataflow.PutBatch(m.Batch)
 				c.Busy(start)
 				if len(joined) == 0 {
 					continue

@@ -23,7 +23,7 @@ import (
 // TestBatchRecycleDoesNotCorruptRetainedTuples is the regression test
 // for the batch-reuse ownership rule: a source that draws containers
 // from the pool keeps emitting (and overwriting slots of containers
-// the sink has recycled) while JoinProbe retains tuples from earlier
+// the sink has recycled) while HybridJoin retains tuples from earlier
 // batches in its hash tables. If any operator retained a *container*
 // (or wrote output tuples through into input backing arrays — the
 // Concat/Project aliasing hazard), the joined rows would corrupt or
@@ -59,7 +59,7 @@ func TestBatchRecycleDoesNotCorruptRetainedTuples(t *testing.T) {
 	}
 	l := p.Add("src-l", mkSource("l"))
 	r := p.Add("src-r", mkSource("r"))
-	jp := p.Add("join-probe", JoinProbe([2]int{2, 2}, [2][]int{{1}, {1}}))
+	jp := p.Add("hybrid-join", HybridJoin([2]int{2, 2}, [2][]int{{1}, {1}}, HybridJoinConfig{}))
 	p.Connect(l, jp)
 	p.Connect(r, jp)
 	var mu sync.Mutex
@@ -107,8 +107,7 @@ func windowRun(t *testing.T, batchSize int) (map[uint64][]string, map[string][2]
 		for i := 0; i < 50; i++ {
 			at := open.Add(time.Duration(10+i*15) * time.Millisecond)
 			g := fmt.Sprintf("g%d", i%2)
-			script = append(script, dataflow.Msg{Kind: dataflow.Data,
-				T: tuple.Tuple{tuple.String(g), tuple.Int(int64(w*1000 + i))}, Time: at})
+			script = append(script, sample(tuple.Tuple{tuple.String(g), tuple.Int(int64(w*1000 + i))}, at))
 		}
 		script = append(script, dataflow.PunctMsg(seq+uint64(w), open.Add(time.Second)))
 	}
@@ -135,13 +134,9 @@ func windowRun(t *testing.T, batchSize int) (map[uint64][]string, map[string][2]
 	windows := make(map[uint64][]string)
 	sink := p.Add("sink", func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, _ []chan<- dataflow.Msg) error {
-			var scratch [1]tuple.Tuple
 			for m := range dataflow.Merge(ctx, ins) {
-				if m.Kind != dataflow.Data {
-					continue
-				}
 				mu.Lock()
-				for _, tp := range m.Tuples(&scratch) {
+				for _, tp := range m.Batch {
 					windows[m.Seq] = append(windows[m.Seq], tp.String())
 				}
 				mu.Unlock()
@@ -164,17 +159,17 @@ func windowRun(t *testing.T, batchSize int) (map[uint64][]string, map[string][2]
 }
 
 // TestBatchSizeInvariance is the punctuation/batch interleaving
-// property test: every vectorization width must produce identical
-// window contents and identical EXPLAIN ANALYZE row counts, with
-// batch size 1 (the exact tuple-at-a-time semantics) as the oracle.
+// property test: every vectorization width — one row a message
+// included — must produce identical window contents and identical
+// EXPLAIN ANALYZE row counts.
 func TestBatchSizeInvariance(t *testing.T) {
 	wantWindows, wantCounts := windowRun(t, 1)
 	if len(wantWindows) != 3 {
-		t.Fatalf("oracle produced %d windows, want 3", len(wantWindows))
+		t.Fatalf("width 1 produced %d windows, want 3", len(wantWindows))
 	}
 	for _, rows := range wantWindows {
 		if len(rows) != 2 { // two groups per window
-			t.Fatalf("oracle window has %d partials, want 2: %v", len(rows), rows)
+			t.Fatalf("width 1 window has %d partials, want 2: %v", len(rows), rows)
 		}
 	}
 	for _, bs := range []int{7, 64, 1024} {

@@ -119,21 +119,17 @@ func (f *FanOut) Op() OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			defer f.Close()
-			var scratch [1]tuple.Tuple
 			for m := range dataflow.Merge(ctx, ins) {
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
 					continue
 				}
 				start := time.Now()
-				ts := m.Tuples(&scratch)
-				c.RecvRows(len(ts))
+				c.RecvRows(len(m.Batch))
 				// Subscribers retain the rows past this message, so they
 				// get their own slice and the batch container recycles.
-				rows := append([]tuple.Tuple(nil), ts...)
-				if m.Batch != nil {
-					dataflow.PutBatch(m.Batch)
-				}
+				rows := append([]tuple.Tuple(nil), m.Batch...)
+				dataflow.PutBatch(m.Batch)
 				n := f.deliver(FanOutWindow{Seq: m.Seq, Rows: rows})
 				c.EmitRows(n*len(rows), 0)
 				c.Busy(start)

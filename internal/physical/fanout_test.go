@@ -46,7 +46,7 @@ func TestFanOutBroadcastsWindows(t *testing.T) {
 		t.Fatal("unsubscribed channel not closed")
 	}
 
-	in.Push(dataflow.Msg{Kind: dataflow.Data, T: tuple.Tuple{tuple.Int(3)}, Seq: 8})
+	in.Push(dataflow.BatchMsg([]tuple.Tuple{{tuple.Int(3)}}, 8))
 	select {
 	case w := <-ch2:
 		if w.Seq != 8 || len(w.Rows) != 1 {

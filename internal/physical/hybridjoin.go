@@ -93,8 +93,9 @@ type hybridWindow struct {
 // HybridJoin is the collector-side symmetric hash join rebuilt around
 // a memory budget: build state is partitioned by join-key hash, and
 // when resident bytes exceed the budget whole partitions spill to
-// temp files. Resident partitions stream exactly like JoinProbe
-// (incremental build, retransmit dedup, matches out as they appear).
+// temp files. Resident partitions stream: both sides' hash tables
+// build incrementally per window, identical retransmits are dropped
+// (the overlay redelivers), matches go out as they appear.
 // Spilled partitions re-join in recursive passes — triggered by the
 // EOS drain marker, or by input going idle for quiet-mode queries —
 // re-partitioning each overflow file with a level-salted hash until a
@@ -126,7 +127,6 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			windows := make(map[uint64]*hybridWindow)
 			var resident int64 // resident build bytes across all windows
-			var scratch [1]tuple.Tuple
 
 			defer func() {
 				for _, hw := range windows {
@@ -528,7 +528,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 					}
 					start := time.Now()
 					side := im.src
-					ts := m.Tuples(&scratch)
+					ts := m.Batch
 					c.RecvRows(len(ts))
 					if side > 1 {
 						c.Busy(start)
@@ -572,9 +572,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 							}
 						}
 					}
-					if m.Batch != nil {
-						dataflow.PutBatch(m.Batch)
-					}
+					dataflow.PutBatch(m.Batch)
 					c.Busy(start)
 					if len(joined) == 0 {
 						dataflow.PutBatch(joined)

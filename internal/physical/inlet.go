@@ -64,8 +64,8 @@ func (in *Inlet) Source(c *Counters) dataflow.RunFunc {
 			in.mu.Unlock()
 			for _, m := range batch {
 				if m.Kind == dataflow.Data {
-					c.RecvRows(m.NRows())
-					c.EmitMsg(m)
+					c.RecvRows(len(m.Batch))
+					c.EmitBatch(m.Batch)
 				} else {
 					c.RecvPunct()
 				}

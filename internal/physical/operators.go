@@ -10,7 +10,6 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/dataflow"
 	"repro/internal/expr"
-	"repro/internal/id"
 	"repro/internal/plan"
 	"repro/internal/tuple"
 	"repro/internal/wire"
@@ -19,16 +18,13 @@ import (
 // OpFunc builds one instrumented operator body. Pipeline.Add supplies
 // the counter bound to the operator's slot in the stats snapshot.
 //
-// Operators are batch-at-a-time: a data message carries either one
-// tuple (Msg.T — exactly what batch size 1 produces) or a whole batch
-// (Msg.Batch), and every operator processes the full message per
-// channel receive, folding its instrumentation inline into the loop.
-// Operators preserve the message form — singleton in, singleton out —
-// so batch size 1 reproduces tuple-at-a-time execution exactly. Batch
-// containers follow the dataflow.Msg ownership rule: received
-// containers are compacted in place, forwarded, or recycled with
-// dataflow.PutBatch; retained tuples are never cloned because emitted
-// tuples are immutable.
+// Operators are batch-at-a-time: a data message carries a batch
+// (Msg.Batch) of one tuple or many, and every operator processes the
+// full message per channel receive, folding its instrumentation inline
+// into the loop. Batch containers follow the dataflow.Msg ownership
+// rule: received containers are compacted in place, forwarded, or
+// recycled with dataflow.PutBatch; retained tuples are never cloned
+// because emitted tuples are immutable.
 type OpFunc func(c *Counters) dataflow.RunFunc
 
 // ---------------------------------------------------------------------------
@@ -56,19 +52,15 @@ func ScanSource(scan func(ns string, partitions int) [][][]byte, ns string, stor
 			parts := scan(ns, workers)
 			drain := func(payloads [][]byte) {
 				var dec tuple.Decoder
-				var single [1]tuple.Tuple
 				for len(payloads) > 0 {
 					// One output message per clock reading: the payloads
 					// it takes to fill it, or the rest of the shard.
 					start := time.Now()
-					batch := single[:0]
-					if batchSize > 1 {
-						batch = dataflow.GetBatch()
-					}
+					batch := dataflow.GetBatch()
 					for len(payloads) > 0 && len(batch) < batchSize {
 						payload := payloads[0]
 						payloads = payloads[1:]
-						c.RecvRow()
+						c.RecvRows(1)
 						t, err := dec.DecodeCols(payload, stored, cols)
 						if err != nil {
 							continue
@@ -78,16 +70,10 @@ func ScanSource(scan func(ns string, partitions int) [][][]byte, ns string, stor
 					}
 					c.Busy(start)
 					if len(batch) == 0 {
-						if batchSize > 1 {
-							dataflow.PutBatch(batch)
-						}
+						dataflow.PutBatch(batch)
 						continue
 					}
-					m := dataflow.BatchMsg(batch, 0)
-					if batchSize == 1 {
-						m = dataflow.DataMsg(batch[0])
-					}
-					if !dataflow.EmitAll(ctx, outs, m) {
+					if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, 0)) {
 						return
 					}
 				}
@@ -124,14 +110,6 @@ func SliceSource(rows []tuple.Tuple, batchSize int) OpFunc {
 				if end > len(rows) {
 					end = len(rows)
 				}
-				if batchSize <= 1 {
-					c.RecvRow()
-					c.EmitRow(rows[off])
-					if !dataflow.EmitAll(ctx, outs, dataflow.DataMsg(rows[off])) {
-						return nil
-					}
-					continue
-				}
 				batch := append(dataflow.GetBatch(), rows[off:end]...)
 				c.RecvRows(len(batch))
 				c.EmitBatch(batch)
@@ -150,9 +128,9 @@ func SliceSource(rows []tuple.Tuple, batchSize int) OpFunc {
 // unix-time multiples of the slide, so every node in the network
 // closes the same window sequence number at the same wall-clock
 // instant — window membership is driven by punctuation, not by each
-// node's private ticker phase. Samples stay singleton messages here:
-// each carries its own arrival time, which downstream window
-// assignment depends on.
+// node's private ticker phase. Samples pass through as they were
+// admitted, one message each: a message carries one arrival time, which
+// downstream window assignment depends on.
 func WindowTicker(in *Inlet, slide, live time.Duration) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
@@ -175,8 +153,8 @@ func WindowTicker(in *Inlet, slide, live time.Duration) OpFunc {
 				closed := in.closed
 				in.mu.Unlock()
 				for _, m := range batch {
-					c.RecvRows(m.NRows())
-					c.EmitMsg(m)
+					c.RecvRows(len(m.Batch))
+					c.EmitBatch(m.Batch)
 					if !dataflow.EmitAll(ctx, outs, m) {
 						return nil
 					}
@@ -228,32 +206,22 @@ func Filter(pred expr.Expr) OpFunc {
 					}
 					continue
 				}
-				if m.Batch == nil {
-					c.RecvRow()
-					v, err := pred.Eval(m.T)
+				c.RecvRows(len(m.Batch))
+				kept := m.Batch[:0]
+				for _, t := range m.Batch {
+					v, err := pred.Eval(t)
 					if err != nil || !expr.Truthy(v) {
-						c.Busy(start)
 						continue
 					}
-					c.EmitRow(m.T)
-				} else {
-					c.RecvRows(len(m.Batch))
-					kept := m.Batch[:0]
-					for _, t := range m.Batch {
-						v, err := pred.Eval(t)
-						if err != nil || !expr.Truthy(v) {
-							continue
-						}
-						kept = append(kept, t)
-					}
-					if len(kept) == 0 {
-						dataflow.PutBatch(m.Batch)
-						c.Busy(start)
-						continue
-					}
-					m.Batch = kept
-					c.EmitBatch(kept)
+					kept = append(kept, t)
 				}
+				if len(kept) == 0 {
+					dataflow.PutBatch(m.Batch)
+					c.Busy(start)
+					continue
+				}
+				m.Batch = kept
+				c.EmitBatch(kept)
 				c.Busy(start)
 				if !dataflow.EmitAll(ctx, outs, m) {
 					return nil
@@ -293,31 +261,20 @@ func Project(exprs []expr.Expr) OpFunc {
 					}
 					continue
 				}
-				if m.Batch == nil {
-					c.RecvRow()
-					out, ok := eval(m.T)
-					if !ok {
-						c.Busy(start)
-						continue
+				c.RecvRows(len(m.Batch))
+				kept := m.Batch[:0]
+				for _, t := range m.Batch {
+					if out, ok := eval(t); ok {
+						kept = append(kept, out)
 					}
-					m.T = out
-					c.EmitRow(out)
-				} else {
-					c.RecvRows(len(m.Batch))
-					kept := m.Batch[:0]
-					for _, t := range m.Batch {
-						if out, ok := eval(t); ok {
-							kept = append(kept, out)
-						}
-					}
-					if len(kept) == 0 {
-						dataflow.PutBatch(m.Batch)
-						c.Busy(start)
-						continue
-					}
-					m.Batch = kept
-					c.EmitBatch(kept)
 				}
+				if len(kept) == 0 {
+					dataflow.PutBatch(m.Batch)
+					c.Busy(start)
+					continue
+				}
+				m.Batch = kept
+				c.EmitBatch(kept)
 				c.Busy(start)
 				if !dataflow.EmitAll(ctx, outs, m) {
 					return nil
@@ -354,29 +311,20 @@ func BloomProbe(filter *bloom.Filter, keyCols []int) OpFunc {
 					}
 					continue
 				}
-				if m.Batch == nil {
-					c.RecvRow()
-					if !pass(m.T) {
-						c.Busy(start)
-						continue
+				c.RecvRows(len(m.Batch))
+				kept := m.Batch[:0]
+				for _, t := range m.Batch {
+					if pass(t) {
+						kept = append(kept, t)
 					}
-					c.EmitRow(m.T)
-				} else {
-					c.RecvRows(len(m.Batch))
-					kept := m.Batch[:0]
-					for _, t := range m.Batch {
-						if pass(t) {
-							kept = append(kept, t)
-						}
-					}
-					if len(kept) == 0 {
-						dataflow.PutBatch(m.Batch)
-						c.Busy(start)
-						continue
-					}
-					m.Batch = kept
-					c.EmitBatch(kept)
 				}
+				if len(kept) == 0 {
+					dataflow.PutBatch(m.Batch)
+					c.Busy(start)
+					continue
+				}
+				m.Batch = kept
+				c.EmitBatch(kept)
 				c.Busy(start)
 				if !dataflow.EmitAll(ctx, outs, m) {
 					return nil
@@ -391,9 +339,7 @@ func BloomProbe(filter *bloom.Filter, keyCols []int) OpFunc {
 // re-emits the ones inside the closing window (arrival time after
 // closeAt - window), stamped with the window's sequence number, then
 // forwards the punctuation. Samples older than the window are pruned.
-// With batchSize > 1 the window contents are re-emitted as batches;
-// batch size 1 re-emits per sample with its arrival time, exactly the
-// tuple-at-a-time behavior.
+// The window contents are re-emitted in batches of batchSize.
 func WindowBuffer(window time.Duration, batchSize int) OpFunc {
 	if batchSize < 1 {
 		batchSize = 1
@@ -405,7 +351,6 @@ func WindowBuffer(window time.Duration, batchSize int) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			var buf []held
-			var scratch [1]tuple.Tuple
 			for m := range dataflow.Merge(ctx, ins) {
 				start := time.Now()
 				if m.Kind == dataflow.Data {
@@ -413,14 +358,11 @@ func WindowBuffer(window time.Duration, batchSize int) OpFunc {
 					if at.IsZero() {
 						at = time.Now()
 					}
-					ts := m.Tuples(&scratch)
-					c.RecvRows(len(ts))
-					for _, t := range ts {
+					c.RecvRows(len(m.Batch))
+					for _, t := range m.Batch {
 						buf = append(buf, held{t: t, arrived: at})
 					}
-					if m.Batch != nil {
-						dataflow.PutBatch(m.Batch)
-					}
+					dataflow.PutBatch(m.Batch)
 					c.Busy(start)
 					continue
 				}
@@ -442,27 +384,18 @@ func WindowBuffer(window time.Duration, batchSize int) OpFunc {
 				}
 				buf = live
 				c.Busy(start)
-				if batchSize <= 1 {
-					for _, s := range emit {
-						c.EmitRow(s.t)
-						if !dataflow.EmitAll(ctx, outs, dataflow.Msg{Kind: dataflow.Data, T: s.t, Seq: m.Seq, Time: s.arrived}) {
-							return nil
-						}
+				for off := 0; off < len(emit); off += batchSize {
+					end := off + batchSize
+					if end > len(emit) {
+						end = len(emit)
 					}
-				} else {
-					for off := 0; off < len(emit); off += batchSize {
-						end := off + batchSize
-						if end > len(emit) {
-							end = len(emit)
-						}
-						batch := dataflow.GetBatch()
-						for _, s := range emit[off:end] {
-							batch = append(batch, s.t)
-						}
-						c.EmitBatch(batch)
-						if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, m.Seq)) {
-							return nil
-						}
+					batch := dataflow.GetBatch()
+					for _, s := range emit[off:end] {
+						batch = append(batch, s.t)
+					}
+					c.EmitBatch(batch)
+					if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, m.Seq)) {
+						return nil
 					}
 				}
 				if !dataflow.EmitAll(ctx, outs, m) {
@@ -509,189 +442,6 @@ func appendMatches(joined []tuple.Tuple, lt tuple.Tuple, rights []tuple.Tuple, l
 	return joined
 }
 
-// FetchMatches probes the right-hand table in place: the right table
-// is already published into the DHT keyed by the join columns, so
-// each left tuple issues one DHT get (via the env's fetch callback)
-// instead of rehashing anything. Emits left ++ right for matches,
-// batched per input batch.
-func FetchMatches(probeOrder []int, right *plan.ScanSpec,
-	leftCols, rightCols []int,
-	fetch func(ctx context.Context, rid id.ID) ([][]byte, error)) OpFunc {
-	return func(c *Counters) dataflow.RunFunc {
-		var dec tuple.Decoder
-		var rights []tuple.Tuple // one probe's right rows, reused by the next
-		probe := func(ctx context.Context, lt tuple.Tuple, joined []tuple.Tuple) []tuple.Tuple {
-			payloads, err := fetch(ctx, lt.HashKey(probeOrder))
-			if err != nil {
-				return joined
-			}
-			rights = fetchedRight(rights[:0], &dec, right, payloads)
-			return appendMatches(joined, lt, rights, leftCols, rightCols)
-		}
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			for m := range dataflow.Merge(ctx, ins) {
-				if m.Kind != dataflow.Data {
-					c.RecvPunct()
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-					continue
-				}
-				start := time.Now()
-				if m.Batch == nil {
-					c.RecvRow()
-					joined := probe(ctx, m.T, nil)
-					c.Busy(start)
-					for _, j := range joined {
-						c.EmitRow(j)
-						if !dataflow.EmitAll(ctx, outs, dataflow.Msg{Kind: dataflow.Data, T: j, Seq: m.Seq}) {
-							return nil
-						}
-					}
-					continue
-				}
-				c.RecvRows(len(m.Batch))
-				joined := dataflow.GetBatch()
-				for _, lt := range m.Batch {
-					joined = probe(ctx, lt, joined)
-				}
-				dataflow.PutBatch(m.Batch)
-				c.Busy(start)
-				if len(joined) == 0 {
-					dataflow.PutBatch(joined)
-					continue
-				}
-				c.EmitBatch(joined)
-				if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(joined, m.Seq)) {
-					return nil
-				}
-			}
-			return nil
-		}
-	}
-}
-
-// JoinProbe is the collector-side symmetric hash join: input 0 is the
-// left side, input 1 the right. Both hash tables build incrementally
-// per window; identical retransmits are deduplicated (the overlay
-// redelivers); joined rows stream out as matches appear, batched per
-// input batch. Tuples are retained in the hash tables without cloning
-// — emitted tuples are immutable per the batch ownership rule.
-func JoinProbe(arity [2]int, keyCols [2][]int) OpFunc {
-	// bucket holds one join-key value's tuples; pointer entries let
-	// the hot loop update a bucket without re-converting the key to a
-	// string (which would allocate per insert rather than per distinct
-	// key).
-	type bucket struct {
-		rows []tuple.Tuple
-	}
-	type windowTables struct {
-		tables [2]map[string]*bucket
-	}
-	joinedArity := arity[0] + arity[1]
-	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			windows := make(map[uint64]*windowTables)
-			var scratch [1]tuple.Tuple
-			// add probes one tuple into the window's tables, drawing
-			// joined rows from arena (amortized batch output).
-			add := func(ws *windowTables, side int, t tuple.Tuple, out []tuple.Tuple, arena []tuple.Value) ([]tuple.Tuple, []tuple.Value) {
-				w := wire.GetWriter()
-				t.AppendKey(w, keyCols[side])
-				key := w.Bytes()
-				mine := ws.tables[side][string(key)]
-				if mine != nil {
-					for _, existing := range mine.rows {
-						if existing.Equal(t) {
-							wire.PutWriter(w)
-							return out, arena // duplicate retransmit
-						}
-					}
-				} else {
-					mine = &bucket{}
-					ws.tables[side][string(key)] = mine
-				}
-				other := ws.tables[1-side][string(key)]
-				wire.PutWriter(w)
-				mine.rows = append(mine.rows, t)
-				if other != nil {
-					for _, o := range other.rows {
-						var j tuple.Tuple
-						if side == 0 {
-							j, arena = tuple.ConcatInto(arena, t, o)
-						} else {
-							j, arena = tuple.ConcatInto(arena, o, t)
-						}
-						out = append(out, j)
-					}
-				}
-				return out, arena
-			}
-			for im := range mergeIndexed(ctx, ins) {
-				m := im.m
-				if m.Kind != dataflow.Data {
-					c.RecvPunct()
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-					continue
-				}
-				start := time.Now()
-				side := im.src
-				ts := m.Tuples(&scratch)
-				c.RecvRows(len(ts))
-				if side > 1 {
-					c.Busy(start)
-					continue
-				}
-				ws := windows[m.Seq]
-				if ws == nil {
-					ws = &windowTables{}
-					ws.tables[0] = make(map[string]*bucket)
-					ws.tables[1] = make(map[string]*bucket)
-					windows[m.Seq] = ws
-				}
-				if m.Batch == nil {
-					if len(m.T) != arity[side] {
-						c.Busy(start)
-						continue
-					}
-					joined, _ := add(ws, side, m.T, nil, nil)
-					c.Busy(start)
-					for _, j := range joined {
-						c.EmitRow(j)
-						if !dataflow.EmitAll(ctx, outs, dataflow.Msg{Kind: dataflow.Data, T: j, Seq: m.Seq}) {
-							return nil
-						}
-					}
-					continue
-				}
-				joined := dataflow.GetBatch()
-				// Sized for the common ~one-match-per-tuple case; skewed
-				// keys grow it by doubling.
-				arena := make([]tuple.Value, 0, joinedArity*len(m.Batch))
-				for _, t := range m.Batch {
-					if len(t) != arity[side] {
-						continue
-					}
-					joined, arena = add(ws, side, t, joined, arena)
-				}
-				dataflow.PutBatch(m.Batch)
-				c.Busy(start)
-				if len(joined) == 0 {
-					dataflow.PutBatch(joined)
-					continue
-				}
-				c.EmitBatch(joined)
-				if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(joined, m.Seq)) {
-					return nil
-				}
-			}
-			return nil
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Aggregation
 
@@ -726,20 +476,6 @@ func PartialAgg(groupCols []int, aggs []agg.AggSpec, eager, flushAtEOS bool, bat
 						}
 						continue
 					}
-					if m.Batch == nil {
-						c.RecvRow()
-						partial, ok := makePartial(m.T)
-						if !ok {
-							c.Busy(start)
-							continue
-						}
-						c.EmitRow(partial)
-						c.Busy(start)
-						if !dataflow.EmitAll(ctx, outs, dataflow.Msg{Kind: dataflow.Data, T: partial, Seq: m.Seq}) {
-							return nil
-						}
-						continue
-					}
 					c.RecvRows(len(m.Batch))
 					partials := m.Batch[:0]
 					for _, t := range m.Batch {
@@ -766,38 +502,26 @@ func PartialAgg(groupCols []int, aggs []agg.AggSpec, eager, flushAtEOS bool, bat
 			}
 			groups := make(map[string]*group)
 			var order []string
-			var scratch [1]tuple.Tuple
 			flush := func(seq uint64) bool {
-				if batchSize <= 1 {
-					for _, k := range order {
-						g := groups[k]
-						partial := append(g.key.Clone(), g.acc.StateValues()...)
-						c.EmitRow(partial)
-						if !dataflow.EmitAll(ctx, outs, dataflow.Msg{Kind: dataflow.Data, T: partial, Seq: seq}) {
-							return false
-						}
-					}
-				} else {
-					batch := dataflow.GetBatch()
-					for _, k := range order {
-						g := groups[k]
-						batch = append(batch, append(g.key.Clone(), g.acc.StateValues()...))
-						if len(batch) >= batchSize {
-							c.EmitBatch(batch)
-							if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, seq)) {
-								return false
-							}
-							batch = dataflow.GetBatch()
-						}
-					}
-					if len(batch) > 0 {
+				batch := dataflow.GetBatch()
+				for _, k := range order {
+					g := groups[k]
+					batch = append(batch, append(g.key.Clone(), g.acc.StateValues()...))
+					if len(batch) >= batchSize {
 						c.EmitBatch(batch)
 						if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, seq)) {
 							return false
 						}
-					} else {
-						dataflow.PutBatch(batch)
+						batch = dataflow.GetBatch()
 					}
+				}
+				if len(batch) > 0 {
+					c.EmitBatch(batch)
+					if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, seq)) {
+						return false
+					}
+				} else {
+					dataflow.PutBatch(batch)
 				}
 				groups = make(map[string]*group)
 				order = order[:0]
@@ -831,9 +555,8 @@ func PartialAgg(groupCols []int, aggs []agg.AggSpec, eager, flushAtEOS bool, bat
 					}
 					continue
 				}
-				ts := m.Tuples(&scratch)
-				c.RecvRows(len(ts))
-				for _, t := range ts {
+				c.RecvRows(len(m.Batch))
+				for _, t := range m.Batch {
 					w := wire.GetWriter()
 					t.AppendKey(w, groupCols)
 					g, ok := groups[string(w.Bytes())]
@@ -847,9 +570,7 @@ func PartialAgg(groupCols []int, aggs []agg.AggSpec, eager, flushAtEOS bool, bat
 					// A poisoned row is dropped; the group keeps its state.
 					_ = g.acc.AddRaw(t)
 				}
-				if m.Batch != nil {
-					dataflow.PutBatch(m.Batch)
-				}
+				dataflow.PutBatch(m.Batch)
 				c.Busy(start)
 			}
 			if flushAtEOS {
@@ -889,7 +610,6 @@ func FinalAgg(groupCols []int, aggs []agg.AggSpec, hold time.Duration, batchSize
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			windows := make(map[uint64]*windowState)
 			flushCh := make(chan uint64, 1)
-			var scratch [1]tuple.Tuple
 			emit := func(w uint64, ws *windowState) bool {
 				if !ws.dirty {
 					return true
@@ -898,16 +618,6 @@ func FinalAgg(groupCols []int, aggs []agg.AggSpec, hold time.Duration, batchSize
 				if ws.timer != nil {
 					ws.timer.Stop()
 					ws.timer = nil
-				}
-				if batchSize <= 1 {
-					for _, g := range ws.groups {
-						row := append(g.key.Clone(), g.acc.FinalValues()...)
-						c.EmitRow(row)
-						if !dataflow.EmitAll(ctx, outs, dataflow.Msg{Kind: dataflow.Data, T: row, Seq: w}) {
-							return false
-						}
-					}
-					return true
 				}
 				batch := dataflow.GetBatch()
 				for _, g := range ws.groups {
@@ -958,8 +668,7 @@ func FinalAgg(groupCols []int, aggs []agg.AggSpec, hold time.Duration, batchSize
 						c.Busy(start)
 						continue
 					}
-					ts := m.Tuples(&scratch)
-					c.RecvRows(len(ts))
+					c.RecvRows(len(m.Batch))
 					w := m.Seq
 					// Window state is created only once a well-formed
 					// tuple arrives: flush is the only path that deletes
@@ -967,7 +676,7 @@ func FinalAgg(groupCols []int, aggs []agg.AggSpec, hold time.Duration, batchSize
 					// plant a timerless entry that would leak.
 					ws := windows[w]
 					merged := false
-					for _, t := range ts {
+					for _, t := range m.Batch {
 						if len(t) != len(groupCols)+stateWidth {
 							continue
 						}
@@ -986,9 +695,7 @@ func FinalAgg(groupCols []int, aggs []agg.AggSpec, hold time.Duration, batchSize
 						_ = g.acc.MergeStates(t[len(groupCols):])
 						merged = true
 					}
-					if m.Batch != nil {
-						dataflow.PutBatch(m.Batch)
-					}
+					dataflow.PutBatch(m.Batch)
 					if merged {
 						ws.dirty = true
 						// Debounce: reset the window's flush timer on
@@ -1042,7 +749,6 @@ func RehashExchange(stage, side int, keyCols []int,
 	flushRoutes func(), drainAck func(round uint64)) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			var scratch [1]tuple.Tuple
 			var keys [][]byte
 			for m := range dataflow.Merge(ctx, ins) {
 				start := time.Now()
@@ -1061,20 +767,17 @@ func RehashExchange(stage, side int, keyCols []int,
 					c.Busy(start)
 					continue
 				}
-				ts := m.Tuples(&scratch)
-				c.RecvRows(len(ts))
+				c.RecvRows(len(m.Batch))
 				w := wire.GetWriter()
 				keys = keys[:0]
-				for _, t := range ts {
+				for _, t := range m.Batch {
 					from := w.Len()
 					t.AppendKey(w, keyCols)
 					keys = append(keys, w.Bytes()[from:w.Len()])
 				}
-				c.EmitRows(len(ts), ship(stage, side, m.Seq, keys, ts))
+				c.EmitRows(len(m.Batch), ship(stage, side, m.Seq, keys, m.Batch))
 				wire.PutWriter(w)
-				if m.Batch != nil {
-					dataflow.PutBatch(m.Batch)
-				}
+				dataflow.PutBatch(m.Batch)
 				c.Busy(start)
 			}
 			return nil
@@ -1089,16 +792,12 @@ func RehashExchange(stage, side int, keyCols []int,
 func ShipPartial(ship func(window uint64, partials []tuple.Tuple) int, flushRoutes func(), drainAck func(round uint64)) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			var scratch [1]tuple.Tuple
 			for m := range dataflow.Merge(ctx, ins) {
 				start := time.Now()
 				if m.Kind == dataflow.Data {
-					ts := m.Tuples(&scratch)
-					c.RecvRows(len(ts))
-					c.EmitRows(len(ts), ship(m.Seq, ts))
-					if m.Batch != nil {
-						dataflow.PutBatch(m.Batch)
-					}
+					c.RecvRows(len(m.Batch))
+					c.EmitRows(len(m.Batch), ship(m.Seq, m.Batch))
+					dataflow.PutBatch(m.Batch)
 				} else {
 					c.RecvPunct()
 					if flushRoutes != nil {
@@ -1126,7 +825,6 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, rowBatch int, ea
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			var batch []tuple.Tuple
 			var batchSeq uint64
-			var scratch [1]tuple.Tuple
 			flush := func() {
 				if len(batch) == 0 {
 					return
@@ -1163,16 +861,13 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, rowBatch int, ea
 					c.Busy(start)
 					continue
 				}
-				ts := m.Tuples(&scratch)
-				c.RecvRows(len(ts))
+				c.RecvRows(len(m.Batch))
 				if len(batch) > 0 && m.Seq != batchSeq {
 					flush()
 				}
 				batchSeq = m.Seq
-				batch = append(batch, ts...)
-				if m.Batch != nil {
-					dataflow.PutBatch(m.Batch)
-				}
+				batch = append(batch, m.Batch...)
+				dataflow.PutBatch(m.Batch)
 				if rowBatch > 0 && len(batch) >= rowBatch {
 					flush()
 				}
@@ -1189,20 +884,16 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, rowBatch int, ea
 func FuncSink(fn func(t tuple.Tuple)) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			var scratch [1]tuple.Tuple
 			for m := range dataflow.Merge(ctx, ins) {
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
 					continue
 				}
-				ts := m.Tuples(&scratch)
-				c.RecvRows(len(ts))
-				for _, t := range ts {
+				c.RecvRows(len(m.Batch))
+				for _, t := range m.Batch {
 					fn(t)
 				}
-				if m.Batch != nil {
-					dataflow.PutBatch(m.Batch)
-				}
+				dataflow.PutBatch(m.Batch)
 			}
 			return nil
 		}
@@ -1239,29 +930,20 @@ func Distinct() OpFunc {
 					}
 					continue
 				}
-				if m.Batch == nil {
-					c.RecvRow()
-					if !fresh(m.T) {
-						c.Busy(start)
-						continue
+				c.RecvRows(len(m.Batch))
+				kept := m.Batch[:0]
+				for _, t := range m.Batch {
+					if fresh(t) {
+						kept = append(kept, t)
 					}
-					c.EmitRow(m.T)
-				} else {
-					c.RecvRows(len(m.Batch))
-					kept := m.Batch[:0]
-					for _, t := range m.Batch {
-						if fresh(t) {
-							kept = append(kept, t)
-						}
-					}
-					if len(kept) == 0 {
-						dataflow.PutBatch(m.Batch)
-						c.Busy(start)
-						continue
-					}
-					m.Batch = kept
-					c.EmitBatch(kept)
 				}
+				if len(kept) == 0 {
+					dataflow.PutBatch(m.Batch)
+					c.Busy(start)
+					continue
+				}
+				m.Batch = kept
+				c.EmitBatch(kept)
 				c.Busy(start)
 				if !dataflow.EmitAll(ctx, outs, m) {
 					return nil
@@ -1282,7 +964,6 @@ func TopK(k int, sortCols []int, desc []bool, batchSize int) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			var rows []tuple.Tuple
-			var scratch [1]tuple.Tuple
 			flush := func(seq uint64) bool {
 				sort.SliceStable(rows, func(i, j int) bool {
 					return rows[i].Compare(rows[j], sortCols, desc) < 0
@@ -1295,13 +976,6 @@ func TopK(k int, sortCols []int, desc []bool, batchSize int) OpFunc {
 					if end > len(rows) {
 						end = len(rows)
 					}
-					if batchSize <= 1 {
-						c.EmitRow(rows[off])
-						if !dataflow.EmitAll(ctx, outs, dataflow.Msg{Kind: dataflow.Data, T: rows[off], Seq: seq}) {
-							return false
-						}
-						continue
-					}
 					batch := append(dataflow.GetBatch(), rows[off:end]...)
 					c.EmitBatch(batch)
 					if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, seq)) {
@@ -1313,9 +987,9 @@ func TopK(k int, sortCols []int, desc []bool, batchSize int) OpFunc {
 			}
 			for m := range dataflow.Merge(ctx, ins) {
 				start := time.Now()
-				if m.Kind == dataflow.Punct {
+				if m.Kind != dataflow.Data {
 					c.RecvPunct()
-					if !flush(m.Seq) {
+					if m.Kind == dataflow.Punct && !flush(m.Seq) {
 						c.Busy(start)
 						return nil
 					}
@@ -1325,12 +999,9 @@ func TopK(k int, sortCols []int, desc []bool, batchSize int) OpFunc {
 					}
 					continue
 				}
-				ts := m.Tuples(&scratch)
-				c.RecvRows(len(ts))
-				rows = append(rows, ts...)
-				if m.Batch != nil {
-					dataflow.PutBatch(m.Batch)
-				}
+				c.RecvRows(len(m.Batch))
+				rows = append(rows, m.Batch...)
+				dataflow.PutBatch(m.Batch)
 				c.Busy(start)
 			}
 			flush(0)
@@ -1356,27 +1027,17 @@ func Limit(n int) OpFunc {
 					}
 					continue
 				}
-				if m.Batch == nil {
-					c.RecvRow()
-					if emitted >= n {
-						c.Busy(start)
-						continue // drain
-					}
-					emitted++
-					c.EmitRow(m.T)
-				} else {
-					c.RecvRows(len(m.Batch))
-					if emitted >= n {
-						dataflow.PutBatch(m.Batch)
-						c.Busy(start)
-						continue // drain
-					}
-					if keep := n - emitted; len(m.Batch) > keep {
-						m.Batch = m.Batch[:keep]
-					}
-					emitted += len(m.Batch)
-					c.EmitBatch(m.Batch)
+				c.RecvRows(len(m.Batch))
+				if emitted >= n {
+					dataflow.PutBatch(m.Batch)
+					c.Busy(start)
+					continue // drain
 				}
+				if keep := n - emitted; len(m.Batch) > keep {
+					m.Batch = m.Batch[:keep]
+				}
+				emitted += len(m.Batch)
+				c.EmitBatch(m.Batch)
 				c.Busy(start)
 				if !dataflow.EmitAll(ctx, outs, m) {
 					return nil
@@ -1392,18 +1053,14 @@ func Limit(n int) OpFunc {
 func Collect(out *[]tuple.Tuple) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			var scratch [1]tuple.Tuple
 			for m := range dataflow.Merge(ctx, ins) {
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
 					continue
 				}
-				ts := m.Tuples(&scratch)
-				c.RecvRows(len(ts))
-				*out = append(*out, ts...)
-				if m.Batch != nil {
-					dataflow.PutBatch(m.Batch)
-				}
+				c.RecvRows(len(m.Batch))
+				*out = append(*out, m.Batch...)
+				dataflow.PutBatch(m.Batch)
 			}
 			return nil
 		}
@@ -1436,7 +1093,7 @@ type indexedMsg struct {
 }
 
 // mergeIndexed multiplexes inputs while remembering which input each
-// message came from — JoinProbe needs the side.
+// message came from — HybridJoin needs the side.
 func mergeIndexed(ctx context.Context, ins []<-chan dataflow.Msg) <-chan indexedMsg {
 	out := make(chan indexedMsg, dataflow.DefaultEdgeDepth)
 	closed := make(chan struct{}, len(ins))

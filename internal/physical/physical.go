@@ -85,13 +85,10 @@ type Env struct {
 	// OnFetchSwitch fires when a fetch-matches stage switches
 	// strategies mid-flight (metrics hook, may be nil).
 	OnFetchSwitch func(stage int)
-	// BatchSize is the vectorization width: tuples per dataflow batch
-	// message. <= 0 takes dataflow.DefaultBatchSize; 1 reproduces
-	// tuple-at-a-time execution exactly.
+	// BatchSize is the vectorization width: the most tuples a source or
+	// a flushing operator puts in one dataflow message. <= 0 takes
+	// dataflow.DefaultBatchSize.
 	BatchSize int
-	// ScanWorkers bounds the parallel partitioned scan. <= 0 takes
-	// GOMAXPROCS.
-	ScanWorkers int
 	// CollectorHold is the aggregation collector's debounce before
 	// finalizing a window.
 	CollectorHold time.Duration
@@ -126,7 +123,7 @@ func (e *Env) fetchAdapt(spec *plan.Spec, stage int) *FetchAdapt {
 // scanSource builds the source of one of the plan's table accesses:
 // the stored rows of its namespace, each narrowed to the kept columns.
 func (e *Env) scanSource(sc *plan.ScanSpec) OpFunc {
-	return ScanSource(e.Scan, sc.Namespace, sc.Stored, sc.Cols, e.batchSize(), e.scanWorkers())
+	return ScanSource(e.Scan, sc.Namespace, sc.Stored, sc.Cols, e.batchSize(), runtime.GOMAXPROCS(0))
 }
 
 // batchSize resolves the configured vectorization width.
@@ -135,14 +132,6 @@ func (e *Env) batchSize() int {
 		return e.BatchSize
 	}
 	return dataflow.DefaultBatchSize
-}
-
-// scanWorkers resolves the parallel-scan worker bound.
-func (e *Env) scanWorkers() int {
-	if e.ScanWorkers > 0 {
-		return e.ScanWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Pipeline is one compiled operator graph plus its counters.
@@ -203,7 +192,7 @@ func (p *Pipeline) Stats() []plan.OpStats {
 // plan: what this node contributes from its local partitions.
 //
 //	1 scan:      Scan → Filter → Project → (PartialAgg → ShipPartial | ShipRows)
-//	join chain:  Scan(0) → Filter → FetchMatches(stage 0..p-1 while fetch)
+//	join chain:  Scan(0) → Filter → FetchMatchesAdaptive(stage 0..p-1 while fetch)
 //	             → (tail when no stages remain | RehashExchange(stage p, side 0))
 //	             plus, per rehashing stage s: Scan(s+1) → Filter →
 //	             [BloomProbe for a stage-0 Bloom join] → RehashExchange(s, side 1)
@@ -409,8 +398,8 @@ func CompileAggCollector(spec *plan.Spec, env *Env) (*Pipeline, *Inlet) {
 // CompileFinalize builds the coordinator-local tail over collected
 // canonical rows: HAVING, DISTINCT, ORDER BY, LIMIT, and the output
 // permutation — the same operator library, instrumented. batchSize
-// is the tail's vectorization width (<= 0 takes the default; 1 is
-// tuple-at-a-time, matching the rest of the node's pipelines).
+// is the tail's vectorization width (<= 0 takes the default), matching
+// the rest of the node's pipelines.
 func CompileFinalize(spec *plan.Spec, rows []tuple.Tuple, out *[]tuple.Tuple, batchSize int) *Pipeline {
 	p := NewPipeline("coordinator")
 	p.detail = spec.Analyze

@@ -13,6 +13,8 @@ import (
 	"repro/internal/expr"
 	"repro/internal/id"
 	"repro/internal/plan"
+	"repro/internal/spill"
+	"repro/internal/stats"
 	"repro/internal/tuple"
 )
 
@@ -64,17 +66,20 @@ func runOpN(t *testing.T, op OpFunc, ins [][]dataflow.Msg) []dataflow.Msg {
 	return got
 }
 
+// one is a one-row data message in window seq.
+func one(t tuple.Tuple, seq uint64) dataflow.Msg {
+	return dataflow.BatchMsg([]tuple.Tuple{t}, seq)
+}
+
+// sample is one continuous-query sample, as the node admits it.
+func sample(t tuple.Tuple, at time.Time) dataflow.Msg {
+	return dataflow.Msg{Kind: dataflow.Data, Batch: []tuple.Tuple{t}, Time: at}
+}
+
 func dataMsgs(ms []dataflow.Msg) []tuple.Tuple {
 	var out []tuple.Tuple
 	for _, m := range ms {
-		if m.Kind != dataflow.Data {
-			continue
-		}
-		if m.Batch != nil {
-			out = append(out, m.Batch...)
-		} else {
-			out = append(out, m.T)
-		}
+		out = append(out, m.Batch...)
 	}
 	return out
 }
@@ -83,10 +88,7 @@ func dataMsgs(ms []dataflow.Msg) []tuple.Tuple {
 func dataSeqs(ms []dataflow.Msg) []uint64 {
 	var out []uint64
 	for _, m := range ms {
-		if m.Kind != dataflow.Data {
-			continue
-		}
-		for i := 0; i < m.NRows(); i++ {
+		for range m.Batch {
 			out = append(out, m.Seq)
 		}
 	}
@@ -198,10 +200,10 @@ func TestScanSourceParallelPartitions(t *testing.T) {
 func TestFilterDropsAndForwardsPuncts(t *testing.T) {
 	pred := &expr.Cmp{Op: expr.GT, L: &expr.Col{Index: 1}, R: &expr.Lit{V: tuple.Int(5)}}
 	in := []dataflow.Msg{
-		dataflow.DataMsg(row("a", 3)),
-		dataflow.DataMsg(row("b", 7)),
+		one(row("a", 3), 0),
+		one(row("b", 7), 0),
 		dataflow.PunctMsg(1, time.Now()),
-		dataflow.DataMsg(row("c", 9)),
+		one(row("c", 9), 0),
 	}
 	got := runOp(t, Filter(pred), in)
 	rows := dataMsgs(got)
@@ -216,7 +218,7 @@ func TestFilterDropsAndForwardsPuncts(t *testing.T) {
 func TestFilterDropsEvalErrors(t *testing.T) {
 	// Column index out of range → eval error → row dropped, not fatal.
 	pred := &expr.Cmp{Op: expr.GT, L: &expr.Col{Index: 9}, R: &expr.Lit{V: tuple.Int(5)}}
-	got := runOp(t, Filter(pred), []dataflow.Msg{dataflow.DataMsg(row("a", 3))})
+	got := runOp(t, Filter(pred), []dataflow.Msg{one(row("a", 3), 0)})
 	if len(dataMsgs(got)) != 0 {
 		t.Fatalf("error row not dropped")
 	}
@@ -227,7 +229,7 @@ func TestProjectComputesColumns(t *testing.T) {
 		&expr.Col{Index: 1},
 		&expr.Arith{Op: expr.Add, L: &expr.Col{Index: 1}, R: &expr.Lit{V: tuple.Int(10)}},
 	}
-	got := runOp(t, Project(exprs), []dataflow.Msg{dataflow.DataMsg(row("a", 5))})
+	got := runOp(t, Project(exprs), []dataflow.Msg{one(row("a", 5), 0)})
 	rows := dataMsgs(got)
 	if len(rows) != 1 || !rows[0].Equal(row(5, 15)) {
 		t.Fatalf("got %v", rows)
@@ -237,17 +239,21 @@ func TestProjectComputesColumns(t *testing.T) {
 func TestBloomProbeSuppresses(t *testing.T) {
 	f := bloom.NewWithBits(1024, 3)
 	f.Add(row(1).Bytes())
-	in := []dataflow.Msg{
-		dataflow.DataMsg(row(1, "keep")),
-		dataflow.DataMsg(row(2, "drop")),
+	// A message's container belongs to whoever receives it: each run
+	// gets its own.
+	in := func() []dataflow.Msg {
+		return []dataflow.Msg{
+			one(row(1, "keep"), 0),
+			one(row(2, "drop"), 0),
+		}
 	}
-	got := runOp(t, BloomProbe(f, []int{0}), in)
+	got := runOp(t, BloomProbe(f, []int{0}), in())
 	rows := dataMsgs(got)
 	if len(rows) != 1 || rows[0][1].S != "keep" {
 		t.Fatalf("got %v", rows)
 	}
 	// Nil filter passes everything.
-	got = runOp(t, BloomProbe(nil, []int{0}), in)
+	got = runOp(t, BloomProbe(nil, []int{0}), in())
 	if len(dataMsgs(got)) != 2 {
 		t.Fatal("nil filter should pass all")
 	}
@@ -276,7 +282,7 @@ func TestRehashExchangeRoutes(t *testing.T) {
 		return len(keys)
 	}
 	in := []dataflow.Msg{
-		{Kind: dataflow.Data, T: row("a", 1), Seq: 4},
+		one(row("a", 1), 4),
 		dataflow.BatchMsg([]tuple.Tuple{row("b", 2), row("c", 3)}, 4),
 	}
 	runOp(t, RehashExchange(2, 1, []int{1}, ship, nil, nil), in)
@@ -284,7 +290,7 @@ func TestRehashExchangeRoutes(t *testing.T) {
 		t.Fatalf("%d ships", len(ships))
 	}
 	// Key encodings must be canonical — identical to Project+Bytes —
-	// for both the singleton and the batched form.
+	// for a one-row message and a wider one.
 	if ships[0].side != 1 || ships[0].window != 4 || ships[0].key != string(row(1).Bytes()) {
 		t.Fatalf("bad ship %+v", ships[0])
 	}
@@ -293,46 +299,143 @@ func TestRehashExchangeRoutes(t *testing.T) {
 	}
 }
 
-func TestFetchMatchesProbes(t *testing.T) {
-	// Right table: k → (k, info, blurb), published keyed on column 0;
-	// the plan reads k and info. A stored row of another arity under the
-	// same key is skipped.
-	rightRows := map[string][][]byte{}
+// fetchFixture is a published right table k → (k, info-k, blurb) for k
+// in 1..3, keyed on column 0, of which the plan reads k and info; each
+// key also holds a stored row of another arity, which a probe skips.
+// Left rows (node, k) join it on left[1] = right[0].
+func fetchFixture() (right *plan.ScanSpec, fetch func(context.Context, id.ID) ([][]byte, error), joined func(node string, k int) tuple.Tuple) {
+	rightRows := map[id.ID][][]byte{}
 	for k := 1; k <= 3; k++ {
-		rid := row(k).HashKey([]int{0})
-		rightRows[string(rid[:])] = [][]byte{
+		rightRows[row(k).HashKey([]int{0})] = [][]byte{
 			row(k, fmt.Sprintf("info-%d", k), "blurb").Bytes(),
 			row(k, "two columns").Bytes(),
 		}
 	}
-	fetch := func(ctx context.Context, rid id.ID) ([][]byte, error) {
-		return rightRows[string(rid[:])], nil
+	right = &plan.ScanSpec{Stored: 3, Cols: []int{0, 1}}
+	fetch = func(ctx context.Context, rid id.ID) ([][]byte, error) { return rightRows[rid], nil }
+	joined = func(node string, k int) tuple.Tuple {
+		return row(node, k).Concat(tuple.Narrow(row(k, fmt.Sprintf("info-%d", k), "blurb"), right.Cols))
 	}
-	// Left (node, k) joins right (k, info) on left[1] = right[0].
+	return right, fetch, joined
+}
+
+func TestFetchMatchesProbes(t *testing.T) {
+	right, fetch, joined := fetchFixture()
 	in := []dataflow.Msg{
-		dataflow.DataMsg(row("a", 2)),
-		dataflow.DataMsg(row("b", 9)), // no match
+		one(row("a", 2), 0),
+		one(row("b", 9), 0), // no match
 	}
-	got := runOp(t, FetchMatches([]int{1}, &plan.ScanSpec{Stored: 3, Cols: []int{0, 1}}, []int{1}, []int{0}, fetch), in)
+	got := runOp(t, FetchMatchesAdaptive([]int{1}, right, []int{1}, []int{0}, fetch, nil), in)
 	rows := dataMsgs(got)
-	want := row("a", 2).Concat(tuple.Narrow(row(2, "info-2", "blurb"), []int{0, 1}))
-	if len(rows) != 1 || !rows[0].Equal(want) || !rows[0][:4].Equal(row("a", 2, 2, "info-2")) {
-		t.Fatalf("got %v, want %v", rows, want)
+	if len(rows) != 1 || !rows[0].Equal(joined("a", 2)) || !rows[0][:4].Equal(row("a", 2, 2, "info-2")) {
+		t.Fatalf("got %v, want %v", rows, joined("a", 2))
 	}
 }
 
-func TestJoinProbeMatchesDedupsAndIsolatesWindows(t *testing.T) {
+// TestFetchMatchesSwitchPartitionsStream trips the mid-flight switch
+// inside a batch: the rows before the threshold are probed and never
+// shipped, the rows from it on are shipped (with canonical rehash keys)
+// and never probed.
+func TestFetchMatchesSwitchPartitionsStream(t *testing.T) {
+	right, fetch, joined := fetchFixture()
+	var shipped []tuple.Tuple
+	var switches []int
+	adapt := &FetchAdapt{
+		Stage:     4,
+		Threshold: 3,
+		LeftCols:  []int{1},
+		Rehash: func(stage, side int, window uint64, keys [][]byte, ts []tuple.Tuple) int {
+			if stage != 4 || side != 0 || window != 6 || len(keys) != len(ts) {
+				t.Errorf("rehash(stage %d, side %d, window %d, %d keys, %d rows)", stage, side, window, len(keys), len(ts))
+			}
+			for i, lt := range ts {
+				if string(keys[i]) != string(lt.Project([]int{1}).Bytes()) {
+					t.Errorf("rehash key of %v is %x", lt, keys[i])
+				}
+			}
+			shipped = append(shipped, ts...)
+			return len(ts)
+		},
+		OnSwitch: func(stage int) { switches = append(switches, stage) },
+	}
+	in := []dataflow.Msg{
+		dataflow.BatchMsg([]tuple.Tuple{row("a", 1), row("b", 2)}, 6),
+		dataflow.BatchMsg([]tuple.Tuple{row("c", 3), row("d", 1), row("e", 2)}, 6),
+		one(row("f", 3), 6),
+	}
+	got := runOp(t, FetchMatchesAdaptive([]int{1}, right, []int{1}, []int{0}, fetch, adapt), in)
+	probed := dataMsgs(got)
+	if len(probed) != 3 || !probed[0].Equal(joined("a", 1)) || !probed[1].Equal(joined("b", 2)) || !probed[2].Equal(joined("c", 3)) {
+		t.Fatalf("probed %v, want the first three rows joined", probed)
+	}
+	if len(shipped) != 3 || !shipped[0].Equal(row("d", 1)) || !shipped[1].Equal(row("e", 2)) || !shipped[2].Equal(row("f", 3)) {
+		t.Fatalf("shipped %v, want the rows from the fourth on", shipped)
+	}
+	if fmt.Sprint(switches) != "[4]" {
+		t.Fatalf("OnSwitch calls %v, want one for stage 4", switches)
+	}
+}
+
+// runHybridJoin feeds the scripted sides into one HybridJoin through
+// inlets, as a collector's arrivals come, follows them with a Drain
+// marker once the join has taken every row (the two inlets are not
+// ordered against each other), and returns what the join emitted and
+// its counters.
+func runHybridJoin(t *testing.T, cfg HybridJoinConfig, left, right []dataflow.Msg) ([]dataflow.Msg, plan.OpStats) {
+	t.Helper()
+	p := NewPipeline("test")
+	inlets := [2]*Inlet{NewInlet(), NewInlet()}
+	l := p.Add("src.l", inlets[0].Source)
+	r := p.Add("src.r", inlets[1].Source)
+	jp := p.Add("hybrid-join", HybridJoin([2]int{2, 2}, [2][]int{{1}, {0}}, cfg))
+	p.Connect(l, jp)
+	p.Connect(r, jp)
+	var got []dataflow.Msg
+	sink := p.Add("sink", func(c *Counters) dataflow.RunFunc {
+		return func(ctx context.Context, ins []<-chan dataflow.Msg, _ []chan<- dataflow.Msg) error {
+			for m := range dataflow.Merge(ctx, ins) {
+				got = append(got, m)
+			}
+			return nil
+		}
+	})
+	p.Connect(jp, sink)
+	run, err := p.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := 0
+	for side, stream := range [][]dataflow.Msg{left, right} {
+		for _, m := range stream {
+			fed += len(m.Batch)
+			inlets[side].Push(m)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); p.Stats()[2].RowsIn < uint64(fed); {
+		if time.Now().After(deadline) {
+			run.Stop()
+			t.Fatalf("join took %d of %d rows", p.Stats()[2].RowsIn, fed)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	inlets[0].Push(dataflow.DrainMsg(1))
+	inlets[0].Close()
+	inlets[1].Close()
+	if err := run.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return got, p.Stats()[2]
+}
+
+func TestHybridJoinMatchesDedupsAndIsolatesWindows(t *testing.T) {
 	lt := row("a", 1)
 	rt := row(1, "x")
 	left := []dataflow.Msg{
-		{Kind: dataflow.Data, T: lt, Seq: 0},
-		{Kind: dataflow.Data, T: lt, Seq: 0}, // retransmit: deduped
-		{Kind: dataflow.Data, T: lt, Seq: 7}, // other window: no match there
+		one(lt, 0),
+		one(lt, 0), // retransmit: deduped
+		one(lt, 7), // other window: no match there
 	}
-	right := []dataflow.Msg{
-		{Kind: dataflow.Data, T: rt, Seq: 0},
-	}
-	got := runOpN(t, JoinProbe([2]int{2, 2}, [2][]int{{1}, {0}}), [][]dataflow.Msg{left, right})
+	got, _ := runHybridJoin(t, HybridJoinConfig{}, left, []dataflow.Msg{one(rt, 0)})
 	rows := dataMsgs(got)
 	if len(rows) != 1 {
 		t.Fatalf("got %d joined rows, want 1 (dedup + window isolation): %v", len(rows), rows)
@@ -343,17 +446,122 @@ func TestJoinProbeMatchesDedupsAndIsolatesWindows(t *testing.T) {
 	if got[0].Seq != 0 {
 		t.Fatalf("joined row window %d", got[0].Seq)
 	}
+
+	// The same three properties under a budget the build state outgrows:
+	// partitions spill, later arrivals (retransmits among them) land in
+	// the spill files unjoined, and the Drain marker's pass re-joins them.
+	mgr, err := spill.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	const nLeft, nRight = 400, 50
+	var lefts, rights []tuple.Tuple
+	for i := 0; i < nLeft; i++ {
+		lefts = append(lefts, row(fmt.Sprintf("node-%d", i), i%nRight))
+	}
+	for k := 0; k < nRight; k++ {
+		rights = append(rights, row(k, fmt.Sprintf("info-%d", k)))
+	}
+	chunk := func(ts []tuple.Tuple, seq uint64) []dataflow.Msg {
+		var out []dataflow.Msg
+		for off := 0; off < len(ts); off += 16 {
+			end := off + 16
+			if end > len(ts) {
+				end = len(ts)
+			}
+			out = append(out, dataflow.BatchMsg(append([]tuple.Tuple(nil), ts[off:end]...), seq))
+		}
+		return out
+	}
+	left = append(chunk(lefts, 0), chunk(lefts[:100], 0)...) // the first hundred again
+	left = append(left, chunk(lefts[:32], 7)...)             // and some in a window with no right side
+	got, st := runHybridJoin(t, HybridJoinConfig{Budget: 4 << 10, Spill: mgr, Label: "t"}, left, chunk(rights, 0))
+	if st.Spilled == 0 || st.Passes == 0 {
+		t.Fatalf("4 KB budget: spilled %d bytes in %d passes — the join never left memory", st.Spilled, st.Passes)
+	}
+	seen := map[string]int{}
+	seqs := dataSeqs(got)
+	for i, r := range dataMsgs(got) {
+		if len(r) != 4 || !r[1].Equal(r[2]) || seqs[i] != 0 {
+			t.Fatalf("joined row %v in window %d", r, seqs[i])
+		}
+		seen[r[0].S]++
+	}
+	if len(seen) != nLeft {
+		t.Fatalf("%d of %d left rows joined", len(seen), nLeft)
+	}
+	for node, n := range seen {
+		if n != 1 {
+			t.Fatalf("%s joined %d times, want 1", node, n)
+		}
+	}
+}
+
+// TestMarkersCarryNoRows feeds a punctuation and a drain marker, and no
+// data, through every operator: none may hand on — downstream or to its
+// ship callback — a row it was not given.
+func TestMarkersCarryNoRows(t *testing.T) {
+	right, fetch, _ := fetchFixture()
+	aggs := []agg.AggSpec{{Func: agg.Sum, ArgCol: 1}}
+	pred := &expr.Cmp{Op: expr.GT, L: &expr.Col{Index: 1}, R: &expr.Lit{V: tuple.Int(5)}}
+	called := 0
+	take := func(ts []tuple.Tuple) int { called += len(ts); return 0 }
+	rehash := func(_, _ int, _ uint64, _ [][]byte, ts []tuple.Tuple) int { return take(ts) }
+	ship := func(_ uint64, ts []tuple.Tuple) int { return take(ts) }
+	var collected []tuple.Tuple
+	fo := NewFanOut()
+	_, windows := fo.Subscribe(4)
+	ops := map[string]OpFunc{
+		"filter":          Filter(pred),
+		"project":         Project([]expr.Expr{&expr.Col{Index: 0}}),
+		"bloom-probe":     BloomProbe(nil, []int{0}),
+		"window":          WindowBuffer(time.Second, 4),
+		"fetch-matches":   FetchMatchesAdaptive([]int{1}, right, []int{1}, []int{0}, fetch, &FetchAdapt{Threshold: 1, LeftCols: []int{1}, Rehash: rehash}),
+		"fetch-collector": FetchCollector([]int{1}, right, 2, []int{1}, []int{0}, fetch),
+		"hybrid-join":     HybridJoin([2]int{2, 2}, [2][]int{{1}, {0}}, HybridJoinConfig{}),
+		"partial-agg":     PartialAgg([]int{0}, aggs, false, true, 4),
+		"partial-eager":   PartialAgg([]int{0}, aggs, true, false, 4),
+		"final-agg":       FinalAgg([]int{0}, aggs, time.Millisecond, 4),
+		"rehash":          RehashExchange(0, 0, []int{0}, rehash, nil, nil),
+		"ship-partial":    ShipPartial(ship, nil, nil),
+		"ship-rows":       ShipRows(ship, 4, false, nil, nil),
+		"ship-rows-eager": ShipRows(ship, 4, true, nil, nil),
+		"func-sink":       FuncSink(func(tuple.Tuple) { called++ }),
+		"distinct":        Distinct(),
+		"top-k":           TopK(3, []int{0}, []bool{false}, 4),
+		"limit":           Limit(3),
+		"collect":         Collect(&collected),
+		"fan-out":         fo.Op(),
+		"sketch-build":    SketchBuild(stats.NewTableSketch("t", []string{"a", "b"}), 1),
+		"sketch-merge":    SketchMerge(func(string, []byte) error { called++; return nil }),
+	}
+	markers := []dataflow.Msg{dataflow.PunctMsg(1, time.Now()), dataflow.DrainMsg(2)}
+	for name, op := range ops {
+		if rows := dataMsgs(runOp(t, op, markers)); len(rows) != 0 {
+			t.Errorf("%s emitted %v", name, rows)
+		}
+		if called != 0 || len(collected) != 0 {
+			t.Errorf("%s handed on %d rows it was never given", name, called+len(collected))
+			called, collected = 0, nil
+		}
+	}
+	for w := range windows {
+		t.Errorf("fan-out delivered window %+v", w)
+	}
 }
 
 func TestPartialAggBatchFlushesOnPunctAndEOS(t *testing.T) {
 	aggs := []agg.AggSpec{{Func: agg.Sum, ArgCol: 1}}
-	in := []dataflow.Msg{
-		{Kind: dataflow.Data, T: row("a", 1), Seq: 3},
-		{Kind: dataflow.Data, T: row("a", 2), Seq: 3},
-		dataflow.PunctMsg(3, time.Now()),
-		{Kind: dataflow.Data, T: row("b", 5), Seq: 4},
+	in := func() []dataflow.Msg { // the operator recycles what it is sent
+		return []dataflow.Msg{
+			one(row("a", 1), 3),
+			one(row("a", 2), 3),
+			dataflow.PunctMsg(3, time.Now()),
+			one(row("b", 5), 4),
+		}
 	}
-	got := runOp(t, PartialAgg([]int{0}, aggs, false, true, 1), in)
+	got := runOp(t, PartialAgg([]int{0}, aggs, false, true, 1), in())
 	rows := dataMsgs(got)
 	if len(rows) != 2 {
 		t.Fatalf("got %v", rows)
@@ -370,7 +578,7 @@ func TestPartialAggBatchFlushesOnPunctAndEOS(t *testing.T) {
 		t.Fatal("punct not forwarded")
 	}
 	// Continuous mode: no EOS flush — unclosed windows never ship.
-	got = runOp(t, PartialAgg([]int{0}, aggs, false, false, 1), in)
+	got = runOp(t, PartialAgg([]int{0}, aggs, false, false, 1), in())
 	if len(dataMsgs(got)) != 1 {
 		t.Fatalf("continuous mode flushed the open window: %v", dataMsgs(got))
 	}
@@ -379,8 +587,8 @@ func TestPartialAggBatchFlushesOnPunctAndEOS(t *testing.T) {
 func TestPartialAggEagerEmitsPerRow(t *testing.T) {
 	aggs := []agg.AggSpec{{Func: agg.Count, ArgCol: -1}}
 	in := []dataflow.Msg{
-		{Kind: dataflow.Data, T: row("a", 1), Seq: 2},
-		{Kind: dataflow.Data, T: row("a", 9), Seq: 2},
+		one(row("a", 1), 2),
+		one(row("a", 9), 2),
 	}
 	got := runOp(t, PartialAgg([]int{0}, aggs, true, false, 1), in)
 	rows := dataMsgs(got)
@@ -409,7 +617,7 @@ func TestFinalAggDebouncedFlushAndRefinement(t *testing.T) {
 			for m := range dataflow.Merge(ctx, ins) {
 				mu.Lock()
 				if m.Kind == dataflow.Data {
-					cur = append(cur, m.T)
+					cur = append(cur, m.Batch...)
 				} else {
 					flushes = append(flushes, cur)
 					cur = nil
@@ -425,8 +633,8 @@ func TestFinalAggDebouncedFlushAndRefinement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two partials for one group (window 5) merge before the hold.
-	in.Push(dataflow.Msg{Kind: dataflow.Data, T: row("g", 2), Seq: 5})
-	in.Push(dataflow.Msg{Kind: dataflow.Data, T: row("g", 3), Seq: 5})
+	in.Push(one(row("g", 2), 5))
+	in.Push(one(row("g", 3), 5))
 	time.Sleep(120 * time.Millisecond)
 	mu.Lock()
 	if len(flushes) != 1 || len(flushes[0]) != 1 || !flushes[0][0].Equal(row("g", 5)) {
@@ -435,7 +643,7 @@ func TestFinalAggDebouncedFlushAndRefinement(t *testing.T) {
 	}
 	mu.Unlock()
 	// A straggler triggers a refined re-flush of the whole window.
-	in.Push(dataflow.Msg{Kind: dataflow.Data, T: row("g", 10), Seq: 5})
+	in.Push(one(row("g", 10), 5))
 	time.Sleep(120 * time.Millisecond)
 	mu.Lock()
 	if len(flushes) != 2 || len(flushes[1]) != 1 || !flushes[1][0].Equal(row("g", 15)) {
@@ -452,8 +660,8 @@ func TestFinalAggDebouncedFlushAndRefinement(t *testing.T) {
 func TestWindowBufferEmitsWindowAndPrunes(t *testing.T) {
 	base := time.Now()
 	in := []dataflow.Msg{
-		{Kind: dataflow.Data, T: row("old", 1), Time: base.Add(-2 * time.Second)},
-		{Kind: dataflow.Data, T: row("new", 2), Time: base.Add(-200 * time.Millisecond)},
+		sample(row("old", 1), base.Add(-2*time.Second)),
+		sample(row("new", 2), base.Add(-200*time.Millisecond)),
 		{Kind: dataflow.Punct, Seq: 9, Time: base}, // window (base-1s, base]
 		{Kind: dataflow.Punct, Seq: 10, Time: base.Add(500 * time.Millisecond)},
 	}
@@ -482,7 +690,7 @@ func TestWindowBufferNoDoubleCountAcrossTumblingWindows(t *testing.T) {
 	// before the punctuation must count only toward the next window.
 	base := time.Now()
 	in := []dataflow.Msg{
-		{Kind: dataflow.Data, T: row("late", 1), Time: base.Add(time.Millisecond)},
+		sample(row("late", 1), base.Add(time.Millisecond)),
 		{Kind: dataflow.Punct, Seq: 1, Time: base}, // window (base-1s, base]
 		{Kind: dataflow.Punct, Seq: 2, Time: base.Add(time.Second)},
 	}
@@ -500,7 +708,7 @@ func TestWindowBufferNoDoubleCountAcrossTumblingWindows(t *testing.T) {
 
 func TestWindowTickerPunctuatesAlignedBoundaries(t *testing.T) {
 	in := NewInlet()
-	in.Push(dataflow.Msg{Kind: dataflow.Data, T: row("s", 1), Time: time.Now()})
+	in.Push(sample(row("s", 1), time.Now()))
 	slide := 50 * time.Millisecond
 	got := runOp(t, WindowTicker(in, slide, 180*time.Millisecond), nil)
 	if len(dataMsgs(got)) != 1 {
@@ -563,17 +771,19 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 		calls = nil
 	}
 
-	script := []dataflow.Msg{
-		{Kind: dataflow.Data, T: row(1), Seq: 1},
-		{Kind: dataflow.Data, T: row(2), Seq: 1},
-		{Kind: dataflow.Data, T: row(3), Seq: 1},
-		{Kind: dataflow.Data, T: row(4), Seq: 2}, // seq change flushes
-		dataflow.PunctMsg(2, time.Now()),         // punct flushes
+	script := func() []dataflow.Msg { // the sink recycles what it is sent
+		return []dataflow.Msg{
+			one(row(1), 1),
+			one(row(2), 1),
+			one(row(3), 1),
+			one(row(4), 2),                   // seq change flushes
+			dataflow.PunctMsg(2, time.Now()), // punct flushes
+		}
 	}
-	run(ShipRows(ship, 2, false, nil, nil), filled(script...))
+	run(ShipRows(ship, 2, false, nil, nil), filled(script()...))
 	check("batched", call{1, 2}, call{1, 1}, call{2, 1})
 	// Eager with the same input already waiting: the same frames.
-	run(ShipRows(ship, 2, true, nil, nil), filled(script...))
+	run(ShipRows(ship, 2, true, nil, nil), filled(script()...))
 	check("eager, input ready", call{1, 2}, call{1, 1}, call{2, 1})
 
 	// Eager, a node that is behind: N waiting rows leave in whole
@@ -581,7 +791,7 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 	const n = 200
 	backlog := make([]dataflow.Msg, n)
 	for i := range backlog {
-		backlog[i] = dataflow.DataMsg(row(i))
+		backlog[i] = one(row(i), 0)
 	}
 	run(ShipRows(ship, rowBatch, true, nil, nil), filled(backlog...))
 	if len(calls) > (n+rowBatch-1)/rowBatch+1 {
@@ -609,7 +819,7 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 		}, rowBatch, true, nil, nil), feed)
 	}()
 	for i := 0; i < 5; i++ {
-		feed <- dataflow.DataMsg(row(i))
+		feed <- one(row(i), 0)
 		if got := <-shipped; got != 1 {
 			t.Fatalf("row %d shipped in a call of %d rows", i, got)
 		}
@@ -626,7 +836,7 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 	}, rowBatch, true,
 		func() { order = append(order, "flush-routes") },
 		func(round uint64) { order = append(order, fmt.Sprintf("ack %d", round)) }),
-		filled(dataflow.DataMsg(row(1)), dataflow.DataMsg(row(2)), dataflow.DataMsg(row(3)), dataflow.DrainMsg(7)))
+		filled(one(row(1), 0), one(row(2), 0), one(row(3), 0), dataflow.DrainMsg(7)))
 	if want := "[ship 3 flush-routes ack 7]"; fmt.Sprint(order) != want {
 		t.Fatalf("drain order %v, want %s", order, want)
 	}
@@ -647,7 +857,7 @@ func TestShipPartialFlushesRoutesOnPunct(t *testing.T) {
 		mu.Unlock()
 	}
 	in := []dataflow.Msg{
-		{Kind: dataflow.Data, T: row("g", 1), Seq: 1},
+		one(row("g", 1), 1),
 		dataflow.BatchMsg([]tuple.Tuple{row("g", 2), row("h", 3)}, 1),
 		dataflow.PunctMsg(1, time.Now()),
 	}
@@ -661,7 +871,7 @@ func TestInletNeverBlocksAndDrainsInOrder(t *testing.T) {
 	in := NewInlet()
 	const n = 10000
 	for i := 0; i < n; i++ {
-		in.Push(dataflow.DataMsg(row(i))) // far beyond any channel depth
+		in.Push(one(row(i), 0)) // far beyond any channel depth
 	}
 	in.Close()
 	got := runOp(t, in.Source, nil)

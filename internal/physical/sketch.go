@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
+	"repro/internal/plan"
 	"repro/internal/stats"
 	"repro/internal/tuple"
 )
@@ -29,16 +30,14 @@ func SketchBuild(sk *stats.TableSketch, sampleEvery int) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			n := 0
-			var scratch [1]tuple.Tuple
 			for m := range dataflow.Merge(ctx, ins) {
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
 					continue
 				}
-				ts := m.Tuples(&scratch)
-				c.RecvRows(len(ts))
+				c.RecvRows(len(m.Batch))
 				start := time.Now()
-				for _, t := range ts {
+				for _, t := range m.Batch {
 					if n%sampleEvery == 0 {
 						sk.Add(t)
 					} else {
@@ -47,9 +46,7 @@ func SketchBuild(sk *stats.TableSketch, sampleEvery int) OpFunc {
 					n++
 				}
 				c.Busy(start)
-				if m.Batch != nil {
-					dataflow.PutBatch(m.Batch)
-				}
+				dataflow.PutBatch(m.Batch)
 			}
 			return nil
 		}
@@ -63,25 +60,21 @@ func SketchBuild(sk *stats.TableSketch, sampleEvery int) OpFunc {
 func SketchMerge(merge func(table string, enc []byte) error) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			var scratch [1]tuple.Tuple
 			for m := range dataflow.Merge(ctx, ins) {
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
 					continue
 				}
-				ts := m.Tuples(&scratch)
-				c.RecvRows(len(ts))
+				c.RecvRows(len(m.Batch))
 				start := time.Now()
-				for _, t := range ts {
+				for _, t := range m.Batch {
 					if len(t) != 2 || t[0].Kind != tuple.TString || t[1].Kind != tuple.TBytes {
 						continue
 					}
 					_ = merge(t[0].S, t[1].AsBytes()) // schema conflicts: skip the partition
 				}
 				c.Busy(start)
-				if m.Batch != nil {
-					dataflow.PutBatch(m.Batch)
-				}
+				dataflow.PutBatch(m.Batch)
 			}
 			return nil
 		}
@@ -95,7 +88,7 @@ func SketchMerge(merge func(table string, enc []byte) error) OpFunc {
 func CompileStatsGather(ns string, arity int, env *Env, sampleEvery int, sk *stats.TableSketch) *Pipeline {
 	p := NewPipeline("stats-gather")
 	p.SetDetail(false)
-	src := p.Add("stats-scan", ScanSource(env.Scan, ns, arity, identityCols(arity), env.batchSize(), env.scanWorkers()))
+	src := p.Add("stats-scan", env.scanSource(&plan.ScanSpec{Namespace: ns, Stored: arity, Cols: identityCols(arity)}))
 	sb := p.Add("sketch-build", SketchBuild(sk, sampleEvery))
 	p.Connect(src, sb)
 	return p

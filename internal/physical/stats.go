@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dataflow"
 	"repro/internal/plan"
 	"repro/internal/tuple"
 	"repro/internal/wire"
@@ -18,7 +17,7 @@ type Counters struct {
 	Stage string
 	Name  string
 	// detail enables the byte counters that require re-encoding
-	// tuples (EmitRow). Off for pipelines compiled without Analyze,
+	// tuples (EmitBatch). Off for pipelines compiled without Analyze,
 	// so the hot path never pays for instrumentation nobody reads;
 	// exchange/ship operators report bytes through EmitRows (the
 	// payload size they computed anyway) regardless.
@@ -38,27 +37,11 @@ type Counters struct {
 	spillPass atomic.Uint64
 }
 
-// RecvRow counts one consumed data tuple.
-func (c *Counters) RecvRow() { c.rowsIn.Add(1) }
-
 // RecvRows counts n consumed data tuples (one batch receive).
 func (c *Counters) RecvRows(n int) { c.rowsIn.Add(uint64(n)) }
 
 // RecvPunct counts one processed punctuation.
 func (c *Counters) RecvPunct() { c.puncts.Add(1) }
-
-// EmitRow counts one produced tuple; its encoded size is measured
-// only when detail instrumentation is on (encoding costs an
-// allocation per tuple).
-func (c *Counters) EmitRow(t tuple.Tuple) {
-	c.rowsOut.Add(1)
-	if c.detail {
-		w := wire.GetWriter()
-		t.Encode(w)
-		c.bytesOut.Add(uint64(w.Len()))
-		wire.PutWriter(w)
-	}
-}
 
 // EmitRows counts n produced tuples carrying bytes encoded bytes —
 // used by ship operators, which know the exact wire payload size.
@@ -79,18 +62,6 @@ func (c *Counters) EmitBatch(ts []tuple.Tuple) {
 		c.bytesOut.Add(uint64(w.Len()))
 		wire.PutWriter(w)
 	}
-}
-
-// EmitMsg counts a produced message in either form.
-func (c *Counters) EmitMsg(m dataflow.Msg) {
-	if m.Kind != dataflow.Data {
-		return
-	}
-	if m.Batch != nil {
-		c.EmitBatch(m.Batch)
-		return
-	}
-	c.EmitRow(m.T)
 }
 
 // Busy accrues processing time since start.

@@ -14,8 +14,8 @@ import (
 )
 
 // tailWidths are the vectorization widths every coordinator-tail test
-// runs at: tuple-at-a-time, a width that leaves ragged final batches,
-// and the default.
+// runs at: one row a message, a width that leaves ragged final
+// batches, and the default.
 var tailWidths = []int{1, 7, dataflow.DefaultBatchSize}
 
 // runTail pushes rows through one operator at the given batch width

@@ -292,11 +292,7 @@ func (n *Node) answerAnalyze(qid uint64, coord string, incremental bool, sampleE
 			// (drift-high, repaired by the next rebuild) but is never
 			// silently lost.
 			sk = stats.NewTableSketch(table, baseColumnNames(tbl.Schema))
-			env := &physical.Env{
-				Scan:        n.scanPayloads,
-				BatchSize:   n.cfg.BatchSize,
-				ScanWorkers: n.cfg.ScanParallel,
-			}
+			env := &physical.Env{Scan: n.scanPayloads, BatchSize: n.cfg.BatchSize}
 			n.localStats.Reset(table)
 			pipe := physical.CompileStatsGather(tbl.Namespace, tbl.Schema.Arity(), env, sampleEvery, sk)
 			if err := pipe.Run(context.Background()); err != nil {
@@ -350,7 +346,7 @@ func (n *Node) deliverSketches(qid uint64, from string, entries []sketchEntry) {
 		return
 	}
 	for _, e := range entries {
-		g.in.Push(dataflow.Msg{Kind: dataflow.Data, T: tuple.Tuple{tuple.String(e.table), tuple.Bytes(e.enc)}})
+		g.in.Push(dataflow.BatchMsg([]tuple.Tuple{{tuple.String(e.table), tuple.Bytes(e.enc)}}, 0))
 	}
 	n.gatherMu.Lock()
 	g.nodes[from] = true

@@ -78,18 +78,13 @@ func (q *queryState) aggInlet() *physical.Inlet {
 }
 
 // collectJoinTuples feeds the rehashed tuples of one arriving frame
-// into a join stage's collector — multi-record frames enter the
-// pipeline as one batch message.
+// into a join stage's collector as one batch message.
 func (q *queryState) collectJoinTuples(window uint64, stage, side int, ts []tuple.Tuple) {
 	in := q.joinInlet(stage, side)
 	if in == nil {
 		return
 	}
-	if len(ts) == 1 {
-		in.Push(dataflow.Msg{Kind: dataflow.Data, T: ts[0], Seq: window})
-	} else {
-		in.Push(dataflow.BatchMsg(ts, window))
-	}
+	in.Push(dataflow.BatchMsg(ts, window))
 	// Counted only after the push: a received record visible in this
 	// node's ledger is then guaranteed to precede any later drain
 	// marker in the inlet, so the round's ack covers its processing.
@@ -103,11 +98,7 @@ func (q *queryState) collectPartials(window uint64, partials []tuple.Tuple) {
 	if in == nil {
 		return
 	}
-	if len(partials) == 1 {
-		in.Push(dataflow.Msg{Kind: dataflow.Data, T: partials[0], Seq: window})
-	} else {
-		in.Push(dataflow.BatchMsg(partials, window))
-	}
+	in.Push(dataflow.BatchMsg(partials, window))
 	// After the push — see collectJoinTuples.
 	q.countRecv(chanKey{kind: chanAgg}, len(partials))
 }

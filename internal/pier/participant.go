@@ -56,7 +56,6 @@ func (q *queryState) pipelineEnv() *physical.Env {
 			n.Metrics.StrategySwitches.Add(1)
 		},
 		BatchSize:     n.cfg.BatchSize,
-		ScanWorkers:   n.cfg.ScanParallel,
 		CollectorHold: n.cfg.CollectorHold,
 	}
 }
@@ -133,7 +132,7 @@ func (q *queryState) participateContinuous() {
 			return
 		}
 		if t, ok := sc.Narrow(stored); ok {
-			in.Push(dataflow.Msg{Kind: dataflow.Data, T: t, Time: at})
+			in.Push(dataflow.Msg{Kind: dataflow.Data, Batch: []tuple.Tuple{t}, Time: at})
 		}
 	}
 	// Existing live items seed the first window; new arrivals stream

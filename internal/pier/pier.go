@@ -87,13 +87,9 @@ type Config struct {
 	// BloomBits sizes Bloom-join filters. Default 8192 bits.
 	BloomBits int
 	// BatchSize is the vectorization width of the local execution
-	// pipelines: tuples per dataflow batch message. Default 256
-	// (dataflow.DefaultBatchSize); 1 reproduces tuple-at-a-time
-	// execution exactly.
+	// pipelines: the most tuples a scan or a flushing operator puts in
+	// one dataflow message. Default 256 (dataflow.DefaultBatchSize).
 	BatchSize int
-	// ScanParallel bounds the workers of parallel partitioned scans.
-	// Default 0 = GOMAXPROCS.
-	ScanParallel int
 	// DisableCombiner turns off in-network partial combining at
 	// relays (the S2 ablation).
 	DisableCombiner bool
@@ -377,24 +373,11 @@ func (n *Node) Batcher() *batch.Batcher { return n.batcher }
 // flushRoutes drains pending route batches — the barrier run before
 // reporting scan completion so coalesced tuples are never still
 // buffered when the coordinator starts its quiescence clock.
-func (n *Node) flushRoutes() {
-	if n.batcher != nil {
-		n.batcher.Flush()
-	}
-}
+func (n *Node) flushRoutes() { n.batcher.Flush() }
 
 // routeRecords hands a pre-batched record vector to the route batcher
-// in one call — the batch-at-a-time ship path — falling back to
-// per-record routing when no batcher wraps the router.
-func (n *Node) routeRecords(recs []batch.Record) {
-	if n.batcher != nil {
-		_ = n.batcher.RouteMany(recs)
-		return
-	}
-	for _, r := range recs {
-		_ = n.router.Route(r.Key, r.Tag, r.Payload)
-	}
-}
+// in one call — the batch-at-a-time ship path.
+func (n *Node) routeRecords(recs []batch.Record) { _ = n.batcher.RouteMany(recs) }
 
 // SetMembers updates the expected cluster size for deterministic EOS
 // completion (see Config.Members). Applications call it once the
