@@ -281,26 +281,6 @@ func BenchmarkRouteBatching(b *testing.B) {
 	}
 }
 
-// BenchmarkOverlayAblation checks the DHT-agnosticism claim: the same
-// query answers correctly over Chord and Kademlia, both behind
-// overlay.Router.
-func BenchmarkOverlayAblation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		results, err := bench.OverlayAblation(16, 40, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range results {
-			if !r.SumOK {
-				b.Fatalf("overlay %s computed a wrong aggregate", r.Overlay)
-			}
-		}
-		b.ReportMetric(results[0].MeanHops, "hops-chord")
-		b.ReportMetric(results[1].MeanHops, "hops-kademlia")
-	}
-}
-
 // BenchmarkLocalJoinPipeline measures the local-execution join hot
 // path (scan → filter → rehash exchange → HybridJoin) with no network,
 // at the default vectorization width. BENCH_PR4.json records its ratio

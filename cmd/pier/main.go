@@ -62,7 +62,6 @@ func main() {
 	log.SetFlags(0)
 	listen := flag.String("listen", "127.0.0.1:0", "UDP address to listen on")
 	join := flag.String("join", "", "address of any existing node to join")
-	overlayKind := flag.String("overlay", "chord", "overlay: chord or kademlia")
 	batchOn := flag.Bool("batch", true, "coalesce routed traffic (join rehash, aggregation partials, DHT puts) into per-destination frames")
 	batchRecords := flag.Int("batch-records", 0, "flush a route batch at this record count (0 = default 64)")
 	batchBytes := flag.Int("batch-bytes", 0, "flush a route batch at this payload byte budget (0 = default 8192)")
@@ -87,7 +86,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := pier.Config{Overlay: *overlayKind}
+	var cfg pier.Config
 	cfg.Batch.Disabled = !*batchOn
 	cfg.Batch.MaxRecords = *batchRecords
 	cfg.Batch.MaxBytes = *batchBytes
@@ -103,7 +102,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer node.Stop()
-	fmt.Printf("pier node listening on %s (overlay: %s)\n", node.Addr(), *overlayKind)
+	fmt.Printf("pier node listening on %s\n", node.Addr())
 	if *join != "" {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		err := node.Join(ctx, *join)

@@ -15,7 +15,6 @@
 //	pierbench -experiment batching
 //	pierbench -experiment multiway
 //	pierbench -experiment analyze
-//	pierbench -experiment overlay
 //	pierbench -experiment explain
 //	pierbench -experiment localpipe
 //	pierbench -experiment obs
@@ -169,11 +168,6 @@ func main() {
 	if want("analyze") {
 		run("analyze", func() error {
 			return analyze(*n, *seed, rec)
-		})
-	}
-	if want("overlay") {
-		run("overlay", func() error {
-			return overlay(*n, *seed)
 		})
 	}
 	if want("explain") {
@@ -557,18 +551,6 @@ func recursive(n int, seed int64, rec *recorder) error {
 	fmt.Printf("closure facts %d (expected %d), %d messages, SQL agreement: %v\n",
 		res.Facts, res.Expected, res.Msgs, res.AgreeSQL)
 	rec.metric("msgs", float64(res.Msgs))
-	return nil
-}
-
-func overlay(n int, seed int64) error {
-	results, err := bench.OverlayAblation(n, 40, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-10s %10s %14s %8s\n", "overlay", "mean hops", "maintenance", "SUM ok")
-	for _, r := range results {
-		fmt.Printf("%-10s %10.2f %14d %8v\n", r.Overlay, r.MeanHops, r.Maintenance, r.SumOK)
-	}
 	return nil
 }
 

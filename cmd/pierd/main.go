@@ -56,7 +56,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "UDP address for overlay traffic")
 	serve := flag.String("serve", "127.0.0.1:7070", "TCP address for client connections")
 	join := flag.String("join", "", "address of any existing node to join")
-	overlayKind := flag.String("overlay", "chord", "overlay: chord or kademlia")
 	maxInflight := flag.Int("max-inflight", 64, "concurrently executing one-shot queries before arrivals queue")
 	maxQueued := flag.Int("max-queued", 256, "queued queries before arrivals shed immediately")
 	queueTimeout := flag.Duration("queue-timeout", time.Second, "max time a queued query waits for an execution slot")
@@ -82,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := pier.Config{Overlay: *overlayKind, Members: *members}
+	cfg := pier.Config{Members: *members}
 	cfg.SpillDir = *spillDir
 	cfg.SwitchFactor = *switchFactor
 	if cfg.JoinMemBudget, err = pier.ParseMemSize(*joinMem); err != nil {
@@ -93,7 +92,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer node.Stop()
-	fmt.Printf("pierd node on %s (overlay: %s)\n", node.Addr(), *overlayKind)
+	fmt.Printf("pierd node on %s\n", node.Addr())
 	if *join != "" {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		err := node.Join(ctx, *join)

@@ -47,7 +47,7 @@ func main() {
 		"king-crimson-red.mp3":      {"rock", "guitar"},
 		"glass-etudes.mp3":          {"piano", "minimalism"},
 		"lecture-jazz-history.ogg":  {"jazz", "history", "lecture"},
-		"lecture-dht-overlays.ogg":  {"dht", "lecture"},
+		"lecture-dht-routing.ogg":   {"dht", "lecture"},
 		"monk-round-midnight.mp3":   {"jazz", "piano", "classic"},
 		"pastorius-portrait.mp3":    {"jazz", "bass"},
 		"bowie-heroes.mp3":          {"rock", "classic"},

@@ -2,9 +2,9 @@
 // the paper's evaluation artifacts (Figure 1 and Table 1) and the
 // supporting shape results DESIGN.md indexes (routing scalability,
 // in-network aggregation vs. centralized collection, join-strategy
-// costs, churn survival, search vs. flooding, recursive closure, and
-// the Chord/Kademlia ablation). cmd/pierbench prints these as tables;
-// bench_test.go wraps them as testing.B benchmarks.
+// costs, churn survival, search vs. flooding, and recursive closure).
+// cmd/pierbench prints these as tables; bench_test.go wraps them as
+// testing.B benchmarks.
 package bench
 
 import (
@@ -16,9 +16,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/catalog"
-	"repro/internal/chord"
 	"repro/internal/id"
-	"repro/internal/kademlia"
 	"repro/internal/monitor"
 	"repro/internal/piertest"
 	"repro/internal/plan"
@@ -818,10 +816,8 @@ func RouteBatchingJoin(n, perSide, distinctKeys int, seed int64) ([]BatchJoinRes
 	routeForwards := func(cluster *piertest.Cluster) uint64 {
 		var total uint64
 		for _, nd := range cluster.Nodes {
-			if cn, ok := nd.Router().(*chord.Node); ok {
-				_, _, fwd, _ := cn.MetricsSnapshot()
-				total += fwd
-			}
+			_, _, fwd, _ := nd.Router().MetricsSnapshot()
+			total += fwd
 		}
 		return total
 	}
@@ -1073,89 +1069,6 @@ func MultiwayJoin(n, ordersPerNode int, seed int64) ([]MultiwayResult, error) {
 }
 
 func strategyPtr(s plan.JoinStrategy) *plan.JoinStrategy { return &s }
-
-// ---------------------------------------------------------------------------
-// Ablation: Chord vs Kademlia under the same workload
-
-// OverlayResult is one overlay's routing/maintenance profile.
-type OverlayResult struct {
-	Overlay     string
-	MeanHops    float64
-	Maintenance uint64
-	SumOK       bool
-}
-
-// OverlayAblation runs the same lookups and the same aggregation
-// query over Chord and Kademlia — the paper's claim that PIER is
-// DHT-agnostic, quantified.
-func OverlayAblation(n, lookups int, seed int64) ([]OverlayResult, error) {
-	if n == 0 {
-		n = 16
-	}
-	if lookups == 0 {
-		lookups = 40
-	}
-	schema := tuple.MustSchema("x", []tuple.Column{
-		{Name: "node", Type: tuple.TString},
-		{Name: "v", Type: tuple.TInt},
-	}, "node")
-
-	run := func(overlayKind string) (OverlayResult, error) {
-		cfg := piertest.FastConfig()
-		cfg.Overlay = overlayKind
-		cfg.Kademlia = kademlia.Config{K: 8, Alpha: 3, RefreshEvery: 50 * time.Millisecond}
-		cluster, err := piertest.New(piertest.Options{N: n, Seed: seed, NodeCfg: &cfg})
-		if err != nil {
-			return OverlayResult{}, err
-		}
-		defer cluster.Close()
-		time.Sleep(500 * time.Millisecond)
-		totalHops := 0
-		for i := 0; i < lookups; i++ {
-			key := id.HashString(fmt.Sprintf("abl-%d", i))
-			_, hops, err := cluster.Nodes[i%n].Router().Lookup(context.Background(), key)
-			if err != nil {
-				continue
-			}
-			totalHops += hops
-		}
-		for i, nd := range cluster.Nodes {
-			if err := nd.DefineTable(schema, time.Minute); err != nil {
-				return OverlayResult{}, err
-			}
-			nd.PublishLocal("x", tuple.Tuple{tuple.String(nd.Addr()), tuple.Int(int64(i + 1))})
-		}
-		res, err := cluster.Nodes[0].Query(context.Background(), "SELECT SUM(v) FROM x")
-		sumOK := err == nil && len(res.Rows) == 1 && res.Rows[0][0].I == int64(n*(n+1)/2)
-		var maint uint64
-		for _, nd := range cluster.Nodes {
-			switch r := nd.Router().(type) {
-			case *chord.Node:
-				_, _, _, m := r.MetricsSnapshot()
-				maint += m
-			case *kademlia.Node:
-				_, _, _, m := r.MetricsSnapshot()
-				maint += m
-			}
-		}
-		return OverlayResult{
-			Overlay:     overlayKind,
-			MeanHops:    float64(totalHops) / float64(lookups),
-			Maintenance: maint,
-			SumOK:       sumOK,
-		}, nil
-	}
-
-	var out []OverlayResult
-	for _, k := range []string{"chord", "kademlia"} {
-		r, err := run(k)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
 
 // ---------------------------------------------------------------------------
 // Helpers shared with cmd/pierbench

@@ -855,3 +855,31 @@ func (n *Node) checkPredecessorLoop() {
 // store, the query engine) can register their own methods and issue
 // direct calls over the same transport.
 func (n *Node) Peer() *rpc.Peer { return n.peer }
+
+// WaitConverged blocks until the nodes form one ring: each node's
+// successor is the next node in ID order. It then pauses briefly so
+// finger tables warm and a broadcast reaches every node. It fails if
+// the ring has not closed within timeout.
+func WaitConverged(nodes []*Node, timeout time.Duration) error {
+	if len(nodes) <= 1 {
+		return nil
+	}
+	sorted := slices.Clone(nodes)
+	slices.SortFunc(sorted, func(a, b *Node) int { return a.Self().ID.Cmp(b.Self().ID) })
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		closed := true
+		for i, nd := range sorted {
+			if nd.Successor().Addr != sorted[(i+1)%len(sorted)].Self().Addr {
+				closed = false
+				break
+			}
+		}
+		if closed {
+			time.Sleep(150 * time.Millisecond)
+			return nil
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return fmt.Errorf("chord: %d-node ring did not converge in %v", len(nodes), timeout)
+}

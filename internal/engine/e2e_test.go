@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/pier"
 	"repro/internal/piertest"
 	"repro/internal/simnet"
 )
@@ -64,8 +66,11 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			rows[i] = fmt.Sprintf("%v", r)
 		}
 		sort.Strings(rows) // order-insensitive: same multiset == same digest
-		return fmt.Sprintf("%v|%v", res.Columns, rows), nil
+		// How the query ended leads the digest, so a short answer names
+		// its reason and coverage instead of showing only a row diff.
+		return fmt.Sprintf("%s@%v|%v|%v", res.Reason, res.Coverage, res.Columns, rows), nil
 	}
+	const complete = pier.ReasonEOS + "@1|"
 
 	// Sequential baselines first.
 	baseline := make(map[string]string, len(oneShots))
@@ -73,6 +78,9 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		d, err := digest(sql)
 		if err != nil {
 			t.Fatalf("baseline %q: %v", sql, err)
+		}
+		if !strings.HasPrefix(d, complete) {
+			t.Fatalf("baseline %q did not end %s at coverage 1: %s", sql, pier.ReasonEOS, d)
 		}
 		baseline[sql] = d
 	}

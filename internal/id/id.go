@@ -1,8 +1,7 @@
-// Package id implements the 160-bit identifier space shared by all
-// overlays in the system. Identifiers name both nodes and data items;
-// the package provides the ring arithmetic used by Chord (clockwise
-// intervals, powers of two offsets) and the XOR metric used by
-// Kademlia, plus SHA-1 hashing of arbitrary byte strings into the
+// Package id implements the 160-bit identifier space of the overlay.
+// Identifiers name both nodes and data items; the package provides the
+// ring arithmetic used by Chord (clockwise intervals, powers of two
+// offsets), plus SHA-1 hashing of arbitrary byte strings into the
 // space.
 package id
 
@@ -11,7 +10,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math/bits"
 )
 
 // Bits is the width of the identifier space.
@@ -156,34 +154,6 @@ func (a ID) AddPow2(k int) ID {
 // number of steps forward from a to reach b, modulo 2^160.
 func (a ID) Distance(b ID) ID {
 	return b.Sub(a)
-}
-
-// Xor returns the bitwise XOR of a and b — the Kademlia metric.
-func (a ID) Xor(b ID) ID {
-	var out ID
-	for i := 0; i < Bytes; i++ {
-		out[i] = a[i] ^ b[i]
-	}
-	return out
-}
-
-// CommonPrefixLen returns the number of leading bits shared by a and
-// b; 160 when they are equal. This is the Kademlia bucket index
-// complement.
-func (a ID) CommonPrefixLen(b ID) int {
-	for i := 0; i < Bytes; i++ {
-		x := a[i] ^ b[i]
-		if x != 0 {
-			return i*8 + bits.LeadingZeros8(x)
-		}
-	}
-	return Bits
-}
-
-// Bit returns bit i of the identifier, counting from the most
-// significant bit (bit 0).
-func (a ID) Bit(i int) int {
-	return int(a[i/8]>>(7-i%8)) & 1
 }
 
 // Between reports whether x lies in the open interval (a, b) on the

@@ -141,51 +141,6 @@ func TestAddPow2Panics(t *testing.T) {
 	FromUint64(0).AddPow2(Bits)
 }
 
-func TestXorProperties(t *testing.T) {
-	f := func(s1, s2 []byte) bool {
-		a, b := Hash(s1), Hash(s2)
-		if a.Xor(a) != (ID{}) {
-			return false
-		}
-		if a.Xor(b) != b.Xor(a) {
-			return false
-		}
-		return a.Xor(b).Xor(b) == a
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCommonPrefixLen(t *testing.T) {
-	a := FromUint64(0)
-	if got := a.CommonPrefixLen(a); got != Bits {
-		t.Fatalf("CPL(a,a) = %d, want %d", got, Bits)
-	}
-	b := a.AddPow2(Bits - 1) // differs in the top bit
-	if got := a.CommonPrefixLen(b); got != 0 {
-		t.Fatalf("CPL top-bit = %d, want 0", got)
-	}
-	c := a.AddPow2(0) // differs only in the last bit
-	if got := a.CommonPrefixLen(c); got != Bits-1 {
-		t.Fatalf("CPL last-bit = %d, want %d", got, Bits-1)
-	}
-}
-
-func TestBit(t *testing.T) {
-	a := FromUint64(1)
-	if a.Bit(Bits-1) != 1 {
-		t.Fatalf("low bit not set")
-	}
-	if a.Bit(0) != 0 {
-		t.Fatalf("high bit set")
-	}
-	b := FromUint64(0).AddPow2(Bits - 1)
-	if b.Bit(0) != 1 {
-		t.Fatalf("top bit not set")
-	}
-}
-
 func TestBetween(t *testing.T) {
 	a, b, c := FromUint64(10), FromUint64(20), FromUint64(30)
 	if !Between(b, a, c) {

@@ -1,9 +1,9 @@
 // Package overlay defines the routing interface that PIER's DHT layer
 // is written against. The paper stresses that "DHT" is a catch-all for
 // a family of schemes (it cites CAN, Bamboo, and Chord); accordingly,
-// everything above this interface is overlay-agnostic, and the repo
-// ships two interchangeable implementations: internal/chord and
-// internal/kademlia.
+// everything above this interface is overlay-agnostic. The seam is
+// implemented by internal/chord and by batch.Batcher, which wraps a
+// Router to coalesce routed records per destination.
 package overlay
 
 import (
@@ -79,7 +79,7 @@ type Router interface {
 	// SetBroadcast installs the broadcast upcall.
 	SetBroadcast(fn BroadcastFunc)
 	// Neighbors returns the replication candidates for locally-owned
-	// keys: Chord's successor list, Kademlia's closest contacts.
+	// keys: Chord's successor list.
 	Neighbors() []Node
 	// Stop halts maintenance and closes the endpoint.
 	Stop()

@@ -16,7 +16,7 @@ import (
 // canonical (sorted-encoding) order.
 func runBatchJoin(t *testing.T, disabled bool, seed int64) ([]string, uint64) {
 	t.Helper()
-	cfg := testNodeConfig("chord")
+	cfg := testNodeConfig()
 	cfg.Batch.Disabled = disabled
 	nodes, _ := clusterWithConfig(t, 12, seed, cfg)
 
@@ -101,7 +101,7 @@ func TestBatchingPreservesJoinResults(t *testing.T) {
 // batching on and off.
 func TestBatchingAggregationEquivalence(t *testing.T) {
 	run := func(disabled bool) []string {
-		cfg := testNodeConfig("chord")
+		cfg := testNodeConfig()
 		cfg.Batch.Disabled = disabled
 		nodes, _ := clusterWithConfig(t, 8, 11, cfg)
 		schema := tuple.MustSchema("ag", []tuple.Column{

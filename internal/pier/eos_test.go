@@ -150,7 +150,7 @@ func TestEOSMatchesQuietBaseline(t *testing.T) {
 	for _, bs := range []int{1, 7, 256} {
 		bs := bs
 		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
-			cfg := testNodeConfig("chord")
+			cfg := testNodeConfig()
 			cfg.BatchSize = bs
 
 			load := func(nodes []*Node) {
@@ -239,7 +239,7 @@ func TestEOSReorderingAndLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lossy network, slow")
 	}
-	cfg := testNodeConfig("chord")
+	cfg := testNodeConfig()
 	// No node dies in this test, so suspicion must never trigger: under
 	// -race on a loaded single-core host the default ~90ms window can
 	// misread scheduler stalls as crashes and close a loss-only run
@@ -358,7 +358,7 @@ func TestEosTupleBufferedAfterReplay(t *testing.T) {
 // settle pause runs out between two calls), so each case is the least
 // of three tries.
 func TestEosLedgerShipsWhen(t *testing.T) {
-	cfg := testNodeConfig("chord")
+	cfg := testNodeConfig()
 	cfg.HeartbeatEvery = time.Hour
 	nodes, _ := clusterWithConfig(t, 1, 80, cfg)
 	defineEverywhere(t, nodes, trafficSchema, time.Minute)

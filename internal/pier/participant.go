@@ -230,7 +230,7 @@ func (q *queryState) shipPartials(window uint64, partials []tuple.Tuple) int {
 // keeps the batcher.
 func (q *queryState) partialRouter() overlay.Router {
 	if q.eos != nil {
-		return q.node.base
+		return q.node.chord
 	}
 	return q.node.router
 }

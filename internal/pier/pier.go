@@ -22,7 +22,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/dht"
 	"repro/internal/id"
-	"repro/internal/kademlia"
 	"repro/internal/obs"
 	"repro/internal/overlay"
 	"repro/internal/rpc"
@@ -34,13 +33,8 @@ import (
 
 // Config assembles a node. Zero values give simulation-scale defaults.
 type Config struct {
-	// Overlay selects the DHT scheme: "chord" (default) or "kademlia"
-	// — the paper's point that PIER is overlay-agnostic: everything
-	// above sees only overlay.Router.
-	Overlay string
-	// Chord / Kademlia configure the chosen overlay.
-	Chord    chord.Config
-	Kademlia kademlia.Config
+	// Chord configures the overlay.
+	Chord chord.Config
 	// DHT configures the storage layer.
 	DHT dht.Config
 	// Batch configures per-destination coalescing of routed traffic
@@ -136,9 +130,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Overlay == "" {
-		c.Overlay = "chord"
-	}
 	if c.CombineHold == 0 {
 		c.CombineHold = 25 * time.Millisecond
 	}
@@ -210,8 +201,7 @@ type Metrics struct {
 // Node is one PIER participant.
 type Node struct {
 	cfg     Config
-	base    overlay.Router // the raw overlay (chord/kademlia)
-	join    func(ctx context.Context, bootstrapAddr string) error
+	chord   *chord.Node    // the raw overlay
 	router  overlay.Router // the batching wrapper all hot paths use
 	batcher *batch.Batcher
 	peer    *rpc.Peer
@@ -307,23 +297,11 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 		}
 		n.spill = sm
 	}
-	switch cfg.Overlay {
-	case "chord":
-		c := chord.New(tr, cfg.Chord)
-		n.base = c
-		n.peer = c.Peer()
-		n.join = c.Join
-	case "kademlia":
-		k := kademlia.New(tr, cfg.Kademlia)
-		n.base = k
-		n.peer = k.Peer()
-		n.join = k.Join
-	default:
-		return nil, fmt.Errorf("pier: unknown overlay %q", cfg.Overlay)
-	}
+	n.chord = chord.New(tr, cfg.Chord)
+	n.peer = n.chord.Peer()
 	// Always wrap: even with Batch.Disabled the wrapper demultiplexes
 	// frames arriving from batching peers in a mixed cluster.
-	n.batcher = batch.New(n.base, cfg.Batch)
+	n.batcher = batch.New(n.chord, cfg.Batch)
 	n.router = n.batcher
 	n.store = dht.New(n.router, n.peer, cfg.DHT, n.onRouted)
 	n.router.SetBroadcast(n.onBroadcast)
@@ -356,15 +334,15 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 
 // Join merges the node into the overlay via any existing member.
 func (n *Node) Join(ctx context.Context, bootstrapAddr string) error {
-	return n.join(ctx, bootstrapAddr)
+	return n.chord.Join(ctx, bootstrapAddr)
 }
 
 // Addr returns the node's transport address.
 func (n *Node) Addr() string { return n.router.Self().Addr }
 
 // Router exposes the raw overlay (benchmarks read its metrics and
-// type-switch on the concrete scheme).
-func (n *Node) Router() overlay.Router { return n.base }
+// ring state).
+func (n *Node) Router() *chord.Node { return n.chord }
 
 // Batcher exposes the route-batching layer (benchmarks read its
 // metrics; applications may Flush for their own barriers).

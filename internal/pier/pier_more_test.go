@@ -227,7 +227,7 @@ func TestEmptyTableAggregate(t *testing.T) {
 // TestLossyNetworkQueryStillAnswers: with 10% message loss, the
 // best-effort query still returns (possibly partial) results.
 func TestLossyNetworkQueryStillAnswers(t *testing.T) {
-	cfg := testNodeConfig("chord")
+	cfg := testNodeConfig()
 	nodes, _ := clusterWithLoss(t, 5, 70, cfg, 0.05)
 	defineEverywhere(t, nodes, trafficSchema, time.Minute)
 	for _, nd := range nodes {

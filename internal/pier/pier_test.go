@@ -3,7 +3,6 @@ package pier
 import (
 	"context"
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
@@ -13,9 +12,8 @@ import (
 	"repro/internal/tuple"
 )
 
-func testNodeConfig(overlayKind string) Config {
+func testNodeConfig() Config {
 	cfg := Config{
-		Overlay: overlayKind,
 		Chord: chord.Config{
 			SuccessorListLen: 4,
 			StabilizeEvery:   10 * time.Millisecond,
@@ -36,7 +34,7 @@ func testNodeConfig(overlayKind string) Config {
 // cluster builds n joined PIER nodes over a fresh simnet.
 func cluster(t *testing.T, n int, seed int64) ([]*Node, *simnet.Network) {
 	t.Helper()
-	return clusterWithConfig(t, n, seed, testNodeConfig("chord"))
+	return clusterWithConfig(t, n, seed, testNodeConfig())
 }
 
 func clusterWithConfig(t *testing.T, n int, seed int64, cfg Config) ([]*Node, *simnet.Network) {
@@ -84,44 +82,16 @@ func clusterWithNet(t *testing.T, n int, netCfg simnet.Config, cfg Config) ([]*N
 	return nodes, net
 }
 
-// waitOverlay waits for chord rings to converge (kademlia needs only
-// a refresh interval, handled by a fixed sleep).
+// waitOverlay waits for the chord ring to converge.
 func waitOverlay(t *testing.T, nodes []*Node) {
 	t.Helper()
-	chords := make([]*chord.Node, 0, len(nodes))
-	for _, nd := range nodes {
-		if c, ok := nd.Router().(*chord.Node); ok {
-			chords = append(chords, c)
-		}
+	chords := make([]*chord.Node, len(nodes))
+	for i, nd := range nodes {
+		chords[i] = nd.Router()
 	}
-	if len(chords) != len(nodes) {
-		time.Sleep(300 * time.Millisecond) // kademlia settle
-		return
+	if err := chord.WaitConverged(chords, 30*time.Second); err != nil {
+		t.Fatal(err)
 	}
-	if len(chords) == 1 {
-		return
-	}
-	sorted := append([]*chord.Node(nil), chords...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].Self().ID.Less(sorted[j].Self().ID)
-	})
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		ok := true
-		for i, c := range sorted {
-			if c.Successor().Addr != sorted[(i+1)%len(sorted)].Self().Addr {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			// Give fingers a moment so broadcasts cover everyone.
-			time.Sleep(150 * time.Millisecond)
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("overlay did not converge")
 }
 
 var trafficSchema = tuple.MustSchema("traffic", []tuple.Column{
@@ -541,23 +511,6 @@ func TestRecursiveReachability(t *testing.T) {
 	}
 	if res.QueryID == 0 || res.Participants != 5 {
 		t.Fatalf("query ID %d, %d participants", res.QueryID, res.Participants)
-	}
-}
-
-func TestQueryOnKademliaOverlay(t *testing.T) {
-	cfg := testNodeConfig("kademlia")
-	cfg.Kademlia.RefreshEvery = 50 * time.Millisecond
-	nodes, _ := clusterWithConfig(t, 6, 14, cfg)
-	defineEverywhere(t, nodes, trafficSchema, time.Minute)
-	for i, nd := range nodes {
-		nd.PublishLocal("traffic", tuple.Tuple{tuple.String(nd.Addr()), tuple.Float(float64(i + 1))})
-	}
-	res, err := nodes[0].Query(context.Background(), "SELECT SUM(rate) FROM traffic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].F != 21 {
-		t.Fatalf("kademlia SUM result %v", res.Rows)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestStopMidQueryNoLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i], err = NewNode(ep, testNodeConfig("chord"))
+		nodes[i], err = NewNode(ep, testNodeConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,6 @@ func TestQueryOverRealUDP(t *testing.T) {
 	}
 	const n = 4
 	cfg := Config{
-		Overlay: "chord",
 		Chord: chord.Config{
 			SuccessorListLen: 4,
 			StabilizeEvery:   20 * time.Millisecond,
@@ -52,30 +51,7 @@ func TestQueryOverRealUDP(t *testing.T) {
 			t.Fatalf("join over UDP: %v", err)
 		}
 	}
-	// Wait for ring convergence over real sockets.
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		converged := true
-		seen := map[string]bool{}
-		cur := nodes[0].Router().(*chord.Node)
-		addrByNode := map[string]*Node{}
-		for _, nd := range nodes {
-			addrByNode[nd.Addr()] = nd
-		}
-		for i := 0; i < n; i++ {
-			seen[cur.Self().Addr] = true
-			next, ok := addrByNode[cur.Successor().Addr]
-			if !ok {
-				converged = false
-				break
-			}
-			cur = next.Router().(*chord.Node)
-		}
-		if converged && len(seen) == n && cur.Self().Addr == nodes[0].Addr() {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitOverlay(t, nodes)
 
 	schema := tuple.MustSchema("m", []tuple.Column{
 		{Name: "node", Type: tuple.TString},

@@ -9,7 +9,6 @@ package piertest
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/chord"
@@ -27,7 +26,7 @@ type Options struct {
 	// the Seed field when both set).
 	NetCfg *simnet.Config
 	// NodeCfg overrides the node configuration. Default: fast
-	// simulation timers on a Chord overlay.
+	// simulation timers.
 	NodeCfg *pier.Config
 	// ConvergeTimeout bounds the overlay convergence wait.
 	// Default 60s.
@@ -38,7 +37,6 @@ type Options struct {
 // throughout the tests and benchmarks.
 func FastConfig() pier.Config {
 	cfg := pier.Config{
-		Overlay: "chord",
 		Chord: chord.Config{
 			SuccessorListLen: 4,
 			StabilizeEvery:   10 * time.Millisecond,
@@ -119,43 +117,17 @@ func New(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// WaitConverged blocks until the overlay stabilizes (Chord: the
-// successor cycle matches the sorted ring; Kademlia: a settle pause).
+// WaitConverged blocks until the chord ring closes (see
+// chord.WaitConverged).
 func (c *Cluster) WaitConverged(timeout time.Duration) error {
-	chords := make([]*chord.Node, 0, len(c.Nodes))
-	for _, nd := range c.Nodes {
-		if cn, ok := nd.Router().(*chord.Node); ok {
-			chords = append(chords, cn)
-		}
+	chords := make([]*chord.Node, len(c.Nodes))
+	for i, nd := range c.Nodes {
+		chords[i] = nd.Router()
 	}
-	if len(chords) != len(c.Nodes) {
-		time.Sleep(400 * time.Millisecond)
-		return nil
+	if err := chord.WaitConverged(chords, timeout); err != nil {
+		return fmt.Errorf("piertest: %w", err)
 	}
-	if len(chords) <= 1 {
-		return nil
-	}
-	sorted := append([]*chord.Node(nil), chords...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].Self().ID.Less(sorted[j].Self().ID)
-	})
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		ok := true
-		for i, cn := range sorted {
-			if cn.Successor().Addr != sorted[(i+1)%len(sorted)].Self().Addr {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			// Let finger tables warm so broadcast covers everyone.
-			time.Sleep(150 * time.Millisecond)
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return fmt.Errorf("piertest: %d-node overlay did not converge in %v", len(c.Nodes), timeout)
+	return nil
 }
 
 // Close stops every node and the network.

@@ -44,20 +44,6 @@ func TestClusterDefaults(t *testing.T) {
 	}
 }
 
-func TestKademliaCluster(t *testing.T) {
-	cfg := FastConfig()
-	cfg.Overlay = "kademlia"
-	cfg.Kademlia.RefreshEvery = 50 * time.Millisecond
-	c, err := New(Options{N: 4, Seed: 63, NodeCfg: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Nodes[0].Router().Self().Addr == "" {
-		t.Fatal("no router")
-	}
-}
-
 func TestCloseIsSafeTwice(t *testing.T) {
 	c, err := New(Options{N: 2, Seed: 64})
 	if err != nil {
