@@ -2,13 +2,13 @@
 // SQL shell — the multi-process deployment path (the simulated
 // testbed used by tests and benchmarks lives in internal/simnet).
 //
-// Start a bootstrap node:
+// Start a bootstrap node of a three-node cluster:
 //
-//	pier -listen 127.0.0.1:7000
+//	pier -listen 127.0.0.1:7000 -members 3
 //
 // Join more nodes:
 //
-//	pier -listen 127.0.0.1:7001 -join 127.0.0.1:7000
+//	pier -listen 127.0.0.1:7001 -join 127.0.0.1:7000 -members 3
 //
 // Shell commands:
 //
@@ -67,10 +67,9 @@ func main() {
 	batchBytes := flag.Int("batch-bytes", 0, "flush a route batch at this payload byte budget (0 = default 8192)")
 	batchDelay := flag.Duration("batch-delay", 0, "max time a record may wait in a route batch (0 = default 2ms; capped at a quarter of the quiescence horizon)")
 	explain := flag.Bool("explain", false, "run one-shot queries as EXPLAIN ANALYZE: print the per-operator pipeline counters gathered from every node after the rows")
-	members := flag.Int("members", 0, "expected cluster size: enables deterministic EOS completion for one-shot queries (0 = quiescence timer only)")
+	members := flag.Int("members", 0, "expected cluster size, counting every pier and pierd node (required): one-shot queries complete when every member's end-of-scan ledger is in")
 	joinMem := flag.String("join-mem", "0", "per-stage join build-state memory budget, e.g. 64kb or 1mb (0 = unlimited, never spill)")
 	spillDir := flag.String("spill-dir", "", "directory for join spill temp files (default: the system temp dir)")
-	switchFactor := flag.Float64("switch-factor", 0, "switch a fetch-matches join to rehashing mid-flight when observed rows exceed the estimate by this factor (0 = default 4, negative = never switch)")
 	slowQuery := flag.Duration("slow-query", time.Second, "log completed queries slower than this into the event ring (negative disables)")
 	pprofAddr := flag.String("pprof", "", "optional net/http/pprof listen address, e.g. 127.0.0.1:6060 (empty disables)")
 	flag.Parse()
@@ -96,7 +95,6 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.SpillDir = *spillDir
-	cfg.SwitchFactor = *switchFactor
 	node, err := pier.NewNode(tr, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -432,10 +430,9 @@ func completionNote(reason string) string {
 }
 
 // coverageNote tags a result that reflects only part of the table
-// partitions (members lost mid-query). Full coverage and untracked
-// clusters (Coverage zero) print nothing.
+// partitions (members lost mid-query); full coverage prints nothing.
 func coverageNote(res *pier.Result) string {
-	if res.Coverage <= 0 || res.Coverage >= 1 {
+	if res.Coverage >= 1 {
 		return ""
 	}
 	return fmt.Sprintf(", COVERAGE %.0f%%", res.Coverage*100)

@@ -17,7 +17,7 @@ func testNode(t *testing.T) *pier.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := pier.NewNode(ep, pier.Config{})
+	node, err := pier.NewNode(ep, pier.Config{Members: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +93,20 @@ func TestDoInsertErrors(t *testing.T) {
 	for _, args := range bad {
 		if err := doInsert(node, args, false); err == nil {
 			t.Fatalf("doInsert(%q) succeeded", args)
+		}
+	}
+}
+
+// TestCoverageNote: anything short of full coverage is tagged, down to
+// a result that covered no partition at all.
+func TestCoverageNote(t *testing.T) {
+	for cov, want := range map[float64]string{
+		1:    "",
+		0.75: ", COVERAGE 75%",
+		0:    ", COVERAGE 0%",
+	} {
+		if got := coverageNote(&pier.Result{Coverage: cov}); got != want {
+			t.Errorf("coverage %v: note %q, want %q", cov, got, want)
 		}
 	}
 }

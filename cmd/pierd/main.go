@@ -3,13 +3,13 @@
 // with a line-oriented JSON protocol (one request object per line,
 // responses matched by id, subscription windows pushed as events).
 //
-// Start a bootstrap node serving clients on :7070:
+// Start a bootstrap node of a two-node cluster serving clients on :7070:
 //
-//	pierd -listen 127.0.0.1:7000 -serve 127.0.0.1:7070
+//	pierd -listen 127.0.0.1:7000 -serve 127.0.0.1:7070 -members 2
 //
 // Join more nodes (each is also a front door):
 //
-//	pierd -listen 127.0.0.1:7001 -serve 127.0.0.1:7071 -join 127.0.0.1:7000
+//	pierd -listen 127.0.0.1:7001 -serve 127.0.0.1:7071 -join 127.0.0.1:7000 -members 2
 //
 // Talk to it with anything that can write JSON lines, e.g.:
 //
@@ -62,10 +62,9 @@ func main() {
 	maxSubs := flag.Int("max-subscriptions", 256, "concurrently live continuous subscriptions")
 	cacheSize := flag.Int("plan-cache", engine.DefaultPlanCacheSize, "plan cache capacity (compiled statements)")
 	sharedScans := flag.Bool("shared-scans", true, "serve concurrent identical continuous queries from one scan/window pipeline")
-	members := flag.Int("members", 0, "expected cluster size: enables deterministic EOS completion for one-shot queries (0 = quiescence timer only)")
+	members := flag.Int("members", 0, "expected cluster size, counting every pier and pierd node (required): one-shot queries complete when every member's end-of-scan ledger is in")
 	joinMem := flag.String("join-mem", "0", "per-stage join build-state memory budget, e.g. 64kb or 1mb (0 = unlimited, never spill)")
 	spillDir := flag.String("spill-dir", "", "directory for join spill temp files (default: the system temp dir)")
-	switchFactor := flag.Float64("switch-factor", 0, "switch a fetch-matches join to rehashing mid-flight when observed rows exceed the estimate by this factor (0 = default 4, negative = never switch)")
 	slowQuery := flag.Duration("slow-query", time.Second, "log completed queries slower than this into the event ring (negative disables)")
 	pprofAddr := flag.String("pprof", "", "optional net/http/pprof listen address, e.g. 127.0.0.1:6060 (empty disables)")
 	flag.Parse()
@@ -83,7 +82,6 @@ func main() {
 	}
 	cfg := pier.Config{Members: *members}
 	cfg.SpillDir = *spillDir
-	cfg.SwitchFactor = *switchFactor
 	if cfg.JoinMemBudget, err = pier.ParseMemSize(*joinMem); err != nil {
 		log.Fatal(err)
 	}

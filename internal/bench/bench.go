@@ -392,6 +392,8 @@ type JoinResult struct {
 	Strategy string
 	Msgs     uint64
 	Bytes    uint64
+	// Rehashed sums Metrics.JoinTuplesRehashed over the cluster.
+	Rehashed uint64
 	Rows     int
 }
 
@@ -401,15 +403,6 @@ type JoinResult struct {
 func JoinStrategies(n, leftPerNode, rightTotal int, matchFrac float64, seed int64) ([]JoinResult, error) {
 	if n == 0 {
 		n = 16
-	}
-	if leftPerNode == 0 {
-		leftPerNode = 10
-	}
-	if rightTotal == 0 {
-		rightTotal = 600
-	}
-	if matchFrac == 0 {
-		matchFrac = 0.1
 	}
 	leftSchema := tuple.MustSchema("l", []tuple.Column{
 		{Name: "node", Type: tuple.TString},
@@ -473,7 +466,11 @@ func JoinStrategies(n, leftPerNode, rightTotal int, matchFrac float64, seed int6
 			return JoinResult{}, err
 		}
 		stats := cluster.Net.Stats()
-		return JoinResult{Strategy: strategy, Msgs: stats.Sent, Bytes: stats.BytesSent, Rows: len(res.Rows)}, nil
+		out := JoinResult{Strategy: strategy, Msgs: stats.Sent, Bytes: stats.BytesSent, Rows: len(res.Rows)}
+		for _, nd := range cluster.Nodes {
+			out.Rehashed += nd.Metrics.JoinTuplesRehashed.Load()
+		}
+		return out, nil
 	}
 
 	var out []JoinResult

@@ -154,13 +154,6 @@ type Store struct {
 
 	metrics Metrics
 
-	// onStored/onExpired observe the local primary partition: every
-	// newly stored primary item and every expired one (never replicas,
-	// never renewals) — the feed for incremental statistics sketches.
-	hookMu    sync.RWMutex
-	onStored  func(ns string, payload []byte)
-	onExpired func(ns string, payload []byte)
-
 	stopCh    chan struct{}
 	stopOnce  sync.Once
 	wg        sync.WaitGroup
@@ -228,36 +221,6 @@ func New(router overlay.Router, peer *rpc.Peer, cfg Config, prev overlay.Deliver
 	go s.sweepLoop()
 	go s.republishLoop()
 	return s
-}
-
-// SetHooks registers partition observers: stored fires for every new
-// primary item (including replica promotions), expired for every
-// primary item the sweep removes. Renewals and replica copies never
-// fire. Hooks run off the store's lock but on its delivery/sweep
-// goroutines, so they must be fast and non-blocking.
-func (s *Store) SetHooks(stored, expired func(ns string, payload []byte)) {
-	s.hookMu.Lock()
-	s.onStored = stored
-	s.onExpired = expired
-	s.hookMu.Unlock()
-}
-
-func (s *Store) fireStored(ns string, payload []byte) {
-	s.hookMu.RLock()
-	fn := s.onStored
-	s.hookMu.RUnlock()
-	if fn != nil {
-		fn(ns, payload)
-	}
-}
-
-func (s *Store) fireExpired(ns string, payload []byte) {
-	s.hookMu.RLock()
-	fn := s.onExpired
-	s.hookMu.RUnlock()
-	if fn != nil {
-		fn(ns, payload)
-	}
 }
 
 // Stop halts background maintenance. It does not close the router.
@@ -351,7 +314,6 @@ func (s *Store) storeLocal(ns string, rid id.ID, payload []byte, expires time.Ti
 		subs := append([]SubscribeFunc(nil), s.subs[ns]...)
 		s.mu.Unlock()
 		s.metrics.Renewed.Add(1)
-		s.fireStored(ns, it.payload) // replica promoted: first time counted as primary
 		item := Item{Namespace: ns, Resource: rid, Payload: it.payload, Expires: expires}
 		for _, fn := range subs {
 			fn(item)
@@ -371,7 +333,6 @@ func (s *Store) storeLocal(ns string, rid id.ID, payload []byte, expires time.Ti
 	subs := append([]SubscribeFunc(nil), s.subs[ns]...)
 	s.mu.Unlock()
 	s.metrics.StoredNew.Add(1)
-	s.fireStored(ns, payload)
 	item := Item{Namespace: ns, Resource: rid, Payload: payload, Expires: expires}
 	for _, fn := range subs {
 		fn(item)
@@ -485,7 +446,6 @@ func (s *Store) storeLocalPinned(ns string, rid id.ID, payload []byte, expires t
 	subs := append([]SubscribeFunc(nil), s.subs[ns]...)
 	s.mu.Unlock()
 	s.metrics.StoredNew.Add(1)
-	s.fireStored(ns, payload)
 	item := Item{Namespace: ns, Resource: rid, Payload: payload, Expires: expires}
 	for _, fn := range subs {
 		fn(item)
@@ -609,20 +569,12 @@ func (s *Store) sweepLoop() {
 			return
 		case <-t.C:
 			now := time.Now()
-			type gone struct {
-				ns      string
-				payload []byte
-			}
-			var expired []gone
 			s.mu.Lock()
 			for ns, m := range s.items {
 				for key, it := range m {
 					if now.After(it.expires) {
 						delete(m, key)
 						s.metrics.Expired.Add(1)
-						if !it.replica {
-							expired = append(expired, gone{ns, it.payload})
-						}
 					}
 				}
 				if len(m) == 0 {
@@ -630,9 +582,6 @@ func (s *Store) sweepLoop() {
 				}
 			}
 			s.mu.Unlock()
-			for _, g := range expired {
-				s.fireExpired(g.ns, g.payload)
-			}
 		}
 	}
 }

@@ -39,6 +39,11 @@ func newTestCluster(t *testing.T, n int, seed int64) *piertest.Cluster {
 	return newTestClusterNet(t, n, seed, nil, nil)
 }
 
+// slowNet delays every message 40ms, so a one-shot query over four
+// nodes takes hundreds of milliseconds: long enough to hold an
+// admission slot or to be cancelled in flight.
+var slowNet = &simnet.Config{MinLatency: 40 * time.Millisecond}
+
 func newTestClusterNet(t *testing.T, n int, seed int64, cfg *pier.Config, netCfg *simnet.Config) *piertest.Cluster {
 	t.Helper()
 	c, err := piertest.New(piertest.Options{N: n, Seed: seed, NodeCfg: cfg, NetCfg: netCfg})
@@ -290,13 +295,7 @@ func TestPreparedExec(t *testing.T) {
 // TestAdmissionControl exercises all three outcomes: admitted,
 // queued-then-timeout, and shed on arrival.
 func TestAdmissionControl(t *testing.T) {
-	c := newTestCluster(t, 4, 13)
-	// Force quiet-timer completion so the slot-holder stays busy for
-	// >= 250ms; under EOS it would release the slot before the queue
-	// ever fills.
-	for _, nd := range c.Nodes {
-		nd.SetMembers(0)
-	}
+	c := newTestClusterNet(t, 4, 13, nil, slowNet)
 	svc := New(c.Nodes[0], Config{
 		MaxInFlight:  1,
 		MaxQueued:    1,
@@ -306,8 +305,8 @@ func TestAdmissionControl(t *testing.T) {
 	sess := svc.Open()
 	defer sess.Close()
 
-	// Quiescence keeps a one-shot busy for >= 250ms, so the slot is
-	// held long past the 100ms queue timeout.
+	// The slow network keeps a one-shot COUNT(*) busy for ≈400ms, so
+	// the slot is held long past the 100ms queue timeout.
 	first := make(chan error, 1)
 	go func() {
 		_, err := sess.Query(context.Background(), "SELECT COUNT(*) FROM traffic")
@@ -342,13 +341,9 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 func TestSessionCloseCancelsInFlight(t *testing.T) {
-	c := newTestCluster(t, 4, 14)
-	// Quiet-timer completion keeps the query in flight long enough for
-	// the close below to race it; under EOS it would finish before the
-	// 30ms sleep and there would be nothing to cancel.
-	for _, nd := range c.Nodes {
-		nd.SetMembers(0)
-	}
+	// The slow network keeps the query in flight long past the 30ms
+	// sleep, so the close below has something to cancel.
+	c := newTestClusterNet(t, 4, 14, nil, slowNet)
 	svc := New(c.Nodes[0], Config{})
 	defer svc.Close()
 	sess := svc.Open()

@@ -533,7 +533,7 @@ func TestMarkersCarryNoRows(t *testing.T) {
 		"limit":           Limit(3),
 		"collect":         Collect(&collected),
 		"fan-out":         fo.Op(),
-		"sketch-build":    SketchBuild(stats.NewTableSketch("t", []string{"a", "b"}), 1),
+		"sketch-build":    SketchBuild(stats.NewTableSketch("t", []string{"a", "b"})),
 		"sketch-merge":    SketchMerge(func(string, []byte) error { called++; return nil }),
 	}
 	markers := []dataflow.Msg{dataflow.PunctMsg(1, time.Now()), dataflow.DrainMsg(2)}

@@ -18,18 +18,10 @@ import (
 // other role, so the gather inherits parallel partitioned scans and
 // operator instrumentation for free.
 
-// SketchBuild folds tuples into a table sketch. sampleEvery > 1 runs
-// the sampled pass: every tuple is counted (rows stay exact), but
-// only every sampleEvery-th feeds the distinct counters and the row
-// sample — the cheap ANALYZE for very large partitions, trading
-// distinct accuracy on high-cardinality columns.
-func SketchBuild(sk *stats.TableSketch, sampleEvery int) OpFunc {
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
+// SketchBuild folds every tuple into a table sketch.
+func SketchBuild(sk *stats.TableSketch) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			n := 0
 			for m := range dataflow.Merge(ctx, ins) {
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
@@ -38,12 +30,7 @@ func SketchBuild(sk *stats.TableSketch, sampleEvery int) OpFunc {
 				c.RecvRows(len(m.Batch))
 				start := time.Now()
 				for _, t := range m.Batch {
-					if n%sampleEvery == 0 {
-						sk.Add(t)
-					} else {
-						sk.AddRowOnly()
-					}
-					n++
+					sk.Add(t)
 				}
 				c.Busy(start)
 				dataflow.PutBatch(m.Batch)
@@ -85,11 +72,11 @@ func SketchMerge(merge func(table string, enc []byte) error) OpFunc {
 // one table: scan the local partition (parallel partitioned, like any
 // scan; every column, as the sketch measures them all) into a
 // sketch-build sink.
-func CompileStatsGather(ns string, arity int, env *Env, sampleEvery int, sk *stats.TableSketch) *Pipeline {
+func CompileStatsGather(ns string, arity int, env *Env, sk *stats.TableSketch) *Pipeline {
 	p := NewPipeline("stats-gather")
 	p.SetDetail(false)
 	src := p.Add("stats-scan", env.scanSource(&plan.ScanSpec{Namespace: ns, Stored: arity, Cols: identityCols(arity)}))
-	sb := p.Add("sketch-build", SketchBuild(sk, sampleEvery))
+	sb := p.Add("sketch-build", SketchBuild(sk))
 	p.Connect(src, sb)
 	return p
 }

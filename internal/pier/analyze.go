@@ -50,10 +50,19 @@ const (
 	// gossip round (plus one digest routed to a random key for
 	// epidemic mixing across the ring).
 	statsGossipFanout = 2
-	// analyzeSampleEvery is the ANALYZE scan's sampling stride as sent
-	// in every stats-gather request: 1 feeds every tuple to the
-	// distinct counters and the row sample.
-	analyzeSampleEvery = 1
+	// statsGossipEvery is the stats-digest gossip period (simulation
+	// scale).
+	statsGossipEvery = 250 * time.Millisecond
+
+	// statsDriftFactor arms drift-triggered auto re-ANALYZE: when a
+	// table's live local row count grows past factor× (or shrinks below
+	// 1/factor of) the count recorded at its last ANALYZE, the node
+	// re-runs ANALYZE for that table.
+	statsDriftFactor = 4
+	// statsDriftCheckEvery is the drift check period.
+	statsDriftCheckEvery = 500 * time.Millisecond
+	// statsDriftMinInterval rate-limits auto re-ANALYZE per table.
+	statsDriftMinInterval = 10 * time.Second
 )
 
 // AnalyzedTable is one table's merged, network-wide measurement.
@@ -145,14 +154,14 @@ func (n *Node) Analyze(ctx context.Context, tables ...string) (*AnalyzeResult, e
 		n.gatherMu.Unlock()
 	}()
 
-	if err := n.router.Broadcast(tagAnalyzeQ, encodeAnalyzeMsg(qid, n.Addr(), n.cfg, tables)); err != nil {
+	if err := n.router.Broadcast(tagAnalyzeQ, encodeAnalyzeMsg(qid, n.Addr(), tables)); err != nil {
 		g.in.Close()
 		_ = run.Wait()
 		return nil, fmt.Errorf("pier: disseminating analyze: %w", err)
 	}
 
-	// Completion: with Members set the gather finishes the moment
-	// every expected member has answered — a node's answer is marked
+	// Completion: the gather finishes the moment every expected
+	// member has answered — a node's answer is marked
 	// only after all of its sketches entered the merge inlet, so the
 	// count can never close the inlet mid-batch. The doubled-Quiet
 	// quiescence horizon stays as the fallback for churn and loss
@@ -188,10 +197,10 @@ func (n *Node) Analyze(ctx context.Context, tables ...string) (*AnalyzeResult, e
 		// A member suspected mid-gather (by a concurrently running
 		// query's heartbeat detector) shrinks the expected count;
 		// shrink only, so late rehabilitation never un-completes us.
-		if m := n.EffectiveMembers(); m > 0 && m < members {
+		if m := n.EffectiveMembers(); m < members {
 			members = m
 		}
-		if members > 0 && answered >= members {
+		if answered >= members {
 			reason = ReasonEOS
 			break
 		}
@@ -238,12 +247,10 @@ func (n *Node) Analyze(ctx context.Context, tables ...string) (*AnalyzeResult, e
 }
 
 // encodeAnalyzeMsg frames a stats-gather request.
-func encodeAnalyzeMsg(qid uint64, coord string, cfg Config, tables []string) []byte {
+func encodeAnalyzeMsg(qid uint64, coord string, tables []string) []byte {
 	w := wire.NewWriter(64)
 	w.Uint64(qid)
 	w.String(coord)
-	w.Bool(cfg.AnalyzeFromSketches)
-	w.Uvarint(analyzeSampleEvery)
 	w.Uvarint(uint64(len(tables)))
 	for _, t := range tables {
 		w.String(t)
@@ -251,12 +258,10 @@ func encodeAnalyzeMsg(qid uint64, coord string, cfg Config, tables []string) []b
 	return w.Bytes()
 }
 
-func decodeAnalyzeMsg(payload []byte) (qid uint64, coord string, incremental bool, sampleEvery int, tables []string, err error) {
+func decodeAnalyzeMsg(payload []byte) (qid uint64, coord string, tables []string, err error) {
 	r := wire.NewReader(payload)
 	qid = r.Uint64()
 	coord = r.String()
-	incremental = r.Bool()
-	sampleEvery = int(r.Uvarint())
 	count := int(r.Uvarint())
 	if count > maxAnalyzeTables {
 		err = fmt.Errorf("pier: analyze request for %d tables", count)
@@ -272,33 +277,19 @@ func decodeAnalyzeMsg(payload []byte) (qid uint64, coord string, incremental boo
 // answerAnalyze is the participant side of the stats-gather role:
 // sketch every requested table this node knows, then ship the batch
 // of per-partition sketches to the coordinator in one RPC.
-func (n *Node) answerAnalyze(qid uint64, coord string, incremental bool, sampleEvery int, tables []string) {
+func (n *Node) answerAnalyze(qid uint64, coord string, tables []string) {
 	var out []sketchEntry
 	for _, table := range tables {
 		tbl, ok := n.cat.Lookup(table)
 		if !ok {
 			continue // tables are declared per-node; skip unknown ones
 		}
-		var sk *stats.TableSketch
-		if incremental {
-			sk = n.localStats.Snapshot(table)
-		}
-		if sk == nil {
-			// Rebuild from a partitioned scan of the live partition —
-			// the authoritative pass that also repairs the incremental
-			// sketch's soft-state drift. Reset first so items stored
-			// while the scan runs accumulate in the fresh sketch, then
-			// absorb the scan result: a racing arrival can count twice
-			// (drift-high, repaired by the next rebuild) but is never
-			// silently lost.
-			sk = stats.NewTableSketch(table, baseColumnNames(tbl.Schema))
-			env := &physical.Env{Scan: n.scanPayloads, BatchSize: n.cfg.BatchSize}
-			n.localStats.Reset(table)
-			pipe := physical.CompileStatsGather(tbl.Namespace, tbl.Schema.Arity(), env, sampleEvery, sk)
-			if err := pipe.Run(context.Background()); err != nil {
-				continue
-			}
-			n.localStats.Absorb(table, sk)
+		// Sketch a partitioned scan of the live partition.
+		sk := stats.NewTableSketch(table, baseColumnNames(tbl.Schema))
+		env := &physical.Env{Scan: n.scanPayloads, BatchSize: n.cfg.BatchSize}
+		pipe := physical.CompileStatsGather(tbl.Namespace, tbl.Schema.Arity(), env, sk)
+		if err := pipe.Run(context.Background()); err != nil {
+			continue
 		}
 		out = append(out, sketchEntry{table: table, enc: sk.Bytes()})
 		// Re-baseline the drift trigger at the freshly measured local
@@ -452,7 +443,7 @@ func (n *Node) statsGossipLoop() {
 	defer n.wg.Done()
 	selfHash := id.HashString(n.Addr())
 	rng := rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(selfHash[:8])) ^ time.Now().UnixNano()))
-	t := time.NewTicker(n.cfg.StatsGossipEvery)
+	t := time.NewTicker(statsGossipEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -499,19 +490,19 @@ func (n *Node) onStatsGossip(payload []byte) {
 // ---------------------------------------------------------------------------
 // Drift-triggered re-ANALYZE
 
-// statsDriftLoop watches the incremental local sketches for drift
-// away from the last measured baseline and re-issues ANALYZE for the
+// statsDriftLoop watches the live local row counts for drift away
+// from the last measured baseline and re-issues ANALYZE for the
 // drifted table. The baseline is the local partition's row count at
-// the last rebuild (recorded in answerAnalyze, so any node's ANALYZE
+// the last ANALYZE (recorded in answerAnalyze, so any node's ANALYZE
 // re-baselines every node): when the live count moves past
-// StatsDriftFactor times the baseline in either direction, the
+// statsDriftFactor times the baseline in either direction, the
 // optimizer is planning against numbers that are off by the same
 // factor, and a fresh measurement is worth its scan. Triggers are
-// rate-limited per table by StatsDriftMinInterval; tables never
+// rate-limited per table by statsDriftMinInterval; tables never
 // analyzed have no baseline and never trigger.
 func (n *Node) statsDriftLoop() {
 	defer n.wg.Done()
-	t := time.NewTicker(n.cfg.StatsDriftCheckEvery)
+	t := time.NewTicker(statsDriftCheckEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -535,33 +526,32 @@ func (n *Node) statsDriftLoop() {
 // drifted beyond the factor from the measured baseline, marking their
 // rate-limit stamps so concurrent checks never double-trigger.
 func (n *Node) driftedTables() []string {
-	factor := n.cfg.StatsDriftFactor
 	n.driftMu.Lock()
 	bases := make(map[string]int64, len(n.driftBase))
 	for t, b := range n.driftBase {
-		if time.Since(n.driftLast[t]) >= n.cfg.StatsDriftMinInterval {
+		if time.Since(n.driftLast[t]) >= statsDriftMinInterval {
 			bases[t] = b
 		}
 	}
 	n.driftMu.Unlock()
 	var out []string
 	for table, base := range bases {
-		sk := n.localStats.Snapshot(table)
-		if sk == nil {
+		tbl, ok := n.cat.Lookup(table)
+		if !ok {
 			continue
 		}
-		cur, ref := float64(sk.Rows), float64(base)
+		cur, ref := float64(n.store.Count(tbl.Namespace)), float64(base)
 		if ref < 1 {
 			ref = 1
 		}
 		if cur < 1 {
 			cur = 1
 		}
-		if cur/ref <= factor && ref/cur <= factor {
+		if cur/ref <= statsDriftFactor && ref/cur <= statsDriftFactor {
 			continue
 		}
 		n.driftMu.Lock()
-		if time.Since(n.driftLast[table]) >= n.cfg.StatsDriftMinInterval {
+		if time.Since(n.driftLast[table]) >= statsDriftMinInterval {
 			n.driftLast[table] = time.Now()
 			out = append(out, table)
 		}
@@ -576,7 +566,9 @@ func (n *Node) driftedTables() []string {
 
 // analyzeStatement runs an ANALYZE statement and renders the measured
 // stats as result rows: one per (table, column) with the table's row
-// count, plus a single row for tables without distinct columns.
+// count, plus a single row for tables without distinct columns. Every
+// answering member scanned its partition of every table, so coverage
+// is the answered share of the members.
 func (n *Node) analyzeStatement(ctx context.Context, stmt []string) (*Result, error) {
 	start := time.Now()
 	res, err := n.Analyze(ctx, stmt...)
@@ -584,12 +576,15 @@ func (n *Node) analyzeStatement(ctx context.Context, stmt []string) (*Result, er
 		return nil, err
 	}
 	out := &Result{
-		Columns:      []string{"table", "rows", "column", "distinct"},
-		Duration:     time.Since(start),
-		Participants: res.Participants,
-		Reason:       res.Reason,
+		Columns:         []string{"table", "rows", "column", "distinct"},
+		Duration:        time.Since(start),
+		Participants:    res.Participants,
+		Reason:          res.Reason,
+		Coverage:        min(1, float64(res.Participants)/float64(n.Members())),
+		CoverageByTable: make(map[string]float64, len(res.Tables)),
 	}
 	for _, t := range res.Tables {
+		out.CoverageByTable[t.Table] = out.Coverage
 		cols := make([]string, 0, len(t.Distinct))
 		for c := range t.Distinct {
 			cols = append(cols, c)
@@ -623,7 +618,7 @@ func baseColumnNames(sch *tuple.Schema) []string {
 // onAnalyzeBroadcast dispatches a stats-gather request off the
 // overlay dispatch goroutine.
 func (n *Node) onAnalyzeBroadcast(from overlay.Node, payload []byte) {
-	qid, coord, incremental, sampleEvery, tables, err := decodeAnalyzeMsg(payload)
+	qid, coord, tables, err := decodeAnalyzeMsg(payload)
 	if err != nil {
 		return
 	}
@@ -638,6 +633,6 @@ func (n *Node) onAnalyzeBroadcast(from overlay.Node, payload []byte) {
 	}
 	go func() {
 		defer n.wg.Done()
-		n.answerAnalyze(qid, coord, incremental, sampleEvery, tables)
+		n.answerAnalyze(qid, coord, tables)
 	}()
 }

@@ -67,9 +67,7 @@ func seedAnalyzeTables(t *testing.T, cluster *piertest.Cluster, perNode, rightRo
 // annotates EXPLAIN, and gossip converges other nodes to the same
 // estimates without them issuing ANALYZE.
 func TestAnalyzeMeasuresAndGossips(t *testing.T) {
-	cfg := piertest.FastConfig()
-	cfg.StatsGossipEvery = 50 * time.Millisecond
-	cluster, err := piertest.New(piertest.Options{N: 8, Seed: 1, NodeCfg: &cfg})
+	cluster, err := piertest.New(piertest.Options{N: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,6 +166,9 @@ func TestAnalyzeSQLStatement(t *testing.T) {
 	if len(res.Columns) != 4 || res.Columns[0] != "table" {
 		t.Fatalf("columns %v", res.Columns)
 	}
+	if res.Reason != "eos" || res.Coverage != 1 || res.CoverageByTable["l"] != 1 {
+		t.Fatalf("reason %q coverage %v %v, want eos and full coverage", res.Reason, res.Coverage, res.CoverageByTable)
+	}
 	found := false
 	for _, row := range res.Rows {
 		if row[0].S == "l" && row[2].S == "k" {
@@ -182,34 +183,5 @@ func TestAnalyzeSQLStatement(t *testing.T) {
 	}
 	if _, err := cluster.Nodes[2].Query(context.Background(), "ANALYZE nosuch"); err == nil {
 		t.Fatal("ANALYZE of unknown table succeeded")
-	}
-}
-
-// TestAnalyzeIncremental: with AnalyzeFromSketches, participants
-// answer from the incrementally maintained sketches (fed by the DHT
-// store hooks) without rescanning.
-func TestAnalyzeIncremental(t *testing.T) {
-	cfg := piertest.FastConfig()
-	cfg.AnalyzeFromSketches = true
-	cluster, err := piertest.New(piertest.Options{N: 4, Seed: 3, NodeCfg: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	seedAnalyzeTables(t, cluster, 20, 40)
-
-	res, err := cluster.Nodes[0].Analyze(context.Background(), "l", "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	byTable := map[string]int64{}
-	for _, tb := range res.Tables {
-		byTable[tb.Table] = tb.Rows
-	}
-	if byTable["l"] != int64(20*len(cluster.Nodes)) {
-		t.Fatalf("incremental l rows %d, want %d", byTable["l"], 20*len(cluster.Nodes))
-	}
-	if byTable["r"] != 40 {
-		t.Fatalf("incremental r rows %d, want 40", byTable["r"])
 	}
 }

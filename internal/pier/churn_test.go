@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/simnet"
 	"repro/internal/tuple"
 )
 
@@ -20,7 +21,6 @@ import (
 func TestCrashBeforeQueryDegradesCoverage(t *testing.T) {
 	const n = 8
 	nodes, net := cluster(t, n, 901)
-	setMembers(nodes, n)
 	defineEverywhere(t, nodes, trafficSchema, time.Minute)
 	for i, nd := range nodes {
 		if err := nd.PublishLocal("traffic", tuple32(nd.Addr(), float64(i+1))); err != nil {
@@ -66,7 +66,6 @@ func TestCrashBeforeQueryDegradesCoverage(t *testing.T) {
 // underclaims a provably complete result.
 func TestNoChurnFullCoverage(t *testing.T) {
 	nodes, _ := cluster(t, 6, 902)
-	setMembers(nodes, 6)
 	defineEverywhere(t, nodes, trafficSchema, time.Minute)
 	for i, nd := range nodes {
 		if err := nd.PublishLocal("traffic", tuple32(nd.Addr(), float64(i+1))); err != nil {
@@ -88,23 +87,19 @@ func TestNoChurnFullCoverage(t *testing.T) {
 	}
 }
 
-// TestCoverageUntrackedMembers: without a configured member count
-// there is no denominator — coverage must report untracked (zero, nil
-// map), never a made-up fraction.
-func TestCoverageUntrackedMembers(t *testing.T) {
-	nodes, _ := cluster(t, 4, 903)
-	defineEverywhere(t, nodes, trafficSchema, time.Minute)
-	for i, nd := range nodes {
-		if err := nd.PublishLocal("traffic", tuple32(nd.Addr(), float64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := nodes[1].Query(context.Background(), "SELECT node, rate FROM traffic")
+// TestNewNodeRequiresMembers: the member count is the denominator of
+// EOS completion and of coverage, so a node without one is refused
+// rather than left to end every query on a timer.
+func TestNewNodeRequiresMembers(t *testing.T) {
+	net := simnet.New(simnet.Config{Seed: 903})
+	defer net.Close()
+	ep, err := net.Endpoint("node0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Coverage != 0 || res.CoverageByTable != nil {
-		t.Fatalf("untracked cluster reported coverage %v / %v", res.Coverage, res.CoverageByTable)
+	if nd, err := NewNode(ep, testNodeConfig()); err == nil {
+		nd.Stop()
+		t.Fatal("NewNode accepted Members 0")
 	}
 }
 
@@ -116,7 +111,6 @@ func TestCoverageUntrackedMembers(t *testing.T) {
 func TestCrashMidQueryCompletes(t *testing.T) {
 	const n = 8
 	nodes, net := cluster(t, n, 904)
-	setMembers(nodes, n)
 	defineEverywhere(t, nodes, trafficSchema, time.Minute)
 	for i, nd := range nodes {
 		if err := nd.PublishLocal("traffic", tuple32(nd.Addr(), float64(i+1))); err != nil {
@@ -158,7 +152,6 @@ func TestCrashMidQueryCompletes(t *testing.T) {
 func TestRecursiveCrashedMemberSaysSo(t *testing.T) {
 	const n = 8
 	nodes, net := cluster(t, n, 906)
-	setMembers(nodes, n)
 	defineEverywhere(t, nodes, linkSchema, time.Minute)
 	// A chain v0 -> v1 -> ... -> v8, one link per node's partition (the
 	// coordinator holds two).
@@ -204,7 +197,6 @@ func TestRecursiveCrashedMemberSaysSo(t *testing.T) {
 func TestAnalyzeRescalesOnSuspicion(t *testing.T) {
 	const n = 6
 	nodes, net := cluster(t, n, 905)
-	setMembers(nodes, n)
 	defineEverywhere(t, nodes, trafficSchema, time.Minute)
 	for i, nd := range nodes {
 		if err := nd.PublishLocal("traffic", tuple32(nd.Addr(), float64(i+1))); err != nil {

@@ -22,8 +22,8 @@ const (
 	// ReasonEOS: every expected member reported end-of-scan and the
 	// network-wide record books reconciled — the result is complete.
 	ReasonEOS = "eos"
-	// ReasonQuietTimeout: the quiescence fallback fired (EOS disabled,
-	// or churn/loss kept the books from reconciling).
+	// ReasonQuietTimeout: the quiescence fallback fired (churn or loss
+	// kept the books from reconciling).
 	ReasonQuietTimeout = "quiet-timeout"
 	// ReasonDeadline: MaxQueryLife expired with traffic still flowing.
 	ReasonDeadline = "deadline"
@@ -57,11 +57,10 @@ type Result struct {
 	// provably covered: served partitions over members × scanned
 	// tables. 1.0 exactly when the query completed via EOS (the
 	// result is then byte-identical to a stable-network run); < 1
-	// when partitions were lost to churn; 0 when coverage is
-	// untracked (Members unset).
+	// when partitions were lost to churn; 0 when no partition was
+	// covered.
 	Coverage float64
-	// CoverageByTable breaks Coverage down per scanned table (nil
-	// when untracked).
+	// CoverageByTable breaks Coverage down per scanned table.
 	CoverageByTable map[string]float64
 	// Analysis holds the network-wide per-operator counters when the
 	// plan was compiled with Analyze (nil otherwise).
@@ -195,8 +194,8 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	q.spans.End(dissSpan)
 	waitSpan := q.spans.Start("wait")
 
-	// Completion: with Members set, drive the deterministic EOS
-	// protocol — wait for every member's end-of-scan ledger, issue
+	// Completion: drive the deterministic EOS protocol — wait for
+	// every member's end-of-scan ledger, issue
 	// drain rounds until the network-wide books balance and stop
 	// moving, and finish the instant they do. Under churn, members
 	// that miss SuspectAfter heartbeats are excluded from the
@@ -207,7 +206,7 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	// quiescence timer stays underneath as the last-resort fallback
 	// (pure message loss), and MaxQueryLife (plus the caller's
 	// context) bounds everything.
-	eosOn := members > 0 && q.eos != nil
+	eosOn := true
 	suspectWin := time.Duration(n.cfg.SuspectAfter) * n.cfg.HeartbeatEvery
 	// Grace before inferring churn: every live member needs time to
 	// land its first heartbeat ledger after the query broadcast — which
@@ -367,7 +366,7 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 		// A query that gave up waiting under EOS says which channels'
 		// books (kind.stage.side:sent/recv) never balanced.
 		books := ""
-		if members > 0 && q.eos != nil && reason != ReasonChurnDegraded {
+		if reason != ReasonChurnDegraded {
 			books = " books=" + q.eosStatus(issuedRound, suspects).canon
 		}
 		n.events.Emit(obs.SevWarn, obs.EvQueryDegraded, qid,
@@ -393,12 +392,8 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	return res, nil
 }
 
-// coverageLine renders the EXPLAIN ANALYZE coverage annotation ("" when
-// coverage is untracked).
+// coverageLine renders the EXPLAIN ANALYZE coverage annotation.
 func coverageLine(cov float64, byTable map[string]float64, members int) string {
-	if members <= 0 || byTable == nil {
-		return ""
-	}
 	line := fmt.Sprintf("coverage: %.0f%%", cov*100)
 	if cov < 1 {
 		tables := make([]string, 0, len(byTable))
@@ -427,9 +422,6 @@ func coverageLine(cov float64, byTable map[string]float64, members int) string {
 // or never reported contribute nothing, which is exactly the honesty
 // the dilated-snapshot semantics call for.
 func (q *queryState) coverage(reason string, members int, suspects map[string]bool) (float64, map[string]float64) {
-	if members <= 0 || len(q.spec.Scans) == 0 || q.eos == nil {
-		return 0, nil // untracked
-	}
 	tables := make([]string, 0, len(q.spec.Scans))
 	for i := range q.spec.Scans {
 		tables = append(tables, q.spec.Scans[i].Table)

@@ -9,7 +9,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -134,6 +136,83 @@ func TestDrainRoundsPerStatement(t *testing.T) {
 				rounds := readings(5, func() float64 { return eosQuery(t, cl.Nodes[3], st.sql, want) })[0]
 				if rounds > st.maxRounds {
 					t.Errorf("%s: %v drain rounds (least of 5), want ≤ %v", st.sql, rounds, st.maxRounds)
+				}
+			}
+		})
+	}
+}
+
+// TestEOSMatchesQuietBaseline is the property test: for every
+// vectorization width, results completed by EOS must be byte-identical
+// to the centralized baseline's on the same data — deterministic
+// completion may be early, never lossy. The distributed queries run
+// concurrently to exercise per-query ledger isolation.
+func TestEOSMatchesQuietBaseline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one cluster per batch size")
+	}
+	queries := []string{
+		"SELECT node, rate FROM traffic",
+		"SELECT rate * 2 AS d FROM traffic WHERE rate > 3",
+		"SELECT COUNT(*) FROM traffic",
+		"SELECT rule, SUM(hits) AS total, COUNT(*) AS n FROM alerts GROUP BY rule",
+		// Not traffic ⋈ alerts: traffic's key is the join column, so the
+		// planner would probe it by key in the DHT, where rows published
+		// to local partitions are not placed.
+		"SELECT a.node, b.hits FROM alerts a JOIN alerts b ON a.node = b.node WHERE a.rule = 1 AND b.rule = 2",
+	}
+	for _, bs := range []int{1, 7, 256} {
+		bs := bs
+		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
+			cl := spillCluster(t, 6, 21, func(cfg *pier.Config) { cfg.BatchSize = bs })
+			nodes := cl.Nodes
+			for i, nd := range nodes {
+				for _, s := range []*tuple.Schema{drainTraffic, drainAlerts} {
+					if err := nd.DefineTable(s, time.Minute); err != nil {
+						t.Fatal(err)
+					}
+				}
+				addr := tuple.String(nd.Addr())
+				err := nd.PublishLocal("traffic", tuple.Tuple{addr, tuple.Float(float64(i + 1))})
+				if err == nil {
+					err = nd.PublishLocal("alerts", tuple.Tuple{addr, tuple.Int(1), tuple.Int(int64(i + 1))})
+				}
+				if err == nil {
+					err = nd.PublishLocal("alerts", tuple.Tuple{addr, tuple.Int(2), tuple.Int(10)})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			bl := centralizedBaseline(nodes)
+			want := make([][]string, len(queries))
+			for i, q := range queries {
+				ref, err := bl.QuerySQL(context.Background(), q, 300*time.Millisecond)
+				if err != nil {
+					t.Fatalf("baseline %q: %v", q, err)
+				}
+				want[i] = encodeSorted(ref.Rows)
+			}
+			results := make([]*pier.Result, len(queries))
+			errs := make([]error, len(queries))
+			var wg sync.WaitGroup
+			for i, q := range queries {
+				wg.Add(1)
+				go func(i int, q string) {
+					defer wg.Done()
+					results[i], errs[i] = nodes[i%len(nodes)].Query(context.Background(), q)
+				}(i, q)
+			}
+			wg.Wait()
+			for i, q := range queries {
+				if errs[i] != nil {
+					t.Fatalf("%q: %v", q, errs[i])
+				}
+				if results[i].Reason != pier.ReasonEOS {
+					t.Errorf("%q completed by %q, want %q", q, results[i].Reason, pier.ReasonEOS)
+				}
+				if got := encodeSorted(results[i].Rows); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%q: %d rows differ from the centralized baseline's %d", q, len(got), len(want[i]))
 				}
 			}
 		})

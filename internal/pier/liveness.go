@@ -72,12 +72,9 @@ func (n *Node) suspectCount() int {
 
 // EffectiveMembers is Members minus currently suspected members —
 // what a gather should actually wait for under churn. Never below 1
-// when Members is set (this node is alive by definition).
+// (this node is alive by definition).
 func (n *Node) EffectiveMembers() int {
 	m := n.Members()
-	if m <= 0 {
-		return m
-	}
 	if s := n.suspectCount(); s > 0 {
 		m -= s
 		if m < 1 {

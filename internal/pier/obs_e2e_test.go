@@ -20,7 +20,6 @@ import (
 func TestDistributedTraceAllMembers(t *testing.T) {
 	const n = 16
 	nodes, _ := cluster(t, n, 11)
-	setMembers(nodes, n) // arm EOS so the query completes with reason=eos
 	defineEverywhere(t, nodes, alertsSchema, time.Minute)
 	defineEverywhere(t, nodes, rulesSchema, time.Minute)
 	for i, nd := range nodes {
@@ -128,14 +127,14 @@ func TestDistributedTraceAllMembers(t *testing.T) {
 // participant spans — the teardown path ships spans on cancel and
 // deadline, not just clean EOS.
 func TestTraceShipsOnCancel(t *testing.T) {
-	nodes, _ := cluster(t, 4, 12)
+	// On the slow network the scan takes ≈240ms — a 120ms deadline
+	// always cancels first, and the coordinator returns the context
+	// error, not a Result.
+	nodes, _ := clusterWithNet(t, 4, slowNet(12), testNodeConfig())
 	defineEverywhere(t, nodes, trafficSchema, time.Minute)
 	for i, nd := range nodes {
 		nd.PublishLocal("traffic", tuple.Tuple{tuple.String(nd.Addr()), tuple.Float(float64(i))})
 	}
-	// EOS stays disabled (Members=0), so a clean completion needs the
-	// 250ms quiescence timer — a 120ms deadline always cancels first,
-	// and the coordinator returns the context error, not a Result.
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
 	defer cancel()
 	coord := nodes[1]

@@ -60,27 +60,28 @@ func (q *queryState) pipelineEnv() *physical.Env {
 	}
 }
 
+// switchFactor is how far a fetch-matches stage's input may outgrow
+// the optimizer's estimate before the stage stops per-tuple DHT
+// probing and rehash-ships the rest of the stream to collectors, which
+// probe once per distinct key.
+const switchFactor = 4
+
 // fetchSwitchThreshold is the mid-flight strategy-switch trip point
-// for one fetch-matches stage: SwitchFactor × the optimizer's left
+// for one fetch-matches stage: switchFactor × the optimizer's left
 // cardinality estimate, scaled down by the cluster size (each node
 // sees roughly its share of the scan; collectors running a later
 // fetch stage see a key-partitioned share of the same order). A
 // stage with no estimate never switches — there is no premise to
 // contradict.
 func (q *queryState) fetchSwitchThreshold(stage int) int64 {
-	factor := q.node.cfg.SwitchFactor
-	if factor <= 0 || stage >= len(q.spec.Joins) {
+	if stage >= len(q.spec.Joins) {
 		return 0
 	}
 	est := q.spec.Joins[stage].EstLeft
 	if est <= 0 {
 		return 0
 	}
-	members := int64(q.node.Members())
-	if members < 1 {
-		members = 1
-	}
-	thr := int64(factor * float64(est) / float64(members))
+	thr := int64(switchFactor * float64(est) / float64(q.node.Members()))
 	if thr < 1 {
 		thr = 1
 	}

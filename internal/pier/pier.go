@@ -26,7 +26,6 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/rpc"
 	"repro/internal/spill"
-	"repro/internal/stats"
 	"repro/internal/transport"
 	"repro/internal/tuple"
 )
@@ -50,18 +49,16 @@ type Config struct {
 	// settle margin after window close for continuous ones).
 	// Default 150ms.
 	CollectorHold time.Duration
-	// Quiet is the coordinator's quiescence horizon. With Members set
-	// it is only the fallback bound for churn and message loss — a
-	// one-shot query normally completes the instant the EOS ledgers
-	// reconcile; without Members a query completes when no results
-	// arrived for this long. Default 400ms.
+	// Quiet is the coordinator's quiescence horizon: only the fallback
+	// bound for churn and message loss, which keep the EOS ledgers from
+	// reconciling. A one-shot query normally completes the instant they
+	// do. Default 400ms.
 	Quiet time.Duration
-	// Members is the expected cluster size for deterministic EOS
-	// completion: a one-shot query completes as soon as this many
-	// nodes report end-of-scan and the record books balance. 0 (the
-	// default) disables EOS completion and keeps pure Quiet-timer
-	// semantics. SetMembers adjusts it at runtime (e.g. after
-	// convergence or on churn).
+	// Members is the expected cluster size, required (NewNode refuses
+	// less than 1): a one-shot query completes as soon as this many
+	// nodes report end-of-scan and the record books balance, and
+	// coverage is counted against it. SetMembers adjusts it at runtime
+	// (e.g. on churn).
 	Members int
 	// MaxQueryLife caps one-shot query duration. Default 15s.
 	MaxQueryLife time.Duration
@@ -99,34 +96,6 @@ type Config struct {
 	// (default: <os tmp>/pier-spill; each node owns a PID-stamped
 	// subdirectory inside it, swept on the next start after a crash).
 	SpillDir string
-	// SwitchFactor arms mid-flight join-strategy switching: when a
-	// fetch-matches stage observes more than SwitchFactor × the
-	// optimizer's left-cardinality estimate (scaled by cluster size),
-	// the stage stops per-tuple DHT probing and rehash-ships the rest
-	// of the stream to collectors, which probe once per distinct key.
-	// Default 4; negative disables switching.
-	SwitchFactor float64
-
-	// StatsDriftFactor arms drift-triggered auto re-ANALYZE: when a
-	// table's incremental local sketch grows past factor× (or shrinks
-	// below 1/factor of) the row count recorded at its last ANALYZE,
-	// the node re-runs ANALYZE for that table. Default 4; applies only
-	// to tables that have been ANALYZEd at least once.
-	StatsDriftFactor float64
-	// StatsDriftCheckEvery is the drift check period. Default 500ms.
-	StatsDriftCheckEvery time.Duration
-	// StatsDriftMinInterval rate-limits auto re-ANALYZE per table.
-	// Default 10s.
-	StatsDriftMinInterval time.Duration
-
-	// StatsGossipEvery is the stats-digest gossip period. Default
-	// 250ms (simulation scale).
-	StatsGossipEvery time.Duration
-	// AnalyzeFromSketches makes participants answer ANALYZE from
-	// their incrementally maintained sketches instead of rescanning —
-	// cheaper, but row counts drift high across churn because
-	// distinct counters cannot forget (rebuild repairs them).
-	AnalyzeFromSketches bool
 }
 
 func (c Config) withDefaults() Config {
@@ -156,21 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = dataflow.DefaultBatchSize
-	}
-	if c.StatsGossipEvery == 0 {
-		c.StatsGossipEvery = 250 * time.Millisecond
-	}
-	if c.SwitchFactor == 0 {
-		c.SwitchFactor = 4
-	}
-	if c.StatsDriftFactor == 0 {
-		c.StatsDriftFactor = 4
-	}
-	if c.StatsDriftCheckEvery == 0 {
-		c.StatsDriftCheckEvery = 500 * time.Millisecond
-	}
-	if c.StatsDriftMinInterval == 0 {
-		c.StatsDriftMinInterval = 10 * time.Second
 	}
 	// A route-batch delay approaching the quiescence horizon would let
 	// relay-combined partials sit past the coordinator's settle clock
@@ -219,16 +173,13 @@ type Node struct {
 	// joins under Config.JoinMemBudget).
 	spill *spill.Manager
 
-	// localStats are the incrementally maintained per-table sketches
-	// over this node's local partition; gathers tracks in-flight
-	// ANALYZE coordinations.
-	localStats *stats.Local
-	gatherMu   sync.Mutex
-	gathers    map[uint64]*sketchGather
+	// gathers tracks in-flight ANALYZE coordinations.
+	gatherMu sync.Mutex
+	gathers  map[uint64]*sketchGather
 
 	// driftMu guards the drift-triggered re-ANALYZE baselines: per
-	// table, the local sketch row count recorded at its last ANALYZE
-	// and the time of the last drift-triggered re-run.
+	// table, the local row count recorded at its last ANALYZE and the
+	// time of the last drift-triggered re-run.
 	driftMu   sync.Mutex
 	driftBase map[string]int64
 	driftLast map[string]time.Time
@@ -273,13 +224,15 @@ type Node struct {
 // NewNode builds a PIER node on the given transport. The node joins
 // no overlay until Join is called.
 func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
+	if cfg.Members < 1 {
+		return nil, fmt.Errorf("pier: Members is %d; set it to the expected cluster size", cfg.Members)
+	}
 	cfg = cfg.withDefaults()
 	n := &Node{
 		cfg:          cfg,
 		cat:          catalog.New(),
 		queries:      make(map[uint64]*queryState),
 		bloomGather:  make(map[bloomKey]*bloom.Filter),
-		localStats:   stats.NewLocal(),
 		gathers:      make(map[uint64]*sketchGather),
 		driftBase:    make(map[string]int64),
 		driftLast:    make(map[string]time.Time),
@@ -308,9 +261,6 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 	if !cfg.DisableCombiner {
 		n.router.SetIntercept(n.onIntercept)
 	}
-	// Every stored primary item and every expiry feeds the incremental
-	// statistics sketches.
-	n.store.SetHooks(n.localStats.OnStored, n.localStats.OnExpired)
 	n.members.Store(int64(cfg.Members))
 	n.peer.SetObs(n.reg)
 	n.store.RegisterMetrics(n.reg)
@@ -323,12 +273,9 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 	}
 	n.registerMetrics()
 	n.registerHandlers()
-	n.wg.Add(1)
+	n.wg.Add(2)
 	go n.statsGossipLoop()
-	if cfg.StatsDriftFactor > 0 {
-		n.wg.Add(1)
-		go n.statsDriftLoop()
-	}
+	go n.statsDriftLoop()
 	return n, nil
 }
 
@@ -358,12 +305,16 @@ func (n *Node) flushRoutes() { n.batcher.Flush() }
 func (n *Node) routeRecords(recs []batch.Record) { _ = n.batcher.RouteMany(recs) }
 
 // SetMembers updates the expected cluster size for deterministic EOS
-// completion (see Config.Members). Applications call it once the
-// overlay converges and again on membership change; 0 reverts to pure
-// Quiet-timer completion.
-func (n *Node) SetMembers(m int) { n.members.Store(int64(m)) }
+// completion (see Config.Members) on membership change. It panics when
+// m < 1.
+func (n *Node) SetMembers(m int) {
+	if m < 1 {
+		panic(fmt.Sprintf("pier: SetMembers(%d)", m))
+	}
+	n.members.Store(int64(m))
+}
 
-// Members returns the expected cluster size (0 = EOS disabled).
+// Members returns the expected cluster size.
 func (n *Node) Members() int { return int(n.members.Load()) }
 
 // Store exposes the DHT storage layer.
@@ -437,21 +388,8 @@ func (n *Node) SpillStats() (written int64, live int) {
 // queries over it and publish into it. Applications call it with the
 // same schema on every node that uses the table.
 func (n *Node) DefineTable(schema *tuple.Schema, ttl time.Duration) error {
-	tbl, err := n.cat.Define(schema, ttl)
-	if err != nil {
-		return err
-	}
-	if n.localStats.Register(schema.Name, tbl.Namespace, baseColumnNames(schema)) {
-		// Backfill the fresh incremental sketch with items that were
-		// routed here before the table was defined locally (the hooks
-		// dropped them for lack of a registration). An item stored
-		// while this scan runs can count twice — drift the ANALYZE
-		// rebuild repairs, where a silent undercount would persist.
-		for _, it := range n.store.LScan(tbl.Namespace) {
-			n.localStats.OnStored(tbl.Namespace, it.Payload)
-		}
-	}
-	return nil
+	_, err := n.cat.Define(schema, ttl)
+	return err
 }
 
 // SetTableStats declares planner statistics for a table on this node.

@@ -52,8 +52,16 @@ func clusterWithLoss(t *testing.T, n int, seed int64, cfg Config, loss float64) 
 	return nodes, net
 }
 
+// slowNet delays every message 40ms: a one-shot query over a few nodes
+// then runs for hundreds of milliseconds, long enough to cancel or stop
+// it mid-flight.
+func slowNet(seed int64) simnet.Config {
+	return simnet.Config{Seed: seed, MinLatency: 40 * time.Millisecond}
+}
+
 func clusterWithNet(t *testing.T, n int, netCfg simnet.Config, cfg Config) ([]*Node, *simnet.Network) {
 	t.Helper()
+	cfg.Members = n
 	net := simnet.New(netCfg)
 	t.Cleanup(net.Close)
 	nodes := make([]*Node, n)
@@ -481,7 +489,6 @@ var linkSchema = tuple.MustSchema("link", []tuple.Column{
 
 func TestRecursiveReachability(t *testing.T) {
 	nodes, _ := cluster(t, 5, 13)
-	setMembers(nodes, 5)
 	defineEverywhere(t, nodes, linkSchema, time.Minute)
 	// Chain a->b->c->d spread across different nodes' partitions.
 	links := [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}}

@@ -121,14 +121,10 @@ var reasonRank = map[string]int{
 
 // foldCompletion folds the completion of another query that fed this
 // result into it: the worse reason wins and each table keeps its lower
-// coverage. Coverage stays untracked when either side's is.
+// coverage.
 func (r *Result) foldCompletion(sub *Result) {
 	if reasonRank[sub.Reason] > reasonRank[r.Reason] {
 		r.Reason = sub.Reason
-	}
-	if r.CoverageByTable == nil || sub.CoverageByTable == nil {
-		r.Coverage, r.CoverageByTable = 0, nil
-		return
 	}
 	for t, c := range sub.CoverageByTable {
 		if mine, ok := r.CoverageByTable[t]; !ok || c < mine {

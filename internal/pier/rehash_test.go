@@ -157,7 +157,6 @@ func eventFor(t *testing.T, n *Node, kind string, qid uint64) obs.Event {
 // channel was off and by how much, not just that 250 ms passed.
 func TestJoinQuietTimeoutReportsBooks(t *testing.T) {
 	nodes, _ := cluster(t, 4, 1502)
-	setMembers(nodes, len(nodes))
 	seedMultiway(t, nodes, 3, 5, 4)
 	coord := nodes[0]
 	qid := coord.nextQueryID() + 1 // the id the next query will take

@@ -271,12 +271,10 @@ func assertNoLiveSpill(t *testing.T, nodes []*pier.Node, label string) {
 // Run under -race in CI: the switch exercises the participant/
 // collector handoff concurrently on every node.
 func TestFetchSwitchMidFlight(t *testing.T) {
-	cl := spillCluster(t, 4, 941, func(cfg *pier.Config) {
-		cfg.SwitchFactor = 2
-	})
+	cl := spillCluster(t, 4, 941, nil)
 	seedSpillJoin(t, cl.Nodes, 800, 25)
 	// The optimizer believes orders has 10 rows; every node then
-	// observes ~200 — far past SwitchFactor × estimate.
+	// observes ~200 — far past the switch factor × estimate.
 	if err := cl.Nodes[0].SetTableStats("orders", catalog.TableStats{
 		Rows: 10, Distinct: map[string]int64{"uid": 10},
 	}); err != nil {
@@ -310,59 +308,5 @@ func TestFetchSwitchMidFlight(t *testing.T) {
 	}
 	if switches == 0 {
 		t.Fatal("no participant switched strategy mid-flight")
-	}
-}
-
-// TestDriftAutoReanalyze: after an ANALYZE baselines the local
-// sketches, growing a table past StatsDriftFactor × baseline must
-// trigger a rate-limited automatic re-ANALYZE that refreshes the
-// catalog's measured row count.
-func TestDriftAutoReanalyze(t *testing.T) {
-	cl := spillCluster(t, 3, 951, func(cfg *pier.Config) {
-		cfg.StatsDriftFactor = 2
-		cfg.StatsDriftCheckEvery = 50 * time.Millisecond
-		cfg.StatsDriftMinInterval = 250 * time.Millisecond
-	})
-	nodes := cl.Nodes
-	for _, nd := range nodes {
-		if err := nd.DefineTable(spillUsers, time.Minute); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for u := 0; u < 10; u++ {
-		if err := nodes[u%len(nodes)].Publish("users",
-			tuple.Tuple{tuple.Int(int64(u)), tuple.String("seed")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(300 * time.Millisecond)
-	if _, err := nodes[0].Analyze(context.Background(), "users"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Grow the table well past factor × baseline.
-	for u := 10; u < 100; u++ {
-		if err := nodes[u%len(nodes)].Publish("users",
-			tuple.Tuple{tuple.Int(int64(u)), tuple.String("growth")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var auto uint64
-		for _, nd := range nodes {
-			auto += nd.Metrics.AutoAnalyzes.Load()
-		}
-		if auto > 0 {
-			st := nodes[0].Catalog().Stats("users")
-			if st.Rows >= 50 {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("auto re-ANALYZE never refreshed the stats (auto=%d rows=%d)",
-				auto, nodes[0].Catalog().Stats("users").Rows)
-		}
-		time.Sleep(50 * time.Millisecond)
 	}
 }

@@ -22,16 +22,18 @@ import (
 func TestStopMidQueryNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	net := simnet.New(simnet.Config{Seed: 7})
+	net := simnet.New(slowNet(7))
 	defer net.Close()
 	const N = 5
+	cfg := testNodeConfig()
+	cfg.Members = N
 	nodes := make([]*Node, N)
 	for i := 0; i < N; i++ {
 		ep, err := net.Endpoint(fmt.Sprintf("node%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i], err = NewNode(ep, testNodeConfig())
+		nodes[i], err = NewNode(ep, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,8 +67,9 @@ func TestStopMidQueryNoLeak(t *testing.T) {
 		}
 	}()
 
-	// A one-shot aggregate launched just before the teardown: Quiet is
-	// 250ms, so stopping ~50ms in catches it mid-quiescence.
+	// A one-shot aggregate launched just before the teardown: on the
+	// slow network it runs ≈400ms, so stopping ~50ms in catches it
+	// mid-query.
 	oneDone := make(chan struct{})
 	go func() {
 		defer close(oneDone)

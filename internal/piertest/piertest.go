@@ -26,7 +26,7 @@ type Options struct {
 	// the Seed field when both set).
 	NetCfg *simnet.Config
 	// NodeCfg overrides the node configuration. Default: fast
-	// simulation timers.
+	// simulation timers. A zero Members is filled in with N.
 	NodeCfg *pier.Config
 	// ConvergeTimeout bounds the overlay convergence wait.
 	// Default 60s.
@@ -80,6 +80,9 @@ func New(opts Options) (*Cluster, error) {
 	if opts.NodeCfg != nil {
 		nodeCfg = *opts.NodeCfg
 	}
+	if nodeCfg.Members == 0 {
+		nodeCfg.Members = opts.N
+	}
 	net := simnet.New(netCfg)
 	c := &Cluster{Net: net}
 	for i := 0; i < opts.N; i++ {
@@ -104,15 +107,6 @@ func New(opts Options) (*Cluster, error) {
 	if err := c.WaitConverged(opts.ConvergeTimeout); err != nil {
 		c.Close()
 		return nil, err
-	}
-	if nodeCfg.Members == 0 {
-		// The testbed knows its own size: enable deterministic EOS
-		// completion unless the caller pinned Members in NodeCfg.
-		// Tests that want the legacy quiet-timer behavior can call
-		// SetMembers(0) on the nodes afterwards.
-		for _, nd := range c.Nodes {
-			nd.SetMembers(opts.N)
-		}
 	}
 	return c, nil
 }

@@ -74,7 +74,7 @@ type Response struct {
 	DurationMS float64 `json:"duration_ms,omitempty"`
 	// Coverage is the fraction of table partitions the result reflects:
 	// 1.0 exactly for a full result, lower when members vanished
-	// mid-query, 0 when the cluster size was untracked. CoverageByTable
+	// mid-query, absent when no partition was covered. CoverageByTable
 	// breaks it down per scanned table.
 	Coverage        float64            `json:"coverage,omitempty"`
 	CoverageByTable map[string]float64 `json:"coverage_by_table,omitempty"`

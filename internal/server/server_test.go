@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/piertest"
+	"repro/internal/simnet"
 )
 
 // client is a test-side protocol driver: requests get fresh ids,
@@ -294,17 +295,14 @@ func TestTelemetryOps(t *testing.T) {
 // TestRejectSurfacesOnWire pins the typed reject field: a saturated
 // service answers with ok=false and the machine-readable reason.
 func TestRejectSurfacesOnWire(t *testing.T) {
-	c, err := piertest.New(piertest.Options{N: 2, Seed: 42})
+	// A 40ms message delay holds the slot past the queue timeout: on an
+	// undelayed network the query releases it in milliseconds and the
+	// service never saturates.
+	c, err := piertest.New(piertest.Options{N: 2, Seed: 42, NetCfg: &simnet.Config{MinLatency: 40 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Force quiet-timer completion: with EOS the query releases its
-	// slot in milliseconds and the service never saturates. This test
-	// needs the slot held past the queue timeout, not a fast query.
-	for _, nd := range c.Nodes {
-		nd.SetMembers(0)
-	}
 	svc := engine.New(c.Nodes[0], engine.Config{
 		MaxInFlight: 1, MaxQueued: 1, QueueTimeout: 50 * time.Millisecond,
 	})

@@ -74,13 +74,6 @@ func (h *HLL) Merge(o *HLL) {
 	}
 }
 
-// Clone deep-copies the sketch.
-func (h *HLL) Clone() *HLL {
-	c := NewHLL()
-	copy(c.regs, h.regs)
-	return c
-}
-
 // Encode appends the sketch to w.
 func (h *HLL) Encode(w *wire.Writer) {
 	w.Byte(hllP)

@@ -43,8 +43,7 @@ type ColumnSketch struct {
 // the whole table).
 type TableSketch struct {
 	Table string
-	// Rows counts the tuples observed (all of them — row counting is
-	// cheap even when the distinct/sample pass is sampled).
+	// Rows counts the tuples observed.
 	Rows int64
 	// Cols holds one distinct-counter per column, in schema order.
 	Cols []ColumnSketch
@@ -85,19 +84,6 @@ func (s *TableSketch) Add(t tuple.Tuple) {
 	enc := w.Bytes()
 	s.Sample.Add(wire.Hash64(enc), enc)
 	wire.PutWriter(w)
-}
-
-// AddRowOnly observes one tuple for the row count alone — the sampled
-// pass skips the per-column work for rows outside the sample stride.
-func (s *TableSketch) AddRowOnly() { s.Rows++ }
-
-// RemoveRow decrements the row count (TTL expiry of a counted item).
-// Distinct counters and the sample cannot forget — they drift high
-// until the next rebuild, the documented soft-state trade-off.
-func (s *TableSketch) RemoveRow() {
-	if s.Rows > 0 {
-		s.Rows--
-	}
 }
 
 // Distinct returns the distinct estimate for a base column name
@@ -141,15 +127,6 @@ func (s *TableSketch) Merge(o *TableSketch) error {
 	}
 	s.Sample.Merge(o.Sample)
 	return nil
-}
-
-// Clone deep-copies the sketch.
-func (s *TableSketch) Clone() *TableSketch {
-	c := &TableSketch{Table: s.Table, Rows: s.Rows, Sample: s.Sample.Clone()}
-	for i := range s.Cols {
-		c.Cols = append(c.Cols, ColumnSketch{Name: s.Cols[i].Name, HLL: s.Cols[i].HLL.Clone()})
-	}
-	return c
 }
 
 // Encode appends the sketch to w.

@@ -62,13 +62,23 @@ func randomSketch(r *rand.Rand, rows int) *TableSketch {
 
 func encodeSketch(s *TableSketch) []byte { return s.Bytes() }
 
+// cloneSketch deep-copies a sketch through its codec.
+func cloneSketch(t *testing.T, s *TableSketch) *TableSketch {
+	t.Helper()
+	c, err := TableSketchFromBytes(s.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestSketchMergeCommutative: a⊕b and b⊕a encode byte-identically —
 // registers max, row counts sum, samples keep the same bottom-k.
 func TestSketchMergeCommutative(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		a1, b1 := randomSketch(r, 1+r.Intn(400)), randomSketch(r, 1+r.Intn(400))
-		a2, b2 := a1.Clone(), b1.Clone()
+		a2, b2 := cloneSketch(t, a1), cloneSketch(t, b1)
 		if err := a1.Merge(b1); err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +98,7 @@ func TestSketchMergeAssociative(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a, b, c := randomSketch(r, 1+r.Intn(300)), randomSketch(r, 1+r.Intn(300)), randomSketch(r, 1+r.Intn(300))
 
-		ab := a.Clone()
+		ab := cloneSketch(t, a)
 		if err := ab.Merge(b); err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +106,11 @@ func TestSketchMergeAssociative(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		bc := b.Clone()
+		bc := cloneSketch(t, b)
 		if err := bc.Merge(c); err != nil {
 			t.Fatal(err)
 		}
-		abc := a.Clone()
+		abc := cloneSketch(t, a)
 		if err := abc.Merge(bc); err != nil {
 			t.Fatal(err)
 		}
@@ -218,43 +228,6 @@ func TestDigestCodec(t *testing.T) {
 	}
 }
 
-// TestLocalIncremental: stored items feed the sketch, expiries
-// decrement rows, Reset+Absorb repair.
-func TestLocalIncremental(t *testing.T) {
-	l := NewLocal()
-	l.Register("t", "table:t", []string{"k", "v"})
-	for i := 0; i < 100; i++ {
-		tt := tuple.Tuple{tuple.Int(int64(i % 10)), tuple.Int(int64(i))}
-		l.OnStored("table:t", tt.Bytes())
-	}
-	sk := l.Snapshot("t")
-	if sk == nil || sk.Rows != 100 {
-		t.Fatalf("snapshot rows: %+v", sk)
-	}
-	if d := sk.Distinct("k"); d < 9 || d > 11 {
-		t.Fatalf("distinct(k)=%d", d)
-	}
-	victim := tuple.Tuple{tuple.Int(0), tuple.Int(0)}
-	l.OnExpired("table:t", victim.Bytes())
-	if sk = l.Snapshot("t"); sk.Rows != 99 {
-		t.Fatalf("rows after expiry %d, want 99", sk.Rows)
-	}
-	l.OnStored("table:other", victim.Bytes()) // unregistered: ignored
-
-	// Rebuild repair: Reset discards the drifted sketch, items stored
-	// during the rebuild land in the fresh one, and Absorb merges the
-	// scan result in without losing them.
-	l.Reset("t")
-	racer := tuple.Tuple{tuple.Int(5), tuple.Int(500)}
-	l.OnStored("table:t", racer.Bytes()) // arrives mid-rebuild
-	rebuilt := NewTableSketch("t", []string{"k", "v"})
-	rebuilt.Add(victim)
-	l.Absorb("t", rebuilt)
-	if sk = l.Snapshot("t"); sk.Rows != 2 {
-		t.Fatalf("rows after rebuild absorb %d, want 2 (scan row + racing arrival)", sk.Rows)
-	}
-}
-
 // TestWideTableTruncates: builders truncate past MaxColumns so every
 // sketch they encode is one every receiver accepts; rows stay exact.
 func TestWideTableTruncates(t *testing.T) {
@@ -281,18 +254,6 @@ func TestWideTableTruncates(t *testing.T) {
 	}
 	if _, err := TableSketchFromBytes(s.Bytes()); err != nil {
 		t.Fatalf("truncated sketch rejected by its own decoder: %v", err)
-	}
-}
-
-// TestRegisterReportsNew: first registration true, re-registration
-// false (the caller's backfill trigger).
-func TestRegisterReportsNew(t *testing.T) {
-	l := NewLocal()
-	if !l.Register("t", "table:t", []string{"k"}) {
-		t.Fatal("first registration not new")
-	}
-	if l.Register("t", "table:t", []string{"k"}) {
-		t.Fatal("re-registration reported new")
 	}
 }
 
