@@ -165,7 +165,7 @@ func (c *Centralized) executeSpec(ctx context.Context, spec *plan.Spec, settle t
 	// Coordinator tail: HAVING, DISTINCT, ORDER BY, LIMIT, output
 	// permutation — the same compiled pipeline the coordinator runs.
 	var final []tuple.Tuple
-	tail := physical.CompileFinalize(spec, canonical, &final, 0)
+	tail := physical.CompileFinalize(spec, canonical, &final, &physical.Env{})
 	if err := tail.Run(ctx); err != nil {
 		return nil, err
 	}

@@ -146,10 +146,16 @@ type Graph struct {
 	name    string
 	nodes   []*Node
 	started bool
+	spawn   func(func())
 }
 
 // New creates an empty graph.
 func New(name string) *Graph { return &Graph{name: name} }
+
+// SetGo makes Start run every operator, and the waiter that closes
+// Done, through spawn — a node's reusable worker set — instead of a
+// fresh goroutine each. Nil restores the go statement.
+func (g *Graph) SetGo(spawn func(func())) { g.spawn = spawn }
 
 // Add appends an operator to the graph.
 func (g *Graph) Add(name string, run RunFunc) *Node {
@@ -174,20 +180,24 @@ type Running struct {
 	err    error
 }
 
-// Start launches every operator goroutine. The returned handle waits
+// Start launches every operator (see SetGo). The returned handle waits
 // for completion or stops the graph.
 func (g *Graph) Start(parent context.Context) (*Running, error) {
 	if g.started {
 		return nil, fmt.Errorf("dataflow: graph %s already started", g.name)
 	}
 	g.started = true
+	spawn := g.spawn
+	if spawn == nil {
+		spawn = func(f func()) { go f() }
+	}
 	ctx, cancel := context.WithCancel(parent)
 	r := &Running{cancel: cancel, done: make(chan struct{})}
 	var wg sync.WaitGroup
 	for _, n := range g.nodes {
 		n := n
 		wg.Add(1)
-		go func() {
+		spawn(func() {
 			defer wg.Done()
 			ins := make([]<-chan Msg, len(n.ins))
 			for i, c := range n.ins {
@@ -209,13 +219,13 @@ func (g *Graph) Start(parent context.Context) (*Running, error) {
 				r.mu.Unlock()
 				cancel() // fail fast: tear the whole graph down
 			}
-		}()
+		})
 	}
-	go func() {
+	spawn(func() {
 		wg.Wait()
 		cancel()
 		close(r.done)
-	}()
+	})
 	return r, nil
 }
 

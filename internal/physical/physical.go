@@ -92,6 +92,18 @@ type Env struct {
 	// CollectorHold is the aggregation collector's debounce before
 	// finalizing a window.
 	CollectorHold time.Duration
+	// Go runs a compiled graph's operators and waiter on the node's
+	// worker set (dataflow.Graph.SetGo). Nil: a goroutine each.
+	Go func(f func())
+}
+
+// newPipeline creates a compiled pipeline whose graph starts through
+// e.Go; analyze turns on the per-operator byte counters.
+func (e *Env) newPipeline(stage string, analyze bool) *Pipeline {
+	p := NewPipeline(stage)
+	p.detail = analyze
+	p.Graph.SetGo(e.Go)
+	return p
 }
 
 // rowBatch is how many result rows a compiled plan's ship-rows sink
@@ -203,8 +215,7 @@ func (p *Pipeline) Stats() []plan.OpStats {
 // Right tables of fetch stages deeper in the chain are probed in
 // place by the upstream collectors, so participants never scan them.
 func CompileOneShot(spec *plan.Spec, env *Env) *Pipeline {
-	p := NewPipeline("participant")
-	p.detail = spec.Analyze
+	p := env.newPipeline("participant", spec.Analyze)
 	if len(spec.Scans) == 1 {
 		sc := &spec.Scans[0]
 		prev := p.Add("scan", env.scanSource(sc))
@@ -283,8 +294,7 @@ func (p *Pipeline) addFetchChain(spec *plan.Spec, env *Env, prev *dataflow.Node,
 // boundaries and the punctuation drives window emission, partial
 // flushing, and the per-window route barrier.
 func CompileContinuous(spec *plan.Spec, env *Env) (*Pipeline, *Inlet) {
-	p := NewPipeline("participant")
-	p.detail = spec.Analyze
+	p := env.newPipeline("participant", spec.Analyze)
 	in := NewInlet()
 	sc := &spec.Scans[0]
 	slide := time.Duration(spec.Slide)
@@ -308,8 +318,7 @@ func CompileContinuous(spec *plan.Spec, env *Env) (*Pipeline, *Inlet) {
 // aggregates, as one eager partial per row toward the aggregation
 // collectors, with relay combining absorbing the fan-in underneath).
 func CompileJoinCollector(spec *plan.Spec, stage int, env *Env) (*Pipeline, [2]*Inlet) {
-	p := NewPipeline(fmt.Sprintf("join-collector.%d", stage))
-	p.detail = spec.Analyze
+	p := env.newPipeline(fmt.Sprintf("join-collector.%d", stage), spec.Analyze)
 	j := &spec.Joins[stage]
 	inlets := [2]*Inlet{NewInlet(), NewInlet()}
 	l := p.Add("probe-src.l", inlets[0].Source)
@@ -339,8 +348,7 @@ func CompileJoinCollector(spec *plan.Spec, stage int, env *Env) (*Pipeline, [2]*
 // continuation — further fetch stages, the next rehash, or the plan
 // tail — is identical to CompileJoinCollector's.
 func CompileFetchCollector(spec *plan.Spec, stage int, env *Env) (*Pipeline, [2]*Inlet) {
-	p := NewPipeline(fmt.Sprintf("join-collector.%d", stage))
-	p.detail = spec.Analyze
+	p := env.newPipeline(fmt.Sprintf("join-collector.%d", stage), spec.Analyze)
 	j := &spec.Joins[stage]
 	right := &spec.Scans[stage+1]
 	ns := right.Namespace
@@ -384,8 +392,7 @@ func (p *Pipeline) addJoinContinuation(spec *plan.Spec, env *Env, jp *dataflow.N
 // (window, group), and finalized rows ship to the coordinator after
 // the debounced hold.
 func CompileAggCollector(spec *plan.Spec, env *Env) (*Pipeline, *Inlet) {
-	p := NewPipeline("agg-collector")
-	p.detail = spec.Analyze
+	p := env.newPipeline("agg-collector", spec.Analyze)
 	in := NewInlet()
 	src := p.Add("merge-src", in.Source)
 	fa := p.Add("final-agg", FinalAgg(spec.GroupCols, spec.Aggs, env.CollectorHold, env.batchSize()))
@@ -397,16 +404,11 @@ func CompileAggCollector(spec *plan.Spec, env *Env) (*Pipeline, *Inlet) {
 
 // CompileFinalize builds the coordinator-local tail over collected
 // canonical rows: HAVING, DISTINCT, ORDER BY, LIMIT, and the output
-// permutation — the same operator library, instrumented. batchSize
-// is the tail's vectorization width (<= 0 takes the default), matching
-// the rest of the node's pipelines.
-func CompileFinalize(spec *plan.Spec, rows []tuple.Tuple, out *[]tuple.Tuple, batchSize int) *Pipeline {
-	p := NewPipeline("coordinator")
-	p.detail = spec.Analyze
-	bs := batchSize
-	if bs <= 0 {
-		bs = dataflow.DefaultBatchSize
-	}
+// permutation — the same operator library, instrumented. Of env it
+// reads only BatchSize, the tail's vectorization width, and Go.
+func CompileFinalize(spec *plan.Spec, rows []tuple.Tuple, out *[]tuple.Tuple, env *Env) *Pipeline {
+	p := env.newPipeline("coordinator", spec.Analyze)
+	bs := env.batchSize()
 	prev := p.Add("rows", SliceSource(rows, bs))
 	if spec.Having != nil {
 		h := p.Add("having", Filter(spec.Having))
@@ -444,8 +446,7 @@ func CompileFinalize(spec *plan.Spec, rows []tuple.Tuple, out *[]tuple.Tuple, ba
 // per-site filter. Operator names are prefixed so the counters never
 // merge with the main scan pipeline's.
 func CompileBloomScan(sc *plan.ScanSpec, keyCols []int, env *Env, analyze bool, add func(key []byte)) *Pipeline {
-	p := NewPipeline("participant")
-	p.detail = analyze
+	p := env.newPipeline("participant", analyze)
 	prev := p.Add("bloom-scan", env.scanSource(sc))
 	prev = p.maybeFilter(prev, "bloom-scan-filter", sc.Where)
 	sink := p.Add("bloom-build", FuncSink(func(t tuple.Tuple) {

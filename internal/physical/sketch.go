@@ -73,8 +73,7 @@ func SketchMerge(merge func(table string, enc []byte) error) OpFunc {
 // scan; every column, as the sketch measures them all) into a
 // sketch-build sink.
 func CompileStatsGather(ns string, arity int, env *Env, sk *stats.TableSketch) *Pipeline {
-	p := NewPipeline("stats-gather")
-	p.SetDetail(false)
+	p := env.newPipeline("stats-gather", false)
 	src := p.Add("stats-scan", env.scanSource(&plan.ScanSpec{Namespace: ns, Stored: arity, Cols: identityCols(arity)}))
 	sb := p.Add("sketch-build", SketchBuild(sk))
 	p.Connect(src, sb)
@@ -84,9 +83,8 @@ func CompileStatsGather(ns string, arity int, env *Env, sk *stats.TableSketch) *
 // CompileSketchMerge builds the coordinator's merge pipeline:
 // arriving per-partition sketches enter through the returned inlet
 // and fold into the accumulator via SketchMerge.
-func CompileSketchMerge(merge func(table string, enc []byte) error) (*Pipeline, *Inlet) {
-	p := NewPipeline("stats-merge")
-	p.SetDetail(false)
+func CompileSketchMerge(env *Env, merge func(table string, enc []byte) error) (*Pipeline, *Inlet) {
+	p := env.newPipeline("stats-merge", false)
 	in := NewInlet()
 	src := p.Add("sketch-src", in.Source)
 	sm := p.Add("sketch-merge", SketchMerge(merge))

@@ -130,7 +130,7 @@ func (n *Node) Analyze(ctx context.Context, tables ...string) (*AnalyzeResult, e
 		last:     start,
 		notify:   make(chan struct{}, 1),
 	}
-	g.pipe, g.in = physical.CompileSketchMerge(func(table string, enc []byte) error {
+	g.pipe, g.in = physical.CompileSketchMerge(n.localEnv(), func(table string, enc []byte) error {
 		sk, err := stats.TableSketchFromBytes(enc)
 		if err != nil {
 			return err
@@ -286,7 +286,7 @@ func (n *Node) answerAnalyze(qid uint64, coord string, tables []string) {
 		}
 		// Sketch a partitioned scan of the live partition.
 		sk := stats.NewTableSketch(table, baseColumnNames(tbl.Schema))
-		env := &physical.Env{Scan: n.scanPayloads, BatchSize: n.cfg.BatchSize}
+		env := &physical.Env{Scan: n.scanPayloads, BatchSize: n.cfg.BatchSize, Go: n.peer.Go}
 		pipe := physical.CompileStatsGather(tbl.Namespace, tbl.Schema.Arity(), env, sk)
 		if err := pipe.Run(context.Background()); err != nil {
 			continue
@@ -631,8 +631,8 @@ func (n *Node) onAnalyzeBroadcast(from overlay.Node, payload []byte) {
 	if stopped {
 		return
 	}
-	go func() {
+	n.peer.Go(func() {
 		defer n.wg.Done()
 		n.answerAnalyze(qid, coord, tables)
-	}()
+	})
 }

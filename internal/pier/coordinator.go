@@ -164,7 +164,6 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	q := n.getQuery(qid, func() *queryState {
 		s := n.newQueryState(qid, spec, n.Addr(), msg.joinParts)
 		s.isCoord = true
-		s.lastActivity = time.Now()
 		return s
 	})
 	if q == nil {
@@ -192,6 +191,11 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 		return nil, fmt.Errorf("pier: disseminating query: %w", err)
 	}
 	q.spans.End(dissSpan)
+	// The Quiet clock starts at dissemination: a Bloom gather longer
+	// than Quiet is not a quiet network.
+	q.coMu.Lock()
+	q.lastActivity = time.Now()
+	q.coMu.Unlock()
 	waitSpan := q.spans.Start("wait")
 
 	// Completion: drive the deterministic EOS protocol — wait for
@@ -348,7 +352,7 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	finSpan := q.spans.Start("finalize")
 	rows := q.canonicalRows(0)
 	var final []tuple.Tuple
-	finalize := physical.CompileFinalize(spec, rows, &final, q.node.cfg.BatchSize)
+	finalize := physical.CompileFinalize(spec, rows, &final, n.localEnv())
 	if err := finalize.Run(ctx); err != nil {
 		return nil, err
 	}
@@ -654,7 +658,7 @@ func (n *Node) answerBloomPhase(qid uint64, coord string, spec *plan.Spec) {
 		if rq := n.getQuery(qid, nil); rq != nil && rq.isCoord {
 			rq.setNodeStats(n.Addr(), statsChanBloom, &plan.Analysis{Ops: bloomStats})
 		} else {
-			n.sendStatsRPC(qid, coord, statsChanBloom, bloomStats, nil)
+			n.sendStats(qid, coord, statsChanBloom, bloomStats, nil)
 		}
 	}
 }
@@ -723,7 +727,7 @@ func (q *queryState) flushWindow(window uint64, closeAt time.Time) {
 	default:
 	}
 	rows := q.canonicalRows(window)
-	final, err := finalizeRows(q.ctx, q.spec, rows, q.node.cfg.BatchSize)
+	final, err := finalizeRows(q.ctx, q.spec, rows, q.node.localEnv())
 	if err != nil {
 		return
 	}
@@ -768,9 +772,9 @@ func (q *queryState) canonicalRows(window uint64) []tuple.Tuple {
 // finalizeRows runs the coordinator-local tail of a plan over
 // canonical rows: HAVING, DISTINCT, ORDER BY, LIMIT, and the output
 // permutation — the physical layer's coordinator pipeline.
-func finalizeRows(ctx context.Context, spec *plan.Spec, rows []tuple.Tuple, batchSize int) ([]tuple.Tuple, error) {
+func finalizeRows(ctx context.Context, spec *plan.Spec, rows []tuple.Tuple, env *physical.Env) ([]tuple.Tuple, error) {
 	var out []tuple.Tuple
-	pipe := physical.CompileFinalize(spec, rows, &out, batchSize)
+	pipe := physical.CompileFinalize(spec, rows, &out, env)
 	if err := pipe.Run(ctx); err != nil {
 		return nil, err
 	}

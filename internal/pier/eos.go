@@ -255,10 +255,10 @@ func (q *queryState) startEosShipper() {
 	e.shipOnce.Do(func() {
 		q.eosKick()
 		q.node.wg.Add(1)
-		go func() {
+		q.node.peer.Go(func() {
 			defer q.node.wg.Done()
 			q.eosShipperLoop()
-		}()
+		})
 	})
 }
 

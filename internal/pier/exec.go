@@ -31,7 +31,7 @@ const (
 	methRows  = "pier.rows"  // rpc to coordinator: result rows
 	methEos   = "pier.eos"   // rpc to coordinator: EOS ledger (scan done + books)
 	methBloom = "pier.bloom" // rpc to coordinator: per-site Bloom filter
-	methStats = "pier.stats" // rpc to coordinator: EXPLAIN ANALYZE counters
+	methStats = "pier.stats" // one-way to coordinator: EXPLAIN ANALYZE counters, trace spans
 )
 
 // queryState carries every role a node can play for one query:
@@ -194,7 +194,7 @@ const (
 // pipeline counters only under EXPLAIN ANALYZE. It runs on every
 // teardown path — eos, cancel, deadline, stop broadcast — so partial
 // queries still trace. The coordinator stores its own share in place;
-// remote nodes RPC it (best effort, off the dispatch goroutine).
+// remote nodes send it one-way (best effort, see sendStats).
 func (q *queryState) shipStats() {
 	q.statsOnce.Do(func() { q.shipFinal() })
 }
@@ -219,7 +219,7 @@ func (q *queryState) shipFinal() {
 	if len(stats) == 0 && len(spans) == 0 {
 		return
 	}
-	q.node.sendStatsRPC(q.id, q.coord, statsChanPipes, stats, spans)
+	q.node.sendStats(q.id, q.coord, statsChanPipes, stats, spans)
 }
 
 // shipStatsSnapshot ships the current cumulative counter snapshot.
@@ -235,7 +235,7 @@ func (q *queryState) shipStatsSnapshot() {
 		q.setNodeStats(q.node.Addr(), statsChanPipes, &plan.Analysis{Ops: stats})
 		return
 	}
-	q.node.sendStatsRPC(q.id, q.coord, statsChanPipes, stats, nil)
+	q.node.sendStats(q.id, q.coord, statsChanPipes, stats, nil)
 }
 
 // setNodeStats records one node's latest snapshot on a channel.
@@ -269,21 +269,18 @@ func (q *queryState) mergedAnalysis(extra ...plan.OpStats) *plan.Analysis {
 	return merged
 }
 
-// sendStatsRPC ships one stats snapshot plus any trace spans to the
-// coordinator off the caller's goroutine (best effort).
-func (n *Node) sendStatsRPC(qid uint64, coord, channel string, stats []plan.OpStats, spans []obs.Span) {
+// sendStats ships one stats snapshot plus any trace spans to the
+// coordinator as a one-way datagram. Nothing waits on a reply: a lost
+// frame loses this node's spans and counters, and the coordinator's
+// allStatsIn wait ends on analyzeGrace.
+func (n *Node) sendStats(qid uint64, coord, channel string, stats []plan.OpStats, spans []obs.Span) {
 	w := wire.NewWriter(256)
 	w.Uint64(qid)
 	w.String(channel)
 	a := plan.Analysis{Ops: stats}
 	a.Encode(w)
 	obs.EncodeSpans(w, spans)
-	payload := w.Bytes()
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_, _ = n.peer.Call(ctx, coord, methStats, payload)
-	}()
+	_ = n.peer.Notify(coord, methStats, w.Bytes())
 }
 
 func (n *Node) newQueryState(qid uint64, spec *plan.Spec, coord string, joinParts int) *queryState {
@@ -520,10 +517,10 @@ func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte) {
 			n.Metrics.QueriesParticipated.Add(1)
 			n.replayPending(q)
 			n.wg.Add(1)
-			go func() {
+			n.peer.Go(func() {
 				defer n.wg.Done()
 				q.participate()
-			}()
+			})
 		})
 	case tagBloomQ:
 		m, err := decodeQueryMsg(payload)
@@ -531,10 +528,10 @@ func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte) {
 			return
 		}
 		n.wg.Add(1)
-		go func() {
+		n.peer.Go(func() {
 			defer n.wg.Done()
 			n.answerBloomPhase(m.qid, m.coord, m.spec)
-		}()
+		})
 	case tagAnalyzeQ:
 		n.onAnalyzeBroadcast(from, payload)
 	case tagDrain:
@@ -548,10 +545,10 @@ func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte) {
 		}
 		// Off the dispatch goroutine: the drain blocks on pipeline acks.
 		n.wg.Add(1)
-		go func() {
+		n.peer.Go(func() {
 			defer n.wg.Done()
 			q.drainLocal(round)
-		}()
+		})
 	case tagStop:
 		r := wire.NewReader(payload)
 		qid := r.Uint64()
@@ -689,21 +686,25 @@ func (n *Node) onIntercept(key id.ID, tag string, payload []byte) ([]byte, bool)
 // ---------------------------------------------------------------------------
 // RPC handlers (coordinator side receives these)
 
+// onRows is the methRows handler: a participant's or collector's result
+// rows for a query this node coordinates.
+func (n *Node) onRows(from string, req []byte) ([]byte, error) {
+	f, rows, err := decodeTupleMsg(req)
+	if err != nil {
+		return nil, err
+	}
+	q := n.getQuery(f.Query, nil)
+	if q == nil || !q.isCoord {
+		return nil, nil
+	}
+	q.noteAlive(from)
+	q.coordAddRows(f.Window, rows)
+	return nil, nil
+}
+
 func (n *Node) registerHandlers() {
 	n.registerStatsHandlers()
-	n.peer.Handle(methRows, func(from string, req []byte) ([]byte, error) {
-		f, rows, err := decodeTupleMsg(req)
-		if err != nil {
-			return nil, err
-		}
-		q := n.getQuery(f.Query, nil)
-		if q == nil || !q.isCoord {
-			return nil, nil
-		}
-		q.noteAlive(from)
-		q.coordAddRows(f.Window, rows)
-		return nil, nil
-	})
+	n.peer.Handle(methRows, n.onRows)
 	n.peer.Handle(methEos, func(from string, req []byte) ([]byte, error) {
 		f, err := wire.EosFrameFromBytes(req)
 		if err != nil {

@@ -57,7 +57,14 @@ func (q *queryState) pipelineEnv() *physical.Env {
 		},
 		BatchSize:     n.cfg.BatchSize,
 		CollectorHold: n.cfg.CollectorHold,
+		Go:            n.peer.Go,
 	}
+}
+
+// localEnv is the Env of the pipelines that neither scan nor ship:
+// coordinator tails and merges.
+func (n *Node) localEnv() *physical.Env {
+	return &physical.Env{BatchSize: n.cfg.BatchSize, Go: n.peer.Go}
 }
 
 // switchFactor is how far a fetch-matches stage's input may outgrow
@@ -178,7 +185,7 @@ func (q *queryState) startPeriodicStats() func() {
 	slideNS := int64(slide)
 	done := make(chan struct{})
 	q.node.wg.Add(1)
-	go func() {
+	q.node.peer.Go(func() {
 		defer q.node.wg.Done()
 		for {
 			next := time.Unix(0, (time.Now().UnixNano()/slideNS+1)*slideNS).Add(offset)
@@ -191,7 +198,7 @@ func (q *queryState) startPeriodicStats() func() {
 				q.shipStatsSnapshot()
 			}
 		}
-	}()
+	})
 	var once sync.Once
 	return func() { once.Do(func() { close(done) }) }
 }
@@ -242,8 +249,9 @@ const rowBatch = 64
 // sendRows ships canonical result rows to the coordinator. The rows
 // enter the sent books before the calls, so a call that fails leaves
 // the query's books unbalanced; the first failure per query is put on
-// record. There is no retry: without frame-sequence dedup at the
-// coordinator a retry trades a short result for duplicate rows.
+// record. Each frame is sent once (CallOnce), never retransmitted:
+// without frame-sequence dedup at the coordinator a retransmission
+// whose original was only slow would deliver the rows twice.
 func (q *queryState) sendRows(window uint64, rows []tuple.Tuple) int {
 	if len(rows) == 0 {
 		return 0
@@ -259,7 +267,7 @@ func (q *queryState) sendRows(window uint64, rows []tuple.Tuple) int {
 		payload := encodeTupleMsg(q.id, window, 0, 0, rows[off:end]...)
 		total += len(payload)
 		ctx, cancel := context.WithTimeout(q.ctx, 2*time.Second)
-		_, err := q.node.peer.Call(ctx, q.coord, methRows, payload)
+		_, err := q.node.peer.CallOnce(ctx, q.coord, methRows, payload)
 		cancel()
 		if err != nil && q.ctx.Err() == nil {
 			q.rowsFailOnce.Do(func() {

@@ -100,7 +100,7 @@ func (n *Node) ExecuteRecursive(ctx context.Context, stmt *sqlparser.SelectStmt)
 	res.foldCompletion(mat)
 
 	cte := fixpoint(res.Rows, stepSpec, cteSide, mat.Rows)
-	rows, err := runLocal(ctx, outerSpec, cte, n.cfg.BatchSize)
+	rows, err := n.runLocal(ctx, outerSpec, cte)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ func fixpoint(base []tuple.Tuple, step *plan.Spec, cteSide int, table []tuple.Tu
 // here, then the coordinator tail. PartialAgg ships one mergeable state
 // row per group at end of scan; with no collector to merge at, each is
 // finished on arrival.
-func runLocal(ctx context.Context, spec *plan.Spec, rows []tuple.Tuple, batchSize int) ([]tuple.Tuple, error) {
+func (n *Node) runLocal(ctx context.Context, spec *plan.Spec, rows []tuple.Tuple) ([]tuple.Tuple, error) {
 	payloads := make([][]byte, len(rows))
 	for i, t := range rows {
 		payloads[i] = t.Bytes()
@@ -237,10 +237,11 @@ func runLocal(ctx context.Context, spec *plan.Spec, rows []tuple.Tuple, batchSiz
 			}
 			return 0
 		},
-		BatchSize: batchSize,
+		BatchSize: n.cfg.BatchSize,
+		Go:        n.peer.Go,
 	}
 	if err := physical.CompileOneShot(spec, env).Run(ctx); err != nil {
 		return nil, err
 	}
-	return finalizeRows(ctx, spec, canonical, batchSize)
+	return finalizeRows(ctx, spec, canonical, n.localEnv())
 }

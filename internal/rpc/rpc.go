@@ -40,8 +40,9 @@ func (e *RemoteError) Error() string {
 
 // Handler serves one method. The returned bytes become the response
 // payload; a non-nil error is transported to the caller as a
-// RemoteError. Handlers run on their own goroutine and may issue
-// nested calls.
+// RemoteError. Handlers run on a reused worker of the peer's set (see
+// Go), never on the transport's dispatch goroutine; they may block and
+// may issue nested calls.
 type Handler func(from string, req []byte) ([]byte, error)
 
 // Config tunes the client side.
@@ -94,6 +95,8 @@ type Peer struct {
 	closed   bool
 
 	nextID atomic.Uint64
+
+	workers workerSet
 
 	obs     atomic.Pointer[obs.Registry]
 	methods sync.Map // method → *methodMetrics
@@ -167,7 +170,8 @@ func (p *Peer) Handle(method string, h Handler) {
 	p.handlers[method] = h
 }
 
-// Close shuts down the peer and fails all in-flight calls.
+// Close shuts down the peer, fails all in-flight calls, and waits for
+// its parked workers to exit.
 func (p *Peer) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -184,7 +188,9 @@ func (p *Peer) Close() error {
 		default:
 		}
 	}
-	return p.tr.Close()
+	err := p.tr.Close()
+	p.workers.close()
+	return err
 }
 
 func encodeFrame(kind byte, reqID uint64, method string, isErr bool, payload []byte) []byte {
@@ -205,6 +211,17 @@ func encodeFrame(kind byte, reqID uint64, method string, isErr bool, payload []b
 // Call sends a request and waits for the response, retransmitting on
 // per-attempt timeout. The context bounds the whole call.
 func (p *Peer) Call(ctx context.Context, to, method string, req []byte) ([]byte, error) {
+	return p.call(ctx, to, method, req, false)
+}
+
+// CallOnce sends a request exactly once and waits for the response
+// until the context ends. It never retransmits, so a slow handler runs
+// once: for methods whose effect must not repeat.
+func (p *Peer) CallOnce(ctx context.Context, to, method string, req []byte) ([]byte, error) {
+	return p.call(ctx, to, method, req, true)
+}
+
+func (p *Peer) call(ctx context.Context, to, method string, req []byte, once bool) ([]byte, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -229,6 +246,9 @@ func (p *Peer) Call(ctx context.Context, to, method string, req []byte) ([]byte,
 		start = time.Now()
 	}
 	attempts := p.cfg.Retries + 1
+	if once {
+		attempts = 1
+	}
 	for a := 0; a < attempts; a++ {
 		if mm != nil {
 			mm.bytes.Add(uint64(len(frame)))
@@ -243,6 +263,10 @@ func (p *Peer) Call(ctx context.Context, to, method string, req []byte) ([]byte,
 			return nil, fmt.Errorf("rpc: call %s on %s: %w", method, to, err)
 		}
 		timer := time.NewTimer(p.cfg.Timeout)
+		expired := timer.C
+		if once {
+			expired = nil // only the response or ctx ends the wait
+		}
 		select {
 		case res := <-pc.ch:
 			timer.Stop()
@@ -259,7 +283,7 @@ func (p *Peer) Call(ctx context.Context, to, method string, req []byte) ([]byte,
 				mm.errors.Inc()
 			}
 			return nil, ctx.Err()
-		case <-timer.C:
+		case <-expired:
 			// fall through to retransmit
 		}
 	}
@@ -296,9 +320,9 @@ func (p *Peer) onDatagram(from string, payload []byte) {
 		if r.Err() != nil {
 			return // corrupt frame: drop
 		}
-		// Copy: the handler goroutine outlives the datagram buffer.
+		// Copy: the handler outlives the datagram buffer.
 		req := append([]byte(nil), body...)
-		go p.serve(from, reqID, method, req)
+		p.Go(func() { p.serve(from, reqID, method, req) })
 	case kindOneway:
 		method := r.String()
 		body := r.BytesLP()
@@ -312,10 +336,10 @@ func (p *Peer) onDatagram(from string, payload []byte) {
 			return
 		}
 		req := append([]byte(nil), body...)
-		go func() {
+		p.Go(func() {
 			// One-way: response and error are discarded.
 			_, _ = h(from, req)
-		}()
+		})
 	case kindResponse:
 		isErr := r.Bool()
 		method := r.String()
