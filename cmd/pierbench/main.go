@@ -548,9 +548,9 @@ func recursive(n int, seed int64, rec *recorder) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("closure facts %d (expected %d), %d messages, SQL agreement: %v\n",
-		res.Facts, res.Expected, res.Msgs, res.AgreeSQL)
+	fmt.Printf("closure facts %d, ended eos, %d messages, %v wall\n", res.Facts, res.Msgs, res.Wall)
 	rec.metric("msgs", float64(res.Msgs))
+	rec.metric("wall_ms", float64(res.Wall.Microseconds())/1000)
 	return nil
 }
 

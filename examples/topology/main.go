@@ -1,8 +1,7 @@
 // Command topology demonstrates the paper's recursive network-mapping
 // application: a directed link table distributed across nodes'
-// partitions, queried for multi-hop reachability both in-network
-// (deltas rehashing through the DHT, as in the paper's reference [2])
-// and through the SQL WITH RECURSIVE surface.
+// partitions, queried for multi-hop reachability as one WITH RECURSIVE
+// statement, each answer with how it ended.
 package main
 
 import (
@@ -25,9 +24,8 @@ func main() {
 	}
 	defer cluster.Close()
 
-	mappers := make([]*topology.Mapper, n)
-	for i, nd := range cluster.Nodes {
-		if mappers[i], err = topology.New(nd, 30*time.Second); err != nil {
+	for _, nd := range cluster.Nodes {
+		if err := topology.Define(nd, 30*time.Second); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -41,25 +39,23 @@ func main() {
 		{"island1", "island2"},
 	}
 	for i, e := range edges {
-		if err := mappers[i%n].PublishLink(e[0], e[1]); err != nil {
+		if err := topology.PublishLink(cluster.Nodes[i%n], e[0], e[1]); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("node%d observes link %s -> %s\n", i%n, e[0], e[1])
 	}
-	time.Sleep(200 * time.Millisecond)
 	fmt.Println()
 
 	ctx := context.Background()
 	for _, src := range []string{"core1", "edge2", "island1"} {
-		inNet, err := mappers[0].Reachable(ctx, src, 500*time.Millisecond)
+		res, err := topology.Reachable(ctx, cluster.Nodes[0], src)
 		if err != nil {
 			log.Fatal(err)
 		}
-		viaSQL, err := mappers[0].ReachableSQL(ctx, src)
-		if err != nil {
-			log.Fatal(err)
+		var reach []string
+		for _, r := range res.Rows {
+			reach = append(reach, r[0].S)
 		}
-		fmt.Printf("reachable from %-8s (in-network): %v\n", src, inNet)
-		fmt.Printf("reachable from %-8s (WITH RECURSIVE): %v\n\n", src, viaSQL)
+		fmt.Printf("reachable from %-8s %v (%s, coverage %.0f%%)\n", src+":", reach, res.Reason, res.Coverage*100)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/id"
 	"repro/internal/monitor"
+	"repro/internal/pier"
 	"repro/internal/piertest"
 	"repro/internal/plan"
 	"repro/internal/search"
@@ -701,17 +702,16 @@ func SearchComparison(n, files int, seed int64) ([]SearchResult, error) {
 // ---------------------------------------------------------------------------
 // S6: recursive topology closure
 
-// RecursiveResult summarizes one in-network closure run.
+// RecursiveResult is the cost of one reachability query.
 type RecursiveResult struct {
-	Facts    int
-	Expected int
-	Msgs     uint64
-	AgreeSQL bool
+	Facts int
+	Msgs  uint64
+	Wall  time.Duration
 }
 
-// RecursiveTopology publishes a chain graph across the cluster, runs
-// the in-network reachability expansion, and cross-checks against the
-// SQL WITH RECURSIVE answer.
+// RecursiveTopology publishes a chain graph across the cluster and
+// asks topology.Reachable for the closure of its head. Anything short
+// of every chain vertex, ended eos, is an error.
 func RecursiveTopology(n, chainLen int, seed int64) (*RecursiveResult, error) {
 	if n == 0 {
 		n = 12
@@ -724,40 +724,29 @@ func RecursiveTopology(n, chainLen int, seed int64) (*RecursiveResult, error) {
 		return nil, err
 	}
 	defer cluster.Close()
-	mappers := make([]*topology.Mapper, n)
-	for i, nd := range cluster.Nodes {
-		if mappers[i], err = topology.New(nd, time.Minute); err != nil {
+	for _, nd := range cluster.Nodes {
+		if err := topology.Define(nd, time.Minute); err != nil {
 			return nil, err
 		}
 	}
 	for i := 0; i < chainLen; i++ {
 		src := fmt.Sprintf("v%d", i)
 		dst := fmt.Sprintf("v%d", i+1)
-		if err := mappers[i%n].PublishLink(src, dst); err != nil {
+		if err := topology.PublishLink(cluster.Nodes[i%n], src, dst); err != nil {
 			return nil, err
 		}
 	}
-	time.Sleep(200 * time.Millisecond)
 	cluster.Net.ResetStats()
-	inNet, err := mappers[0].Reachable(context.Background(), "v0", 600*time.Millisecond)
+	start := time.Now()
+	res, err := topology.Reachable(context.Background(), cluster.Nodes[0], "v0")
 	if err != nil {
 		return nil, err
 	}
-	msgs := cluster.Net.Stats().Sent
-	viaSQL, err := mappers[0].ReachableSQL(context.Background(), "v0")
-	if err != nil {
-		return nil, err
+	out := &RecursiveResult{Facts: len(res.Rows), Msgs: cluster.Net.Stats().Sent, Wall: time.Since(start)}
+	if out.Facts != chainLen || res.Reason != pier.ReasonEOS {
+		return nil, fmt.Errorf("reach(v0) found %d facts (want %d), ended %q", out.Facts, chainLen, res.Reason)
 	}
-	agree := len(inNet) == len(viaSQL)
-	if agree {
-		for i := range inNet {
-			if inNet[i] != viaSQL[i] {
-				agree = false
-				break
-			}
-		}
-	}
-	return &RecursiveResult{Facts: len(inNet), Expected: chainLen, Msgs: msgs, AgreeSQL: agree}, nil
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -551,14 +551,6 @@ func (s *Store) Unsubscribe(ns string) {
 	delete(s.subs, ns)
 }
 
-// DropNamespace discards all local items in ns (end-of-query cleanup
-// for temporary namespaces; remote holders expire via TTL).
-func (s *Store) DropNamespace(ns string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.items, ns)
-}
-
 func (s *Store) sweepLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.SweepEvery)

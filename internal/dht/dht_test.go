@@ -260,19 +260,6 @@ func TestDataSurvivesOwnerFailure(t *testing.T) {
 	}
 }
 
-func TestDropNamespace(t *testing.T) {
-	cells, _ := cluster(t, 1, 9)
-	s := cells[0].store
-	s.Put("tmp", id.HashString("a"), []byte("x"), 10*time.Second)
-	if !waitUntil(t, 2*time.Second, func() bool { return s.Count("tmp") == 1 }) {
-		t.Fatal("item not stored")
-	}
-	s.DropNamespace("tmp")
-	if s.Count("tmp") != 0 {
-		t.Fatal("namespace not dropped")
-	}
-}
-
 func TestCountAndNamespaces(t *testing.T) {
 	cells, _ := cluster(t, 1, 10)
 	s := cells[0].store

@@ -246,24 +246,21 @@ func (s *Sensor) run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case now := <-t.C:
+			// The check and the publish share one critical section, so
+			// nothing is published once Pause(true) has returned.
 			s.mu.Lock()
-			paused := s.paused
+			if !s.paused {
+				seq++
+				rate := s.Rate(now) * (1 + s.cfg.Noise*(2*rng.Float64()-1))
+				if s.node.PublishLocal("traffic", tuple.Tuple{
+					tuple.String(s.node.Addr()),
+					tuple.Int(seq),
+					tuple.Float(rate),
+				}) == nil {
+					s.published++
+				}
+			}
 			s.mu.Unlock()
-			if paused {
-				continue
-			}
-			seq++
-			rate := s.Rate(now) * (1 + s.cfg.Noise*(2*rng.Float64()-1))
-			err := s.node.PublishLocal("traffic", tuple.Tuple{
-				tuple.String(s.node.Addr()),
-				tuple.Int(seq),
-				tuple.Float(rate),
-			})
-			if err == nil {
-				s.mu.Lock()
-				s.published++
-				s.mu.Unlock()
-			}
 		}
 	}
 }

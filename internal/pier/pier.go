@@ -440,7 +440,7 @@ func (n *Node) nextQueryID() uint64 {
 }
 
 // Peer exposes the RPC endpoint so applications built on the node
-// (file search, topology mapping, baselines) can register their own
+// (file search, baselines) can register their own
 // methods over the same transport.
 func (n *Node) Peer() *rpc.Peer { return n.peer }
 

@@ -20,9 +20,7 @@ import (
 // the outer block are compiled by the planner against a scratch
 // catalog holding the CTE's schema; the fixpoint is a worklist over a
 // hash index of the step table; the outer block runs through the
-// physical operators. (Fully in-network recursion — rehashing deltas
-// through the DHT, as the topology paper [2] does — is provided by
-// internal/topology.) The result reports how the two distributed
+// physical operators. The result reports how the two distributed
 // queries underneath it ended: the worse reason, and per table the
 // lower coverage.
 func (n *Node) ExecuteRecursive(ctx context.Context, stmt *sqlparser.SelectStmt) (*Result, error) {

@@ -2,9 +2,9 @@ package pier_test
 
 // WITH RECURSIVE at the SQL level: the closure the coordinator
 // computes must equal a worklist oracle over the same edges and, per
-// source vertex, the in-network expansion of internal/topology — on a
-// chain with an island, on a bare two-cycle, and on seeded random
-// graphs with cycles.
+// source vertex, topology.Reachable, whose base carries the seed
+// predicate — on a chain with an island, on a bare two-cycle, and on
+// seeded random graphs with cycles.
 
 import (
 	"context"
@@ -13,7 +13,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -87,9 +86,8 @@ func TestRecursiveClosureMatchesOracleAndTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	mappers := make([]*topology.Mapper, len(cl.Nodes))
-	for i, nd := range cl.Nodes {
-		if mappers[i], err = topology.New(nd, time.Minute); err != nil {
+	for _, nd := range cl.Nodes {
+		if err := topology.Define(nd, time.Minute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +110,7 @@ func TestRecursiveClosureMatchesOracleAndTopology(t *testing.T) {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i][0]+all[i][1] < all[j][0]+all[j][1] })
 	for i, e := range all {
-		if err := mappers[i%len(mappers)].PublishLink(e[0], e[1]); err != nil {
+		if err := topology.PublishLink(cl.Nodes[i%len(cl.Nodes)], e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,42 +155,34 @@ func TestRecursiveClosureMatchesOracleAndTopology(t *testing.T) {
 			if n := map[string]int{"chain": 7, "cycle": 4}[name]; n != 0 && len(got) != n {
 				t.Fatalf("%d facts, want %d", len(got), n)
 			}
-			// Per source vertex, the in-network expansion agrees.
+			// Per source vertex, the closure seeded in the base equals the
+			// full closure filtered by src.
 			sources := map[string]bool{}
 			for _, e := range edges {
 				sources[e[0]] = true
 			}
-			var wg sync.WaitGroup
-			var mu sync.Mutex
-			inNet := map[string][]string{}
 			k := 0
 			for src := range sources {
-				src, m := src, mappers[k%len(mappers)]
+				res, err := topology.Reachable(ctx, cl.Nodes[k%len(cl.Nodes)], src)
 				k++
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					reach, err := m.Reachable(ctx, src, 400*time.Millisecond)
-					if err != nil {
-						t.Errorf("Reachable(%s): %v", src, err)
-						return
-					}
-					mu.Lock()
-					inNet[src] = reach
-					mu.Unlock()
-				}()
-			}
-			wg.Wait()
-			for src, reach := range inNet {
-				var viaSQL []string
+				if err != nil {
+					t.Fatalf("Reachable(%s): %v", src, err)
+				}
+				if res.Reason != "eos" || res.Coverage != 1 {
+					t.Fatalf("Reachable(%s) ended %q, coverage %v", src, res.Reason, res.Coverage)
+				}
+				var seeded, filtered []string
+				for _, r := range res.Rows {
+					seeded = append(seeded, r[0].S)
+				}
 				for f := range got {
 					if f[0] == src {
-						viaSQL = append(viaSQL, f[1])
+						filtered = append(filtered, f[1])
 					}
 				}
-				sort.Strings(viaSQL)
-				if !reflect.DeepEqual(reach, viaSQL) {
-					t.Fatalf("reach(%s): in-network %v != SQL %v", src, reach, viaSQL)
+				sort.Strings(filtered)
+				if !reflect.DeepEqual(seeded, filtered) {
+					t.Fatalf("reach(%s): seeded %v != filtered closure %v", src, seeded, filtered)
 				}
 			}
 		})
@@ -256,7 +246,7 @@ func TestRecursiveRejectsMalformedSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	if _, err := topology.New(cl.Nodes[0], time.Minute); err != nil {
+	if err := topology.Define(cl.Nodes[0], time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	for name, sql := range map[string]string{

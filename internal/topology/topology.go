@@ -1,344 +1,44 @@
 // Package topology implements the paper's network-topology analysis
-// application: recursive reachability queries over a distributed link
-// table, executed *in the network* the way reference [2] ("Analyzing
-// P2P overlays with recursive queries") describes — deltas rehash
-// through the DHT to meet the link partition they join with, so the
-// transitive closure is computed by the overlay itself with no
-// central materialization. The SQL WITH RECURSIVE surface (which
-// materializes at the coordinator) computes the same answers; tests
-// cross-validate the two.
+// application: a directed link table kept in the local partition of
+// whichever node observed each link, and multi-hop reachability over
+// it as one WITH RECURSIVE statement through pier, so an answer says
+// how it ended (Reason, Coverage) like any other query.
 package topology
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"time"
 
-	"repro/internal/dht"
-	"repro/internal/overlay"
 	"repro/internal/pier"
 	"repro/internal/tuple"
-	"repro/internal/wire"
 )
 
-// LinkSchema is the directed link table (src, dst). Links live in the
-// local partition of whichever node observed them.
+// LinkSchema is the directed link table (src, dst).
 var LinkSchema = tuple.MustSchema("link", []tuple.Column{
 	{Name: "src", Type: tuple.TString},
 	{Name: "dst", Type: tuple.TString},
 }, "src", "dst")
 
-const (
-	tagTopoQuery = "topo.query"
-	tagTopoStop  = "topo.stop"
-	methTopoFact = "topo.fact"
-
-	kindLink  byte = 1
-	kindDelta byte = 2
-)
-
-// Mapper is a node's participation in topology mapping.
-type Mapper struct {
-	node *pier.Node
-	ttl  time.Duration
-
-	mu     sync.Mutex
-	active map[uint64]*topoQuery // queries this node participates in
-
-	qidSeq atomic.Uint64
-
-	// origin-side state
-	factMu    sync.Mutex
-	gathering map[uint64]*gather
+// Define declares the link table on node; links expire ttl after they
+// were last published.
+func Define(node *pier.Node, ttl time.Duration) error {
+	return node.DefineTable(LinkSchema, ttl)
 }
 
-type topoQuery struct {
-	id     uint64
-	origin string
-	ns     string
+// PublishLink records a directed link in node's local partition.
+func PublishLink(node *pier.Node, src, dst string) error {
+	return node.PublishLocal("link", tuple.Tuple{tuple.String(src), tuple.String(dst)})
 }
 
-type gather struct {
-	facts        map[string]bool
-	lastActivity time.Time
-}
-
-// New attaches the topology application to a node: defines the link
-// table and registers the expansion protocol handlers.
-func New(node *pier.Node, ttl time.Duration) (*Mapper, error) {
-	if ttl <= 0 {
-		ttl = 30 * time.Second
-	}
-	if err := node.DefineTable(LinkSchema, ttl); err != nil {
-		return nil, err
-	}
-	m := &Mapper{
-		node:      node,
-		ttl:       ttl,
-		active:    make(map[uint64]*topoQuery),
-		gathering: make(map[uint64]*gather),
-	}
-	node.HandleBroadcast(tagTopoQuery, m.onQuery)
-	node.HandleBroadcast(tagTopoStop, m.onStop)
-	node.Peer().Handle(methTopoFact, m.onFact)
-	return m, nil
-}
-
-// PublishLink records a directed link in this node's local partition.
-func (m *Mapper) PublishLink(src, dst string) error {
-	return m.node.PublishLocal("link", tuple.Tuple{tuple.String(src), tuple.String(dst)})
-}
-
-// ridFor keys expansion items by their join vertex so deltas meet the
-// links they extend at one owner.
-func ridFor(vertex string) tuple.Tuple { return tuple.Tuple{tuple.String(vertex)} }
-
-func encodeEntry(kind byte, a, b string) []byte {
-	w := wire.NewWriter(8 + len(a) + len(b))
-	w.Byte(kind)
-	w.String(a)
-	w.String(b)
-	return w.Bytes()
-}
-
-func decodeEntry(p []byte) (kind byte, a, b string, err error) {
-	r := wire.NewReader(p)
-	kind = r.Byte()
-	a = r.String()
-	b = r.String()
-	err = r.Done()
-	return
-}
-
-// Reachable computes every vertex reachable from `from`, running the
-// expansion in-network. settle is the quiescence horizon at the
-// origin (how long with no new facts before the closure is declared
-// complete).
-func (m *Mapper) Reachable(ctx context.Context, from string, settle time.Duration) ([]string, error) {
-	if settle <= 0 {
-		settle = 500 * time.Millisecond
-	}
-	qid := m.newQID()
-	ns := fmt.Sprintf("topo.%016x", qid)
-	m.factMu.Lock()
-	m.gathering[qid] = &gather{facts: make(map[string]bool), lastActivity: time.Now()}
-	m.factMu.Unlock()
-	defer func() {
-		m.factMu.Lock()
-		delete(m.gathering, qid)
-		m.factMu.Unlock()
-		m.broadcastStop(qid)
-	}()
-
-	// Announce: every node republishes its local links into the
-	// query's namespace and subscribes for expansion.
-	w := wire.NewWriter(64)
-	w.Uint64(qid)
-	w.String(m.node.Addr())
-	w.String(ns)
-	w.String(from)
-	if err := m.node.Broadcast(tagTopoQuery, w.Bytes()); err != nil {
-		return nil, fmt.Errorf("topology: announcing query: %w", err)
-	}
-
-	// Seed: the trivial fact reach(from, from), keyed at from's link
-	// partition so it meets from's outgoing links.
-	seed := encodeEntry(kindDelta, from, from)
-	if err := m.node.Store().Put(ns, ridFor(from).HashKey([]int{0}), seed, m.ttl); err != nil {
-		return nil, fmt.Errorf("topology: seeding: %w", err)
-	}
-
-	// Gather until quiescent.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(25 * time.Millisecond):
-		}
-		m.factMu.Lock()
-		g := m.gathering[qid]
-		last := g.lastActivity
-		count := len(g.facts)
-		m.factMu.Unlock()
-		if time.Since(last) > settle || time.Now().After(deadline) {
-			_ = count
-			break
-		}
-	}
-	m.factMu.Lock()
-	g := m.gathering[qid]
-	out := make([]string, 0, len(g.facts))
-	for v := range g.facts {
-		out = append(out, v)
-	}
-	m.factMu.Unlock()
-	sort.Strings(out)
-	return out, nil
-}
-
-func (m *Mapper) newQID() uint64 {
-	return uint64(time.Now().UnixNano())<<16 | (m.qidSeq.Add(1) & 0xffff)
-}
-
-func (m *Mapper) broadcastStop(qid uint64) {
-	w := wire.NewWriter(8)
-	w.Uint64(qid)
-	_ = m.node.Broadcast(tagTopoStop, w.Bytes())
-}
-
-// onQuery is the participant side of an expansion announcement.
-func (m *Mapper) onQuery(from overlay.Node, tag string, payload []byte) {
-	r := wire.NewReader(payload)
-	qid := r.Uint64()
-	origin := r.String()
-	ns := r.String()
-	_ = r.String() // seed vertex (unused by participants)
-	if r.Done() != nil {
-		return
-	}
-	m.mu.Lock()
-	if _, dup := m.active[qid]; dup {
-		m.mu.Unlock()
-		return
-	}
-	tq := &topoQuery{id: qid, origin: origin, ns: ns}
-	m.active[qid] = tq
-	m.mu.Unlock()
-
-	store := m.node.Store()
-	// Expansion: whenever a link and a delta with the same join
-	// vertex colocate, derive the next delta.
-	store.Subscribe(ns, func(it dht.Item) { m.expand(tq, it) })
-
-	// Republish local links into the query namespace, keyed by src.
-	for _, it := range store.LScan("table:link") {
-		t, err := tuple.FromBytes(it.Payload)
-		if err != nil || len(t) != 2 {
-			continue
-		}
-		entry := encodeEntry(kindLink, t[0].S, t[1].S)
-		_ = store.Put(ns, ridFor(t[0].S).HashKey([]int{0}), entry, m.ttl)
-	}
-
-	// Items that arrived before this node learned of the query never
-	// fired the subscription; replay them. Expansion is idempotent
-	// (derivations renew rather than duplicate), so replay is safe.
-	for _, it := range store.LScan(ns) {
-		m.expand(tq, it)
-	}
-}
-
-// expand performs one semi-naive join step at the owner of a join
-// vertex: new link (y,z) joins resident deltas (x,y); new delta (x,y)
-// joins resident links (y,z); each derivation emits reach(x,z).
-func (m *Mapper) expand(tq *topoQuery, it dht.Item) {
-	kind, a, b, err := decodeEntry(it.Payload)
-	if err != nil {
-		return
-	}
-	store := m.node.Store()
-	resident := store.LScan(tq.ns)
-	switch kind {
-	case kindDelta: // (x=a reaches y=b); find links (b, z)
-		for _, other := range resident {
-			if other.Resource != it.Resource {
-				continue
-			}
-			k2, s2, d2, err := decodeEntry(other.Payload)
-			if err != nil || k2 != kindLink || s2 != b {
-				continue
-			}
-			m.derive(tq, a, d2)
-		}
-	case kindLink: // (y=a -> z=b); find deltas (x, a)
-		for _, other := range resident {
-			if other.Resource != it.Resource {
-				continue
-			}
-			k2, x, y, err := decodeEntry(other.Payload)
-			if err != nil || k2 != kindDelta || y != a {
-				continue
-			}
-			m.derive(tq, x, b)
-		}
-	}
-}
-
-// derive emits reach(x, z): report the fact to the origin and rehash
-// the delta to z's partition for further expansion. The DHT's
-// identity-based renewal makes re-derivations idempotent (they renew
-// instead of re-firing subscriptions), which is what terminates
-// cycles.
-func (m *Mapper) derive(tq *topoQuery, x, z string) {
-	w := wire.NewWriter(32)
-	w.Uint64(tq.id)
-	w.String(x)
-	w.String(z)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	_, _ = m.node.Peer().Call(ctx, tq.origin, methTopoFact, w.Bytes())
-	cancel()
-	delta := encodeEntry(kindDelta, x, z)
-	_ = m.node.Store().Put(tq.ns, ridFor(z).HashKey([]int{0}), delta, m.ttl)
-}
-
-func (m *Mapper) onStop(from overlay.Node, tag string, payload []byte) {
-	r := wire.NewReader(payload)
-	qid := r.Uint64()
-	if r.Done() != nil {
-		return
-	}
-	m.mu.Lock()
-	tq := m.active[qid]
-	delete(m.active, qid)
-	m.mu.Unlock()
-	if tq != nil {
-		m.node.Store().Unsubscribe(tq.ns)
-		m.node.Store().DropNamespace(tq.ns)
-	}
-}
-
-func (m *Mapper) onFact(from string, req []byte) ([]byte, error) {
-	r := wire.NewReader(req)
-	qid := r.Uint64()
-	x := r.String()
-	z := r.String()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	m.factMu.Lock()
-	defer m.factMu.Unlock()
-	g := m.gathering[qid]
-	if g == nil {
-		return nil, nil
-	}
-	_ = x
-	if !g.facts[z] {
-		g.facts[z] = true
-	}
-	g.lastActivity = time.Now()
-	return nil, nil
-}
-
-// ReachableSQL computes the same closure through the SQL surface
-// (WITH RECURSIVE materialized at the coordinator) — used to
-// cross-validate the in-network expansion.
-func (m *Mapper) ReachableSQL(ctx context.Context, from string) ([]string, error) {
-	q := fmt.Sprintf(`WITH RECURSIVE reach AS (
-		SELECT src, dst FROM link
+// Reachable computes every vertex reachable from `from` in one or more
+// hops: one dst row per vertex, in order, with the query's Reason and
+// Coverage. The seed predicate sits in the base; the step carries src
+// through unchanged, so this equals the full closure filtered by src.
+func Reachable(ctx context.Context, node *pier.Node, from string) (*pier.Result, error) {
+	return node.Query(ctx, `WITH RECURSIVE reach AS (
+		SELECT src, dst FROM link WHERE src = '`+strings.ReplaceAll(from, "'", "''")+`'
 		UNION
 		SELECT reach.src, l.dst FROM link l JOIN reach ON reach.dst = l.src
-	) SELECT DISTINCT dst FROM reach WHERE src = '%s' ORDER BY dst`, from)
-	res, err := m.node.Query(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		out = append(out, r[0].S)
-	}
-	return out, nil
+	) SELECT DISTINCT dst FROM reach ORDER BY dst`)
 }
