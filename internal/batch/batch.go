@@ -19,7 +19,9 @@
 // extra hops toward their true owner. Delivery upcalls therefore fire
 // exactly once per logical record, with tags unchanged, and relay
 // intercept upcalls (in-network aggregation) are applied per record
-// inside frames as well.
+// inside frames as well. The tag with a frame upcall (SetDeliverFrame)
+// gets the records of one arriving frame that the receiver owns in one
+// call instead of one delivery each.
 package batch
 
 import (
@@ -113,8 +115,10 @@ type Metrics struct {
 	// Invalidations counts owner-cache entries dropped after a frame
 	// send failed.
 	Invalidations obs.Counter
-	// Demuxed counts records unpacked from arriving frames.
-	Demuxed obs.Counter
+	// FramesIn counts arriving frames; Demuxed counts the records
+	// unpacked from them.
+	FramesIn obs.Counter
+	Demuxed  obs.Counter
 	// Flush reasons: byte-budget pre-flush, record-count full frame,
 	// MaxDelay timer, and Flush() barrier detach.
 	FlushBytes   obs.Counter
@@ -138,6 +142,7 @@ func (b *Batcher) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("batch_owner_hits_total", &m.OwnerHits)
 	reg.RegisterCounter("batch_owner_misses_total", &m.OwnerMisses)
 	reg.RegisterCounter("batch_invalidations_total", &m.Invalidations)
+	reg.RegisterCounter("batch_frames_in_total", &m.FramesIn)
 	reg.RegisterCounter("batch_demuxed_total", &m.Demuxed)
 	reg.RegisterCounter(obs.L("batch_flushes_total", "reason", "bytes"), &m.FlushBytes)
 	reg.RegisterCounter(obs.L("batch_flushes_total", "reason", "count"), &m.FlushCount)
@@ -196,6 +201,8 @@ type Batcher struct {
 	frames    map[string]*pendingFrame // owner addr -> accumulating frame
 	owners    map[id.ID]ownerEntry     // routing key -> cached owner
 	resolving map[id.ID]*pendingLookup // routing key -> in-flight lookup
+	frameTag  string                   // the tag with a frame upcall (SetDeliverFrame)
+	frameFn   FrameFunc                // its upcall; nil: none
 	closed    bool
 
 	// inflight counts detached-but-unsent frames and lookup handoffs,
@@ -250,6 +257,9 @@ func (b *Batcher) Lookup(ctx context.Context, key id.ID) (overlay.Node, int, err
 	return b.inner.Lookup(ctx, key)
 }
 
+// Owns passes through to the wrapped router.
+func (b *Batcher) Owns(key id.ID) bool { return b.inner.Owns(key) }
+
 // Broadcast passes through to the wrapped router.
 func (b *Batcher) Broadcast(tag string, payload []byte) error {
 	return b.inner.Broadcast(tag, payload)
@@ -264,9 +274,11 @@ func (b *Batcher) SetBroadcast(fn overlay.BroadcastFunc) { b.inner.SetBroadcast(
 // SetDeliver installs fn behind the frame demultiplexer: arriving
 // frames are unpacked and each record re-routed through the wrapped
 // router, so fn fires once per logical record with its original key
-// and tag. Records the local node owns (the common case) deliver
-// immediately; records whose ownership moved since the sender cached
-// it are forwarded toward the current owner. The from argument of
+// and tag (owned records of the tag with a frame upcall go to that
+// instead, see SetDeliverFrame). Records the local node owns (the
+// common case) deliver immediately; records whose ownership moved
+// since the sender cached it are forwarded toward the current owner.
+// The from argument of
 // demultiplexed deliveries is the demuxing node, not the original
 // sender — no engine upcall depends on it.
 func (b *Batcher) SetDeliver(fn overlay.DeliverFunc) {
@@ -281,11 +293,32 @@ func (b *Batcher) SetDeliver(fn overlay.DeliverFunc) {
 	})
 }
 
+// FrameFunc receives, in one call, the records of one arriving frame
+// that carry the tag it was installed for and that this node owns.
+type FrameFunc func(recs []Record)
+
+// SetDeliverFrame installs fn as the frame upcall of tag (one tag has
+// one): an arriving frame's records of that tag which this node owns
+// reach fn together, once per frame, instead of one delivery upcall
+// each. Records it does not own are forwarded one by one, as every
+// other record is, and a record of the tag that arrives outside a frame
+// still reaches the delivery upcall.
+func (b *Batcher) SetDeliverFrame(tag string, fn FrameFunc) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.frameTag, b.frameFn = tag, fn
+}
+
 func (b *Batcher) demux(frame []byte) {
 	recs, err := wire.DecodeBatch(frame)
 	if err != nil {
 		return // best effort, like any corrupt datagram
 	}
+	b.metrics.FramesIn.Add(1)
+	b.mu.Lock()
+	tag, fn := b.frameTag, b.frameFn
+	b.mu.Unlock()
+	var owned []Record
 	for _, rec := range recs {
 		if len(rec.Key) != id.Bytes || rec.Tag == FrameTag {
 			continue
@@ -293,7 +326,14 @@ func (b *Batcher) demux(frame []byte) {
 		var rkey id.ID
 		copy(rkey[:], rec.Key)
 		b.metrics.Demuxed.Add(1)
+		if fn != nil && rec.Tag == tag && b.inner.Owns(rkey) {
+			owned = append(owned, Record{Key: rkey, Tag: rec.Tag, Payload: rec.Payload})
+			continue
+		}
 		_ = b.inner.Route(rkey, rec.Tag, rec.Payload)
+	}
+	if len(owned) > 0 {
+		fn(owned)
 	}
 }
 
@@ -423,8 +463,9 @@ type Record struct {
 // acquisition — the batch-at-a-time ship path hands a whole vector of
 // rehashed tuples over instead of paying the per-record Route
 // overhead (lock, cache probe, metrics) once per tuple. Semantics are
-// identical to calling Route per record; payloads must not be mutated
-// after the call.
+// those of calling Route per record, except that the records this node
+// owns of the tag with a frame upcall reach it in one call, like an
+// arriving frame's; payloads must not be mutated after the call.
 func (b *Batcher) RouteMany(recs []Record) error {
 	if b.cfg.Disabled {
 		var first error
@@ -440,6 +481,7 @@ func (b *Batcher) RouteMany(recs []Record) error {
 	var passthrough []Record
 	now := time.Now()
 	b.mu.Lock()
+	tag, fn := b.frameTag, b.frameFn
 	for _, r := range recs {
 		if r.Tag == FrameTag || len(r.Payload) > b.cfg.MaxBytes || b.closed {
 			passthrough = append(passthrough, r)
@@ -474,11 +516,21 @@ func (b *Batcher) RouteMany(recs []Record) error {
 	}
 	b.mu.Unlock()
 	var first error
+	var owned []Record
 	for _, r := range passthrough {
 		b.metrics.Passthrough.Add(1)
+		if fn != nil && r.Tag == tag && b.inner.Owns(r.Key) {
+			// Owned here: the call's owned records of the tag reach its
+			// frame upcall together, as an arriving frame's do.
+			owned = append(owned, r)
+			continue
+		}
 		if err := b.inner.Route(r.Key, r.Tag, r.Payload); err != nil && first == nil {
 			first = err
 		}
+	}
+	if len(owned) > 0 {
+		fn(owned)
 	}
 	for _, it := range toSend {
 		b.dispatch(it.owner, it.f)

@@ -84,6 +84,15 @@ func (f *fakeRouter) Route(key id.ID, tag string, payload []byte) error {
 	return nil
 }
 
+// Owns reports the scripted ownership: keys without an owner entry, or
+// scripted to self, are this node's.
+func (f *fakeRouter) Owns(key id.ID) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n, ok := f.owners[key]
+	return !ok || n.Addr == f.self.Addr
+}
+
 func (f *fakeRouter) Broadcast(tag string, payload []byte) error { return nil }
 func (f *fakeRouter) SetDeliver(fn overlay.DeliverFunc) {
 	f.mu.Lock()
@@ -613,5 +622,87 @@ func TestRouteManyLocalAndDisabledPassThrough(t *testing.T) {
 	}
 	if got := f2.routesByTag(FrameTag); len(got) != 0 {
 		t.Fatalf("locally-owned records were framed")
+	}
+}
+
+// TestFrameUpcallTakesOwnedRecordsInOneCall: an arriving frame of N
+// records of a tag with a frame upcall, k of them owned here, reaches
+// the upcall in one call holding exactly those k, in frame order; the
+// other N−k are forwarded one by one, and a record of another tag is
+// delivered as before.
+func TestFrameUpcallTakesOwnedRecordsInOneCall(t *testing.T) {
+	f := newFake()
+	b := New(f, Config{})
+	var delivered []string
+	b.SetDeliver(func(_ overlay.Node, _ id.ID, tag string, payload []byte) {
+		delivered = append(delivered, tag+":"+string(payload))
+	})
+	var calls [][]Record
+	b.SetDeliverFrame("j", func(recs []Record) { calls = append(calls, recs) })
+
+	const n, k = 9, 5
+	var recs []wire.BatchRecord
+	var wantOwned []string
+	for i := 0; i < n; i++ {
+		key := id.HashString(fmt.Sprintf("own-%d", i)) // the fake owns unscripted keys
+		if i%2 == 1 {
+			key = f.remoteKey(fmt.Sprintf("away-%d", i), "owner:1")
+		} else {
+			wantOwned = append(wantOwned, fmt.Sprint(i))
+		}
+		recs = append(recs, wire.BatchRecord{Key: append([]byte(nil), key[:]...), Tag: "j", Payload: []byte(fmt.Sprint(i))})
+	}
+	other := id.HashString("other")
+	recs = append(recs, wire.BatchRecord{Key: other[:], Tag: "t", Payload: []byte("x")})
+	f.deliver(f.self, other, FrameTag, wire.BatchBytes(recs))
+
+	if len(calls) != 1 {
+		t.Fatalf("frame upcall called %d times, want 1", len(calls))
+	}
+	var got []string
+	for _, r := range calls[0] {
+		if r.Tag != "j" || !b.Owns(r.Key) {
+			t.Fatalf("upcall got record %+v it does not own", r)
+		}
+		got = append(got, string(r.Payload))
+	}
+	if len(got) != k || fmt.Sprint(got) != fmt.Sprint(wantOwned) {
+		t.Fatalf("upcall got %v, want the %d owned records %v", got, k, wantOwned)
+	}
+	if fwd := f.routesByTag("j"); len(fwd) != n-k {
+		t.Fatalf("%d records forwarded, want %d", len(fwd), n-k)
+	}
+	// The fake delivers forwarded records back here, one upcall each.
+	if len(delivered) != n-k+1 || delivered[len(delivered)-1] != "t:x" {
+		t.Fatalf("delivery upcalls %v, want the %d forwarded records and t:x", delivered, n-k)
+	}
+	if in := b.MetricsRef().FramesIn.Load(); in != 1 {
+		t.Fatalf("FramesIn %d, want 1", in)
+	}
+}
+
+// TestRouteManyOwnedRecordsInOneCall: the records of one RouteMany call
+// that this node owns, of a tag with a frame upcall, reach the upcall in
+// one call, as an arriving frame's do; none is routed.
+func TestRouteManyOwnedRecordsInOneCall(t *testing.T) {
+	f := newFake()
+	b := New(f, Config{MaxDelay: time.Hour})
+	var calls [][]Record
+	b.SetDeliverFrame("j", func(recs []Record) { calls = append(calls, recs) })
+	var recs []Record
+	for i := 0; i < 4; i++ {
+		k := id.HashString(fmt.Sprintf("rm-own-%d", i)) // the fake owns unscripted keys
+		_ = b.Route(k, "warm", nil)                     // resolve the owner into the cache
+		recs = append(recs, Record{Key: k, Tag: "j", Payload: []byte{byte(i)}})
+	}
+	b.Flush()
+	if err := b.RouteMany(recs); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 1 || len(calls[0]) != len(recs) {
+		t.Fatalf("frame upcall calls %v, want one with %d records", calls, len(recs))
+	}
+	if got := f.routesByTag("j"); len(got) != 0 {
+		t.Fatalf("%d owned records routed", len(got))
 	}
 }

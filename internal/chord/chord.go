@@ -232,7 +232,8 @@ func (n *Node) Neighbors() []overlay.Node {
 
 // Owns reports whether this node is currently responsible for key:
 // key ∈ (predecessor, self]. With no known predecessor the node
-// claims the whole ring (it is alone or still joining).
+// claims the whole ring (it is alone or still joining). Route delivers
+// exactly such a key locally, without a hop.
 func (n *Node) Owns(key id.ID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()

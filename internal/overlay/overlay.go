@@ -68,6 +68,9 @@ type Router interface {
 	// firing Intercept at relays and Deliver at the owner. Delivery
 	// is best effort.
 	Route(key id.ID, tag string, payload []byte) error
+	// Owns reports whether this node is currently responsible for key:
+	// a Route of it would deliver here without a hop.
+	Owns(key id.ID) bool
 	// Broadcast disseminates payload to (best effort) every node in
 	// the overlay in O(log n) depth. PIER uses this for query
 	// dissemination.

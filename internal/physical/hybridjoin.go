@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
+	"repro/internal/expr"
 	"repro/internal/spill"
 	"repro/internal/tuple"
 	"repro/internal/wire"
@@ -42,6 +43,12 @@ type HybridJoinConfig struct {
 	IdleHold time.Duration
 	// BatchSize is the output vectorization width.
 	BatchSize int
+	// Proj, when set, is what the join emits for each matched pair: the
+	// plan's projection over the concatenated pair, evaluated in place —
+	// for a join that ends the plan with no post-filter, so each answer
+	// row is built once. A pair whose evaluation fails is dropped, as
+	// Project drops it. Nil emits the concatenated pair.
+	Proj []expr.Expr
 }
 
 // partHash spreads a canonical join-key encoding over partitions,
@@ -68,17 +75,19 @@ func RehashPartition(key []byte, parts int) int {
 	return int((wire.Hash64(key) >> 32) * uint64(parts) >> 32)
 }
 
-// hybridBucket holds one join-key value's resident tuples of one side.
+// hybridBucket holds one join-key value's resident tuples, per side.
 type hybridBucket struct {
-	rows []tuple.Tuple
+	rows [2][]tuple.Tuple
 }
 
-// hybridPart is one partition of one window's build state. Resident
-// partitions hold both sides' hash tables; once spilled, the tables
-// are dropped and arrivals append to the partition's frame log
-// unjoined (their join output is owed by the next re-join pass).
+// hybridPart is one partition of one window's build state. A resident
+// partition holds one hash table whose buckets carry both sides' tuples
+// of a key, so an arrival finds its own side and the side it probes in
+// one lookup; once spilled, the table is dropped and arrivals append to
+// the partition's frame log unjoined (their join output is owed by the
+// next re-join pass).
 type hybridPart struct {
-	tables  [2]map[string]*hybridBucket
+	table   map[string]*hybridBucket
 	bytes   int64
 	rows    int64
 	spilled bool
@@ -113,7 +122,10 @@ type hybridWindow struct {
 // passes of quiesced state emit nothing — the same stability the EOS
 // totals test relies on for FinalAgg.
 func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
-	joinedArity := arity[0] + arity[1]
+	outArity := arity[0] + arity[1]
+	if cfg.Proj != nil {
+		outArity = len(cfg.Proj)
+	}
 	batchSize := cfg.BatchSize
 	if batchSize < 1 {
 		batchSize = dataflow.DefaultBatchSize
@@ -127,6 +139,43 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			windows := make(map[uint64]*hybridWindow)
 			var resident int64 // resident build bytes across all windows
+
+			// pair appends the output row of a matched (left, right) pair
+			// to arena: the concatenation, or Proj evaluated over it (ok
+			// false: the evaluation failed and the pair is dropped).
+			var scratch tuple.Tuple
+			pair := func(arena []tuple.Value, l, r tuple.Tuple) (tuple.Tuple, []tuple.Value, bool) {
+				if cfg.Proj == nil {
+					j, arena := tuple.ConcatInto(arena, l, r)
+					return j, arena, true
+				}
+				scratch = append(append(scratch[:0], l...), r...)
+				lo := len(arena)
+				for _, e := range cfg.Proj {
+					v, err := e.Eval(scratch)
+					if err != nil {
+						return nil, arena[:lo], false
+					}
+					arena = append(arena, v)
+				}
+				hi := len(arena)
+				return tuple.Tuple(arena[lo:hi:hi]), arena, true
+			}
+			// probe appends the output rows of t, arrived on side, against
+			// the other side's tuples of its key.
+			probe := func(out []tuple.Tuple, arena []tuple.Value, side int, t tuple.Tuple, others []tuple.Tuple) ([]tuple.Tuple, []tuple.Value) {
+				for _, o := range others {
+					l, r := t, o
+					if side == 1 {
+						l, r = o, t
+					}
+					j, grown, ok := pair(arena, l, r)
+					if arena = grown; ok {
+						out = append(out, j)
+					}
+				}
+				return out, arena
+			}
 
 			defer func() {
 				for _, hw := range windows {
@@ -142,9 +191,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 				i := partHash(key, 0) % hybridFanout
 				p := hw.parts[i]
 				if p == nil {
-					p = &hybridPart{}
-					p.tables[0] = make(map[string]*hybridBucket)
-					p.tables[1] = make(map[string]*hybridBucket)
+					p = &hybridPart{table: make(map[string]*hybridBucket)}
 					hw.parts[i] = p
 				}
 				return p
@@ -176,8 +223,8 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 				}
 				for side := 0; side < 2; side++ {
 					var frame []tuple.Tuple
-					for _, b := range victim.tables[side] {
-						for _, t := range b.rows {
+					for _, b := range victim.table {
+						for _, t := range b.rows[side] {
 							frame = append(frame, t)
 							if len(frame) >= spillFrameRows {
 								n, err := victim.file.Append(seq, uint8(side), true, frame)
@@ -200,8 +247,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 				victim.file.MarkJoined()
 				resident -= victim.bytes
 				victim.bytes = 0
-				victim.tables[0] = nil
-				victim.tables[1] = nil
+				victim.table = nil
 				victim.spilled = true
 				return nil
 			}
@@ -214,36 +260,26 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 			// — one side's frames arriving before the other's —
 			// allocates none.
 			add := func(p *hybridPart, side int, key []byte, t tuple.Tuple, out []tuple.Tuple, arena []tuple.Value, rest int) ([]tuple.Tuple, []tuple.Value) {
-				mine := p.tables[side][string(key)]
-				if mine != nil {
-					for _, existing := range mine.rows {
-						if existing.Equal(t) {
-							return out, arena // duplicate retransmit
-						}
-					}
-				} else {
-					mine = &hybridBucket{}
-					p.tables[side][string(key)] = mine
+				b := p.table[string(key)]
+				if b == nil {
+					b = &hybridBucket{}
+					p.table[string(key)] = b
 				}
-				mine.rows = append(mine.rows, t)
+				for _, existing := range b.rows[side] {
+					if existing.Equal(t) {
+						return out, arena // duplicate retransmit
+					}
+				}
+				b.rows[side] = append(b.rows[side], t)
 				grew := t.MemSize() + int64(len(key))
 				p.bytes += grew
 				p.rows++
 				resident += grew
-				other := p.tables[1-side][string(key)]
-				if other != nil {
+				if others := b.rows[1-side]; len(others) > 0 {
 					if arena == nil {
-						arena = make([]tuple.Value, 0, joinedArity*rest)
+						arena = make([]tuple.Value, 0, outArity*rest)
 					}
-					for _, o := range other.rows {
-						var j tuple.Tuple
-						if side == 0 {
-							j, arena = tuple.ConcatInto(arena, t, o)
-						} else {
-							j, arena = tuple.ConcatInto(arena, o, t)
-						}
-						out = append(out, j)
-					}
+					out, arena = probe(out, arena, side, t, others)
 				}
 				return out, arena
 			}
@@ -272,10 +308,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 					return false, err
 				}
 				defer r.Close()
-				tables := [2]map[string]*hybridBucket{
-					make(map[string]*hybridBucket),
-					make(map[string]*hybridBucket),
-				}
+				table := make(map[string]*hybridBucket)
 				var passBytes int64
 				var out []tuple.Tuple
 				var arena []tuple.Value
@@ -295,39 +328,27 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 						w := wire.GetWriter()
 						t.AppendKey(w, keyCols[side])
 						key := w.Bytes()
-						mine := tables[side][string(key)]
+						b := table[string(key)]
+						if b == nil {
+							b = &hybridBucket{}
+							table[string(key)] = b
+						}
 						dup := false
-						if mine != nil {
-							for _, existing := range mine.rows {
-								if existing.Equal(t) {
-									dup = true
-									break
-								}
-							}
-						} else {
-							mine = &hybridBucket{}
-							tables[side][string(key)] = mine
-						}
-						if dup {
-							wire.PutWriter(w)
-							continue
-						}
-						mine.rows = append(mine.rows, t)
-						passBytes += t.MemSize() + int64(len(key))
-						if !fr.Joined {
-							if other := tables[1-side][string(key)]; other != nil {
-								for _, o := range other.rows {
-									var j tuple.Tuple
-									if side == 0 {
-										j, arena = tuple.ConcatInto(arena, t, o)
-									} else {
-										j, arena = tuple.ConcatInto(arena, o, t)
-									}
-									out = append(out, j)
-								}
+						for _, existing := range b.rows[side] {
+							if existing.Equal(t) {
+								dup = true
+								break
 							}
 						}
 						wire.PutWriter(w)
+						if dup {
+							continue
+						}
+						b.rows[side] = append(b.rows[side], t)
+						passBytes += t.MemSize() + int64(len(key))
+						if !fr.Joined {
+							out, arena = probe(out, arena, side, t, b.rows[1-side])
+						}
 					}
 				}
 				c.ObserveMem(resident + passBytes)
@@ -556,22 +577,28 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 						}
 						joined, arena = add(p, side, key, t, joined, arena, len(ts)-i)
 						wire.PutWriter(w)
+						// The budget holds per tuple, not per message: a
+						// frame's group can be hundreds of tuples. Pairs of
+						// the tuples added so far are in joined, so a victim
+						// spills as joined; its later arrivals in this
+						// message go to pends, written after that dump.
+						if spillOn && resident > cfg.Budget {
+							c.ObserveMem(resident)
+							for resident > cfg.Budget {
+								before := resident
+								if err := spillLargest(hw, m.Seq); err != nil {
+									return err
+								}
+								if resident == before {
+									break // everything spilled; arrivals go to disk
+								}
+							}
+						}
 					}
 					if err := flushPends(m.Seq); err != nil {
 						return err
 					}
 					c.ObserveMem(resident)
-					if spillOn && resident > cfg.Budget {
-						for resident > cfg.Budget {
-							before := resident
-							if err := spillLargest(hw, m.Seq); err != nil {
-								return err
-							}
-							if resident == before {
-								break // everything spilled; arrivals go to disk
-							}
-						}
-					}
 					dataflow.PutBatch(m.Batch)
 					c.Busy(start)
 					if len(joined) == 0 {

@@ -814,23 +814,27 @@ func ShipPartial(ship func(window uint64, partials []tuple.Tuple) int, flushRout
 	}
 }
 
-// ShipRows delivers result rows to the coordinator. Rows accumulate up
-// to rowBatch (flushing early when the window sequence changes) and
-// flush on punctuation and at end of stream. In eager mode — a
+// ShipRows delivers result rows to the coordinator, one result frame
+// per call to ship. A frame fills to frameBytes of encoded records
+// (each row's encoding and its length prefix); a row that would
+// overflow it starts the next frame, and a row larger than the budget
+// ships alone. Frames also close early when the window sequence
+// changes, on punctuation and at end of stream. In eager mode — a
 // collector, whose input never ends — held rows also ship as soon as
 // the input runs dry: an idle node sends each arrival at once, a node
 // that is behind fills whole result frames.
-func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, rowBatch int, eager bool, flushRoutes func(), drainAck func(round uint64)) OpFunc {
+func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, frameBytes int, eager bool, flushRoutes func(), drainAck func(round uint64)) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			var batch []tuple.Tuple
 			var batchSeq uint64
+			size := 0 // encoded record bytes held in batch
 			flush := func() {
 				if len(batch) == 0 {
 					return
 				}
 				c.EmitRows(len(batch), ship(batchSeq, batch))
-				batch = nil
+				batch, size = nil, 0
 			}
 			in := dataflow.Merge(ctx, ins)
 			next := func() (dataflow.Msg, bool) {
@@ -866,11 +870,18 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, rowBatch int, ea
 					flush()
 				}
 				batchSeq = m.Seq
-				batch = append(batch, m.Batch...)
-				dataflow.PutBatch(m.Batch)
-				if rowBatch > 0 && len(batch) >= rowBatch {
-					flush()
+				for _, t := range m.Batch {
+					n := t.EncodedLen()
+					n += wire.UvarintLen(uint64(n))
+					if len(batch) > 0 && size+n > frameBytes {
+						flush()
+					}
+					batch = append(batch, t)
+					if size += n; size >= frameBytes {
+						flush()
+					}
 				}
+				dataflow.PutBatch(m.Batch)
 				c.Busy(start)
 			}
 			flush()

@@ -38,8 +38,9 @@ type Env struct {
 	// Fetch resolves one fetch-matches probe: a DHT get against the
 	// probed table's namespace.
 	Fetch func(ctx context.Context, ns string, rid id.ID) ([][]byte, error)
-	// ShipRows delivers canonical result rows to the coordinator,
-	// returning the payload bytes shipped.
+	// ShipRows delivers one result frame of canonical rows to the
+	// coordinator (at most RowFrameBytes of encoded rows, unless one row
+	// alone is larger), returning the payload bytes shipped.
 	ShipRows func(window uint64, rows []tuple.Tuple) int
 	// ShipPartial routes a batch of partial-state tuples toward their
 	// groups' aggregation collectors, returning the payload bytes
@@ -106,9 +107,14 @@ func (e *Env) newPipeline(stage string, analyze bool) *Pipeline {
 	return p
 }
 
-// rowBatch is how many result rows a compiled plan's ship-rows sink
-// gathers per call to Env.ShipRows.
-const rowBatch = 64
+// RowFrameBytes is the byte budget of one result frame: a compiled
+// plan's ship-rows sink fills each Env.ShipRows call with up to this
+// many bytes of encoded rows. With the frame header (at most 21 bytes)
+// and the RPC header (at most 22) a full frame stays under
+// transport.MaxDatagram; only a row larger than the budget can make a
+// bigger one, and it ships alone. DESIGN.md (RPC and transport) has the
+// measurement that chose the value.
+const RowFrameBytes = 48 << 10
 
 // bloomFor resolves the gathered filter for a stage (nil: none).
 func (e *Env) bloomFor(stage int) *bloom.Filter { return e.Blooms[stage] }
@@ -221,7 +227,7 @@ func CompileOneShot(spec *plan.Spec, env *Env) *Pipeline {
 		prev := p.Add("scan", env.scanSource(sc))
 		prev = p.maybeFilter(prev, "filter", sc.Where)
 		prev = p.maybeFilter(prev, "post-filter", spec.PostFilter)
-		p.addTail(spec, env, prev, false)
+		p.addTail(spec, env, prev, false, false)
 		return p
 	}
 	// Left chain: scan the leftmost table, fold in the leading run of
@@ -232,7 +238,7 @@ func CompileOneShot(spec *plan.Spec, env *Env) *Pipeline {
 	prev, stage := p.addFetchChain(spec, env, prev, 0)
 	if stage == len(spec.Joins) {
 		prev = p.maybeFilter(prev, "post-filter", spec.PostFilter)
-		p.addTail(spec, env, prev, false)
+		p.addTail(spec, env, prev, false, false)
 	} else {
 		// A Bloom join past stage 0 filters the accumulated left stream
 		// before its rehash — the filter was built over the stage's
@@ -305,7 +311,7 @@ func CompileContinuous(spec *plan.Spec, env *Env) (*Pipeline, *Inlet) {
 	prev = p.maybeFilter(prev, "filter", sc.Where)
 	wb := p.Add("window", WindowBuffer(time.Duration(spec.Window), env.batchSize()))
 	p.Connect(prev, wb)
-	p.addTail(spec, env, wb, false)
+	p.addTail(spec, env, wb, false, false)
 	return p, in
 }
 
@@ -323,18 +329,28 @@ func CompileJoinCollector(spec *plan.Spec, stage int, env *Env) (*Pipeline, [2]*
 	inlets := [2]*Inlet{NewInlet(), NewInlet()}
 	l := p.Add("probe-src.l", inlets[0].Source)
 	r := p.Add("probe-src.r", inlets[1].Source)
+	cfg := HybridJoinConfig{
+		Budget:    env.JoinMemBudget,
+		Spill:     env.Spill,
+		Label:     fmt.Sprintf("%s-s%d", env.SpillLabel, stage),
+		IdleHold:  env.SpillHold,
+		BatchSize: env.batchSize(),
+	}
+	// The plan's last stage with no post-filter after it emits the
+	// projected row itself: the tail then has nothing to project.
+	last := stage == len(spec.Joins)-1 && spec.PostFilter == nil
+	if last {
+		cfg.Proj = spec.Proj
+	}
 	jp := p.Add("hybrid-join", HybridJoin(
 		[2]int{spec.LeftArity(stage), spec.Scans[stage+1].Schema.Arity()},
-		[2][]int{j.LeftCols, j.RightCols},
-		HybridJoinConfig{
-			Budget:    env.JoinMemBudget,
-			Spill:     env.Spill,
-			Label:     fmt.Sprintf("%s-s%d", env.SpillLabel, stage),
-			IdleHold:  env.SpillHold,
-			BatchSize: env.batchSize(),
-		}))
+		[2][]int{j.LeftCols, j.RightCols}, cfg))
 	p.Connect(l, jp)
 	p.Connect(r, jp)
+	if last {
+		p.addTail(spec, env, jp, true, true)
+		return p, inlets
+	}
 	p.addJoinContinuation(spec, env, jp, stage+1)
 	return p, inlets
 }
@@ -374,7 +390,7 @@ func (p *Pipeline) addJoinContinuation(spec *plan.Spec, env *Env, jp *dataflow.N
 	prev, next := p.addFetchChain(spec, env, jp, from)
 	if next == len(spec.Joins) {
 		prev = p.maybeFilter(prev, "post-filter", spec.PostFilter)
-		p.addTail(spec, env, prev, true)
+		p.addTail(spec, env, prev, true, false)
 		return
 	}
 	if next > 0 && spec.Joins[next].Strategy == plan.BloomJoin {
@@ -397,14 +413,15 @@ func CompileAggCollector(spec *plan.Spec, env *Env) (*Pipeline, *Inlet) {
 	src := p.Add("merge-src", in.Source)
 	fa := p.Add("final-agg", FinalAgg(spec.GroupCols, spec.Aggs, env.CollectorHold, env.batchSize()))
 	p.Connect(src, fa)
-	ship := p.Add("ship-rows", ShipRows(env.ShipRows, rowBatch, false, nil, env.DrainAck))
+	ship := p.Add("ship-rows", ShipRows(env.ShipRows, RowFrameBytes, false, nil, env.DrainAck))
 	p.Connect(fa, ship)
 	return p, in
 }
 
 // CompileFinalize builds the coordinator-local tail over collected
 // canonical rows: HAVING, DISTINCT, ORDER BY, LIMIT, and the output
-// permutation — the same operator library, instrumented. Of env it
+// permutation when it moves a column (a plain SELECT's rows are already
+// in select-list order) — the same operator library, instrumented. Of env it
 // reads only BatchSize, the tail's vectorization width, and Go.
 func CompileFinalize(spec *plan.Spec, rows []tuple.Tuple, out *[]tuple.Tuple, env *Env) *Pipeline {
 	p := env.newPipeline("coordinator", spec.Analyze)
@@ -433,10 +450,16 @@ func CompileFinalize(spec *plan.Spec, rows []tuple.Tuple, out *[]tuple.Tuple, en
 		p.Connect(prev, lim)
 		prev = lim
 	}
-	perm := p.Add("output-perm", Project(spec.OutPermExprs()))
-	p.Connect(prev, perm)
+	if !spec.OutPermIdentity() {
+		perm := p.Add("output-perm", Project(spec.OutPermExprs()))
+		p.Connect(prev, perm)
+		prev = perm
+	}
+	// No tail operator emits more rows than it takes: size the answer
+	// once instead of growing it row by row.
+	*out = make([]tuple.Tuple, 0, len(rows))
 	sink := p.Add("collect", Collect(out))
-	p.Connect(perm, sink)
+	p.Connect(prev, sink)
 	return p
 }
 
@@ -467,16 +490,18 @@ func (p *Pipeline) maybeFilter(prev *dataflow.Node, name string, pred expr.Expr)
 }
 
 // addTail appends the shared plan tail after the row-producing
-// operators: projection, then partial aggregation shipped toward
-// collectors, or result rows shipped to the coordinator. streaming
-// marks collector pipelines, whose input never ends — partials go out
-// eagerly per row, and result rows ship whenever the collector has
-// caught up with its input (ShipRows), so nothing waits for an end of
-// stream that does not come.
-func (p *Pipeline) addTail(spec *plan.Spec, env *Env, prev *dataflow.Node, streaming bool) {
-	proj := p.Add("project", Project(spec.Proj))
-	p.Connect(prev, proj)
-	prev = proj
+// operators: projection (unless prev already emits projected rows),
+// then partial aggregation shipped toward collectors, or result rows
+// shipped to the coordinator. streaming marks collector pipelines,
+// whose input never ends — partials go out eagerly per row, and result
+// rows ship whenever the collector has caught up with its input
+// (ShipRows), so nothing waits for an end of stream that does not come.
+func (p *Pipeline) addTail(spec *plan.Spec, env *Env, prev *dataflow.Node, streaming, projected bool) {
+	if !projected {
+		proj := p.Add("project", Project(spec.Proj))
+		p.Connect(prev, proj)
+		prev = proj
+	}
 	if spec.IsAggregate() {
 		agg := p.Add("partial-agg", PartialAgg(spec.GroupCols, spec.Aggs, streaming, !spec.IsContinuous(), env.batchSize()))
 		p.Connect(prev, agg)
@@ -484,7 +509,7 @@ func (p *Pipeline) addTail(spec *plan.Spec, env *Env, prev *dataflow.Node, strea
 		p.Connect(agg, ship)
 		return
 	}
-	ship := p.Add("ship-rows", ShipRows(env.ShipRows, rowBatch, streaming, env.FlushRoutes, env.DrainAck))
+	ship := p.Add("ship-rows", ShipRows(env.ShipRows, RowFrameBytes, streaming, env.FlushRoutes, env.DrainAck))
 	p.Connect(prev, ship)
 }
 

@@ -3,6 +3,7 @@ package physical
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -780,22 +781,29 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 			dataflow.PunctMsg(2, time.Now()), // punct flushes
 		}
 	}
-	run(ShipRows(ship, 2, false, nil, nil), filled(script()...))
+	// row(i) for i < 64 is a 3-byte encoding plus its 1-byte length
+	// prefix: an 8-byte budget holds two.
+	const two = 8
+	run(ShipRows(ship, two, false, nil, nil), filled(script()...))
 	check("batched", call{1, 2}, call{1, 1}, call{2, 1})
 	// Eager with the same input already waiting: the same frames.
-	run(ShipRows(ship, 2, true, nil, nil), filled(script()...))
+	run(ShipRows(ship, two, true, nil, nil), filled(script()...))
 	check("eager, input ready", call{1, 2}, call{1, 1}, call{2, 1})
 
 	// Eager, a node that is behind: N waiting rows leave in whole
-	// frames, at most ceil(N/rowBatch) + 1 calls.
-	const n = 200
+	// frames. A frame closes only when the next record (at most 5 bytes
+	// here) would overflow it, so every frame but the last carries more
+	// than budget-5 bytes.
+	const n, budget = 200, 64
 	backlog := make([]dataflow.Msg, n)
+	bytes := 0
 	for i := range backlog {
 		backlog[i] = one(row(i), 0)
+		bytes += row(i).EncodedLen() + 1
 	}
-	run(ShipRows(ship, rowBatch, true, nil, nil), filled(backlog...))
-	if len(calls) > (n+rowBatch-1)/rowBatch+1 {
-		t.Fatalf("%d waiting rows shipped in %d calls: %v", n, len(calls), calls)
+	run(ShipRows(ship, budget, true, nil, nil), filled(backlog...))
+	if len(calls) > bytes/(budget-5)+1 {
+		t.Fatalf("%d waiting rows (%d bytes) shipped in %d calls: %v", n, bytes, len(calls), calls)
 	}
 	total := 0
 	for _, c := range calls {
@@ -805,6 +813,11 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 		t.Fatalf("shipped %d of %d rows: %v", total, n, calls)
 	}
 	calls = nil
+
+	// A row larger than the budget ships alone, between whole frames.
+	wide := row(strings.Repeat("w", 3*two))
+	run(ShipRows(ship, two, false, nil, nil), filled(one(row(1), 4), one(wide, 4), one(row(2), 4), one(row(3), 4)))
+	check("oversized row", call{4, 1}, call{4, 1}, call{4, 2})
 
 	// Eager, an idle node: each row leaves the moment nothing else is
 	// waiting — the feeder sends the next only after the last shipped.
@@ -816,7 +829,7 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 		run(ShipRows(func(_ uint64, rows []tuple.Tuple) int {
 			shipped <- len(rows)
 			return len(rows)
-		}, rowBatch, true, nil, nil), feed)
+		}, RowFrameBytes, true, nil, nil), feed)
 	}()
 	for i := 0; i < 5; i++ {
 		feed <- one(row(i), 0)
@@ -833,7 +846,7 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 	run(ShipRows(func(_ uint64, rows []tuple.Tuple) int {
 		order = append(order, fmt.Sprintf("ship %d", len(rows)))
 		return len(rows)
-	}, rowBatch, true,
+	}, RowFrameBytes, true,
 		func() { order = append(order, "flush-routes") },
 		func(round uint64) { order = append(order, fmt.Sprintf("ack %d", round)) }),
 		filled(one(row(1), 0), one(row(2), 0), one(row(3), 0), dataflow.DrainMsg(7)))

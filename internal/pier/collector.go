@@ -77,7 +77,8 @@ func (q *queryState) aggInlet() *physical.Inlet {
 	return q.aggIn
 }
 
-// collectJoinTuples feeds the rehashed tuples of one arriving frame
+// collectJoinTuples feeds one group of rehashed tuples — all of one
+// delivery's tuples for a (stage, side, window), see onJoinRecords —
 // into a join stage's collector as one batch message.
 func (q *queryState) collectJoinTuples(window uint64, stage, side int, ts []tuple.Tuple) {
 	in := q.joinInlet(stage, side)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/bloom"
 	"repro/internal/dataflow"
 	"repro/internal/id"
@@ -589,18 +590,58 @@ func (n *Node) onRouted(from overlay.Node, key id.ID, tag string, payload []byte
 		}
 		q.collectPartials(f.Window, rows)
 	case tagJoin:
-		f, rows, err := decodeTupleMsg(payload)
-		if err != nil || len(rows) == 0 || f.Side > 1 {
-			return
-		}
-		q := n.getQuery(f.Query, nil)
-		if q == nil {
-			n.bufferPending(f.Query, tag, payload)
-			return
-		}
-		q.collectJoinTuples(f.Window, int(f.Stage), int(f.Side), rows)
+		// A record that arrived alone is a frame of one.
+		n.onJoinRecords([]batch.Record{{Key: key, Tag: tag, Payload: payload}})
 	case tagStatsGossip:
 		n.onStatsGossip(payload)
+	}
+}
+
+// joinGroup is the rehashed tuples of one (query, stage, side, window)
+// within one arrival: what one inlet push carries.
+type joinGroup struct {
+	q           *queryState
+	window      uint64
+	stage, side uint8
+	recs        [][]byte
+}
+
+// onJoinRecords feeds the rehashed join records of one arrival — the
+// records of an arriving frame this node owns (the route batcher's
+// frame upcall), or a record that arrived alone — to their collectors:
+// one decode and one inlet push per (query, stage, side, window)
+// group, so a frame costs its receiver per group, not per record.
+// Records of a query not yet announced are buffered one by one.
+func (n *Node) onJoinRecords(recs []batch.Record) {
+	n.Metrics.JoinArrivals.Add(1)
+	var groups []joinGroup
+	for _, rec := range recs {
+		f, err := wire.TupleFrameFromBytes(rec.Payload)
+		if err != nil || len(f.Records) == 0 || f.Side > 1 {
+			continue
+		}
+		i := 0
+		for i < len(groups) && !(groups[i].q.id == f.Query && groups[i].window == f.Window &&
+			groups[i].stage == f.Stage && groups[i].side == f.Side) {
+			i++
+		}
+		if i == len(groups) {
+			q := n.getQuery(f.Query, nil)
+			if q == nil {
+				n.bufferPending(f.Query, tagJoin, rec.Payload)
+				continue
+			}
+			groups = append(groups, joinGroup{q: q, window: f.Window, stage: f.Stage, side: f.Side})
+		}
+		groups[i].recs = append(groups[i].recs, f.Records...)
+	}
+	for _, g := range groups {
+		rows, err := tuple.DecodeRecords(g.recs)
+		if err != nil {
+			continue
+		}
+		n.Metrics.JoinPushes.Add(1)
+		g.q.collectJoinTuples(g.window, int(g.stage), int(g.side), rows)
 	}
 }
 
@@ -647,6 +688,7 @@ func (n *Node) replayPending(q *queryState) {
 	msgs := n.pending[q.id]
 	delete(n.pending, q.id)
 	n.pendMu.Unlock()
+	var joins []batch.Record
 	for _, m := range msgs {
 		switch m.tag {
 		case tagAgg:
@@ -654,10 +696,11 @@ func (n *Node) replayPending(q *queryState) {
 				q.collectPartials(f.Window, rows)
 			}
 		case tagJoin:
-			if f, rows, err := decodeTupleMsg(m.payload); err == nil && f.Query == q.id && len(rows) > 0 && f.Side <= 1 {
-				q.collectJoinTuples(f.Window, int(f.Stage), int(f.Side), rows)
-			}
+			joins = append(joins, batch.Record{Tag: m.tag, Payload: m.payload})
 		}
+	}
+	if len(joins) > 0 {
+		n.onJoinRecords(joins)
 	}
 }
 

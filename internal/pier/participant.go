@@ -243,40 +243,31 @@ func (q *queryState) partialRouter() overlay.Router {
 	return q.node.router
 }
 
-// rowBatch bounds rows per result message to the coordinator.
-const rowBatch = 64
-
-// sendRows ships canonical result rows to the coordinator. The rows
-// enter the sent books before the calls, so a call that fails leaves
+// sendRows ships one result frame of canonical rows to the coordinator
+// (the ship-rows sink sizes it: physical.RowFrameBytes). The rows
+// enter the sent books before the call, so a call that fails leaves
 // the query's books unbalanced; the first failure per query is put on
-// record. Each frame is sent once (CallOnce), never retransmitted:
-// without frame-sequence dedup at the coordinator a retransmission
-// whose original was only slow would deliver the rows twice.
+// record with the frame's size. The frame is sent once (CallOnce),
+// never retransmitted: without frame-sequence dedup at the coordinator
+// a retransmission whose original was only slow would deliver the rows
+// twice.
 func (q *queryState) sendRows(window uint64, rows []tuple.Tuple) int {
 	if len(rows) == 0 {
 		return 0
 	}
 	q.shipSpan()
 	q.countSent(chanKey{kind: chanRows}, len(rows))
-	total := 0
-	for off := 0; off < len(rows); off += rowBatch {
-		end := off + rowBatch
-		if end > len(rows) {
-			end = len(rows)
-		}
-		payload := encodeTupleMsg(q.id, window, 0, 0, rows[off:end]...)
-		total += len(payload)
-		ctx, cancel := context.WithTimeout(q.ctx, 2*time.Second)
-		_, err := q.node.peer.CallOnce(ctx, q.coord, methRows, payload)
-		cancel()
-		if err != nil && q.ctx.Err() == nil {
-			q.rowsFailOnce.Do(func() {
-				q.node.events.Emit(obs.SevWarn, obs.EvRowsUnacked, q.id,
-					"coord=%s rows=%d: %v", q.coord, end-off, err)
-			})
-		}
+	payload := encodeTupleMsg(q.id, window, 0, 0, rows...)
+	ctx, cancel := context.WithTimeout(q.ctx, 2*time.Second)
+	_, err := q.node.peer.CallOnce(ctx, q.coord, methRows, payload)
+	cancel()
+	if err != nil && q.ctx.Err() == nil {
+		q.rowsFailOnce.Do(func() {
+			q.node.events.Emit(obs.SevWarn, obs.EvRowsUnacked, q.id,
+				"coord=%s rows=%d bytes=%d: %v", q.coord, len(rows), len(payload), err)
+		})
 	}
-	return total
+	return len(payload)
 }
 
 // rehashShip routes a batch of tuples of one join stage's side toward
@@ -289,21 +280,36 @@ func (q *queryState) rehashShip(stage, side int, window uint64, keys [][]byte, t
 	q.node.Metrics.JoinTuplesRehashed.Add(uint64(len(ts)))
 	q.shipSpan()
 	q.countSent(chanKey{kind: chanJoin, stage: uint8(stage), side: uint8(side)}, len(ts))
-	parts := make([][]tuple.Tuple, q.joinParts)
+	// Bucket the batch by partition, arrival order kept within each: a
+	// counting sort into one array, a fixed few allocations per batch.
+	parts := q.joinParts
+	of := make([]int32, len(ts))
+	end := make([]int, parts+1) // partition p's tuples end at end[p+1]
+	for i := range ts {
+		p := physical.RehashPartition(keys[i], parts)
+		of[i] = int32(p)
+		end[p+1]++
+	}
+	for p := 1; p <= parts; p++ {
+		end[p] += end[p-1]
+	}
+	sorted := make([]tuple.Tuple, len(ts))
+	next := append([]int(nil), end[:parts]...)
 	for i, t := range ts {
-		p := physical.RehashPartition(keys[i], len(parts))
-		parts[p] = append(parts[p], t)
+		sorted[next[of[i]]] = t
+		next[of[i]]++
 	}
 	total := 0
 	origin := joinOrigin(stage)
-	recs := make([]batch.Record, 0, min(len(ts), len(parts)))
-	for p, rows := range parts {
+	recs := make([]batch.Record, 0, min(len(ts), parts))
+	for p := 0; p < parts; p++ {
+		rows := sorted[end[p]:end[p+1]]
 		if len(rows) == 0 {
 			continue
 		}
 		payload := encodeTupleMsg(q.id, window, uint8(stage), uint8(side), rows...)
 		total += len(payload)
-		recs = append(recs, batch.Record{Key: joinCollectorKey(origin, p, len(parts)), Tag: tagJoin, Payload: payload})
+		recs = append(recs, batch.Record{Key: joinCollectorKey(origin, p, parts), Tag: tagJoin, Payload: payload})
 	}
 	q.node.routeRecords(recs)
 	return total

@@ -150,6 +150,13 @@ type Metrics struct {
 	FetchProbes         obs.Counter
 	StrategySwitches    obs.Counter
 	AutoAnalyzes        obs.Counter
+	// JoinArrivals counts deliveries of rehashed join records to this
+	// node: one per arriving frame's owned records, one per record that
+	// arrived alone, one per replay of records buffered before their
+	// query. JoinPushes counts the collector inlet pushes they made —
+	// one per (query, stage, side, window) group of a delivery.
+	JoinArrivals obs.Counter
+	JoinPushes   obs.Counter
 }
 
 // Node is one PIER participant.
@@ -257,6 +264,7 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 	n.batcher = batch.New(n.chord, cfg.Batch)
 	n.router = n.batcher
 	n.store = dht.New(n.router, n.peer, cfg.DHT, n.onRouted)
+	n.batcher.SetDeliverFrame(tagJoin, n.onJoinRecords)
 	n.router.SetBroadcast(n.onBroadcast)
 	if !cfg.DisableCombiner {
 		n.router.SetIntercept(n.onIntercept)

@@ -218,3 +218,78 @@ func TestJoinResultRowsFullFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinPushesPerFrame: a node takes the join records of an arriving
+// frame as one delivery and pushes each (query, stage, side, window)
+// group of it into its collector once — on the benchmark's join at test
+// scale, 8 nodes and 8000 orders over 1000 users, a handful of pushes
+// per frame instead of one per rehashed record (≈2 600 per query when
+// every record was delivered alone). The answer stays the centralized
+// baseline's byte for byte at every vectorization width, in memory and
+// spilling under 64 KB.
+func TestJoinPushesPerFrame(t *testing.T) {
+	const nOrders, nUsers = 8000, 1000
+	sql := "SELECT o.oid, u.name FROM orders o JOIN users u ON o.uid = u.uid"
+	var want []string
+	seed := int64(2100)
+	for _, budget := range []int64{0, 64 * 1024} {
+		for _, width := range []int{1, 7, 256} {
+			seed++
+			cl := spillCluster(t, 8, seed, func(cfg *pier.Config) {
+				cfg.JoinMemBudget = budget
+				cfg.SpillDir = t.TempDir()
+				cfg.BatchSize = width
+				cfg.Quiet = 4 * time.Second // see TestJoinResultRowsFullFrames
+			})
+			seedRehashJoin(t, cl.Nodes, nOrders, nUsers, 1)
+			if want == nil {
+				res, err := centralizedBaseline(cl.Nodes).QuerySQL(context.Background(), sql, time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = encodeSorted(res.Rows)
+			}
+			type counts struct{ pushes, arrivals, frames, records uint64 }
+			sum := func() (c counts) {
+				for _, nd := range cl.Nodes {
+					c.pushes += nd.Metrics.JoinPushes.Load()
+					c.arrivals += nd.Metrics.JoinArrivals.Load()
+					c.frames += nd.Batcher().MetricsRef().FramesIn.Load()
+					c.records += nd.Metrics.JoinTuplesRehashed.Load()
+				}
+				return c
+			}
+			before := sum()
+			sym := plan.SymmetricHash
+			res, err := cl.Nodes[0].QueryWithOptions(context.Background(), sql, plan.Options{Strategy: &sym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := sum()
+			pushes, arrivals := after.pushes-before.pushes, after.arrivals-before.arrivals
+			frames, tuples := after.frames-before.frames, after.records-before.records
+			t.Logf("budget %d width %d: %d pushes, %d arrivals (%d frames in), %d tuples rehashed", budget, width, pushes, arrivals, frames, tuples)
+			// An arrival holds at most one group per side of the stage.
+			if pushes > 2*arrivals {
+				t.Errorf("budget %d width %d: %d pushes for %d arrivals", budget, width, pushes, arrivals)
+			}
+			// One push per record was at least one per tuple at width 1
+			// and ≈2 600 (64 partitions × 5 scan batches × 8 nodes) at 256.
+			if pushes*4 > tuples {
+				t.Errorf("budget %d width %d: %d pushes for %d rehashed tuples, want ≤ 1 per 4", budget, width, pushes, tuples)
+			}
+			if res.Reason != pier.ReasonEOS {
+				t.Errorf("budget %d width %d: ended %q, want %q", budget, width, res.Reason, pier.ReasonEOS)
+			}
+			got := encodeSorted(res.Rows)
+			if len(got) != len(want) {
+				t.Fatalf("budget %d width %d: %d rows, want %d", budget, width, len(got), len(want))
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("budget %d width %d: row %d differs from the centralized baseline", budget, width, j)
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package pier
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -197,14 +198,20 @@ func TestJoinRowsUnackedEvent(t *testing.T) {
 	}
 	q := nodes[0].newQueryState(42, spec, "no-such-coordinator", joinPartitions(1))
 	defer q.cancel()
-	rows := make([]tuple.Tuple, rowBatch+1) // two frames, both fail
-	for i := range rows {
-		rows[i] = tuple.Tuple{tuple.Int(int64(i)), tuple.String("u")}
+	frame := func(n int) []tuple.Tuple {
+		rows := make([]tuple.Tuple, n)
+		for i := range rows {
+			rows[i] = tuple.Tuple{tuple.Int(int64(i)), tuple.String("u")}
+		}
+		return rows
 	}
-	q.sendRows(0, rows)
+	// Two frames, both fail; the event names the first one's rows and size.
+	size := q.sendRows(0, frame(3))
+	q.sendRows(0, frame(5))
 	ev := eventFor(t, nodes[0], obs.EvRowsUnacked, 42)
-	if ev.Severity != obs.SevWarn || !strings.Contains(ev.Msg, "coord=no-such-coordinator rows=64") {
-		t.Fatalf("unexpected event %+v", ev)
+	want := fmt.Sprintf("coord=no-such-coordinator rows=3 bytes=%d:", size)
+	if ev.Severity != obs.SevWarn || !strings.Contains(ev.Msg, want) {
+		t.Fatalf("unexpected event %+v, want %q", ev, want)
 	}
 	n := 0
 	for _, e := range nodes[0].Events().Snapshot() {

@@ -34,6 +34,8 @@ func (n *Node) registerMetrics() {
 	reg.RegisterCounter("pier_partials_sent_total", &n.Metrics.PartialsSent)
 	reg.RegisterCounter("pier_partials_combined_total", &n.Metrics.PartialsCombined)
 	reg.RegisterCounter("pier_join_tuples_rehashed_total", &n.Metrics.JoinTuplesRehashed)
+	reg.RegisterCounter("pier_join_arrivals_total", &n.Metrics.JoinArrivals)
+	reg.RegisterCounter("pier_join_pushes_total", &n.Metrics.JoinPushes)
 	reg.RegisterCounter("pier_fetch_probes_total", &n.Metrics.FetchProbes)
 	reg.RegisterCounter("pier_strategy_switches_total", &n.Metrics.StrategySwitches)
 	reg.RegisterCounter("pier_auto_analyzes_total", &n.Metrics.AutoAnalyzes)

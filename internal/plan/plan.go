@@ -881,6 +881,20 @@ func (s *Spec) OutPermExprs() []expr.Expr {
 	return perm
 }
 
+// OutPermIdentity reports whether the output permutation keeps the
+// canonical layout as it is: every canonical column, in order.
+func (s *Spec) OutPermIdentity() bool {
+	if len(s.OutPerm) != s.CanonicalWidth() {
+		return false
+	}
+	for i, p := range s.OutPerm {
+		if p != i {
+			return false
+		}
+	}
+	return true
+}
+
 // OutputSchema describes the result rows in select-list order.
 func (s *Spec) OutputSchema() *tuple.Schema {
 	cols := make([]tuple.Column, len(s.OutNames))

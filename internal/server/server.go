@@ -14,7 +14,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -64,7 +63,10 @@ type Response struct {
 	// failure and back off.
 	Reject string `json:"reject,omitempty"`
 
-	Columns      []string        `json:"columns,omitempty"`
+	Columns []string `json:"columns,omitempty"`
+	// Rows is what a client decodes the result rows into. The server
+	// leaves it empty and writes the rows from the tuples (see
+	// appendLine); encoding/json reads the line back into this form.
 	Rows         [][]interface{} `json:"rows,omitempty"`
 	Participants int             `json:"participants,omitempty"`
 	// Reason reports how the query completed ("eos", "quiet-timeout",
@@ -103,6 +105,8 @@ type Response struct {
 	Trace     json.RawMessage    `json:"trace,omitempty"`      // assembled trace document
 	TraceText string             `json:"trace_text,omitempty"` // human TRACE tree
 	Events    []obs.Event        `json:"events,omitempty"`     // structured event ring
+
+	rows []tuple.Tuple // the result rows the server writes as "rows"
 }
 
 // Event is an unsolicited server-to-client message (window delivery).
@@ -110,7 +114,12 @@ type Event struct {
 	Event string          `json:"event"` // "window" or "end"
 	Sub   uint64          `json:"sub"`
 	Seq   uint64          `json:"seq,omitempty"`
-	Rows  [][]interface{} `json:"rows,omitempty"`
+	Rows  [][]interface{} `json:"rows,omitempty"` // decode side, as Response.Rows
+	// Error says why a window's rows could not be encoded; the window
+	// arrives without them.
+	Error string `json:"error,omitempty"`
+
+	rows []tuple.Tuple
 }
 
 // Server accepts pierd client connections.
@@ -214,7 +223,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		var req Request
 		if err := json.Unmarshal(line, &req); err != nil {
-			cc.send(Response{ID: 0, Error: "bad request: " + err.Error()})
+			cc.respond(Response{ID: 0, Error: "bad request: " + err.Error()})
 			continue
 		}
 		// Queries block (admission queue + quiescence), so every
@@ -223,22 +232,45 @@ func (s *Server) handle(conn net.Conn) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cc.send(cc.dispatch(req))
+			cc.respond(cc.dispatch(req))
 		}()
 	}
 }
 
-// send writes one JSON line under the write lock.
-func (cc *clientConn) send(resp interface{}) {
-	buf, err := json.Marshal(resp)
+// respond writes one response line. A response that cannot be encoded
+// (a row holding a non-finite float, say) goes out as ok:false with the
+// same id and the encoder's error, so no request goes unanswered.
+func (cc *clientConn) respond(resp Response) {
+	cc.send(resp, resp.rows, func(err error) interface{} {
+		return Response{ID: resp.ID, Error: "encoding response: " + err.Error()}
+	})
+}
+
+// event writes one event line; an event whose rows cannot be encoded
+// goes out without them, saying why.
+func (cc *clientConn) event(ev Event) {
+	cc.send(ev, ev.rows, func(err error) interface{} {
+		return Event{Event: ev.Event, Sub: ev.Sub, Seq: ev.Seq, Error: "encoding rows: " + err.Error()}
+	})
+}
+
+// send encodes head and rows into one line outside the write lock, then
+// writes it under the lock; fallback builds the line sent instead when
+// encoding fails.
+func (cc *clientConn) send(head interface{}, rows []tuple.Tuple, fallback func(error) interface{}) {
+	bp := linePool.Get().(*[]byte)
+	buf, err := appendLine((*bp)[:0], head, rows)
 	if err != nil {
-		return
+		buf, err = appendLine(buf[:0], fallback(err), nil)
 	}
-	cc.wmu.Lock()
-	defer cc.wmu.Unlock()
-	cc.w.Write(buf)
-	cc.w.WriteByte('\n')
-	cc.w.Flush()
+	if err == nil {
+		cc.wmu.Lock()
+		cc.w.Write(buf)
+		cc.w.Flush()
+		cc.wmu.Unlock()
+	}
+	*bp = buf
+	linePool.Put(bp)
 }
 
 func (cc *clientConn) dispatch(req Request) Response {
@@ -336,7 +368,7 @@ func resultResponse(res *pier.Result, start time.Time) Response {
 	resp := Response{
 		Query:           res.QueryID,
 		Columns:         res.Columns,
-		Rows:            encodeRows(res.Rows),
+		rows:            res.Rows,
 		Participants:    res.Participants,
 		Reason:          res.Reason,
 		DurationMS:      float64(time.Since(start)) / float64(time.Millisecond),
@@ -375,9 +407,9 @@ func (cc *clientConn) subscribe(req Request) (Response, error) {
 				return
 			default:
 			}
-			cc.send(Event{Event: "window", Sub: handle, Seq: w.Seq, Rows: encodeRows(w.Rows)})
+			cc.event(Event{Event: "window", Sub: handle, Seq: w.Seq, rows: w.Rows})
 		}
-		cc.send(Event{Event: "end", Sub: handle})
+		cc.event(Event{Event: "end", Sub: handle})
 	}()
 	return Response{Sub: handle, Columns: sub.Columns, Shared: sub.Shared}, nil
 }
@@ -488,39 +520,5 @@ func coerce(raw interface{}, ty tuple.Type) (tuple.Value, error) {
 		return tuple.Time(ts), nil
 	default:
 		return tuple.Value{}, fmt.Errorf("unsupported column type")
-	}
-}
-
-// encodeRows renders tuples as JSON-friendly values.
-func encodeRows(rows []tuple.Tuple) [][]interface{} {
-	out := make([][]interface{}, len(rows))
-	for i, r := range rows {
-		row := make([]interface{}, len(r))
-		for j, v := range r {
-			row[j] = encodeValue(v)
-		}
-		out[i] = row
-	}
-	return out
-}
-
-func encodeValue(v tuple.Value) interface{} {
-	switch v.Kind {
-	case tuple.TBool:
-		return v.B
-	case tuple.TInt:
-		return v.I
-	case tuple.TFloat:
-		return v.F
-	case tuple.TString:
-		return v.S
-	case tuple.TBytes:
-		return base64.StdEncoding.EncodeToString(v.AsBytes())
-	case tuple.TTime:
-		return v.AsTime().Format(time.RFC3339Nano)
-	case tuple.TID:
-		return v.AsID().String()
-	default:
-		return nil
 	}
 }

@@ -375,6 +375,28 @@ func (t Tuple) Encode(w *wire.Writer) {
 	}
 }
 
+// EncodedLen is the length of the tuple's encoding (Encode), counted
+// without encoding it — what a byte budget on encoded rows reads.
+func (t Tuple) EncodedLen() int {
+	n := wire.UvarintLen(uint64(len(t)))
+	for _, v := range t {
+		n++ // kind
+		switch v.Kind {
+		case TBool:
+			n++
+		case TInt, TTime:
+			n += wire.UvarintLen(uint64(v.I<<1) ^ uint64(v.I>>63)) // zigzag
+		case TFloat:
+			n += 8
+		case TString, TBytes:
+			n += wire.UvarintLen(uint64(len(v.S))) + len(v.S)
+		case TID:
+			n += id.Bytes
+		}
+	}
+	return n
+}
+
 // DecodeTuple reads a tuple written by Encode.
 func DecodeTuple(r *wire.Reader) Tuple {
 	n := r.Uvarint()

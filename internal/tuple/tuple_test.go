@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -101,6 +102,23 @@ func TestTupleEncodeDecode(t *testing.T) {
 	}
 	if !got.Equal(tp) {
 		t.Fatalf("round trip %v -> %v", tp, got)
+	}
+}
+
+// TestEncodedLenMatchesEncode: the counted length is the encoding's,
+// for every kind, across varint widths and long string prefixes.
+func TestEncodedLenMatchesEncode(t *testing.T) {
+	f := func(i int64, s string, b []byte, fl float64, bl bool, ns int64, long uint16) bool {
+		tp := Tuple{Int(i), String(s), Bytes(b), Float(fl), Bool(bl), Null(),
+			Time(time.Unix(0, ns)), Time(time.Time{}), IDVal(id.HashString(s)),
+			String(strings.Repeat("x", int(long))), Int(-i)}
+		return tp.EncodedLen() == len(tp.Bytes())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := (Tuple{}).EncodedLen(); n != len(Tuple{}.Bytes()) {
+		t.Fatalf("empty tuple: %d", n)
 	}
 }
 

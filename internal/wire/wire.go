@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -91,6 +92,9 @@ func (w *Writer) Bool(v bool) {
 func (w *Writer) Uvarint(v uint64) {
 	w.buf = binary.AppendUvarint(w.buf, v)
 }
+
+// UvarintLen is the number of bytes Uvarint appends for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Varint appends a signed varint (zigzag).
 func (w *Writer) Varint(v int64) {
