@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"context"
+	"sort"
 	"testing"
 	"time"
 
@@ -154,4 +155,108 @@ func TestFigure1QueryRendering(t *testing.T) {
 	if q != "SELECT SUM(rate) FROM traffic WINDOW 5000 ms SLIDE 1000 ms" {
 		t.Fatalf("rendered %q", q)
 	}
+}
+
+// TestFigure1Shape is Figure 1's failure dip: the continuous SUM of
+// outbound rates holds steady, then drops when a quarter of the nodes
+// fail. It compares the diurnal-corrected response fraction (a
+// window's sum over the sensor model's full-network expectation),
+// because the sensors' sine trend is phased on wall-clock time and raw
+// sums of different windows are not comparable.
+func TestFigure1Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second simulated deployment")
+	}
+	const (
+		n, failCount = 16, 4
+		window       = time.Second
+		period       = 100 * time.Millisecond
+		failAt       = 2500 * time.Millisecond
+		run          = 6 * time.Second
+	)
+	c, err := piertest.New(piertest.Options{N: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var model *Sensor
+	for i, nd := range c.Nodes {
+		s, err := NewSensor(nd, SensorConfig{Period: period, BaseRate: 10, TTL: 2 * window, Seed: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Stop()
+		if model == nil {
+			model = s
+		}
+	}
+	// fraction is a window's sum over the model's full-network sum for
+	// the window closing at closeAt: one sample per period per node
+	// (sample noise is mean-zero).
+	fraction := func(sum float64, closeAt time.Time) float64 {
+		perNode := 0.0
+		for k := 1; k <= int(window/period); k++ {
+			perNode += model.Rate(closeAt.Add(-window + time.Duration(k)*period))
+		}
+		return sum / (perNode * n)
+	}
+	cont, err := c.Nodes[0].QueryContinuous(context.Background(), Figure1Query(window, 500*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cont.Stop()
+
+	// Bucket fractions by receipt time: the plateau before the failure
+	// and the trough once the failed nodes' samples have aged out.
+	var pre, trough []float64
+	start := time.Now()
+	deadline := time.After(run)
+	failed := false
+	for done := false; !done; {
+		if !failed && time.Since(start) >= failAt {
+			failed = true
+			for i := 1; i <= failCount; i++ {
+				c.Net.SetDown(c.Nodes[i].Addr(), true)
+			}
+		}
+		select {
+		case wr, ok := <-cont.Results():
+			if !ok {
+				t.Fatal("results closed early")
+			}
+			if len(wr.Rows) != 1 || wr.Rows[0][0].IsNull() {
+				continue
+			}
+			f, at := fraction(wr.Rows[0][0].F, wr.Time), time.Since(start)
+			switch {
+			case at > failAt-time.Second && at < failAt:
+				pre = append(pre, f)
+			case at > 4*time.Second:
+				trough = append(trough, f)
+			}
+		case <-deadline:
+			done = true
+		}
+	}
+	if len(pre) == 0 || len(trough) == 0 {
+		t.Fatalf("%d plateau and %d trough windows arrived", len(pre), len(trough))
+	}
+	preF, troughF := median(pre), median(trough)
+	// 4 of 16 nodes down: expect a ~25% dip; require >10%.
+	if troughF >= preF-0.1 {
+		t.Fatalf("no failure dip: plateau fraction %.3f, trough %.3f", preF, troughF)
+	}
+	// The plateau accounts for most of the network.
+	if preF < 0.6 {
+		t.Fatalf("plateau fraction only %.3f", preF)
+	}
+	t.Logf("response fraction: plateau %.3f, trough %.3f", preF, troughF)
+}
+
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	if len(xs)%2 == 1 {
+		return xs[len(xs)/2]
+	}
+	return (xs[len(xs)/2-1] + xs[len(xs)/2]) / 2
 }

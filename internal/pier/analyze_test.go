@@ -2,11 +2,14 @@ package pier_test
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/pier"
 	"repro/internal/piertest"
 	"repro/internal/tuple"
 )
@@ -45,18 +48,23 @@ func seedAnalyzeTables(t *testing.T, cluster *piertest.Cluster, perNode, rightRo
 			t.Fatal(err)
 		}
 	}
-	// Wait for the DHT puts to land on their owners.
-	deadline := time.Now().Add(10 * time.Second)
+	waitStored(t, cluster, "table:r", rightRows)
+}
+
+// waitStored waits for the DHT puts into ns to land on their owners.
+func waitStored(t *testing.T, cluster *piertest.Cluster, ns string, want int) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
 	for {
 		total := 0
 		for _, nd := range cluster.Nodes {
-			total += nd.Store().Count("table:r")
+			total += nd.Store().Count(ns)
 		}
-		if total >= rightRows {
+		if total >= want {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("right-table puts landed %d/%d", total, rightRows)
+			t.Fatalf("%s puts landed %d/%d", ns, total, want)
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
@@ -184,4 +192,163 @@ func TestAnalyzeSQLStatement(t *testing.T) {
 	if _, err := cluster.Nodes[2].Query(context.Background(), "ANALYZE nosuch"); err == nil {
 		t.Fatal("ANALYZE of unknown table succeeded")
 	}
+}
+
+// planShape keeps an EXPLAIN's join order and per-stage strategies and
+// drops its statistics annotations, which differ by provenance.
+func planShape(explain string) string {
+	var shape []string
+	for _, line := range strings.Split(explain, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) >= 2 && f[0] == "Scan":
+			shape = append(shape, f[1])
+		case len(f) >= 2 && strings.HasPrefix(f[0], "Join#"):
+			shape = append(shape, f[0]+f[1])
+		}
+	}
+	return strings.Join(shape, " ")
+}
+
+// TestAnalyzeSteersOptimizer: with no hand-declared statistics
+// anywhere, ANALYZE plus gossip (1) estimate every table within 2x of
+// the truth, (2) steer the optimizer at a node that never ran ANALYZE
+// to the join order hand-declared statistics pick, a different one
+// from what defaults pick, and (3) every statistics regime returns the
+// centralized baseline's rows.
+func TestAnalyzeSteersOptimizer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second simulated deployment")
+	}
+	const n, ordersPerNode, nUIDs, nItems = 12, 8, 50, 1200
+	// Republishing a thousand DHT items twice a second would swamp the
+	// cluster; the items live five minutes.
+	cl := spillCluster(t, n, 1, func(c *pier.Config) { c.DHT.RepublishEvery = 5 * time.Second })
+	users := tuple.MustSchema("users", []tuple.Column{
+		{Name: "uid", Type: tuple.TInt},
+		{Name: "name", Type: tuple.TString},
+	}, "uid")
+	orders := tuple.MustSchema("orders", []tuple.Column{
+		{Name: "node", Type: tuple.TString},
+		{Name: "oid", Type: tuple.TInt},
+		{Name: "uid", Type: tuple.TInt},
+		{Name: "item", Type: tuple.TInt},
+	}, "node", "oid")
+	items := tuple.MustSchema("items", []tuple.Column{
+		{Name: "item", Type: tuple.TInt},
+		{Name: "price", Type: tuple.TFloat},
+	}, "item")
+	for _, nd := range cl.Nodes {
+		for _, s := range []*tuple.Schema{users, orders, items} {
+			if err := nd.DefineTable(s, 5*time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Two user rows per uid, so the users join expands; items large.
+	for u := 0; u < nUIDs; u++ {
+		for c := 0; c < 2; c++ {
+			if err := cl.Nodes[(2*u+c)%n].Publish("users", tuple.Tuple{
+				tuple.Int(int64(u)), tuple.String(fmt.Sprintf("user-%d-%d", u, c)),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for it := 0; it < nItems; it++ {
+		if err := cl.Nodes[it%n].Publish("items", tuple.Tuple{
+			tuple.Int(int64(it)), tuple.Float(float64(it) + 0.5),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, nd := range cl.Nodes {
+		for j := 0; j < ordersPerNode; j++ {
+			oid := i*ordersPerNode + j
+			if err := nd.PublishLocal("orders", tuple.Tuple{
+				tuple.String(nd.Addr()), tuple.Int(int64(oid)),
+				tuple.Int(int64(oid % nUIDs)), tuple.Int(int64(oid % nItems)),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	trueRows := map[string]int64{"orders": n * ordersPerNode, "users": 2 * nUIDs, "items": nItems}
+	waitStored(t, cl, "table:users", 2*nUIDs)
+	waitStored(t, cl, "table:items", nItems)
+
+	const sql = "SELECT o.oid, u.name, i.price FROM orders o JOIN users u ON o.uid = u.uid JOIN items i ON o.item = i.item"
+	ref, err := centralizedBaseline(cl.Nodes).QuerySQL(context.Background(), sql, 300*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodeSorted(ref.Rows)
+	// run plans sql at nd, checks its answer against the baseline and
+	// returns the plan's shape.
+	run := func(nd *pier.Node, regime string) string {
+		t.Helper()
+		explain, err := nd.Explain(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := nd.Query(context.Background(), sql)
+		if err != nil {
+			t.Fatalf("%s: %v", regime, err)
+		}
+		if got := encodeSorted(res.Rows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d rows differ from the baseline's %d", regime, len(got), len(want))
+		}
+		return planShape(explain)
+	}
+	declaredAt, analyzeAt, gossipAt := cl.Nodes[0], cl.Nodes[1], cl.Nodes[2]
+
+	defaultsPlan := run(gossipAt, "defaults")
+
+	// The truth, hand-declared on one node only.
+	for tbl, st := range map[string]catalog.TableStats{
+		"orders": {Rows: trueRows["orders"], Distinct: map[string]int64{
+			"node": n, "oid": trueRows["orders"], "uid": nUIDs, "item": trueRows["orders"]}},
+		"users": {Rows: trueRows["users"], Distinct: map[string]int64{"uid": nUIDs, "name": trueRows["users"]}},
+		"items": {Rows: nItems, Distinct: map[string]int64{"item": nItems, "price": nItems}},
+	} {
+		if err := declaredAt.SetTableStats(tbl, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	declaredPlan := run(declaredAt, "declared")
+
+	for _, tbl := range []string{"orders", "users", "items"} {
+		res, err := analyzeAt.Analyze(context.Background(), tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tables) != 1 {
+			t.Fatalf("ANALYZE %s returned %d tables", tbl, len(res.Tables))
+		}
+		if est, truth := res.Tables[0].Rows, trueRows[tbl]; est <= 0 || est > 2*truth || truth > 2*est {
+			t.Fatalf("ANALYZE %s estimated %d rows, true %d: beyond 2x", tbl, est, truth)
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for _, tbl := range []string{"orders", "users", "items"} {
+		for {
+			st, src, _ := gossipAt.Catalog().StatsInfo(tbl)
+			if src == catalog.StatsGossiped && st.Rows > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s stats at %s: source %v, want gossiped", tbl, gossipAt.Addr(), src)
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	measuredPlan := run(gossipAt, "measured")
+
+	if measuredPlan != declaredPlan {
+		t.Fatalf("measured plan %q, declared plan %q", measuredPlan, declaredPlan)
+	}
+	if measuredPlan == defaultsPlan {
+		t.Fatalf("the workload does not separate the regimes: defaults and measured both plan %q", defaultsPlan)
+	}
+	t.Logf("defaults plan %q, measured and declared plan %q", defaultsPlan, measuredPlan)
 }

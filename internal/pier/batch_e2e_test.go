@@ -13,11 +13,19 @@ import (
 
 // runBatchJoin executes the same symmetric-hash join over a fresh
 // cluster with the given batching mode and returns the result rows in
-// canonical (sorted-encoding) order.
-func runBatchJoin(t *testing.T, disabled bool, seed int64) ([]string, uint64) {
+// canonical (sorted-encoding) order, the multi-record frames shipped,
+// and the overlay route forwards the query cost.
+func runBatchJoin(t *testing.T, disabled bool, seed int64) ([]string, uint64, uint64) {
 	t.Helper()
 	cfg := testNodeConfig()
 	cfg.Batch.Disabled = disabled
+	// Tuple-at-a-time pipelines: the vectorized ship path groups
+	// same-destination records into frames of its own, which would hand
+	// the unbatched run most of the route batcher's win.
+	cfg.BatchSize = 1
+	// Let frames fill for a whole local scan: the Flush barrier at scan
+	// completion bounds the latency.
+	cfg.Batch.MaxDelay = 25 * time.Millisecond
 	nodes, _ := clusterWithConfig(t, 12, seed, cfg)
 
 	leftSchema := tuple.MustSchema("el", []tuple.Column{
@@ -54,6 +62,14 @@ func runBatchJoin(t *testing.T, disabled bool, seed int64) ([]string, uint64) {
 		}
 	}
 
+	routeForwards := func() (total uint64) {
+		for _, nd := range nodes {
+			_, _, fwd, _ := nd.Router().MetricsSnapshot()
+			total += fwd
+		}
+		return total
+	}
+	fwdBefore := routeForwards()
 	strat := plan.SymmetricHash
 	res, err := nodes[0].QueryWithOptions(context.Background(),
 		"SELECT a.node, a.i, b.info FROM el a JOIN er b ON a.k = b.k",
@@ -70,16 +86,16 @@ func runBatchJoin(t *testing.T, disabled bool, seed int64) ([]string, uint64) {
 	for _, nd := range nodes {
 		frames += nd.Batcher().MetricsRef().FramesOut.Load()
 	}
-	return rows, frames
+	return rows, frames, routeForwards() - fwdBefore
 }
 
-// TestBatchingPreservesJoinResults is the end-to-end batching
-// equivalence check: a symmetric-hash join over a simulated cluster
-// returns byte-identical rows with route batching on and off, and the
-// batched run actually ships multi-record frames.
+// TestBatchingPreservesJoinResults is S7, the end-to-end batching
+// check: a symmetric-hash join over a simulated cluster returns
+// byte-identical rows with route batching on and off, the batched run
+// ships multi-record frames, and it routes at least 5x fewer messages.
 func TestBatchingPreservesJoinResults(t *testing.T) {
-	batched, frames := runBatchJoin(t, false, 7)
-	unbatched, _ := runBatchJoin(t, true, 7)
+	batched, frames, batchedRouted := runBatchJoin(t, false, 7)
+	unbatched, _, unbatchedRouted := runBatchJoin(t, true, 7)
 	if len(batched) == 0 {
 		t.Fatal("join returned no rows")
 	}
@@ -94,6 +110,11 @@ func TestBatchingPreservesJoinResults(t *testing.T) {
 	if frames == 0 {
 		t.Fatal("batched run shipped no multi-record frames")
 	}
+	if unbatchedRouted < 5*batchedRouted {
+		t.Fatalf("route batching cut routed messages only %.1fx (batched %d, unbatched %d), want >= 5x",
+			float64(unbatchedRouted)/float64(batchedRouted), batchedRouted, unbatchedRouted)
+	}
+	t.Logf("routed messages: batched %d, unbatched %d", batchedRouted, unbatchedRouted)
 }
 
 // TestBatchingAggregationEquivalence checks the partial-aggregation

@@ -233,3 +233,85 @@ func TestAnalyzeRescalesOnSuspicion(t *testing.T) {
 		t.Fatalf("EffectiveMembers %d after rejoin traffic, want %d", m, n)
 	}
 }
+
+// TestQueriesUnderScriptedChurn runs one-shot scans on a 16-node
+// cluster while a seeded simnet.GenerateScript crashes, partitions and
+// slows every node but the coordinator (a dead coordinator is a failed
+// client, not a degraded query). Every cell completes queries, and
+// with no churn every query ends eos with full coverage. A cell lasts
+// seconds, not the minutes the rates are quoted in, so the rates are
+// high enough to fire events inside it.
+func TestQueriesUnderScriptedChurn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second simulated deployment")
+	}
+	const n, queries, every, seed = 16, 8, 500 * time.Millisecond, 7
+	cells := []struct {
+		name  string
+		rates simnet.ChurnRates
+	}{
+		{name: "none"},
+		{name: "low", rates: simnet.ChurnRates{
+			CrashPerMin: 2, DownForMin: time.Second, DownForMax: 3 * time.Second,
+		}},
+		{name: "high", rates: simnet.ChurnRates{
+			CrashPerMin: 6, DownForMin: time.Second, DownForMax: 3 * time.Second,
+			PartitionPerMin: 15, HealAfter: time.Second,
+			StormPerMin: 15, StormFactor: 4, StormFor: 500 * time.Millisecond,
+		}},
+	}
+	for _, cell := range cells {
+		t.Run(cell.name, func(t *testing.T) {
+			cfg := testNodeConfig()
+			cfg.HeartbeatEvery = 50 * time.Millisecond
+			nodes, net := clusterWithConfig(t, n, seed, cfg)
+			defineEverywhere(t, nodes, trafficSchema, 10*time.Minute)
+			for i, nd := range nodes {
+				if err := nd.PublishLocal("traffic", tuple32(nd.Addr(), float64(i+1))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			churned := cell.rates != simnet.ChurnRates{}
+			if churned {
+				targets := make([]string, 0, n-1)
+				for _, nd := range nodes[1:] {
+					targets = append(targets, nd.Addr())
+				}
+				script := simnet.GenerateScript(targets, queries*every, cell.rates, seed)
+				if len(script) == 0 {
+					t.Fatal("the script fires no event while the queries run")
+				}
+				churner := simnet.NewChurner(net, script)
+				churner.Start()
+				t.Cleanup(func() {
+					churner.Stop()
+					net.Heal()
+					net.SetLatencyFactor(1)
+				})
+			}
+			start := time.Now()
+			succeeded, reasons := 0, map[string]int{}
+			for q := 0; q < queries; q++ {
+				if churned {
+					time.Sleep(time.Until(start.Add(time.Duration(q) * every)))
+				}
+				res, err := nodes[0].Query(context.Background(), "SELECT node, rate FROM traffic")
+				if err != nil {
+					if !churned {
+						t.Fatalf("query %d: %v", q, err)
+					}
+					continue // a broadcast lost to churn fails the query
+				}
+				succeeded++
+				reasons[res.Reason]++
+				if !churned && (res.Reason != ReasonEOS || res.Coverage != 1) {
+					t.Fatalf("query %d ended %q with coverage %v, want eos and 1", q, res.Reason, res.Coverage)
+				}
+			}
+			if succeeded == 0 {
+				t.Fatal("no query completed")
+			}
+			t.Logf("%d of %d queries completed: %v", succeeded, queries, reasons)
+		})
+	}
+}

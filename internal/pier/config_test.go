@@ -14,23 +14,6 @@ import (
 	"repro/internal/tuple"
 )
 
-// TestDisableCombinerStopsRelayCombining is TestRelayCombineBeforeFirstRound
-// with the combiner off: no relay combines a partial, and the answer is
-// still the baseline's.
-func TestDisableCombinerStopsRelayCombining(t *testing.T) {
-	cl := spillCluster(t, 16, 1811, func(c *pier.Config) { c.DisableCombiner = true })
-	seedDrainTables(t, cl.Nodes, 1500)
-	const sql = "SELECT rule, COUNT(*), SUM(hits) FROM alerts GROUP BY rule"
-	ref, err := centralizedBaseline(cl.Nodes).QuerySQL(context.Background(), sql, 500*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eosQuery(t, cl.Nodes[0], sql, encodeSorted(ref.Rows))
-	if combined := sumMetric(cl.Nodes, "pier_partials_combined_total"); combined != 0 {
-		t.Errorf("%v partials combined at relays with DisableCombiner", combined)
-	}
-}
-
 // TestDHTReplicasSetsReplicaWrites: the owner of a published item pushes
 // one dht.replica write per configured replica (republishing is held
 // off so only the puts themselves count).

@@ -81,9 +81,6 @@ type Config struct {
 	// pipelines: the most tuples a scan or a flushing operator puts in
 	// one dataflow message. Default 256 (dataflow.DefaultBatchSize).
 	BatchSize int
-	// DisableCombiner turns off in-network partial combining at
-	// relays (the S2 ablation).
-	DisableCombiner bool
 
 	// JoinMemBudget caps resident join build-state bytes per join
 	// stage per node. When an in-flight join's hash tables exceed the
@@ -266,9 +263,7 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 	n.store = dht.New(n.router, n.peer, cfg.DHT, n.onRouted)
 	n.batcher.SetDeliverFrame(tagJoin, n.onJoinRecords)
 	n.router.SetBroadcast(n.onBroadcast)
-	if !cfg.DisableCombiner {
-		n.router.SetIntercept(n.onIntercept)
-	}
+	n.router.SetIntercept(n.onIntercept)
 	n.members.Store(int64(cfg.Members))
 	n.peer.SetObs(n.reg)
 	n.store.RegisterMetrics(n.reg)

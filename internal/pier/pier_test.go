@@ -3,6 +3,7 @@ package pier
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -337,6 +338,9 @@ func TestFetchMatchesJoin(t *testing.T) {
 	}
 }
 
+// TestBloomJoinMatchesSymmetric is S3: the Bloom rewrite returns the
+// symmetric-hash join's rows, and rehashes fewer tuples doing it (most
+// rules match no alert, and the filter keeps them home).
 func TestBloomJoinMatchesSymmetric(t *testing.T) {
 	nodes, _ := cluster(t, 6, 10)
 	defineEverywhere(t, nodes, alertsSchema, time.Minute)
@@ -348,16 +352,34 @@ func TestBloomJoinMatchesSymmetric(t *testing.T) {
 	for rule := 1; rule <= 50; rule++ {
 		nodes[rule%6].PublishLocal("rules", tuple.Tuple{tuple.Int(int64(rule)), tuple.String(fmt.Sprintf("rule-%d", rule))})
 	}
-	bl := plan.BloomJoin
-	res, err := nodes[0].QueryWithOptions(context.Background(),
-		"SELECT a.node, r.descr FROM alerts a JOIN rules r ON a.rule = r.rule",
-		plan.Options{Strategy: &bl})
-	if err != nil {
-		t.Fatal(err)
+	rehashed := func() (total uint64) {
+		for _, nd := range nodes {
+			total += nd.Metrics.JoinTuplesRehashed.Load()
+		}
+		return total
 	}
-	if len(res.Rows) != 6 {
-		t.Fatalf("bloom join returned %d rows: %v", len(res.Rows), res.Rows)
+	run := func(strat plan.JoinStrategy) ([]string, uint64) {
+		before := rehashed()
+		res, err := nodes[0].QueryWithOptions(context.Background(),
+			"SELECT a.node, r.descr FROM alerts a JOIN rules r ON a.rule = r.rule",
+			plan.Options{Strategy: &strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sortedRowEncodings(res.Rows), rehashed() - before
 	}
+	bloomRows, bloomRehashed := run(plan.BloomJoin)
+	symRows, symRehashed := run(plan.SymmetricHash)
+	if len(bloomRows) != 6 {
+		t.Fatalf("bloom join returned %d rows", len(bloomRows))
+	}
+	if !reflect.DeepEqual(bloomRows, symRows) {
+		t.Fatalf("bloom rows differ from symmetric hash's (%d vs %d rows)", len(bloomRows), len(symRows))
+	}
+	if bloomRehashed >= symRehashed {
+		t.Fatalf("bloom join rehashed %d tuples, symmetric hash %d", bloomRehashed, symRehashed)
+	}
+	t.Logf("tuples rehashed: bloom %d, symmetric %d", bloomRehashed, symRehashed)
 }
 
 func TestContinuousSum(t *testing.T) {

@@ -28,9 +28,6 @@ type Options struct {
 	// NodeCfg overrides the node configuration. Default: fast
 	// simulation timers. A zero Members is filled in with N.
 	NodeCfg *pier.Config
-	// ConvergeTimeout bounds the overlay convergence wait.
-	// Default 60s.
-	ConvergeTimeout time.Duration
 }
 
 // FastConfig returns the simulation-scale node configuration used
@@ -68,9 +65,6 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.ConvergeTimeout == 0 {
-		opts.ConvergeTimeout = 60 * time.Second
-	}
 	netCfg := simnet.Config{}
 	if opts.NetCfg != nil {
 		netCfg = *opts.NetCfg
@@ -104,7 +98,7 @@ func New(opts Options) (*Cluster, error) {
 			return nil, fmt.Errorf("piertest: joining node %d: %w", i, err)
 		}
 	}
-	if err := c.WaitConverged(opts.ConvergeTimeout); err != nil {
+	if err := c.WaitConverged(60 * time.Second); err != nil {
 		c.Close()
 		return nil, err
 	}

@@ -2,10 +2,12 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/dht"
 	"repro/internal/piertest"
 )
@@ -151,4 +153,65 @@ func TestPostingsSurviveOwnerFailure(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 	t.Fatal("postings lost after owner failure")
+}
+
+// TestSearchMatchesFloodWithFewerMessages is S5: a keyword answered by
+// DHT gets finds every file bounded flooding finds, with fewer
+// messages on the network.
+func TestSearchMatchesFloodWithFewerMessages(t *testing.T) {
+	const n, files = 24, 40
+	c, err := piertest.New(piertest.Options{N: n, Seed: 38})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	idx := make([]*Index, n)
+	floods := make([]*baseline.Flood, n)
+	for i, nd := range c.Nodes {
+		if idx[i], err = New(nd, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if floods[i], err = baseline.NewFlood(nd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := 0
+	for f := 0; f < files; f++ {
+		words := []string{fmt.Sprintf("w%d", f%7)}
+		if f%4 == 0 {
+			words = append(words, "target")
+			want++
+		}
+		name := fmt.Sprintf("file-%03d", f)
+		if err := idx[f%n].PublishFile(name, words); err != nil {
+			t.Fatal(err)
+		}
+		if err := floods[f%n].ShareFile(name, words); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(600 * time.Millisecond) // let puts land and replicate
+
+	c.Net.ResetStats()
+	viaGet, err := idx[0].SearchGet(context.Background(), "target")
+	if err != nil {
+		t.Fatal(err)
+	}
+	getMsgs := c.Net.Stats().Sent
+	c.Net.ResetStats()
+	// Hop budget 10: with successor-list fan-out 4, depth 6 only just
+	// covers 24 nodes, so the slack keeps flooding's recall complete.
+	viaFlood, err := floods[0].Search(context.Background(), "target", 10, 400*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floodMsgs := c.Net.Stats().Sent
+
+	if len(viaGet) != want || !reflect.DeepEqual(viaGet, viaFlood) {
+		t.Fatalf("DHT search found %d files, flooding %d, want %d", len(viaGet), len(viaFlood), want)
+	}
+	if getMsgs >= floodMsgs {
+		t.Fatalf("DHT search cost %d messages, flooding %d", getMsgs, floodMsgs)
+	}
+	t.Logf("messages: DHT get %d, flooding %d", getMsgs, floodMsgs)
 }

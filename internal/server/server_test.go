@@ -351,3 +351,88 @@ func TestRejectSurfacesOnWire(t *testing.T) {
 		t.Fatalf("ok=%d rejects=%v, want 1 ok, 1 queue-timeout, 1 overloaded", okCount, rejects)
 	}
 }
+
+// TestThousandConnections: a thousand connections each send one query
+// at once, queueing far past the service's in-flight bound. Every one
+// is answered, ok or rejected with a typed reason; none errors and
+// none hangs.
+func TestThousandConnections(t *testing.T) {
+	c, err := piertest.New(piertest.Options{N: 4, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	svc := engine.New(c.Nodes[0], engine.Config{
+		MaxInFlight: 16, MaxQueued: 4096, QueueTimeout: time.Minute,
+	})
+	defer svc.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(ln, svc)
+	defer srv.Close()
+	addr := srv.Addr().String()
+
+	a := dial(t, addr)
+	a.must(Request{Op: "create", Table: "t",
+		Cols: []string{"k:string", "v:int"}, Key: []string{"k"}, TTLMS: 60_000})
+	for i := 0; i < 4; i++ {
+		a.must(Request{Op: "insert", Table: "t", Values: []interface{}{fmt.Sprintf("key-%d", i), i}})
+	}
+	statements := []string{
+		"SELECT COUNT(*) FROM t",
+		"SELECT SUM(v) FROM t",
+		"SELECT k, v FROM t ORDER BY v DESC LIMIT 2",
+	}
+
+	const conns = 1000
+	// ask sends one query on a fresh connection and reads its answer.
+	ask := func(i int) (Response, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return Response{}, err
+		}
+		defer conn.Close()
+		if err := conn.SetDeadline(time.Now().Add(2 * time.Minute)); err != nil {
+			return Response{}, err
+		}
+		req := Request{ID: 1, Op: "query", SQL: statements[i%len(statements)]}
+		if err := json.NewEncoder(conn).Encode(req); err != nil {
+			return Response{}, err
+		}
+		sc := bufio.NewScanner(conn)
+		if !sc.Scan() {
+			return Response{}, fmt.Errorf("no answer: %v", sc.Err())
+		}
+		var resp Response
+		err = json.Unmarshal(sc.Bytes(), &resp)
+		return resp, err
+	}
+	type answer struct {
+		resp Response
+		err  error
+	}
+	answers := make(chan answer, conns)
+	for i := 0; i < conns; i++ {
+		go func(i int) {
+			resp, err := ask(i)
+			answers <- answer{resp, err}
+		}(i)
+	}
+	ok, rejects := 0, map[string]int{}
+	for i := 0; i < conns; i++ {
+		ans := <-answers
+		switch {
+		case ans.err != nil:
+			t.Fatalf("connection failed: %v", ans.err)
+		case ans.resp.OK:
+			ok++
+		case ans.resp.Reject != "":
+			rejects[ans.resp.Reject]++
+		default:
+			t.Fatalf("query failed: %s", ans.resp.Error)
+		}
+	}
+	t.Logf("%d of %d answered ok, rejected %v", ok, conns, rejects)
+}

@@ -101,8 +101,14 @@ type ChurnRates struct {
 // GenerateScript builds a deterministic churn script over nodes for
 // the given horizon from a seeded rate model. The same (nodes, horizon,
 // rates, seed) always yields the same script. Nodes are flapped —
-// every crash is paired with a rejoin — and a node is never crashed
-// twice while already down.
+// every crash is paired with a rejoin — and no event starts while one
+// of its kind is still active: a node is never crashed while down, a
+// partition never starts before the previous one heals (Partition
+// replaces the groups, so the earlier heal would end it early), and a
+// storm never starts before the previous one ends (its end timer would
+// reset the factor mid-storm). An event may start only after the
+// previous one's end, never at the same instant: equal-time timers
+// fire in no fixed order.
 func GenerateScript(nodes []string, horizon time.Duration, rates ChurnRates, seed int64) ChurnScript {
 	if rates.DownForMin <= 0 {
 		rates.DownForMin = time.Second
@@ -130,7 +136,7 @@ func GenerateScript(nodes []string, horizon time.Duration, rates ChurnRates, see
 		upUntil := make(map[string]time.Duration, len(nodes))
 		for at := step; at < horizon; at += step {
 			for _, nd := range nodes {
-				if at < upUntil[nd] {
+				if at <= upUntil[nd] {
 					continue // still down from an earlier crash
 				}
 				if rng.Float64() >= pCrash {
@@ -149,7 +155,11 @@ func GenerateScript(nodes []string, horizon time.Duration, rates ChurnRates, see
 	// Partition/heal cycles.
 	if rates.PartitionPerMin > 0 && len(nodes) >= 4 {
 		pPart := rates.PartitionPerMin * (float64(step) / float64(time.Minute))
+		var healAt time.Duration
 		for at := step; at < horizon; at += step {
+			if at <= healAt {
+				continue // the previous partition has not healed
+			}
 			if rng.Float64() >= pPart {
 				continue
 			}
@@ -166,13 +176,18 @@ func GenerateScript(nodes []string, horizon time.Duration, rates ChurnRates, see
 			script = append(script,
 				ChurnEvent{At: at, Kind: ChurnPartition, Groups: [][]string{side}},
 				ChurnEvent{At: at + rates.HealAfter, Kind: ChurnHeal})
+			healAt = at + rates.HealAfter
 		}
 	}
 
 	// Latency storms.
 	if rates.StormPerMin > 0 {
 		pStorm := rates.StormPerMin * (float64(step) / float64(time.Minute))
+		var calmAt time.Duration
 		for at := step; at < horizon; at += step {
+			if at <= calmAt {
+				continue // the previous storm is still running
+			}
 			if rng.Float64() >= pStorm {
 				continue
 			}
@@ -180,6 +195,7 @@ func GenerateScript(nodes []string, horizon time.Duration, rates ChurnRates, see
 				At: at, Kind: ChurnLatencyStorm,
 				Factor: rates.StormFactor, Dur: rates.StormFor,
 			})
+			calmAt = at + rates.StormFor
 		}
 	}
 

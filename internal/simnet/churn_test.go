@@ -183,6 +183,65 @@ func TestGenerateScriptDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateScriptNoOverlap: at rates that make overlap likely (a
+// partition or storm started about every second, each lasting longer),
+// no event starts while one of its kind is active. A partition
+// starting before the previous heal would be ended early by that heal,
+// and a storm starting before the previous one ends would have its
+// factor reset by the earlier storm's end timer.
+func TestGenerateScriptNoOverlap(t *testing.T) {
+	nodes := make([]string, 16)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf("node%d", i)
+	}
+	rates := ChurnRates{
+		CrashPerMin:     6,
+		PartitionPerMin: 60,
+		HealAfter:       2 * time.Second,
+		StormPerMin:     60,
+		StormFor:        time.Second,
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		script := GenerateScript(nodes, 2*time.Minute, rates, seed)
+		var partitions, storms int
+		var parted bool
+		var healAt, calmAt time.Duration
+		down := map[string]bool{}
+		rejoinAt := map[string]time.Duration{}
+		for _, ev := range script {
+			switch ev.Kind {
+			case ChurnCrash:
+				nd := ev.Nodes[0]
+				if down[nd] || (rejoinAt[nd] > 0 && ev.At <= rejoinAt[nd]) {
+					t.Fatalf("seed %d: %s crashes at %v while down", seed, nd, ev.At)
+				}
+				down[nd] = true
+			case ChurnRejoin:
+				down[ev.Nodes[0]] = false
+				rejoinAt[ev.Nodes[0]] = ev.At
+			case ChurnPartition:
+				partitions++
+				if parted || (partitions > 1 && ev.At <= healAt) {
+					t.Fatalf("seed %d: partition at %v before the previous one heals", seed, ev.At)
+				}
+				parted = true
+			case ChurnHeal:
+				parted = false
+				healAt = ev.At
+			case ChurnLatencyStorm:
+				storms++
+				if storms > 1 && ev.At <= calmAt {
+					t.Fatalf("seed %d: storm at %v before the previous one ends at %v", seed, ev.At, calmAt)
+				}
+				calmAt = ev.At + ev.Dur
+			}
+		}
+		if partitions < 10 || storms < 10 {
+			t.Fatalf("seed %d: %d partitions, %d storms; the rates should force many", seed, partitions, storms)
+		}
+	}
+}
+
 func TestChurnerReplaysScript(t *testing.T) {
 	n := New(Config{})
 	defer n.Close()
