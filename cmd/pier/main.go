@@ -297,8 +297,8 @@ func doAnalyze(node *pier.Node, tables []string) {
 	for _, t := range res.Tables {
 		names = append(names, t.Table)
 	}
-	fmt.Printf("analyzed %d tables from %d participants in %v\n",
-		len(res.Tables), res.Participants, res.Duration.Round(time.Millisecond))
+	fmt.Printf("analyzed %d tables from %d participants in %v (%s)\n",
+		len(res.Tables), res.Participants, res.Duration.Round(time.Millisecond), res.Reason)
 	printStats(node, names)
 }
 

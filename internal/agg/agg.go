@@ -4,14 +4,20 @@
 // centralized baseline fold them with Accumulator. State is mergeable
 // (AVG carries sum and count), which is what lets aggregation run
 // partial at the leaves, combine in the network and finish at a
-// collector. The package imports only tuple: AggFunc's numeric values
-// travel inside encoded plans.
+// collector. Besides the five SQL aggregates there are two states the
+// engine gathers with for itself — a Bloom filter (the Bloom join's
+// phase 1) and a table sketch (ANALYZE) — so both run as ordinary
+// one-shot aggregate queries. AggFunc's numeric values travel inside
+// encoded plans.
 package agg
 
 import (
 	"fmt"
 
+	"repro/internal/bloom"
+	"repro/internal/stats"
 	"repro/internal/tuple"
+	"repro/internal/wire"
 )
 
 // AggFunc enumerates aggregate functions.
@@ -24,14 +30,58 @@ const (
 	Avg
 	Min
 	Max
+	// Bloom folds whole rows into a Bloom filter of FilterBits bits;
+	// filters merge by OR. It has no SQL name: the Bloom join gathers
+	// its phase-1 filters with it.
+	Bloom
+	// Sketch folds whole rows into a stats.TableSketch (row count,
+	// per-column HyperLogLog, bottom-k sample); sketches merge with
+	// TableSketch.Merge. It has no SQL name: ANALYZE gathers with it.
+	Sketch
 )
 
 func (f AggFunc) String() string {
-	return [...]string{"COUNT", "SUM", "AVG", "MIN", "MAX"}[f]
+	return [...]string{"COUNT", "SUM", "AVG", "MIN", "MAX", "BLOOM", "SKETCH"}[f]
+}
+
+// Valid reports whether f is a known aggregate function.
+func (f AggFunc) Valid() bool { return f >= Count && f <= Sketch }
+
+// The one Bloom filter geometry: every site builds with it, so any two
+// filters OR together.
+const (
+	FilterBits   = 8192
+	FilterHashes = 4
+)
+
+// NewBloom returns an empty filter of the shared geometry.
+func NewBloom() *bloom.Filter { return bloom.NewWithBits(FilterBits, FilterHashes) }
+
+// BloomOf decodes a Bloom state or final value.
+func BloomOf(v tuple.Value) (*bloom.Filter, error) {
+	if v.Kind != tuple.TBytes {
+		return nil, fmt.Errorf("agg: BLOOM state of kind %s", v.Kind)
+	}
+	r := wire.NewReader(v.AsBytes())
+	f, err := bloom.Decode(r)
+	if err != nil {
+		return nil, err
+	}
+	return f, r.Done()
+}
+
+// SketchOf decodes a Sketch state or final value. Its table and column
+// names are empty: the aggregate sees rows, not a schema, so the
+// caller names them.
+func SketchOf(v tuple.Value) (*stats.TableSketch, error) {
+	if v.Kind != tuple.TBytes {
+		return nil, fmt.Errorf("agg: SKETCH state of kind %s", v.Kind)
+	}
+	return stats.TableSketchFromBytes(v.AsBytes())
 }
 
 // AggSpec is one aggregate: Func applied to column ArgCol (-1 means
-// COUNT(*)).
+// COUNT(*), and the whole row for Bloom and Sketch).
 type AggSpec struct {
 	Func   AggFunc
 	ArgCol int
@@ -54,9 +104,30 @@ type aggState struct {
 	min   tuple.Value
 	max   tuple.Value
 	seen  bool
+	// filter and sketch hold the Bloom and Sketch states; nil until a
+	// row or a state arrives.
+	filter *bloom.Filter
+	sketch *stats.TableSketch
 }
 
 func (st *aggState) addRaw(spec AggSpec, t tuple.Tuple) error {
+	switch spec.Func {
+	case Bloom:
+		if st.filter == nil {
+			st.filter = NewBloom()
+		}
+		w := wire.GetWriter()
+		t.Encode(w) // the bytes BloomProbe hashes: AppendKey over every column
+		st.filter.Add(w.Bytes())
+		wire.PutWriter(w)
+		return nil
+	case Sketch:
+		if st.sketch == nil {
+			st.sketch = stats.NewTableSketch("", make([]string, len(t)))
+		}
+		st.sketch.Add(t)
+		return nil
+	}
 	if spec.ArgCol < 0 {
 		st.count++
 		return nil
@@ -97,9 +168,24 @@ func (st *aggState) sumValue() tuple.Value {
 	return tuple.Int(st.sumI)
 }
 
+// blob encodes a Bloom or Sketch state (NULL before any row).
+func (st *aggState) blob(spec AggSpec) tuple.Value {
+	switch {
+	case spec.Func == Bloom && st.filter != nil:
+		w := wire.NewWriter(st.filter.SizeBytes() + 8)
+		st.filter.Encode(w)
+		return tuple.Bytes(w.Bytes())
+	case spec.Func == Sketch && st.sketch != nil:
+		return tuple.Bytes(st.sketch.Bytes())
+	}
+	return tuple.Null()
+}
+
 // partial emits the mergeable state columns.
 func (st *aggState) partial(spec AggSpec) []tuple.Value {
 	switch spec.Func {
+	case Bloom, Sketch:
+		return []tuple.Value{st.blob(spec)}
 	case Count:
 		return []tuple.Value{tuple.Int(st.count)}
 	case Sum:
@@ -129,6 +215,8 @@ func (st *aggState) partial(spec AggSpec) []tuple.Value {
 // final emits the user-visible result column.
 func (st *aggState) final(spec AggSpec) tuple.Value {
 	switch spec.Func {
+	case Bloom, Sketch:
+		return st.blob(spec)
 	case Count:
 		return tuple.Int(st.count)
 	case Sum:
@@ -159,6 +247,31 @@ func (st *aggState) final(spec AggSpec) tuple.Value {
 // mergeState folds one partial-state tuple segment into st.
 func (st *aggState) mergeState(spec AggSpec, vals []tuple.Value) error {
 	switch spec.Func {
+	case Bloom:
+		if vals[0].IsNull() {
+			return nil
+		}
+		f, err := BloomOf(vals[0])
+		if err != nil {
+			return err
+		}
+		if st.filter == nil {
+			st.filter = NewBloom()
+		}
+		return st.filter.Or(f)
+	case Sketch:
+		if vals[0].IsNull() {
+			return nil
+		}
+		sk, err := SketchOf(vals[0])
+		if err != nil {
+			return err
+		}
+		if st.sketch == nil {
+			st.sketch = sk
+			return nil
+		}
+		return st.sketch.Merge(sk)
 	case Count:
 		if !vals[0].IsNull() {
 			st.count += vals[0].I

@@ -226,39 +226,40 @@ func (c *Catalog) SetStats(name string, stats TableStats) error {
 // live entry the strictly newer measurement wins whichever way it
 // arrived — a node's own old count must not outlive another node's
 // fresh one that reaches it as gossip — and at equal age measured
-// beats gossiped. The caller sets Source, MeasuredAt, and TTL.
-// Declared stats live separately and always win at read time.
-func (c *Catalog) InstallMeasured(name string, stats TableStats) error {
+// beats gossiped. It reports whether stats took effect. The caller
+// sets Source, MeasuredAt, and TTL. Declared stats live separately and
+// always win at read time.
+func (c *Catalog) InstallMeasured(name string, stats TableStats) (bool, error) {
 	if stats.Source != StatsMeasured && stats.Source != StatsGossiped {
-		return fmt.Errorf("catalog: InstallMeasured with source %v", stats.Source)
+		return false, fmt.Errorf("catalog: InstallMeasured with source %v", stats.Source)
 	}
 	now := time.Now()
 	if stats.Expired(now) {
-		return nil // dead on arrival; nothing to install
+		return false, nil // dead on arrival; nothing to install
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	tbl, ok := c.tables[name]
 	if !ok {
-		return fmt.Errorf("catalog: stats for unknown table %q", name)
+		return false, fmt.Errorf("catalog: stats for unknown table %q", name)
 	}
 	norm, err := normalizeDistinct(tbl, name, stats.Distinct)
 	if err != nil {
-		return err
+		return false, err
 	}
 	stats = stats.clone()
 	stats.Distinct = norm
 	if cur, ok := c.measured[name]; ok && !cur.Expired(now) {
 		if stats.MeasuredAt.Before(cur.MeasuredAt) {
-			return nil
+			return false, nil
 		}
 		if stats.MeasuredAt.Equal(cur.MeasuredAt) && stats.Source <= cur.Source {
-			return nil
+			return false, nil
 		}
 	}
 	c.measured[name] = stats
 	c.epoch++
-	return nil
+	return true, nil
 }
 
 // Stats returns the effective statistics for a table — declared if

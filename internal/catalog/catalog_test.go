@@ -134,14 +134,14 @@ func TestStatsPrecedence(t *testing.T) {
 	now := time.Now()
 
 	// Gossiped installs when nothing else exists.
-	if err := c.InstallMeasured("t", TableStats{Rows: 100, Source: StatsGossiped, MeasuredAt: now, TTL: time.Minute}); err != nil {
+	if _, err := c.InstallMeasured("t", TableStats{Rows: 100, Source: StatsGossiped, MeasuredAt: now, TTL: time.Minute}); err != nil {
 		t.Fatal(err)
 	}
 	if st, src, _ := c.StatsInfo("t"); src != StatsGossiped || st.Rows != 100 {
 		t.Fatalf("gossiped not installed: %v %v", st.Rows, src)
 	}
 	// Measured displaces gossiped.
-	if err := c.InstallMeasured("t", TableStats{Rows: 200, Source: StatsMeasured, MeasuredAt: now, TTL: time.Minute}); err != nil {
+	if _, err := c.InstallMeasured("t", TableStats{Rows: 200, Source: StatsMeasured, MeasuredAt: now, TTL: time.Minute}); err != nil {
 		t.Fatal(err)
 	}
 	if st, src, _ := c.StatsInfo("t"); src != StatsMeasured || st.Rows != 200 {
@@ -195,7 +195,7 @@ func TestMeasuredStatsExpire(t *testing.T) {
 		t.Fatal("stats survived their TTL")
 	}
 	// An expired entry yields to any newcomer, even lower precedence.
-	if err := c.InstallMeasured("t", TableStats{Rows: 3, Source: StatsGossiped, MeasuredAt: time.Now(), TTL: time.Minute}); err != nil {
+	if _, err := c.InstallMeasured("t", TableStats{Rows: 3, Source: StatsGossiped, MeasuredAt: time.Now(), TTL: time.Minute}); err != nil {
 		t.Fatal(err)
 	}
 	if st, src, _ := c.StatsInfo("t"); src != StatsGossiped || st.Rows != 3 {
@@ -206,13 +206,13 @@ func TestMeasuredStatsExpire(t *testing.T) {
 func TestInstallMeasuredValidation(t *testing.T) {
 	c := New()
 	c.Define(schema("t"), time.Minute)
-	if err := c.InstallMeasured("missing", TableStats{Source: StatsMeasured, MeasuredAt: time.Now()}); err == nil {
+	if _, err := c.InstallMeasured("missing", TableStats{Source: StatsMeasured, MeasuredAt: time.Now()}); err == nil {
 		t.Fatal("unknown table accepted")
 	}
-	if err := c.InstallMeasured("t", TableStats{Source: StatsDeclared}); err == nil {
+	if _, err := c.InstallMeasured("t", TableStats{Source: StatsDeclared}); err == nil {
 		t.Fatal("declared source accepted by InstallMeasured")
 	}
-	if err := c.InstallMeasured("t", TableStats{Source: StatsMeasured, MeasuredAt: time.Now(), Distinct: map[string]int64{"zzz": 1}}); err == nil {
+	if _, err := c.InstallMeasured("t", TableStats{Source: StatsMeasured, MeasuredAt: time.Now(), Distinct: map[string]int64{"zzz": 1}}); err == nil {
 		t.Fatal("unknown column accepted")
 	}
 }

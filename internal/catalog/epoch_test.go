@@ -43,8 +43,8 @@ func TestEpochBumpsOnPlanAffectingMutations(t *testing.T) {
 	}
 
 	measuredAt := time.Now()
-	if err := c.InstallMeasured("t", TableStats{Rows: 200, Source: StatsMeasured, MeasuredAt: measuredAt, TTL: time.Minute}); err != nil {
-		t.Fatal(err)
+	if ok, err := c.InstallMeasured("t", TableStats{Rows: 200, Source: StatsMeasured, MeasuredAt: measuredAt, TTL: time.Minute}); err != nil || !ok {
+		t.Fatalf("measured install: took effect %v, %v", ok, err)
 	}
 	e3 := c.Epoch()
 	if e3 <= e2 {
@@ -52,8 +52,8 @@ func TestEpochBumpsOnPlanAffectingMutations(t *testing.T) {
 	}
 
 	// A gossiped entry no newer than a live measured one installs nothing.
-	if err := c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsGossiped, MeasuredAt: measuredAt, TTL: time.Minute}); err != nil {
-		t.Fatal(err)
+	if ok, err := c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsGossiped, MeasuredAt: measuredAt, TTL: time.Minute}); err != nil || ok {
+		t.Fatalf("stale gossip install: took effect %v, %v", ok, err)
 	}
 	if got := c.Epoch(); got != e3 {
 		t.Fatalf("no-install InstallMeasured bumped epoch: %d -> %d", e3, got)

@@ -35,9 +35,7 @@ func TestJoinStrategiesByteIdenticalThroughPipeline(t *testing.T) {
 	}, "k")
 
 	run := func(strategy plan.JoinStrategy) (string, int) {
-		cfg := piertest.FastConfig()
-		cfg.BloomBits = 2048
-		cluster, err := piertest.New(piertest.Options{N: n, Seed: 3, NodeCfg: &cfg})
+		cluster, err := piertest.New(piertest.Options{N: n, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,17 +166,15 @@ func TestExplainAnalyzeGathersAllStages(t *testing.T) {
 }
 
 // TestExplainAnalyzeBloomPhaseCounters checks that the Bloom-join
-// phase-1 scan (which runs on an ephemeral query state before the
-// main query is announced) still contributes counters to the
-// coordinator's analysis.
+// phase-1 scan (a query of its own, run before the main query is
+// announced) contributes every node's counters to the main query's
+// analysis.
 func TestExplainAnalyzeBloomPhaseCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated deployment")
 	}
 	const n = 8
-	cfg := piertest.FastConfig()
-	cfg.BloomBits = 2048
-	cluster, err := piertest.New(piertest.Options{N: n, Seed: 4, NodeCfg: &cfg})
+	cluster, err := piertest.New(piertest.Options{N: n, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

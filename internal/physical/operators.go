@@ -890,8 +890,8 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, frameBytes int, 
 	}
 }
 
-// FuncSink invokes fn per data tuple — the Bloom phase-1 scan and
-// unit tests collect through it.
+// FuncSink invokes fn per data tuple — tests and the benchmark's
+// layer probes collect through it.
 func FuncSink(fn func(t tuple.Tuple)) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {

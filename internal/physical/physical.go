@@ -463,22 +463,6 @@ func CompileFinalize(spec *plan.Spec, rows []tuple.Tuple, out *[]tuple.Tuple, en
 	return p
 }
 
-// CompileBloomScan builds the Bloom-join phase-1 pipeline: scan the
-// leftmost table's local partition and feed every join-key encoding
-// (the first stage's left columns) to add, which inserts into the
-// per-site filter. Operator names are prefixed so the counters never
-// merge with the main scan pipeline's.
-func CompileBloomScan(sc *plan.ScanSpec, keyCols []int, env *Env, analyze bool, add func(key []byte)) *Pipeline {
-	p := env.newPipeline("participant", analyze)
-	prev := p.Add("bloom-scan", env.scanSource(sc))
-	prev = p.maybeFilter(prev, "bloom-scan-filter", sc.Where)
-	sink := p.Add("bloom-build", FuncSink(func(t tuple.Tuple) {
-		add(t.Project(keyCols).Bytes())
-	}))
-	p.Connect(prev, sink)
-	return p
-}
-
 // maybeFilter inserts a filter operator when the predicate exists.
 func (p *Pipeline) maybeFilter(prev *dataflow.Node, name string, pred expr.Expr) *dataflow.Node {
 	if pred == nil {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/id"
 	"repro/internal/plan"
 	"repro/internal/spill"
-	"repro/internal/stats"
 	"repro/internal/tuple"
 )
 
@@ -534,8 +533,6 @@ func TestMarkersCarryNoRows(t *testing.T) {
 		"limit":           Limit(3),
 		"collect":         Collect(&collected),
 		"fan-out":         fo.Op(),
-		"sketch-build":    SketchBuild(stats.NewTableSketch("t", []string{"a", "b"})),
-		"sketch-merge":    SketchMerge(func(string, []byte) error { called++; return nil }),
 	}
 	markers := []dataflow.Msg{dataflow.PunctMsg(1, time.Now()), dataflow.DrainMsg(2)}
 	for name, op := range ops {

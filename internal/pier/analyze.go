@@ -8,40 +8,32 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/catalog"
-	"repro/internal/dataflow"
 	"repro/internal/id"
 	"repro/internal/obs"
-	"repro/internal/overlay"
-	"repro/internal/physical"
 	"repro/internal/plan"
 	"repro/internal/stats"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
 
-// Distributed ANALYZE: the statement broadcasts a stats-gather
-// request; every node runs the stats-gather role (a physical pipeline
-// scanning its local partitions into mergeable sketches — row count,
-// per-column HyperLogLog, bottom-k sample) and ships the per-partition
-// sketches to the coordinator, whose sketch-merge pipeline folds them
-// into network-wide estimates. The merged result installs into the
-// coordinator's catalog as TTL'd measured soft state, and every node
-// piggybacks digests of its live measured stats onto periodic gossip
-// (overlay neighbors plus one randomly routed copy per round), so the
-// whole network converges to usable estimates without issuing ANALYZE
+// Distributed ANALYZE: one one-shot aggregate query per table
+// (plan.AnalyzeSpec) folds every row of the table into an agg.Sketch —
+// row count, per-column HyperLogLog, bottom-k sample — partial at the
+// participants, combined in the network, ended on EOS like any query.
+// A table's merged sketch installs into the coordinator's catalog as
+// TTL'd measured soft state only when its query ended eos: a partial
+// count must not pose as the table's size. Every node piggybacks
+// digests of its live measured stats onto periodic gossip (overlay
+// neighbors plus one randomly routed copy per round), so the whole
+// network converges to usable estimates without issuing ANALYZE
 // itself. The optimizer resolves stats declared > measured-fresh >
 // gossiped > coarse defaults.
 
 const (
-	tagAnalyzeQ    = "pier.analyzeq" // broadcast: run the stats-gather role
-	tagStatsGossip = "pier.statsg"   // routed: stats digest to a random node
-	methSketch     = "pier.sketch"   // rpc to coordinator: per-partition sketches
-	methGossip     = "pier.gossip"   // rpc: stats digest to an overlay neighbor
-
-	// maxAnalyzeTables bounds one ANALYZE request's table list; the
-	// sender validates against the same limit receivers decode with.
-	maxAnalyzeTables = plan.MaxTables * 16
+	tagStatsGossip = "pier.statsg" // routed: stats digest to a random node
+	methGossip     = "pier.gossip" // rpc: stats digest to an overlay neighbor
 
 	// statsTTL is the soft-state lifetime of ANALYZE-measured
 	// statistics (and the TTL their gossip digests carry).
@@ -56,8 +48,8 @@ const (
 
 	// statsDriftFactor arms drift-triggered auto re-ANALYZE: when a
 	// table's live local row count grows past factor× (or shrinks below
-	// 1/factor of) the count recorded at its last ANALYZE, the node
-	// re-runs ANALYZE for that table.
+	// 1/factor of) the count recorded when stats were last installed,
+	// the node re-runs ANALYZE for that table.
 	statsDriftFactor = 4
 	// statsDriftCheckEvery is the drift check period.
 	statsDriftCheckEvery = 500 * time.Millisecond
@@ -80,309 +72,116 @@ type AnalyzedTable struct {
 
 // AnalyzeResult is one completed ANALYZE.
 type AnalyzeResult struct {
+	// Tables holds the measured tables: those whose query ended eos.
 	Tables       []AnalyzedTable
 	Duration     time.Duration
 	Participants int
-	// Reason records how the gather completed: ReasonEOS when every
-	// expected member answered, else the quiescence/deadline fallback.
+	// Reason is ReasonEOS when every table's query ended eos, else the
+	// first other ending; the tables it names were not installed.
 	Reason string
-}
-
-// sketchGather is the coordinator's state for one ANALYZE: arriving
-// per-partition sketches flow through a sketch-merge pipeline into
-// the per-table accumulators.
-type sketchGather struct {
-	pipe     *physical.Pipeline
-	in       *physical.Inlet
-	sketches map[string]*stats.TableSketch // written only by the merge operator
-	nodes    map[string]bool
-	last     time.Time
-	notify   chan struct{} // pokes the completion loop per answered node
 }
 
 // Analyze measures statistics for the named tables (all defined
 // tables when none are given) across the whole network and installs
-// the merged result into this node's catalog as measured soft state.
+// each table whose query ended eos into this node's catalog as
+// measured soft state.
 func (n *Node) Analyze(ctx context.Context, tables ...string) (*AnalyzeResult, error) {
+	res, _, err := n.analyze(ctx, tables)
+	return res, err
+}
+
+// analyze is Analyze, also returning each table's query result.
+func (n *Node) analyze(ctx context.Context, tables []string) (*AnalyzeResult, []*Result, error) {
 	if len(tables) == 0 {
 		tables = n.cat.Names()
 	}
 	if len(tables) == 0 {
-		return nil, fmt.Errorf("pier: no tables to analyze")
+		return nil, nil, fmt.Errorf("pier: no tables to analyze")
 	}
-	// The request must decode on every receiver — reject here with a
-	// real error instead of broadcasting a frame the whole network
-	// (including our own self-delivery) would silently drop.
-	if len(tables) > maxAnalyzeTables {
-		return nil, fmt.Errorf("pier: analyze of %d tables exceeds the %d-table limit; analyze in batches", len(tables), maxAnalyzeTables)
-	}
-	for _, t := range tables {
-		if _, ok := n.cat.Lookup(t); !ok {
-			return nil, fmt.Errorf("pier: analyze unknown table %q", t)
+	specs := make([]*plan.Spec, len(tables))
+	for i, t := range tables {
+		tbl, ok := n.cat.Lookup(t)
+		if !ok {
+			return nil, nil, fmt.Errorf("pier: analyze unknown table %q", t)
 		}
+		specs[i] = plan.AnalyzeSpec(t, tbl)
 	}
 	start := time.Now()
-	qid := n.nextQueryID()
-
-	g := &sketchGather{
-		sketches: make(map[string]*stats.TableSketch),
-		nodes:    make(map[string]bool),
-		last:     start,
-		notify:   make(chan struct{}, 1),
-	}
-	g.pipe, g.in = physical.CompileSketchMerge(n.localEnv(), func(table string, enc []byte) error {
-		sk, err := stats.TableSketchFromBytes(enc)
-		if err != nil {
-			return err
-		}
-		if cur, ok := g.sketches[table]; ok {
-			return cur.Merge(sk)
-		}
-		g.sketches[table] = sk
-		return nil
-	})
-	run, err := g.pipe.Start(context.Background())
+	results, err := n.gather(ctx, specs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	n.gatherMu.Lock()
-	n.gathers[qid] = g
-	n.gatherMu.Unlock()
-	defer func() {
-		n.gatherMu.Lock()
-		delete(n.gathers, qid)
-		n.gatherMu.Unlock()
-	}()
-
-	if err := n.router.Broadcast(tagAnalyzeQ, encodeAnalyzeMsg(qid, n.Addr(), tables)); err != nil {
-		g.in.Close()
-		_ = run.Wait()
-		return nil, fmt.Errorf("pier: disseminating analyze: %w", err)
-	}
-
-	// Completion: the gather finishes the moment every expected
-	// member has answered — a node's answer is marked
-	// only after all of its sketches entered the merge inlet, so the
-	// count can never close the inlet mid-batch. The doubled-Quiet
-	// quiescence horizon stays as the fallback for churn and loss
-	// (an ANALYZE gather is a single burst per node, so a missed
-	// straggler directly skews the estimate), bounded by MaxQueryLife
-	// and the caller's context.
-	// EffectiveMembers subtracts members the liveness registry
-	// currently suspects dead (trained by query heartbeats), so a
-	// gather after a crash completes on the surviving count instead
-	// of paying the whole quiescence horizon for answers that will
-	// never come.
-	members := n.EffectiveMembers()
-	reason := ReasonQuietTimeout
-	deadline := start.Add(n.cfg.MaxQueryLife)
-	horizon := 2 * n.cfg.Quiet
-	for {
-		select {
-		case <-ctx.Done():
-			g.in.Close()
-			_ = run.Wait()
-			return nil, ctx.Err()
-		case <-g.notify:
-		case <-time.After(25 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			reason = ReasonDeadline
-			break
-		}
-		n.gatherMu.Lock()
-		last := g.last
-		answered := len(g.nodes)
-		n.gatherMu.Unlock()
-		// A member suspected mid-gather (by a concurrently running
-		// query's heartbeat detector) shrinks the expected count;
-		// shrink only, so late rehabilitation never un-completes us.
-		if m := n.EffectiveMembers(); m < members {
-			members = m
-		}
-		if answered >= members {
-			reason = ReasonEOS
-			break
-		}
-		if time.Since(last) > horizon {
-			break
-		}
-	}
-	g.in.Close()
-	if err := run.Wait(); err != nil {
-		return nil, err
-	}
-
-	// Install the merged estimates as measured soft state and build
-	// the result in table-name order.
-	measuredAt := time.Now()
-	res := &AnalyzeResult{Duration: time.Since(start), Reason: reason}
-	n.gatherMu.Lock()
-	res.Participants = len(g.nodes)
-	n.gatherMu.Unlock()
-	names := make([]string, 0, len(g.sketches))
-	for t := range g.sketches {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	for _, t := range names {
-		sk := g.sketches[t]
-		st := catalog.TableStats{
-			Rows:       sk.Rows,
-			Distinct:   sk.Distincts(),
-			Sample:     sk.Sample.Clone(),
-			Source:     catalog.StatsMeasured,
-			MeasuredAt: measuredAt,
-			TTL:        statsTTL,
-		}
-		if err := n.cat.InstallMeasured(t, st); err != nil {
-			return nil, err
-		}
-		res.Tables = append(res.Tables, AnalyzedTable{
-			Table: t, Rows: sk.Rows, Distinct: sk.Distincts(),
-			SampleRows: len(sk.Sample.Items),
-		})
-	}
-	return res, nil
-}
-
-// encodeAnalyzeMsg frames a stats-gather request.
-func encodeAnalyzeMsg(qid uint64, coord string, tables []string) []byte {
-	w := wire.NewWriter(64)
-	w.Uint64(qid)
-	w.String(coord)
-	w.Uvarint(uint64(len(tables)))
-	for _, t := range tables {
-		w.String(t)
-	}
-	return w.Bytes()
-}
-
-func decodeAnalyzeMsg(payload []byte) (qid uint64, coord string, tables []string, err error) {
-	r := wire.NewReader(payload)
-	qid = r.Uint64()
-	coord = r.String()
-	count := int(r.Uvarint())
-	if count > maxAnalyzeTables {
-		err = fmt.Errorf("pier: analyze request for %d tables", count)
-		return
-	}
-	for i := 0; i < count; i++ {
-		tables = append(tables, r.String())
-	}
-	err = r.Done()
-	return
-}
-
-// answerAnalyze is the participant side of the stats-gather role:
-// sketch every requested table this node knows, then ship the batch
-// of per-partition sketches to the coordinator in one RPC.
-func (n *Node) answerAnalyze(qid uint64, coord string, tables []string) {
-	var out []sketchEntry
-	for _, table := range tables {
-		tbl, ok := n.cat.Lookup(table)
-		if !ok {
-			continue // tables are declared per-node; skip unknown ones
-		}
-		// Sketch a partitioned scan of the live partition.
-		sk := stats.NewTableSketch(table, baseColumnNames(tbl.Schema))
-		env := &physical.Env{Scan: n.scanPayloads, BatchSize: n.cfg.BatchSize, Go: n.peer.Go}
-		pipe := physical.CompileStatsGather(tbl.Namespace, tbl.Schema.Arity(), env, sk)
-		if err := pipe.Run(context.Background()); err != nil {
+	res := &AnalyzeResult{Reason: ReasonEOS, Participants: n.Members()}
+	for i, r := range results {
+		res.Participants = min(res.Participants, r.Participants)
+		if r.Reason != ReasonEOS {
+			if res.Reason == ReasonEOS {
+				res.Reason = r.Reason
+			}
 			continue
 		}
-		out = append(out, sketchEntry{table: table, enc: sk.Bytes()})
-		// Re-baseline the drift trigger at the freshly measured local
-		// row count. Every node answers every ANALYZE (whoever issued
-		// it), so an auto re-ANALYZE resets the whole network's
-		// baselines — the trigger is self-damping.
-		n.driftMu.Lock()
-		n.driftBase[table] = sk.Rows
-		n.driftLast[table] = time.Now()
-		n.driftMu.Unlock()
-	}
-	// Always answer — even with zero sketches — so a count-based
-	// coordinator can tell "node has nothing" from "node still working".
-	if coord == n.Addr() {
-		n.deliverSketches(qid, n.Addr(), out)
-		return
-	}
-	w := wire.NewWriter(256)
-	w.Uint64(qid)
-	w.Uvarint(uint64(len(out)))
-	for _, e := range out {
-		w.String(e.table)
-		w.BytesLP(e.enc)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_, _ = n.peer.Call(ctx, coord, methSketch, w.Bytes())
-}
-
-// sketchEntry is one encoded per-partition table sketch in flight.
-type sketchEntry struct {
-	table string
-	enc   []byte
-}
-
-// deliverSketches feeds one node's whole sketch batch into the
-// coordinator's merge pipeline and only then marks the node as
-// answered: completion counts can never close the inlet with part of
-// a counted node's batch still outside it.
-func (n *Node) deliverSketches(qid uint64, from string, entries []sketchEntry) {
-	n.gatherMu.Lock()
-	g := n.gathers[qid]
-	n.gatherMu.Unlock()
-	if g == nil {
-		return
-	}
-	for _, e := range entries {
-		g.in.Push(dataflow.BatchMsg([]tuple.Tuple{{tuple.String(e.table), tuple.Bytes(e.enc)}}, 0))
-	}
-	n.gatherMu.Lock()
-	g.nodes[from] = true
-	g.last = time.Now()
-	n.gatherMu.Unlock()
-	select {
-	case g.notify <- struct{}{}:
-	default:
-	}
-}
-
-// registerStatsHandlers wires the ANALYZE and gossip RPC methods
-// (called from registerHandlers).
-func (n *Node) registerStatsHandlers() {
-	n.peer.Handle(methSketch, func(from string, req []byte) ([]byte, error) {
-		n.clearSuspect(from) // an answer proves the member is alive
-		r := wire.NewReader(req)
-		qid := r.Uint64()
-		count := int(r.Uvarint())
-		if count > maxAnalyzeTables {
-			return nil, fmt.Errorf("pier: sketch batch of %d", count)
-		}
-		entries := make([]sketchEntry, 0, count)
-		for i := 0; i < count; i++ {
-			table := r.String()
-			enc := append([]byte(nil), r.BytesLP()...)
-			if r.Err() != nil {
-				break
-			}
-			entries = append(entries, sketchEntry{table: table, enc: enc})
-		}
-		if err := r.Done(); err != nil {
-			return nil, err
-		}
-		n.deliverSketches(qid, from, entries)
-		return nil, nil
-	})
-	n.peer.Handle(methGossip, func(from string, req []byte) ([]byte, error) {
-		ds, err := stats.DecodeDigests(wire.NewReader(req))
+		at, err := n.installSketch(tables[i], r.Rows)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		n.installDigests(ds)
-		return nil, nil
-	})
+		res.Tables = append(res.Tables, at)
+	}
+	sort.Slice(res.Tables, func(i, j int) bool { return res.Tables[i].Table < res.Tables[j].Table })
+	res.Duration = time.Since(start)
+	return res, results, nil
+}
+
+// installSketch installs the sketch an eos ANALYZE query returned for
+// table (no row: the table is empty) as measured stats.
+func (n *Node) installSketch(table string, rows []tuple.Tuple) (AnalyzedTable, error) {
+	tbl, ok := n.cat.Lookup(table)
+	if !ok {
+		return AnalyzedTable{}, fmt.Errorf("pier: analyze of dropped table %q", table)
+	}
+	names := baseColumnNames(tbl.Schema)
+	sk := stats.NewTableSketch(table, names)
+	if len(rows) == 1 && !rows[0][0].IsNull() {
+		var err error
+		if sk, err = agg.SketchOf(rows[0][0]); err != nil {
+			return AnalyzedTable{}, err
+		}
+		if len(sk.Cols) > len(names) {
+			return AnalyzedTable{}, fmt.Errorf("pier: %d-column sketch of %d-column table %q", len(sk.Cols), len(names), table)
+		}
+		// The aggregate saw rows, not a schema: name its columns.
+		for i := range sk.Cols {
+			sk.Cols[i].Name = names[i]
+		}
+	}
+	st := catalog.TableStats{
+		Rows:       sk.Rows,
+		Distinct:   sk.Distincts(),
+		Sample:     sk.Sample,
+		Source:     catalog.StatsMeasured,
+		MeasuredAt: time.Now(),
+		TTL:        statsTTL,
+	}
+	if err := n.installStats(table, st); err != nil {
+		return AnalyzedTable{}, err
+	}
+	return AnalyzedTable{Table: table, Rows: sk.Rows, Distinct: st.Distinct, SampleRows: len(sk.Sample.Items)}, nil
+}
+
+// installStats installs measured or gossiped stats and, when they take
+// effect, re-baselines the table's drift trigger at this node's live
+// row count: the trigger then fires on growth since the numbers the
+// optimizer plans with, whichever node measured them.
+func (n *Node) installStats(table string, st catalog.TableStats) error {
+	ok, err := n.cat.InstallMeasured(table, st)
+	tbl, found := n.cat.Lookup(table)
+	if !ok || err != nil || !found {
+		return err
+	}
+	n.driftMu.Lock()
+	n.driftBase[table] = int64(n.store.Count(tbl.Namespace))
+	n.driftLast[table] = time.Now()
+	n.driftMu.Unlock()
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -411,6 +210,17 @@ func (n *Node) statsDigests() []stats.Digest {
 	return out
 }
 
+// onGossip is the methGossip handler: a stats digest from an overlay
+// neighbor.
+func (n *Node) onGossip(from string, req []byte) ([]byte, error) {
+	ds, err := stats.DecodeDigests(wire.NewReader(req))
+	if err != nil {
+		return nil, err
+	}
+	n.installDigests(ds)
+	return nil, nil
+}
+
 // installDigests folds received digests into the catalog as gossiped
 // soft state. Tables this node never defined are skipped — stats are
 // useless without a schema to plan against — and the catalog's
@@ -425,7 +235,7 @@ func (n *Node) installDigests(ds []stats.Digest) {
 		if _, ok := n.cat.Lookup(d.Table); !ok {
 			continue
 		}
-		_ = n.cat.InstallMeasured(d.Table, catalog.TableStats{
+		_ = n.installStats(d.Table, catalog.TableStats{
 			Rows:       d.Rows,
 			Distinct:   d.Distinct,
 			Source:     catalog.StatsGossiped,
@@ -492,9 +302,9 @@ func (n *Node) onStatsGossip(payload []byte) {
 
 // statsDriftLoop watches the live local row counts for drift away
 // from the last measured baseline and re-issues ANALYZE for the
-// drifted table. The baseline is the local partition's row count at
-// the last ANALYZE (recorded in answerAnalyze, so any node's ANALYZE
-// re-baselines every node): when the live count moves past
+// drifted table. The baseline is the local partition's row count when
+// stats were last installed here (installStats, so any node's ANALYZE
+// re-baselines every node its gossip reaches): when the live count moves past
 // statsDriftFactor times the baseline in either direction, the
 // optimizer is planning against numbers that are off by the same
 // factor, and a fresh measurement is worth its scan. Triggers are
@@ -566,12 +376,12 @@ func (n *Node) driftedTables() []string {
 
 // analyzeStatement runs an ANALYZE statement and renders the measured
 // stats as result rows: one per (table, column) with the table's row
-// count, plus a single row for tables without distinct columns. Every
-// answering member scanned its partition of every table, so coverage
-// is the answered share of the members.
+// count, plus a single row for tables without distinct columns. A
+// table's coverage is its query's, and the statement's the least of
+// them.
 func (n *Node) analyzeStatement(ctx context.Context, stmt []string) (*Result, error) {
 	start := time.Now()
-	res, err := n.Analyze(ctx, stmt...)
+	res, results, err := n.analyze(ctx, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -580,11 +390,16 @@ func (n *Node) analyzeStatement(ctx context.Context, stmt []string) (*Result, er
 		Duration:        time.Since(start),
 		Participants:    res.Participants,
 		Reason:          res.Reason,
-		Coverage:        min(1, float64(res.Participants)/float64(n.Members())),
-		CoverageByTable: make(map[string]float64, len(res.Tables)),
+		Coverage:        1,
+		CoverageByTable: make(map[string]float64, len(results)),
+	}
+	for _, r := range results {
+		out.Coverage = min(out.Coverage, r.Coverage)
+		for t, c := range r.CoverageByTable {
+			out.CoverageByTable[t] = c
+		}
 	}
 	for _, t := range res.Tables {
-		out.CoverageByTable[t.Table] = out.Coverage
 		cols := make([]string, 0, len(t.Distinct))
 		for c := range t.Distinct {
 			cols = append(cols, c)
@@ -613,26 +428,4 @@ func baseColumnNames(sch *tuple.Schema) []string {
 		out[i] = tuple.BaseName(c.Name)
 	}
 	return out
-}
-
-// onAnalyzeBroadcast dispatches a stats-gather request off the
-// overlay dispatch goroutine.
-func (n *Node) onAnalyzeBroadcast(from overlay.Node, payload []byte) {
-	qid, coord, tables, err := decodeAnalyzeMsg(payload)
-	if err != nil {
-		return
-	}
-	n.mu.Lock()
-	stopped := n.stopped
-	if !stopped {
-		n.wg.Add(1)
-	}
-	n.mu.Unlock()
-	if stopped {
-		return
-	}
-	n.peer.Go(func() {
-		defer n.wg.Done()
-		n.answerAnalyze(qid, coord, tables)
-	})
 }

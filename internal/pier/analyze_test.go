@@ -71,9 +71,10 @@ func waitStored(t *testing.T, cluster *piertest.Cluster, ns string, want int) {
 }
 
 // TestAnalyzeMeasuresAndGossips: ANALYZE measures network-wide
-// rows/distincts from the DHT, installs them as measured soft state,
-// annotates EXPLAIN, and gossip converges other nodes to the same
-// estimates without them issuing ANALYZE.
+// rows/distincts from the DHT — the exact row count, as it ends eos —
+// installs them as measured soft state, annotates EXPLAIN, and gossip
+// converges other nodes to the same numbers without them issuing
+// ANALYZE.
 func TestAnalyzeMeasuresAndGossips(t *testing.T) {
 	cluster, err := piertest.New(piertest.Options{N: 8, Seed: 1})
 	if err != nil {
@@ -89,8 +90,8 @@ func TestAnalyzeMeasuresAndGossips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Participants < len(cluster.Nodes)/2 {
-		t.Fatalf("only %d participants", res.Participants)
+	if res.Reason != pier.ReasonEOS || res.Participants != len(cluster.Nodes) {
+		t.Fatalf("analyze ended %q with %d participants, want eos with %d", res.Reason, res.Participants, len(cluster.Nodes))
 	}
 	byTable := map[string]int64{}
 	for _, tb := range res.Tables {
@@ -99,14 +100,8 @@ func TestAnalyzeMeasuresAndGossips(t *testing.T) {
 			t.Fatalf("%s: empty row sample", tb.Table)
 		}
 	}
-	within2x := func(got, want int64) bool {
-		return got > 0 && got <= 2*want && want <= 2*got
-	}
-	if !within2x(byTable["l"], wantLeft) {
-		t.Fatalf("l rows %d, true %d", byTable["l"], wantLeft)
-	}
-	if !within2x(byTable["r"], rightRows) {
-		t.Fatalf("r rows %d, true %d", byTable["r"], rightRows)
+	if byTable["l"] != wantLeft || byTable["r"] != rightRows {
+		t.Fatalf("rows l %d r %d, true %d and %d", byTable["l"], byTable["r"], wantLeft, rightRows)
 	}
 	for _, tb := range res.Tables {
 		if tb.Table == "l" {
@@ -133,7 +128,7 @@ func TestAnalyzeMeasuresAndGossips(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		st, src, _ := other.Catalog().StatsInfo("l")
-		if src == catalog.StatsGossiped && within2x(st.Rows, wantLeft) {
+		if src == catalog.StatsGossiped && st.Rows == wantLeft {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -194,6 +189,59 @@ func TestAnalyzeSQLStatement(t *testing.T) {
 	}
 }
 
+// TestAnalyzeWideTableNeverInstallsPartial: every node's sketch of a
+// 32-column table travels as an aggregate state. ANALYZE either ends
+// eos with the exact count, 20, or ends otherwise and leaves the
+// catalog as it was: it never installs the count of the partitions it
+// happened to hear from.
+func TestAnalyzeWideTableNeverInstallsPartial(t *testing.T) {
+	cols := make([]tuple.Column, 32)
+	for i := range cols {
+		cols[i] = tuple.Column{Name: fmt.Sprintf("c%d", i), Type: tuple.TInt}
+	}
+	wide := tuple.MustSchema("wide", cols, "c0")
+	cluster, err := piertest.New(piertest.Options{N: 4, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	for _, nd := range cluster.Nodes {
+		if err := nd.DefineTable(wide, 5*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, nd := range cluster.Nodes {
+		for j := 0; j < 5; j++ {
+			row := make(tuple.Tuple, len(cols))
+			for c := range row {
+				row[c] = tuple.Int(int64((i*5+j)*len(cols) + c))
+			}
+			if err := nd.PublishLocal("wide", row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	coord := cluster.Nodes[0]
+	res, err := coord.Analyze(context.Background(), "wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, src, _ := coord.Catalog().StatsInfo("wide")
+	t.Logf("analyze ended %q with %d participants; catalog %v rows=%d", res.Reason, res.Participants, src, st.Rows)
+	if res.Reason != pier.ReasonEOS {
+		if src != catalog.StatsDefault || len(res.Tables) != 0 {
+			t.Fatalf("analyze ended %q yet installed %v stats of %d rows", res.Reason, src, st.Rows)
+		}
+		return
+	}
+	if len(res.Tables) != 1 || res.Tables[0].Rows != 20 || src != catalog.StatsMeasured || st.Rows != 20 {
+		t.Fatalf("analyze ended eos with %+v, catalog %v rows=%d; want 20 rows measured", res.Tables, src, st.Rows)
+	}
+	if d := res.Tables[0].Distinct["c31"]; d != 20 {
+		t.Fatalf("distinct(c31)=%d, want 20", d)
+	}
+}
+
 // planShape keeps an EXPLAIN's join order and per-stage strategies and
 // drops its statistics annotations, which differ by provenance.
 func planShape(explain string) string {
@@ -211,8 +259,8 @@ func planShape(explain string) string {
 }
 
 // TestAnalyzeSteersOptimizer: with no hand-declared statistics
-// anywhere, ANALYZE plus gossip (1) estimate every table within 2x of
-// the truth, (2) steer the optimizer at a node that never ran ANALYZE
+// anywhere, ANALYZE plus gossip (1) count every table exactly, each
+// ANALYZE ending eos, (2) steer the optimizer at a node that never ran ANALYZE
 // to the join order hand-declared statistics pick, a different one
 // from what defaults pick, and (3) every statistics regime returns the
 // centralized baseline's rows.
@@ -322,11 +370,11 @@ func TestAnalyzeSteersOptimizer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Tables) != 1 {
-			t.Fatalf("ANALYZE %s returned %d tables", tbl, len(res.Tables))
+		if res.Reason != pier.ReasonEOS || len(res.Tables) != 1 {
+			t.Fatalf("ANALYZE %s ended %q with %d tables", tbl, res.Reason, len(res.Tables))
 		}
-		if est, truth := res.Tables[0].Rows, trueRows[tbl]; est <= 0 || est > 2*truth || truth > 2*est {
-			t.Fatalf("ANALYZE %s estimated %d rows, true %d: beyond 2x", tbl, est, truth)
+		if got, truth := res.Tables[0].Rows, trueRows[tbl]; got != truth {
+			t.Fatalf("ANALYZE %s counted %d rows, true %d", tbl, got, truth)
 		}
 	}
 	deadline := time.Now().Add(30 * time.Second)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/simnet"
 	"repro/internal/tuple"
 )
@@ -190,11 +191,12 @@ func TestRecursiveCrashedMemberSaysSo(t *testing.T) {
 	}
 }
 
-// TestAnalyzeRescalesOnSuspicion: an ANALYZE gather sizes its expected
-// answer count by EffectiveMembers, so a trained suspicion lets it
-// complete on the survivors instead of paying the doubled quiescence
-// horizon — and a rejoined member's RPC traffic rehabilitates it.
-func TestAnalyzeRescalesOnSuspicion(t *testing.T) {
+// TestAnalyzeMemberDownInstallsNothing: ANALYZE with a member down is
+// a query with a member down. It ends churn-degraded with coverage
+// (n-1)/n and installs nothing, because the survivors' count is not
+// the table's size. Once the member is back, ANALYZE ends eos with the
+// exact count.
+func TestAnalyzeMemberDownInstallsNothing(t *testing.T) {
 	const n = 6
 	nodes, net := cluster(t, n, 905)
 	defineEverywhere(t, nodes, trafficSchema, time.Minute)
@@ -206,31 +208,38 @@ func TestAnalyzeRescalesOnSuspicion(t *testing.T) {
 	dead := nodes[4].Addr()
 	net.SetDown(dead, true)
 	time.Sleep(300 * time.Millisecond) // let chord route around the body
-	// Train the node-level registry the way a query coordinator would.
-	nodes[0].markSuspect(dead)
-	if m := nodes[0].EffectiveMembers(); m != n-1 {
-		t.Fatalf("EffectiveMembers %d with one suspect, want %d", m, n-1)
-	}
 
-	res, err := nodes[0].Analyze(context.Background(), "traffic")
+	res, err := nodes[0].Query(context.Background(), "ANALYZE traffic")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reason != ReasonEOS {
-		t.Fatalf("analyze completed %q on %d survivors, want %q", res.Reason, res.Participants, ReasonEOS)
+	if res.Reason != ReasonChurnDegraded || res.Coverage != float64(n-1)/n {
+		t.Fatalf("analyze with %s down ended %q, coverage %v; want %q, %v",
+			dead, res.Reason, res.Coverage, ReasonChurnDegraded, float64(n-1)/n)
 	}
-	if res.Participants != n-1 {
-		t.Fatalf("analyze gathered %d answers, want %d", res.Participants, n-1)
+	if len(res.Rows) != 0 {
+		t.Fatalf("analyze reported %v from a partial count", res.Rows)
+	}
+	if _, src, _ := nodes[0].Catalog().StatsInfo("traffic"); src != catalog.StatsDefault {
+		t.Fatalf("a partial count installed stats of source %v", src)
 	}
 
-	// Rejoin: the node comes back, its query traffic proves life, and
-	// the suspicion clears without any explicit rehabilitation step.
 	net.SetDown(dead, false)
-	if _, err := nodes[0].Query(context.Background(), "SELECT node, rate FROM traffic"); err != nil {
-		t.Fatal(err)
-	}
-	if m := nodes[0].EffectiveMembers(); m != n {
-		t.Fatalf("EffectiveMembers %d after rejoin traffic, want %d", m, n)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ar, err := nodes[0].Analyze(context.Background(), "traffic")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ar.Reason == ReasonEOS {
+			if len(ar.Tables) != 1 || ar.Tables[0].Rows != n {
+				t.Fatalf("analyze after rejoin measured %+v, want %d rows", ar.Tables, n)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("analyze after rejoin still ends %q", ar.Reason)
+		}
 	}
 }
 

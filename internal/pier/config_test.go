@@ -4,13 +4,11 @@ package pier_test
 // when its field stops changing what the node does.
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/pier"
-	"repro/internal/plan"
 	"repro/internal/tuple"
 )
 
@@ -51,41 +49,4 @@ func TestDHTReplicasSetsReplicaWrites(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestBloomWaitBoundsGather: a Bloom join's coordinator gathers
-// per-site filters for BloomWait — no shorter, and not much longer —
-// and the answer is the baseline's.
-func TestBloomWaitBoundsGather(t *testing.T) {
-	const wait = 600 * time.Millisecond
-	cl := spillCluster(t, 4, 41, func(c *pier.Config) { c.BloomWait = wait })
-	seedSpillJoin(t, cl.Nodes, 40, 10)
-	ref, err := centralizedBaseline(cl.Nodes).QuerySQL(context.Background(), spillJoinSQL, 500*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := cl.Nodes[0]
-	bloom := plan.BloomJoin
-	res, err := coord.QueryWithOptions(context.Background(), spillJoinSQL, plan.Options{Strategy: &bloom})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reason != pier.ReasonEOS || len(res.Rows) != len(ref.Rows) {
-		t.Fatalf("reason %q with %d rows, want eos with %d", res.Reason, len(res.Rows), len(ref.Rows))
-	}
-	tr := coord.Trace(res.QueryID)
-	if tr == nil {
-		t.Fatal("no trace for the query")
-	}
-	for _, s := range tr.Spans {
-		if s.Name != "gather-bloom" || s.Node != coord.Addr() {
-			continue
-		}
-		took := time.Duration(s.End - s.Start)
-		if took < wait || took > wait+time.Second {
-			t.Fatalf("Bloom gather took %v with BloomWait %v", took, wait)
-		}
-		return
-	}
-	t.Fatal("no gather-bloom span at the coordinator")
 }

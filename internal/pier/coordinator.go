@@ -2,10 +2,13 @@ package pier
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/bloom"
 	"repro/internal/obs"
 	"repro/internal/physical"
@@ -15,7 +18,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Completion reasons a one-shot query (or ANALYZE) can finish with.
+// Completion reasons a one-shot query can finish with.
 // Anything other than ReasonEOS means the result may be partial: the
 // coordinator gave up waiting rather than proving completion.
 const (
@@ -104,7 +107,7 @@ func (c *Continuous) Analysis() *plan.Analysis {
 		return nil
 	}
 	if stats := c.q.localStats(); len(stats) > 0 {
-		c.q.setNodeStats(c.q.node.Addr(), statsChanPipes, &plan.Analysis{Ops: stats})
+		c.q.setNodeStats(c.q.node.Addr(), &plan.Analysis{Ops: stats})
 	}
 	return c.q.mergedAnalysis()
 }
@@ -177,10 +180,11 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	n.traceStart(qid, rootSpan)
 	defer n.dropQuery(qid)
 
-	if bloomStages(spec) != nil {
+	var bloomOps []plan.OpStats
+	if len(spec.BloomStages()) > 0 {
 		var err error
 		bloomSpan := q.spans.Start("gather-bloom")
-		msg.filters, err = n.gatherBloom(ctx, msg)
+		msg.filters, bloomOps, err = n.gatherBloom(ctx, spec)
 		q.spans.End(bloomSpan)
 		if err != nil {
 			return nil, err
@@ -191,8 +195,8 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 		return nil, fmt.Errorf("pier: disseminating query: %w", err)
 	}
 	q.spans.End(dissSpan)
-	// The Quiet clock starts at dissemination: a Bloom gather longer
-	// than Quiet is not a quiet network.
+	// The Quiet clock starts at dissemination: a Bloom gather, itself a
+	// query with its own clock, is not a quiet network.
 	q.coMu.Lock()
 	q.lastActivity = time.Now()
 	q.coMu.Unlock()
@@ -213,8 +217,7 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	eosOn := true
 	suspectWin := time.Duration(n.cfg.SuspectAfter) * n.cfg.HeartbeatEvery
 	// Grace before inferring churn: every live member needs time to
-	// land its first heartbeat ledger after the query broadcast — which
-	// a Bloom gather puts BloomWait after start, past the whole grace.
+	// land its first heartbeat ledger after the query broadcast.
 	grace := time.Now().Add(suspectWin + n.cfg.HeartbeatEvery)
 	var issuedRound uint64 // last drain round broadcast (0 = none yet)
 	var issuedCanon string // totals snapshot at that broadcast
@@ -251,8 +254,6 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 			if churnMode {
 				suspects = q.suspectedMembers(suspectWin)
 				for addr := range suspects {
-					// Train the node-level registry so later gathers
-					// (ANALYZE) rescale their expected member count.
 					n.markSuspect(addr)
 				}
 			} else {
@@ -388,7 +389,7 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 		CoverageByTable: covTables,
 	}
 	if spec.Analyze {
-		res.Analysis = q.mergedAnalysis(finalize.Stats()...)
+		res.Analysis = q.mergedAnalysis(append(bloomOps, finalize.Stats()...)...)
 		res.AnalyzeReport = spec.ExplainAnalyze(res.Analysis) +
 			fmt.Sprintf("completion: %s (%d participants, %v)\n", reason, participants, res.Duration.Round(time.Millisecond)) +
 			coverageLine(cov, covTables, members)
@@ -480,16 +481,12 @@ func (q *queryState) allStatsIn() bool {
 	q.coMu.Lock()
 	defer q.coMu.Unlock()
 	for addr := range q.doneNodes {
-		if q.nodeStats[addr+"|"+statsChanPipes] == nil {
+		if q.nodeStats[addr] == nil {
 			return false
 		}
 	}
 	return true
 }
-
-// bloomHashes is the hash count of Bloom-join filters; every site
-// must build with the same one for the coordinator to OR them.
-const bloomHashes = 4
 
 // QueryContinuous plans and launches a continuous (windowed) query.
 func (n *Node) QueryContinuous(ctx context.Context, sql string) (*Continuous, error) {
@@ -563,104 +560,73 @@ func (n *Node) stopQuery(qid uint64) {
 	_ = n.router.Broadcast(tagStop, w.Bytes())
 }
 
-// bloomStages lists the plan's Bloom-join stages (nil when none).
-func bloomStages(spec *plan.Spec) []int {
-	var out []int
-	for s := range spec.Joins {
-		if spec.Joins[s].Strategy == plan.BloomJoin {
-			out = append(out, s)
-		}
+// gather runs one-shot plans side by side and returns their results
+// in order: how the engine asks the network its own questions — a
+// Bloom join's phase-1 filters, ANALYZE's sketches — on the one path
+// every query takes, so each answer ends on EOS and says how it fell
+// short (Reason, Coverage) like any other.
+// At most plan.MaxTables run at once (a join has fewer Bloom stages;
+// ANALYZE of a whole catalog may ask for more).
+func (n *Node) gather(ctx context.Context, specs []*plan.Spec) ([]*Result, error) {
+	results := make([]*Result, len(specs))
+	errs := make([]error, len(specs))
+	slots := make(chan struct{}, plan.MaxTables)
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = n.ExecuteSpec(ctx, spec)
+			<-slots
+		}()
 	}
-	return out
+	wg.Wait()
+	return results, errors.Join(errs...)
 }
 
-// bloomScanFor names the base table scanned for a stage's phase-1
-// filter and the columns fed into it. Stage 0 builds over the LEFT
-// base table's join keys and filters the right scan; deeper stages
-// cannot scan their left input (it is an intermediate stream), so the
-// filter inverts: build over the RIGHT base table, filter the left
-// stream before its rehash.
-func bloomScanFor(spec *plan.Spec, stage int) (*plan.ScanSpec, []int) {
-	if stage == 0 {
-		return &spec.Scans[0], spec.Joins[0].LeftCols
+// gatherBloom runs Bloom-join phase 1: one agg.Bloom query per Bloom
+// stage (plan.Spec.BloomSpec), all at once. A stage gets a filter only
+// when its query ended eos; after any other ending it ships none, and
+// BloomProbe passes every row of a stage without a filter, so the join
+// stays complete. Under EXPLAIN ANALYZE it also returns the phase-1
+// queries' counters, each operator renamed bloom-<op>, plus .<stage>
+// past stage 0, so they stay apart from the main query's.
+func (n *Node) gatherBloom(ctx context.Context, spec *plan.Spec) (map[int]*bloom.Filter, []plan.OpStats, error) {
+	stages := spec.BloomStages()
+	specs := make([]*plan.Spec, len(stages))
+	for i, s := range stages {
+		specs[i] = spec.BloomSpec(s)
 	}
-	return &spec.Scans[stage+1], spec.Joins[stage].RightCols
-}
-
-// gatherBloom runs Bloom-join phase 1 for every Bloom stage at once:
-// broadcast one request, gather per-site per-stage filters, OR them
-// together per stage. The request is the query message itself, not yet
-// carrying filters.
-func (n *Node) gatherBloom(ctx context.Context, m queryMsg) (map[int]*bloom.Filter, error) {
-	qid := m.qid
-	stages := bloomStages(m.spec)
-	n.bloomMu.Lock()
-	for _, s := range stages {
-		n.bloomGather[bloomKey{qid: qid, stage: s}] = bloom.NewWithBits(uint64(n.cfg.BloomBits), bloomHashes)
+	results, err := n.gather(ctx, specs)
+	if err != nil {
+		return nil, nil, err
 	}
-	n.bloomMu.Unlock()
-	defer func() {
-		n.bloomMu.Lock()
-		for _, s := range stages {
-			delete(n.bloomGather, bloomKey{qid: qid, stage: s})
+	filters := make(map[int]*bloom.Filter, len(stages))
+	var ops []plan.OpStats
+	for i, r := range results {
+		s := stages[i]
+		if r.Analysis != nil {
+			for _, o := range r.Analysis.Ops {
+				o.Op = "bloom-" + o.Op
+				if s > 0 {
+					o.Op += fmt.Sprintf(".%d", s)
+				}
+				ops = append(ops, o)
+			}
 		}
-		n.bloomMu.Unlock()
-	}()
-	if err := n.router.Broadcast(tagBloomQ, m.encode()); err != nil {
-		return nil, err
-	}
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-time.After(n.cfg.BloomWait):
-	}
-	n.bloomMu.Lock()
-	defer n.bloomMu.Unlock()
-	out := make(map[int]*bloom.Filter, len(stages))
-	for _, s := range stages {
-		if f := n.bloomGather[bloomKey{qid: qid, stage: s}]; f != nil {
-			out[s] = f
+		if r.Reason != ReasonEOS {
+			continue
 		}
-	}
-	return out, nil
-}
-
-// answerBloomPhase is the participant side of phase 1: for every
-// Bloom stage, build a filter over the local partition of that
-// stage's scannable base table and send it back tagged with the
-// stage.
-func (n *Node) answerBloomPhase(qid uint64, coord string, spec *plan.Spec) {
-	if len(spec.Joins) == 0 {
-		return
-	}
-	q := &queryState{id: qid, spec: spec, coord: coord, node: n, ctx: context.Background()}
-	var bloomStats []plan.OpStats
-	for _, s := range bloomStages(spec) {
-		sc, keyCols := bloomScanFor(spec, s)
-		f := bloom.NewWithBits(uint64(n.cfg.BloomBits), bloomHashes)
-		pipe := physical.CompileBloomScan(sc, keyCols, q.pipelineEnv(), spec.Analyze, f.Add)
-		if err := pipe.Run(context.Background()); err != nil {
-			return
+		f := agg.NewBloom() // no row anywhere: nothing can match
+		if len(r.Rows) == 1 && !r.Rows[0][0].IsNull() {
+			if f, err = agg.BloomOf(r.Rows[0][0]); err != nil {
+				continue
+			}
 		}
-		bloomStats = append(bloomStats, pipe.Stats()...)
-		w := wire.NewWriter(f.SizeBytes() + 24)
-		w.Uint64(qid)
-		w.Uvarint(uint64(s))
-		f.Encode(w)
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_, _ = n.peer.Call(ctx, coord, methBloom, w.Bytes())
-		cancel()
+		filters[s] = f
 	}
-	// Phase 1 runs on an ephemeral query state (the main query is not
-	// announced yet), so its counters go to the coordinator directly
-	// on their own stats channel.
-	if spec.Analyze && len(bloomStats) > 0 {
-		if rq := n.getQuery(qid, nil); rq != nil && rq.isCoord {
-			rq.setNodeStats(n.Addr(), statsChanBloom, &plan.Analysis{Ops: bloomStats})
-		} else {
-			n.sendStats(qid, coord, statsChanBloom, bloomStats, nil)
-		}
-	}
+	return filters, ops, nil
 }
 
 // ---------------------------------------------------------------------------

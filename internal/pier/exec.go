@@ -22,16 +22,14 @@ import (
 
 // Overlay tags and RPC methods used by the query engine.
 const (
-	tagQuery  = "pier.query"  // broadcast: start a query
-	tagBloomQ = "pier.bloomq" // broadcast: Bloom-join phase-1 request
-	tagStop   = "pier.stop"   // broadcast: tear a query down
-	tagDrain  = "pier.drain"  // broadcast: flush held state for a drain round
-	tagAgg    = "pier.agg"    // routed: partial aggregate toward collector
-	tagJoin   = "pier.join"   // routed: rehashed join tuple toward collector
+	tagQuery = "pier.query" // broadcast: start a query
+	tagStop  = "pier.stop"  // broadcast: tear a query down
+	tagDrain = "pier.drain" // broadcast: flush held state for a drain round
+	tagAgg   = "pier.agg"   // routed: partial aggregate toward collector
+	tagJoin  = "pier.join"  // routed: rehashed join tuple toward collector
 
 	methRows  = "pier.rows"  // rpc to coordinator: result rows
 	methEos   = "pier.eos"   // rpc to coordinator: EOS ledger (scan done + books)
-	methBloom = "pier.bloom" // rpc to coordinator: per-site Bloom filter
 	methStats = "pier.stats" // one-way to coordinator: EXPLAIN ANALYZE counters, trace spans
 )
 
@@ -50,8 +48,8 @@ type queryState struct {
 
 	participateOnce sync.Once
 
-	// Bloom filters attached to the query, keyed by join stage
-	// (BloomJoin phase 2).
+	// Bloom filters attached to the query, keyed by join stage: the
+	// phase-1 gathers that ended eos (BloomJoin phase 2).
 	filters map[int]*bloom.Filter
 	// joinParts is the routing partition count of every rehash-join
 	// stage, as the query message carried it.
@@ -95,10 +93,9 @@ type queryState struct {
 	winFlushed   map[uint64]bool
 	winTimers    map[uint64]*time.Timer
 	results      chan WindowResult
-	// nodeStats holds the latest EXPLAIN ANALYZE snapshot per
-	// (node, channel) key. Snapshots replace rather than sum, so
-	// continuous queries can re-ship cumulative counters every window
-	// without double counting.
+	// nodeStats holds the latest EXPLAIN ANALYZE snapshot per node.
+	// Snapshots replace rather than sum, so continuous queries can
+	// re-ship cumulative counters every window without double counting.
 	nodeStats map[string]*plan.Analysis
 	epoch     time.Time // continuous window time base
 	// ledgers holds the latest EOS ledger per participant; eosEval
@@ -182,14 +179,6 @@ func (q *queryState) waitPipelines() {
 	}
 }
 
-// Stats channels distinguish the independent counter snapshots one
-// node may ship for a query: its query pipelines and the ephemeral
-// Bloom phase-1 scan. Snapshots replace per (node, channel).
-const (
-	statsChanPipes = "pipes"
-	statsChanBloom = "bloom"
-)
-
 // shipStats delivers this node's teardown payload to the coordinator
 // exactly once: trace spans always (one-shot queries), per-operator
 // pipeline counters only under EXPLAIN ANALYZE. It runs on every
@@ -211,7 +200,7 @@ func (q *queryState) shipFinal() {
 		// before the root span gets its completion detail), so
 		// dropQuery ships them into the trace ring instead.
 		if len(stats) > 0 {
-			q.setNodeStats(q.node.Addr(), statsChanPipes, &plan.Analysis{Ops: stats})
+			q.setNodeStats(q.node.Addr(), &plan.Analysis{Ops: stats})
 		}
 		return
 	}
@@ -220,7 +209,7 @@ func (q *queryState) shipFinal() {
 	if len(stats) == 0 && len(spans) == 0 {
 		return
 	}
-	q.node.sendStats(q.id, q.coord, statsChanPipes, stats, spans)
+	q.node.sendStats(q.id, q.coord, stats, spans)
 }
 
 // shipStatsSnapshot ships the current cumulative counter snapshot.
@@ -233,19 +222,19 @@ func (q *queryState) shipStatsSnapshot() {
 		return
 	}
 	if q.coord == q.node.Addr() {
-		q.setNodeStats(q.node.Addr(), statsChanPipes, &plan.Analysis{Ops: stats})
+		q.setNodeStats(q.node.Addr(), &plan.Analysis{Ops: stats})
 		return
 	}
-	q.node.sendStats(q.id, q.coord, statsChanPipes, stats, nil)
+	q.node.sendStats(q.id, q.coord, stats, nil)
 }
 
-// setNodeStats records one node's latest snapshot on a channel.
-func (q *queryState) setNodeStats(node, channel string, a *plan.Analysis) {
+// setNodeStats records one node's latest snapshot.
+func (q *queryState) setNodeStats(node string, a *plan.Analysis) {
 	q.coMu.Lock()
 	if q.nodeStats == nil {
 		q.nodeStats = make(map[string]*plan.Analysis)
 	}
-	q.nodeStats[node+"|"+channel] = a
+	q.nodeStats[node] = a
 	q.coMu.Unlock()
 	q.eosKick() // an EXPLAIN ANALYZE coordinator may be waiting for this snapshot
 }
@@ -274,10 +263,9 @@ func (q *queryState) mergedAnalysis(extra ...plan.OpStats) *plan.Analysis {
 // coordinator as a one-way datagram. Nothing waits on a reply: a lost
 // frame loses this node's spans and counters, and the coordinator's
 // allStatsIn wait ends on analyzeGrace.
-func (n *Node) sendStats(qid uint64, coord, channel string, stats []plan.OpStats, spans []obs.Span) {
+func (n *Node) sendStats(qid uint64, coord string, stats []plan.OpStats, spans []obs.Span) {
 	w := wire.NewWriter(256)
 	w.Uint64(qid)
-	w.String(channel)
 	a := plan.Analysis{Ops: stats}
 	a.Encode(w)
 	obs.EncodeSpans(w, spans)
@@ -329,14 +317,6 @@ func (q *queryState) shipSpan() {
 
 // ---------------------------------------------------------------------------
 // Message encoding
-
-// bloomKey identifies one Bloom-join gather: a query's filters are
-// collected per join stage (stage 0 filters the right scan; deeper
-// stages filter the left stream).
-type bloomKey struct {
-	qid   uint64
-	stage int
-}
 
 // queryMsg is a query dissemination: the trace context (query id + the
 // coordinator's root span id) and the join partition count ride in the
@@ -523,18 +503,6 @@ func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte) {
 				q.participate()
 			})
 		})
-	case tagBloomQ:
-		m, err := decodeQueryMsg(payload)
-		if err != nil {
-			return
-		}
-		n.wg.Add(1)
-		n.peer.Go(func() {
-			defer n.wg.Done()
-			n.answerBloomPhase(m.qid, m.coord, m.spec)
-		})
-	case tagAnalyzeQ:
-		n.onAnalyzeBroadcast(from, payload)
 	case tagDrain:
 		qid, round, err := wire.DecodeDrain(payload)
 		if err != nil {
@@ -746,8 +714,8 @@ func (n *Node) onRows(from string, req []byte) ([]byte, error) {
 }
 
 func (n *Node) registerHandlers() {
-	n.registerStatsHandlers()
 	n.peer.Handle(methRows, n.onRows)
+	n.peer.Handle(methGossip, n.onGossip)
 	n.peer.Handle(methEos, func(from string, req []byte) ([]byte, error) {
 		f, err := wire.EosFrameFromBytes(req)
 		if err != nil {
@@ -762,7 +730,6 @@ func (n *Node) registerHandlers() {
 	n.peer.Handle(methStats, func(from string, req []byte) ([]byte, error) {
 		r := wire.NewReader(req)
 		qid := r.Uint64()
-		channel := r.String()
 		a, err := plan.DecodeAnalysis(r)
 		if err != nil {
 			return nil, err
@@ -784,28 +751,10 @@ func (n *Node) registerHandlers() {
 		}
 		q.noteAlive(from)
 		if len(a.Ops) > 0 {
-			// Latest snapshot per (node, channel) replaces the previous
-			// one — counters are cumulative at the sender.
-			q.setNodeStats(from, channel, a)
+			// A node's latest snapshot replaces its previous one —
+			// counters are cumulative at the sender.
+			q.setNodeStats(from, a)
 		}
-		return nil, nil
-	})
-	n.peer.Handle(methBloom, func(from string, req []byte) ([]byte, error) {
-		r := wire.NewReader(req)
-		qid := r.Uint64()
-		stage := int(r.Uvarint())
-		f, err := bloom.Decode(r)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Done(); err != nil {
-			return nil, err
-		}
-		n.bloomMu.Lock()
-		if agg, ok := n.bloomGather[bloomKey{qid: qid, stage: stage}]; ok {
-			_ = agg.Or(f)
-		}
-		n.bloomMu.Unlock()
 		return nil, nil
 	})
 }

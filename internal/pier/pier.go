@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/bloom"
 	"repro/internal/catalog"
 	"repro/internal/chord"
 	"repro/internal/dataflow"
@@ -71,12 +70,6 @@ type Config struct {
 	// coordinator suspect a member is dead and exclude it from EOS
 	// completion and drain-round membership. Default 3.
 	SuspectAfter int
-	// BloomWait is how long a Bloom-join coordinator gathers
-	// per-site filters before disseminating the main query.
-	// Default 250ms.
-	BloomWait time.Duration
-	// BloomBits sizes Bloom-join filters. Default 8192 bits.
-	BloomBits int
 	// BatchSize is the vectorization width of the local execution
 	// pipelines: the most tuples a scan or a flushing operator puts in
 	// one dataflow message. Default 256 (dataflow.DefaultBatchSize).
@@ -113,12 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SuspectAfter == 0 {
 		c.SuspectAfter = 3
-	}
-	if c.BloomWait == 0 {
-		c.BloomWait = 250 * time.Millisecond
-	}
-	if c.BloomBits == 0 {
-		c.BloomBits = 8192
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = dataflow.DefaultBatchSize
@@ -170,31 +157,24 @@ type Node struct {
 	queries map[uint64]*queryState
 	stopped bool
 
-	bloomMu     sync.Mutex
-	bloomGather map[bloomKey]*bloom.Filter
-
 	// spill manages this node's join overflow temp files (hybrid-hash
 	// joins under Config.JoinMemBudget).
 	spill *spill.Manager
 
-	// gathers tracks in-flight ANALYZE coordinations.
-	gatherMu sync.Mutex
-	gathers  map[uint64]*sketchGather
-
 	// driftMu guards the drift-triggered re-ANALYZE baselines: per
-	// table, the local row count recorded at its last ANALYZE and the
-	// time of the last drift-triggered re-run.
+	// table, the local row count when measured or gossiped stats were
+	// last installed here, and the time of that install or of the last
+	// drift-triggered re-run.
 	driftMu   sync.Mutex
 	driftBase map[string]int64
 	driftLast map[string]time.Time
 
 	// suspects is the node-level liveness registry: members a
-	// coordinator role on this node has suspected dead, with the time
-	// of the latest suspicion. Trained by query execution, cleared by
-	// any RPC arriving from the address, TTL'd so a quiet rejoin
-	// eventually rehabilitates on its own.
+	// coordinator role on this node has suspected dead. Trained by
+	// query execution, cleared by any RPC arriving from the address;
+	// it dedups the suspicion events and counters.
 	suspectMu sync.Mutex
-	suspects  map[string]time.Time
+	suspects  map[string]bool
 
 	pendMu  sync.Mutex
 	pending map[uint64][]pendingMsg
@@ -236,11 +216,9 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 		cfg:          cfg,
 		cat:          catalog.New(),
 		queries:      make(map[uint64]*queryState),
-		bloomGather:  make(map[bloomKey]*bloom.Filter),
-		gathers:      make(map[uint64]*sketchGather),
 		driftBase:    make(map[string]int64),
 		driftLast:    make(map[string]time.Time),
-		suspects:     make(map[string]time.Time),
+		suspects:     make(map[string]bool),
 		appBroadcast: make(map[string]overlay.BroadcastFunc),
 		stopCh:       make(chan struct{}),
 		reg:          obs.New(),
@@ -325,8 +303,7 @@ func (n *Node) Store() *dht.Store { return n.store }
 
 // scanPayloads is every pipeline's Env.Scan: the live local primary
 // partition of a namespace as raw payloads, split into up to
-// partitions shards (query scans and the ANALYZE stats-gather share
-// this one definition, so their row visibility can never diverge).
+// partitions shards.
 func (n *Node) scanPayloads(ns string, partitions int) [][][]byte {
 	parts := n.store.LScanParts(ns, partitions)
 	out := make([][][]byte, len(parts))

@@ -25,7 +25,6 @@ func testNodeConfig() Config {
 		CollectorHold: 80 * time.Millisecond,
 		Quiet:         250 * time.Millisecond,
 		MaxQueryLife:  10 * time.Second,
-		BloomWait:     200 * time.Millisecond,
 	}
 	cfg.DHT.SweepEvery = 100 * time.Millisecond
 	cfg.DHT.RepublishEvery = 500 * time.Millisecond
@@ -342,7 +341,7 @@ func TestFetchMatchesJoin(t *testing.T) {
 // symmetric-hash join's rows, and rehashes fewer tuples doing it (most
 // rules match no alert, and the filter keeps them home).
 func TestBloomJoinMatchesSymmetric(t *testing.T) {
-	nodes, _ := cluster(t, 6, 10)
+	nodes, net := cluster(t, 6, 10)
 	defineEverywhere(t, nodes, alertsSchema, time.Minute)
 	defineEverywhere(t, nodes, rulesSchema, time.Minute)
 	for i, nd := range nodes {
@@ -352,26 +351,31 @@ func TestBloomJoinMatchesSymmetric(t *testing.T) {
 	for rule := 1; rule <= 50; rule++ {
 		nodes[rule%6].PublishLocal("rules", tuple.Tuple{tuple.Int(int64(rule)), tuple.String(fmt.Sprintf("rule-%d", rule))})
 	}
+	// The centralized answer: each alert meets its one rule.
+	var want []tuple.Tuple
+	for i, nd := range nodes {
+		want = append(want, tuple.Tuple{tuple.String(nd.Addr()), tuple.String(fmt.Sprintf("rule-%d", i%3+1))})
+	}
 	rehashed := func() (total uint64) {
 		for _, nd := range nodes {
 			total += nd.Metrics.JoinTuplesRehashed.Load()
 		}
 		return total
 	}
-	run := func(strat plan.JoinStrategy) ([]string, uint64) {
-		before := rehashed()
+	run := func(strat plan.JoinStrategy) ([]string, uint64, uint64) {
+		before, bytesBefore := rehashed(), net.Stats().BytesSent
 		res, err := nodes[0].QueryWithOptions(context.Background(),
 			"SELECT a.node, r.descr FROM alerts a JOIN rules r ON a.rule = r.rule",
 			plan.Options{Strategy: &strat})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sortedRowEncodings(res.Rows), rehashed() - before
+		return sortedRowEncodings(res.Rows), rehashed() - before, net.Stats().BytesSent - bytesBefore
 	}
-	bloomRows, bloomRehashed := run(plan.BloomJoin)
-	symRows, symRehashed := run(plan.SymmetricHash)
-	if len(bloomRows) != 6 {
-		t.Fatalf("bloom join returned %d rows", len(bloomRows))
+	bloomRows, bloomRehashed, bloomBytes := run(plan.BloomJoin)
+	symRows, symRehashed, symBytes := run(plan.SymmetricHash)
+	if !reflect.DeepEqual(bloomRows, sortedRowEncodings(want)) {
+		t.Fatalf("bloom join returned %d rows, not the %d the centralized join does", len(bloomRows), len(want))
 	}
 	if !reflect.DeepEqual(bloomRows, symRows) {
 		t.Fatalf("bloom rows differ from symmetric hash's (%d vs %d rows)", len(bloomRows), len(symRows))
@@ -379,7 +383,7 @@ func TestBloomJoinMatchesSymmetric(t *testing.T) {
 	if bloomRehashed >= symRehashed {
 		t.Fatalf("bloom join rehashed %d tuples, symmetric hash %d", bloomRehashed, symRehashed)
 	}
-	t.Logf("tuples rehashed: bloom %d, symmetric %d", bloomRehashed, symRehashed)
+	t.Logf("tuples rehashed: bloom %d, symmetric %d; bytes sent: bloom %d, symmetric %d", bloomRehashed, symRehashed, bloomBytes, symBytes)
 }
 
 func TestContinuousSum(t *testing.T) {

@@ -44,7 +44,6 @@ func FastConfig() pier.Config {
 		CollectorHold: 80 * time.Millisecond,
 		Quiet:         250 * time.Millisecond,
 		MaxQueryLife:  10 * time.Second,
-		BloomWait:     200 * time.Millisecond,
 	}
 	cfg.DHT.SweepEvery = 100 * time.Millisecond
 	cfg.DHT.RepublishEvery = 500 * time.Millisecond

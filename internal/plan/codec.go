@@ -188,6 +188,15 @@ func Decode(r *wire.Reader) (*Spec, error) {
 	if s.GroupCols, err = decodeInts(r); err != nil {
 		return nil, err
 	}
+	// Group columns and aggregate arguments index the Proj output on
+	// every node that runs the plan, and the function names a state
+	// the accumulator knows: a query broadcast is outside input, so a
+	// spec no executor could run fails here rather than panicking one.
+	for _, g := range s.GroupCols {
+		if g < 0 || g >= len(s.Proj) {
+			return nil, fmt.Errorf("plan: group column %d outside %d projections", g, len(s.Proj))
+		}
+	}
 	nAggs := int(r.Uvarint())
 	if nAggs > 256 {
 		return nil, fmt.Errorf("plan: %d aggregates", nAggs)
@@ -195,6 +204,9 @@ func Decode(r *wire.Reader) (*Spec, error) {
 	for i := 0; i < nAggs; i++ {
 		fn := agg.AggFunc(r.Byte())
 		arg := int(r.Varint())
+		if r.Err() == nil && (!fn.Valid() || arg < -1 || arg >= len(s.Proj)) {
+			return nil, fmt.Errorf("plan: aggregate %d is function %d over column %d of %d projections", i, int(fn), arg, len(s.Proj))
+		}
 		s.Aggs = append(s.Aggs, agg.AggSpec{Func: fn, ArgCol: arg})
 	}
 	if s.OutPerm, err = decodeInts(r); err != nil {

@@ -186,6 +186,48 @@ func TestSpecCodecRefusesBadKeptColumns(t *testing.T) {
 	}
 }
 
+// aggSpec encodes a one-scan spec with one projection, grouped by
+// group, aggregating with fn over arg.
+func aggSpec(group []int, fn agg.AggFunc, arg int) []byte {
+	s := &Spec{Limit: -1, Scans: []ScanSpec{{Table: "t", Namespace: "table:t", Stored: 1, Cols: []int{0},
+		Schema: &tuple.Schema{Name: "t", Columns: []tuple.Column{{Name: "a"}}}}},
+		Proj: []expr.Expr{&expr.Col{Name: "a", Index: 0}}, GroupCols: group,
+		Aggs: []agg.AggSpec{{Func: fn, ArgCol: arg}}, OutPerm: []int{0}, OutNames: []string{"x"}}
+	return s.Bytes()
+}
+
+// badAggregates returns one encoded spec per aggregate the decoder
+// refuses: a function no accumulator knows (AggFunc.String would
+// panic), an argument or a group column outside the projection
+// (Accumulator.AddRaw and Tuple.Project would).
+func badAggregates() map[string][]byte {
+	return map[string][]byte{
+		"unknown function": aggSpec(nil, agg.AggFunc(9), 0),
+		"argument past":    aggSpec(nil, agg.Sum, 40),
+		"argument below":   aggSpec(nil, agg.Sum, -2),
+		"group past":       aggSpec([]int{1}, agg.Count, -1),
+		"group negative":   aggSpec([]int{-1}, agg.Count, -1),
+	}
+}
+
+// TestSpecCodecRefusesBadAggregates: a query broadcast is outside
+// input, so an aggregate no node could run fails the decode; every
+// known function over the whole row or a projected column passes.
+func TestSpecCodecRefusesBadAggregates(t *testing.T) {
+	for name, buf := range badAggregates() {
+		if _, err := FromBytes(buf); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	for fn := agg.Count; fn <= agg.Sketch; fn++ {
+		for _, arg := range []int{-1, 0} {
+			if _, err := FromBytes(aggSpec([]int{0}, fn, arg)); err != nil {
+				t.Errorf("%s(#%d) refused: %v", fn, arg, err)
+			}
+		}
+	}
+}
+
 // FuzzSpecCodec feeds arbitrary bytes to the decoder: it must never
 // panic, and anything it accepts must re-encode to a stable canonical
 // form (decode(encode(x)) == x for the encoded form).
@@ -197,6 +239,9 @@ func FuzzSpecCodec(f *testing.F) {
 	for _, buf := range badKeptColumns() {
 		f.Add(buf)
 	}
+	for _, buf := range badAggregates() {
+		f.Add(buf)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x03})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -204,6 +249,7 @@ func FuzzSpecCodec(f *testing.F) {
 		if err != nil {
 			return
 		}
+		_ = spec.Explain() // names every aggregate
 		canonical := spec.Bytes()
 		again, err := FromBytes(canonical)
 		if err != nil {

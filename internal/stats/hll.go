@@ -74,10 +74,34 @@ func (h *HLL) Merge(o *HLL) {
 	}
 }
 
-// Encode appends the sketch to w.
+// hllSparseMax is the register count below which Encode writes only
+// the set registers, three bytes each: the sketch of a small partition
+// is then bytes, not hllM, and a wide table's sketch still fits a
+// datagram when ANALYZE ships it as an aggregate state.
+const hllSparseMax = hllM / 3
+
+// Encode appends the sketch to w: the precision, the count of set
+// registers, then either those registers as (index, rank) pairs in
+// index order or, past hllSparseMax, every register.
 func (h *HLL) Encode(w *wire.Writer) {
 	w.Byte(hllP)
-	w.Raw(h.regs)
+	set := 0
+	for _, r := range h.regs {
+		if r != 0 {
+			set++
+		}
+	}
+	w.Uvarint(uint64(set))
+	if set >= hllSparseMax {
+		w.Raw(h.regs)
+		return
+	}
+	for i, r := range h.regs {
+		if r != 0 {
+			w.Uvarint(uint64(i))
+			w.Byte(r)
+		}
+	}
 }
 
 // DecodeHLL reads a sketch written by Encode.
@@ -88,7 +112,26 @@ func DecodeHLL(r *wire.Reader) (*HLL, error) {
 		}
 		return nil, fmt.Errorf("stats: HLL precision %d, want %d", p, hllP)
 	}
+	set := r.Uvarint()
 	h := NewHLL()
-	copy(h.regs, r.Raw(hllM))
-	return h, r.Err()
+	if set >= hllSparseMax {
+		if set > hllM {
+			return nil, fmt.Errorf("stats: HLL with %d set registers", set)
+		}
+		copy(h.regs, r.Raw(hllM))
+		return h, r.Err()
+	}
+	prev := -1
+	for i := uint64(0); i < set; i++ {
+		idx, rank := r.Uvarint(), r.Byte()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if idx >= hllM || int(idx) <= prev || rank == 0 {
+			return nil, fmt.Errorf("stats: sparse HLL register %d (rank %d) after %d", idx, rank, prev)
+		}
+		h.regs[idx] = rank
+		prev = int(idx)
+	}
+	return h, nil
 }

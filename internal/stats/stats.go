@@ -86,17 +86,6 @@ func (s *TableSketch) Add(t tuple.Tuple) {
 	wire.PutWriter(w)
 }
 
-// Distinct returns the distinct estimate for a base column name
-// (0 when the column is unknown).
-func (s *TableSketch) Distinct(col string) int64 {
-	for i := range s.Cols {
-		if s.Cols[i].Name == col {
-			return s.Cols[i].HLL.Estimate()
-		}
-	}
-	return 0
-}
-
 // Distincts returns every column's distinct estimate.
 func (s *TableSketch) Distincts() map[string]int64 {
 	out := make(map[string]int64, len(s.Cols))
@@ -143,7 +132,7 @@ func (s *TableSketch) Encode(w *wire.Writer) {
 
 // Bytes serializes the sketch into a fresh buffer.
 func (s *TableSketch) Bytes() []byte {
-	w := wire.NewWriter(256 + hllM*len(s.Cols))
+	w := wire.NewWriter(256)
 	s.Encode(w)
 	return w.Bytes()
 }

@@ -146,10 +146,10 @@ func TestSketchRowsAndDistincts(t *testing.T) {
 	if s.Rows != rows {
 		t.Fatalf("rows %d, want %d", s.Rows, rows)
 	}
-	if d := s.Distinct("k"); d < distinctK*9/10 || d > distinctK*11/10 {
+	if d := s.Distincts()["k"]; d < distinctK*9/10 || d > distinctK*11/10 {
 		t.Fatalf("distinct(k)=%d, want ~%d", d, distinctK)
 	}
-	if d := s.Distinct("v"); d < rows*9/10 || d > rows*11/10 {
+	if d := s.Distincts()["v"]; d < rows*9/10 || d > rows*11/10 {
 		t.Fatalf("distinct(v)=%d, want ~%d", d, rows)
 	}
 }
@@ -249,7 +249,7 @@ func TestWideTableTruncates(t *testing.T) {
 	if s.Rows != 10 {
 		t.Fatalf("rows %d, want 10", s.Rows)
 	}
-	if d := s.Distinct("c0"); d != 1 {
+	if d := s.Distincts()["c0"]; d != 1 {
 		t.Fatalf("distinct(c0)=%d, want 1", d)
 	}
 	if _, err := TableSketchFromBytes(s.Bytes()); err != nil {
@@ -282,5 +282,46 @@ func TestDecodeSampleRejectsMalformed(t *testing.T) {
 	}
 	if s, err := DecodeSample(wire.NewReader(encode(8, []uint64{3, 5}))); err != nil || len(s.Items) != 2 {
 		t.Fatalf("well-formed sample rejected: %v", err)
+	}
+}
+
+// TestHLLSparseEncoding: a sketch with few set registers encodes only
+// those, three bytes each; one past hllSparseMax encodes every
+// register; both round-trip byte-identically, and a sparse list out of
+// index order fails the decode.
+func TestHLLSparseEncoding(t *testing.T) {
+	for _, n := range []int{0, 20, 5000} {
+		h := NewHLL()
+		for i := 0; i < n; i++ {
+			h.Add([]byte(fmt.Sprintf("v%d", i)))
+		}
+		w := wire.NewWriter(64)
+		h.Encode(w)
+		enc := w.Bytes()
+		if n <= 20 && len(enc) > 4+3*n {
+			t.Fatalf("%d values: %d-byte encoding, want sparse", n, len(enc))
+		}
+		if n == 5000 && len(enc) < hllM {
+			t.Fatalf("%d values: %d-byte encoding, want dense", n, len(enc))
+		}
+		dec, err := DecodeHLL(wire.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := wire.NewWriter(64)
+		dec.Encode(again)
+		if !bytes.Equal(enc, again.Bytes()) || dec.Estimate() != h.Estimate() {
+			t.Fatalf("%d values: sparse round trip changed the sketch", n)
+		}
+	}
+	w := wire.NewWriter(16)
+	w.Byte(hllP)
+	w.Uvarint(2)
+	w.Uvarint(9)
+	w.Byte(1)
+	w.Uvarint(3) // descending
+	w.Byte(1)
+	if _, err := DecodeHLL(wire.NewReader(w.Bytes())); err == nil {
+		t.Fatal("descending sparse registers accepted")
 	}
 }
