@@ -203,9 +203,10 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	waitSpan := q.spans.Start("wait")
 
 	// Completion: drive the deterministic EOS protocol — wait for
-	// every member's end-of-scan ledger, issue
-	// drain rounds until the network-wide books balance and stop
-	// moving, and finish the instant they do. Under churn, members
+	// every member's end-of-scan ledger, issue drain rounds until
+	// every member's latest round settled and the network-wide books
+	// balance (or the books stop moving across a full round), and
+	// finish the instant they do. Under churn, members
 	// that miss SuspectAfter heartbeats are excluded from the
 	// expected set and drain-round membership: the query then
 	// completes churn-degraded the moment every *surviving* member is
@@ -283,6 +284,14 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 					// acks carry the round.
 					ackOK := st.acked || (churnMode && st.liveAcked)
 					switch {
+					case st.acked && st.settled && st.balanced && full:
+						// Every member drained round issuedRound and
+						// received no join or aggregation record after
+						// its cut, and sent == recv on every channel:
+						// no record is in flight or held anywhere, and
+						// none will be sent (DESIGN.md, *Why a settled
+						// round ends the query*). Complete.
+						reason = ReasonEOS
 					case issuedRound == 0 || (ackOK && st.canon != issuedCanon):
 						// First round, or the books moved during the last
 						// one: drain again until a full round passes with

@@ -17,12 +17,14 @@ import (
 // ship their books to the coordinator as EOS ledger frames (replacing
 // the bare "done" ping), and the coordinator declares the query
 // complete the instant all expected members report scan completion,
-// the books balance network-wide, and one full drain round passed with
-// no counter movement — instead of waiting out the Quiet silence
-// timer. Relays that combine partials in-network enter both sides of
+// the books balance network-wide, and every member's latest drain
+// round settled: no join or aggregation record entered its pipelines
+// after the round's cut (DESIGN.md, *Why a settled round ends the
+// query*). Relays that combine partials in-network enter both sides of
 // the rewrite (absorbed records as received, the merged record as
-// sent) at emit time, so a held combine buffer keeps the books
-// imbalanced and the query provably incomplete until it flushes.
+// sent) as the entry leaves the buffer, so a held combine buffer keeps
+// the books imbalanced and the query provably incomplete until it
+// flushes.
 //
 // A drain round is a coordinator broadcast that forces every node to
 // flush its held state — relay combine buffers, route batches, and
@@ -72,9 +74,10 @@ type eosTracker struct {
 	// reordered datagrams.
 	seq uint64
 	// drainRound is the highest coordinator-issued round this node has
-	// fully acknowledged; drainSeen dedups round broadcasts.
+	// fully acknowledged. drainCut maps each round that reached this
+	// node (presence dedups the broadcast) to pipeRecv at its cut.
 	drainRound uint64
-	drainSeen  map[uint64]bool
+	drainCut   map[uint64]uint64
 	gate       *drainGate
 	// dirty and urgent wake the shipper goroutine: dirty for count
 	// movements, which wait out a settle pause; urgent for state
@@ -95,12 +98,12 @@ type drainGate struct {
 
 func newEosTracker() *eosTracker {
 	return &eosTracker{
-		sent:      make(map[chanKey]uint64),
-		recv:      make(map[chanKey]uint64),
-		scans:     make(map[string]bool),
-		drainSeen: make(map[uint64]bool),
-		dirty:     make(chan struct{}, 1),
-		urgent:    make(chan struct{}, 1),
+		sent:     make(map[chanKey]uint64),
+		recv:     make(map[chanKey]uint64),
+		scans:    make(map[string]bool),
+		drainCut: make(map[uint64]uint64),
+		dirty:    make(chan struct{}, 1),
+		urgent:   make(chan struct{}, 1),
 	}
 }
 
@@ -108,7 +111,20 @@ func newEosTracker() *eosTracker {
 func (e *eosTracker) drainStarted() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.drainSeen) > 0
+	return len(e.drainCut) > 0
+}
+
+// pipeRecv totals the join and aggregation records this node received.
+// Result rows are left out: they end at the coordinator, and a row
+// received there causes no send. Callers hold e.mu.
+func (e *eosTracker) pipeRecv() uint64 {
+	var n uint64
+	for k, v := range e.recv {
+		if k.kind != chanRows {
+			n += v
+		}
+	}
+	return n
 }
 
 // countSent enters n records put on the wire for a channel.
@@ -174,6 +190,11 @@ func (q *queryState) eosFrame() *wire.EosFrame {
 		Seq:        e.seq,
 		ScanDone:   e.scanDone,
 		DrainRound: e.drainRound,
+	}
+	// Evaluated now, from the books this frame carries: a receipt after
+	// the round's cut unsettles every later frame.
+	if cut, ok := e.drainCut[e.drainRound]; ok {
+		f.Settled = e.pipeRecv() == cut
 	}
 	keys := make([]chanKey, 0, len(e.sent)+len(e.recv))
 	for k := range e.sent {
@@ -333,21 +354,23 @@ func (q *queryState) eosShipperLoop() {
 }
 
 // drainLocal executes one coordinator-issued drain round on this node:
-// flush relay combine buffers, flush route batches, push a Drain
-// marker through every live collector pipeline and wait for the sink
-// acknowledgements, flush routes again (the sinks may have shipped),
-// and only then advance the acknowledged round and report it.
+// flush relay combine buffers, flush route batches, take the round's
+// cut, push a Drain marker through every live collector pipeline and
+// wait for the sink acknowledgements, flush routes again (the sinks
+// may have shipped), and only then advance the acknowledged round and
+// report it. The cut precedes the inlet snapshot, so every record it
+// counts sits in a listed inlet ahead of that inlet's marker.
 func (q *queryState) drainLocal(round uint64) {
 	e := q.eos
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
-	if e.drainSeen[round] {
+	if _, seen := e.drainCut[round]; seen {
 		e.mu.Unlock()
 		return
 	}
-	e.drainSeen[round] = true
+	e.drainCut[round] = 0 // seen; the cut is taken below
 	e.mu.Unlock()
 
 	drainSpan := q.spans.Start(fmt.Sprintf("drain.r%d", round))
@@ -355,6 +378,9 @@ func (q *queryState) drainLocal(round uint64) {
 
 	q.flushCombining()
 	q.node.flushRoutes()
+	e.mu.Lock()
+	e.drainCut[round] = e.pipeRecv()
+	e.mu.Unlock()
 
 	inlets := q.snapshotInlets()
 	if len(inlets) > 0 {
@@ -463,7 +489,7 @@ func eosFrameEqual(a, b *wire.EosFrame) bool {
 	if a == nil || b == nil {
 		return false
 	}
-	if a.ScanDone != b.ScanDone || a.DrainRound != b.DrainRound ||
+	if a.ScanDone != b.ScanDone || a.DrainRound != b.DrainRound || a.Settled != b.Settled ||
 		len(a.Channels) != len(b.Channels) || len(a.Scans) != len(b.Scans) {
 		return false
 	}
@@ -487,6 +513,9 @@ type eosStatus struct {
 	// acked reports that every ledger (and the coordinator's own
 	// books) has acknowledged drain round `round`.
 	acked bool
+	// settled reports that every ledger says its latest round settled
+	// (false before the first round).
+	settled bool
 	// balanced reports that network-wide sent == recv on every channel.
 	balanced bool
 	// canon is a deterministic rendering of the network-wide totals;
@@ -520,7 +549,7 @@ func (q *queryState) eosStatus(round uint64, suspects map[string]bool) eosStatus
 	q.coMu.Unlock()
 	frames = append(frames, self)
 
-	st := eosStatus{acked: true, balanced: true, liveAcked: true}
+	st := eosStatus{acked: true, settled: true, balanced: true, liveAcked: true}
 	totals := make(map[chanKey]*[2]uint64)
 	for _, f := range frames {
 		alive := !suspects[f.Addr]
@@ -533,6 +562,7 @@ func (q *queryState) eosStatus(round uint64, suspects map[string]bool) eosStatus
 				st.liveScanDone++
 			}
 		}
+		st.settled = st.settled && f.Settled
 		if f.DrainRound < round {
 			st.acked = false
 			if alive {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/physical"
 	"repro/internal/plan"
 	"repro/internal/simnet"
 	"repro/internal/sqlparser"
@@ -318,4 +319,75 @@ func TestExplainAnalyzeEndsWithLastSnapshot(t *testing.T) {
 	if fastest >= analyzeGrace/2 {
 		t.Errorf("fastest EXPLAIN ANALYZE took %v: the coordinator waited out analyzeGrace (%v)", fastest, analyzeGrace)
 	}
+}
+
+// TestEosSettledFollowsCounts: a ledger's Settled bit is read from the
+// books the frame carries, against the cut of the round the node last
+// acknowledged — never remembered from the acknowledgement. A join or
+// aggregation record received after that cut unsettles every later
+// frame; a result row does not (rows end at the coordinator); and
+// while the next round drains, frames still report the last one.
+func TestEosSettledFollowsCounts(t *testing.T) {
+	nodes, _ := clusterWithConfig(t, 1, 81, testNodeConfig())
+	defineEverywhere(t, nodes, trafficSchema, time.Minute)
+	n := nodes[0]
+	stmt, err := sqlparser.Parse("SELECT COUNT(*) FROM traffic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := plan.Compile(stmt, n.cat, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := n.newQueryState(6000, spec, "elsewhere", 64)
+	defer q.cancel()
+	settled := func(when string, round uint64, want bool) {
+		t.Helper()
+		if f := q.eosFrame(); f.DrainRound != round || f.Settled != want {
+			t.Errorf("%s: frame says round %d settled=%v, want round %d settled=%v",
+				when, f.DrainRound, f.Settled, round, want)
+		}
+	}
+	partials := chanKey{kind: chanAgg}
+	join := chanKey{kind: chanJoin, side: 1}
+
+	q.countRecv(partials, 3)
+	settled("before any round", 0, false)
+	q.drainLocal(1)
+	settled("round 1, nothing received since its cut", 1, true)
+	q.countRecv(chanKey{kind: chanRows}, 5)
+	settled("result rows received after the cut", 1, true)
+	q.countRecv(join, 1)
+	settled("a join tuple received after the cut", 1, false)
+	settled("the frame after that", 1, false)
+	q.drainLocal(2)
+	settled("round 2, whose cut covers the join tuple", 2, true)
+	q.countRecv(partials, 1)
+	settled("a partial received after round 2's cut", 2, false)
+
+	// Round 3 takes its cut, which covers that partial, then waits on a
+	// marker no pipeline will acknowledge.
+	q.pipeMu.Lock()
+	q.aggIn = physical.NewInlet()
+	q.pipeMu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		q.drainLocal(3)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		q.eos.mu.Lock()
+		waiting := q.eos.gate != nil
+		q.eos.mu.Unlock()
+		if waiting {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("round 3 never reached its markers")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	settled("round 3 still draining", 2, false)
+	q.cancel()
+	<-done
 }

@@ -67,11 +67,13 @@ func (q *queryState) combineInto(key idKey, window uint64, partial tuple.Tuple) 
 			}
 			q.combMu.Lock()
 			e := q.combining[ck]
-			delete(q.combining, ck)
-			q.combMu.Unlock()
 			if e == nil {
+				q.combMu.Unlock()
 				return // a drain flushed the entry first
 			}
+			delete(q.combining, ck)
+			q.countCombined(e.n)
+			q.combMu.Unlock()
 			q.emitCombined(ck.window, e)
 		})
 	}
@@ -81,14 +83,19 @@ func (q *queryState) combineInto(key idKey, window uint64, partial tuple.Tuple) 
 	return true
 }
 
-// emitCombined forwards one merged partial. Both sides of the relay's
-// rewrite enter the EOS books here — the absorbed partials as received,
-// the merged one as sent — and only at emit time, so a held combine
-// buffer keeps the network's ledgers imbalanced and the query provably
-// incomplete until it flushes.
-func (q *queryState) emitCombined(window uint64, e *combineEntry) {
-	q.countRecv(chanKey{kind: chanAgg}, e.n)
+// countCombined enters both sides of a relay's rewrite in the EOS
+// books — the absorbed partials as received, the merged one as sent —
+// as the entry leaves the buffer, under combMu: a held combine buffer
+// keeps the ledgers imbalanced until it flushes, and a drain round's
+// flush, which takes combMu, finds every entry that left before it
+// counted already, so the round's cut covers every rewrite.
+func (q *queryState) countCombined(n int) {
+	q.countRecv(chanKey{kind: chanAgg}, n)
 	q.countSent(chanKey{kind: chanAgg}, 1)
+}
+
+// emitCombined forwards one merged partial, counted by countCombined.
+func (q *queryState) emitCombined(window uint64, e *combineEntry) {
 	merged := append(e.group.Clone(), e.acc.StateValues()...)
 	_ = q.partialRouter().Route(e.key, tagAgg, encodeTupleMsg(q.id, window, 0, 0, merged))
 }
@@ -99,6 +106,9 @@ func (q *queryState) flushCombining() {
 	q.combMu.Lock()
 	entries := q.combining
 	q.combining = nil
+	for _, e := range entries {
+		q.countCombined(e.n)
+	}
 	q.combMu.Unlock()
 	for ck, e := range entries {
 		e.hold.Stop()

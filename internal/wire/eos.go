@@ -28,8 +28,8 @@ type EosChannel struct {
 // it once its scan has drained and its route batches have flushed, and
 // re-ships whenever its counters or drain round advance; the
 // coordinator declares the query complete when every expected member's
-// ledger reports ScanDone, the current drain round is acknowledged,
-// and all channel books balance.
+// ledger reports ScanDone, the current drain round is acknowledged and
+// Settled, and all channel books balance.
 type EosFrame struct {
 	// Query identifies the query.
 	Query uint64
@@ -47,6 +47,12 @@ type EosFrame struct {
 	// node has fully acknowledged (markers flushed through every local
 	// collector pipeline).
 	DrainRound uint64
+	// Settled reports that the node delivered no join or aggregation
+	// record into a local pipeline since round DrainRound's cut, so
+	// the round's markers went out behind everything it ever received
+	// there. It is evaluated when the frame is built, from the counts
+	// in Channels, and is false before the first round.
+	Settled bool
 	// Channels holds the node's per-channel accounting, sorted by
 	// (kind, stage, side) for deterministic encoding.
 	Channels []EosChannel
@@ -79,6 +85,7 @@ func (f *EosFrame) Encode(w *Writer) {
 	w.Uvarint(f.Seq)
 	w.Bool(f.ScanDone)
 	w.Uvarint(f.DrainRound)
+	w.Bool(f.Settled)
 	w.Uvarint(uint64(len(f.Channels)))
 	for _, ch := range f.Channels {
 		w.Byte(ch.Kind)
@@ -110,6 +117,7 @@ func DecodeEosFrame(r *Reader) (*EosFrame, error) {
 		ScanDone: r.Bool(),
 	}
 	f.DrainRound = r.Uvarint()
+	f.Settled = r.Bool()
 	n := int(r.Uvarint())
 	if n > MaxEosChannels {
 		return nil, fmt.Errorf("wire: eos frame with %d channels", n)
