@@ -54,17 +54,17 @@ func FetchMatchesAdaptive(probeOrder []int, right *plan.ScanSpec,
 		adapt = nil
 	}
 	return func(c *Counters) dataflow.RunFunc {
-		var dec tuple.Decoder
-		var rights []tuple.Tuple // one probe's right rows, reused by the next
-		probe := func(ctx context.Context, lt tuple.Tuple, joined []tuple.Tuple) []tuple.Tuple {
-			payloads, err := fetch(ctx, lt.HashKey(probeOrder))
-			if err != nil {
-				return joined
+		return func(out *dataflow.Out) dataflow.Op {
+			var dec tuple.Decoder
+			var rights []tuple.Tuple // one probe's right rows, reused by the next
+			probe := func(lt tuple.Tuple, joined []tuple.Tuple) []tuple.Tuple {
+				payloads, err := fetch(out.Context(), lt.HashKey(probeOrder))
+				if err != nil {
+					return joined
+				}
+				rights = fetchedRight(rights[:0], &dec, right, payloads)
+				return appendMatches(joined, lt, rights, leftCols, rightCols)
 			}
-			rights = fetchedRight(rights[:0], &dec, right, payloads)
-			return appendMatches(joined, lt, rights, leftCols, rightCols)
-		}
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
 			var seen int64
 			switched := false
 			// ship rehashes one batch of post-switch left tuples.
@@ -83,13 +83,11 @@ func FetchMatchesAdaptive(probeOrder []int, right *plan.ScanSpec,
 				c.EmitRows(len(ts), bytes)
 				wire.PutWriter(w)
 			}
-			for m := range dataflow.Merge(ctx, ins) {
+			return dataflow.Op{Push: func(_ int, m dataflow.Msg) {
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-					continue
+					out.Emit(m)
+					return
 				}
 				start := time.Now()
 				c.RecvRows(len(m.Batch))
@@ -106,21 +104,13 @@ func FetchMatchesAdaptive(probeOrder []int, right *plan.ScanSpec,
 						shipped = append(shipped, lt)
 						continue
 					}
-					joined = probe(ctx, lt, joined)
+					joined = probe(lt, joined)
 				}
 				ship(m.Seq, shipped)
 				dataflow.PutBatch(m.Batch)
 				c.Busy(start)
-				if len(joined) == 0 {
-					continue
-				}
-				batch := append(dataflow.GetBatch(), joined...)
-				c.EmitBatch(batch)
-				if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, m.Seq)) {
-					return nil
-				}
-			}
-			return nil
+				emitBatches(c, out, joined, m.Seq, len(joined)) // one message
+			}}
 		}
 	}
 }
@@ -143,14 +133,14 @@ func FetchCollector(probeOrder []int, right *plan.ScanSpec,
 		cache map[id.ID][]tuple.Tuple
 	}
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
+		return func(out *dataflow.Out) dataflow.Op {
 			windows := make(map[uint64]*windowState)
 			var dec tuple.Decoder
-			probe := func(ctx context.Context, ws *windowState, lt tuple.Tuple, joined []tuple.Tuple) []tuple.Tuple {
+			probe := func(ws *windowState, lt tuple.Tuple, joined []tuple.Tuple) []tuple.Tuple {
 				rid := lt.HashKey(probeOrder)
 				rows, hit := ws.cache[rid]
 				if !hit {
-					payloads, err := fetch(ctx, rid)
+					payloads, err := fetch(out.Context(), rid)
 					if err != nil {
 						return joined // dropped probe; retransmit retries
 					}
@@ -159,13 +149,11 @@ func FetchCollector(probeOrder []int, right *plan.ScanSpec,
 				}
 				return appendMatches(joined, lt, rows, leftCols, rightCols)
 			}
-			for m := range dataflow.Merge(ctx, ins) {
+			return dataflow.Op{Push: func(_ int, m dataflow.Msg) {
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-					continue
+					out.Emit(m)
+					return
 				}
 				start := time.Now()
 				c.RecvRows(len(m.Batch))
@@ -184,20 +172,12 @@ func FetchCollector(probeOrder []int, right *plan.ScanSpec,
 						continue
 					}
 					ws.seen[enc] = struct{}{}
-					joined = probe(ctx, ws, lt, joined)
+					joined = probe(ws, lt, joined)
 				}
 				dataflow.PutBatch(m.Batch)
 				c.Busy(start)
-				if len(joined) == 0 {
-					continue
-				}
-				batch := append(dataflow.GetBatch(), joined...)
-				c.EmitBatch(batch)
-				if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, m.Seq)) {
-					return nil
-				}
-			}
-			return nil
+				emitBatches(c, out, joined, m.Seq, len(joined)) // one message
+			}}
 		}
 	}
 }

@@ -33,27 +33,26 @@ func TestBatchRecycleDoesNotCorruptRetainedTuples(t *testing.T) {
 	p := NewPipeline("test")
 	mkSource := func(col0 string) OpFunc {
 		return func(c *Counters) dataflow.RunFunc {
-			return func(ctx context.Context, _ []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-				batch := dataflow.GetBatch()
-				for i := 0; i < n; i++ {
-					batch = append(batch, tuple.Tuple{tuple.String(fmt.Sprintf("%s-%d", col0, i)), tuple.Int(int64(i))})
-					if len(batch) >= 16 {
-						if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, 0)) {
-							return nil
+			return func(out *dataflow.Out) dataflow.Op {
+				return dataflow.Op{Source: func() {
+					batch := dataflow.GetBatch()
+					for i := 0; i < n; i++ {
+						batch = append(batch, tuple.Tuple{tuple.String(fmt.Sprintf("%s-%d", col0, i)), tuple.Int(int64(i))})
+						if len(batch) >= 16 {
+							out.Emit(dataflow.BatchMsg(batch, 0))
+							// Deliberately churn the pool: the next
+							// container may be one the sink just recycled,
+							// and filling it mutates slots that earlier
+							// held tuples now retained by the join.
+							batch = dataflow.GetBatch()
 						}
-						// Deliberately churn the pool: the next
-						// container may be one the sink just recycled,
-						// and filling it mutates slots that earlier
-						// held tuples now retained by the join.
-						batch = dataflow.GetBatch()
 					}
-				}
-				if len(batch) > 0 {
-					dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, 0))
-				} else {
-					dataflow.PutBatch(batch)
-				}
-				return nil
+					if len(batch) > 0 {
+						out.Emit(dataflow.BatchMsg(batch, 0))
+					} else {
+						dataflow.PutBatch(batch)
+					}
+				}}
 			}
 		}
 	}
@@ -98,7 +97,7 @@ func TestBatchRecycleDoesNotCorruptRetainedTuples(t *testing.T) {
 func windowRun(t *testing.T, batchSize int) (map[uint64][]string, map[string][2]uint64) {
 	t.Helper()
 	base := time.Unix(1_700_000_000, 0)
-	var script []dataflow.Msg
+	var samples []dataflow.Msg
 	// Three tumbling 1s windows; samples for group g0/g1 interleaved,
 	// deliberately crossing batch boundaries for every size under test.
 	seq := uint64(100)
@@ -107,22 +106,13 @@ func windowRun(t *testing.T, batchSize int) (map[uint64][]string, map[string][2]
 		for i := 0; i < 50; i++ {
 			at := open.Add(time.Duration(10+i*15) * time.Millisecond)
 			g := fmt.Sprintf("g%d", i%2)
-			script = append(script, sample(tuple.Tuple{tuple.String(g), tuple.Int(int64(w*1000 + i))}, at))
+			samples = append(samples, sample(tuple.Tuple{tuple.String(g), tuple.Int(int64(w*1000 + i))}, at))
 		}
-		script = append(script, dataflow.PunctMsg(seq+uint64(w), open.Add(time.Second)))
+		samples = append(samples, dataflow.PunctMsg(seq+uint64(w), open.Add(time.Second)))
 	}
 
 	p := NewPipeline("test")
-	src := p.Add("src", func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, _ []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			for _, m := range script {
-				if !dataflow.EmitAll(ctx, outs, m) {
-					return nil
-				}
-			}
-			return nil
-		}
-	})
+	src := p.Add("src", script(samples))
 	pred := &expr.Cmp{Op: expr.GE, L: &expr.Col{Index: 1}, R: &expr.Lit{V: tuple.Int(0)}}
 	f := p.Add("filter", Filter(pred))
 	p.Connect(src, f)
@@ -130,20 +120,12 @@ func windowRun(t *testing.T, batchSize int) (map[uint64][]string, map[string][2]
 	p.Connect(f, wb)
 	agg := p.Add("partial-agg", PartialAgg([]int{0}, []agg.AggSpec{{Func: agg.Sum, ArgCol: 1}}, false, false, batchSize))
 	p.Connect(wb, agg)
-	var mu sync.Mutex
 	windows := make(map[uint64][]string)
-	sink := p.Add("sink", func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, _ []chan<- dataflow.Msg) error {
-			for m := range dataflow.Merge(ctx, ins) {
-				mu.Lock()
-				for _, tp := range m.Batch {
-					windows[m.Seq] = append(windows[m.Seq], tp.String())
-				}
-				mu.Unlock()
-			}
-			return nil
+	sink := p.Add("sink", msgSink(func(m dataflow.Msg) {
+		for _, tp := range m.Batch {
+			windows[m.Seq] = append(windows[m.Seq], tp.String())
 		}
-	})
+	}))
 	p.Connect(agg, sink)
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)

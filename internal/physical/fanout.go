@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -110,19 +109,17 @@ func (f *FanOut) deliver(w FanOutWindow) int {
 	return n
 }
 
-// Op returns the operator body: each incoming data message is one
-// complete window (Seq = window sequence) whose tuples are broadcast
-// to every subscriber. The operator owns stream termination — when
-// the upstream pipeline ends or the graph is cancelled, every
-// subscriber channel closes.
+// Op returns the operator: each incoming data message is one complete
+// window (Seq = window sequence) whose tuples are broadcast to every
+// subscriber. The operator owns stream termination — when the upstream
+// pipeline ends or the graph stops, every subscriber channel closes.
 func (f *FanOut) Op() OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			defer f.Close()
-			for m := range dataflow.Merge(ctx, ins) {
+		return func(out *dataflow.Out) dataflow.Op {
+			return dataflow.Op{End: f.Close, Push: func(_ int, m dataflow.Msg) {
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
-					continue
+					return
 				}
 				start := time.Now()
 				c.RecvRows(len(m.Batch))
@@ -133,8 +130,7 @@ func (f *FanOut) Op() OpFunc {
 				n := f.deliver(FanOutWindow{Seq: m.Seq, Rows: rows})
 				c.EmitRows(n*len(rows), 0)
 				c.Busy(start)
-			}
-			return nil
+			}}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -136,7 +135,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 	}
 	spillOn := cfg.Budget > 0 && cfg.Spill != nil
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
+		return func(out *dataflow.Out) dataflow.Op {
 			windows := make(map[uint64]*hybridWindow)
 			var resident int64 // resident build bytes across all windows
 
@@ -176,16 +175,6 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 				}
 				return out, arena
 			}
-
-			defer func() {
-				for _, hw := range windows {
-					for _, p := range hw.parts {
-						if p != nil && p.file != nil {
-							p.file.Close()
-						}
-					}
-				}
-			}()
 
 			part := func(hw *hybridWindow, key []byte) *hybridPart {
 				i := partHash(key, 0) % hybridFanout
@@ -284,33 +273,17 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 				return out, arena
 			}
 
-			// emitJoined flushes pass output in batches.
-			emitJoined := func(seq uint64, rows []tuple.Tuple) bool {
-				for off := 0; off < len(rows); off += batchSize {
-					end := off + batchSize
-					if end > len(rows) {
-						end = len(rows)
-					}
-					batch := append(dataflow.GetBatch(), rows[off:end]...)
-					c.EmitBatch(batch)
-					if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, seq)) {
-						return false
-					}
-				}
-				return true
-			}
-
 			// loadAndJoin replays one overflow file in memory: joined
 			// frames build silently, unjoined frames build and emit.
-			loadAndJoin := func(f *spill.File, seq uint64) (bool, error) {
+			loadAndJoin := func(f *spill.File, seq uint64) error {
 				r, err := f.NewReader()
 				if err != nil {
-					return false, err
+					return err
 				}
 				defer r.Close()
 				table := make(map[string]*hybridBucket)
 				var passBytes int64
-				var out []tuple.Tuple
+				var joined []tuple.Tuple
 				var arena []tuple.Value
 				for {
 					fr, err := r.Next()
@@ -347,28 +320,26 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 						b.rows[side] = append(b.rows[side], t)
 						passBytes += t.MemSize() + int64(len(key))
 						if !fr.Joined {
-							out, arena = probe(out, arena, side, t, b.rows[1-side])
+							joined, arena = probe(joined, arena, side, t, b.rows[1-side])
 						}
 					}
 				}
 				c.ObserveMem(resident + passBytes)
-				if !emitJoined(seq, out) {
-					return false, nil
-				}
-				return true, nil
+				emitBatches(c, out, joined, seq, batchSize)
+				return nil
 			}
 
 			// passFile re-joins one overflow file: small files load
 			// directly; larger ones re-partition into level+1 sub-files
 			// first so only one sub-partition is ever resident.
-			var passFile func(f *spill.File, level int, seq uint64) (bool, error)
-			passFile = func(f *spill.File, level int, seq uint64) (bool, error) {
+			var passFile func(f *spill.File, level int, seq uint64) error
+			passFile = func(f *spill.File, level int, seq uint64) error {
 				if level >= maxSpillLevels || f.Size() <= cfg.Budget {
 					return loadAndJoin(f, seq)
 				}
 				r, err := f.NewReader()
 				if err != nil {
-					return false, err
+					return err
 				}
 				subs := make([]*spill.File, hybridFanout)
 				closeSubs := func() {
@@ -434,7 +405,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 							if err := flushSub(i); err != nil {
 								r.Close()
 								closeSubs()
-								return false, err
+								return err
 							}
 						}
 					}
@@ -444,7 +415,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 						if err := flushSub(i); err != nil {
 							r.Close()
 							closeSubs()
-							return false, err
+							return err
 						}
 					}
 				}
@@ -453,28 +424,26 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 					if s == nil {
 						continue
 					}
-					ok, err := passFile(s, level+1, seq)
-					if err != nil || !ok {
+					if err := passFile(s, level+1, seq); err != nil {
 						closeSubs()
-						return ok, err
+						return err
 					}
 				}
 				closeSubs()
-				return true, nil
+				return nil
 			}
 
 			// runPasses drains every spilled partition holding unjoined
 			// tuples, across all windows.
-			runPasses := func() bool {
+			runPasses := func() error {
 				did := false
 				for seq, hw := range windows {
 					for _, p := range hw.parts {
 						if p == nil || !p.spilled || p.file == nil || !p.file.HasUnjoined() {
 							continue
 						}
-						ok, err := passFile(p.file, 1, seq)
-						if err != nil || !ok {
-							return ok && err == nil
+						if err := passFile(p.file, 1, seq); err != nil {
+							return err
 						}
 						p.file.MarkJoined()
 						did = true
@@ -486,7 +455,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 						cfg.Spill.Passes.Add(1)
 					}
 				}
-				return true
+				return nil
 			}
 
 			// Pending spill appends accumulated per message, flushed as
@@ -518,123 +487,121 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 				return nil
 			}
 
-			in := mergeIndexed(ctx, ins)
-			idle := time.NewTimer(hold)
-			idle.Stop()
-			defer idle.Stop()
 			spilledPending := false // unjoined spilled tuples awaiting a pass
-
-			for {
-				select {
-				case im, ok := <-in:
-					if !ok {
-						return nil
-					}
-					m := im.m
-					if m.Kind != dataflow.Data {
-						c.RecvPunct()
-						if m.Kind == dataflow.Drain {
-							// Pass before forwarding: everything the round
-							// covers must be downstream before the sink acks.
-							if !runPasses() {
-								return nil
-							}
-							spilledPending = false
-							idle.Stop()
-						}
-						if !dataflow.EmitAll(ctx, outs, m) {
-							return nil
-						}
-						continue
-					}
-					start := time.Now()
-					side := im.src
-					ts := m.Batch
-					c.RecvRows(len(ts))
-					if side > 1 {
-						c.Busy(start)
-						continue
-					}
-					hw := windows[m.Seq]
-					if hw == nil {
-						hw = &hybridWindow{}
-						windows[m.Seq] = hw
-					}
-					joined := dataflow.GetBatch()
-					var arena []tuple.Value
-					for i, t := range ts {
-						if len(t) != arity[side] {
-							continue
-						}
-						w := wire.GetWriter()
-						t.AppendKey(w, keyCols[side])
-						key := w.Bytes()
-						p := part(hw, key)
-						if p.spilled {
-							appendSpilled(p, side, t)
-							wire.PutWriter(w)
-							continue
-						}
-						joined, arena = add(p, side, key, t, joined, arena, len(ts)-i)
-						wire.PutWriter(w)
-						// The budget holds per tuple, not per message: a
-						// frame's group can be hundreds of tuples. Pairs of
-						// the tuples added so far are in joined, so a victim
-						// spills as joined; its later arrivals in this
-						// message go to pends, written after that dump.
-						if spillOn && resident > cfg.Budget {
-							c.ObserveMem(resident)
-							for resident > cfg.Budget {
-								before := resident
-								if err := spillLargest(hw, m.Seq); err != nil {
-									return err
-								}
-								if resident == before {
-									break // everything spilled; arrivals go to disk
-								}
-							}
-						}
-					}
-					if err := flushPends(m.Seq); err != nil {
-						return err
-					}
-					c.ObserveMem(resident)
-					dataflow.PutBatch(m.Batch)
-					c.Busy(start)
-					if len(joined) == 0 {
-						dataflow.PutBatch(joined)
-					} else if !dataflow.EmitAll(ctx, outs, func() dataflow.Msg {
-						c.EmitBatch(joined)
-						return dataflow.BatchMsg(joined, m.Seq)
-					}()) {
-						return nil
-					}
-					// Arm the quiet-mode pass trigger whenever spilled
-					// partitions hold unjoined tuples.
-					hasUnjoined := false
+			// The quiet-mode pass trigger, armed while spilled partitions
+			// hold unjoined tuples.
+			var idle *time.Timer
+			pass := func() {
+				if err := runPasses(); err != nil {
+					out.Fail(err)
+				}
+				spilledPending = false
+			}
+			end := func() {
+				if idle != nil {
+					idle.Stop()
+				}
+				for _, hw := range windows {
 					for _, p := range hw.parts {
-						if p != nil && p.spilled && p.file != nil && p.file.HasUnjoined() {
-							hasUnjoined = true
-							break
+						if p != nil && p.file != nil {
+							p.file.Close()
 						}
 					}
-					if hasUnjoined {
-						spilledPending = true
-						idle.Stop()
-						idle.Reset(hold)
-					}
-				case <-idle.C:
-					if !spilledPending {
-						continue
-					}
-					if !runPasses() {
-						return nil
-					}
-					spilledPending = false
-				case <-ctx.Done():
-					return nil
 				}
 			}
+			return dataflow.Op{End: end, Push: func(side int, m dataflow.Msg) {
+				if m.Kind != dataflow.Data {
+					c.RecvPunct()
+					if m.Kind == dataflow.Drain {
+						// Pass before forwarding: everything the round
+						// covers must be downstream before the sink acks.
+						pass()
+						if idle != nil {
+							idle.Stop()
+						}
+					}
+					out.Emit(m)
+					return
+				}
+				start := time.Now()
+				ts := m.Batch
+				c.RecvRows(len(ts))
+				if side > 1 {
+					c.Busy(start)
+					return
+				}
+				hw := windows[m.Seq]
+				if hw == nil {
+					hw = &hybridWindow{}
+					windows[m.Seq] = hw
+				}
+				joined := dataflow.GetBatch()
+				var arena []tuple.Value
+				for i, t := range ts {
+					if len(t) != arity[side] {
+						continue
+					}
+					w := wire.GetWriter()
+					t.AppendKey(w, keyCols[side])
+					key := w.Bytes()
+					p := part(hw, key)
+					if p.spilled {
+						appendSpilled(p, side, t)
+						wire.PutWriter(w)
+						continue
+					}
+					joined, arena = add(p, side, key, t, joined, arena, len(ts)-i)
+					wire.PutWriter(w)
+					// The budget holds per tuple, not per message: a
+					// frame's group can be hundreds of tuples. Pairs of
+					// the tuples added so far are in joined, so a victim
+					// spills as joined; its later arrivals in this
+					// message go to pends, written after that dump.
+					if spillOn && resident > cfg.Budget {
+						c.ObserveMem(resident)
+						for resident > cfg.Budget {
+							before := resident
+							if err := spillLargest(hw, m.Seq); err != nil {
+								out.Fail(err)
+								return
+							}
+							if resident == before {
+								break // everything spilled; arrivals go to disk
+							}
+						}
+					}
+				}
+				if err := flushPends(m.Seq); err != nil {
+					out.Fail(err)
+					return
+				}
+				c.ObserveMem(resident)
+				dataflow.PutBatch(m.Batch)
+				c.Busy(start)
+				if len(joined) == 0 {
+					dataflow.PutBatch(joined)
+				} else {
+					c.EmitBatch(joined)
+					out.Emit(dataflow.BatchMsg(joined, m.Seq))
+				}
+				// Arm the quiet-mode pass trigger whenever spilled
+				// partitions hold unjoined tuples.
+				for _, p := range hw.parts {
+					if p != nil && p.spilled && p.file != nil && p.file.HasUnjoined() {
+						spilledPending = true
+						if idle == nil {
+							idle = out.After(hold, func() {
+								if spilledPending {
+									pass()
+								}
+							})
+						} else {
+							idle.Reset(hold)
+						}
+						break
+					}
+				}
+			}}
 		}
 	}
 }

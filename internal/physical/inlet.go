@@ -1,89 +1,28 @@
 package physical
 
-import (
-	"context"
-	"sync"
-
-	"repro/internal/dataflow"
-)
+import "repro/internal/dataflow"
 
 // Inlet feeds network arrivals into a running pipeline without ever
-// blocking the caller. The transport delivers messages from a single
-// dispatch goroutine per node — if a collector pipeline applied
-// backpressure there, the node could deadlock against its own
-// in-flight RPCs — so Push appends to an elastic queue and the
-// pipeline's source drains it in arrival order.
-type Inlet struct {
-	mu     sync.Mutex
-	queue  []dataflow.Msg
-	closed bool
-	notify chan struct{}
-}
+// blocking the caller (see dataflow.Inlet): the transport delivers
+// messages from a single dispatch goroutine, so Push only queues them,
+// and the pipeline's task drains the queue in arrival order.
+type Inlet struct{ dataflow.Inlet }
 
 // NewInlet creates an empty inlet.
-func NewInlet() *Inlet {
-	return &Inlet{notify: make(chan struct{}, 1)}
-}
+func NewInlet() *Inlet { return &Inlet{} }
 
-// Push enqueues one message. Never blocks; messages pushed after
-// Close are dropped.
-func (in *Inlet) Push(m dataflow.Msg) {
-	in.mu.Lock()
-	if in.closed {
-		in.mu.Unlock()
-		return
-	}
-	in.queue = append(in.queue, m)
-	in.mu.Unlock()
-	select {
-	case in.notify <- struct{}{}:
-	default:
-	}
-}
-
-// Close ends the stream: the source drains what is queued and returns.
-func (in *Inlet) Close() {
-	in.mu.Lock()
-	in.closed = true
-	in.mu.Unlock()
-	select {
-	case in.notify <- struct{}{}:
-	default:
-	}
-}
-
-// Source returns the operator body that drains the inlet until it is
-// closed (or the graph is cancelled).
+// Source returns the operator that feeds the inlet's messages to the
+// pipeline until it is closed (or the pipeline stops).
 func (in *Inlet) Source(c *Counters) dataflow.RunFunc {
-	return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-		for {
-			in.mu.Lock()
-			batch := in.queue
-			in.queue = nil
-			closed := in.closed
-			in.mu.Unlock()
-			for _, m := range batch {
-				if m.Kind == dataflow.Data {
-					c.RecvRows(len(m.Batch))
-					c.EmitBatch(m.Batch)
-				} else {
-					c.RecvPunct()
-				}
-				if !dataflow.EmitAll(ctx, outs, m) {
-					return nil
-				}
+	return func(out *dataflow.Out) dataflow.Op {
+		return dataflow.Op{Inlet: &in.Inlet, Push: func(_ int, m dataflow.Msg) {
+			if m.Kind == dataflow.Data {
+				c.RecvRows(len(m.Batch))
+				c.EmitBatch(m.Batch)
+			} else {
+				c.RecvPunct()
 			}
-			if len(batch) == 0 && closed {
-				return nil
-			}
-			if len(batch) > 0 {
-				continue // re-check before sleeping
-			}
-			select {
-			case <-in.notify:
-			case <-ctx.Done():
-				return nil
-			}
-		}
+			out.Emit(m)
+		}}
 	}
 }

@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"time"
@@ -15,16 +14,17 @@ import (
 	"repro/internal/wire"
 )
 
-// OpFunc builds one instrumented operator body. Pipeline.Add supplies
-// the counter bound to the operator's slot in the stats snapshot.
+// OpFunc builds one instrumented operator. Pipeline.Add supplies the
+// counter bound to the operator's slot in the stats snapshot.
 //
-// Operators are batch-at-a-time: a data message carries a batch
-// (Msg.Batch) of one tuple or many, and every operator processes the
-// full message per channel receive, folding its instrumentation inline
-// into the loop. Batch containers follow the dataflow.Msg ownership
-// rule: received containers are compacted in place, forwarded, or
-// recycled with dataflow.PutBatch; retained tuples are never cloned
-// because emitted tuples are immutable.
+// Operators are batch-at-a-time push calls: a data message carries a
+// batch (Msg.Batch) of one tuple or many, every operator processes the
+// full message in one Push, folding its instrumentation inline, and
+// hands its output on with Out.Emit — a call into the operator
+// downstream. Batch containers follow the dataflow.Msg ownership rule:
+// received containers are compacted in place, forwarded, or recycled
+// with dataflow.PutBatch; retained tuples are never cloned because
+// emitted tuples are immutable.
 type OpFunc func(c *Counters) dataflow.RunFunc
 
 // ---------------------------------------------------------------------------
@@ -35,24 +35,26 @@ type OpFunc func(c *Counters) dataflow.RunFunc
 // stored, as plan.ScanSpec.Narrow does for a decoded row), skip
 // malformed or wrong-arity tuples (best effort, as the store is
 // schema-less), push the rest in batches of batchSize. The scan
-// callback splits the partition into up to workers shards, each drained
-// by its own goroutine feeding the same downstream edge — the parallel
-// partitioned scan. One-shot scans carry no punctuation, so shard
-// interleaving (like any exchange) is unordered and alignment semantics
-// are untouched.
+// callback splits the partition into up to workers shards: the first
+// drains in the caller, each other on a task of the graph (Out.Go),
+// and they hand decoded batches to the chain one at a time under the
+// source's lock — the parallel partitioned scan. One-shot scans carry
+// no punctuation, so shard interleaving (like any exchange) is
+// unordered and alignment semantics are untouched.
 func ScanSource(scan func(ns string, partitions int) [][][]byte, ns string, stored int, cols []int, batchSize, workers int) OpFunc {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	if workers < 1 {
-		workers = 1
+	batchSize = max(batchSize, 1)
+	workers = max(workers, 1)
+	width := len(cols) // values DecodeCols makes of one row
+	if len(cols) < stored {
+		width++
 	}
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			parts := scan(ns, workers)
+		return func(out *dataflow.Out) dataflow.Op {
+			var mu sync.Mutex // the shards' fan-in
 			drain := func(payloads [][]byte) {
 				var dec tuple.Decoder
-				for len(payloads) > 0 {
+				dec.Reserve(len(payloads) * width)
+				for len(payloads) > 0 && !out.Stopped() {
 					// One output message per clock reading: the payloads
 					// it takes to fill it, or the rest of the shard.
 					start := time.Now()
@@ -73,26 +75,27 @@ func ScanSource(scan func(ns string, partitions int) [][][]byte, ns string, stor
 						dataflow.PutBatch(batch)
 						continue
 					}
-					if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, 0)) {
-						return
-					}
+					mu.Lock()
+					out.Emit(dataflow.BatchMsg(batch, 0))
+					mu.Unlock()
 				}
 			}
-			if len(parts) == 1 {
+			return dataflow.Op{Source: func() {
+				parts := scan(ns, workers)
+				if len(parts) == 0 {
+					return
+				}
+				var wg sync.WaitGroup
+				for _, payloads := range parts[1:] {
+					wg.Add(1)
+					out.Go(func() {
+						defer wg.Done()
+						drain(payloads)
+					})
+				}
 				drain(parts[0])
-				return nil
-			}
-			var wg sync.WaitGroup
-			for _, payloads := range parts {
-				payloads := payloads
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					drain(payloads)
-				}()
-			}
-			wg.Wait()
-			return nil
+				wg.Wait()
+			}}
 		}
 	}
 }
@@ -100,24 +103,13 @@ func ScanSource(scan func(ns string, partitions int) [][][]byte, ns string, stor
 // SliceSource pushes a fixed row set in batches — unit tests and
 // compiled coordinator tails enter the pipeline here.
 func SliceSource(rows []tuple.Tuple, batchSize int) OpFunc {
-	if batchSize < 1 {
-		batchSize = 1
-	}
+	batchSize = max(batchSize, 1)
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			for off := 0; off < len(rows); off += batchSize {
-				end := off + batchSize
-				if end > len(rows) {
-					end = len(rows)
-				}
-				batch := append(dataflow.GetBatch(), rows[off:end]...)
-				c.RecvRows(len(batch))
-				c.EmitBatch(batch)
-				if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, 0)) {
-					return nil
-				}
-			}
-			return nil
+		return func(out *dataflow.Out) dataflow.Op {
+			return dataflow.Op{Source: func() {
+				c.RecvRows(len(rows))
+				emitBatches(c, out, rows, 0, batchSize)
+			}}
 		}
 	}
 }
@@ -130,58 +122,28 @@ func SliceSource(rows []tuple.Tuple, batchSize int) OpFunc {
 // instant — window membership is driven by punctuation, not by each
 // node's private ticker phase. Samples pass through as they were
 // admitted, one message each: a message carries one arrival time, which
-// downstream window assignment depends on.
+// downstream window assignment depends on. The boundary timer runs on
+// the graph's task after the samples queued before it, so arrivals
+// order ahead of the boundary that follows them. After live (> 0) the
+// inlet closes, and the stream ends once its queue has drained.
 func WindowTicker(in *Inlet, slide, live time.Duration) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			var deadline <-chan time.Time
+		src := in.Source(c)
+		return func(out *dataflow.Out) dataflow.Op {
 			if live > 0 {
-				dt := time.NewTimer(live)
-				defer dt.Stop()
-				deadline = dt.C
+				out.After(live, in.Close)
 			}
 			slideNS := int64(slide)
 			nextNS := (time.Now().UnixNano()/slideNS + 1) * slideNS
-			timer := time.NewTimer(time.Until(time.Unix(0, nextNS)))
-			defer timer.Stop()
-			for {
-				// Drain queued samples before sleeping so arrivals
-				// order ahead of the boundary that follows them.
-				in.mu.Lock()
-				batch := in.queue
-				in.queue = nil
-				closed := in.closed
-				in.mu.Unlock()
-				for _, m := range batch {
-					c.RecvRows(len(m.Batch))
-					c.EmitBatch(m.Batch)
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-				}
-				if closed && len(batch) == 0 {
-					return nil
-				}
-				if len(batch) > 0 {
-					continue
-				}
-				select {
-				case <-in.notify:
-				case <-timer.C:
-					boundary := time.Unix(0, nextNS)
-					seq := uint64(nextNS / slideNS)
-					c.RecvPunct()
-					if !dataflow.EmitAll(ctx, outs, dataflow.PunctMsg(seq, boundary)) {
-						return nil
-					}
-					nextNS += slideNS
-					timer.Reset(time.Until(time.Unix(0, nextNS)))
-				case <-deadline:
-					return nil
-				case <-ctx.Done():
-					return nil
-				}
+			var tick func()
+			tick = func() {
+				c.RecvPunct()
+				out.Emit(dataflow.PunctMsg(uint64(nextNS/slideNS), time.Unix(0, nextNS)))
+				nextNS += slideNS
+				out.After(time.Until(time.Unix(0, nextNS)), tick)
 			}
+			out.After(time.Until(time.Unix(0, nextNS)), tick)
+			return src(out)
 		}
 	}
 }
@@ -189,45 +151,48 @@ func WindowTicker(in *Inlet, slide, live time.Duration) OpFunc {
 // ---------------------------------------------------------------------------
 // Row transforms
 
+// perRow is the body of the operators that keep, drop or rewrite each
+// row on its own: each data message is compacted in place to the rows
+// f keeps, as f returns them, and punctuation passes through.
+func perRow(c *Counters, out *dataflow.Out, f func(t tuple.Tuple) (tuple.Tuple, bool)) dataflow.Op {
+	return dataflow.Op{Push: func(_ int, m dataflow.Msg) {
+		start := time.Now()
+		if m.Kind != dataflow.Data {
+			c.RecvPunct()
+			c.Busy(start)
+			out.Emit(m)
+			return
+		}
+		c.RecvRows(len(m.Batch))
+		kept := m.Batch[:0]
+		for _, t := range m.Batch {
+			if t, ok := f(t); ok {
+				kept = append(kept, t)
+			}
+		}
+		if len(kept) == 0 {
+			dataflow.PutBatch(m.Batch)
+			c.Busy(start)
+			return
+		}
+		m.Batch = kept
+		c.EmitBatch(kept)
+		c.Busy(start)
+		out.Emit(m)
+	}}
+}
+
 // Filter drops tuples whose predicate does not evaluate to true.
 // Evaluation errors drop the row (scans are best-effort over
 // schema-less storage); punctuation passes through. Batches are
 // compacted in place.
 func Filter(pred expr.Expr) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			for m := range dataflow.Merge(ctx, ins) {
-				start := time.Now()
-				if m.Kind != dataflow.Data {
-					c.RecvPunct()
-					c.Busy(start)
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-					continue
-				}
-				c.RecvRows(len(m.Batch))
-				kept := m.Batch[:0]
-				for _, t := range m.Batch {
-					v, err := pred.Eval(t)
-					if err != nil || !expr.Truthy(v) {
-						continue
-					}
-					kept = append(kept, t)
-				}
-				if len(kept) == 0 {
-					dataflow.PutBatch(m.Batch)
-					c.Busy(start)
-					continue
-				}
-				m.Batch = kept
-				c.EmitBatch(kept)
-				c.Busy(start)
-				if !dataflow.EmitAll(ctx, outs, m) {
-					return nil
-				}
-			}
-			return nil
+		return func(out *dataflow.Out) dataflow.Op {
+			return perRow(c, out, func(t tuple.Tuple) (tuple.Tuple, bool) {
+				v, err := pred.Eval(t)
+				return t, err == nil && expr.Truthy(v)
+			})
 		}
 	}
 }
@@ -238,50 +203,19 @@ func Filter(pred expr.Expr) OpFunc {
 // backing arrays) so downstream retention is safe; the batch
 // container is reused in place.
 func Project(exprs []expr.Expr) OpFunc {
+	eval := func(t tuple.Tuple) (tuple.Tuple, bool) {
+		out := make(tuple.Tuple, len(exprs))
+		for i, e := range exprs {
+			v, err := e.Eval(t)
+			if err != nil {
+				return nil, false
+			}
+			out[i] = v
+		}
+		return out, true
+	}
 	return func(c *Counters) dataflow.RunFunc {
-		eval := func(t tuple.Tuple) (tuple.Tuple, bool) {
-			out := make(tuple.Tuple, len(exprs))
-			for i, e := range exprs {
-				v, err := e.Eval(t)
-				if err != nil {
-					return nil, false
-				}
-				out[i] = v
-			}
-			return out, true
-		}
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			for m := range dataflow.Merge(ctx, ins) {
-				start := time.Now()
-				if m.Kind != dataflow.Data {
-					c.RecvPunct()
-					c.Busy(start)
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-					continue
-				}
-				c.RecvRows(len(m.Batch))
-				kept := m.Batch[:0]
-				for _, t := range m.Batch {
-					if out, ok := eval(t); ok {
-						kept = append(kept, out)
-					}
-				}
-				if len(kept) == 0 {
-					dataflow.PutBatch(m.Batch)
-					c.Busy(start)
-					continue
-				}
-				m.Batch = kept
-				c.EmitBatch(kept)
-				c.Busy(start)
-				if !dataflow.EmitAll(ctx, outs, m) {
-					return nil
-				}
-			}
-			return nil
-		}
+		return func(out *dataflow.Out) dataflow.Op { return perRow(c, out, eval) }
 	}
 }
 
@@ -289,49 +223,18 @@ func Project(exprs []expr.Expr) OpFunc {
 // other side — the Bloom-join rewrite's network-saving filter. A nil
 // filter passes everything (the coordinator gathered no filter).
 func BloomProbe(filter *bloom.Filter, keyCols []int) OpFunc {
+	pass := func(t tuple.Tuple) (tuple.Tuple, bool) {
+		if filter == nil {
+			return t, true
+		}
+		w := wire.GetWriter()
+		t.AppendKey(w, keyCols)
+		ok := filter.MayContain(w.Bytes())
+		wire.PutWriter(w)
+		return t, ok
+	}
 	return func(c *Counters) dataflow.RunFunc {
-		pass := func(t tuple.Tuple) bool {
-			if filter == nil {
-				return true
-			}
-			w := wire.GetWriter()
-			t.AppendKey(w, keyCols)
-			ok := filter.MayContain(w.Bytes())
-			wire.PutWriter(w)
-			return ok
-		}
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			for m := range dataflow.Merge(ctx, ins) {
-				start := time.Now()
-				if m.Kind != dataflow.Data {
-					c.RecvPunct()
-					c.Busy(start)
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-					continue
-				}
-				c.RecvRows(len(m.Batch))
-				kept := m.Batch[:0]
-				for _, t := range m.Batch {
-					if pass(t) {
-						kept = append(kept, t)
-					}
-				}
-				if len(kept) == 0 {
-					dataflow.PutBatch(m.Batch)
-					c.Busy(start)
-					continue
-				}
-				m.Batch = kept
-				c.EmitBatch(kept)
-				c.Busy(start)
-				if !dataflow.EmitAll(ctx, outs, m) {
-					return nil
-				}
-			}
-			return nil
-		}
+		return func(out *dataflow.Out) dataflow.Op { return perRow(c, out, pass) }
 	}
 }
 
@@ -341,17 +244,15 @@ func BloomProbe(filter *bloom.Filter, keyCols []int) OpFunc {
 // forwards the punctuation. Samples older than the window are pruned.
 // The window contents are re-emitted in batches of batchSize.
 func WindowBuffer(window time.Duration, batchSize int) OpFunc {
-	if batchSize < 1 {
-		batchSize = 1
-	}
+	batchSize = max(batchSize, 1)
 	type held struct {
 		t       tuple.Tuple
 		arrived time.Time
 	}
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
+		return func(out *dataflow.Out) dataflow.Op {
 			var buf []held
-			for m := range dataflow.Merge(ctx, ins) {
+			return dataflow.Op{Push: func(_ int, m dataflow.Msg) {
 				start := time.Now()
 				if m.Kind == dataflow.Data {
 					at := m.Time
@@ -364,12 +265,12 @@ func WindowBuffer(window time.Duration, batchSize int) OpFunc {
 					}
 					dataflow.PutBatch(m.Batch)
 					c.Busy(start)
-					continue
+					return
 				}
 				c.RecvPunct()
 				cutoff := m.Time.Add(-window)
 				live := buf[:0]
-				var emit []held
+				var emit []tuple.Tuple
 				for _, s := range buf {
 					if !s.arrived.After(cutoff) {
 						continue // aged out of every future window
@@ -379,30 +280,14 @@ func WindowBuffer(window time.Duration, batchSize int) OpFunc {
 					// only — emitting them here too would double-count
 					// across disjoint (tumbling) windows.
 					if !s.arrived.After(m.Time) {
-						emit = append(emit, s)
+						emit = append(emit, s.t)
 					}
 				}
 				buf = live
 				c.Busy(start)
-				for off := 0; off < len(emit); off += batchSize {
-					end := off + batchSize
-					if end > len(emit) {
-						end = len(emit)
-					}
-					batch := dataflow.GetBatch()
-					for _, s := range emit[off:end] {
-						batch = append(batch, s.t)
-					}
-					c.EmitBatch(batch)
-					if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, m.Seq)) {
-						return nil
-					}
-				}
-				if !dataflow.EmitAll(ctx, outs, m) {
-					return nil
-				}
-			}
-			return nil
+				emitBatches(c, out, emit, m.Seq, batchSize)
+				out.Emit(m)
+			}}
 		}
 	}
 }
@@ -453,107 +338,59 @@ func appendMatches(joined []tuple.Tuple, lt tuple.Tuple, rights []tuple.Tuple, l
 // partial immediately: the streaming collector shape, where relay
 // combining and the collector merge absorb the fan-in.
 func PartialAgg(groupCols []int, aggs []agg.AggSpec, eager, flushAtEOS bool, batchSize int) OpFunc {
-	if batchSize < 1 {
-		batchSize = 1
+	batchSize = max(batchSize, 1)
+	makePartial := func(t tuple.Tuple) (tuple.Tuple, bool) {
+		acc := agg.NewAccumulator(aggs)
+		if err := acc.AddRaw(t); err != nil {
+			return nil, false
+		}
+		return append(t.Project(groupCols), acc.StateValues()...), true
+	}
+	type group struct {
+		key tuple.Tuple
+		acc *agg.Accumulator
 	}
 	return func(c *Counters) dataflow.RunFunc {
-		makePartial := func(t tuple.Tuple) (tuple.Tuple, bool) {
-			acc := agg.NewAccumulator(aggs)
-			if err := acc.AddRaw(t); err != nil {
-				return nil, false
-			}
-			return append(t.Project(groupCols), acc.StateValues()...), true
-		}
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
+		return func(out *dataflow.Out) dataflow.Op {
 			if eager {
-				for m := range dataflow.Merge(ctx, ins) {
-					start := time.Now()
-					if m.Kind != dataflow.Data {
-						c.RecvPunct()
-						c.Busy(start)
-						if !dataflow.EmitAll(ctx, outs, m) {
-							return nil
-						}
-						continue
-					}
-					c.RecvRows(len(m.Batch))
-					partials := m.Batch[:0]
-					for _, t := range m.Batch {
-						if partial, ok := makePartial(t); ok {
-							partials = append(partials, partial)
-						}
-					}
-					c.Busy(start)
-					if len(partials) == 0 {
-						dataflow.PutBatch(m.Batch)
-						continue
-					}
-					c.EmitBatch(partials)
-					if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(partials, m.Seq)) {
-						return nil
-					}
-				}
-				return nil
-			}
-
-			type group struct {
-				key tuple.Tuple
-				acc *agg.Accumulator
+				return perRow(c, out, makePartial)
 			}
 			groups := make(map[string]*group)
 			var order []string
-			flush := func(seq uint64) bool {
+			flush := func(seq uint64) {
 				batch := dataflow.GetBatch()
 				for _, k := range order {
 					g := groups[k]
 					batch = append(batch, append(g.key.Clone(), g.acc.StateValues()...))
 					if len(batch) >= batchSize {
 						c.EmitBatch(batch)
-						if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, seq)) {
-							return false
-						}
+						out.Emit(dataflow.BatchMsg(batch, seq))
 						batch = dataflow.GetBatch()
 					}
 				}
 				if len(batch) > 0 {
 					c.EmitBatch(batch)
-					if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, seq)) {
-						return false
-					}
+					out.Emit(dataflow.BatchMsg(batch, seq))
 				} else {
 					dataflow.PutBatch(batch)
 				}
-				groups = make(map[string]*group)
+				clear(groups)
 				order = order[:0]
-				return true
 			}
-			for m := range dataflow.Merge(ctx, ins) {
+			op := dataflow.Op{Push: func(_ int, m dataflow.Msg) {
 				start := time.Now()
-				if m.Kind == dataflow.Punct {
-					c.RecvPunct()
-					if !flush(m.Seq) {
-						c.Busy(start)
-						return nil
-					}
-					c.Busy(start)
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-					continue
-				}
-				if m.Kind == dataflow.Drain {
+				if m.Kind != dataflow.Data {
 					// Drain markers only flow through one-shot pipelines,
 					// whose outputs all live in window 0.
 					c.RecvPunct()
-					if !flush(0) {
-						c.Busy(start)
-						return nil
+					if m.Kind == dataflow.Punct {
+						flush(m.Seq)
+					} else {
+						flush(0)
 					}
 					c.Busy(start)
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-					continue
+					out.Emit(m)
+					return
 				}
 				c.RecvRows(len(m.Batch))
 				for _, t := range m.Batch {
@@ -572,11 +409,11 @@ func PartialAgg(groupCols []int, aggs []agg.AggSpec, eager, flushAtEOS bool, bat
 				}
 				dataflow.PutBatch(m.Batch)
 				c.Busy(start)
-			}
+			}}
 			if flushAtEOS {
-				flush(0)
+				op.End = func() { flush(0) }
 			}
-			return nil
+			return op
 		}
 	}
 }
@@ -588,9 +425,7 @@ func PartialAgg(groupCols []int, aggs []agg.AggSpec, eager, flushAtEOS bool, bat
 // State is retained after a flush so stragglers trigger a refined
 // re-flush; the coordinator replaces rows per group.
 func FinalAgg(groupCols []int, aggs []agg.AggSpec, hold time.Duration, batchSize int) OpFunc {
-	if batchSize < 1 {
-		batchSize = 1
-	}
+	batchSize = max(batchSize, 1)
 	type group struct {
 		key tuple.Tuple
 		acc *agg.Accumulator
@@ -607,13 +442,9 @@ func FinalAgg(groupCols []int, aggs []agg.AggSpec, hold time.Duration, batchSize
 	stateWidth := agg.StateWidth(aggs)
 	groupKeyCols := identityCols(len(groupCols))
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
+		return func(out *dataflow.Out) dataflow.Op {
 			windows := make(map[uint64]*windowState)
-			flushCh := make(chan uint64, 1)
-			emit := func(w uint64, ws *windowState) bool {
-				if !ws.dirty {
-					return true
-				}
+			emit := func(w uint64, ws *windowState) {
 				ws.dirty = false
 				if ws.timer != nil {
 					ws.timer.Stop()
@@ -624,113 +455,88 @@ func FinalAgg(groupCols []int, aggs []agg.AggSpec, hold time.Duration, batchSize
 					batch = append(batch, append(g.key.Clone(), g.acc.FinalValues()...))
 					if len(batch) >= batchSize {
 						c.EmitBatch(batch)
-						if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, w)) {
-							return false
-						}
+						out.Emit(dataflow.BatchMsg(batch, w))
 						batch = dataflow.GetBatch()
 					}
 				}
 				if len(batch) > 0 {
 					c.EmitBatch(batch)
-					if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, w)) {
-						return false
-					}
+					out.Emit(dataflow.BatchMsg(batch, w))
 				} else {
 					dataflow.PutBatch(batch)
 				}
-				return true
 			}
-			in := dataflow.Merge(ctx, ins)
-			for {
-				select {
-				case m, ok := <-in:
-					if !ok {
-						return nil
-					}
-					start := time.Now()
-					if m.Kind != dataflow.Data {
-						c.RecvPunct()
-						if m.Kind == dataflow.Drain {
-							// Flush every window with merges pending, then
-							// forward the marker so the sink acknowledges
-							// the round with these rows already shipped.
-							for w, ws := range windows {
-								if !emit(w, ws) {
-									return nil
-								}
+			// held runs when window w's hold expires.
+			held := func(w uint64) {
+				start := time.Now()
+				ws := windows[w]
+				if ws == nil || !ws.dirty {
+					return // a drain already emitted this window's state
+				}
+				emit(w, ws)
+				c.Busy(start)
+				out.Emit(dataflow.PunctMsg(w, time.Now()))
+			}
+			return dataflow.Op{Push: func(_ int, m dataflow.Msg) {
+				start := time.Now()
+				if m.Kind != dataflow.Data {
+					c.RecvPunct()
+					if m.Kind == dataflow.Drain {
+						// Flush every window with merges pending, then
+						// forward the marker so the sink acknowledges
+						// the round with these rows already shipped.
+						for w, ws := range windows {
+							if ws.dirty {
+								emit(w, ws)
 							}
-							c.Busy(start)
-							if !dataflow.EmitAll(ctx, outs, m) {
-								return nil
-							}
-							continue
 						}
 						c.Busy(start)
-						continue
-					}
-					c.RecvRows(len(m.Batch))
-					w := m.Seq
-					// Window state is created only once a well-formed
-					// tuple arrives: flush is the only path that deletes
-					// map entries, so a malformed-only message must not
-					// plant a timerless entry that would leak.
-					ws := windows[w]
-					merged := false
-					for _, t := range m.Batch {
-						if len(t) != len(groupCols)+stateWidth {
-							continue
-						}
-						if ws == nil {
-							ws = &windowState{groups: make(map[string]*group)}
-							windows[w] = ws
-						}
-						kw := wire.GetWriter()
-						t[:len(groupCols)].AppendKey(kw, groupKeyCols)
-						g := ws.groups[string(kw.Bytes())]
-						if g == nil {
-							g = &group{key: t[:len(groupCols)].Clone(), acc: agg.NewAccumulator(aggs)}
-							ws.groups[string(kw.Bytes())] = g
-						}
-						wire.PutWriter(kw)
-						_ = g.acc.MergeStates(t[len(groupCols):])
-						merged = true
-					}
-					dataflow.PutBatch(m.Batch)
-					if merged {
-						ws.dirty = true
-						// Debounce: reset the window's flush timer on
-						// every arrival.
-						if ws.timer == nil {
-							w := w
-							ws.timer = time.AfterFunc(hold, func() {
-								select {
-								case flushCh <- w:
-								case <-ctx.Done():
-								}
-							})
-						} else {
-							ws.timer.Reset(hold)
-						}
+						out.Emit(m)
+						return
 					}
 					c.Busy(start)
-				case w := <-flushCh:
-					start := time.Now()
-					ws := windows[w]
-					if ws == nil || !ws.dirty {
-						// A drain already emitted this window's state.
-						continue
-					}
-					if !emit(w, ws) {
-						return nil
-					}
-					c.Busy(start)
-					if !dataflow.EmitAll(ctx, outs, dataflow.PunctMsg(w, time.Now())) {
-						return nil
-					}
-				case <-ctx.Done():
-					return nil
+					return
 				}
-			}
+				c.RecvRows(len(m.Batch))
+				w := m.Seq
+				// Window state is created only once a well-formed
+				// tuple arrives: flush is the only path that deletes
+				// map entries, so a malformed-only message must not
+				// plant a timerless entry that would leak.
+				ws := windows[w]
+				merged := false
+				for _, t := range m.Batch {
+					if len(t) != len(groupCols)+stateWidth {
+						continue
+					}
+					if ws == nil {
+						ws = &windowState{groups: make(map[string]*group)}
+						windows[w] = ws
+					}
+					kw := wire.GetWriter()
+					t[:len(groupCols)].AppendKey(kw, groupKeyCols)
+					g := ws.groups[string(kw.Bytes())]
+					if g == nil {
+						g = &group{key: t[:len(groupCols)].Clone(), acc: agg.NewAccumulator(aggs)}
+						ws.groups[string(kw.Bytes())] = g
+					}
+					wire.PutWriter(kw)
+					_ = g.acc.MergeStates(t[len(groupCols):])
+					merged = true
+				}
+				dataflow.PutBatch(m.Batch)
+				if merged {
+					ws.dirty = true
+					// Debounce: reset the window's flush timer on
+					// every arrival.
+					if ws.timer == nil {
+						ws.timer = out.After(hold, func() { held(w) })
+					} else {
+						ws.timer.Reset(hold)
+					}
+				}
+				c.Busy(start)
+			}}
 		}
 	}
 }
@@ -748,10 +554,11 @@ func RehashExchange(stage, side int, keyCols []int,
 	ship func(stage, side int, window uint64, keys [][]byte, ts []tuple.Tuple) int,
 	flushRoutes func(), drainAck func(round uint64)) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
+		return func(out *dataflow.Out) dataflow.Op {
 			var keys [][]byte
-			for m := range dataflow.Merge(ctx, ins) {
+			return dataflow.Op{Push: func(_ int, m dataflow.Msg) {
 				start := time.Now()
+				defer c.Busy(start)
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
 					if m.Kind == dataflow.Drain {
@@ -764,8 +571,7 @@ func RehashExchange(stage, side int, keyCols []int,
 							drainAck(m.Seq)
 						}
 					}
-					c.Busy(start)
-					continue
+					return
 				}
 				c.RecvRows(len(m.Batch))
 				w := wire.GetWriter()
@@ -778,9 +584,7 @@ func RehashExchange(stage, side int, keyCols []int,
 				c.EmitRows(len(m.Batch), ship(stage, side, m.Seq, keys, m.Batch))
 				wire.PutWriter(w)
 				dataflow.PutBatch(m.Batch)
-				c.Busy(start)
-			}
-			return nil
+			}}
 		}
 	}
 }
@@ -791,8 +595,8 @@ func RehashExchange(stage, side int, keyCols []int,
 // point.
 func ShipPartial(ship func(window uint64, partials []tuple.Tuple) int, flushRoutes func(), drainAck func(round uint64)) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			for m := range dataflow.Merge(ctx, ins) {
+		return func(out *dataflow.Out) dataflow.Op {
+			return dataflow.Op{Push: func(_ int, m dataflow.Msg) {
 				start := time.Now()
 				if m.Kind == dataflow.Data {
 					c.RecvRows(len(m.Batch))
@@ -808,8 +612,7 @@ func ShipPartial(ship func(window uint64, partials []tuple.Tuple) int, flushRout
 					}
 				}
 				c.Busy(start)
-			}
-			return nil
+			}}
 		}
 	}
 }
@@ -821,11 +624,11 @@ func ShipPartial(ship func(window uint64, partials []tuple.Tuple) int, flushRout
 // ships alone. Frames also close early when the window sequence
 // changes, on punctuation and at end of stream. In eager mode — a
 // collector, whose input never ends — held rows also ship as soon as
-// the input runs dry: an idle node sends each arrival at once, a node
-// that is behind fills whole result frames.
+// the input runs dry (the graph's Idle call): an idle node sends each
+// arrival at once, a node that is behind fills whole result frames.
 func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, frameBytes int, eager bool, flushRoutes func(), drainAck func(round uint64)) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
+		return func(out *dataflow.Out) dataflow.Op {
 			var batch []tuple.Tuple
 			var batchSeq uint64
 			size := 0 // encoded record bytes held in batch
@@ -836,23 +639,9 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, frameBytes int, 
 				c.EmitRows(len(batch), ship(batchSeq, batch))
 				batch, size = nil, 0
 			}
-			in := dataflow.Merge(ctx, ins)
-			next := func() (dataflow.Msg, bool) {
-				if eager && len(batch) > 0 {
-					select {
-					case m, ok := <-in:
-						return m, ok
-					default:
-						start := time.Now()
-						flush()
-						c.Busy(start)
-					}
-				}
-				m, ok := <-in
-				return m, ok
-			}
-			for m, ok := next(); ok; m, ok = next() {
+			op := dataflow.Op{End: flush, Push: func(_ int, m dataflow.Msg) {
 				start := time.Now()
+				defer c.Busy(start)
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
 					flush()
@@ -862,8 +651,7 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, frameBytes int, 
 					if m.Kind == dataflow.Drain && drainAck != nil {
 						drainAck(m.Seq)
 					}
-					c.Busy(start)
-					continue
+					return
 				}
 				c.RecvRows(len(m.Batch))
 				if len(batch) > 0 && m.Seq != batchSeq {
@@ -882,10 +670,17 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, frameBytes int, 
 					}
 				}
 				dataflow.PutBatch(m.Batch)
-				c.Busy(start)
+			}}
+			if eager {
+				op.Idle = func() {
+					if len(batch) > 0 {
+						start := time.Now()
+						flush()
+						c.Busy(start)
+					}
+				}
 			}
-			flush()
-			return nil
+			return op
 		}
 	}
 }
@@ -894,19 +689,18 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, frameBytes int, 
 // layer probes collect through it.
 func FuncSink(fn func(t tuple.Tuple)) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			for m := range dataflow.Merge(ctx, ins) {
+		return func(out *dataflow.Out) dataflow.Op {
+			return dataflow.Op{Push: func(_ int, m dataflow.Msg) {
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
-					continue
+					return
 				}
 				c.RecvRows(len(m.Batch))
 				for _, t := range m.Batch {
 					fn(t)
 				}
 				dataflow.PutBatch(m.Batch)
-			}
-			return nil
+			}}
 		}
 	}
 }
@@ -918,49 +712,18 @@ func FuncSink(fn func(t tuple.Tuple)) OpFunc {
 // persists across punctuations (a continuous DISTINCT).
 func Distinct() OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
+		return func(out *dataflow.Out) dataflow.Op {
 			seen := make(map[string]struct{})
-			fresh := func(t tuple.Tuple) bool {
+			return perRow(c, out, func(t tuple.Tuple) (tuple.Tuple, bool) {
 				w := wire.GetWriter()
+				defer wire.PutWriter(w)
 				t.Encode(w)
 				if _, dup := seen[string(w.Bytes())]; dup {
-					wire.PutWriter(w)
-					return false
+					return t, false
 				}
 				seen[string(w.Bytes())] = struct{}{}
-				wire.PutWriter(w)
-				return true
-			}
-			for m := range dataflow.Merge(ctx, ins) {
-				start := time.Now()
-				if m.Kind != dataflow.Data {
-					c.RecvPunct()
-					c.Busy(start)
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-					continue
-				}
-				c.RecvRows(len(m.Batch))
-				kept := m.Batch[:0]
-				for _, t := range m.Batch {
-					if fresh(t) {
-						kept = append(kept, t)
-					}
-				}
-				if len(kept) == 0 {
-					dataflow.PutBatch(m.Batch)
-					c.Busy(start)
-					continue
-				}
-				m.Batch = kept
-				c.EmitBatch(kept)
-				c.Busy(start)
-				if !dataflow.EmitAll(ctx, outs, m) {
-					return nil
-				}
-			}
-			return nil
+				return t, true
+			})
 		}
 	}
 }
@@ -969,80 +732,58 @@ func Distinct() OpFunc {
 // column) and emits them in order at end of input or at each
 // punctuation. k <= 0 means sort everything (full ORDER BY).
 func TopK(k int, sortCols []int, desc []bool, batchSize int) OpFunc {
-	if batchSize < 1 {
-		batchSize = 1
-	}
+	batchSize = max(batchSize, 1)
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
+		return func(out *dataflow.Out) dataflow.Op {
 			var rows []tuple.Tuple
-			flush := func(seq uint64) bool {
+			flush := func(seq uint64) {
 				sort.SliceStable(rows, func(i, j int) bool {
 					return rows[i].Compare(rows[j], sortCols, desc) < 0
 				})
 				if k > 0 && len(rows) > k {
 					rows = rows[:k]
 				}
-				for off := 0; off < len(rows); off += batchSize {
-					end := off + batchSize
-					if end > len(rows) {
-						end = len(rows)
-					}
-					batch := append(dataflow.GetBatch(), rows[off:end]...)
-					c.EmitBatch(batch)
-					if !dataflow.EmitAll(ctx, outs, dataflow.BatchMsg(batch, seq)) {
-						return false
-					}
-				}
+				emitBatches(c, out, rows, seq, batchSize)
 				rows = nil
-				return true
 			}
-			for m := range dataflow.Merge(ctx, ins) {
+			return dataflow.Op{End: func() { flush(0) }, Push: func(_ int, m dataflow.Msg) {
 				start := time.Now()
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
-					if m.Kind == dataflow.Punct && !flush(m.Seq) {
-						c.Busy(start)
-						return nil
+					if m.Kind == dataflow.Punct {
+						flush(m.Seq)
 					}
 					c.Busy(start)
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-					continue
+					out.Emit(m)
+					return
 				}
 				c.RecvRows(len(m.Batch))
 				rows = append(rows, m.Batch...)
 				dataflow.PutBatch(m.Batch)
 				c.Busy(start)
-			}
-			flush(0)
-			return nil
+			}}
 		}
 	}
 }
 
-// Limit forwards the first n data tuples, then drains its input (so
-// upstream operators are not blocked on a full channel) while
-// emitting nothing further.
+// Limit forwards the first n data tuples and drops the rest.
 func Limit(n int) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
+		return func(out *dataflow.Out) dataflow.Op {
 			emitted := 0
-			for m := range dataflow.Merge(ctx, ins) {
+			return dataflow.Op{Push: func(_ int, m dataflow.Msg) {
 				start := time.Now()
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
 					c.Busy(start)
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-					continue
+					out.Emit(m)
+					return
 				}
 				c.RecvRows(len(m.Batch))
 				if emitted >= n {
 					dataflow.PutBatch(m.Batch)
 					c.Busy(start)
-					continue // drain
+					return
 				}
 				if keep := n - emitted; len(m.Batch) > keep {
 					m.Batch = m.Batch[:keep]
@@ -1050,36 +791,44 @@ func Limit(n int) OpFunc {
 				emitted += len(m.Batch)
 				c.EmitBatch(m.Batch)
 				c.Busy(start)
-				if !dataflow.EmitAll(ctx, outs, m) {
-					return nil
-				}
-			}
-			return nil
+				out.Emit(m)
+			}}
 		}
 	}
 }
 
 // Collect appends every data tuple into out and forwards nothing.
 // The slice must not be read until the graph finishes.
-func Collect(out *[]tuple.Tuple) OpFunc {
+func Collect(rows *[]tuple.Tuple) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-			for m := range dataflow.Merge(ctx, ins) {
+		return func(out *dataflow.Out) dataflow.Op {
+			return dataflow.Op{Push: func(_ int, m dataflow.Msg) {
 				if m.Kind != dataflow.Data {
 					c.RecvPunct()
-					continue
+					return
 				}
 				c.RecvRows(len(m.Batch))
-				*out = append(*out, m.Batch...)
+				*rows = append(*rows, m.Batch...)
 				dataflow.PutBatch(m.Batch)
-			}
-			return nil
+			}}
 		}
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Helpers
+
+// emitBatches emits rows in messages of at most batchSize rows stamped
+// seq, each in a pooled container.
+func emitBatches(c *Counters, out *dataflow.Out, rows []tuple.Tuple, seq uint64, batchSize int) {
+	for len(rows) > 0 {
+		n := min(batchSize, len(rows))
+		batch := append(dataflow.GetBatch(), rows[:n]...)
+		rows = rows[n:]
+		c.EmitBatch(batch)
+		out.Emit(dataflow.BatchMsg(batch, seq))
+	}
+}
 
 func identityCols(n int) []int {
 	out := make([]int, n)
@@ -1096,44 +845,4 @@ func joinKeysEqual(l, r tuple.Tuple, lc, rc []int) bool {
 		}
 	}
 	return true
-}
-
-type indexedMsg struct {
-	src int
-	m   dataflow.Msg
-}
-
-// mergeIndexed multiplexes inputs while remembering which input each
-// message came from — HybridJoin needs the side.
-func mergeIndexed(ctx context.Context, ins []<-chan dataflow.Msg) <-chan indexedMsg {
-	out := make(chan indexedMsg, dataflow.DefaultEdgeDepth)
-	closed := make(chan struct{}, len(ins))
-	for i, in := range ins {
-		i, in := i, in
-		go func() {
-			defer func() { closed <- struct{}{} }()
-			for {
-				select {
-				case m, ok := <-in:
-					if !ok {
-						return
-					}
-					select {
-					case out <- indexedMsg{src: i, m: m}:
-					case <-ctx.Done():
-						return
-					}
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		for range ins {
-			<-closed
-		}
-		close(out)
-	}()
-	return out
 }

@@ -93,8 +93,9 @@ type Env struct {
 	// CollectorHold is the aggregation collector's debounce before
 	// finalizing a window.
 	CollectorHold time.Duration
-	// Go runs a compiled graph's operators and waiter on the node's
-	// worker set (dataflow.Graph.SetGo). Nil: a goroutine each.
+	// Go runs a started pipeline's task and a scan's extra shards on
+	// the node's worker set (dataflow.Graph.SetGo). Nil: a goroutine
+	// each.
 	Go func(f func())
 }
 
@@ -156,10 +157,10 @@ func (e *Env) batchSize() int {
 type Pipeline struct {
 	Graph *dataflow.Graph
 	stage string
-	// detail enables the per-operator byte counters that cost a
-	// tuple re-encode. Compilers set it from spec.Analyze so
-	// un-analyzed queries pay nothing; hand-built pipelines default
-	// to fully instrumented.
+	// detail enables the per-operator byte counters that cost a walk
+	// over every emitted tuple. Compilers set it from spec.Analyze so
+	// un-analyzed queries pay nothing; hand-built pipelines default to
+	// fully instrumented.
 	detail bool
 	ops    []*Counters
 }
@@ -170,8 +171,8 @@ func NewPipeline(stage string) *Pipeline {
 	return &Pipeline{Graph: dataflow.New(stage), stage: stage, detail: true}
 }
 
-// SetDetail toggles the per-operator byte counters (which cost a
-// tuple re-encode on every emit) for operators added afterwards —
+// SetDetail toggles the per-operator byte counters (which cost a walk
+// over every emitted tuple) for operators added afterwards —
 // what the compilers derive from spec.Analyze; hand-built pipelines
 // that want production-shaped instrumentation turn it off.
 func (p *Pipeline) SetDetail(on bool) { p.detail = on }
@@ -186,11 +187,13 @@ func (p *Pipeline) Add(name string, op OpFunc) *dataflow.Node {
 // Connect wires two operators.
 func (p *Pipeline) Connect(from, to *dataflow.Node) { p.Graph.Connect(from, to) }
 
-// Run executes the pipeline to completion (one-shot graphs).
+// Run executes the pipeline to completion in the caller (one-shot
+// graphs): a participant's scans and a coordinator tail start no task.
 func (p *Pipeline) Run(ctx context.Context) error { return p.Graph.Run(ctx) }
 
-// Start launches the pipeline for streaming graphs (collectors,
-// continuous queries); cancel the context or close the inlets to end.
+// Start runs the pipeline on one task for streaming graphs (collectors,
+// continuous queries), however many inlets feed it; cancel the context
+// or close the inlets to end.
 func (p *Pipeline) Start(ctx context.Context) (*dataflow.Running, error) { return p.Graph.Start(ctx) }
 
 // Stats snapshots every operator's counters in build order. Safe
@@ -514,8 +517,7 @@ func probeOrder(j *plan.JoinSpec, right *plan.ScanSpec) []int {
 }
 
 // Instrumentation note: counters are folded inline into every
-// operator loop. The engine deliberately has no per-edge "tap"
-// wrapper goroutines — counting through extra channel hops costs two
-// goroutines and two channel transfers per edge, which dominated
-// local execution before the batch-at-a-time rewrite (CI greps
-// against their reintroduction).
+// operator's Push. The engine deliberately has no per-edge "tap"
+// wrapper operators — counting through an extra hop per edge costs a
+// call and a batch walk per message for nothing the operator could not
+// count itself (CI greps against their reintroduction).

@@ -18,10 +18,14 @@ import (
 	"repro/internal/tuple"
 )
 
-// runOp executes a single operator over a scripted input stream and
-// returns everything it emitted.
+// runOp executes a single operator over a scripted input stream (nil:
+// the operator is a source, and gets no input) and returns everything
+// it emitted.
 func runOp(t *testing.T, op OpFunc, in []dataflow.Msg) []dataflow.Msg {
 	t.Helper()
+	if in == nil {
+		return runOpN(t, op, nil)
+	}
 	return runOpN(t, op, [][]dataflow.Msg{in})
 }
 
@@ -31,39 +35,40 @@ func runOpN(t *testing.T, op OpFunc, ins [][]dataflow.Msg) []dataflow.Msg {
 	p := NewPipeline("test")
 	srcs := make([]*dataflow.Node, len(ins))
 	for i, stream := range ins {
-		stream := stream
-		srcs[i] = p.Add(fmt.Sprintf("src%d", i), func(c *Counters) dataflow.RunFunc {
-			return func(ctx context.Context, _ []<-chan dataflow.Msg, outs []chan<- dataflow.Msg) error {
-				for _, m := range stream {
-					if !dataflow.EmitAll(ctx, outs, m) {
-						return nil
-					}
-				}
-				return nil
-			}
-		})
+		srcs[i] = p.Add(fmt.Sprintf("src%d", i), script(stream))
 	}
 	node := p.Add("op", op)
 	for _, s := range srcs {
 		p.Connect(s, node)
 	}
-	var mu sync.Mutex
 	var got []dataflow.Msg
-	sink := p.Add("sink", func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, sinkIns []<-chan dataflow.Msg, _ []chan<- dataflow.Msg) error {
-			for m := range dataflow.Merge(ctx, sinkIns) {
-				mu.Lock()
-				got = append(got, m)
-				mu.Unlock()
-			}
-			return nil
-		}
-	})
-	p.Connect(node, sink)
+	p.Connect(node, p.Add("sink", msgSink(func(m dataflow.Msg) { got = append(got, m) })))
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
 	return got
+}
+
+// script is a source emitting the messages of stream in order.
+func script(stream []dataflow.Msg) OpFunc {
+	return func(c *Counters) dataflow.RunFunc {
+		return func(out *dataflow.Out) dataflow.Op {
+			return dataflow.Op{Source: func() {
+				for _, m := range stream {
+					out.Emit(m)
+				}
+			}}
+		}
+	}
+}
+
+// msgSink is a sink handing every message, marker or data, to f.
+func msgSink(f func(m dataflow.Msg)) OpFunc {
+	return func(c *Counters) dataflow.RunFunc {
+		return func(out *dataflow.Out) dataflow.Op {
+			return dataflow.Op{Push: func(_ int, m dataflow.Msg) { f(m) }}
+		}
+	}
 }
 
 // one is a one-row data message in window seq.
@@ -391,15 +396,7 @@ func runHybridJoin(t *testing.T, cfg HybridJoinConfig, left, right []dataflow.Ms
 	p.Connect(l, jp)
 	p.Connect(r, jp)
 	var got []dataflow.Msg
-	sink := p.Add("sink", func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, _ []chan<- dataflow.Msg) error {
-			for m := range dataflow.Merge(ctx, ins) {
-				got = append(got, m)
-			}
-			return nil
-		}
-	})
-	p.Connect(jp, sink)
+	p.Connect(jp, p.Add("sink", msgSink(func(m dataflow.Msg) { got = append(got, m) })))
 	run, err := p.Start(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -610,22 +607,16 @@ func TestFinalAggDebouncedFlushAndRefinement(t *testing.T) {
 	var mu sync.Mutex
 	var flushes [][]tuple.Tuple
 	var cur []tuple.Tuple
-	sink := p.Add("sink", func(c *Counters) dataflow.RunFunc {
-		return func(ctx context.Context, ins []<-chan dataflow.Msg, _ []chan<- dataflow.Msg) error {
-			for m := range dataflow.Merge(ctx, ins) {
-				mu.Lock()
-				if m.Kind == dataflow.Data {
-					cur = append(cur, m.Batch...)
-				} else {
-					flushes = append(flushes, cur)
-					cur = nil
-				}
-				mu.Unlock()
-			}
-			return nil
+	p.Connect(fa, p.Add("sink", msgSink(func(m dataflow.Msg) {
+		mu.Lock()
+		if m.Kind == dataflow.Data {
+			cur = append(cur, m.Batch...)
+		} else {
+			flushes = append(flushes, cur)
+			cur = nil
 		}
-	})
-	p.Connect(fa, sink)
+		mu.Unlock()
+	})))
 	run, err := p.Start(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -745,21 +736,19 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 		calls = append(calls, call{window, len(rows)})
 		return len(rows)
 	}
-	// run drives the operator body directly over one input channel the
-	// test owns, so what is ready when the operator looks is the test's
-	// choice, not the scheduler's.
-	run := func(op OpFunc, in <-chan dataflow.Msg) {
-		if err := op(&Counters{})(context.Background(), []<-chan dataflow.Msg{in}, nil); err != nil {
+	// run pushes ms into an inlet and closes it before the pipeline
+	// runs, so the operator finds all of them already waiting.
+	run := func(op OpFunc, ms ...dataflow.Msg) {
+		p := NewPipeline("test")
+		in := NewInlet()
+		p.Connect(p.Add("src", in.Source), p.Add("ship-rows", op))
+		for _, m := range ms {
+			in.Push(m)
+		}
+		in.Close()
+		if err := p.Run(context.Background()); err != nil {
 			t.Errorf("ship-rows: %v", err)
 		}
-	}
-	filled := func(ms ...dataflow.Msg) <-chan dataflow.Msg {
-		ch := make(chan dataflow.Msg, len(ms))
-		for _, m := range ms {
-			ch <- m
-		}
-		close(ch)
-		return ch
 	}
 	check := func(what string, want ...call) {
 		t.Helper()
@@ -769,7 +758,7 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 		calls = nil
 	}
 
-	script := func() []dataflow.Msg { // the sink recycles what it is sent
+	msgs := func() []dataflow.Msg { // the sink recycles what it is sent
 		return []dataflow.Msg{
 			one(row(1), 1),
 			one(row(2), 1),
@@ -781,10 +770,10 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 	// row(i) for i < 64 is a 3-byte encoding plus its 1-byte length
 	// prefix: an 8-byte budget holds two.
 	const two = 8
-	run(ShipRows(ship, two, false, nil, nil), filled(script()...))
+	run(ShipRows(ship, two, false, nil, nil), msgs()...)
 	check("batched", call{1, 2}, call{1, 1}, call{2, 1})
 	// Eager with the same input already waiting: the same frames.
-	run(ShipRows(ship, two, true, nil, nil), filled(script()...))
+	run(ShipRows(ship, two, true, nil, nil), msgs()...)
 	check("eager, input ready", call{1, 2}, call{1, 1}, call{2, 1})
 
 	// Eager, a node that is behind: N waiting rows leave in whole
@@ -798,7 +787,7 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 		backlog[i] = one(row(i), 0)
 		bytes += row(i).EncodedLen() + 1
 	}
-	run(ShipRows(ship, budget, true, nil, nil), filled(backlog...))
+	run(ShipRows(ship, budget, true, nil, nil), backlog...)
 	if len(calls) > bytes/(budget-5)+1 {
 		t.Fatalf("%d waiting rows (%d bytes) shipped in %d calls: %v", n, bytes, len(calls), calls)
 	}
@@ -813,29 +802,32 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 
 	// A row larger than the budget ships alone, between whole frames.
 	wide := row(strings.Repeat("w", 3*two))
-	run(ShipRows(ship, two, false, nil, nil), filled(one(row(1), 4), one(wide, 4), one(row(2), 4), one(row(3), 4)))
+	run(ShipRows(ship, two, false, nil, nil), one(row(1), 4), one(wide, 4), one(row(2), 4), one(row(3), 4))
 	check("oversized row", call{4, 1}, call{4, 1}, call{4, 2})
 
 	// Eager, an idle node: each row leaves the moment nothing else is
-	// waiting — the feeder sends the next only after the last shipped.
-	feed := make(chan dataflow.Msg)
+	// waiting — the feeder pushes the next only after the last shipped.
+	p := NewPipeline("test")
+	feed := NewInlet()
 	shipped := make(chan int)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		run(ShipRows(func(_ uint64, rows []tuple.Tuple) int {
-			shipped <- len(rows)
-			return len(rows)
-		}, RowFrameBytes, true, nil, nil), feed)
-	}()
+	p.Connect(p.Add("src", feed.Source), p.Add("ship-rows", ShipRows(func(_ uint64, rows []tuple.Tuple) int {
+		shipped <- len(rows)
+		return len(rows)
+	}, RowFrameBytes, true, nil, nil)))
+	running, err := p.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
-		feed <- one(row(i), 0)
+		feed.Push(one(row(i), 0))
 		if got := <-shipped; got != 1 {
 			t.Fatalf("row %d shipped in a call of %d rows", i, got)
 		}
 	}
-	close(feed)
-	<-done
+	feed.Close()
+	if err := running.Wait(); err != nil {
+		t.Fatal(err)
+	}
 
 	// A Drain behind held rows: the rows ship, then routes flush, then
 	// the round is acknowledged.
@@ -846,7 +838,7 @@ func TestShipRowsBatchedAndEager(t *testing.T) {
 	}, RowFrameBytes, true,
 		func() { order = append(order, "flush-routes") },
 		func(round uint64) { order = append(order, fmt.Sprintf("ack %d", round)) }),
-		filled(one(row(1), 0), one(row(2), 0), one(row(3), 0), dataflow.DrainMsg(7)))
+		one(row(1), 0), one(row(2), 0), one(row(3), 0), dataflow.DrainMsg(7))
 	if want := "[ship 3 flush-routes ack 7]"; fmt.Sprint(order) != want {
 		t.Fatalf("drain order %v, want %s", order, want)
 	}

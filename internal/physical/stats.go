@@ -6,18 +6,18 @@ import (
 
 	"repro/internal/plan"
 	"repro/internal/tuple"
-	"repro/internal/wire"
 )
 
 // Counters instruments one physical operator instance. Operators
-// update them from their single run goroutine; snapshots may be taken
-// concurrently (the EXPLAIN ANALYZE gather runs while collector
-// pipelines are still draining), hence the atomics.
+// update them from their pipeline's task, or a scan's shards from
+// theirs; snapshots may be taken concurrently (the EXPLAIN ANALYZE
+// gather runs while collector pipelines are still draining), hence
+// the atomics.
 type Counters struct {
 	Stage string
 	Name  string
-	// detail enables the byte counters that require re-encoding
-	// tuples (EmitBatch). Off for pipelines compiled without Analyze,
+	// detail enables the byte counters that walk every emitted tuple
+	// (EmitBatch). Off for pipelines compiled without Analyze,
 	// so the hot path never pays for instrumentation nobody reads;
 	// exchange/ship operators report bytes through EmitRows (the
 	// payload size they computed anyway) regardless.
@@ -50,17 +50,17 @@ func (c *Counters) EmitRows(n, bytes int) {
 	c.bytesOut.Add(uint64(bytes))
 }
 
-// EmitBatch counts one produced batch; byte sizes are measured on a
-// pooled writer only under detail instrumentation.
+// EmitBatch counts one produced batch; its encoded size
+// (Tuple.EncodedLen, nothing encoded) only under detail
+// instrumentation.
 func (c *Counters) EmitBatch(ts []tuple.Tuple) {
 	c.rowsOut.Add(uint64(len(ts)))
 	if c.detail {
-		w := wire.GetWriter()
+		n := 0
 		for _, t := range ts {
-			t.Encode(w)
+			n += t.EncodedLen()
 		}
-		c.bytesOut.Add(uint64(w.Len()))
-		wire.PutWriter(w)
+		c.bytesOut.Add(uint64(n))
 	}
 }
 

@@ -160,11 +160,12 @@ func TestLimit(t *testing.T) {
 	})
 }
 
-// TestLimitDrainsUpstream: the producer emits far more than the edge
-// depth holds; Limit must keep draining so the graph still terminates.
+// TestLimitDrainsUpstream: the producer emits hundreds of batches past
+// the limit; Limit must take and drop them all so the graph still
+// terminates with the first row alone.
 func TestLimitDrainsUpstream(t *testing.T) {
 	forWidths(t, func(t *testing.T, w int) {
-		rows := make([]tuple.Tuple, 10*dataflow.DefaultEdgeDepth*w)
+		rows := make([]tuple.Tuple, 640*w)
 		for i := range rows {
 			rows[i] = tuple.Tuple{tuple.Int(int64(i))}
 		}

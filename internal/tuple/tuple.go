@@ -506,7 +506,11 @@ func (d *Decoder) DecodeCols(buf []byte, arity int, cols []int) (Tuple, error) {
 	if n := d.r.Uvarint(); n != uint64(arity) {
 		return nil, fmt.Errorf("tuple: decode: arity %d, want %d", n, arity)
 	}
-	d.reserve(len(cols) + 1)
+	if len(cols) < arity {
+		d.reserve(len(cols) + 1)
+	} else {
+		d.reserve(len(cols))
+	}
 	lo := len(d.arena)
 	next := 0
 	for i := 0; i < arity; i++ {
@@ -521,6 +525,16 @@ func (d *Decoder) DecodeCols(buf []byte, arity int, cols []int) (Tuple, error) {
 		d.arena = append(d.arena, RowID(buf))
 	}
 	return d.finish(lo)
+}
+
+// Reserve sizes the next arena block for n values (at most
+// decoderBlock) when the current one has less room: a reader that knows
+// how many rows it will decode, and how wide, allocates once instead of
+// growing from decoderMinBlock.
+func (d *Decoder) Reserve(n int) {
+	if n = min(n, decoderBlock); cap(d.arena)-len(d.arena) < n {
+		d.arena = make([]Value, 0, n)
+	}
 }
 
 // reserve makes room for n more values in the current arena block,
