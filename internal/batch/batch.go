@@ -11,8 +11,10 @@
 // Owners are resolved with Lookup and cached with a TTL; the cache is
 // invalidated when a frame send fails (the owner died) and simply goes
 // stale-and-expires under churn. Correctness never depends on the
-// cache: a frame is routed by key like any other message, so it
-// arrives at the *current* owner of its representative key, and the
+// cache: a frame is routed by key like any other message, or first
+// handed to its cached owner, which forwards it by key like any relay
+// when it no longer owns the key; either way it arrives at the
+// *current* owner of its representative key, and the
 // receiving Batcher demultiplexes by re-routing each record through
 // its own router — records the receiver owns are delivered locally in
 // one step (the common case), while records whose ownership moved take
@@ -21,7 +23,10 @@
 // intercept upcalls (in-network aggregation) are applied per record
 // inside frames as well. The tag with a frame upcall (SetDeliverFrame)
 // gets the records of one arriving frame that the receiver owns in one
-// call instead of one delivery each.
+// call instead of one delivery each. A frame holding only records of
+// that tag takes its cached owner as its first hop when the wrapped
+// router offers one (chord's RouteVia): one datagram instead of one per
+// hop, unless the router knows the owner is dead and routes by key.
 package batch
 
 import (
@@ -168,6 +173,9 @@ type pendingFrame struct {
 	records []wire.BatchRecord
 	bytes   int
 	timer   *time.Timer
+	// direct: every record carries the tag with a frame upcall, so the
+	// frame goes straight to its owner (routeVia); else hop by hop.
+	direct bool
 }
 
 // ownedFrame pairs a detached frame with its destination for sending
@@ -185,6 +193,12 @@ type pendingLookup struct {
 	done    chan struct{} // closed after the records are handed off
 }
 
+// routeVia is a router that can route a message with a given node as
+// its first hop (chord.Node.RouteVia).
+type routeVia interface {
+	RouteVia(addr string, key id.ID, tag string, payload []byte) error
+}
+
 // maxInflightLookups bounds concurrent owner resolutions so
 // high-cardinality key streams cannot flood the overlay with lookup
 // traffic; records for keys beyond the cap route straight through.
@@ -194,6 +208,7 @@ const maxInflightLookups = 64
 // Router methods pass through to the wrapped router.
 type Batcher struct {
 	inner overlay.Router
+	via   routeVia // inner's direct first hop; nil: frames route by key
 	cfg   Config
 	self  string // inner.Self().Addr, cached
 
@@ -230,6 +245,7 @@ func New(inner overlay.Router, cfg Config) *Batcher {
 		owners:    make(map[id.ID]ownerEntry),
 		resolving: make(map[id.ID]*pendingLookup),
 	}
+	b.via, _ = inner.(routeVia)
 	b.idle = sync.NewCond(&b.mu)
 	return b
 }
@@ -479,15 +495,19 @@ func (b *Batcher) RouteMany(recs []Record) error {
 	}
 	var toSend []ownedFrame
 	var passthrough []Record
+	// One array backs the framed records' keys: slicing each loop copy's
+	// key would move every record to the heap on its own.
+	keys := make([]id.ID, len(recs))
 	now := time.Now()
 	b.mu.Lock()
 	tag, fn := b.frameTag, b.frameFn
-	for _, r := range recs {
+	for i, r := range recs {
 		if r.Tag == FrameTag || len(r.Payload) > b.cfg.MaxBytes || b.closed {
 			passthrough = append(passthrough, r)
 			continue
 		}
-		rec := wire.BatchRecord{Key: r.Key[:], Tag: r.Tag, Payload: r.Payload}
+		keys[i] = r.Key
+		rec := wire.BatchRecord{Key: keys[i][:], Tag: r.Tag, Payload: r.Payload}
 		if e, ok := b.owners[r.Key]; ok && now.Before(e.expires) {
 			b.metrics.OwnerHits.Add(1)
 			if e.addr == b.self {
@@ -554,13 +574,14 @@ func (b *Batcher) appendLocked(owner string, key id.ID, rec wire.BatchRecord) []
 		f = nil
 	}
 	if f == nil {
-		f = &pendingFrame{repKey: key}
+		f = &pendingFrame{repKey: key, direct: b.via != nil && b.frameFn != nil}
 		ownerCopy := owner
 		f.timer = time.AfterFunc(b.cfg.MaxDelay, func() { b.flushOwner(ownerCopy) })
 		b.frames[owner] = f
 	}
 	f.records = append(f.records, rec)
 	f.bytes += recSize
+	f.direct = f.direct && rec.Tag == b.frameTag
 	if len(f.records) >= b.cfg.MaxRecords || f.bytes >= b.cfg.MaxBytes {
 		if len(f.records) >= b.cfg.MaxRecords {
 			b.metrics.FlushCount.Add(1)
@@ -683,10 +704,10 @@ func (b *Batcher) sendFrame(owner string, f *pendingFrame) {
 	if len(f.records) == 1 {
 		rec := f.records[0]
 		b.metrics.Passthrough.Add(1)
-		_ = b.inner.Route(f.repKey, rec.Tag, rec.Payload)
+		_ = b.routeFrame(owner, f, rec.Tag, rec.Payload)
 		return
 	}
-	err := b.inner.Route(f.repKey, FrameTag, wire.BatchBytes(f.records))
+	err := b.routeFrame(owner, f, FrameTag, wire.BatchBytes(f.records))
 	if err == nil {
 		b.metrics.FramesOut.Add(1)
 		b.metrics.FrameRecords.Add(uint64(len(f.records)))
@@ -699,6 +720,15 @@ func (b *Batcher) sendFrame(owner string, f *pendingFrame) {
 		b.metrics.Passthrough.Add(1)
 		_ = b.inner.Route(rkey, rec.Tag, rec.Payload)
 	}
+}
+
+// routeFrame routes f's message under its representative key: straight
+// to owner when f is direct, else hop by hop.
+func (b *Batcher) routeFrame(owner string, f *pendingFrame, tag string, payload []byte) error {
+	if f.direct {
+		return b.via.RouteVia(owner, f.repKey, tag, payload)
+	}
+	return b.inner.Route(f.repKey, tag, payload)
 }
 
 // Flush synchronously drains the batcher — the barrier callers run at

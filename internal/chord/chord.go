@@ -441,6 +441,42 @@ func (n *Node) Route(key id.ID, tag string, payload []byte) error {
 	return n.routeMsg(n.self, key, tag, payload, 0)
 }
 
+// RouteVia routes payload toward the owner of key with addr as its
+// first hop: a caller that already knows the owner (the route batcher's
+// cache) saves the hops in between. addr handles the message as any
+// relay would, so a stale guess costs hops, not correctness: if addr
+// no longer owns key it forwards the message on by key. An addr this
+// node has marked dead is skipped, and the message routes by key from
+// here. A failed send marks addr dead and returns the error.
+func (n *Node) RouteVia(addr string, key id.ID, tag string, payload []byte) error {
+	n.mu.Lock()
+	skip := addr == n.self.Addr || n.isDeadLocked(addr)
+	n.mu.Unlock()
+	if skip {
+		return n.routeMsg(n.self, key, tag, payload, 0)
+	}
+	n.metrics.RouteForwards.Add(1)
+	if err := n.sendRoute(addr, n.self, key, tag, payload, 1); err != nil {
+		n.markDead(addr)
+		return err
+	}
+	return nil
+}
+
+// sendRoute sends one hop of a routed message: the chord.route header
+// is the frame's head and payload its tail, so the hop copies the
+// payload once, into the datagram.
+func (n *Node) sendRoute(to string, origin overlay.Node, key id.ID, tag string, payload []byte, hops int) error {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	origin.Encode(w)
+	w.Raw(key[:])
+	w.String(tag)
+	w.Uvarint(uint64(hops))
+	w.Uvarint(uint64(len(payload))) // the body's BytesLP prefix; payload follows
+	return n.peer.NotifyParts(to, "chord.route", w.Bytes(), payload)
+}
+
 func (n *Node) routeMsg(origin overlay.Node, key id.ID, tag string, payload []byte, hops int) error {
 	if hops > n.cfg.MaxHops {
 		return fmt.Errorf("chord: route %s exceeded %d hops", key.Short(), n.cfg.MaxHops)
@@ -465,8 +501,7 @@ func (n *Node) routeMsg(origin overlay.Node, key id.ID, tag string, payload []by
 		}
 		payload = np
 	}
-	done, next := n.findNextLocal(key)
-	_ = done
+	_, next := n.findNextLocal(key)
 	if next.Addr == n.self.Addr {
 		// We believe we are the best node but do not own the key
 		// (e.g. mid-join). Deliver locally rather than loop.
@@ -476,21 +511,14 @@ func (n *Node) routeMsg(origin overlay.Node, key id.ID, tag string, payload []by
 		return nil
 	}
 	n.metrics.RouteForwards.Add(1)
-	w := wire.NewWriter(64 + len(payload))
-	origin.Encode(w)
-	w.Raw(key[:])
-	w.String(tag)
-	w.Uvarint(uint64(hops + 1))
-	w.BytesLP(payload)
-	if err := n.peer.Notify(next.Addr, "chord.route", w.Bytes()); err != nil {
+	if err := n.sendRoute(next.Addr, origin, key, tag, payload, hops+1); err != nil {
 		n.markDead(next.Addr)
 		// One retry through the repaired table.
-		done2, next2 := n.findNextLocal(key)
-		_ = done2
+		_, next2 := n.findNextLocal(key)
 		if next2.Addr == n.self.Addr || next2.Addr == next.Addr {
 			return err
 		}
-		return n.peer.Notify(next2.Addr, "chord.route", w.Bytes())
+		return n.sendRoute(next2.Addr, origin, key, tag, payload, hops+1)
 	}
 	return nil
 }
@@ -513,38 +541,50 @@ func (n *Node) Broadcast(tag string, payload []byte) error {
 }
 
 // forwardBroadcast delegates coverage of (self, limit) to fingers.
+// It walks the cached contact list, which is never written once built
+// (a change replaces it), skipping dead contacts in place; the lock is
+// dropped around each send.
 func (n *Node) forwardBroadcast(origin overlay.Node, tag string, payload []byte, limit id.ID) error {
-	n.mu.Lock()
-	// The live contacts, clockwise from self.
-	var contacts []overlay.Node
-	for _, c := range n.contactsLocked() {
-		if !n.isDeadLocked(c.Addr) {
-			contacts = append(contacts, c)
-		}
-	}
-	n.mu.Unlock()
 	var firstErr error
+	n.mu.Lock()
+	contacts := n.contactsLocked()
 	for i, c := range contacts {
-		// Only contacts strictly inside (self, limit) receive the
-		// broadcast; each gets responsibility up to the next
+		// Only live contacts strictly inside (self, limit) receive the
+		// broadcast; each gets responsibility up to the next live
 		// contact (or the overall limit for the last one).
-		if !id.Between(c.ID, n.self.ID, limit) {
+		if !id.Between(c.ID, n.self.ID, limit) || n.isDeadLocked(c.Addr) {
 			continue
 		}
 		next := limit
-		if i+1 < len(contacts) && id.Between(contacts[i+1].ID, c.ID, limit) {
-			next = contacts[i+1].ID
+		for _, d := range contacts[i+1:] {
+			if n.isDeadLocked(d.Addr) {
+				continue
+			}
+			if id.Between(d.ID, c.ID, limit) {
+				next = d.ID
+			}
+			break
 		}
-		w := wire.NewWriter(64 + len(payload))
-		origin.Encode(w)
-		w.String(tag)
-		w.Raw(next[:])
-		w.BytesLP(payload)
-		if err := n.peer.Notify(c.Addr, "chord.broadcast", w.Bytes()); err != nil && firstErr == nil {
+		n.mu.Unlock()
+		if err := n.sendBroadcast(c.Addr, origin, tag, payload, next); err != nil && firstErr == nil {
 			firstErr = err
 		}
+		n.mu.Lock()
 	}
+	n.mu.Unlock()
 	return firstErr
+}
+
+// sendBroadcast sends one broadcast delegation, its header as the
+// frame's head and payload as the tail.
+func (n *Node) sendBroadcast(to string, origin overlay.Node, tag string, payload []byte, limit id.ID) error {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	origin.Encode(w)
+	w.String(tag)
+	w.Raw(limit[:])
+	w.Uvarint(uint64(len(payload))) // the body's BytesLP prefix; payload follows
+	return n.peer.NotifyParts(to, "chord.broadcast", w.Bytes(), payload)
 }
 
 func sortByDistance(from id.ID, nodes []overlay.Node) {
@@ -620,7 +660,7 @@ func (n *Node) registerHandlers() {
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
-		return nil, n.routeMsg(origin, key, tag, append([]byte(nil), payload...), hops)
+		return nil, n.routeMsg(origin, key, tag, payload, hops) // req is ours to pass on (rpc.Handler)
 	})
 	n.peer.Handle("chord.broadcast", func(from string, req []byte) ([]byte, error) {
 		r := wire.NewReader(req)
@@ -632,14 +672,13 @@ func (n *Node) registerHandlers() {
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
-		body := append([]byte(nil), payload...)
 		n.mu.Lock()
 		bc := n.broadcast
 		n.mu.Unlock()
 		if bc != nil {
-			bc(origin, tag, body)
+			bc(origin, tag, payload)
 		}
-		return nil, n.forwardBroadcast(origin, tag, body, limit)
+		return nil, n.forwardBroadcast(origin, tag, payload, limit)
 	})
 }
 

@@ -189,6 +189,7 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 		if err != nil {
 			return nil, err
 		}
+		q.filters = msg.filters
 	}
 	dissSpan := q.spans.Start("disseminate")
 	if err := n.router.Broadcast(tagQuery, msg.encode()); err != nil {

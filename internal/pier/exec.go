@@ -49,7 +49,9 @@ type queryState struct {
 	participateOnce sync.Once
 
 	// Bloom filters attached to the query, keyed by join stage: the
-	// phase-1 gathers that ended eos (BloomJoin phase 2).
+	// phase-1 gathers that ended eos (BloomJoin phase 2). Written once,
+	// before the query message leaves the coordinator or, elsewhere,
+	// before the state is published.
 	filters map[int]*bloom.Filter
 	// joinParts is the routing partition count of every rehash-join
 	// stage, as the query message carried it.
@@ -409,20 +411,21 @@ func decodeQueryMsg(payload []byte) (m queryMsg, err error) {
 // header carries (query, window, join stage, side).
 
 func encodeTupleMsg(qid, window uint64, stage, side uint8, rows ...tuple.Tuple) []byte {
+	// Sized once and encoded in place: each record is its length prefix
+	// and the tuple's encoding, written straight into the frame.
+	size := wire.TupleFrameHeadLen(len(rows))
+	for _, t := range rows {
+		n := t.EncodedLen()
+		size += wire.UvarintLen(uint64(n)) + n
+	}
+	w := wire.NewWriter(size)
 	f := wire.TupleFrame{Query: qid, Window: window, Stage: stage, Side: side}
-	f.Records = make([][]byte, len(rows))
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	for i, t := range rows {
-		start := w.Len()
+	f.EncodeHead(w, len(rows))
+	for _, t := range rows {
+		w.Uvarint(uint64(t.EncodedLen()))
 		t.Encode(w)
-		f.Records[i] = w.Bytes()[start:] // re-sliced below: the buffer may still move
 	}
-	buf := w.Bytes()
-	for i, rec := range f.Records {
-		f.Records[i], buf = buf[:len(rec):len(rec)], buf[len(rec):]
-	}
-	return f.Bytes()
+	return w.Bytes()
 }
 
 func decodeTupleMsg(payload []byte) (*wire.TupleFrame, []tuple.Tuple, error) {
@@ -483,6 +486,9 @@ func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte) {
 		}
 		q := n.getQuery(m.qid, func() *queryState {
 			qs := n.newQueryState(m.qid, m.spec, m.coord, m.joinParts)
+			// Set before the state is published: a join frame from a
+			// node the broadcast reached first can find it at once.
+			qs.filters = m.filters
 			if m.coord != n.Addr() {
 				qs.initTrace(m.rootSpan)
 			}
@@ -490,9 +496,6 @@ func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte) {
 		})
 		if q == nil {
 			return
-		}
-		if m.filters != nil {
-			q.filters = m.filters
 		}
 		q.participateOnce.Do(func() {
 			n.Metrics.QueriesParticipated.Add(1)
@@ -583,9 +586,9 @@ type joinGroup struct {
 func (n *Node) onJoinRecords(recs []batch.Record) {
 	n.Metrics.JoinArrivals.Add(1)
 	var groups []joinGroup
+	var f wire.TupleFrame // one header and record list serve every record
 	for _, rec := range recs {
-		f, err := wire.TupleFrameFromBytes(rec.Payload)
-		if err != nil || len(f.Records) == 0 || f.Side > 1 {
+		if err := f.Decode(rec.Payload); err != nil || len(f.Records) == 0 || f.Side > 1 {
 			continue
 		}
 		i := 0

@@ -10,11 +10,11 @@ import (
 	"repro/internal/wire"
 )
 
-// TestTupleFrameCodec: encodeTupleMsg writes all rows through one
-// pooled writer and decodeTupleMsg decodes them into one arena; the
-// frame must be the bytes a record-per-row encoder produces, rows must
-// come back equal and not alias each other, and a decode must not
-// allocate per row.
+// TestTupleFrameCodec: encodeTupleMsg sizes the frame once and encodes
+// every row straight into it, and decodeTupleMsg decodes them into one
+// arena; the frame must be the bytes a record-per-row encoder produces,
+// rows must come back equal and not alias each other, an encode must
+// allocate the frame alone, and a decode must not allocate per row.
 func TestTupleFrameCodec(t *testing.T) {
 	rows := []tuple.Tuple{
 		{tuple.Int(1), tuple.String("alice"), tuple.Float(2.5), tuple.Null()},
@@ -68,7 +68,9 @@ func TestTupleFrameCodec(t *testing.T) {
 	for i := range ints {
 		ints[i] = tuple.Tuple{tuple.Int(int64(i)), tuple.Int(int64(i * i))}
 	}
-	payload = encodeTupleMsg(1, 0, 0, 0, ints...)
+	if allocs := testing.AllocsPerRun(20, func() { payload = encodeTupleMsg(1, 0, 0, 0, ints...) }); allocs > 1 {
+		t.Fatalf("encoding a 64-row frame allocates %.0f times, want the frame alone", allocs)
+	}
 	// The frame, its record list, the row list and the arena: the same
 	// count for 64 rows as for 8.
 	if allocs := testing.AllocsPerRun(20, func() {

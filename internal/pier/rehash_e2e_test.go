@@ -293,3 +293,74 @@ func TestJoinPushesPerFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinCachedOwnerLeavesMidQuery: a join frame goes straight to the
+// collector owner its sender's batcher cached, so a warm cluster whose
+// cached owner leaves mid-query sends frames into a dead address until
+// chord marks it dead. That may lose rows, never silently: with a
+// member gone the query ends churn-degraded, and an eos ending is the
+// centralized baseline's answer byte for byte. The query after the
+// departure, with caches still naming the dead owner, is held to the
+// same rule.
+func TestJoinCachedOwnerLeavesMidQuery(t *testing.T) {
+	const nOrders, nUsers = 4000, 500
+	sql := "SELECT o.oid, u.name FROM orders o JOIN users u ON o.uid = u.uid"
+	cl := spillCluster(t, 8, 2300, func(cfg *pier.Config) { cfg.Quiet = 4 * time.Second })
+	seedRehashJoin(t, cl.Nodes, nOrders, nUsers, 1)
+	base, err := centralizedBaseline(cl.Nodes).QuerySQL(context.Background(), sql, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodeSorted(base.Rows)
+	sym := plan.SymmetricHash
+	query := func() *pier.Result {
+		t.Helper()
+		res, err := cl.Nodes[0].QueryWithOptions(context.Background(), sql, plan.Options{Strategy: &sym})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	check := func(what string, res *pier.Result) {
+		t.Helper()
+		t.Logf("%s: %q, %d rows, coverage %.3f, %v", what, res.Reason, len(res.Rows), res.Coverage, res.Duration)
+		switch res.Reason {
+		case pier.ReasonChurnDegraded:
+		case pier.ReasonEOS:
+			got := encodeSorted(res.Rows)
+			if len(got) != len(want) {
+				t.Fatalf("%s: eos with %d rows, want %d", what, len(got), len(want))
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("%s: eos with row %d differing from the centralized baseline", what, j)
+				}
+			}
+		default:
+			t.Fatalf("%s: ended %q, want eos or %q", what, res.Reason, pier.ReasonChurnDegraded)
+		}
+	}
+	// The warm-up fills every batcher's owner cache with the stage's
+	// collector owners; it must be whole.
+	warm := query()
+	if warm.Reason != pier.ReasonEOS {
+		t.Fatalf("warm-up ended %q", warm.Reason)
+	}
+	check("warm-up", warm)
+	// The victim is a collector other nodes' frames reached: an owner in
+	// their caches. It is not the coordinator.
+	var victim *pier.Node
+	for _, nd := range cl.Nodes[1:] {
+		if nd.Metrics.JoinArrivals.Load() > 0 {
+			victim = nd
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("no collector but the coordinator took join records")
+	}
+	leave := time.AfterFunc(warm.Duration/3, func() { cl.Net.SetDown(victim.Addr(), true) })
+	defer leave.Stop()
+	check("owner leaves mid-query", query())
+	check("after the departure", query())
+}

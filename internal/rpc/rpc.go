@@ -42,7 +42,10 @@ func (e *RemoteError) Error() string {
 // payload; a non-nil error is transported to the caller as a
 // RemoteError. Handlers run on a reused worker of the peer's set (see
 // Go), never on the transport's dispatch goroutine; they may block and
-// may issue nested calls.
+// may issue nested calls. req is a slice of the datagram, which the
+// handler may keep (the transport never reuses it) but must not write:
+// a retransmitted request reaches a second run of the handler as the
+// same slice, possibly while the first still reads it.
 type Handler func(from string, req []byte) ([]byte, error)
 
 // Config tunes the client side.
@@ -193,8 +196,17 @@ func (p *Peer) Close() error {
 	return err
 }
 
-func encodeFrame(kind byte, reqID uint64, method string, isErr bool, payload []byte) []byte {
-	w := wire.NewWriter(16 + len(method) + len(payload))
+// encodeFrame builds a datagram whose body is head followed by tail,
+// in one allocation of exactly its size: a caller holding a header and
+// a payload hands both over instead of joining them first.
+func encodeFrame(kind byte, reqID uint64, method string, isErr bool, head, tail []byte) []byte {
+	size := 1 + 8 + wire.UvarintLen(uint64(len(method))) + len(method)
+	if kind == kindResponse {
+		size++
+	}
+	body := len(head) + len(tail)
+	size += wire.UvarintLen(uint64(body)) + body
+	w := wire.NewWriter(size)
 	w.Byte(kind)
 	w.Uint64(reqID)
 	switch kind {
@@ -204,7 +216,9 @@ func encodeFrame(kind byte, reqID uint64, method string, isErr bool, payload []b
 		w.Bool(isErr)
 		w.String(method)
 	}
-	w.BytesLP(payload)
+	w.Uvarint(uint64(body))
+	w.Raw(head)
+	w.Raw(tail)
 	return w.Bytes()
 }
 
@@ -238,7 +252,7 @@ func (p *Peer) call(ctx context.Context, to, method string, req []byte, once boo
 		p.mu.Unlock()
 	}()
 
-	frame := encodeFrame(kindRequest, id, method, false, req)
+	frame := encodeFrame(kindRequest, id, method, false, req, nil)
 	mm := p.method(method)
 	var start time.Time
 	if mm != nil {
@@ -246,10 +260,20 @@ func (p *Peer) call(ctx context.Context, to, method string, req []byte, once boo
 		start = time.Now()
 	}
 	attempts := p.cfg.Retries + 1
+	// CallOnce arms no timer: only the response or ctx ends its wait.
+	var timer *time.Timer
+	var expired <-chan time.Time
 	if once {
 		attempts = 1
+	} else {
+		timer = time.NewTimer(p.cfg.Timeout)
+		defer timer.Stop()
+		expired = timer.C
 	}
 	for a := 0; a < attempts; a++ {
+		if a > 0 {
+			timer.Reset(p.cfg.Timeout) // it fired, and the wait below took its tick
+		}
 		if mm != nil {
 			mm.bytes.Add(uint64(len(frame)))
 			if a > 0 {
@@ -262,14 +286,8 @@ func (p *Peer) call(ctx context.Context, to, method string, req []byte, once boo
 			}
 			return nil, fmt.Errorf("rpc: call %s on %s: %w", method, to, err)
 		}
-		timer := time.NewTimer(p.cfg.Timeout)
-		expired := timer.C
-		if once {
-			expired = nil // only the response or ctx ends the wait
-		}
 		select {
 		case res := <-pc.ch:
-			timer.Stop()
 			if mm != nil {
 				if res.err != nil {
 					mm.errors.Inc()
@@ -278,7 +296,6 @@ func (p *Peer) call(ctx context.Context, to, method string, req []byte, once boo
 			}
 			return res.payload, res.err
 		case <-ctx.Done():
-			timer.Stop()
 			if mm != nil {
 				mm.errors.Inc()
 			}
@@ -295,13 +312,20 @@ func (p *Peer) call(ctx context.Context, to, method string, req []byte, once boo
 
 // Notify sends a one-way message with no response and no retry.
 func (p *Peer) Notify(to, method string, req []byte) error {
+	return p.NotifyParts(to, method, req, nil)
+}
+
+// NotifyParts is Notify of the body head followed by tail, framed in
+// one allocation and one copy of each: a relay passes its header as
+// head and the payload it forwards as tail, without joining them first.
+func (p *Peer) NotifyParts(to, method string, head, tail []byte) error {
 	p.mu.Lock()
 	closed := p.closed
 	p.mu.Unlock()
 	if closed {
 		return ErrClosed
 	}
-	frame := encodeFrame(kindOneway, 0, method, false, req)
+	frame := encodeFrame(kindOneway, 0, method, false, head, tail)
 	if mm := p.method(method); mm != nil {
 		mm.oneways.Inc()
 		mm.bytes.Add(uint64(len(frame)))
@@ -309,6 +333,10 @@ func (p *Peer) Notify(to, method string, req []byte) error {
 	return p.tr.Send(to, frame)
 }
 
+// onDatagram owns payload (the transport contract), so bodies are
+// handed to handlers and callers as subslices of it, never copied. A
+// retransmitted request arrives as the same slice each time, which is
+// why no handler writes into its request.
 func (p *Peer) onDatagram(from string, payload []byte) {
 	r := wire.NewReader(payload)
 	kind := r.Byte()
@@ -316,33 +344,30 @@ func (p *Peer) onDatagram(from string, payload []byte) {
 	switch kind {
 	case kindRequest:
 		method := r.String()
-		body := r.BytesLP()
+		req := r.BytesLP()
 		if r.Err() != nil {
 			return // corrupt frame: drop
 		}
-		// Copy: the handler outlives the datagram buffer.
-		req := append([]byte(nil), body...)
 		p.Go(func() { p.serve(from, reqID, method, req) })
 	case kindOneway:
-		method := r.String()
-		body := r.BytesLP()
+		method := r.BytesLP()
+		req := r.BytesLP()
 		if r.Err() != nil {
 			return
 		}
 		p.mu.Lock()
-		h := p.handlers[method]
+		h := p.handlers[string(method)] // no allocation: a map index converts in place
 		p.mu.Unlock()
 		if h == nil {
 			return
 		}
-		req := append([]byte(nil), body...)
 		p.Go(func() {
 			// One-way: response and error are discarded.
 			_, _ = h(from, req)
 		})
 	case kindResponse:
 		isErr := r.Bool()
-		method := r.String()
+		method := r.BytesLP()
 		body := r.BytesLP()
 		if r.Err() != nil {
 			return
@@ -353,11 +378,9 @@ func (p *Peer) onDatagram(from string, payload []byte) {
 		if pc == nil {
 			return // late or duplicate response
 		}
-		var res callResult
+		res := callResult{payload: body}
 		if isErr {
-			res.err = &RemoteError{Method: method, Msg: string(body)}
-		} else {
-			res.payload = append([]byte(nil), body...)
+			res = callResult{err: &RemoteError{Method: string(method), Msg: string(body)}}
 		}
 		select {
 		case pc.ch <- res:
@@ -381,9 +404,9 @@ func (p *Peer) serve(from string, reqID uint64, method string, req []byte) {
 	}
 	var frame []byte
 	if err != nil {
-		frame = encodeFrame(kindResponse, reqID, method, true, []byte(err.Error()))
+		frame = encodeFrame(kindResponse, reqID, method, true, []byte(err.Error()), nil)
 	} else {
-		frame = encodeFrame(kindResponse, reqID, method, false, resp)
+		frame = encodeFrame(kindResponse, reqID, method, false, resp, nil)
 	}
 	_ = p.tr.Send(from, frame) // best effort; caller retries
 }

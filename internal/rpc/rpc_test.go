@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -249,5 +250,80 @@ func TestCorruptFrameIgnored(t *testing.T) {
 	caller := New(n2, Config{})
 	if _, err := caller.Call(context.Background(), "b", "echo", []byte("alive")); err != nil {
 		t.Fatalf("peer dead after garbage: %v", err)
+	}
+}
+
+// TestRetransmitSharesRequest: a retransmitted Call reaches the handler
+// twice as one shared slice of the datagram, the second run starting
+// while the first still reads it. Under -race this holds the contract
+// that nothing writes into a request once sent.
+func TestRetransmitSharesRequest(t *testing.T) {
+	a, b, _ := pair(t, Config{Timeout: 20 * time.Millisecond, Retries: 3}, simnet.Config{})
+	want := []byte("a request read by two runs at once")
+	var runs atomic.Int32
+	second := make(chan struct{})
+	firstBuf := make(chan []byte, 1)
+	b.Handle("slow", func(from string, req []byte) ([]byte, error) {
+		if runs.Add(1) == 1 {
+			firstBuf <- req
+			// Keep reading until the retransmission's run has started.
+			for {
+				select {
+				case <-second:
+					return append([]byte(nil), req...), nil
+				default:
+					if string(req) != string(want) {
+						return nil, fmt.Errorf("first run read %q", req)
+					}
+					runtime.Gosched()
+				}
+			}
+		}
+		first := <-firstBuf
+		if &first[0] != &req[0] {
+			t.Error("the retransmitted request was copied, want the same slice")
+		}
+		if string(req) != string(want) {
+			t.Errorf("second run read %q", req)
+		}
+		close(second)
+		return append([]byte(nil), req...), nil
+	})
+	resp, err := a.Call(context.Background(), "b", "slow", want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resp) != string(want) {
+		t.Fatalf("got %q", resp)
+	}
+	if n := runs.Load(); n < 2 {
+		t.Fatalf("handler ran %d times, want the retransmission too", n)
+	}
+}
+
+// notifyAllocs is what a one-way datagram allocates from Notify
+// through simnet to the handler's return: the frame, simnet's delivery
+// closure, and the task handed to a parked worker. The body reaches the
+// handler uncopied and the method name is looked up without a string.
+const notifyAllocs = 3
+
+// TestNotifyAllocs holds a one-way datagram to notifyAllocs.
+func TestNotifyAllocs(t *testing.T) {
+	a, b, _ := pair(t, Config{}, simnet.Config{})
+	done := make(chan struct{})
+	b.Handle("sink", func(string, []byte) ([]byte, error) {
+		done <- struct{}{}
+		return nil, nil
+	})
+	payload := make([]byte, 4096)
+	send := func() {
+		if err := a.Notify("b", "sink", payload); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+	}
+	send() // start the worker the handler parks on
+	if allocs := testing.AllocsPerRun(200, send); allocs > notifyAllocs {
+		t.Fatalf("a one-way datagram allocates %.1f times, want <= %d", allocs, notifyAllocs)
 	}
 }

@@ -292,7 +292,7 @@ func (e *Endpoint) Send(addr string, payload []byte) error {
 	}
 	n.mu.Unlock()
 
-	msg := datagram{from: e.addr, payload: append([]byte(nil), payload...)}
+	msg := datagram{from: e.addr, payload: payload} // handed over: no copy (transport.Transport)
 	deliver := func() {
 		// Re-check down state at arrival: a node that crashed while
 		// the message was in flight must not receive it.

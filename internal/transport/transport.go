@@ -17,8 +17,10 @@ var ErrClosed = errors.New("transport: closed")
 var ErrUnreachable = errors.New("transport: unreachable")
 
 // Handler receives an inbound datagram. Implementations call the
-// handler from a dedicated goroutine; the payload must not be retained
-// after the handler returns unless copied.
+// handler from a dedicated goroutine. The handler owns the payload: no
+// transport reuses or writes it afterwards, so the handler may keep it
+// (or slices of it) past its return. It must not write to it either,
+// since a payload sent twice arrives as one shared slice.
 type Handler func(from string, payload []byte)
 
 // Transport is an unreliable, unordered datagram endpoint — the
@@ -29,7 +31,10 @@ type Transport interface {
 	Addr() string
 	// Send transmits payload to the peer at addr. Delivery is best
 	// effort: a nil error means the datagram was handed to the
-	// network, not that it arrived.
+	// network, not that it arrived. The caller hands payload over and
+	// never writes to it again; an implementation may deliver that
+	// very slice to the receiving Handler (simnet does), so nothing is
+	// copied on the way.
 	Send(addr string, payload []byte) error
 	// SetHandler installs the inbound datagram handler. It must be
 	// called before the first Send/receive and at most once.

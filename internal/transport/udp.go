@@ -95,7 +95,7 @@ func (u *UDP) readLoop() {
 		if h == nil || n > MaxDatagram {
 			continue
 		}
-		msg := make([]byte, n)
+		msg := make([]byte, n) // the handler owns it (Handler)
 		copy(msg, buf[:n])
 		h(from.String(), msg)
 	}

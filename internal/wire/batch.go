@@ -20,6 +20,11 @@ const batchVersion = 1
 // cannot force a huge allocation.
 const MaxBatchRecords = 1 << 16
 
+// maxBatchTags bounds DecodeBatch's table of distinct tags: a frame's
+// records share a tag or two, so each distinct tag is allocated once
+// per frame, and a corrupt frame of distinct tags cannot grow it.
+const maxBatchTags = 64
+
 // ErrBadBatch is returned for frames with an unknown version or an
 // absurd record count.
 var ErrBadBatch = errors.New("wire: malformed batch frame")
@@ -85,16 +90,29 @@ func DecodeBatch(buf []byte) ([]BatchRecord, error) {
 		capHint = max
 	}
 	recs := make([]BatchRecord, 0, capHint)
+	var tagBuf [4]string
+	tags := tagBuf[:0] // distinct tags so far, at most maxBatchTags
 	for i := uint64(0); i < count; i++ {
-		rec := BatchRecord{
-			Key:     r.BytesLP(),
-			Tag:     r.String(),
-			Payload: r.BytesLP(),
-		}
+		key := r.BytesLP()
+		raw := r.BytesLP()
+		payload := r.BytesLP()
 		if r.Err() != nil {
 			break
 		}
-		recs = append(recs, rec)
+		tag, seen := "", false
+		for _, t := range tags {
+			if t == string(raw) {
+				tag, seen = t, true
+				break
+			}
+		}
+		if !seen {
+			tag = string(raw)
+			if len(tags) < maxBatchTags {
+				tags = append(tags, tag)
+			}
+		}
+		recs = append(recs, BatchRecord{Key: key, Tag: tag, Payload: payload})
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

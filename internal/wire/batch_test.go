@@ -72,3 +72,36 @@ func TestBatchRejectsAbsurdCount(t *testing.T) {
 		t.Fatal("absurd record count accepted")
 	}
 }
+
+// TestBatchTagsInterned: a frame's records share one string per
+// distinct tag, so a 64-record frame of one tag allocates the record
+// list and one tag; past maxBatchTags distinct tags every record still
+// decodes with its own tag.
+func TestBatchTagsInterned(t *testing.T) {
+	recs := make([]BatchRecord, 64)
+	for i := range recs {
+		recs[i] = BatchRecord{Key: []byte("01234567890123456789"), Tag: "pier.join", Payload: []byte{byte(i)}}
+	}
+	buf := BatchBytes(recs)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeBatch(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Fatalf("decoding a 64-record frame of one tag allocates %.0f times, want 2", allocs)
+	}
+
+	distinct := make([]BatchRecord, 3*maxBatchTags)
+	for i := range distinct {
+		distinct[i] = BatchRecord{Key: []byte("k"), Tag: string(rune('A' + i%(2*maxBatchTags)))}
+	}
+	got, err := DecodeBatch(BatchBytes(distinct))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range distinct {
+		if got[i].Tag != distinct[i].Tag {
+			t.Fatalf("record %d: tag %q, want %q", i, got[i].Tag, distinct[i].Tag)
+		}
+	}
+}

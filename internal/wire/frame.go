@@ -29,15 +29,25 @@ const MaxFrameRecords = 65536
 
 // Encode appends the frame to w.
 func (f *TupleFrame) Encode(w *Writer) {
-	w.Uint64(f.Query)
-	w.Uint64(f.Window)
-	w.Byte(f.Stage)
-	w.Byte(f.Side)
-	w.Uvarint(uint64(len(f.Records)))
+	f.EncodeHead(w, len(f.Records))
 	for _, rec := range f.Records {
 		w.BytesLP(rec)
 	}
 }
+
+// EncodeHead appends the frame's header with a count of n records,
+// ignoring f.Records: a caller that encodes its records in place then
+// appends each one's length prefix and bytes, as BytesLP would.
+func (f *TupleFrame) EncodeHead(w *Writer, n int) {
+	w.Uint64(f.Query)
+	w.Uint64(f.Window)
+	w.Byte(f.Stage)
+	w.Byte(f.Side)
+	w.Uvarint(uint64(n))
+}
+
+// TupleFrameHeadLen is the length EncodeHead appends for n records.
+func TupleFrameHeadLen(n int) int { return 8 + 8 + 1 + 1 + UvarintLen(uint64(n)) }
 
 // Bytes serializes the frame into a fresh buffer.
 func (f *TupleFrame) Bytes() []byte {
@@ -50,39 +60,37 @@ func (f *TupleFrame) Bytes() []byte {
 	return w.Bytes()
 }
 
-// DecodeTupleFrame reads a frame written by Encode. Records alias the
-// reader's buffer; callers that retain them must copy.
-func DecodeTupleFrame(r *Reader) (*TupleFrame, error) {
-	f := &TupleFrame{
-		Query:  r.Uint64(),
-		Window: r.Uint64(),
-		Stage:  r.Byte(),
-		Side:   r.Byte(),
-	}
+// Decode reads buf, one whole frame written by Encode, into f, reusing
+// f.Records' storage: a caller decoding frame after frame into one
+// TupleFrame allocates its record list once. Records alias buf.
+func (f *TupleFrame) Decode(buf []byte) error {
+	var r Reader
+	r.Reset(buf)
+	f.Query = r.Uint64()
+	f.Window = r.Uint64()
+	f.Stage = r.Byte()
+	f.Side = r.Byte()
 	n := r.Uvarint()
 	// A record is at least its length byte, so the count is bounded by
 	// what is left to read as well as by the cap.
 	if n > MaxFrameRecords || n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("wire: tuple frame with %d records in %d bytes", n, r.Remaining())
+		return fmt.Errorf("wire: tuple frame with %d records in %d bytes", n, r.Remaining())
 	}
-	f.Records = make([][]byte, n)
-	for i := range f.Records {
-		f.Records[i] = r.BytesLP()
+	if uint64(cap(f.Records)) < n {
+		f.Records = make([][]byte, 0, n)
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
+	f.Records = f.Records[:0]
+	for i := uint64(0); i < n; i++ {
+		f.Records = append(f.Records, r.BytesLP())
 	}
-	return f, nil
+	return r.Done()
 }
 
-// TupleFrameFromBytes decodes a frame, rejecting trailing bytes.
+// TupleFrameFromBytes decodes a frame into a new TupleFrame, rejecting
+// trailing bytes. Records alias buf; callers that retain them must copy.
 func TupleFrameFromBytes(buf []byte) (*TupleFrame, error) {
-	r := NewReader(buf)
-	f, err := DecodeTupleFrame(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Done(); err != nil {
+	f := &TupleFrame{}
+	if err := f.Decode(buf); err != nil {
 		return nil, err
 	}
 	return f, nil

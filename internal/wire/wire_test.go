@@ -181,3 +181,38 @@ func TestQuickTimeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTupleFrameDecodeReuses: Decode reads a whole frame into a
+// caller's TupleFrame, reusing its record list, so decoding frame after
+// frame allocates nothing once the list is grown; it rejects what
+// TupleFrameFromBytes rejects.
+func TestTupleFrameDecodeReuses(t *testing.T) {
+	big := (&TupleFrame{Query: 1, Window: 2, Stage: 1, Side: 1, Records: [][]byte{[]byte("a"), []byte("bc"), nil}}).Bytes()
+	small := (&TupleFrame{Query: 3, Records: [][]byte{[]byte("d")}}).Bytes()
+	var f TupleFrame
+	if err := f.Decode(big); err != nil {
+		t.Fatal(err)
+	}
+	if f.Query != 1 || f.Window != 2 || f.Stage != 1 || f.Side != 1 || len(f.Records) != 3 || string(f.Records[1]) != "bc" {
+		t.Fatalf("decoded %+v", f)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := f.Decode(small); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Decode(big); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("decoding into a grown TupleFrame allocates %.0f times", allocs)
+	}
+	if err := f.Decode(small); err != nil || f.Query != 3 || len(f.Records) != 1 || string(f.Records[0]) != "d" {
+		t.Fatalf("decoded %+v, %v", f, err)
+	}
+	if err := f.Decode(append(small, 0)); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	if err := f.Decode(big[:len(big)-1]); err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+}
