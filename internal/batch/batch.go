@@ -167,12 +167,14 @@ type ownerEntry struct {
 	expires time.Time
 }
 
-// pendingFrame accumulates records destined for one owner.
+// pendingFrame accumulates records destined for one owner, each
+// encoded into the frame as it arrives.
 type pendingFrame struct {
-	repKey  id.ID // routing key for the frame (first record's key)
-	records []wire.BatchRecord
-	bytes   int
-	timer   *time.Timer
+	repKey id.ID  // routing key for the frame (first record's key)
+	tag    string // the first record's tag
+	recs   wire.BatchBuilder
+	bytes  int // the records' wire.BatchRecordSize, the budget's measure
+	timer  *time.Timer
 	// direct: every record carries the tag with a frame upcall, so the
 	// frame goes straight to its owner (routeVia); else hop by hop.
 	direct bool
@@ -189,8 +191,14 @@ type ownedFrame struct {
 // the key while the lookup runs wait here instead of blocking the
 // caller; they are framed (or routed individually) when it completes.
 type pendingLookup struct {
-	records []wire.BatchRecord
+	records []waiting
 	done    chan struct{} // closed after the records are handed off
+}
+
+// waiting is a record held by a pendingLookup: its key is the lookup's.
+type waiting struct {
+	tag     string
+	payload []byte
 }
 
 // routeVia is a router that can route a message with a given node as
@@ -326,23 +334,29 @@ func (b *Batcher) SetDeliverFrame(tag string, fn FrameFunc) {
 }
 
 func (b *Batcher) demux(frame []byte) {
-	recs, err := wire.DecodeBatch(frame)
+	b.mu.Lock()
+	tag, fn := b.frameTag, b.frameFn
+	b.mu.Unlock()
+	var br wire.BatchReader
+	left, err := br.Reset(frame, tag)
 	if err != nil {
 		return // best effort, like any corrupt datagram
 	}
 	b.metrics.FramesIn.Add(1)
-	b.mu.Lock()
-	tag, fn := b.frameTag, b.frameFn
-	b.mu.Unlock()
 	var owned []Record
-	for _, rec := range recs {
+	for rec, ok := br.Next(); ok; rec, ok = br.Next() {
+		left--
 		if len(rec.Key) != id.Bytes || rec.Tag == FrameTag {
 			continue
 		}
-		var rkey id.ID
-		copy(rkey[:], rec.Key)
 		b.metrics.Demuxed.Add(1)
+		rkey := id.ID(rec.Key)
 		if fn != nil && rec.Tag == tag && b.inner.Owns(rkey) {
+			if owned == nil {
+				// Sized for the rest of the frame: a frame sent to its
+				// owner is that owner's to the last record.
+				owned = make([]Record, 0, left+1)
+			}
 			owned = append(owned, Record{Key: rkey, Tag: rec.Tag, Payload: rec.Payload})
 			continue
 		}
@@ -367,37 +381,36 @@ func (b *Batcher) SetIntercept(fn overlay.InterceptFunc) {
 		if tag != FrameTag {
 			return fn(key, tag, payload)
 		}
-		recs, err := wire.DecodeBatch(payload)
-		if err != nil {
+		var br wire.BatchReader
+		if _, err := br.Reset(payload, ""); err != nil {
 			return payload, true
 		}
-		kept := make([]wire.BatchRecord, 0, len(recs))
+		// kept re-encodes the frame as records are offered; it becomes
+		// the frame only if something changed.
+		var kept wire.BatchBuilder
+		defer kept.Release()
 		changed := false
-		for _, rec := range recs {
-			if len(rec.Key) != id.Bytes {
-				kept = append(kept, rec)
-				continue
+		for rec, ok := br.Next(); ok; rec, ok = br.Next() {
+			if len(rec.Key) == id.Bytes {
+				np, forward := fn(id.ID(rec.Key), rec.Tag, rec.Payload)
+				if !forward {
+					changed = true
+					continue
+				}
+				if !sameSlice(np, rec.Payload) {
+					changed = true
+					rec.Payload = np
+				}
 			}
-			var rkey id.ID
-			copy(rkey[:], rec.Key)
-			np, forward := fn(rkey, rec.Tag, rec.Payload)
-			if !forward {
-				changed = true
-				continue
-			}
-			if !sameSlice(np, rec.Payload) {
-				changed = true
-				rec.Payload = np
-			}
-			kept = append(kept, rec)
+			kept.Add(rec.Key, rec.Tag, rec.Payload)
 		}
 		if !changed {
 			return payload, true
 		}
-		if len(kept) == 0 {
+		if kept.Len() == 0 {
 			return nil, false
 		}
-		return wire.BatchBytes(kept), true
+		return kept.Frame(), true
 	})
 }
 
@@ -420,7 +433,7 @@ func (b *Batcher) Route(key id.ID, tag string, payload []byte) error {
 		b.metrics.Passthrough.Add(1)
 		return b.inner.Route(key, tag, payload)
 	}
-	rec := wire.BatchRecord{Key: key[:], Tag: tag, Payload: payload}
+	var sendBuf [2]ownedFrame
 	now := time.Now()
 	b.mu.Lock()
 	if b.closed {
@@ -439,7 +452,7 @@ func (b *Batcher) Route(key id.ID, tag string, payload []byte) error {
 			return b.inner.Route(key, tag, payload)
 		}
 		b.metrics.RecordsIn.Add(1)
-		toSend := b.appendLocked(addr, key, rec)
+		toSend := b.appendLocked(sendBuf[:0], addr, key, tag, payload)
 		b.mu.Unlock()
 		b.metrics.OwnerHits.Add(1)
 		for _, it := range toSend {
@@ -447,25 +460,34 @@ func (b *Batcher) Route(key id.ID, tag string, payload []byte) error {
 		}
 		return nil
 	}
-	if pl := b.resolving[key]; pl != nil {
-		// A lookup for this key is already running: wait with it.
-		pl.records = append(pl.records, rec)
-		b.metrics.RecordsIn.Add(1)
-		b.mu.Unlock()
-		return nil
-	}
-	if len(b.resolving) >= maxInflightLookups {
+	if !b.waitLocked(key, waiting{tag: tag, payload: payload}) {
 		b.mu.Unlock()
 		b.metrics.Passthrough.Add(1)
 		return b.inner.Route(key, tag, payload)
 	}
-	pl := &pendingLookup{records: []wire.BatchRecord{rec}, done: make(chan struct{})}
-	b.resolving[key] = pl
 	b.mu.Unlock()
+	return nil
+}
+
+// waitLocked queues w behind the owner lookup of key, starting one when
+// none runs; false when the lookup cap leaves w to be routed as it is.
+// Caller holds b.mu.
+func (b *Batcher) waitLocked(key id.ID, w waiting) bool {
+	if pl := b.resolving[key]; pl != nil {
+		// A lookup for this key is already running: wait with it.
+		pl.records = append(pl.records, w)
+		b.metrics.RecordsIn.Add(1)
+		return true
+	}
+	if len(b.resolving) >= maxInflightLookups {
+		return false
+	}
+	pl := &pendingLookup{records: []waiting{w}, done: make(chan struct{})}
+	b.resolving[key] = pl
 	b.metrics.OwnerMisses.Add(1)
 	b.metrics.RecordsIn.Add(1)
 	go b.runLookup(key, pl)
-	return nil
+	return true
 }
 
 // Record is one logical routed message for RouteMany.
@@ -481,7 +503,12 @@ type Record struct {
 // overhead (lock, cache probe, metrics) once per tuple. Semantics are
 // those of calling Route per record, except that the records this node
 // owns of the tag with a frame upcall reach it in one call, like an
-// arriving frame's; payloads must not be mutated after the call.
+// arriving frame's, and that the payloads stay the caller's: a record
+// is copied into its owner's frame, or into a copy of its own while it
+// waits on a lookup, so the caller may reuse a payload's storage once
+// RouteMany returns, as long as the delivery upcalls of its tag keep
+// nothing they are handed (the engine's join upcall decodes its records
+// within the call).
 func (b *Batcher) RouteMany(recs []Record) error {
 	if b.cfg.Disabled {
 		var first error
@@ -493,55 +520,47 @@ func (b *Batcher) RouteMany(recs []Record) error {
 		}
 		return first
 	}
-	var toSend []ownedFrame
-	var passthrough []Record
-	// One array backs the framed records' keys: slicing each loop copy's
-	// key would move every record to the heap on its own.
-	keys := make([]id.ID, len(recs))
+	var sendBuf [8]ownedFrame
+	toSend := sendBuf[:0]
+	var passBuf [64]int32
+	pass := passBuf[:0] // indexes of the records routed one by one
 	now := time.Now()
 	b.mu.Lock()
 	tag, fn := b.frameTag, b.frameFn
 	for i, r := range recs {
 		if r.Tag == FrameTag || len(r.Payload) > b.cfg.MaxBytes || b.closed {
-			passthrough = append(passthrough, r)
+			pass = append(pass, int32(i))
 			continue
 		}
-		keys[i] = r.Key
-		rec := wire.BatchRecord{Key: keys[i][:], Tag: r.Tag, Payload: r.Payload}
 		if e, ok := b.owners[r.Key]; ok && now.Before(e.expires) {
 			b.metrics.OwnerHits.Add(1)
 			if e.addr == b.self {
 				// Locally-owned key: delivery is a local call.
-				passthrough = append(passthrough, r)
+				pass = append(pass, int32(i))
 				continue
 			}
 			b.metrics.RecordsIn.Add(1)
-			toSend = append(toSend, b.appendLocked(e.addr, r.Key, rec)...)
+			toSend = b.appendLocked(toSend, e.addr, r.Key, r.Tag, r.Payload)
 			continue
 		}
-		if pl := b.resolving[r.Key]; pl != nil {
-			pl.records = append(pl.records, rec)
-			b.metrics.RecordsIn.Add(1)
+		if b.resolving[r.Key] == nil && len(b.resolving) >= maxInflightLookups {
+			pass = append(pass, int32(i))
 			continue
 		}
-		if len(b.resolving) >= maxInflightLookups {
-			passthrough = append(passthrough, r)
-			continue
-		}
-		pl := &pendingLookup{records: []wire.BatchRecord{rec}, done: make(chan struct{})}
-		b.resolving[r.Key] = pl
-		b.metrics.OwnerMisses.Add(1)
-		b.metrics.RecordsIn.Add(1)
-		go b.runLookup(r.Key, pl)
+		b.waitLocked(r.Key, waiting{tag: r.Tag, payload: append([]byte(nil), r.Payload...)})
 	}
 	b.mu.Unlock()
 	var first error
 	var owned []Record
-	for _, r := range passthrough {
+	for _, i := range pass {
+		r := recs[i]
 		b.metrics.Passthrough.Add(1)
 		if fn != nil && r.Tag == tag && b.inner.Owns(r.Key) {
 			// Owned here: the call's owned records of the tag reach its
 			// frame upcall together, as an arriving frame's do.
+			if owned == nil {
+				owned = make([]Record, 0, len(pass))
+			}
 			owned = append(owned, r)
 			continue
 		}
@@ -558,39 +577,38 @@ func (b *Batcher) RouteMany(recs []Record) error {
 	return first
 }
 
-// appendLocked adds rec to owner's accumulating frame and returns any
-// frames that must be sent (early flush to respect the byte budget,
-// and/or the now-full frame). Caller holds b.mu and sends the result
-// after unlocking.
-func (b *Batcher) appendLocked(owner string, key id.ID, rec wire.BatchRecord) []ownedFrame {
-	var out []ownedFrame
-	recSize := wire.BatchRecordSize(rec)
+// appendLocked encodes a record into owner's accumulating frame and
+// appends to toSend any frames that must be sent (early flush to
+// respect the byte budget, and/or the now-full frame). Caller holds
+// b.mu and sends the result after unlocking.
+func (b *Batcher) appendLocked(toSend []ownedFrame, owner string, key id.ID, tag string, payload []byte) []ownedFrame {
+	recSize := wire.BatchRecordSize(wire.BatchRecord{Key: key[:], Tag: tag, Payload: payload})
 	f := b.frames[owner]
 	if f != nil && f.bytes+recSize > b.cfg.MaxBytes {
 		// Appending would blow the byte budget (and potentially the
 		// transport datagram limit): ship what's pending first.
 		b.metrics.FlushBytes.Add(1)
-		out = append(out, ownedFrame{owner, b.detachLocked(owner)})
+		toSend = append(toSend, ownedFrame{owner, b.detachLocked(owner)})
 		f = nil
 	}
 	if f == nil {
-		f = &pendingFrame{repKey: key, direct: b.via != nil && b.frameFn != nil}
+		f = &pendingFrame{repKey: key, tag: tag, direct: b.via != nil && b.frameFn != nil}
 		ownerCopy := owner
 		f.timer = time.AfterFunc(b.cfg.MaxDelay, func() { b.flushOwner(ownerCopy) })
 		b.frames[owner] = f
 	}
-	f.records = append(f.records, rec)
+	f.recs.Add(key[:], tag, payload)
 	f.bytes += recSize
-	f.direct = f.direct && rec.Tag == b.frameTag
-	if len(f.records) >= b.cfg.MaxRecords || f.bytes >= b.cfg.MaxBytes {
-		if len(f.records) >= b.cfg.MaxRecords {
+	f.direct = f.direct && tag == b.frameTag
+	if n := f.recs.Len(); n >= b.cfg.MaxRecords || f.bytes >= b.cfg.MaxBytes {
+		if n >= b.cfg.MaxRecords {
 			b.metrics.FlushCount.Add(1)
 		} else {
 			b.metrics.FlushBytes.Add(1)
 		}
-		out = append(out, ownedFrame{owner, b.detachLocked(owner)})
+		toSend = append(toSend, ownedFrame{owner, b.detachLocked(owner)})
 	}
-	return out
+	return toSend
 }
 
 // runLookup resolves the owner of key and hands the waiting records
@@ -612,8 +630,8 @@ func (b *Batcher) runLookup(key id.ID, pl *pendingLookup) {
 	}
 	var toSend []ownedFrame
 	if resolved && owner.Addr != b.self && !b.closed {
-		for _, rec := range recs {
-			toSend = append(toSend, b.appendLocked(owner.Addr, key, rec)...)
+		for _, w := range recs {
+			toSend = b.appendLocked(toSend, owner.Addr, key, w.tag, w.payload)
 		}
 		recs = nil
 	}
@@ -623,11 +641,9 @@ func (b *Batcher) runLookup(key id.ID, pl *pendingLookup) {
 	b.inflight++
 	b.mu.Unlock()
 	defer b.releaseInflight()
-	for _, rec := range recs {
-		var rkey id.ID
-		copy(rkey[:], rec.Key)
+	for _, w := range recs {
 		b.metrics.Passthrough.Add(1)
-		_ = b.inner.Route(rkey, rec.Tag, rec.Payload)
+		_ = b.inner.Route(key, w.tag, w.payload)
 	}
 	for _, it := range toSend {
 		b.dispatch(it.owner, it.f)
@@ -698,27 +714,31 @@ func (b *Batcher) flushOwner(owner string) {
 // sendFrame routes a detached frame. Single-record frames ship as
 // plain routed messages (no frame overhead). A failed frame send
 // invalidates the owner cache for this destination and falls back to
-// routing each record individually, so one dead owner cannot drop a
-// whole batch.
+// routing each record individually, read back from the frame, so one
+// dead owner cannot drop a whole batch.
 func (b *Batcher) sendFrame(owner string, f *pendingFrame) {
-	if len(f.records) == 1 {
-		rec := f.records[0]
+	n := f.recs.Len()
+	frame := f.recs.Frame()
+	f.recs.Release()
+	var br wire.BatchReader
+	if n == 1 {
+		br.Reset(frame, f.tag)
+		rec, _ := br.Next()
 		b.metrics.Passthrough.Add(1)
 		_ = b.routeFrame(owner, f, rec.Tag, rec.Payload)
 		return
 	}
-	err := b.routeFrame(owner, f, FrameTag, wire.BatchBytes(f.records))
+	err := b.routeFrame(owner, f, FrameTag, frame)
 	if err == nil {
 		b.metrics.FramesOut.Add(1)
-		b.metrics.FrameRecords.Add(uint64(len(f.records)))
+		b.metrics.FrameRecords.Add(uint64(n))
 		return
 	}
 	b.InvalidateOwner(owner)
-	for _, rec := range f.records {
-		var rkey id.ID
-		copy(rkey[:], rec.Key)
+	br.Reset(frame, f.tag)
+	for rec, ok := br.Next(); ok; rec, ok = br.Next() {
 		b.metrics.Passthrough.Add(1)
-		_ = b.inner.Route(rkey, rec.Tag, rec.Payload)
+		_ = b.inner.Route(id.ID(rec.Key), rec.Tag, rec.Payload)
 	}
 }
 

@@ -137,6 +137,11 @@ type storedItem struct {
 	pinned bool
 }
 
+// live reports whether a scan sees it: a primary copy, not expired.
+func (it *storedItem) live(now time.Time) bool {
+	return !it.replica && now.Before(it.expires)
+}
+
 // Store is one node's slice of the DHT.
 type Store struct {
 	router overlay.Router
@@ -456,23 +461,29 @@ func (s *Store) storeLocalPinned(ns string, rid id.ID, payload []byte, expires t
 }
 
 // LScan returns the live primary items stored locally under ns —
-// PIER's lscan, the input to every table scan operator. Replica
-// copies are excluded so distributed scans never double-count.
-// Single-shard LScanParts, so the liveness rule exists once.
+// PIER's lscan. Replica copies are excluded so distributed scans never
+// double-count.
 func (s *Store) LScan(ns string) []Item {
-	parts := s.LScanParts(ns, 1)
-	if len(parts) == 0 {
-		return nil
+	now := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m := s.items[ns]
+	out := make([]Item, 0, len(m))
+	for key, it := range m {
+		if it.live(now) {
+			out = append(out, Item{Namespace: ns, Resource: key.rid, Payload: it.payload, Expires: it.expires})
+		}
 	}
-	return parts[0]
+	return out
 }
 
-// LScanParts is LScan split into up to parts shards of roughly equal
-// size — the work units of the engine's parallel partitioned scans.
-// Items are dealt round-robin under one lock acquisition; shard
-// membership (like LScan order) is arbitrary, and empty shards are
-// omitted.
-func (s *Store) LScanParts(ns string, parts int) [][]Item {
+// LScanParts is LScan's payloads split into up to parts shards of
+// roughly equal size — the input to every table scan operator, a shard
+// per worker of the engine's parallel partitioned scans. Payloads are
+// dealt round-robin under one lock acquisition, straight into the
+// shards; shard membership (like LScan order) is arbitrary, and empty
+// shards are omitted.
+func (s *Store) LScanParts(ns string, parts int) [][][]byte {
 	if parts < 1 {
 		parts = 1
 	}
@@ -486,18 +497,18 @@ func (s *Store) LScanParts(ns string, parts int) [][]Item {
 		s.mu.Unlock()
 		return nil
 	}
-	out := make([][]Item, parts)
+	out := make([][][]byte, parts)
 	per := (len(m) + parts - 1) / parts
 	for i := range out {
-		out[i] = make([]Item, 0, per)
+		out[i] = make([][]byte, 0, per)
 	}
 	i := 0
-	for key, it := range m {
-		if it.replica || !now.Before(it.expires) {
+	for _, it := range m {
+		if !it.live(now) {
 			continue
 		}
 		shard := i % parts
-		out[shard] = append(out[shard], Item{Namespace: ns, Resource: key.rid, Payload: it.payload, Expires: it.expires})
+		out[shard] = append(out[shard], it.payload)
 		i++
 	}
 	s.mu.Unlock()
@@ -528,7 +539,7 @@ func (s *Store) Count(ns string) int {
 	defer s.mu.Unlock()
 	n := 0
 	for _, it := range s.items[ns] {
-		if !it.replica && now.Before(it.expires) {
+		if it.live(now) {
 			n++
 		}
 	}

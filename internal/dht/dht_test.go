@@ -334,8 +334,8 @@ func TestLScanPartsPartitionsPrimaries(t *testing.T) {
 			if len(shard) == 0 {
 				t.Fatalf("empty shard among %d", len(parts))
 			}
-			for _, it := range shard {
-				seen[string(it.Payload)] = true
+			for _, payload := range shard {
+				seen[string(payload)] = true
 				total++
 			}
 		}

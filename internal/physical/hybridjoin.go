@@ -139,41 +139,48 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 			windows := make(map[uint64]*hybridWindow)
 			var resident int64 // resident build bytes across all windows
 
-			// pair appends the output row of a matched (left, right) pair
-			// to arena: the concatenation, or Proj evaluated over it (ok
+			// arena holds the output rows' values. Its blocks are never
+			// copied or reused (tuple.Room): a full one stays with the rows
+			// cut from it, downstream, and the next is started, so a value
+			// is written once however many rows a message matches.
+			var arena []tuple.Value
+			// pair builds the output row of a matched (left, right) pair in
+			// arena: the concatenation, or Proj evaluated over it (ok
 			// false: the evaluation failed and the pair is dropped).
 			var scratch tuple.Tuple
-			pair := func(arena []tuple.Value, l, r tuple.Tuple) (tuple.Tuple, []tuple.Value, bool) {
+			pair := func(l, r tuple.Tuple) (tuple.Tuple, bool) {
+				arena = tuple.Room(arena, outArity)
 				if cfg.Proj == nil {
-					j, arena := tuple.ConcatInto(arena, l, r)
-					return j, arena, true
+					var j tuple.Tuple
+					j, arena = tuple.ConcatInto(arena, l, r)
+					return j, true
 				}
 				scratch = append(append(scratch[:0], l...), r...)
 				lo := len(arena)
 				for _, e := range cfg.Proj {
 					v, err := e.Eval(scratch)
 					if err != nil {
-						return nil, arena[:lo], false
+						arena = arena[:lo]
+						return nil, false
 					}
 					arena = append(arena, v)
 				}
 				hi := len(arena)
-				return tuple.Tuple(arena[lo:hi:hi]), arena, true
+				return tuple.Tuple(arena[lo:hi:hi]), true
 			}
 			// probe appends the output rows of t, arrived on side, against
 			// the other side's tuples of its key.
-			probe := func(out []tuple.Tuple, arena []tuple.Value, side int, t tuple.Tuple, others []tuple.Tuple) ([]tuple.Tuple, []tuple.Value) {
+			probe := func(out []tuple.Tuple, side int, t tuple.Tuple, others []tuple.Tuple) []tuple.Tuple {
 				for _, o := range others {
 					l, r := t, o
 					if side == 1 {
 						l, r = o, t
 					}
-					j, grown, ok := pair(arena, l, r)
-					if arena = grown; ok {
+					if j, ok := pair(l, r); ok {
 						out = append(out, j)
 					}
 				}
-				return out, arena
+				return out
 			}
 
 			part := func(hw *hybridWindow, key []byte) *hybridPart {
@@ -243,12 +250,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 
 			// add inserts one tuple into a resident partition: dedup
 			// identical retransmits, probe the other side, emit matches.
-			// A message's first match allocates its output arena, for
-			// about one match per tuple of the message still to come
-			// (rest, this one included); a message that matches nothing
-			// — one side's frames arriving before the other's —
-			// allocates none.
-			add := func(p *hybridPart, side int, key []byte, t tuple.Tuple, out []tuple.Tuple, arena []tuple.Value, rest int) ([]tuple.Tuple, []tuple.Value) {
+			add := func(p *hybridPart, side int, key []byte, t tuple.Tuple, out []tuple.Tuple) []tuple.Tuple {
 				b := p.table[string(key)]
 				if b == nil {
 					b = &hybridBucket{}
@@ -256,7 +258,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 				}
 				for _, existing := range b.rows[side] {
 					if existing.Equal(t) {
-						return out, arena // duplicate retransmit
+						return out // duplicate retransmit
 					}
 				}
 				b.rows[side] = append(b.rows[side], t)
@@ -264,13 +266,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 				p.bytes += grew
 				p.rows++
 				resident += grew
-				if others := b.rows[1-side]; len(others) > 0 {
-					if arena == nil {
-						arena = make([]tuple.Value, 0, outArity*rest)
-					}
-					out, arena = probe(out, arena, side, t, others)
-				}
-				return out, arena
+				return probe(out, side, t, b.rows[1-side])
 			}
 
 			// loadAndJoin replays one overflow file in memory: joined
@@ -284,7 +280,6 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 				table := make(map[string]*hybridBucket)
 				var passBytes int64
 				var joined []tuple.Tuple
-				var arena []tuple.Value
 				for {
 					fr, err := r.Next()
 					if err != nil {
@@ -320,7 +315,7 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 						b.rows[side] = append(b.rows[side], t)
 						passBytes += t.MemSize() + int64(len(key))
 						if !fr.Joined {
-							joined, arena = probe(joined, arena, side, t, b.rows[1-side])
+							joined = probe(joined, side, t, b.rows[1-side])
 						}
 					}
 				}
@@ -535,9 +530,11 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 					hw = &hybridWindow{}
 					windows[m.Seq] = hw
 				}
+				// Output leaves in full vectors of batchSize rows as the
+				// message is joined (the time downstream is not the
+				// join's), then the rest after it.
 				joined := dataflow.GetBatch()
-				var arena []tuple.Value
-				for i, t := range ts {
+				for _, t := range ts {
 					if len(t) != arity[side] {
 						continue
 					}
@@ -550,12 +547,19 @@ func HybridJoin(arity [2]int, keyCols [2][]int, cfg HybridJoinConfig) OpFunc {
 						wire.PutWriter(w)
 						continue
 					}
-					joined, arena = add(p, side, key, t, joined, arena, len(ts)-i)
+					joined = add(p, side, key, t, joined)
 					wire.PutWriter(w)
+					if len(joined) >= batchSize {
+						c.Busy(start)
+						c.EmitBatch(joined)
+						out.Emit(dataflow.BatchMsg(joined, m.Seq))
+						joined = dataflow.GetBatch()
+						start = time.Now()
+					}
 					// The budget holds per tuple, not per message: a
 					// frame's group can be hundreds of tuples. Pairs of
-					// the tuples added so far are in joined, so a victim
-					// spills as joined; its later arrivals in this
+					// the tuples added so far are downstream or in joined,
+					// so a victim spills as joined; its later arrivals in this
 					// message go to pends, written after that dump.
 					if spillOn && resident > cfg.Budget {
 						c.ObserveMem(resident)

@@ -575,6 +575,9 @@ func RehashExchange(stage, side int, keyCols []int,
 				}
 				c.RecvRows(len(m.Batch))
 				w := wire.GetWriter()
+				if cap(keys) < len(m.Batch) {
+					keys = make([][]byte, 0, len(m.Batch))
+				}
 				keys = keys[:0]
 				for _, t := range m.Batch {
 					from := w.Len()
@@ -626,9 +629,14 @@ func ShipPartial(ship func(window uint64, partials []tuple.Tuple) int, flushRout
 // collector, whose input never ends — held rows also ship as soon as
 // the input runs dry (the graph's Idle call): an idle node sends each
 // arrival at once, a node that is behind fills whole result frames.
+// ship must not keep rows past its return: the list is reused.
 func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, frameBytes int, eager bool, flushRoutes func(), drainAck func(round uint64)) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(out *dataflow.Out) dataflow.Op {
+			// batch is reused frame after frame, ship being done with a
+			// frame when it returns, and handed on to the next pipeline
+			// through shipLists.
+			var list *[]tuple.Tuple
 			var batch []tuple.Tuple
 			var batchSeq uint64
 			size := 0 // encoded record bytes held in batch
@@ -637,9 +645,18 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, frameBytes int, 
 					return
 				}
 				c.EmitRows(len(batch), ship(batchSeq, batch))
-				batch, size = nil, 0
+				clear(batch)
+				batch, size = batch[:0], 0
 			}
-			op := dataflow.Op{End: flush, Push: func(_ int, m dataflow.Msg) {
+			end := func() {
+				flush()
+				if list != nil {
+					*list, batch = batch, nil
+					shipLists.Put(list)
+					list = nil
+				}
+			}
+			op := dataflow.Op{End: end, Push: func(_ int, m dataflow.Msg) {
 				start := time.Now()
 				defer c.Busy(start)
 				if m.Kind != dataflow.Data {
@@ -654,6 +671,10 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, frameBytes int, 
 					return
 				}
 				c.RecvRows(len(m.Batch))
+				if list == nil {
+					list = shipLists.Get().(*[]tuple.Tuple)
+					batch = (*list)[:0]
+				}
 				if len(batch) > 0 && m.Seq != batchSeq {
 					flush()
 				}
@@ -684,6 +705,12 @@ func ShipRows(ship func(window uint64, rows []tuple.Tuple) int, frameBytes int, 
 		}
 	}
 }
+
+// shipLists recycles ShipRows' frame lists, empty, from one pipeline to
+// the next. They are a frame's rows long — hundreds to thousands — so
+// they stay out of dataflow's batch pool, whose containers every
+// PutBatch clears to their capacity.
+var shipLists = sync.Pool{New: func() any { return new([]tuple.Tuple) }}
 
 // FuncSink invokes fn per data tuple — tests and the benchmark's
 // layer probes collect through it.
@@ -797,8 +824,9 @@ func Limit(n int) OpFunc {
 	}
 }
 
-// Collect appends every data tuple into out and forwards nothing.
-// The slice must not be read until the graph finishes.
+// Collect appends every data tuple into rows (nil: only counts them)
+// and forwards nothing. The slice must not be read until the graph
+// finishes.
 func Collect(rows *[]tuple.Tuple) OpFunc {
 	return func(c *Counters) dataflow.RunFunc {
 		return func(out *dataflow.Out) dataflow.Op {
@@ -808,7 +836,9 @@ func Collect(rows *[]tuple.Tuple) OpFunc {
 					return
 				}
 				c.RecvRows(len(m.Batch))
-				*rows = append(*rows, m.Batch...)
+				if rows != nil {
+					*rows = append(*rows, m.Batch...)
+				}
 				dataflow.PutBatch(m.Batch)
 			}}
 		}

@@ -40,7 +40,8 @@ type Env struct {
 	Fetch func(ctx context.Context, ns string, rid id.ID) ([][]byte, error)
 	// ShipRows delivers one result frame of canonical rows to the
 	// coordinator (at most RowFrameBytes of encoded rows, unless one row
-	// alone is larger), returning the payload bytes shipped.
+	// alone is larger), returning the payload bytes shipped. It must not
+	// keep rows past its return: the ship-rows sink reuses the list.
 	ShipRows func(window uint64, rows []tuple.Tuple) int
 	// ShipPartial routes a batch of partial-state tuples toward their
 	// groups' aggregation collectors, returning the payload bytes
@@ -345,9 +346,7 @@ func CompileJoinCollector(spec *plan.Spec, stage int, env *Env) (*Pipeline, [2]*
 	if last {
 		cfg.Proj = spec.Proj
 	}
-	jp := p.Add("hybrid-join", HybridJoin(
-		[2]int{spec.LeftArity(stage), spec.Scans[stage+1].Schema.Arity()},
-		[2][]int{j.LeftCols, j.RightCols}, cfg))
+	jp := p.Add("hybrid-join", HybridJoin(JoinArity(spec, stage), [2][]int{j.LeftCols, j.RightCols}, cfg))
 	p.Connect(l, jp)
 	p.Connect(r, jp)
 	if last {
@@ -356,6 +355,13 @@ func CompileJoinCollector(spec *plan.Spec, stage int, env *Env) (*Pipeline, [2]*
 	}
 	p.addJoinContinuation(spec, env, jp, stage+1)
 	return p, inlets
+}
+
+// JoinArity is the width of the tuples each side of a join stage's
+// collector takes: the rows joined so far on the left, the stage's scan
+// on the right. A tuple of another width is no input of the stage.
+func JoinArity(spec *plan.Spec, stage int) [2]int {
+	return [2]int{spec.LeftArity(stage), spec.Scans[stage+1].Schema.Arity()}
 }
 
 // CompileFetchCollector builds the collector pipeline of a
@@ -425,11 +431,13 @@ func CompileAggCollector(spec *plan.Spec, env *Env) (*Pipeline, *Inlet) {
 // canonical rows: HAVING, DISTINCT, ORDER BY, LIMIT, and the output
 // permutation when it moves a column (a plain SELECT's rows are already
 // in select-list order) — the same operator library, instrumented. Of env it
-// reads only BatchSize, the tail's vectorization width, and Go.
+// reads only BatchSize, the tail's vectorization width, and Go. With
+// none of them the answer is rows, not a copy of it.
 func CompileFinalize(spec *plan.Spec, rows []tuple.Tuple, out *[]tuple.Tuple, env *Env) *Pipeline {
 	p := env.newPipeline("coordinator", spec.Analyze)
 	bs := env.batchSize()
-	prev := p.Add("rows", SliceSource(rows, bs))
+	src := p.Add("rows", SliceSource(rows, bs))
+	prev := src
 	if spec.Having != nil {
 		h := p.Add("having", Filter(spec.Having))
 		p.Connect(prev, h)
@@ -458,10 +466,18 @@ func CompileFinalize(spec *plan.Spec, rows []tuple.Tuple, out *[]tuple.Tuple, en
 		p.Connect(prev, perm)
 		prev = perm
 	}
-	// No tail operator emits more rows than it takes: size the answer
-	// once instead of growing it row by row.
-	*out = make([]tuple.Tuple, 0, len(rows))
-	sink := p.Add("collect", Collect(out))
+	var sink *dataflow.Node
+	if prev == src {
+		// An identity tail: the answer is rows itself, handed over
+		// uncopied, and the sink only counts what passes.
+		*out = rows
+		sink = p.Add("collect", Collect(nil))
+	} else {
+		// No tail operator emits more rows than it takes: size the
+		// answer once instead of growing it row by row.
+		*out = make([]tuple.Tuple, 0, len(rows))
+		sink = p.Add("collect", Collect(out))
+	}
 	p.Connect(prev, sink)
 	return p
 }

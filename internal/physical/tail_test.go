@@ -186,3 +186,43 @@ func TestPartialAggEmptyInputFormsNoGroup(t *testing.T) {
 		}
 	})
 }
+
+// TestIdentityTailHandsRowsOver: a plain SELECT's coordinator tail has
+// nothing to do to a row, so its answer is the collected rows
+// themselves, not a copy: at a width that moves either in one batch,
+// running it costs the same few allocations for 10 rows as for 1000,
+// and the tail still counts what passed.
+func TestIdentityTailHandsRowsOver(t *testing.T) {
+	spec := compileSQL(t, "SELECT name, qty FROM kv")
+	env := &Env{BatchSize: 1000}
+	run := func(n int) float64 {
+		rows := make([]tuple.Tuple, n)
+		for i := range rows {
+			rows[i] = row("r", int64(i))
+		}
+		var out []tuple.Tuple
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := CompileFinalize(spec, rows, &out, env).Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(out) != n || &out[0] != &rows[0] {
+			t.Fatalf("answer of %d rows is not the collected rows", len(out))
+		}
+		return allocs
+	}
+	few, many := run(10), run(1000)
+	t.Logf("identity tail: %.0f allocations for 10 rows, %.0f for 1000", few, many)
+	if many > few {
+		t.Fatalf("the tail allocates %.0f times for 1000 rows, %.0f for 10: it copies the answer", many, few)
+	}
+	p := CompileFinalize(spec, []tuple.Tuple{row("a", 1), row("b", 2)}, new([]tuple.Tuple), env)
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range p.Stats() {
+		if s.Op == "collect" && s.RowsIn != 2 {
+			t.Fatalf("collect counted %d rows, want 2", s.RowsIn)
+		}
+	}
+}

@@ -642,37 +642,46 @@ func (n *Node) gatherBloom(ctx context.Context, spec *plan.Spec) (map[int]*bloom
 // ---------------------------------------------------------------------------
 // Coordinator result assembly
 
-// coordAddRows ingests result rows from participants/collectors.
+// coordAddRows ingests one frame of result rows from a participant or
+// collector. A plain query keeps the frame's row list as it arrived
+// (rows is the caller's to give: it is filtered in place), and only
+// rows of the canonical width are stored and booked as received, so a
+// dropped row leaves the books short instead of ending the query eos
+// without it.
 func (q *queryState) coordAddRows(window uint64, rows []tuple.Tuple) {
 	if q.ctx.Err() != nil {
 		return // query already stopped; ignore stragglers
 	}
 	spec := q.spec
 	width := spec.CanonicalWidth()
+	kept := rows[:0]
+	for _, t := range rows {
+		if len(t) == width {
+			kept = append(kept, t)
+		}
+	}
+	clear(rows[len(kept):])
 	q.coMu.Lock()
 	q.lastActivity = time.Now()
-	for _, t := range rows {
-		if len(t) != width {
-			continue
+	if spec.IsAggregate() {
+		// Finals replace per group: collectors re-flush refined values
+		// as stragglers arrive.
+		m := q.aggRows[window]
+		if m == nil {
+			m = make(map[string]tuple.Tuple)
+			q.aggRows[window] = m
 		}
-		if spec.IsAggregate() {
-			// Finals replace per group: collectors re-flush refined
-			// values as stragglers arrive.
-			m := q.aggRows[window]
-			if m == nil {
-				m = make(map[string]tuple.Tuple)
-				q.aggRows[window] = m
-			}
+		for _, t := range kept {
 			m[string(t[:len(spec.GroupCols)].Bytes())] = t
-		} else {
-			q.plainRows[window] = append(q.plainRows[window], t)
 		}
+	} else if len(kept) > 0 {
+		q.plainRows[window] = append(q.plainRows[window], kept)
 	}
 	results := q.results
 	q.coMu.Unlock()
 	// Counted only after the rows are stored, so balanced EOS books
 	// imply every delivered row is already in the result maps.
-	q.countRecv(chanKey{kind: chanRows}, len(rows))
+	q.countRecv(chanKey{kind: chanRows}, len(kept))
 	// Continuous queries: schedule the window's flush at its close
 	// time plus settle margin.
 	if results != nil {
@@ -725,7 +734,7 @@ func (q *queryState) flushWindow(window uint64, closeAt time.Time) {
 }
 
 // canonicalRows snapshots the coordinator's collected rows for one
-// window in a deterministic order.
+// window in a deterministic order: the answer's row list, sized once.
 func (q *queryState) canonicalRows(window uint64) []tuple.Tuple {
 	q.coMu.Lock()
 	defer q.coMu.Unlock()
@@ -742,7 +751,16 @@ func (q *queryState) canonicalRows(window uint64) []tuple.Tuple {
 		}
 		return out
 	}
-	return append([]tuple.Tuple(nil), q.plainRows[window]...)
+	frames := q.plainRows[window]
+	n := 0
+	for _, rows := range frames {
+		n += len(rows)
+	}
+	out := make([]tuple.Tuple, 0, n)
+	for _, rows := range frames {
+		out = append(out, rows...)
+	}
+	return out
 }
 
 // finalizeRows runs the coordinator-local tail of a plan over

@@ -89,7 +89,7 @@ type queryState struct {
 	isCoord      bool
 	coMu         sync.Mutex
 	aggRows      map[uint64]map[string]tuple.Tuple // window -> groupkey -> canonical row
-	plainRows    map[uint64][]tuple.Tuple          // window -> canonical rows
+	plainRows    map[uint64][][]tuple.Tuple        // window -> canonical rows, a list per frame
 	lastActivity time.Time
 	doneNodes    map[string]bool
 	winFlushed   map[uint64]bool
@@ -284,7 +284,7 @@ func (n *Node) newQueryState(qid uint64, spec *plan.Spec, coord string, joinPart
 		ctx:        ctx,
 		cancel:     cancel,
 		aggRows:    make(map[uint64]map[string]tuple.Tuple),
-		plainRows:  make(map[uint64][]tuple.Tuple),
+		plainRows:  make(map[uint64][][]tuple.Tuple),
 		doneNodes:  make(map[string]bool),
 		winFlushed: make(map[uint64]bool),
 		winTimers:  make(map[uint64]*time.Timer),
@@ -411,31 +411,43 @@ func decodeQueryMsg(payload []byte) (m queryMsg, err error) {
 // header carries (query, window, join stage, side).
 
 func encodeTupleMsg(qid, window uint64, stage, side uint8, rows ...tuple.Tuple) []byte {
-	// Sized once and encoded in place: each record is its length prefix
-	// and the tuple's encoding, written straight into the frame.
+	// Sized once and encoded in place.
 	size := wire.TupleFrameHeadLen(len(rows))
 	for _, t := range rows {
 		n := t.EncodedLen()
 		size += wire.UvarintLen(uint64(n)) + n
 	}
 	w := wire.NewWriter(size)
-	f := wire.TupleFrame{Query: qid, Window: window, Stage: stage, Side: side}
-	f.EncodeHead(w, len(rows))
-	for _, t := range rows {
-		w.Uvarint(uint64(t.EncodedLen()))
-		t.Encode(w)
-	}
+	appendTupleMsg(w, qid, window, stage, side, rows)
 	return w.Bytes()
 }
 
-func decodeTupleMsg(payload []byte) (*wire.TupleFrame, []tuple.Tuple, error) {
-	f, err := wire.TupleFrameFromBytes(payload)
+// appendTupleMsg appends the frame of rows to w, each row encoded
+// straight into it.
+func appendTupleMsg(w *wire.Writer, qid, window uint64, stage, side uint8, rows []tuple.Tuple) {
+	f := wire.TupleFrame{Query: qid, Window: window, Stage: stage, Side: side}
+	f.EncodeHead(w, len(rows))
+	tuple.AppendRecords(w, rows)
+}
+
+// decodeTupleMsg decodes one whole frame: its header, and its rows into
+// one arena and one list, both sized from the frame.
+func decodeTupleMsg(payload []byte) (wire.TupleFrame, []tuple.Tuple, error) {
+	var f wire.TupleFrame
+	var r wire.Reader
+	r.Reset(payload)
+	n, err := f.DecodeHead(&r)
 	if err != nil {
-		return nil, nil, err
+		return f, nil, err
 	}
-	rows, err := tuple.DecodeRecords(f.Records)
+	var d tuple.Decoder
+	d.ReserveFrame(&r, n)
+	rows, err := d.DecodeRecords(&r, n, -1, make([]tuple.Tuple, 0, n))
+	if err == nil {
+		err = r.Done()
+	}
 	if err != nil {
-		return nil, nil, err
+		return f, nil, err
 	}
 	return f, rows, nil
 }
@@ -574,21 +586,68 @@ type joinGroup struct {
 	q           *queryState
 	window      uint64
 	stage, side uint8
-	recs        [][]byte
+	width       int // the stage side's tuple width: other records are dropped
+	n, size     int // its frames' records and record bytes
+}
+
+// joinFrame is one arriving frame of a group: recs is its n records,
+// which must end it.
+type joinFrame struct {
+	group int
+	n     int
+	recs  []byte
 }
 
 // onJoinRecords feeds the rehashed join records of one arrival — the
 // records of an arriving frame this node owns (the route batcher's
 // frame upcall), or a record that arrived alone — to their collectors:
 // one decode and one inlet push per (query, stage, side, window)
-// group, so a frame costs its receiver per group, not per record.
-// Records of a query not yet announced are buffered one by one.
+// group, so a frame costs its receiver per group, not per record. A
+// group's rows are decoded where they lie, frame by frame, into one
+// arena and one row list sized from its frames' record counts. Only
+// what is pushed is booked as received: a tuple not of its stage side's
+// width is dropped, and a malformed record drops the rest of its own
+// frame, so lost rows leave the books short instead of ending the query
+// eos without them. Records of a query not yet announced are buffered
+// one by one.
 func (n *Node) onJoinRecords(recs []batch.Record) {
 	n.Metrics.JoinArrivals.Add(1)
-	var groups []joinGroup
-	var f wire.TupleFrame // one header and record list serve every record
+	var groupBuf [4]joinGroup
+	var frameBuf [64]joinFrame
+	groups, frames := groupJoinFrames(recs, groupBuf[:0], frameBuf[:0], n.joinQuery)
+	for gi := range groups {
+		g := &groups[gi]
+		rows := g.decode(gi, frames)
+		if len(rows) == 0 {
+			dataflow.PutBatch(rows)
+			continue
+		}
+		n.Metrics.JoinPushes.Add(1)
+		g.q.collectJoinTuples(g.window, int(g.stage), int(g.side), rows)
+	}
+}
+
+// joinQuery is the state of query qid for an arriving join frame, or
+// nil once the frame is buffered to wait for the query's announcement.
+func (n *Node) joinQuery(qid uint64, payload []byte) *queryState {
+	q := n.getQuery(qid, nil)
+	if q == nil {
+		n.bufferPending(qid, tagJoin, payload)
+	}
+	return q
+}
+
+// groupJoinFrames reads the header of each record's frame and appends
+// the frame to frames and its group to groups, when new. query resolves
+// a frame's query (nil: not here, the frame is dropped); a frame of no
+// stage of its query, or with no records, is dropped too.
+func groupJoinFrames(recs []batch.Record, groups []joinGroup, frames []joinFrame, query func(qid uint64, payload []byte) *queryState) ([]joinGroup, []joinFrame) {
+	var f wire.TupleFrame
+	var r wire.Reader
 	for _, rec := range recs {
-		if err := f.Decode(rec.Payload); err != nil || len(f.Records) == 0 || f.Side > 1 {
+		r.Reset(rec.Payload)
+		cnt, err := f.DecodeHead(&r)
+		if err != nil || cnt == 0 || f.Side > 1 {
 			continue
 		}
 		i := 0
@@ -597,23 +656,44 @@ func (n *Node) onJoinRecords(recs []batch.Record) {
 			i++
 		}
 		if i == len(groups) {
-			q := n.getQuery(f.Query, nil)
-			if q == nil {
-				n.bufferPending(f.Query, tagJoin, rec.Payload)
+			q := query(f.Query, rec.Payload)
+			if q == nil || int(f.Stage) >= len(q.spec.Joins) {
 				continue
 			}
-			groups = append(groups, joinGroup{q: q, window: f.Window, stage: f.Stage, side: f.Side})
+			width := physical.JoinArity(q.spec, int(f.Stage))[f.Side]
+			groups = append(groups, joinGroup{q: q, window: f.Window, stage: f.Stage, side: f.Side, width: width})
 		}
-		groups[i].recs = append(groups[i].recs, f.Records...)
+		groups[i].n += cnt
+		groups[i].size += r.Remaining()
+		frames = append(frames, joinFrame{group: i, n: cnt, recs: rec.Payload[len(rec.Payload)-r.Remaining():]})
 	}
-	for _, g := range groups {
-		rows, err := tuple.DecodeRecords(g.recs)
-		if err != nil {
+	return groups, frames
+}
+
+// decode decodes group gi's rows from its frames, where they lie, into
+// one arena and one pooled row list, both sized from the record counts.
+// A tuple not of the group's width is dropped, and a malformed frame
+// loses its own records.
+func (g *joinGroup) decode(gi int, frames []joinFrame) []tuple.Tuple {
+	var d tuple.Decoder
+	d.ReserveRecords(g.n, g.width, g.size)
+	rows := dataflow.GetBatch()
+	if cap(rows) < g.n {
+		rows = make([]tuple.Tuple, 0, g.n)
+	}
+	var r wire.Reader
+	for _, fr := range frames {
+		if fr.group != gi {
 			continue
 		}
-		n.Metrics.JoinPushes.Add(1)
-		g.q.collectJoinTuples(g.window, int(g.stage), int(g.side), rows)
+		kept := len(rows)
+		r.Reset(fr.recs)
+		var err error
+		if rows, err = d.DecodeRecords(&r, fr.n, g.width, rows); err == nil && r.Done() != nil {
+			rows = rows[:kept] // trailing bytes: the frame is malformed
+		}
 	}
+	return rows
 }
 
 // pendingMsg is a routed tuple awaiting its query announcement.

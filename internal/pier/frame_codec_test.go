@@ -22,9 +22,10 @@ func TestTupleFrameCodec(t *testing.T) {
 		{}, // another arity in the same frame
 		{tuple.Time(time.Unix(1096848000, 7)), tuple.IDVal(id.HashString("x")), tuple.Time(time.Time{})},
 	}
-	ref := wire.TupleFrame{Query: 42, Window: 7, Stage: 1, Side: 1}
+	ref := wire.NewWriter(256)
+	(&wire.TupleFrame{Query: 42, Window: 7, Stage: 1, Side: 1}).EncodeHead(ref, len(rows))
 	for _, r := range rows {
-		ref.Records = append(ref.Records, r.Bytes())
+		ref.BytesLP(r.Bytes())
 	}
 	payload := encodeTupleMsg(42, 7, 1, 1, rows...)
 	if !bytes.Equal(payload, ref.Bytes()) {
@@ -54,7 +55,7 @@ func TestTupleFrameCodec(t *testing.T) {
 	// is sized from it.
 	for _, count := range []uint64{wire.MaxFrameRecords, 1 << 63} {
 		w := wire.NewWriter(32)
-		(&wire.TupleFrame{Query: 42}).Encode(w)
+		(&wire.TupleFrame{Query: 42}).EncodeHead(w, 0)
 		lie := w.Bytes()[:w.Len()-1] // drop the zero count
 		w = wire.NewWriter(32)
 		w.Raw(lie)

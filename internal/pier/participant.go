@@ -15,6 +15,7 @@ import (
 	"repro/internal/physical"
 	"repro/internal/plan"
 	"repro/internal/tuple"
+	"repro/internal/wire"
 )
 
 // This file is the participant harness: every node's share of a
@@ -39,7 +40,7 @@ func (q *queryState) participate() {
 func (q *queryState) pipelineEnv() *physical.Env {
 	n := q.node
 	return &physical.Env{
-		Scan:                 n.scanPayloads,
+		Scan:                 n.store.LScanParts,
 		Fetch:                q.fetchProbe,
 		ShipRows:             q.sendRows,
 		ShipPartial:          q.shipPartials,
@@ -275,16 +276,21 @@ func (q *queryState) sendRows(window uint64, rows []tuple.Tuple) int {
 // its join-key value), one collector key per partition. Tuples sharing
 // a partition are packed into one multi-record frame in arrival order
 // (the receiver feeds them to its join pipeline as one batch), and the
-// whole vector is handed to the route batcher in one call.
+// whole vector is handed to the route batcher in one call. The frames
+// are encoded into pooled scratch, which the batcher copies each into
+// its owner's pending batch frame: a tuple is encoded once and lands in
+// the frame that crosses the network.
 func (q *queryState) rehashShip(stage, side int, window uint64, keys [][]byte, ts []tuple.Tuple) int {
 	q.node.Metrics.JoinTuplesRehashed.Add(uint64(len(ts)))
 	q.shipSpan()
 	q.countSent(chanKey{kind: chanJoin, stage: uint8(stage), side: uint8(side)}, len(ts))
+	sc := rehashPool.Get().(*rehashScratch)
+	defer sc.release()
 	// Bucket the batch by partition, arrival order kept within each: a
-	// counting sort into one array, a fixed few allocations per batch.
+	// counting sort into one array.
 	parts := q.joinParts
-	of := make([]int32, len(ts))
-	end := make([]int, parts+1) // partition p's tuples end at end[p+1]
+	of := resize(&sc.of, len(ts))
+	end := resize(&sc.end, parts+1) // partition p's tuples end at end[p+1]
 	for i := range ts {
 		p := physical.RehashPartition(keys[i], parts)
 		of[i] = int32(p)
@@ -293,26 +299,76 @@ func (q *queryState) rehashShip(stage, side int, window uint64, keys [][]byte, t
 	for p := 1; p <= parts; p++ {
 		end[p] += end[p-1]
 	}
-	sorted := make([]tuple.Tuple, len(ts))
-	next := append([]int(nil), end[:parts]...)
+	sorted := resize(&sc.sorted, len(ts))
+	next := resize(&sc.next, parts)
+	copy(next, end[:parts])
 	for i, t := range ts {
 		sorted[next[of[i]]] = t
 		next[of[i]]++
 	}
-	total := 0
 	origin := joinOrigin(stage)
-	recs := make([]batch.Record, 0, min(len(ts), parts))
+	recs := sc.recs[:0]
+	cut := next[:0] // where each record's frame ends in sc.w (the sort is done with next)
 	for p := 0; p < parts; p++ {
 		rows := sorted[end[p]:end[p+1]]
 		if len(rows) == 0 {
 			continue
 		}
-		payload := encodeTupleMsg(q.id, window, uint8(stage), uint8(side), rows...)
-		total += len(payload)
-		recs = append(recs, batch.Record{Key: joinCollectorKey(origin, p, parts), Tag: tagJoin, Payload: payload})
+		appendTupleMsg(sc.w, q.id, window, uint8(stage), uint8(side), rows)
+		cut = append(cut, sc.w.Len())
+		recs = append(recs, batch.Record{Key: joinCollectorKey(origin, p, parts), Tag: tagJoin})
 	}
+	buf := sc.w.Bytes()
+	from := 0
+	for i := range recs {
+		recs[i].Payload = buf[from:cut[i]]
+		from = cut[i]
+	}
+	sc.recs = recs
 	q.node.routeRecords(recs)
-	return total
+	return len(buf)
+}
+
+// rehashScratch is a rehashShip call's working space — the counting
+// sort, the encoded frames and their records — pooled, since every
+// batch of every rehash needs one and none outlives its call.
+type rehashScratch struct {
+	of     []int32
+	end    []int
+	next   []int
+	sorted []tuple.Tuple
+	recs   []batch.Record
+	w      *wire.Writer
+}
+
+// maxPooledRehashBytes bounds the frame buffer a pooled rehashScratch
+// keeps.
+const maxPooledRehashBytes = 64 << 10
+
+var rehashPool = sync.Pool{New: func() any { return &rehashScratch{w: wire.GetWriter()} }}
+
+// release clears what the call left in sc — tuples and payloads it
+// must not pin — and returns it to the pool.
+func (sc *rehashScratch) release() {
+	clear(sc.sorted)
+	clear(sc.recs)
+	if cap(sc.w.Bytes()) > maxPooledRehashBytes {
+		sc.w = wire.GetWriter() // one giant batch does not pin its buffer
+	}
+	sc.w.Reset()
+	rehashPool.Put(sc)
+}
+
+// resize sets *s to n zero elements, reusing its storage when it has
+// room, and returns it.
+func resize[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	} else {
+		*s = (*s)[:n]
+		clear(*s)
+	}
+	return *s
 }
 
 // fetchProbe resolves one fetch-matches probe against the probed

@@ -301,22 +301,6 @@ func (n *Node) Members() int { return int(n.members.Load()) }
 // Store exposes the DHT storage layer.
 func (n *Node) Store() *dht.Store { return n.store }
 
-// scanPayloads is every pipeline's Env.Scan: the live local primary
-// partition of a namespace as raw payloads, split into up to
-// partitions shards.
-func (n *Node) scanPayloads(ns string, partitions int) [][][]byte {
-	parts := n.store.LScanParts(ns, partitions)
-	out := make([][][]byte, len(parts))
-	for i, items := range parts {
-		payloads := make([][]byte, len(items))
-		for j, it := range items {
-			payloads[j] = it.Payload
-		}
-		out[i] = payloads
-	}
-	return out
-}
-
 // Catalog exposes the local table registry.
 func (n *Node) Catalog() *catalog.Catalog { return n.cat }
 

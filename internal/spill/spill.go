@@ -250,12 +250,9 @@ func (f *File) Append(window uint64, side uint8, joined bool, rows []tuple.Tuple
 	if joined {
 		fr.Side = 1
 	}
-	fr.Records = make([][]byte, len(rows))
-	for i, t := range rows {
-		fr.Records[i] = t.Bytes()
-	}
 	w := wire.GetWriter()
-	fr.Encode(w)
+	fr.EncodeHead(w, len(rows))
+	tuple.AppendRecords(w, rows)
 	body := w.Bytes()
 
 	var hdr [binary.MaxVarintLen64]byte
@@ -400,7 +397,10 @@ func (r *Reader) Next() (Frame, error) {
 		return Frame{}, err
 	}
 	r.off += int64(hn) + int64(n)
-	fr, err := wire.TupleFrameFromBytes(body)
+	var fr wire.TupleFrame
+	var rd wire.Reader
+	rd.Reset(body)
+	rows, err := fr.DecodeHead(&rd)
 	if err != nil {
 		return Frame{}, err
 	}
@@ -409,13 +409,15 @@ func (r *Reader) Next() (Frame, error) {
 		Side:   fr.Stage,
 		Joined: fr.Side == 1 || start < r.joinedThrough,
 	}
-	out.Rows = make([]tuple.Tuple, 0, len(fr.Records))
-	for _, rec := range fr.Records {
-		t, err := tuple.FromBytes(rec)
-		if err != nil {
-			return Frame{}, err
-		}
-		out.Rows = append(out.Rows, t)
+	// The rows share one arena; their values are copied out of body,
+	// which the next frame reuses.
+	var d tuple.Decoder
+	d.ReserveFrame(&rd, rows)
+	if out.Rows, err = d.DecodeRecords(&rd, rows, -1, make([]tuple.Tuple, 0, rows)); err == nil {
+		err = rd.Done()
+	}
+	if err != nil {
+		return Frame{}, err
 	}
 	return out, nil
 }

@@ -6,6 +6,7 @@ package tuple
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -539,11 +540,20 @@ func (d *Decoder) Reserve(n int) {
 
 // reserve makes room for n more values in the current arena block,
 // starting a new block when it is full.
-func (d *Decoder) reserve(n int) {
-	if cap(d.arena)-len(d.arena) >= n {
-		return
+func (d *Decoder) reserve(n int) { d.arena = Room(d.arena, n) }
+
+// Room returns arena with room for n more values: arena itself when it
+// has them, else a new empty block twice its size, within
+// decoderMinBlock and decoderBlock values (n, when more). A full block
+// is left to the tuples cut from it and never copied or reused, so a
+// value is written once and no earlier tuple moves; a row builder that
+// appends each row after Room(arena, width) allocates about a block per
+// decoderBlock values, however many rows it makes.
+func Room(arena []Value, n int) []Value {
+	if cap(arena)-len(arena) >= n {
+		return arena
 	}
-	size := 2 * cap(d.arena)
+	size := 2 * cap(arena)
 	if size < decoderMinBlock {
 		size = decoderMinBlock
 	}
@@ -553,7 +563,7 @@ func (d *Decoder) reserve(n int) {
 	if n > size {
 		size = n
 	}
-	d.arena = make([]Value, 0, size)
+	return make([]Value, 0, size)
 }
 
 // finish caps the values appended since lo into one tuple, or gives
@@ -567,36 +577,66 @@ func (d *Decoder) finish(lo int) (Tuple, error) {
 	return Tuple(d.arena[lo:hi:hi]), nil
 }
 
-// DecodeRecords decodes the records of one frame into tuples that share
-// a single arena block. The block is sized from the first record's
-// arity — a frame carries one schema's rows — and never beyond one
-// value per payload byte, so a corrupt arity cannot ask for more than
-// the frame could hold; rows of another arity still decode, from
+// AppendRecords appends rows to w as a tuple frame's records (see
+// wire.TupleFrame): each row's length prefix and encoding, written in
+// place.
+func AppendRecords(w *wire.Writer, rows []Tuple) {
+	for _, t := range rows {
+		w.Uvarint(uint64(t.EncodedLen()))
+		t.Encode(w)
+	}
+}
+
+// ReserveRecords sizes the next arena block for n records of width
+// values each, decoded from size bytes: exactly n*width values, but
+// never more than one per byte (a value's encoding takes at least one),
+// so a corrupt count cannot ask for more than its input could hold. A
+// reader that knows what it will decode — a frame group's record
+// counts — allocates once; records of another width still decode, from
 // further blocks.
-func DecodeRecords(recs [][]byte) ([]Tuple, error) {
-	if len(recs) == 0 {
-		return nil, nil
+func (d *Decoder) ReserveRecords(n, width, size int) {
+	want := min(n*width, size)
+	if cap(d.arena)-len(d.arena) < want {
+		d.arena = make([]Value, 0, want)
 	}
-	var d Decoder
-	d.r.Reset(recs[0])
-	want := d.r.Uvarint() * uint64(len(recs))
-	size := 0
-	for _, rec := range recs {
-		size += len(rec)
+}
+
+// ReserveFrame is ReserveRecords for the n records left in r, one tuple
+// frame's: a frame carries one schema's rows, so the first record's
+// width stands for all of them.
+func (d *Decoder) ReserveFrame(r *wire.Reader, n int) {
+	if n == 0 {
+		return
 	}
-	if want > uint64(size) {
-		want = uint64(size)
-	}
-	d.arena = make([]Value, 0, want)
-	out := make([]Tuple, len(recs))
-	for i, rec := range recs {
+	peek := *r
+	width, _ := binary.Uvarint(peek.BytesLP())
+	size := r.Remaining()
+	d.ReserveRecords(n, int(min(width, uint64(size))), size)
+}
+
+// DecodeRecords appends to rows the tuples of the next n records of r,
+// each length-prefixed as in a wire.TupleFrame, that have width values
+// (any width when width < 0): a record of another width is stepped over
+// without being decoded. A malformed record fails the call, which then
+// returns rows as they were on entry — the rest of its frame is lost
+// with it, and nothing of any other frame.
+func (d *Decoder) DecodeRecords(r *wire.Reader, n, width int, rows []Tuple) ([]Tuple, error) {
+	entry := len(rows)
+	for i := 0; i < n; i++ {
+		rec := r.BytesLP()
+		if err := r.Err(); err != nil {
+			return rows[:entry], err
+		}
+		if a, k := binary.Uvarint(rec); width >= 0 && k > 0 && a != uint64(width) {
+			continue
+		}
 		t, err := d.Decode(rec)
 		if err != nil {
-			return nil, err
+			return rows[:entry], err
 		}
-		out[i] = t
+		rows = append(rows, t)
 	}
-	return out, nil
+	return rows, nil
 }
 
 // ConcatInto appends l ++ r (the join output) drawn from arena,

@@ -94,26 +94,32 @@ func TestValueEncodeGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestDecodeRecordsBoundsItsArena: the arena is sized from the first
-// record's arity, but never past what the payload bytes could hold —
-// a record claiming 4096 columns in a frame of a few bytes must fail
-// without a 4096-slot block per record.
+// TestDecodeRecordsBoundsItsArena: the arena is sized from the record
+// count and width, but never past what the record bytes could hold —
+// 1000 records claiming 4096 columns in a frame of a few bytes each
+// must fail without a 4096-slot block per record.
 func TestDecodeRecordsBoundsItsArena(t *testing.T) {
 	w := wire.NewWriter(8)
 	w.Uvarint(4096)
 	lie := w.Bytes()
-	recs := make([][]byte, 1000)
-	for i := range recs {
-		recs[i] = lie
+	frame := wire.NewWriter(4 << 10)
+	for i := 0; i < 1000; i++ {
+		frame.BytesLP(lie)
 	}
+	var r wire.Reader
 	if allocs := testing.AllocsPerRun(5, func() {
-		if _, err := DecodeRecords(recs); err == nil {
+		var d Decoder
+		d.ReserveRecords(1000, 4096, frame.Len())
+		r.Reset(frame.Bytes())
+		if _, err := d.DecodeRecords(&r, 1000, 4096, nil); err == nil {
 			t.Fatal("short record accepted")
 		}
 	}); allocs > 8 {
 		t.Fatalf("%v allocations for a corrupt frame", allocs)
 	}
-	if rows, err := DecodeRecords(nil); err != nil || len(rows) != 0 {
+	var d Decoder
+	r.Reset(nil)
+	if rows, err := d.DecodeRecords(&r, 0, 3, nil); err != nil || len(rows) != 0 {
 		t.Fatalf("empty frame: %v %v", rows, err)
 	}
 }

@@ -2,12 +2,14 @@ package wire
 
 import "fmt"
 
-// TupleFrame is the framed layout shared by every tuple-carrying
-// engine message: rehashed join tuples, aggregation partials, and
-// result rows all ship a (query, window, join-stage, side) header
-// followed by length-prefixed record payloads. One codec instead of a
-// hand-rolled encoder per message kind — the message's meaning comes
-// from the overlay tag or RPC method it travels under.
+// TupleFrame is the header of the framed layout shared by every
+// tuple-carrying engine message: rehashed join tuples, aggregation
+// partials, and result rows all ship a (query, window, join-stage,
+// side) header followed by a record count and length-prefixed record
+// payloads. One codec instead of a hand-rolled encoder per message
+// kind — the message's meaning comes from the overlay tag or RPC method
+// it travels under. Records are written in place after EncodeHead and
+// read in place after DecodeHead: no list of them is ever built.
 type TupleFrame struct {
 	// Query identifies the query the records belong to.
 	Query uint64
@@ -19,25 +21,15 @@ type TupleFrame struct {
 	// Side is the join input side, 0 = left, 1 = right (join
 	// traffic; 0 otherwise).
 	Side uint8
-	// Records are the encoded tuples.
-	Records [][]byte
 }
 
 // MaxFrameRecords bounds a frame's record count against corrupt
 // length prefixes.
 const MaxFrameRecords = 65536
 
-// Encode appends the frame to w.
-func (f *TupleFrame) Encode(w *Writer) {
-	f.EncodeHead(w, len(f.Records))
-	for _, rec := range f.Records {
-		w.BytesLP(rec)
-	}
-}
-
-// EncodeHead appends the frame's header with a count of n records,
-// ignoring f.Records: a caller that encodes its records in place then
-// appends each one's length prefix and bytes, as BytesLP would.
+// EncodeHead appends the frame's header with a count of n records; the
+// caller then appends each record's length prefix and bytes, as
+// BytesLP would.
 func (f *TupleFrame) EncodeHead(w *Writer, n int) {
 	w.Uint64(f.Query)
 	w.Uint64(f.Window)
@@ -49,49 +41,23 @@ func (f *TupleFrame) EncodeHead(w *Writer, n int) {
 // TupleFrameHeadLen is the length EncodeHead appends for n records.
 func TupleFrameHeadLen(n int) int { return 8 + 8 + 1 + 1 + UvarintLen(uint64(n)) }
 
-// Bytes serializes the frame into a fresh buffer.
-func (f *TupleFrame) Bytes() []byte {
-	n := 24
-	for _, rec := range f.Records {
-		n += len(rec) + 4
-	}
-	w := NewWriter(n)
-	f.Encode(w)
-	return w.Bytes()
-}
-
-// Decode reads buf, one whole frame written by Encode, into f, reusing
-// f.Records' storage: a caller decoding frame after frame into one
-// TupleFrame allocates its record list once. Records alias buf.
-func (f *TupleFrame) Decode(buf []byte) error {
-	var r Reader
-	r.Reset(buf)
+// DecodeHead reads a frame's header from r into f and returns its
+// record count: r is then at the first record, each one
+// length-prefixed (r.BytesLP), and a whole frame ends at its last
+// (r.Done).
+func (f *TupleFrame) DecodeHead(r *Reader) (int, error) {
 	f.Query = r.Uint64()
 	f.Window = r.Uint64()
 	f.Stage = r.Byte()
 	f.Side = r.Byte()
 	n := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
 	// A record is at least its length byte, so the count is bounded by
 	// what is left to read as well as by the cap.
 	if n > MaxFrameRecords || n > uint64(r.Remaining()) {
-		return fmt.Errorf("wire: tuple frame with %d records in %d bytes", n, r.Remaining())
+		return 0, fmt.Errorf("wire: tuple frame with %d records in %d bytes", n, r.Remaining())
 	}
-	if uint64(cap(f.Records)) < n {
-		f.Records = make([][]byte, 0, n)
-	}
-	f.Records = f.Records[:0]
-	for i := uint64(0); i < n; i++ {
-		f.Records = append(f.Records, r.BytesLP())
-	}
-	return r.Done()
-}
-
-// TupleFrameFromBytes decodes a frame into a new TupleFrame, rejecting
-// trailing bytes. Records alias buf; callers that retain them must copy.
-func TupleFrameFromBytes(buf []byte) (*TupleFrame, error) {
-	f := &TupleFrame{}
-	if err := f.Decode(buf); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return int(n), nil
 }

@@ -182,37 +182,63 @@ func TestQuickTimeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTupleFrameDecodeReuses: Decode reads a whole frame into a
-// caller's TupleFrame, reusing its record list, so decoding frame after
-// frame allocates nothing once the list is grown; it rejects what
-// TupleFrameFromBytes rejects.
-func TestTupleFrameDecodeReuses(t *testing.T) {
-	big := (&TupleFrame{Query: 1, Window: 2, Stage: 1, Side: 1, Records: [][]byte{[]byte("a"), []byte("bc"), nil}}).Bytes()
-	small := (&TupleFrame{Query: 3, Records: [][]byte{[]byte("d")}}).Bytes()
-	var f TupleFrame
-	if err := f.Decode(big); err != nil {
-		t.Fatal(err)
+// TestTupleFrameDecodeHead: DecodeHead reads a frame's header into a
+// caller's TupleFrame and leaves the reader at its first record, so
+// decoding frame after frame allocates nothing; it refuses a record
+// count the bytes cannot hold and a truncated header.
+func TestTupleFrameDecodeHead(t *testing.T) {
+	frame := func(f TupleFrame, recs ...string) []byte {
+		w := NewWriter(64)
+		f.EncodeHead(w, len(recs))
+		for _, rec := range recs {
+			w.BytesLP([]byte(rec))
+		}
+		return w.Bytes()
 	}
-	if f.Query != 1 || f.Window != 2 || f.Stage != 1 || f.Side != 1 || len(f.Records) != 3 || string(f.Records[1]) != "bc" {
-		t.Fatalf("decoded %+v", f)
+	big := frame(TupleFrame{Query: 1, Window: 2, Stage: 1, Side: 1}, "a", "bc", "")
+	small := frame(TupleFrame{Query: 3}, "d")
+	if TupleFrameHeadLen(3) != len(big)-len("a")-len("bc")-3 {
+		t.Fatalf("TupleFrameHeadLen(3) = %d in a frame of %d bytes", TupleFrameHeadLen(3), len(big))
+	}
+	var f TupleFrame
+	var r Reader
+	r.Reset(big)
+	n, err := f.DecodeHead(&r)
+	if err != nil || f != (TupleFrame{Query: 1, Window: 2, Stage: 1, Side: 1}) || n != 3 {
+		t.Fatalf("decoded %+v, %d records, %v", f, n, err)
+	}
+	if r.BytesLP(); string(r.BytesLP()) != "bc" || len(r.BytesLP()) != 0 || r.Done() != nil {
+		t.Fatal("records do not follow the header")
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		if err := f.Decode(small); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Decode(big); err != nil {
-			t.Fatal(err)
+		for _, buf := range [][]byte{small, big} {
+			r.Reset(buf)
+			if _, err := f.DecodeHead(&r); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}); allocs != 0 {
-		t.Fatalf("decoding into a grown TupleFrame allocates %.0f times", allocs)
+		t.Fatalf("decoding headers allocates %.0f times", allocs)
 	}
-	if err := f.Decode(small); err != nil || f.Query != 3 || len(f.Records) != 1 || string(f.Records[0]) != "d" {
-		t.Fatalf("decoded %+v, %v", f, err)
+	r.Reset(small)
+	if n, err := f.DecodeHead(&r); err != nil || f.Query != 3 || n != 1 || string(r.BytesLP()) != "d" {
+		t.Fatalf("decoded %+v, %d records, %v", f, n, err)
 	}
-	if err := f.Decode(append(small, 0)); err == nil {
-		t.Fatal("trailing byte accepted")
+	for _, count := range []uint64{MaxFrameRecords + 1, 1 << 63, 2} {
+		w := NewWriter(32)
+		(&TupleFrame{Query: 42}).EncodeHead(w, 0)
+		lie := w.Bytes()[:w.Len()-1] // drop the zero count
+		w = NewWriter(32)
+		w.Raw(lie)
+		w.Uvarint(count)
+		w.Byte(0) // one empty record
+		r.Reset(w.Bytes())
+		if _, err := f.DecodeHead(&r); err == nil {
+			t.Fatalf("frame claiming %d records in one byte accepted", count)
+		}
 	}
-	if err := f.Decode(big[:len(big)-1]); err == nil {
-		t.Fatal("truncated frame accepted")
+	r.Reset(big[:TupleFrameHeadLen(3)-1])
+	if _, err := f.DecodeHead(&r); err == nil {
+		t.Fatal("truncated header accepted")
 	}
 }
