@@ -11,7 +11,8 @@
 //
 //	pierd -listen 127.0.0.1:7001 -serve 127.0.0.1:7071 -join 127.0.0.1:7000 -members 2
 //
-// Talk to it with anything that can write JSON lines, e.g.:
+// Attach the interactive shell with pier -connect 127.0.0.1:7070, or
+// talk to it with anything that can write JSON lines, e.g.:
 //
 //	printf '%s\n' \
 //	  '{"id":1,"op":"create","table":"t","cols":["k:string","v:int"],"key":["k"]}' \
@@ -61,8 +62,7 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", time.Second, "max time a queued query waits for an execution slot")
 	maxSubs := flag.Int("max-subscriptions", 256, "concurrently live continuous subscriptions")
 	cacheSize := flag.Int("plan-cache", engine.DefaultPlanCacheSize, "plan cache capacity (compiled statements)")
-	sharedScans := flag.Bool("shared-scans", true, "serve concurrent identical continuous queries from one scan/window pipeline")
-	members := flag.Int("members", 0, "expected cluster size, counting every pier and pierd node (required): one-shot queries complete when every member's end-of-scan ledger is in")
+	members := flag.Int("members", 0, "expected cluster size, counting every pierd node (required): one-shot queries complete when every member's end-of-scan ledger is in")
 	joinMem := flag.String("join-mem", "0", "per-stage join build-state memory budget, e.g. 64kb or 1mb (0 = unlimited, never spill)")
 	spillDir := flag.String("spill-dir", "", "directory for join spill temp files (default: the system temp dir)")
 	slowQuery := flag.Duration("slow-query", time.Second, "log completed queries slower than this into the event ring (negative disables)")
@@ -107,7 +107,6 @@ func main() {
 		QueueTimeout:     *queueTimeout,
 		MaxSubscriptions: *maxSubs,
 		PlanCacheSize:    *cacheSize,
-		SharedScans:      *sharedScans,
 		SlowQuery:        *slowQuery,
 	})
 	defer svc.Close()

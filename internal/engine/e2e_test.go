@@ -36,7 +36,6 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	// query fan-out (24 × 16 participant pipelines at once would starve
 	// participants past any quiescence window) and the rest queue.
 	svc := New(c.Nodes[0], Config{
-		SharedScans:  true,
 		MaxInFlight:  8,
 		MaxQueued:    32,
 		QueueTimeout: time.Minute,

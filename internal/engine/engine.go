@@ -30,10 +30,6 @@ type Config struct {
 	MaxSubscriptions int
 	// PlanCacheSize bounds the LRU plan cache. Default 128.
 	PlanCacheSize int
-	// SharedScans attaches concurrent subscriptions with the same
-	// normalized statement to one scan/window pipeline through a
-	// fan-out operator instead of compiling one pipeline each.
-	SharedScans bool
 	// SlowQuery is the latency threshold past which a completed
 	// one-shot query emits a structured slow-query event into the
 	// node's event log. Default 1s; negative disables the log.
@@ -167,8 +163,8 @@ func (s *Service) registerMetrics(reg *obs.Registry) {
 	reg.RegisterFunc("engine_plan_cache_hit_rate", func() float64 { return s.cache.Stats().HitRate() })
 }
 
-// Node exposes the underlying executor (the shell's non-query
-// commands operate on it directly).
+// Node exposes the node the service runs on (the server's catalog,
+// ingestion and telemetry ops use it directly).
 func (s *Service) Node() *pier.Node { return s.node }
 
 // Cache exposes the plan cache (the \cache command and the bench read

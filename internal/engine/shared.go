@@ -13,20 +13,17 @@ import (
 	"repro/internal/tuple"
 )
 
-// Subscription is a running continuous query owned by a session.
+// Subscription is one session's attachment to a shared scan.
 type Subscription struct {
 	// Columns names the result columns.
 	Columns []string
 
 	id       uint64
 	sess     *Session
+	ss       *sharedScan
+	fanID    int // the subscriber's id in the scan's fan-out
 	results  <-chan pier.WindowResult
-	stopFn   func()
-	analysis func() *plan.Analysis
 	stopOnce sync.Once
-	// Shared reports whether this subscription attached to an
-	// existing shared-scan pipeline rather than compiling its own.
-	Shared bool
 }
 
 // Results streams one WindowResult per window until Stop (or the LIVE
@@ -37,19 +34,35 @@ func (s *Subscription) Results() <-chan pier.WindowResult { return s.results }
 // tears the underlying query down. Idempotent.
 func (s *Subscription) Stop() {
 	s.stopOnce.Do(func() {
-		s.stopFn()
-		s.sess.svc.subs.Add(-1)
+		svc := s.sess.svc
+		svc.sharedMu.Lock()
+		rest := s.ss.fo.Unsubscribe(s.fanID)
+		if rest == 0 && svc.shared[s.ss.key] == s.ss {
+			delete(svc.shared, s.ss.key)
+		}
+		svc.sharedMu.Unlock()
+		if rest == 0 {
+			s.ss.cont.Stop()
+		}
+		svc.subs.Add(-1)
 		s.sess.mu.Lock()
 		delete(s.sess.subs, s.id)
 		s.sess.mu.Unlock()
 	})
 }
 
-// Analysis snapshots the network-wide EXPLAIN ANALYZE counters of the
-// underlying query (nil unless subscribed with Analyze). For a shared
-// scan every subscriber sees the same underlying pipeline — which is
-// the point: N subscriptions, one set of scan/window operators.
-func (s *Subscription) Analysis() *plan.Analysis { return s.analysis() }
+// AnalyzeReport renders the plan with the network-wide EXPLAIN ANALYZE
+// counters of the underlying query so far ("" unless subscribed with
+// Analyze). Every subscriber of a scan sees the same underlying
+// pipeline — which is the point: N subscriptions, one set of
+// scan/window operators.
+func (s *Subscription) AnalyzeReport() string {
+	a := s.ss.analysis()
+	if a == nil {
+		return ""
+	}
+	return s.ss.spec.ExplainAnalyze(a)
+}
 
 // Subscribe launches (or attaches to) a continuous query.
 func (se *Session) Subscribe(ctx context.Context, sql string) (*Subscription, error) {
@@ -93,41 +106,13 @@ func (se *Session) SubscribePrepared(ctx context.Context, name string) (*Subscri
 	return se.SubscribeWithOptions(ctx, p.SQL, p.opts)
 }
 
-func (se *Session) subscribe(ctx context.Context, sql string, opts plan.Options) (*Subscription, error) {
-	key, err := normalizedKey(sql, opts)
-	if err != nil {
-		return nil, err
-	}
-	spec, stmt, _, err := se.svc.resolve(sql, opts)
-	if err != nil {
-		return nil, err
-	}
-	if stmt != nil || !spec.IsContinuous() {
-		return nil, fmt.Errorf("engine: not a continuous statement (no WINDOW clause); use Query")
-	}
-	if se.svc.cfg.SharedScans {
-		return se.attachShared(ctx, key, spec)
-	}
-	cont, err := se.svc.node.ExecuteSpecContinuous(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	return &Subscription{
-		Columns:  cont.Columns,
-		id:       se.nextSub.Add(1),
-		sess:     se,
-		results:  cont.Results(),
-		stopFn:   cont.Stop,
-		analysis: cont.Analysis,
-	}, nil
-}
-
 // sharedScan is one live scan/window pipeline serving every
 // subscription with the same cache key: the underlying continuous
 // query's windows are pumped through a coordinator-local fan-out
 // pipeline, and subscribers attach and detach dynamically.
 type sharedScan struct {
 	key     string
+	spec    *plan.Spec
 	columns []string
 	slide   time.Duration
 	cont    *pier.Continuous
@@ -146,10 +131,22 @@ func (ss *sharedScan) analysis() *plan.Analysis {
 	return a
 }
 
-// attachShared subscribes to the shared scan for key, creating it (one
-// underlying continuous query + one fan-out pipeline) on first attach.
-func (se *Session) attachShared(ctx context.Context, key string, spec *plan.Spec) (*Subscription, error) {
+// subscribe attaches to the shared scan of sql's cache key, creating it
+// (one underlying continuous query + one fan-out pipeline) on first
+// attach.
+func (se *Session) subscribe(ctx context.Context, sql string, opts plan.Options) (*Subscription, error) {
+	key, err := normalizedKey(sql, opts)
+	if err != nil {
+		return nil, err
+	}
 	svc := se.svc
+	spec, stmt, _, err := svc.resolve(sql, opts)
+	if err != nil {
+		return nil, err
+	}
+	if stmt != nil || !spec.IsContinuous() {
+		return nil, fmt.Errorf("engine: not a continuous statement (no WINDOW clause); use Query")
+	}
 	svc.sharedMu.Lock()
 	defer svc.sharedMu.Unlock()
 	ss, ok := svc.shared[key]
@@ -171,6 +168,7 @@ func (se *Session) attachShared(ctx context.Context, key string, spec *plan.Spec
 	}
 	ss = &sharedScan{
 		key:     key,
+		spec:    spec,
 		columns: cont.Columns,
 		slide:   slide,
 		cont:    cont,
@@ -228,20 +226,8 @@ func (se *Session) sharedSubscription(ss *sharedScan, id int, ch <-chan physical
 		Columns: ss.columns,
 		id:      se.nextSub.Add(1),
 		sess:    se,
+		ss:      ss,
+		fanID:   id,
 		results: out,
-		Shared:  true,
-		stopFn: func() {
-			svc := se.svc
-			svc.sharedMu.Lock()
-			rest := ss.fo.Unsubscribe(id)
-			if rest == 0 && svc.shared[ss.key] == ss {
-				delete(svc.shared, ss.key)
-			}
-			svc.sharedMu.Unlock()
-			if rest == 0 {
-				ss.cont.Stop()
-			}
-		},
-		analysis: ss.analysis,
 	}
 }

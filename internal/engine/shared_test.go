@@ -34,7 +34,7 @@ func publishStream(c interface {
 // node, not N — and every subscriber sees identical windows.
 func TestSharedScanOnePipeline(t *testing.T) {
 	c := newTestCluster(t, 8, 21)
-	svc := New(c.Nodes[0], Config{SharedScans: true})
+	svc := New(c.Nodes[0], Config{})
 	defer svc.Close()
 
 	stop := make(chan struct{})
@@ -57,9 +57,6 @@ func TestSharedScanOnePipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 		subs[i] = sub
-		if !sub.Shared {
-			t.Fatalf("subscription %d not marked shared", i)
-		}
 	}
 
 	// One underlying query was compiled and coordinated — the other
@@ -110,7 +107,7 @@ func TestSharedScanOnePipeline(t *testing.T) {
 	// The EXPLAIN ANALYZE operator counts prove one pipeline: the
 	// participant window source reports one instance per node — not
 	// nSubs per node — and the coordinator-local fan-out shows up once.
-	a := subs[0].Analysis()
+	a := subs[0].ss.analysis()
 	if a == nil {
 		t.Fatal("no analysis from an Analyze subscription")
 	}
@@ -170,45 +167,6 @@ func TestSharedScanOnePipeline(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("re-created shared scan produced no windows in 10s")
-	}
-}
-
-// TestDedicatedSubscriptionsWithoutSharedScans pins the contrast: with
-// SharedScans off, every subscription coordinates its own query.
-func TestDedicatedSubscriptionsWithoutSharedScans(t *testing.T) {
-	c := newTestCluster(t, 4, 22)
-	svc := New(c.Nodes[0], Config{})
-	defer svc.Close()
-	sess := svc.Open()
-	defer sess.Close()
-
-	stop := make(chan struct{})
-	defer close(stop)
-	go publishStream(c.Nodes[1], stop)
-
-	coordinated := c.Nodes[0].Metrics.QueriesCoordinated.Load()
-	const sql = "SELECT COUNT(*) FROM stream WINDOW 300 ms SLIDE 300 ms"
-	var subs []*Subscription
-	for i := 0; i < 2; i++ {
-		sub, err := sess.Subscribe(context.Background(), sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sub.Stop()
-		if sub.Shared {
-			t.Fatal("subscription marked shared with SharedScans off")
-		}
-		subs = append(subs, sub)
-	}
-	if got := c.Nodes[0].Metrics.QueriesCoordinated.Load() - coordinated; got != 2 {
-		t.Fatalf("QueriesCoordinated grew by %d, want 2 (dedicated pipelines)", got)
-	}
-	for i, sub := range subs {
-		select {
-		case <-sub.Results():
-		case <-time.After(10 * time.Second):
-			t.Fatalf("dedicated subscription %d got no window", i)
-		}
 	}
 }
 

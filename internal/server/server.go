@@ -13,14 +13,18 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/pier"
@@ -32,25 +36,41 @@ import (
 type Request struct {
 	ID uint64 `json:"id"`
 	// Op selects the action: ping, query, prepare, exec, subscribe,
-	// unsubscribe, explain, cache, create, insert, metrics, trace,
-	// events.
+	// unsubscribe, explain, cache, create, insert, tables, stats,
+	// metrics, trace, events.
 	Op   string `json:"op"`
 	SQL  string `json:"sql,omitempty"`  // query, prepare, subscribe, explain
-	Name string `json:"name,omitempty"` // prepare, exec
+	Name string `json:"name,omitempty"` // prepare, exec, subscribe
 	// Query selects a query id for op trace (0 = most recent).
 	Query uint64 `json:"query,omitempty"`
 	// Analyze runs the statement as EXPLAIN ANALYZE (query, subscribe).
 	Analyze bool   `json:"analyze,omitempty"`
 	Sub     uint64 `json:"sub,omitempty"` // unsubscribe
-	// Table definition / ingestion (create, insert).
-	Table  string        `json:"table,omitempty"`
-	Cols   []string      `json:"cols,omitempty"` // "name:type"
-	Key    []string      `json:"key,omitempty"`
-	TTLMS  int64         `json:"ttl_ms,omitempty"`
-	Values []interface{} `json:"values,omitempty"`
+	// Table definition / ingestion (create, insert, stats).
+	Table  string   `json:"table,omitempty"`
+	Cols   []string `json:"cols,omitempty"` // "name:type"
+	Key    []string `json:"key,omitempty"`
+	TTLMS  int64    `json:"ttl_ms,omitempty"`
+	Values Values   `json:"values,omitempty"`
 	// Local inserts into this node's partition instead of placing the
 	// tuple in the DHT by key.
 	Local bool `json:"local,omitempty"`
+	// Rows and Distinct declare a table's planner statistics (stats);
+	// distinct counts are keyed by column name, qualified or not.
+	Rows     int64            `json:"rows,omitempty"`
+	Distinct map[string]int64 `json:"distinct,omitempty"`
+}
+
+// Values is an inserted tuple. Its numbers decode as json.Number, so
+// insert parses each one by its column's type and a fraction or an
+// out-of-range integer is an error rather than a rounded float64.
+type Values []interface{}
+
+// UnmarshalJSON decodes the array with UseNumber.
+func (v *Values) UnmarshalJSON(b []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	return dec.Decode((*[]interface{})(v))
 }
 
 // Response answers one request (matched by ID).
@@ -88,13 +108,13 @@ type Response struct {
 	PeakMem      uint64 `json:"peak_mem,omitempty"`
 	SpilledBytes uint64 `json:"spilled_bytes,omitempty"`
 	SpillPasses  uint64 `json:"spill_passes,omitempty"`
-	Plan         string `json:"plan,omitempty"`   // explain
-	Sub          uint64 `json:"sub,omitempty"`    // subscribe ack
-	Shared       bool   `json:"shared,omitempty"` // subscription rides a shared scan
+	Plan         string `json:"plan,omitempty"` // explain
+	Sub          uint64 `json:"sub,omitempty"`  // subscribe ack
 
 	Cache   *engine.CacheStats      `json:"cache,omitempty"`
 	Entries []engine.CacheEntryInfo `json:"entries,omitempty"`
 	Addr    string                  `json:"addr,omitempty"` // ping
+	Tables  []TableInfo             `json:"tables,omitempty"`
 
 	// Query is the network-wide query id of a one-shot result; feed it
 	// back through op trace to fetch the assembled cross-node trace.
@@ -107,6 +127,20 @@ type Response struct {
 	Events    []obs.Event        `json:"events,omitempty"`     // structured event ring
 
 	rows []tuple.Tuple // the result rows the server writes as "rows"
+}
+
+// TableInfo describes one defined table (op tables): its definition
+// in create's terms and the statistics the planner uses now, declared,
+// measured by ANALYZE, gossiped, or "default" (none, rows 0).
+type TableInfo struct {
+	Name     string           `json:"name"`
+	Cols     []string         `json:"cols"` // "name:type"
+	Key      []string         `json:"key,omitempty"`
+	TTLMS    int64            `json:"ttl_ms"`
+	Rows     int64            `json:"rows"`
+	Distinct map[string]int64 `json:"distinct,omitempty"`
+	Source   string           `json:"source"`
+	AgeMS    int64            `json:"age_ms,omitempty"` // of measured or gossiped statistics
 }
 
 // Event is an unsolicited server-to-client message (window delivery).
@@ -314,8 +348,11 @@ func (cc *clientConn) run(req Request) (Response, error) {
 		if !ok {
 			return Response{}, fmt.Errorf("no subscription %d", req.Sub)
 		}
+		// An analyze subscription answers with its EXPLAIN ANALYZE
+		// report: the counters of the run so far.
+		report := sub.AnalyzeReport()
 		sub.Stop()
-		return Response{Sub: req.Sub}, nil
+		return Response{Sub: req.Sub, Analyze: report}, nil
 	case "explain":
 		text, err := cc.sess.Explain(req.SQL)
 		if err != nil {
@@ -346,6 +383,11 @@ func (cc *clientConn) run(req Request) (Response, error) {
 		return cc.create(req)
 	case "insert":
 		return cc.insert(req)
+	case "tables":
+		return cc.tables(), nil
+	case "stats":
+		stats := catalog.TableStats{Rows: req.Rows, Distinct: req.Distinct}
+		return Response{}, cc.srv.svc.Node().SetTableStats(req.Table, stats)
 	default:
 		return Response{}, fmt.Errorf("unknown op %q", req.Op)
 	}
@@ -389,7 +431,13 @@ func resultResponse(res *pier.Result, start time.Time) Response {
 }
 
 func (cc *clientConn) subscribe(req Request) (Response, error) {
-	sub, err := cc.sess.SubscribeWithOptions(cc.ctx, req.SQL, planOpts(req))
+	var sub *engine.Subscription
+	var err error
+	if req.Name != "" {
+		sub, err = cc.sess.SubscribePrepared(cc.ctx, req.Name)
+	} else {
+		sub, err = cc.sess.SubscribeWithOptions(cc.ctx, req.SQL, planOpts(req))
+	}
 	if err != nil {
 		return Response{}, err
 	}
@@ -411,7 +459,7 @@ func (cc *clientConn) subscribe(req Request) (Response, error) {
 		}
 		cc.event(Event{Event: "end", Sub: handle})
 	}()
-	return Response{Sub: handle, Columns: sub.Columns, Shared: sub.Shared}, nil
+	return Response{Sub: handle, Columns: sub.Columns}, nil
 }
 
 func (cc *clientConn) create(req Request) (Response, error) {
@@ -463,6 +511,28 @@ func (cc *clientConn) insert(req Request) (Response, error) {
 	return Response{}, node.Publish(req.Table, t)
 }
 
+func (cc *clientConn) tables() Response {
+	cat := cc.srv.svc.Node().Catalog()
+	var out []TableInfo
+	for _, name := range cat.Names() {
+		tbl, ok := cat.Lookup(name)
+		if !ok {
+			continue // dropped since Names
+		}
+		st, src, age := cat.StatsInfo(name)
+		info := TableInfo{Name: name, TTLMS: tbl.TTL.Milliseconds(), Rows: st.Rows,
+			Distinct: st.Distinct, Source: src.String(), AgeMS: age.Milliseconds()}
+		for _, c := range tbl.Schema.Columns {
+			info.Cols = append(info.Cols, c.Name+":"+c.Type.String())
+		}
+		for _, k := range tbl.Schema.Key {
+			info.Key = append(info.Key, tbl.Schema.Columns[k].Name)
+		}
+		out = append(out, info)
+	}
+	return Response{Tables: out}
+}
+
 func parseType(name string) (tuple.Type, error) {
 	switch strings.ToLower(name) {
 	case "string":
@@ -480,45 +550,46 @@ func parseType(name string) (tuple.Type, error) {
 	}
 }
 
-// coerce maps a JSON value onto a column type (JSON numbers arrive as
-// float64).
+// coerce maps a JSON value onto a column type. Numbers arrive as
+// json.Number (see Values); a string is accepted for every type, so
+// both are parsed from their text.
 func coerce(raw interface{}, ty tuple.Type) (tuple.Value, error) {
+	var text string
+	switch v := raw.(type) {
+	case string:
+		text = v
+	case json.Number:
+		if ty != tuple.TInt && ty != tuple.TFloat {
+			return tuple.Value{}, fmt.Errorf("want %v, got number", ty)
+		}
+		text = v.String()
+	case bool:
+		if ty != tuple.TBool {
+			return tuple.Value{}, fmt.Errorf("want %v, got bool", ty)
+		}
+		return tuple.Bool(v), nil
+	default:
+		return tuple.Value{}, fmt.Errorf("want %v, got %T", ty, raw)
+	}
 	switch ty {
 	case tuple.TString:
-		s, ok := raw.(string)
-		if !ok {
-			return tuple.Value{}, fmt.Errorf("want string, got %T", raw)
-		}
-		return tuple.String(s), nil
+		return tuple.String(text), nil
 	case tuple.TInt:
-		f, ok := raw.(float64)
-		if !ok {
-			return tuple.Value{}, fmt.Errorf("want number, got %T", raw)
-		}
-		return tuple.Int(int64(f)), nil
+		i, err := strconv.ParseInt(text, 10, 64)
+		return tuple.Int(i), err
 	case tuple.TFloat:
-		f, ok := raw.(float64)
-		if !ok {
-			return tuple.Value{}, fmt.Errorf("want number, got %T", raw)
+		f, err := strconv.ParseFloat(text, 64)
+		if err == nil && (math.IsInf(f, 0) || math.IsNaN(f)) {
+			err = fmt.Errorf("float %s has no JSON encoding", text)
 		}
-		return tuple.Float(f), nil
+		return tuple.Float(f), err
 	case tuple.TBool:
-		b, ok := raw.(bool)
-		if !ok {
-			return tuple.Value{}, fmt.Errorf("want bool, got %T", raw)
-		}
-		return tuple.Bool(b), nil
+		b, err := strconv.ParseBool(text)
+		return tuple.Bool(b), err
 	case tuple.TTime:
-		s, ok := raw.(string)
-		if !ok {
-			return tuple.Value{}, fmt.Errorf("want RFC3339 string, got %T", raw)
-		}
-		ts, err := time.Parse(time.RFC3339Nano, s)
-		if err != nil {
-			return tuple.Value{}, err
-		}
-		return tuple.Time(ts), nil
+		ts, err := time.Parse(time.RFC3339Nano, text)
+		return tuple.Time(ts), err
 	default:
-		return tuple.Value{}, fmt.Errorf("unsupported column type")
+		return tuple.Value{}, fmt.Errorf("unsupported column type %v", ty)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/piertest"
 	"repro/internal/simnet"
+	"repro/internal/tuple"
 )
 
 // client is a test-side protocol driver: requests get fresh ids,
@@ -105,7 +106,7 @@ func TestTwoClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	svc := engine.New(c.Nodes[0], engine.Config{SharedScans: true})
+	svc := engine.New(c.Nodes[0], engine.Config{})
 	defer svc.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -172,8 +173,8 @@ func TestTwoClients(t *testing.T) {
 	const contSQL = "SELECT COUNT(*) FROM kv WINDOW 300 ms SLIDE 300 ms"
 	subA := a.must(Request{Op: "subscribe", SQL: contSQL})
 	subB := b.must(Request{Op: "subscribe", SQL: contSQL})
-	if !subB.Shared {
-		t.Fatal("second subscriber did not attach to the shared scan")
+	if got := svc.Metrics.SharedScanAttaches.Load(); got != 1 {
+		t.Fatalf("%d attaches to the shared scan, want 1 (the second subscriber)", got)
 	}
 	for name, cl := range map[string]*client{"A": a, "B": b} {
 		select {
@@ -435,4 +436,93 @@ func TestThousandConnections(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d answered ok, rejected %v", ok, conns, rejects)
+}
+
+// TestCreateAndInsertInputs holds create's and insert's input checks:
+// a bad definition is refused, and an inserted value is parsed by its
+// column's type — exactly, or refused. A JSON number never passes
+// through float64, so a fraction, an integer past 2^53 and one past
+// int64 are told apart; a string parses the way a number does.
+func TestCreateAndInsertInputs(t *testing.T) {
+	c, err := piertest.New(piertest.Options{N: 2, Seed: 44})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	svc := engine.New(c.Nodes[0], engine.Config{})
+	defer svc.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(ln, svc)
+	defer srv.Close()
+	a := dial(t, srv.Addr().String())
+
+	for _, bad := range []Request{
+		{Cols: []string{"a:quux"}},
+		{Cols: []string{"col-without-type"}},
+		{Cols: []string{"a:int"}, Key: []string{"missing_col"}},
+	} {
+		bad.Op, bad.Table = "create", "bad"
+		if resp := a.call(bad); resp.OK {
+			t.Errorf("create %v %v succeeded", bad.Cols, bad.Key)
+		}
+	}
+	a.must(Request{Op: "create", Table: "t", Key: []string{"k"},
+		Cols: []string{"k:string", "i:int", "f:float", "b:bool", "at:time"}})
+
+	const at = "2026-01-02T03:04:05Z"
+	n := func(s string) json.Number { return json.Number(s) }
+	cases := []struct {
+		table  string
+		values []interface{}
+		want   string // the stored row as %v prints it; "" = refused
+	}{
+		{"t", []interface{}{"plain", n("42"), n("2.5"), true, at}, "[plain 42 2.5 true " + at + "]"},
+		{"t", []interface{}{"text", "42", "2.5", "true", at}, "[text 42 2.5 true " + at + "]"},
+		{"t", []interface{}{"exact", n("9007199254740993"), n("1e300"), false, at}, "[exact 9007199254740993 1e+300 false " + at + "]"},
+		{"t", []interface{}{"min", n("-9223372036854775808"), n("-0.5"), "false", at}, "[min -9223372036854775808 -0.5 false " + at + "]"},
+		{"t", []interface{}{"fraction", n("2.5"), n("1"), true, at}, ""},
+		{"t", []interface{}{"negfraction", n("-0.9"), n("1"), true, at}, ""},
+		{"t", []interface{}{"exponent", n("1e300"), n("1"), true, at}, ""},
+		{"t", []interface{}{"overflow", n("9223372036854775808"), n("1"), true, at}, ""},
+		{"t", []interface{}{"notanint", "x", n("1"), true, at}, ""},
+		{"t", []interface{}{"floatrange", n("1"), n("1e400"), true, at}, ""},
+		{"t", []interface{}{"nan", n("1"), "NaN", true, at}, ""},
+		{"t", []interface{}{"numberbool", n("1"), n("1"), n("1"), at}, ""},
+		{"t", []interface{}{n("7"), n("1"), n("1"), true, at}, ""},
+		{"t", []interface{}{"badtime", n("1"), n("1"), true, "yesterday"}, ""},
+		{"t", []interface{}{"arity", n("1")}, ""},
+		{"missing", []interface{}{"a", n("1")}, ""},
+	}
+	for _, tc := range cases {
+		resp := a.call(Request{Op: "insert", Table: tc.table, Local: true, Values: tc.values})
+		if tc.want == "" {
+			if resp.OK {
+				t.Errorf("insert %v succeeded, want refused", tc.values)
+			}
+			continue
+		}
+		if !resp.OK {
+			t.Errorf("insert %v: %s", tc.values, resp.Error)
+		}
+	}
+	stored := map[string]string{}
+	for _, it := range c.Nodes[0].Store().LScan("table:t") {
+		row, err := tuple.FromBytes(it.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored[row[0].S] = fmt.Sprintf("[%s %d %g %t %s]",
+			row[0].S, row[1].I, row[2].F, row[3].B, row[4].AsTime().UTC().Format(time.RFC3339))
+	}
+	for _, tc := range cases {
+		if key, _ := tc.values[0].(string); tc.want != "" && stored[key] != tc.want {
+			t.Errorf("stored %q, want %q", stored[key], tc.want)
+		}
+	}
+	if len(stored) != 4 {
+		t.Errorf("%d rows stored, want 4: %v", len(stored), stored)
+	}
 }
