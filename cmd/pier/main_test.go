@@ -328,15 +328,15 @@ func TestStatsDisplayAndQualifiedNames(t *testing.T) {
 }
 
 // TestCoverageNote: a result short of every member's partitions is
-// flagged. Three members are expected and two exist, so a query ends
-// churn-degraded with two thirds of the partitions.
+// flagged. One of three nodes is down while the ring still delegates
+// to it, so a query ends churn-degraded with two thirds of the
+// partitions.
 func TestCoverageNote(t *testing.T) {
-	cfg := piertest.FastConfig()
-	cfg.Members = 3
-	_, addr := serve(t, piertest.Options{N: 2, Seed: 54, NodeCfg: &cfg})
+	c, addr := serve(t, piertest.Options{N: 3, Seed: 54})
 	s := attach(t, addr, false)
 	s.want(`\create kv k:string,v:int key k`)
 	s.want(`\insert kv a,1`)
+	c.Net.SetDown(c.Nodes[2].Addr(), true)
 	s.want(`SELECT COUNT(*) FROM kv`, "[1]", ", INCOMPLETE: churn-degraded, COVERAGE 67%)")
 	if got := notes("eos", 1); got != "" {
 		t.Fatalf("a full result is flagged %q", got)

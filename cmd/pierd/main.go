@@ -5,11 +5,11 @@
 //
 // Start a bootstrap node of a two-node cluster serving clients on :7070:
 //
-//	pierd -listen 127.0.0.1:7000 -serve 127.0.0.1:7070 -members 2
+//	pierd -listen 127.0.0.1:7000 -serve 127.0.0.1:7070
 //
 // Join more nodes (each is also a front door):
 //
-//	pierd -listen 127.0.0.1:7001 -serve 127.0.0.1:7071 -join 127.0.0.1:7000 -members 2
+//	pierd -listen 127.0.0.1:7001 -serve 127.0.0.1:7071 -join 127.0.0.1:7000
 //
 // Attach the interactive shell with pier -connect 127.0.0.1:7070, or
 // talk to it with anything that can write JSON lines, e.g.:
@@ -62,7 +62,6 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", time.Second, "max time a queued query waits for an execution slot")
 	maxSubs := flag.Int("max-subscriptions", 256, "concurrently live continuous subscriptions")
 	cacheSize := flag.Int("plan-cache", engine.DefaultPlanCacheSize, "plan cache capacity (compiled statements)")
-	members := flag.Int("members", 0, "expected cluster size, counting every pierd node (required): one-shot queries complete when every member's end-of-scan ledger is in")
 	joinMem := flag.String("join-mem", "0", "per-stage join build-state memory budget, e.g. 64kb or 1mb (0 = unlimited, never spill)")
 	spillDir := flag.String("spill-dir", "", "directory for join spill temp files (default: the system temp dir)")
 	slowQuery := flag.Duration("slow-query", time.Second, "log completed queries slower than this into the event ring (negative disables)")
@@ -80,8 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := pier.Config{Members: *members}
-	cfg.SpillDir = *spillDir
+	cfg := pier.Config{SpillDir: *spillDir}
 	if cfg.JoinMemBudget, err = pier.ParseMemSize(*joinMem); err != nil {
 		log.Fatal(err)
 	}

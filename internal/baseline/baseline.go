@@ -93,7 +93,7 @@ func (c *Centralized) CollectAll(ctx context.Context, table string, settle time.
 	return c.gathering[qid].rows, nil
 }
 
-func (c *Centralized) onPull(from overlay.Node, tag string, payload []byte) {
+func (c *Centralized) onPull(_ overlay.Node, _ string, payload []byte, _, _ int) {
 	r := wire.NewReader(payload)
 	qid := r.Uint64()
 	origin := r.String()

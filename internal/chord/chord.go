@@ -44,14 +44,8 @@ type Config struct {
 	// CheckPredEvery is the predecessor failure-detector period.
 	// Default 100ms.
 	CheckPredEvery time.Duration
-	// MaxHops bounds recursive routing against stale-table loops.
-	// Default 64.
-	MaxHops int
 	// RPC configures per-call timeouts and retries.
 	RPC rpc.Config
-	// NodeID overrides the default identifier (the hash of the
-	// transport address). Tests use it to craft specific rings.
-	NodeID *id.ID
 }
 
 func (c Config) withDefaults() Config {
@@ -66,9 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckPredEvery == 0 {
 		c.CheckPredEvery = 100 * time.Millisecond
-	}
-	if c.MaxHops == 0 {
-		c.MaxHops = 64
 	}
 	if c.RPC.Timeout == 0 {
 		c.RPC.Timeout = 250 * time.Millisecond
@@ -117,17 +108,16 @@ var _ overlay.Router = (*Node)(nil)
 
 const deadCacheTTL = 2 * time.Second
 
+// maxHops bounds recursive routing against stale-table loops.
+const maxHops = 64
+
 // New creates a Chord node on tr. The node starts as a one-node ring;
 // call Join to merge into an existing overlay. Maintenance timers
 // start immediately.
 func New(tr transport.Transport, cfg Config) *Node {
 	cfg = cfg.withDefaults()
-	nid := id.HashString(tr.Addr())
-	if cfg.NodeID != nil {
-		nid = *cfg.NodeID
-	}
 	n := &Node{
-		self:      overlay.Node{ID: nid, Addr: tr.Addr()},
+		self:      overlay.Node{ID: id.HashString(tr.Addr()), Addr: tr.Addr()},
 		cfg:       cfg,
 		peer:      rpc.New(tr, cfg.RPC),
 		deadCache: make(map[string]time.Time),
@@ -216,6 +206,18 @@ func (n *Node) Successor() overlay.Node {
 	return n.successors[0]
 }
 
+// knowsOnly reports whether every contact of the node is in members.
+func (n *Node) knowsOnly(members map[string]bool) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, c := range n.contactsLocked() {
+		if !members[c.Addr] {
+			return false
+		}
+	}
+	return true
+}
+
 // Neighbors returns the successor list (excluding self), PIER's
 // replication set.
 func (n *Node) Neighbors() []overlay.Node {
@@ -269,7 +271,7 @@ func (n *Node) lookupVia(ctx context.Context, start overlay.Node, key id.ID) (ov
 	for attempt := 0; attempt <= restarts; attempt++ {
 		cur := start
 		hops := 0
-		for hops <= n.cfg.MaxHops {
+		for hops <= maxHops {
 			if err := ctx.Err(); err != nil {
 				return overlay.Node{}, hops, err
 			}
@@ -292,7 +294,7 @@ func (n *Node) lookupVia(ctx context.Context, start overlay.Node, key id.ID) (ov
 			hops++
 		}
 		if lastErr == nil {
-			lastErr = fmt.Errorf("chord: lookup exceeded %d hops", n.cfg.MaxHops)
+			lastErr = fmt.Errorf("chord: lookup exceeded %d hops", maxHops)
 		}
 		start = n.self
 	}
@@ -395,7 +397,9 @@ func (n *Node) contactsLocked() []overlay.Node {
 	for i := range n.fingers {
 		add(n.fingers[i])
 	}
-	sortByDistance(n.self.ID, n.contacts)
+	slices.SortFunc(n.contacts, func(a, b overlay.Node) int {
+		return n.self.ID.Distance(a.ID).Cmp(n.self.ID.Distance(b.ID))
+	})
 	return n.contacts
 }
 
@@ -478,8 +482,8 @@ func (n *Node) sendRoute(to string, origin overlay.Node, key id.ID, tag string, 
 }
 
 func (n *Node) routeMsg(origin overlay.Node, key id.ID, tag string, payload []byte, hops int) error {
-	if hops > n.cfg.MaxHops {
-		return fmt.Errorf("chord: route %s exceeded %d hops", key.Short(), n.cfg.MaxHops)
+	if hops > maxHops {
+		return fmt.Errorf("chord: route %s exceeded %d hops", key.Short(), maxHops)
 	}
 	n.mu.Lock()
 	owns := n.ownsLocked(key)
@@ -531,27 +535,25 @@ func (n *Node) routeMsg(origin overlay.Node, key id.ID, tag string, payload []by
 // (self, self] — the whole ring — and recursively delegates
 // sub-intervals to its fingers.
 func (n *Node) Broadcast(tag string, payload []byte) error {
-	n.mu.Lock()
-	bc := n.broadcast
-	n.mu.Unlock()
-	if bc != nil {
-		bc(n.self, tag, payload)
-	}
-	return n.forwardBroadcast(n.self, tag, payload, n.self.ID)
+	return n.forwardBroadcast(n.self, tag, payload, n.self.ID, 0)
 }
 
-// forwardBroadcast delegates coverage of (self, limit) to fingers.
-// It walks the cached contact list, which is never written once built
-// (a change replaces it), skipping dead contacts in place; the lock is
-// dropped around each send.
-func (n *Node) forwardBroadcast(origin overlay.Node, tag string, payload []byte, limit id.ID) error {
-	var firstErr error
+// delegation is one sub-interval (to's ID, limit) of a broadcast.
+type delegation struct {
+	to    string
+	limit id.ID
+}
+
+// forwardBroadcast delegates coverage of (self, limit) to the live
+// contacts inside it, each up to the next live contact (or limit for
+// the last one). The delegations are fixed under the lock before the
+// local upcall, which learns how many there are; the sends follow.
+func (n *Node) forwardBroadcast(origin overlay.Node, tag string, payload []byte, limit id.ID, depth int) error {
 	n.mu.Lock()
+	bc := n.broadcast
 	contacts := n.contactsLocked()
+	var dels []delegation
 	for i, c := range contacts {
-		// Only live contacts strictly inside (self, limit) receive the
-		// broadcast; each gets responsibility up to the next live
-		// contact (or the overall limit for the last one).
 		if !id.Between(c.ID, n.self.ID, limit) || n.isDeadLocked(c.Addr) {
 			continue
 		}
@@ -565,41 +567,32 @@ func (n *Node) forwardBroadcast(origin overlay.Node, tag string, payload []byte,
 			}
 			break
 		}
-		n.mu.Unlock()
-		if err := n.sendBroadcast(c.Addr, origin, tag, payload, next); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		n.mu.Lock()
+		dels = append(dels, delegation{to: c.Addr, limit: next})
 	}
 	n.mu.Unlock()
+	if bc != nil {
+		bc(origin, tag, payload, depth, len(dels))
+	}
+	var firstErr error
+	for _, d := range dels {
+		if err := n.sendBroadcast(d.to, origin, tag, payload, d.limit, depth+1); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
 	return firstErr
 }
 
 // sendBroadcast sends one broadcast delegation, its header as the
 // frame's head and payload as the tail.
-func (n *Node) sendBroadcast(to string, origin overlay.Node, tag string, payload []byte, limit id.ID) error {
+func (n *Node) sendBroadcast(to string, origin overlay.Node, tag string, payload []byte, limit id.ID, depth int) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	origin.Encode(w)
 	w.String(tag)
 	w.Raw(limit[:])
+	w.Uvarint(uint64(depth))
 	w.Uvarint(uint64(len(payload))) // the body's BytesLP prefix; payload follows
 	return n.peer.NotifyParts(to, "chord.broadcast", w.Bytes(), payload)
-}
-
-func sortByDistance(from id.ID, nodes []overlay.Node) {
-	// Insertion sort: contact lists are short (≤ successors+fingers).
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0; j-- {
-			dj := from.Distance(nodes[j].ID)
-			dp := from.Distance(nodes[j-1].ID)
-			if dj.Cmp(dp) < 0 {
-				nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-			} else {
-				break
-			}
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -668,17 +661,12 @@ func (n *Node) registerHandlers() {
 		tag := r.String()
 		var limit id.ID
 		copy(limit[:], r.Raw(id.Bytes))
+		depth := int(r.Uvarint())
 		payload := r.BytesLP()
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
-		n.mu.Lock()
-		bc := n.broadcast
-		n.mu.Unlock()
-		if bc != nil {
-			bc(origin, tag, payload)
-		}
-		return nil, n.forwardBroadcast(origin, tag, payload, limit)
+		return nil, n.forwardBroadcast(origin, tag, payload, limit, depth)
 	})
 }
 
@@ -897,20 +885,26 @@ func (n *Node) checkPredecessorLoop() {
 func (n *Node) Peer() *rpc.Peer { return n.peer }
 
 // WaitConverged blocks until the nodes form one ring: each node's
-// successor is the next node in ID order. It then pauses briefly so
-// finger tables warm and a broadcast reaches every node. It fails if
-// the ring has not closed within timeout.
+// successor is the next node in ID order, and no successor list or
+// finger names a node outside the set (one that left or crashed), so a
+// broadcast delegates to none. It then pauses briefly so finger tables
+// warm and a broadcast reaches every node. It fails if the ring has not
+// closed within timeout.
 func WaitConverged(nodes []*Node, timeout time.Duration) error {
 	if len(nodes) <= 1 {
 		return nil
 	}
 	sorted := slices.Clone(nodes)
 	slices.SortFunc(sorted, func(a, b *Node) int { return a.Self().ID.Cmp(b.Self().ID) })
+	members := make(map[string]bool, len(nodes))
+	for _, nd := range nodes {
+		members[nd.self.Addr] = true
+	}
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		closed := true
 		for i, nd := range sorted {
-			if nd.Successor().Addr != sorted[(i+1)%len(sorted)].Self().Addr {
+			if nd.Successor().Addr != sorted[(i+1)%len(sorted)].Self().Addr || !nd.knowsOnly(members) {
 				closed = false
 				break
 			}

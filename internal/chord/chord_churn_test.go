@@ -70,7 +70,7 @@ func TestBroadcastAfterChurn(t *testing.T) {
 	got := map[string]int{}
 	for _, nd := range live {
 		nd := nd
-		nd.SetBroadcast(func(from overlay.Node, tag string, payload []byte) {
+		nd.SetBroadcast(func(from overlay.Node, tag string, payload []byte, _, _ int) {
 			mu.Lock()
 			got[nd.Self().Addr]++
 			mu.Unlock()

@@ -252,11 +252,15 @@ func TestBroadcastReachesAllNodes(t *testing.T) {
 	time.Sleep(500 * time.Millisecond) // fingers
 	var mu sync.Mutex
 	got := map[string]int{}
+	// Per depth: the nodes reached there and the fan-out they delegated.
+	reached, fanout := map[int]int{}, map[int]int{}
 	for _, nd := range nodes {
 		nd := nd
-		nd.SetBroadcast(func(from overlay.Node, tag string, payload []byte) {
+		nd.SetBroadcast(func(from overlay.Node, tag string, payload []byte, depth, fan int) {
 			mu.Lock()
 			got[nd.Self().Addr]++
+			reached[depth]++
+			fanout[depth] += fan
 			mu.Unlock()
 		})
 	}
@@ -281,6 +285,16 @@ func TestBroadcastReachesAllNodes(t *testing.T) {
 	for addr, c := range got {
 		if c != 1 {
 			t.Fatalf("node %s received broadcast %d times", addr, c)
+		}
+	}
+	// The fan-outs count the receivers: one initiator at depth 0, and
+	// every deeper level is exactly what the level above delegated.
+	if reached[0] != 1 {
+		t.Fatalf("%d nodes at depth 0", reached[0])
+	}
+	for d := 1; d <= len(reached); d++ {
+		if reached[d] != fanout[d-1] {
+			t.Fatalf("depth %d: %d nodes reached, %d delegated (reached %v, fan-out %v)", d, reached[d], fanout[d-1], reached, fanout)
 		}
 	}
 }

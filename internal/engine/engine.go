@@ -314,9 +314,6 @@ type Session struct {
 	stats    SessionStats
 }
 
-// ID is the service-unique session identifier.
-func (se *Session) ID() uint64 { return se.id }
-
 // Stats snapshots the session's resource accounting.
 func (se *Session) Stats() SessionStats {
 	se.mu.Lock()
@@ -530,18 +527,6 @@ func (se *Session) lookupPrepared(name string) (*Prepared, error) {
 		return nil, fmt.Errorf("engine: no prepared statement %q", name)
 	}
 	return p, nil
-}
-
-// Prepared lists the session's prepared statements (sorted by name at
-// the caller if needed).
-func (se *Session) PreparedAll() []*Prepared {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	out := make([]*Prepared, 0, len(se.prepared))
-	for _, p := range se.prepared {
-		out = append(out, p)
-	}
-	return out
 }
 
 // Exec runs a prepared statement.

@@ -111,7 +111,7 @@ func (n *Node) analyze(ctx context.Context, tables []string) (*AnalyzeResult, []
 	if err != nil {
 		return nil, nil, err
 	}
-	res := &AnalyzeResult{Reason: ReasonEOS, Participants: n.Members()}
+	res := &AnalyzeResult{Reason: ReasonEOS, Participants: results[0].Participants}
 	for i, r := range results {
 		res.Participants = min(res.Participants, r.Participants)
 		if r.Reason != ReasonEOS {

@@ -175,3 +175,63 @@ func TestBatchingAggregationEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestOneShotPartialsSkipOwnerResolution: a one-shot GROUP BY's
+// partials go hop by hop through the raw overlay, so the route batcher
+// takes none of them and resolves no owner for pier.agg; a continuous
+// GROUP BY meets its collector keys again every window and keeps the
+// batcher.
+func TestOneShotPartialsSkipOwnerResolution(t *testing.T) {
+	nodes, _ := cluster(t, 6, 1602)
+	defineEverywhere(t, nodes, alertsSchema, time.Minute)
+	publish := func(round int) {
+		t.Helper()
+		for i, nd := range nodes {
+			for rule := 0; rule < 4; rule++ {
+				if err := nd.PublishLocal("alerts", tupleAlert(fmt.Sprintf("%s-%d", nd.Addr(), round), int64(rule), int64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	batched := func() (records, lookups, partials uint64) {
+		for _, nd := range nodes {
+			m := nd.Batcher().MetricsRef()
+			records += m.RecordsIn.Load()
+			lookups += m.OwnerMisses.Load() + m.OwnerHits.Load()
+			partials += nd.Metrics.PartialsSent.Load()
+		}
+		return records, lookups, partials
+	}
+	publish(0)
+	res, err := nodes[0].Query(context.Background(), "SELECT rule, SUM(hits) FROM alerts GROUP BY rule")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reason != ReasonEOS || len(res.Rows) != 4 {
+		t.Fatalf("one-shot ended %q with %d groups, want eos and 4", res.Reason, len(res.Rows))
+	}
+	records, lookups, partials := batched()
+	if partials == 0 || records != 0 || lookups != 0 {
+		t.Fatalf("one-shot: %d partials sent, %d batched records, %d owner resolutions; want some partials and no batcher use",
+			partials, records, lookups)
+	}
+
+	cont, err := nodes[0].QueryContinuous(context.Background(),
+		"SELECT rule, COUNT(*) FROM alerts GROUP BY rule WINDOW 300 ms SLIDE 300 ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cont.Stop()
+	deadline := time.Now().Add(10 * time.Second)
+	for round := 1; ; round++ {
+		publish(round)
+		if records, lookups, _ := batched(); records > 0 && lookups > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the continuous query's partials never went through the batcher")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}

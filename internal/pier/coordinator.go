@@ -160,12 +160,11 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	}
 	start := time.Now()
 	qid := n.nextQueryID()
-	// One reading of the member count serves both the partition count
-	// every participant rehashes into and the EOS completion below.
-	members := n.Members()
-	msg := queryMsg{qid: qid, coord: n.Addr(), joinParts: joinPartitions(members), spec: spec}
+	// The learned member count sets the partitions every participant
+	// rehashes into; completion counts this query's own members.
+	msg := queryMsg{qid: qid, coord: n.Addr(), members: n.learnedMembers(), spec: spec}
 	q := n.getQuery(qid, func() *queryState {
-		s := n.newQueryState(qid, spec, n.Addr(), msg.joinParts)
+		s := n.newQueryState(qid, spec, n.Addr(), msg.members)
 		s.isCoord = true
 		return s
 	})
@@ -204,10 +203,10 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	waitSpan := q.spans.Start("wait")
 
 	// Completion: drive the deterministic EOS protocol — wait for
-	// every member's end-of-scan ledger, issue drain rounds until
-	// every member's latest round settled and the network-wide books
-	// balance (or the books stop moving across a full round), and
-	// finish the instant they do. Under churn, members
+	// every member's end-of-scan ledger (members: membership), issue
+	// drain rounds until every member's latest round settled and the
+	// network-wide books balance (or the books stop moving across a
+	// full round), and finish the instant they do. Under churn, members
 	// that miss SuspectAfter heartbeats are excluded from the
 	// expected set and drain-round membership: the query then
 	// completes churn-degraded the moment every *surviving* member is
@@ -262,23 +261,24 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 				suspects = nil
 			}
 			// Cheap gate before the full ledger fold: while any
-			// member's scan is still running nothing can complete,
-			// and the books move on every arriving batch. Once churn
-			// inference is live the fold runs every evaluation — the
-			// member count itself is in question then.
+			// member's scan is still running, or a delegated node has
+			// not reported, nothing can complete, and the books move
+			// on every arriving batch. Once churn inference is live
+			// the fold runs every evaluation — the member count itself
+			// is in question then.
 			q.coMu.Lock()
 			doneCount := len(q.doneNodes)
+			expected, complete := q.membership()
 			q.coMu.Unlock()
-			if doneCount >= members || churnMode {
+			if (complete && doneCount >= expected) || churnMode {
 				st := q.eosStatus(issuedRound, suspects)
-				full := st.scanDone >= members
+				full := complete && st.scanDone >= expected
 				// Degraded completeness: every surviving reported
-				// member finished its scan, but some expected members
-				// are suspect or never reported at all.
-				missing := members - st.live
+				// member finished its scan, but some members are
+				// suspect or some delegated node never reported.
 				degraded := churnMode && st.live > 0 &&
 					st.liveScanDone >= st.live &&
-					(missing > 0 || len(suspects) > 0)
+					(!complete || len(suspects) > 0)
 				if full || degraded {
 					// Dead members can never ack a new round; once
 					// churn inference is live, the surviving members'
@@ -370,7 +370,15 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	q.spans.End(finSpan)
 	q.coMu.Lock()
 	participants := len(q.doneNodes)
+	counted, _ := q.membership()
 	q.coMu.Unlock()
+	// A subtree lost mid-query takes its fan-outs with it: a degraded
+	// query's coverage counts against the larger of this query's count
+	// and the last complete one's.
+	members := max(counted, n.learnedMembers())
+	if reason == ReasonEOS {
+		n.members.Store(int64(counted))
+	}
 	cov, covTables := q.coverage(reason, members, suspects)
 	q.spans.EndDetail(rootSpan, "reason="+reason)
 	n.recordCompletion(reason, cov, issuedRound)
@@ -529,9 +537,9 @@ func (n *Node) ExecuteSpecContinuous(ctx context.Context, spec *plan.Spec) (*Con
 		return nil, fmt.Errorf("pier: continuous joins are not supported")
 	}
 	qid := n.nextQueryID()
-	msg := queryMsg{qid: qid, coord: n.Addr(), joinParts: joinPartitions(n.Members()), spec: spec}
+	msg := queryMsg{qid: qid, coord: n.Addr(), members: n.learnedMembers(), spec: spec}
 	q := n.getQuery(qid, func() *queryState {
-		s := n.newQueryState(qid, spec, n.Addr(), msg.joinParts)
+		s := n.newQueryState(qid, spec, n.Addr(), msg.members)
 		s.isCoord = true
 		s.lastActivity = time.Now()
 		s.results = make(chan WindowResult, 64)

@@ -188,6 +188,8 @@ func (q *queryState) eosFrame() *wire.EosFrame {
 		Query:      q.id,
 		Addr:       q.node.Addr(),
 		Seq:        e.seq,
+		Depth:      uint64(q.depth),
+		Fanout:     uint64(q.fanout),
 		ScanDone:   e.scanDone,
 		DrainRound: e.drainRound,
 	}
@@ -473,6 +475,9 @@ func (q *queryState) applyEosLedger(f *wire.EosFrame) {
 		return // reordered stale frame
 	}
 	q.ledgers[f.Addr] = f
+	if prev == nil {
+		q.countMember(int(f.Depth), int(f.Fanout))
+	}
 	if f.ScanDone {
 		q.doneNodes[f.Addr] = true
 	}
@@ -504,6 +509,39 @@ func eosFrameEqual(a, b *wire.EosFrame) bool {
 		}
 	}
 	return true
+}
+
+// treeLevel is one depth of a query broadcast's delegation tree as the
+// coordinator has heard of it: the members that reported there and the
+// fan-out they delegated.
+type treeLevel struct{ reached, fanout int }
+
+// countMember enters a member's first report (the coordinator's own at
+// depth 0) into the delegation tree, keeping a level past the deepest
+// reported one so its fan-out is checked too. Callers hold coMu.
+func (q *queryState) countMember(depth, fanout int) {
+	for len(q.tree) < depth+2 {
+		q.tree = append(q.tree, treeLevel{})
+	}
+	q.tree[depth].reached++
+	q.tree[depth].fanout += fanout
+}
+
+// membership counts the query's members from its delegation tree:
+// expected is the coordinator plus every fan-out reported, and complete
+// holds when every delegated node reported — each depth reached exactly
+// what the depth above delegated. A depth-by-depth match is needed, not
+// just a match of the totals: a node whose ledger is late but whose
+// child's is in could balance them. Callers hold coMu.
+func (q *queryState) membership() (expected int, complete bool) {
+	expected, complete = 1, len(q.tree) > 0
+	for d, l := range q.tree {
+		expected += l.fanout
+		if d > 0 && l.reached != q.tree[d-1].fanout {
+			complete = false
+		}
+	}
+	return expected, complete
 }
 
 // eosStatus is one completion evaluation's view of the network.

@@ -391,3 +391,24 @@ func TestEosSettledFollowsCounts(t *testing.T) {
 	q.cancel()
 	<-done
 }
+
+// TestMembershipCountsEveryDepth: the member count is complete only
+// when every depth of the broadcast tree reached what the depth above
+// delegated. A member whose ledger is late while its child's is in
+// balances the totals (1 + fan-outs = reporters), and must not pass.
+func TestMembershipCountsEveryDepth(t *testing.T) {
+	q := &queryState{}
+	q.countMember(0, 2) // the coordinator delegates to a and b
+	q.countMember(1, 0) // a, a leaf
+	if n, complete := q.membership(); n != 3 || complete {
+		t.Fatalf("b missing: %d expected, complete %v; want 3, false", n, complete)
+	}
+	q.countMember(2, 0) // c, whom b delegated to, reports before b
+	if n, complete := q.membership(); n != 3 || complete {
+		t.Fatalf("b late, its child in: %d expected, complete %v; want 3, false", n, complete)
+	}
+	q.countMember(1, 1) // b
+	if n, complete := q.membership(); n != 4 || !complete {
+		t.Fatalf("every member in: %d expected, complete %v; want 4, true", n, complete)
+	}
+}

@@ -53,9 +53,12 @@ type queryState struct {
 	// before the query message leaves the coordinator or, elsewhere,
 	// before the state is published.
 	filters map[int]*bloom.Filter
-	// joinParts is the routing partition count of every rehash-join
-	// stage, as the query message carried it.
-	joinParts int
+	// members is the coordinator's member count, as the query message
+	// carried it; joinParts, the routing partition count of every
+	// rehash-join stage, follows from it. depth and fanout place this
+	// node in the query broadcast's tree (wire.EosFrame).
+	members, joinParts int
+	depth, fanout      int
 
 	// --- physical pipelines this node runs for the query ---
 	// (participant scan/window pipeline, lazily started collectors)
@@ -99,7 +102,6 @@ type queryState struct {
 	// Snapshots replace rather than sum, so continuous queries can
 	// re-ship cumulative counters every window without double counting.
 	nodeStats map[string]*plan.Analysis
-	epoch     time.Time // continuous window time base
 	// ledgers holds the latest EOS ledger per participant; eosEval
 	// pokes the coordinator's completion evaluation. lastSeen is the
 	// per-member liveness clock fed by every arriving RPC (heartbeat
@@ -107,6 +109,8 @@ type queryState struct {
 	ledgers  map[string]*wire.EosFrame
 	lastSeen map[string]time.Time
 	eosEval  chan struct{}
+	// tree tallies the query broadcast's tree per depth (membership).
+	tree []treeLevel
 }
 
 // getQuery returns (and optionally creates) the state for qid.
@@ -274,7 +278,7 @@ func (n *Node) sendStats(qid uint64, coord string, stats []plan.OpStats, spans [
 	_ = n.peer.Notify(coord, methStats, w.Bytes())
 }
 
-func (n *Node) newQueryState(qid uint64, spec *plan.Spec, coord string, joinParts int) *queryState {
+func (n *Node) newQueryState(qid uint64, spec *plan.Spec, coord string, members int) *queryState {
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &queryState{
 		id:         qid,
@@ -289,7 +293,8 @@ func (n *Node) newQueryState(qid uint64, spec *plan.Spec, coord string, joinPart
 		winFlushed: make(map[uint64]bool),
 		winTimers:  make(map[uint64]*time.Timer),
 		eosEval:    make(chan struct{}, 1),
-		joinParts:  joinParts,
+		members:    members,
+		joinParts:  joinPartitions(members),
 	}
 	if !spec.IsContinuous() {
 		q.eos = newEosTracker()
@@ -321,27 +326,29 @@ func (q *queryState) shipSpan() {
 // Message encoding
 
 // queryMsg is a query dissemination: the trace context (query id + the
-// coordinator's root span id) and the join partition count ride in the
-// same wire frame as the plan, so every participant parents its spans
-// correctly and rehashes into the same partitions with no extra
-// message. Participants read joinParts from here only — never from
-// their own Members(), which may disagree during a membership change.
+// coordinator's root span id) and the coordinator's member count ride
+// in the same wire frame as the plan, so every participant parents its
+// spans correctly and derives the same join partitions with no extra
+// message. Participants read the count from here only — never from
+// their own, which may disagree during a membership change.
 type queryMsg struct {
-	qid       uint64
-	coord     string
-	rootSpan  uint64
-	joinParts int
-	spec      *plan.Spec
-	filters   map[int]*bloom.Filter
+	qid      uint64
+	coord    string
+	rootSpan uint64
+	members  int
+	spec     *plan.Spec
+	filters  map[int]*bloom.Filter
 }
 
-// maxJoinPartitions bounds the partition count a message may carry.
+// maxJoinPartitions bounds the partition count, and the member count a
+// query message may carry.
 const maxJoinPartitions = 1 << 16
 
 // joinPartitions chooses P for a cluster of members nodes: 64 up to 16
 // members — one stage's owner lookups then fit the route batcher's
-// in-flight lookup cap — and the next power of two ≥ 4×members above
-// that, so every member still owns a few partitions.
+// in-flight lookup cap, and an undercount there changes nothing — and
+// the next power of two ≥ 4×members above that, so every member still
+// owns a few partitions.
 func joinPartitions(members int) int {
 	p := 64
 	for p < 4*members && p < maxJoinPartitions {
@@ -355,7 +362,7 @@ func (m queryMsg) encode() []byte {
 	w.Uint64(m.qid)
 	w.String(m.coord)
 	w.Uint64(m.rootSpan)
-	w.Uvarint(uint64(m.joinParts))
+	w.Uvarint(uint64(m.members))
 	stages := make([]int, 0, len(m.filters))
 	for s, f := range m.filters {
 		if f != nil {
@@ -377,11 +384,11 @@ func decodeQueryMsg(payload []byte) (m queryMsg, err error) {
 	m.qid = r.Uint64()
 	m.coord = r.String()
 	m.rootSpan = r.Uint64()
-	parts := r.Uvarint()
-	if r.Err() == nil && (parts < 1 || parts > maxJoinPartitions) {
-		return m, fmt.Errorf("pier: query message with %d join partitions", parts)
+	members := r.Uvarint()
+	if members > maxJoinPartitions {
+		return m, fmt.Errorf("pier: query message with %d members", members)
 	}
-	m.joinParts = int(parts)
+	m.members = int(members)
 	nf := int(r.Uvarint())
 	if nf > plan.MaxTables {
 		return m, fmt.Errorf("pier: query message with %d bloom filters", nf)
@@ -489,7 +496,7 @@ func joinCollectorKey(origin id.ID, partition, parts int) id.ID {
 // ---------------------------------------------------------------------------
 // Upcalls: broadcast, routed delivery, intercept
 
-func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte) {
+func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte, depth, fanout int) {
 	switch tag {
 	case tagQuery:
 		m, err := decodeQueryMsg(payload)
@@ -497,10 +504,11 @@ func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte) {
 			return
 		}
 		q := n.getQuery(m.qid, func() *queryState {
-			qs := n.newQueryState(m.qid, m.spec, m.coord, m.joinParts)
+			qs := n.newQueryState(m.qid, m.spec, m.coord, m.members)
 			// Set before the state is published: a join frame from a
 			// node the broadcast reached first can find it at once.
 			qs.filters = m.filters
+			qs.depth, qs.fanout = depth, fanout
 			if m.coord != n.Addr() {
 				qs.initTrace(m.rootSpan)
 			}
@@ -508,6 +516,11 @@ func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte) {
 		})
 		if q == nil {
 			return
+		}
+		if q.isCoord && q.eos != nil {
+			q.coMu.Lock()
+			q.countMember(depth, fanout)
+			q.coMu.Unlock()
 		}
 		q.participateOnce.Do(func() {
 			n.Metrics.QueriesParticipated.Add(1)
@@ -550,7 +563,7 @@ func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte) {
 		n.dropQuery(qid)
 	default:
 		if fn := n.appBroadcastFor(tag); fn != nil {
-			fn(from, tag, payload)
+			fn(from, tag, payload, depth, fanout)
 		}
 	}
 }

@@ -63,8 +63,8 @@ func (q *queryState) noteAlive(addr string) {
 
 // suspectedMembers lists reported members silent for longer than
 // window (nil when none). The coordinator itself is never suspect.
-// Members that never reported at all do not appear here — they are
-// accounted for by comparing reported count against Config.Members.
+// Members that never reported at all do not appear here — they show up
+// as delegations no ledger answers (membership).
 func (q *queryState) suspectedMembers(window time.Duration) map[string]bool {
 	now := time.Now()
 	self := q.node.Addr()

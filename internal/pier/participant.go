@@ -76,9 +76,10 @@ const switchFactor = 4
 
 // fetchSwitchThreshold is the mid-flight strategy-switch trip point
 // for one fetch-matches stage: switchFactor × the optimizer's left
-// cardinality estimate, scaled down by the cluster size (each node
-// sees roughly its share of the scan; collectors running a later
-// fetch stage see a key-partitioned share of the same order). A
+// cardinality estimate, scaled down by the member count the query
+// message carried (each node sees roughly its share of the scan;
+// collectors running a later fetch stage see a key-partitioned share
+// of the same order; a count not yet learned scales by 1). A
 // stage with no estimate never switches — there is no premise to
 // contradict.
 func (q *queryState) fetchSwitchThreshold(stage int) int64 {
@@ -89,7 +90,7 @@ func (q *queryState) fetchSwitchThreshold(stage int) int64 {
 	if est <= 0 {
 		return 0
 	}
-	thr := int64(switchFactor * float64(est) / float64(q.node.Members()))
+	thr := int64(switchFactor * float64(est) / float64(max(q.members, 1)))
 	if thr < 1 {
 		thr = 1
 	}

@@ -53,12 +53,6 @@ type Config struct {
 	// reconciling. A one-shot query normally completes the instant they
 	// do. Default 400ms.
 	Quiet time.Duration
-	// Members is the expected cluster size, required (NewNode refuses
-	// less than 1): a one-shot query completes as soon as this many
-	// nodes report end-of-scan and the record books balance, and
-	// coverage is counted against it. SetMembers adjusts it at runtime
-	// (e.g. on churn).
-	Members int
 	// MaxQueryLife caps one-shot query duration. Default 15s.
 	MaxQueryLife time.Duration
 	// HeartbeatEvery is how often a participant re-ships its EOS
@@ -121,10 +115,7 @@ func (c Config) withDefaults() Config {
 
 // Metrics counts node activity for the harness. Fields are obs
 // counters registered on the node's registry at construction, so the
-// existing field API (Add/Load) keeps working while the same values
-// export through the metrics surface. RowsSent was deleted: the final
-// ship operator's RowsOut plus rpc_calls_total{method="pier.rows"}
-// already count it.
+// field API (Add/Load) reads the values the metrics surface exports.
 type Metrics struct {
 	QueriesCoordinated  obs.Counter
 	QueriesParticipated obs.Counter
@@ -183,7 +174,9 @@ type Node struct {
 	appBroadcast map[string]overlay.BroadcastFunc
 
 	qidCounter atomic.Uint64
-	members    atomic.Int64
+	// members is the learned member count: that of the last one-shot
+	// query this node coordinated that ended eos (0 before the first).
+	members atomic.Int64
 
 	Metrics Metrics
 
@@ -208,9 +201,6 @@ type Node struct {
 // NewNode builds a PIER node on the given transport. The node joins
 // no overlay until Join is called.
 func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
-	if cfg.Members < 1 {
-		return nil, fmt.Errorf("pier: Members is %d; set it to the expected cluster size", cfg.Members)
-	}
 	cfg = cfg.withDefaults()
 	n := &Node{
 		cfg:          cfg,
@@ -242,7 +232,6 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 	n.batcher.SetDeliverFrame(tagJoin, n.onJoinRecords)
 	n.router.SetBroadcast(n.onBroadcast)
 	n.router.SetIntercept(n.onIntercept)
-	n.members.Store(int64(cfg.Members))
 	n.peer.SetObs(n.reg)
 	n.store.RegisterMetrics(n.reg)
 	n.batcher.RegisterMetrics(n.reg)
@@ -285,18 +274,8 @@ func (n *Node) flushRoutes() { n.batcher.Flush() }
 // in one call — the batch-at-a-time ship path.
 func (n *Node) routeRecords(recs []batch.Record) { _ = n.batcher.RouteMany(recs) }
 
-// SetMembers updates the expected cluster size for deterministic EOS
-// completion (see Config.Members) on membership change. It panics when
-// m < 1.
-func (n *Node) SetMembers(m int) {
-	if m < 1 {
-		panic(fmt.Sprintf("pier: SetMembers(%d)", m))
-	}
-	n.members.Store(int64(m))
-}
-
-// Members returns the expected cluster size.
-func (n *Node) Members() int { return int(n.members.Load()) }
+// learnedMembers returns the learned member count.
+func (n *Node) learnedMembers() int { return int(n.members.Load()) }
 
 // Store exposes the DHT storage layer.
 func (n *Node) Store() *dht.Store { return n.store }

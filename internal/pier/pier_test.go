@@ -61,7 +61,6 @@ func slowNet(seed int64) simnet.Config {
 
 func clusterWithNet(t *testing.T, n int, netCfg simnet.Config, cfg Config) ([]*Node, *simnet.Network) {
 	t.Helper()
-	cfg.Members = n
 	net := simnet.New(netCfg)
 	t.Cleanup(net.Close)
 	nodes := make([]*Node, n)

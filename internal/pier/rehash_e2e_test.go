@@ -301,17 +301,23 @@ func TestJoinPushesPerFrame(t *testing.T) {
 // member gone the query ends churn-degraded, and an eos ending is the
 // centralized baseline's answer byte for byte. The query after the
 // departure, with caches still naming the dead owner, is held to the
-// same rule.
+// same rule over the survivors: the ring no longer reaches the dead
+// node, so it is no longer a member.
 func TestJoinCachedOwnerLeavesMidQuery(t *testing.T) {
 	const nOrders, nUsers = 4000, 500
 	sql := "SELECT o.oid, u.name FROM orders o JOIN users u ON o.uid = u.uid"
 	cl := spillCluster(t, 8, 2300, func(cfg *pier.Config) { cfg.Quiet = 4 * time.Second })
 	seedRehashJoin(t, cl.Nodes, nOrders, nUsers, 1)
-	base, err := centralizedBaseline(cl.Nodes).QuerySQL(context.Background(), sql, time.Second)
-	if err != nil {
-		t.Fatal(err)
+	centralized := centralizedBaseline(cl.Nodes)
+	baseline := func() []string {
+		t.Helper()
+		base, err := centralized.QuerySQL(context.Background(), sql, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encodeSorted(base.Rows)
 	}
-	want := encodeSorted(base.Rows)
+	want := baseline()
 	sym := plan.SymmetricHash
 	query := func() *pier.Result {
 		t.Helper()
@@ -362,5 +368,6 @@ func TestJoinCachedOwnerLeavesMidQuery(t *testing.T) {
 	leave := time.AfterFunc(warm.Duration/3, func() { cl.Net.SetDown(victim.Addr(), true) })
 	defer leave.Stop()
 	check("owner leaves mid-query", query())
+	want = baseline()
 	check("after the departure", query())
 }

@@ -84,15 +84,16 @@ func TestJoinOriginArcShare(t *testing.T) {
 // TestRehashCollectorKeyFromQueryMessage: two nodes that disagree about
 // the cluster size (a membership change in progress) must still send
 // one join value of one stage to the same collector key, because the
-// partition count comes from the query message and from nowhere else.
+// partition count follows from the member count of the query message
+// and from nowhere else: the sender's count, not the receiver's, sets P.
 func TestRehashCollectorKeyFromQueryMessage(t *testing.T) {
 	nodes, _ := cluster(t, 2, 1501)
 	for _, s := range []*tuple.Schema{usersSchema, ordersSchema, itemsSchema} {
 		defineEverywhere(t, nodes, s, time.Minute)
 	}
-	nodes[0].SetMembers(8)
-	nodes[1].SetMembers(40)
-	if joinPartitions(nodes[0].Members()) == joinPartitions(nodes[1].Members()) {
+	nodes[0].members.Store(8)
+	nodes[1].members.Store(40)
+	if joinPartitions(nodes[0].learnedMembers()) == joinPartitions(nodes[1].learnedMembers()) {
 		t.Fatal("test needs two views that would choose different partition counts")
 	}
 	stmt, err := sqlparser.Parse(multiwaySQL)
@@ -103,15 +104,18 @@ func TestRehashCollectorKeyFromQueryMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent := queryMsg{qid: 77, coord: nodes[0].Addr(), joinParts: joinPartitions(nodes[0].Members()), spec: spec}
+	sent := queryMsg{qid: 77, coord: nodes[0].Addr(), members: nodes[0].learnedMembers(), spec: spec}
 	var states [2]*queryState
 	for i, nd := range nodes {
 		m, err := decodeQueryMsg(sent.encode())
 		if err != nil {
 			t.Fatal(err)
 		}
-		states[i] = nd.newQueryState(m.qid, m.spec, m.coord, m.joinParts)
+		states[i] = nd.newQueryState(m.qid, m.spec, m.coord, m.members)
 		defer states[i].cancel()
+		if want := joinPartitions(8); states[i].joinParts != want {
+			t.Fatalf("node%d rehashes into %d partitions, want the message's %d", i, states[i].joinParts, want)
+		}
 	}
 	distinct := make(map[string]bool)
 	for stage := range spec.Joins {
@@ -128,14 +132,57 @@ func TestRehashCollectorKeyFromQueryMessage(t *testing.T) {
 			distinct[got[0]] = true
 		}
 	}
-	if want := len(spec.Joins) * sent.joinParts; len(distinct) != want {
+	if want := len(spec.Joins) * states[0].joinParts; len(distinct) != want {
 		t.Fatalf("%d distinct collector keys, want %d (every partition of every stage its own)", len(distinct), want)
 	}
 
-	// A message without a usable partition count is refused, not guessed.
-	sent.joinParts = 0
+	// A count past any partition count is refused, not capped.
+	sent.members = maxJoinPartitions + 1
 	if _, err := decodeQueryMsg(sent.encode()); err == nil {
-		t.Fatal("decodeQueryMsg accepted 0 join partitions")
+		t.Fatalf("decodeQueryMsg accepted %d members", sent.members)
+	}
+}
+
+// TestLearnedMembersSetPartitions: a node learns its member count from
+// the first query it coordinates that ends eos, and the next query's
+// message carries it: 8 and 16 on 8- and 16-node clusters, where P is
+// 64 as it is for any count up to 16.
+func TestLearnedMembersSetPartitions(t *testing.T) {
+	for _, n := range []int{8, 16} {
+		nodes, _ := cluster(t, n, int64(1510+n))
+		defineEverywhere(t, nodes, trafficSchema, time.Minute)
+		if got := nodes[0].learnedMembers(); got != 0 {
+			t.Fatalf("%d nodes: learned %d members before any query", n, got)
+		}
+		for i := 0; i < 2; i++ {
+			res, err := nodes[0].Query(context.Background(), "SELECT COUNT(*) FROM traffic")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Reason != ReasonEOS || res.Participants != n {
+				t.Fatalf("%d nodes: query %d ended %q with %d participants", n, i, res.Reason, res.Participants)
+			}
+			if got := nodes[0].learnedMembers(); got != n {
+				t.Fatalf("%d nodes: learned %d members after query %d", n, got, i)
+			}
+		}
+		stmt, err := sqlparser.Parse("SELECT rate FROM traffic")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := plan.Compile(stmt, nodes[0].cat, plan.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := decodeQueryMsg(queryMsg{qid: 1, members: nodes[0].learnedMembers(), spec: spec}.encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := nodes[1].newQueryState(m.qid, m.spec, m.coord, m.members)
+		q.cancel()
+		if m.members != n || q.joinParts != 64 {
+			t.Fatalf("%d nodes: the message carries %d members, P = %d; want %d and 64", n, m.members, q.joinParts, n)
+		}
 	}
 }
 

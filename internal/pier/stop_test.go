@@ -26,7 +26,6 @@ func TestStopMidQueryNoLeak(t *testing.T) {
 	defer net.Close()
 	const N = 5
 	cfg := testNodeConfig()
-	cfg.Members = N
 	nodes := make([]*Node, N)
 	for i := 0; i < N; i++ {
 		ep, err := net.Endpoint(fmt.Sprintf("node%d", i))

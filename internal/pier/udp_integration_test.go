@@ -28,7 +28,6 @@ func TestQueryOverRealUDP(t *testing.T) {
 		CombineHold:   20 * time.Millisecond,
 		CollectorHold: 100 * time.Millisecond,
 		Quiet:         300 * time.Millisecond,
-		Members:       n,
 	}
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {

@@ -26,7 +26,7 @@ type Options struct {
 	// the Seed field when both set).
 	NetCfg *simnet.Config
 	// NodeCfg overrides the node configuration. Default: fast
-	// simulation timers. A zero Members is filled in with N.
+	// simulation timers.
 	NodeCfg *pier.Config
 }
 
@@ -72,9 +72,6 @@ func New(opts Options) (*Cluster, error) {
 	nodeCfg := FastConfig()
 	if opts.NodeCfg != nil {
 		nodeCfg = *opts.NodeCfg
-	}
-	if nodeCfg.Members == 0 {
-		nodeCfg.Members = opts.N
 	}
 	net := simnet.New(netCfg)
 	c := &Cluster{Net: net}

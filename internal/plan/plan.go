@@ -181,15 +181,6 @@ func (s *Spec) LeftSchema(stage int) *tuple.Schema {
 	return sch
 }
 
-// WorkSchema is the schema Proj produces (canonical layout input).
-func (s *Spec) WorkSchema() *tuple.Schema {
-	cols := make([]tuple.Column, len(s.Proj))
-	for i := range s.Proj {
-		cols[i] = tuple.Column{Name: fmt.Sprintf("c%d", i)}
-	}
-	return &tuple.Schema{Name: "work", Columns: cols}
-}
-
 // CanonicalWidth is the arity of the pre-permutation result row.
 func (s *Spec) CanonicalWidth() int {
 	if s.IsAggregate() {

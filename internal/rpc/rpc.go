@@ -55,18 +55,13 @@ type Config struct {
 	// Retries is the number of retransmissions after the first
 	// attempt. Zero means 2.
 	Retries int
-	// NoRetry disables retransmission entirely (Retries = 0 then
-	// means 0 rather than the default).
-	NoRetry bool
 }
 
 func (c Config) withDefaults() Config {
 	if c.Timeout == 0 {
 		c.Timeout = 500 * time.Millisecond
 	}
-	if c.NoRetry {
-		c.Retries = 0
-	} else if c.Retries == 0 {
+	if c.Retries == 0 {
 		c.Retries = 2
 	}
 	return c
@@ -160,9 +155,6 @@ func New(tr transport.Transport, cfg Config) *Peer {
 	tr.SetHandler(p.onDatagram)
 	return p
 }
-
-// Addr returns the underlying transport address.
-func (p *Peer) Addr() string { return p.tr.Addr() }
 
 // Handle registers a handler for method. Registration after the first
 // inbound message is allowed; unknown methods are answered with an

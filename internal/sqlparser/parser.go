@@ -81,15 +81,6 @@ type SelectStmt struct {
 // IsContinuous reports whether the statement is a continuous query.
 func (s *SelectStmt) IsContinuous() bool { return s.Window > 0 }
 
-// AggCall is an aggregate invocation discovered in the select list.
-type AggCall struct {
-	Name string    // SUM, COUNT, AVG, MIN, MAX
-	Arg  expr.Expr // nil for COUNT(*)
-}
-
-// AggFuncs are the recognized aggregate function names.
-var AggFuncs = map[string]bool{"SUM": true, "COUNT": true, "AVG": true, "MIN": true, "MAX": true}
-
 // countStarSentinel marks COUNT(*) in the AST (no argument).
 type countStarSentinel struct{}
 

@@ -40,6 +40,10 @@ type EosFrame struct {
 	// heartbeat), so the coordinator uses Seq to discard reordered
 	// stale frames instead of relying on in-order delivery.
 	Seq uint64
+	// Depth and Fanout place the node in the query broadcast's tree
+	// (its hops from the coordinator, the nodes it passed the query
+	// on to): the coordinator counts the query's members from them.
+	Depth, Fanout uint64
 	// ScanDone reports that the node's participant pipeline has run to
 	// end-of-stream and its route batches were flushed.
 	ScanDone bool
@@ -74,6 +78,9 @@ type EosScan struct {
 // MaxEosScans bounds a frame's scan list against corrupt input.
 const MaxEosScans = 64
 
+// MaxEosDepth bounds a frame's Depth and Fanout against corrupt input.
+const MaxEosDepth = 1 << 12
+
 // MaxEosChannels bounds a frame's channel list against corrupt input
 // (2 fixed families + join stages well past the planner's table cap).
 const MaxEosChannels = 256
@@ -83,6 +90,8 @@ func (f *EosFrame) Encode(w *Writer) {
 	w.Uint64(f.Query)
 	w.String(f.Addr)
 	w.Uvarint(f.Seq)
+	w.Uvarint(f.Depth)
+	w.Uvarint(f.Fanout)
 	w.Bool(f.ScanDone)
 	w.Uvarint(f.DrainRound)
 	w.Bool(f.Settled)
@@ -114,7 +123,12 @@ func DecodeEosFrame(r *Reader) (*EosFrame, error) {
 		Query:    r.Uint64(),
 		Addr:     r.String(),
 		Seq:      r.Uvarint(),
+		Depth:    r.Uvarint(),
+		Fanout:   r.Uvarint(),
 		ScanDone: r.Bool(),
+	}
+	if f.Depth > MaxEosDepth || f.Fanout > MaxEosDepth {
+		return nil, fmt.Errorf("wire: eos frame at depth %d with fan-out %d", f.Depth, f.Fanout)
 	}
 	f.DrainRound = r.Uvarint()
 	f.Settled = r.Bool()

@@ -11,6 +11,8 @@ func TestEosFrameRoundTrip(t *testing.T) {
 			Query:      42,
 			Addr:       "node7",
 			Seq:        981,
+			Depth:      2,
+			Fanout:     3,
 			ScanDone:   true,
 			DrainRound: 3,
 			Settled:    settled,
@@ -41,6 +43,8 @@ func TestEosFrameRejectsTruncatedSettled(t *testing.T) {
 	w.Uint64(f.Query)
 	w.String(f.Addr)
 	w.Uvarint(f.Seq)
+	w.Uvarint(f.Depth)
+	w.Uvarint(f.Fanout)
 	w.Bool(f.ScanDone)
 	w.Uvarint(f.DrainRound)
 	head := len(w.Bytes())
@@ -67,5 +71,10 @@ func TestEosFrameRejectsOversizedLists(t *testing.T) {
 	}
 	if _, err := EosFrameFromBytes(f.Bytes()); err == nil {
 		t.Fatal("oversized channel list decoded without error")
+	}
+	f.Channels = nil
+	f.Depth = MaxEosDepth + 1
+	if _, err := EosFrameFromBytes(f.Bytes()); err == nil {
+		t.Fatal("frame past the depth bound decoded without error")
 	}
 }
