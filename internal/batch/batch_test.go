@@ -106,6 +106,7 @@ func (f *fakeRouter) SetIntercept(fn overlay.InterceptFunc) {
 }
 func (f *fakeRouter) SetBroadcast(fn overlay.BroadcastFunc) {}
 func (f *fakeRouter) Neighbors() []overlay.Node             { return nil }
+func (f *fakeRouter) Predecessor() overlay.Node             { return overlay.Node{} }
 func (f *fakeRouter) Stop()                                 {}
 
 func (f *fakeRouter) routesByTag(tag string) []routedCall {

@@ -41,6 +41,7 @@ func (l *loopRouter) SetDeliver(fn overlay.DeliverFunc)  { l.deliver = fn }
 func (l *loopRouter) SetIntercept(overlay.InterceptFunc) {}
 func (l *loopRouter) SetBroadcast(overlay.BroadcastFunc) {}
 func (l *loopRouter) Neighbors() []overlay.Node          { return nil }
+func (l *loopRouter) Predecessor() overlay.Node          { return overlay.Node{} }
 func (l *loopRouter) Stop()                              {}
 func (l *loopRouter) RouteVia(_ string, key id.ID, tag string, payload []byte) error {
 	return l.Route(key, tag, payload)
