@@ -30,16 +30,15 @@ type Table struct {
 
 // StatsSource records where a table's statistics came from, in
 // ascending precedence order: the optimizer resolves declared >
-// measured-fresh > gossiped > coarse defaults.
+// measured-fresh > coarse defaults.
 type StatsSource uint8
 
 const (
 	// StatsDefault marks the absence of statistics: the optimizer
 	// falls back to its coarse defaults.
 	StatsDefault StatsSource = iota
-	// StatsGossiped stats arrived in another node's TTL'd digest.
-	StatsGossiped
-	// StatsMeasured stats came from an ANALYZE this node coordinated.
+	// StatsMeasured stats came from an ANALYZE: this node's own, or
+	// the one another node broadcast when its query ended eos.
 	StatsMeasured
 	// StatsDeclared stats were set by hand (\stats / SetTableStats).
 	StatsDeclared
@@ -47,8 +46,6 @@ const (
 
 func (s StatsSource) String() string {
 	switch s {
-	case StatsGossiped:
-		return "gossiped"
 	case StatsMeasured:
 		return "measured"
 	case StatsDeclared:
@@ -59,8 +56,8 @@ func (s StatsSource) String() string {
 
 // TableStats are the planner's per-table estimates. PIER has no
 // global statistics service — stats are declared locally (like the
-// schemas themselves), measured by the distributed ANALYZE, or picked
-// up from other nodes' TTL'd gossip digests; the cost-based optimizer
+// schemas themselves) or measured by the distributed ANALYZE, whose
+// coordinator broadcasts what it installed; the cost-based optimizer
 // treats them as hints, falling back to coarse defaults when absent.
 type TableStats struct {
 	// Rows estimates the network-wide cardinality (0 = unknown).
@@ -69,15 +66,15 @@ type TableStats struct {
 	// base (unqualified) column name.
 	Distinct map[string]int64
 	// Sample is the merged bottom-k row sample from the last ANALYZE
-	// (nil for declared or gossiped stats — samples are too heavy to
-	// gossip). The optimizer evaluates pushed-down filters against it
-	// for measured selectivities instead of the textbook constants.
+	// (nil for declared stats). The optimizer evaluates pushed-down
+	// filters against it for measured selectivities instead of the
+	// textbook constants.
 	Sample *stats.Sample
 	// Source is the stats' provenance (StatsDeclared for SetStats).
 	Source StatsSource
-	// MeasuredAt stamps measured/gossiped stats (zero for declared).
+	// MeasuredAt stamps measured stats (zero for declared).
 	MeasuredAt time.Time
-	// TTL is the soft-state lifetime of measured/gossiped stats;
+	// TTL is the soft-state lifetime of measured stats;
 	// past it they no longer count (0 = never expires).
 	TTL time.Duration
 }
@@ -109,7 +106,7 @@ type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	// stats holds hand-declared statistics; measured holds the latest
-	// live ANALYZE-measured or gossiped entry. Declared always wins at
+	// live ANALYZE-measured entry. Declared always wins at
 	// read time, so a measurement never silently overrides an
 	// operator's explicit hint.
 	stats    map[string]TableStats
@@ -221,16 +218,15 @@ func (c *Catalog) SetStats(name string, stats TableStats) error {
 	return nil
 }
 
-// InstallMeasured records measured or gossiped statistics, respecting
-// soft-state precedence: an expired entry always yields; against a
-// live entry the strictly newer measurement wins whichever way it
-// arrived — a node's own old count must not outlive another node's
-// fresh one that reaches it as gossip — and at equal age measured
-// beats gossiped. It reports whether stats took effect. The caller
-// sets Source, MeasuredAt, and TTL. Declared stats live separately and
-// always win at read time.
+// InstallMeasured records measured statistics, respecting soft-state
+// precedence: an expired entry always yields; against a live entry
+// only a strictly newer measurement wins, whichever node took it — a
+// node's own old count must not outlive another node's fresh one. It
+// reports whether stats took effect. The caller sets Source,
+// MeasuredAt, and TTL. Declared stats live separately and always win
+// at read time.
 func (c *Catalog) InstallMeasured(name string, stats TableStats) (bool, error) {
-	if stats.Source != StatsMeasured && stats.Source != StatsGossiped {
+	if stats.Source != StatsMeasured {
 		return false, fmt.Errorf("catalog: InstallMeasured with source %v", stats.Source)
 	}
 	now := time.Now()
@@ -249,13 +245,8 @@ func (c *Catalog) InstallMeasured(name string, stats TableStats) (bool, error) {
 	}
 	stats = stats.clone()
 	stats.Distinct = norm
-	if cur, ok := c.measured[name]; ok && !cur.Expired(now) {
-		if stats.MeasuredAt.Before(cur.MeasuredAt) {
-			return false, nil
-		}
-		if stats.MeasuredAt.Equal(cur.MeasuredAt) && stats.Source <= cur.Source {
-			return false, nil
-		}
+	if cur, ok := c.measured[name]; ok && !cur.Expired(now) && !stats.MeasuredAt.After(cur.MeasuredAt) {
+		return false, nil
 	}
 	c.measured[name] = stats
 	c.epoch++
@@ -263,7 +254,7 @@ func (c *Catalog) InstallMeasured(name string, stats TableStats) (bool, error) {
 }
 
 // Stats returns the effective statistics for a table — declared if
-// set, else the live measured/gossiped entry, else the zero value
+// set, else the live measured entry, else the zero value
 // (Source StatsDefault), which the optimizer reads as "use coarse
 // defaults".
 func (c *Catalog) Stats(name string) TableStats {
@@ -285,21 +276,6 @@ func (c *Catalog) StatsInfo(name string) (TableStats, StatsSource, time.Duration
 		return m.clone(), m.Source, now.Sub(m.MeasuredAt)
 	}
 	return TableStats{}, StatsDefault, 0
-}
-
-// MeasuredAll snapshots every live measured/gossiped entry — the
-// material for gossip digests.
-func (c *Catalog) MeasuredAll() map[string]TableStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	now := time.Now()
-	out := make(map[string]TableStats, len(c.measured))
-	for name, m := range c.measured {
-		if !m.Expired(now) {
-			out[name] = m.clone()
-		}
-	}
-	return out
 }
 
 // Drop removes a table definition (local only).

@@ -133,30 +133,15 @@ func TestStatsPrecedence(t *testing.T) {
 	c.Define(schema("t"), time.Minute)
 	now := time.Now()
 
-	// Gossiped installs when nothing else exists.
-	if _, err := c.InstallMeasured("t", TableStats{Rows: 100, Source: StatsGossiped, MeasuredAt: now, TTL: time.Minute}); err != nil {
-		t.Fatal(err)
-	}
-	if st, src, _ := c.StatsInfo("t"); src != StatsGossiped || st.Rows != 100 {
-		t.Fatalf("gossiped not installed: %v %v", st.Rows, src)
-	}
-	// Measured displaces gossiped.
 	if _, err := c.InstallMeasured("t", TableStats{Rows: 200, Source: StatsMeasured, MeasuredAt: now, TTL: time.Minute}); err != nil {
 		t.Fatal(err)
 	}
 	if st, src, _ := c.StatsInfo("t"); src != StatsMeasured || st.Rows != 200 {
-		t.Fatalf("measured did not displace gossip: %v %v", st.Rows, src)
+		t.Fatalf("measured not installed: %v %v", st.Rows, src)
 	}
-	// Gossip of the same or an older age does not displace live measured.
-	c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsGossiped, MeasuredAt: now, TTL: time.Minute})
-	c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsGossiped, MeasuredAt: now.Add(-time.Second), TTL: time.Minute})
-	if st, _, _ := c.StatsInfo("t"); st.Rows != 200 {
-		t.Fatalf("gossip no newer displaced measured: %v", st.Rows)
-	}
-	// Strictly newer gossip does: another node has counted since.
-	c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsGossiped, MeasuredAt: now.Add(time.Second), TTL: time.Minute})
-	if st, src, _ := c.StatsInfo("t"); src != StatsGossiped || st.Rows != 300 {
-		t.Fatalf("newer gossip refused: %v %v", st.Rows, src)
+	// A measurement of the same age, another node's copy of it, installs nothing.
+	if ok, _ := c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsMeasured, MeasuredAt: now, TTL: time.Minute}); ok {
+		t.Fatal("a measurement of equal age displaced the live one")
 	}
 	// A newer measurement replaces an older one; an older one does not.
 	c.InstallMeasured("t", TableStats{Rows: 400, Source: StatsMeasured, MeasuredAt: now.Add(2 * time.Second), TTL: time.Minute})
@@ -194,12 +179,12 @@ func TestMeasuredStatsExpire(t *testing.T) {
 	if _, src, _ := c.StatsInfo("t"); src != StatsDefault {
 		t.Fatal("stats survived their TTL")
 	}
-	// An expired entry yields to any newcomer, even lower precedence.
-	if _, err := c.InstallMeasured("t", TableStats{Rows: 3, Source: StatsGossiped, MeasuredAt: time.Now(), TTL: time.Minute}); err != nil {
+	// An expired entry yields to any newcomer.
+	if _, err := c.InstallMeasured("t", TableStats{Rows: 3, Source: StatsMeasured, MeasuredAt: time.Now(), TTL: time.Minute}); err != nil {
 		t.Fatal(err)
 	}
-	if st, src, _ := c.StatsInfo("t"); src != StatsGossiped || st.Rows != 3 {
-		t.Fatalf("expired entry blocked gossip: %v %v", st.Rows, src)
+	if st, src, _ := c.StatsInfo("t"); src != StatsMeasured || st.Rows != 3 {
+		t.Fatalf("expired entry blocked a new measurement: %v %v", st.Rows, src)
 	}
 }
 
@@ -214,18 +199,5 @@ func TestInstallMeasuredValidation(t *testing.T) {
 	}
 	if _, err := c.InstallMeasured("t", TableStats{Source: StatsMeasured, MeasuredAt: time.Now(), Distinct: map[string]int64{"zzz": 1}}); err == nil {
 		t.Fatal("unknown column accepted")
-	}
-}
-
-func TestMeasuredAll(t *testing.T) {
-	c := New()
-	c.Define(schema("a"), time.Minute)
-	c.Define(schema("b"), time.Minute)
-	now := time.Now()
-	c.InstallMeasured("a", TableStats{Rows: 1, Source: StatsMeasured, MeasuredAt: now, TTL: time.Minute})
-	c.InstallMeasured("b", TableStats{Rows: 2, Source: StatsGossiped, MeasuredAt: now.Add(-time.Hour), TTL: time.Minute})
-	all := c.MeasuredAll()
-	if len(all) != 1 || all["a"].Rows != 1 {
-		t.Fatalf("MeasuredAll %v", all)
 	}
 }

@@ -51,9 +51,9 @@ func TestEpochBumpsOnPlanAffectingMutations(t *testing.T) {
 		t.Fatalf("InstallMeasured did not bump epoch: %d -> %d", e2, e3)
 	}
 
-	// A gossiped entry no newer than a live measured one installs nothing.
-	if ok, err := c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsGossiped, MeasuredAt: measuredAt, TTL: time.Minute}); err != nil || ok {
-		t.Fatalf("stale gossip install: took effect %v, %v", ok, err)
+	// A measurement no newer than the live one installs nothing.
+	if ok, err := c.InstallMeasured("t", TableStats{Rows: 300, Source: StatsMeasured, MeasuredAt: measuredAt, TTL: time.Minute}); err != nil || ok {
+		t.Fatalf("stale install: took effect %v, %v", ok, err)
 	}
 	if got := c.Epoch(); got != e3 {
 		t.Fatalf("no-install InstallMeasured bumped epoch: %d -> %d", e3, got)

@@ -70,12 +70,12 @@ func waitStored(t *testing.T, cluster *piertest.Cluster, ns string, want int) {
 	}
 }
 
-// TestAnalyzeMeasuresAndGossips: ANALYZE measures network-wide
+// TestAnalyzeInstallsOnEveryNode: ANALYZE measures network-wide
 // rows/distincts from the DHT — the exact row count, as it ends eos —
-// installs them as measured soft state, annotates EXPLAIN, and gossip
-// converges other nodes to the same numbers without them issuing
-// ANALYZE.
-func TestAnalyzeMeasuresAndGossips(t *testing.T) {
+// installs them as measured soft state, annotates EXPLAIN, and its
+// broadcast installs the same rows, distincts and sample on every
+// other node, none of which issued ANALYZE.
+func TestAnalyzeInstallsOnEveryNode(t *testing.T) {
 	cluster, err := piertest.New(piertest.Options{N: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -123,32 +123,95 @@ func TestAnalyzeMeasuresAndGossips(t *testing.T) {
 		t.Fatalf("EXPLAIN missing measured annotation:\n%s", plan)
 	}
 
-	// Gossip converges a node that never ran ANALYZE.
+	// Every other node holds what the coordinator installed.
+	waitInstalled(t, cluster.Nodes, coord, "l", "r")
+	for _, tbl := range []string{"l", "r"} {
+		want := coord.Catalog().Stats(tbl)
+		for _, nd := range cluster.Nodes[1:] {
+			got := nd.Catalog().Stats(tbl)
+			if got.Rows != want.Rows || !reflect.DeepEqual(got.Distinct, want.Distinct) || !reflect.DeepEqual(got.Sample, want.Sample) {
+				t.Fatalf("%s at %s: rows %d distinct %v sample of %d, coordinator rows %d distinct %v sample of %d",
+					tbl, nd.Addr(), got.Rows, got.Distinct, len(got.Sample.Items), want.Rows, want.Distinct, len(want.Sample.Items))
+			}
+		}
+	}
+	// Declared stats still win over a received measurement on the node
+	// that sets them.
 	other := cluster.Nodes[5]
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		st, src, _ := other.Catalog().StatsInfo("l")
-		if src == catalog.StatsGossiped && st.Rows == wantLeft {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("gossip did not reach node5 (src=%v rows=%d)", src, st.Rows)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	plan, err = other.Explain("SELECT a.node, b.info FROM l a JOIN r b ON a.k = b.k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "stats=gossiped") {
-		t.Fatalf("EXPLAIN missing gossip annotation:\n%s", plan)
-	}
-	// Declared stats still win over gossip on the node that sets them.
 	if err := other.SetTableStats("l", catalog.TableStats{Rows: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if st, src, _ := other.Catalog().StatsInfo("l"); src != catalog.StatsDeclared || st.Rows != 7 {
 		t.Fatalf("declared did not win: %v %d", src, st.Rows)
+	}
+}
+
+// waitInstalled waits until every node holds the measurement of each
+// table that coord installed: the one its ANALYZE broadcast carries.
+func waitInstalled(t *testing.T, nodes []*pier.Node, coord *pier.Node, tables ...string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, tbl := range tables {
+		want := coord.Catalog().Stats(tbl).MeasuredAt
+		for _, nd := range nodes {
+			for {
+				st, src, _ := nd.Catalog().StatsInfo(tbl)
+				if src == catalog.StatsMeasured && st.MeasuredAt.Equal(want) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s at %s: %v stats measured at %v, want the coordinator's of %v", tbl, nd.Addr(), src, st.MeasuredAt, want)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		}
+	}
+}
+
+// TestExplainSameOnEveryNode: after one ANALYZE, a node that never ran
+// it plans a statement exactly as the node that did — the same
+// estimates, from the same rows, distincts and sample — so their
+// EXPLAIN texts are byte-identical.
+func TestExplainSameOnEveryNode(t *testing.T) {
+	c, err := piertest.New(piertest.Options{N: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	seedAnalyzeTables(t, c, 20, 60)
+	analyzer, other := c.Nodes[0], c.Nodes[5]
+	res, err := analyzer.Analyze(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reason != pier.ReasonEOS {
+		t.Fatalf("analyze ended %q", res.Reason)
+	}
+	waitInstalled(t, c.Nodes, analyzer, "l", "r")
+	explain := func(nd *pier.Node, sql string) string {
+		t.Helper()
+		out, err := nd.Explain(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, sql := range []string{
+		"SELECT a.node, b.info FROM l a JOIN r b ON a.k = b.k WHERE b.k < 5",
+		"SELECT a.node, b.info FROM l a JOIN r b ON a.k = b.k WHERE a.k = 3",
+	} {
+		// EXPLAIN renders the statistics' age in whole seconds: compare
+		// only across an interval in which the analyzer's own text held.
+		for try := 0; ; try++ {
+			before, got, after := explain(analyzer, sql), explain(other, sql), explain(analyzer, sql)
+			if before != after && try < 3 {
+				continue
+			}
+			if got != before {
+				t.Fatalf("%s\nat the analyzing node:\n%s\nat %s:\n%s", sql, before, other.Addr(), got)
+			}
+			break
+		}
 	}
 }
 
@@ -259,7 +322,7 @@ func planShape(explain string) string {
 }
 
 // TestAnalyzeSteersOptimizer: with no hand-declared statistics
-// anywhere, ANALYZE plus gossip (1) count every table exactly, each
+// anywhere, ANALYZE and its broadcast (1) count every table exactly, each
 // ANALYZE ending eos, (2) steer the optimizer at a node that never ran ANALYZE
 // to the join order hand-declared statistics pick, a different one
 // from what defaults pick, and (3) every statistics regime returns the
@@ -348,9 +411,9 @@ func TestAnalyzeSteersOptimizer(t *testing.T) {
 		}
 		return planShape(explain)
 	}
-	declaredAt, analyzeAt, gossipAt := cl.Nodes[0], cl.Nodes[1], cl.Nodes[2]
+	declaredAt, analyzeAt, otherAt := cl.Nodes[0], cl.Nodes[1], cl.Nodes[2]
 
-	defaultsPlan := run(gossipAt, "defaults")
+	defaultsPlan := run(otherAt, "defaults")
 
 	// The truth, hand-declared on one node only.
 	for tbl, st := range map[string]catalog.TableStats{
@@ -377,20 +440,8 @@ func TestAnalyzeSteersOptimizer(t *testing.T) {
 			t.Fatalf("ANALYZE %s counted %d rows, true %d", tbl, got, truth)
 		}
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for _, tbl := range []string{"orders", "users", "items"} {
-		for {
-			st, src, _ := gossipAt.Catalog().StatsInfo(tbl)
-			if src == catalog.StatsGossiped && st.Rows > 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s stats at %s: source %v, want gossiped", tbl, gossipAt.Addr(), src)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-	measuredPlan := run(gossipAt, "measured")
+	waitInstalled(t, []*pier.Node{otherAt}, analyzeAt, "orders", "users", "items")
+	measuredPlan := run(otherAt, "measured")
 
 	if measuredPlan != declaredPlan {
 		t.Fatalf("measured plan %q, declared plan %q", measuredPlan, declaredPlan)

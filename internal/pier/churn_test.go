@@ -15,11 +15,11 @@ import (
 // complete without waiting out the quiescence timer, and the result
 // must say exactly which fraction of the table partitions it reflects.
 
-// TestCrashBeforeQueryDegradesCoverage kills one member and waits for
+// TestCrashBeforeQueryEndsEosOverSurvivors kills one member and waits for
 // the survivors' ring to close around it. A node the ring no longer
 // reaches is no longer a member: the query ends eos over the survivors
 // with full coverage, and the dead node's local row is absent.
-func TestCrashBeforeQueryDegradesCoverage(t *testing.T) {
+func TestCrashBeforeQueryEndsEosOverSurvivors(t *testing.T) {
 	const n = 8
 	nodes, net := cluster(t, n, 901)
 	defineEverywhere(t, nodes, trafficSchema, time.Minute)
@@ -347,6 +347,13 @@ func TestAnalyzeMemberDownInstallsNothing(t *testing.T) {
 	// Once the ring has closed around the returned member, ANALYZE
 	// reaches every node and measures every row.
 	waitOverlay(t, nodes)
+	// The partial count was not broadcast either: by the time the ring
+	// has closed, a broadcast would have reached every node.
+	for _, nd := range nodes {
+		if _, src, _ := nd.Catalog().StatsInfo("traffic"); src != catalog.StatsDefault {
+			t.Fatalf("a partial count installed stats of source %v at %s", src, nd.Addr())
+		}
+	}
 	ar, err := nodes[0].Analyze(context.Background(), "traffic")
 	if err != nil {
 		t.Fatal(err)
@@ -354,6 +361,7 @@ func TestAnalyzeMemberDownInstallsNothing(t *testing.T) {
 	if ar.Reason != ReasonEOS || len(ar.Tables) != 1 || ar.Tables[0].Rows != n {
 		t.Fatalf("analyze after rejoin ended %q, measuring %+v; want eos with %d rows", ar.Reason, ar.Tables, n)
 	}
+	waitMeasured(t, nodes, "traffic", n)
 }
 
 // TestQueriesUnderScriptedChurn runs one-shot scans on a 16-node

@@ -561,6 +561,8 @@ func (n *Node) onBroadcast(from overlay.Node, tag string, payload []byte, depth,
 			return
 		}
 		n.dropQuery(qid)
+	case tagAnalyzed:
+		n.onAnalyzed(from, payload)
 	default:
 		if fn := n.appBroadcastFor(tag); fn != nil {
 			fn(from, tag, payload, depth, fanout)
@@ -588,8 +590,6 @@ func (n *Node) onRouted(from overlay.Node, key id.ID, tag string, payload []byte
 	case tagJoin:
 		// A record that arrived alone is a frame of one.
 		n.onJoinRecords([]batch.Record{{Key: key, Tag: tag, Payload: payload}})
-	case tagStatsGossip:
-		n.onStatsGossip(payload)
 	}
 }
 
@@ -811,7 +811,7 @@ func (n *Node) onRows(from string, req []byte) ([]byte, error) {
 
 func (n *Node) registerHandlers() {
 	n.peer.Handle(methRows, n.onRows)
-	n.peer.Handle(methGossip, n.onGossip)
+	n.peer.Handle(methDrift, n.onDrift)
 	n.peer.Handle(methEos, func(from string, req []byte) ([]byte, error) {
 		f, err := wire.EosFrameFromBytes(req)
 		if err != nil {

@@ -152,13 +152,10 @@ type Node struct {
 	// joins under Config.JoinMemBudget).
 	spill *spill.Manager
 
-	// driftMu guards the drift-triggered re-ANALYZE baselines: per
-	// table, the local row count when measured or gossiped stats were
-	// last installed here, and the time of that install or of the last
-	// drift-triggered re-run.
-	driftMu   sync.Mutex
-	driftBase map[string]int64
-	driftLast map[string]time.Time
+	// driftMu guards the drift-triggered re-ANALYZE baselines, one
+	// per table whose measured stats were installed here.
+	driftMu sync.Mutex
+	drift   map[string]driftMark
 
 	// suspects is the node-level liveness registry: members a
 	// coordinator role on this node has suspected dead. Trained by
@@ -206,8 +203,7 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 		cfg:          cfg,
 		cat:          catalog.New(),
 		queries:      make(map[uint64]*queryState),
-		driftBase:    make(map[string]int64),
-		driftLast:    make(map[string]time.Time),
+		drift:        make(map[string]driftMark),
 		suspects:     make(map[string]bool),
 		appBroadcast: make(map[string]overlay.BroadcastFunc),
 		stopCh:       make(chan struct{}),
@@ -243,8 +239,7 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 	}
 	n.registerMetrics()
 	n.registerHandlers()
-	n.wg.Add(2)
-	go n.statsGossipLoop()
+	n.wg.Add(1)
 	go n.statsDriftLoop()
 	return n, nil
 }

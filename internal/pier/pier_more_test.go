@@ -2,7 +2,6 @@ package pier
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -243,41 +242,6 @@ func TestLossyNetworkQueryStillAnswers(t *testing.T) {
 	}
 	if res.Rows[0][0].I < 3 {
 		t.Fatalf("count %d too degraded for 5%% loss", res.Rows[0][0].I)
-	}
-}
-
-// TestDriftAutoReanalyze: after an ANALYZE baselines a node's live row
-// count, growing its partition past statsDriftFactor × baseline must
-// trigger an automatic re-ANALYZE that refreshes the catalog's measured
-// row count. The test rewinds the rate-limit stamps rather than wait
-// out statsDriftMinInterval.
-func TestDriftAutoReanalyze(t *testing.T) {
-	nodes, _ := cluster(t, 3, 951)
-	defineEverywhere(t, nodes, trafficSchema, time.Minute)
-	publish := func(from, to int) {
-		for i := from; i < to; i++ {
-			if err := nodes[0].PublishLocal("traffic", tuple32(fmt.Sprintf("n%d", i), 1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	publish(0, 10)
-	if _, err := nodes[0].Analyze(context.Background(), "traffic"); err != nil {
-		t.Fatal(err)
-	}
-	for _, nd := range nodes {
-		nd.driftMu.Lock()
-		nd.driftLast["traffic"] = time.Time{}
-		nd.driftMu.Unlock()
-	}
-	publish(10, 100)
-	deadline := time.Now().Add(10 * time.Second)
-	for nodes[0].Metrics.AutoAnalyzes.Load() == 0 || nodes[0].Catalog().Stats("traffic").Rows != 100 {
-		if time.Now().After(deadline) {
-			t.Fatalf("auto re-ANALYZE never refreshed the stats (auto=%d rows=%d)",
-				nodes[0].Metrics.AutoAnalyzes.Load(), nodes[0].Catalog().Stats("traffic").Rows)
-		}
-		time.Sleep(50 * time.Millisecond)
 	}
 }
 

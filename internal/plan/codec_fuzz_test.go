@@ -44,7 +44,7 @@ func randSpec(r *rand.Rand) *Spec {
 			Stored:      stored,
 			Cols:        keptCols,
 			Schema:      sch,
-			StatsSource: catalog.StatsSource(r.Intn(4)),
+			StatsSource: catalog.StatsSource(r.Intn(int(catalog.StatsDeclared) + 1)),
 			StatsAge:    int64(r.Intn(120)) * 1e9,
 		}
 		if r.Intn(3) == 0 {

@@ -75,7 +75,6 @@ func TestExplainStatsAnnotation(t *testing.T) {
 	}{
 		{catalog.StatsDeclared, "stats=declared"},
 		{catalog.StatsMeasured, "stats=analyzed 12s ago"},
-		{catalog.StatsGossiped, "stats=gossiped 12s ago"},
 	} {
 		sc := &spec.Scans[0]
 		sc.StatsSource = tc.src

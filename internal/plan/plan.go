@@ -67,7 +67,7 @@ type ScanSpec struct {
 	// for none).
 	Where expr.Expr
 	// StatsSource records where the statistics used to cost this scan
-	// came from (declared / measured / gossiped / default), and
+	// came from (declared / measured / default), and
 	// StatsAge their age in nanoseconds at compile time — the EXPLAIN
 	// annotation that makes plan regressions diagnosable.
 	StatsSource catalog.StatsSource

@@ -130,8 +130,9 @@ type Response struct {
 }
 
 // TableInfo describes one defined table (op tables): its definition
-// in create's terms and the statistics the planner uses now, declared,
-// measured by ANALYZE, gossiped, or "default" (none, rows 0).
+// in create's terms and the statistics the planner uses now: declared,
+// "measured" by an ANALYZE this node ran or received the broadcast of,
+// or "default" (none, rows 0).
 type TableInfo struct {
 	Name     string           `json:"name"`
 	Cols     []string         `json:"cols"` // "name:type"
@@ -140,7 +141,7 @@ type TableInfo struct {
 	Rows     int64            `json:"rows"`
 	Distinct map[string]int64 `json:"distinct,omitempty"`
 	Source   string           `json:"source"`
-	AgeMS    int64            `json:"age_ms,omitempty"` // of measured or gossiped statistics
+	AgeMS    int64            `json:"age_ms,omitempty"` // of measured statistics
 }
 
 // Event is an unsolicited server-to-client message (window delivery).

@@ -11,7 +11,6 @@ package stats
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/tuple"
 	"repro/internal/wire"
@@ -26,10 +25,6 @@ const DefaultSampleK = 64
 // exact regardless — only distinct estimates for columns past the
 // cap are unavailable.
 const MaxColumns = 256
-
-// MaxDigests bounds one gossip message's digest count (one digest
-// per table); encoders truncate, receivers reject.
-const MaxDigests = 4096
 
 // ColumnSketch is one column's distinct-counter.
 type ColumnSketch struct {
@@ -291,83 +286,4 @@ func DecodeSample(r *wire.Reader) (*Sample, error) {
 		s.Items = append(s.Items, SampleItem{Hash: h, Row: row})
 	}
 	return s, r.Err()
-}
-
-// ---------------------------------------------------------------------------
-// Gossip digests
-
-// Digest is the compact TTL'd form of one table's measured statistics
-// that nodes gossip: the final estimates only, not the sketches.
-// MeasuredAt travels with it so age (and expiry) are judged against
-// the original measurement everywhere.
-type Digest struct {
-	Table      string
-	Rows       int64
-	Distinct   map[string]int64
-	MeasuredAt time.Time
-	TTL        time.Duration
-}
-
-// Expired reports whether the digest is past its soft-state lifetime.
-func (d Digest) Expired(now time.Time) bool {
-	return d.TTL > 0 && now.After(d.MeasuredAt.Add(d.TTL))
-}
-
-// EncodeDigests appends a digest set to w (columns in sorted order,
-// so identical digests encode identically). Encode-side truncation
-// mirrors the decode-side bounds exactly — a digest set a node can
-// build is always one every receiver accepts.
-func EncodeDigests(w *wire.Writer, ds []Digest) {
-	if len(ds) > MaxDigests {
-		ds = ds[:MaxDigests]
-	}
-	w.Uvarint(uint64(len(ds)))
-	for _, d := range ds {
-		w.String(d.Table)
-		w.Varint(d.Rows)
-		cols := make([]string, 0, len(d.Distinct))
-		for c := range d.Distinct {
-			cols = append(cols, c)
-		}
-		sort.Strings(cols)
-		if len(cols) > MaxColumns {
-			cols = cols[:MaxColumns]
-		}
-		w.Uvarint(uint64(len(cols)))
-		for _, c := range cols {
-			w.String(c)
-			w.Varint(d.Distinct[c])
-		}
-		w.Time(d.MeasuredAt)
-		w.Duration(d.TTL)
-	}
-}
-
-// DecodeDigests reads a digest set written by EncodeDigests.
-func DecodeDigests(r *wire.Reader) ([]Digest, error) {
-	n := int(r.Uvarint())
-	if n > MaxDigests {
-		return nil, fmt.Errorf("stats: %d digests", n)
-	}
-	out := make([]Digest, 0, n)
-	for i := 0; i < n; i++ {
-		var d Digest
-		d.Table = r.String()
-		d.Rows = r.Varint()
-		nc := int(r.Uvarint())
-		if nc > MaxColumns {
-			return nil, fmt.Errorf("stats: digest with %d columns", nc)
-		}
-		if nc > 0 {
-			d.Distinct = make(map[string]int64, nc)
-		}
-		for j := 0; j < nc; j++ {
-			c := r.String()
-			d.Distinct[c] = r.Varint()
-		}
-		d.MeasuredAt = r.Time()
-		d.TTL = r.Duration()
-		out = append(out, d)
-	}
-	return out, r.Err()
 }

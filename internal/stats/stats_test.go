@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/tuple"
 	"repro/internal/wire"
@@ -200,31 +199,6 @@ func TestSampleBottomK(t *testing.T) {
 		if fwd.Items[i-1].Hash >= fwd.Items[i].Hash {
 			t.Fatal("sample not sorted/unique")
 		}
-	}
-}
-
-// TestDigestCodec round-trips digest sets.
-func TestDigestCodec(t *testing.T) {
-	now := time.Unix(1000, 42000)
-	in := []Digest{
-		{Table: "a", Rows: 512, Distinct: map[string]int64{"x": 40, "y": 7}, MeasuredAt: now, TTL: time.Minute},
-		{Table: "b", Rows: 3},
-	}
-	w := wire.NewWriter(64)
-	EncodeDigests(w, in)
-	out, err := DecodeDigests(wire.NewReader(w.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0].Table != "a" || out[0].Rows != 512 ||
-		out[0].Distinct["x"] != 40 || out[0].TTL != time.Minute || !out[0].MeasuredAt.Equal(now) {
-		t.Fatalf("digest round trip: %+v", out)
-	}
-	if out[1].Expired(now.Add(time.Hour)) {
-		t.Fatal("zero-TTL digest should never expire")
-	}
-	if !in[0].Expired(now.Add(2 * time.Minute)) {
-		t.Fatal("TTL'd digest should expire")
 	}
 }
 

@@ -742,8 +742,8 @@ func MustSchema(name string, cols []Column, keyCols ...string) *Schema {
 }
 
 // BaseName strips any binding qualifier off a column name
-// ("t.rate" → "rate") — the canonical key declared statistics,
-// measured sketches, and gossip digests all agree on.
+// ("t.rate" → "rate") — the canonical key declared statistics and
+// measured sketches agree on.
 func BaseName(name string) string {
 	if i := strings.LastIndexByte(name, '.'); i >= 0 {
 		return name[i+1:]
