@@ -221,7 +221,7 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 	// land its first heartbeat ledger after the query broadcast.
 	grace := time.Now().Add(suspectWin + n.cfg.HeartbeatEvery)
 	var issuedRound uint64 // last drain round broadcast (0 = none yet)
-	var issuedCanon string // totals snapshot at that broadcast
+	var issuedMoved uint64 // the books' running sum at that broadcast
 	var issuedAt time.Time // for re-issuing lost round broadcasts
 	var suspects map[string]bool
 	reason := ReasonQuietTimeout
@@ -293,7 +293,7 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 						// none will be sent (DESIGN.md, *Why a settled
 						// round ends the query*). Complete.
 						reason = ReasonEOS
-					case issuedRound == 0 || (ackOK && st.canon != issuedCanon):
+					case issuedRound == 0 || (ackOK && st.moved != issuedMoved):
 						// First round, or the books moved during the last
 						// one: drain again until a full round passes with
 						// no movement anywhere.
@@ -302,7 +302,7 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 							continue
 						}
 						issuedRound++
-						issuedCanon = st.canon
+						issuedMoved = st.moved
 						issuedAt = time.Now()
 						n.broadcastDrain(qid, issuedRound)
 						continue
@@ -390,7 +390,7 @@ func (n *Node) ExecuteSpec(ctx context.Context, spec *plan.Spec) (*Result, error
 		// books (kind.stage.side:sent/recv) never balanced.
 		books := ""
 		if reason != ReasonChurnDegraded {
-			books = " books=" + q.eosStatus(issuedRound, suspects).canon
+			books = " books=" + q.booksText()
 		}
 		n.events.Emit(obs.SevWarn, obs.EvQueryDegraded, qid,
 			"reason=%s coverage=%.0f%% rows=%d participants=%d dur=%s%s",
@@ -456,18 +456,9 @@ func (q *queryState) coverage(reason string, members int, suspects map[string]bo
 		}
 		return 1, byTable
 	}
-	self := q.eosFrame()
-	q.coMu.Lock()
-	frames := make([]*wire.EosFrame, 0, len(q.ledgers)+1)
-	for addr, f := range q.ledgers {
-		if addr != self.Addr {
-			frames = append(frames, f)
-		}
-	}
-	q.coMu.Unlock()
-	frames = append(frames, self)
 	served := make(map[string]int, len(tables))
-	for _, f := range frames {
+	q.coMu.Lock()
+	for _, f := range q.ledgers {
 		if suspects[f.Addr] {
 			continue
 		}
@@ -477,6 +468,14 @@ func (q *queryState) coverage(reason string, members int, suspects map[string]bo
 			}
 		}
 	}
+	q.coMu.Unlock()
+	q.eos.mu.Lock()
+	if q.eos.served {
+		for _, t := range tables {
+			served[t]++
+		}
+	}
+	q.eos.mu.Unlock()
 	total := 0
 	for _, t := range tables {
 		c := served[t]

@@ -2,9 +2,8 @@ package pier
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataflow"
@@ -25,6 +24,13 @@ import (
 // sent) as the entry leaves the buffer, so a held combine buffer keeps
 // the books imbalanced and the query provably incomplete until it
 // flushes.
+//
+// Ledgers leave through the node's one outbox (outbox.go): a movement
+// of the books marks the query pending, and each wake of the outbox
+// sends every pending query's frame for one coordinator in one
+// datagram. The coordinator folds each arriving frame into running
+// per-channel totals, so an evaluation adds its own books to them and
+// reads one small record per member.
 //
 // A drain round is a coordinator broadcast that forces every node to
 // flush its held state — relay combine buffers, route batches, and
@@ -49,43 +55,94 @@ func (a chanKey) less(b chanKey) bool {
 	return a.side < b.side
 }
 
+// keyOf is the channel a ledger entry books.
+func keyOf(ch *wire.EosChannel) chanKey {
+	return chanKey{kind: ch.Kind, stage: ch.Stage, side: ch.Side}
+}
+
 const (
 	chanRows uint8 = iota // result rows to the coordinator
 	chanAgg               // aggregation partials toward collectors
 	chanJoin              // rehashed join tuples per (stage, side)
 )
 
+// bookOf returns k's entry in books, a list sorted by chanKey, adding a
+// zero entry in its place when k has none.
+func bookOf(books *[]wire.EosChannel, k chanKey) *wire.EosChannel {
+	b := *books
+	i := 0
+	for i < len(b) && keyOf(&b[i]).less(k) {
+		i++
+	}
+	if i == len(b) || keyOf(&b[i]) != k {
+		b = append(b, wire.EosChannel{})
+		copy(b[i+1:], b[i:])
+		b[i] = wire.EosChannel{Kind: k.kind, Stage: k.stage, Side: k.side}
+		*books = b
+	}
+	return &b[i]
+}
+
+// eachTotal calls fn with the sum of a and b on every channel either
+// books, in channel order; both lists are sorted by chanKey.
+func eachTotal(a, b []wire.EosChannel, fn func(k chanKey, sent, recv uint64)) {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || (i < len(a) && keyOf(&a[i]).less(keyOf(&b[j]))):
+			fn(keyOf(&a[i]), a[i].Sent, a[i].Recv)
+			i++
+		case i == len(a) || keyOf(&b[j]).less(keyOf(&a[i])):
+			fn(keyOf(&b[j]), b[j].Sent, b[j].Recv)
+			j++
+		default:
+			fn(keyOf(&a[i]), a[i].Sent+b[j].Sent, a[i].Recv+b[j].Recv)
+			i++
+			j++
+		}
+	}
+}
+
 // eosTracker is one node's per-query end-of-stream books.
 type eosTracker struct {
-	mu   sync.Mutex
-	sent map[chanKey]uint64
-	recv map[chanKey]uint64
+	mu sync.Mutex
+	// books holds the per-channel counts, sorted by chanKey: a ledger's
+	// channel list as it goes on the wire.
+	books []wire.EosChannel
+	// pipeRecv totals the join and aggregation records this node
+	// received. Result rows are left out: they end at the coordinator,
+	// and a row received there causes no send.
+	pipeRecv uint64
 	// scanDone is set once the participant pipeline ran to
 	// end-of-stream and its route batches flushed.
 	scanDone bool
-	// scans records which scanned tables this node's partition served
-	// to end-of-stream — the per-table coverage record shipped with
+	// served records that this node's partitions of the scanned tables
+	// ran to end-of-stream: the per-table coverage record shipped with
 	// every ledger.
-	scans map[string]bool
-	// shipOnce guards the single start of the ledger shipper
-	// goroutine, at participation start.
-	shipOnce sync.Once
+	served bool
 	// seq numbers shipped frames so the coordinator can discard
 	// reordered datagrams.
 	seq uint64
 	// drainRound is the highest coordinator-issued round this node has
-	// fully acknowledged. drainCut maps each round that reached this
-	// node (presence dedups the broadcast) to pipeRecv at its cut.
+	// fully acknowledged. cuts holds each round that reached this node
+	// (presence dedups the broadcast) with pipeRecv at its cut.
 	drainRound uint64
-	drainCut   map[uint64]uint64
+	cuts       []drainCut
 	gate       *drainGate
-	// dirty and urgent wake the shipper goroutine: dirty for count
-	// movements, which wait out a settle pause; urgent for state
-	// transitions (scan done, a drain round acknowledged), which the
-	// coordinator's next step waits on and which leave at once.
-	dirty  chan struct{}
-	urgent chan struct{}
+
+	// The node's outbox state for this query (participants only):
+	// enlisted once participation starts, pending while a frame is
+	// owed, urgent when it is owed at once, else at due (written under
+	// the outbox's lock). arrived starts the MaxQueryLife clock;
+	// lastShip, touched only by the outbox's goroutine, spaces the
+	// heartbeats.
+	enlisted, pending, urgent atomic.Bool
+	due, arrived, lastShip    time.Time
 }
+
+// drainCut is one drain round that reached this node and pipeRecv at
+// the round's cut.
+type drainCut struct{ round, recv uint64 }
 
 // drainGate tracks one in-flight drain round on this node: remaining
 // counts the markers pushed into collector inlets whose sinks have not
@@ -97,34 +154,33 @@ type drainGate struct {
 }
 
 func newEosTracker() *eosTracker {
-	return &eosTracker{
-		sent:     make(map[chanKey]uint64),
-		recv:     make(map[chanKey]uint64),
-		scans:    make(map[string]bool),
-		drainCut: make(map[uint64]uint64),
-		dirty:    make(chan struct{}, 1),
-		urgent:   make(chan struct{}, 1),
-	}
+	return &eosTracker{arrived: time.Now()}
 }
 
 // drainStarted reports whether any drain round has reached this node.
 func (e *eosTracker) drainStarted() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.drainCut) > 0
+	return len(e.cuts) > 0
 }
 
-// pipeRecv totals the join and aggregation records this node received.
-// Result rows are left out: they end at the coordinator, and a row
-// received there causes no send. Callers hold e.mu.
-func (e *eosTracker) pipeRecv() uint64 {
-	var n uint64
-	for k, v := range e.recv {
-		if k.kind != chanRows {
-			n += v
+// cut returns the cut of a round that reached this node, nil for one
+// that has not. Callers hold e.mu.
+func (e *eosTracker) cut(round uint64) *drainCut {
+	for i := range e.cuts {
+		if e.cuts[i].round == round {
+			return &e.cuts[i]
 		}
 	}
-	return n
+	return nil
+}
+
+// settled reports whether no join or aggregation record arrived since
+// the cut of the last round acknowledged (false before the first).
+// Callers hold e.mu.
+func (e *eosTracker) settled() bool {
+	c := e.cut(e.drainRound)
+	return c != nil && e.pipeRecv == c.recv
 }
 
 // countSent enters n records put on the wire for a channel.
@@ -134,7 +190,7 @@ func (q *queryState) countSent(k chanKey, n int) {
 		return
 	}
 	e.mu.Lock()
-	e.sent[k] += uint64(n)
+	bookOf(&e.books, k).Sent += uint64(n)
 	e.mu.Unlock()
 	q.eosKick()
 }
@@ -146,45 +202,45 @@ func (q *queryState) countRecv(k chanKey, n int) {
 		return
 	}
 	e.mu.Lock()
-	e.recv[k] += uint64(n)
+	bookOf(&e.books, k).Recv += uint64(n)
+	if k.kind != chanRows {
+		e.pipeRecv += uint64(n)
+	}
 	e.mu.Unlock()
 	q.eosKick()
 }
 
 // eosKick signals that this node's books moved: the coordinator
-// re-evaluates completion, participants re-ship their ledger after the
-// settle pause.
-func (q *queryState) eosKick() {
-	if e := q.eos; e != nil {
-		q.eosSignal(e.dirty)
-	}
-}
+// re-evaluates completion, a participant's ledger leaves after the
+// outbox's settle pause.
+func (q *queryState) eosKick() { q.eosSignal(false) }
 
 // eosKickNow signals a state transition — scan done or a drain round
 // acknowledged: the participant's ledger leaves without the pause.
-func (q *queryState) eosKickNow() {
-	if e := q.eos; e != nil {
-		q.eosSignal(e.urgent)
-	}
-}
+func (q *queryState) eosKickNow() { q.eosSignal(true) }
 
-func (q *queryState) eosSignal(wake chan struct{}) {
+func (q *queryState) eosSignal(urgent bool) {
+	if q.eos == nil {
+		return
+	}
 	if q.isCoord {
-		wake = q.eosEval
+		select {
+		case q.eosEval <- struct{}{}:
+		default:
+		}
+		return
 	}
-	select {
-	case wake <- struct{}{}:
-	default:
-	}
+	q.node.outbox.kick(q, urgent)
 }
 
-// eosFrame snapshots this node's live books as a wire ledger.
-func (q *queryState) eosFrame() *wire.EosFrame {
+// fillFrame snapshots this node's live books into f as a wire ledger,
+// reusing f's lists.
+func (q *queryState) fillFrame(f *wire.EosFrame) {
 	e := q.eos
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.seq++
-	f := &wire.EosFrame{
+	*f = wire.EosFrame{
 		Query:      q.id,
 		Addr:       q.node.Addr(),
 		Seq:        e.seq,
@@ -192,36 +248,18 @@ func (q *queryState) eosFrame() *wire.EosFrame {
 		Fanout:     uint64(q.fanout),
 		ScanDone:   e.scanDone,
 		DrainRound: e.drainRound,
-	}
-	// Evaluated now, from the books this frame carries: a receipt after
-	// the round's cut unsettles every later frame.
-	if cut, ok := e.drainCut[e.drainRound]; ok {
-		f.Settled = e.pipeRecv() == cut
-	}
-	keys := make([]chanKey, 0, len(e.sent)+len(e.recv))
-	for k := range e.sent {
-		keys = append(keys, k)
-	}
-	for k := range e.recv {
-		if _, sent := e.sent[k]; !sent {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	for _, k := range keys {
-		f.Channels = append(f.Channels, wire.EosChannel{
-			Kind: k.kind, Stage: k.stage, Side: k.side,
-			Sent: e.sent[k], Recv: e.recv[k],
-		})
+		// Evaluated now, from the books this frame carries: a receipt
+		// after the round's cut unsettles every later frame.
+		Settled:  e.settled(),
+		Channels: append(f.Channels[:0], e.books...),
+		Scans:    f.Scans[:0],
 	}
 	// One coverage record per scanned table, in plan order (each node
-	// holds one partition of each table; Served marks that this
-	// node's partition ran to end-of-stream).
+	// holds one partition of each table; Served marks that this node's
+	// partition ran to end-of-stream).
 	for i := range q.spec.Scans {
-		t := q.spec.Scans[i].Table
-		f.Scans = append(f.Scans, wire.EosScan{Table: t, Served: e.scans[t]})
+		f.Scans = append(f.Scans, wire.EosScan{Table: q.spec.Scans[i].Table, Served: e.served})
 	}
-	return f
 }
 
 // eosMarkScansServed records that this node's partitions of the
@@ -232,9 +270,7 @@ func (q *queryState) eosMarkScansServed() {
 		return
 	}
 	e.mu.Lock()
-	for i := range q.spec.Scans {
-		e.scans[q.spec.Scans[i].Table] = true
-	}
+	e.served = true
 	e.mu.Unlock()
 }
 
@@ -260,99 +296,24 @@ func (q *queryState) eosMarkScanDone() {
 		q.lastActivity = time.Now()
 		q.coMu.Unlock()
 	}
-	q.startEosShipper()
+	q.eosEnlist()
 	q.eosKickNow()
 }
 
-// startEosShipper starts the shipper goroutine exactly once, when
-// participation begins — not at scan completion — so the ledger doubles
-// as a liveness heartbeat and the coordinator learns a member's address
-// before a long scan finishes. The first ledger is a count movement, not
-// a frame of its own: a scan shorter than the settle pause reports "I am
-// a member" and "my scan is done" in one frame.
-func (q *queryState) startEosShipper() {
+// eosEnlist puts a participant's query in its node's ledger outbox,
+// once, when participation begins — not at scan completion — so the
+// ledger doubles as a liveness heartbeat and the coordinator learns a
+// member's address before a long scan finishes. The first ledger is a
+// count movement, not a frame of its own: a scan shorter than the
+// settle pause reports "I am a member" and "my scan is done" in one
+// frame.
+func (q *queryState) eosEnlist() {
 	e := q.eos
-	if e == nil || q.isCoord {
+	if e == nil || q.isCoord || e.enlisted.Swap(true) {
 		return
 	}
-	e.shipOnce.Do(func() {
-		q.eosKick()
-		q.node.wg.Add(1)
-		q.node.peer.Go(func() {
-			defer q.node.wg.Done()
-			q.eosShipperLoop()
-		})
-	})
-}
-
-// shipEosLedger sends the current ledger to the coordinator as a
-// fire-and-forget datagram. No ack, no retransmission: a lost frame is
-// repaired by the next heartbeat tick, and crucially the shipper never
-// blocks on a retrying call — a blocked shipper would starve the very
-// heartbeats the coordinator's failure detector counts, making pure
-// message loss look like a dead member. Reordering is handled by the
-// frame sequence number on the receiving side.
-func (q *queryState) shipEosLedger() {
-	q.node.hbSent.Inc()
-	_ = q.node.peer.Notify(q.coord, methEos, q.eosFrame().Bytes())
-}
-
-// eosShipperLoop re-ships the ledger whenever the books or the drain
-// round move, and on a heartbeat tick even when nothing moved (the
-// coordinator's failure detector counts missed beats). It runs from
-// participation start until query teardown, bounded by MaxQueryLife
-// in case the stop broadcast never arrives (dead coordinator).
-// Count movements coalesce twice: the dirty channel absorbs signals
-// while a ship is in flight, and a short settle pause lets a batch of
-// arrivals (e.g. a collector absorbing many frames) land in one
-// ledger instead of one RPC each. A state transition ships at once,
-// cutting short a pause in progress: the frame is the full ledger, so
-// the counts that were waiting ride along.
-func (q *queryState) eosShipperLoop() {
-	const settle = time.Millisecond
-	e := q.eos
-	hb := q.node.cfg.HeartbeatEvery
-	if hb <= 0 {
-		hb = 50 * time.Millisecond
-	}
-	tick := time.NewTicker(hb)
-	defer tick.Stop()
-	pause := time.NewTimer(settle)
-	defer pause.Stop()
-	deadline := time.Now().Add(q.node.cfg.MaxQueryLife)
-	for {
-		select {
-		case <-q.ctx.Done():
-			return
-		case <-e.urgent:
-		case <-e.dirty:
-			if !pause.Stop() { // a reused timer may hold a stale fire
-				select {
-				case <-pause.C:
-				default:
-				}
-			}
-			pause.Reset(settle)
-			select {
-			case <-q.ctx.Done():
-				return
-			case <-e.urgent:
-			case <-pause.C:
-			}
-		case <-tick.C:
-			if time.Now().After(deadline) {
-				return
-			}
-		}
-		// The frame built next carries every signal raised so far.
-		for _, wake := range [2]chan struct{}{e.dirty, e.urgent} {
-			select {
-			case <-wake:
-			default:
-			}
-		}
-		q.shipEosLedger()
-	}
+	q.node.outbox.enlist(q)
+	q.eosKick()
 }
 
 // drainLocal executes one coordinator-issued drain round on this node:
@@ -368,11 +329,11 @@ func (q *queryState) drainLocal(round uint64) {
 		return
 	}
 	e.mu.Lock()
-	if _, seen := e.drainCut[round]; seen {
+	if e.cut(round) != nil {
 		e.mu.Unlock()
 		return
 	}
-	e.drainCut[round] = 0 // seen; the cut is taken below
+	e.cuts = append(e.cuts, drainCut{round: round}) // seen; the cut is taken below
 	e.mu.Unlock()
 
 	drainSpan := q.spans.Start(fmt.Sprintf("drain.r%d", round))
@@ -381,7 +342,7 @@ func (q *queryState) drainLocal(round uint64) {
 	q.flushCombining()
 	q.node.flushRoutes()
 	e.mu.Lock()
-	e.drainCut[round] = e.pipeRecv()
+	e.cut(round).recv = e.pipeRecv
 	e.mu.Unlock()
 
 	inlets := q.snapshotInlets()
@@ -458,33 +419,64 @@ func (q *queryState) snapshotInlets() []*physical.Inlet {
 // Coordinator-side evaluation
 
 // applyEosLedger records a participant's latest ledger (coordinator
-// role). Ledgers travel as datagrams and may arrive reordered; the
-// sender's sequence number keeps the newest and drops stale frames.
-// Only a ledger whose content actually moved resets the quiescence
-// clock — pure heartbeats feed the liveness detector but must not
-// keep the Quiet fallback from ever firing.
+// role) and folds it into the running totals: the new frame's counts
+// in, the replaced frame's out. Ledgers travel as datagrams and may
+// arrive reordered; the sender's sequence number keeps the newest and
+// drops stale frames, so each member's counts only grow and so does
+// their running sum. Only a ledger whose content actually moved resets
+// the quiescence clock — pure heartbeats feed the liveness detector
+// but must not keep the Quiet fallback from ever firing.
 func (q *queryState) applyEosLedger(f *wire.EosFrame) {
-	q.noteAlive(f.Addr)
+	if f.Addr == "" || f.Addr == q.node.Addr() {
+		return // the coordinator reads its own books live
+	}
+	now := time.Now()
 	q.coMu.Lock()
-	if q.ledgers == nil {
-		q.ledgers = make(map[string]*wire.EosFrame)
+	if q.lastSeen == nil {
+		q.lastSeen = make(map[string]time.Time, q.members+1)
 	}
-	prev := q.ledgers[f.Addr]
-	if prev != nil && f.Seq <= prev.Seq {
-		q.coMu.Unlock()
-		return // reordered stale frame
+	if q.ledgerAt == nil {
+		q.ledgerAt = make(map[string]int, q.members+1)
 	}
-	q.ledgers[f.Addr] = f
+	q.lastSeen[f.Addr] = now
+	var prev *wire.EosFrame
+	if i, ok := q.ledgerAt[f.Addr]; ok {
+		if prev = q.ledgers[i]; f.Seq <= prev.Seq {
+			q.coMu.Unlock()
+			q.node.clearSuspect(f.Addr)
+			return // reordered stale frame
+		}
+		q.ledgers[i] = f
+	} else {
+		q.ledgerAt[f.Addr] = len(q.ledgers)
+		q.ledgers = append(q.ledgers, f)
+	}
 	if prev == nil {
 		q.countMember(int(f.Depth), int(f.Fanout))
+	} else {
+		for i := range prev.Channels {
+			ch := &prev.Channels[i]
+			t := bookOf(&q.totals, keyOf(ch))
+			t.Sent -= ch.Sent
+			t.Recv -= ch.Recv
+			q.moved -= ch.Sent + ch.Recv
+		}
 	}
-	if f.ScanDone {
+	for i := range f.Channels {
+		ch := &f.Channels[i]
+		t := bookOf(&q.totals, keyOf(ch))
+		t.Sent += ch.Sent
+		t.Recv += ch.Recv
+		q.moved += ch.Sent + ch.Recv
+	}
+	if f.ScanDone && (prev == nil || !prev.ScanDone) {
 		q.doneNodes[f.Addr] = true
 	}
 	if !eosFrameEqual(prev, f) {
-		q.lastActivity = time.Now()
+		q.lastActivity = now
 	}
 	q.coMu.Unlock()
+	q.node.clearSuspect(f.Addr)
 	q.eosKick()
 }
 
@@ -556,11 +548,11 @@ type eosStatus struct {
 	settled bool
 	// balanced reports that network-wide sent == recv on every channel.
 	balanced bool
-	// canon is a deterministic rendering of the network-wide totals;
-	// counters are monotone, so an unchanged canon across a full drain
-	// round proves nothing moved anywhere. Frozen ledgers of dead
-	// members fold in too — constants never perturb the check.
-	canon string
+	// moved sums every count of every ledger and of the coordinator's
+	// own books. Counters are monotone, so an unchanged sum across a
+	// full drain round proves nothing moved anywhere. Frozen ledgers
+	// of dead members fold in too — constants never perturb the check.
+	moved uint64
 	// live / liveScanDone / liveAcked are the same accounting
 	// restricted to non-suspect members: the degraded completion path
 	// under churn. A dead member's frozen books can never ack a new
@@ -570,78 +562,67 @@ type eosStatus struct {
 	liveAcked    bool
 }
 
-// eosStatus folds the coordinator's live books with every received
-// ledger. The coordinator never ships a ledger to itself — its own
-// row is always the freshest possible snapshot. suspects (may be nil)
-// marks members currently considered dead; their frames still fold
-// into the totals but are excluded from the live accounting.
-func (q *queryState) eosStatus(round uint64, suspects map[string]bool) eosStatus {
-	self := q.eosFrame()
-	q.coMu.Lock()
-	frames := make([]*wire.EosFrame, 0, len(q.ledgers)+1)
-	for addr, f := range q.ledgers {
-		if addr != self.Addr {
-			frames = append(frames, f)
-		}
+// member folds one member's ledger state into the status.
+func (st *eosStatus) member(scanDone, settled bool, drainRound, round uint64, alive bool) {
+	if alive {
+		st.live++
 	}
-	q.coMu.Unlock()
-	frames = append(frames, self)
-
-	st := eosStatus{acked: true, settled: true, balanced: true, liveAcked: true}
-	totals := make(map[chanKey]*[2]uint64)
-	for _, f := range frames {
-		alive := !suspects[f.Addr]
+	if scanDone {
+		st.scanDone++
 		if alive {
-			st.live++
-		}
-		if f.ScanDone {
-			st.scanDone++
-			if alive {
-				st.liveScanDone++
-			}
-		}
-		st.settled = st.settled && f.Settled
-		if f.DrainRound < round {
-			st.acked = false
-			if alive {
-				st.liveAcked = false
-			}
-		}
-		for _, ch := range f.Channels {
-			k := chanKey{kind: ch.Kind, stage: ch.Stage, side: ch.Side}
-			t := totals[k]
-			if t == nil {
-				t = new([2]uint64)
-				totals[k] = t
-			}
-			t[0] += ch.Sent
-			t[1] += ch.Recv
+			st.liveScanDone++
 		}
 	}
-	keys := make([]chanKey, 0, len(totals))
-	for k := range totals {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	buf := make([]byte, 0, 24*len(keys))
-	for _, k := range keys {
-		t := totals[k]
-		if t[0] != t[1] {
-			st.balanced = false
+	st.settled = st.settled && settled
+	if drainRound < round {
+		st.acked = false
+		if alive {
+			st.liveAcked = false
 		}
-		buf = strconv.AppendUint(buf, uint64(k.kind), 10)
-		buf = append(buf, '.')
-		buf = strconv.AppendUint(buf, uint64(k.stage), 10)
-		buf = append(buf, '.')
-		buf = strconv.AppendUint(buf, uint64(k.side), 10)
-		buf = append(buf, ':')
-		buf = strconv.AppendUint(buf, t[0], 10)
-		buf = append(buf, '/')
-		buf = strconv.AppendUint(buf, t[1], 10)
-		buf = append(buf, ';')
 	}
-	st.canon = string(buf)
+}
+
+// eosStatus adds the coordinator's live books to the running totals of
+// every received ledger. The coordinator never ships a ledger to
+// itself — its own row is always the freshest possible snapshot.
+// suspects (may be nil) marks members currently considered dead; their
+// frames still fold into the totals but are excluded from the live
+// accounting.
+func (q *queryState) eosStatus(round uint64, suspects map[string]bool) eosStatus {
+	st := eosStatus{acked: true, settled: true, balanced: true, liveAcked: true}
+	e := q.eos
+	q.coMu.Lock()
+	defer q.coMu.Unlock()
+	for _, f := range q.ledgers {
+		st.member(f.ScanDone, f.Settled, f.DrainRound, round, !suspects[f.Addr])
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st.member(e.scanDone, e.settled(), e.drainRound, round, true)
+	st.moved = q.moved
+	eachTotal(q.totals, e.books, func(_ chanKey, sent, recv uint64) {
+		st.balanced = st.balanced && sent == recv
+	})
+	for i := range e.books {
+		st.moved += e.books[i].Sent + e.books[i].Recv
+	}
 	return st
+}
+
+// booksText renders the network-wide totals per channel as
+// kind.stage.side:sent/recv; — what a query that gave up waiting says
+// about the books that never balanced.
+func (q *queryState) booksText() string {
+	e := q.eos
+	q.coMu.Lock()
+	defer q.coMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var buf []byte
+	eachTotal(q.totals, e.books, func(k chanKey, sent, recv uint64) {
+		buf = fmt.Appendf(buf, "%d.%d.%d:%d/%d;", k.kind, k.stage, k.side, sent, recv)
+	})
+	return string(buf)
 }
 
 // broadcastDrain issues (or re-issues) a drain round.

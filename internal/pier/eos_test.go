@@ -12,6 +12,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/sqlparser"
 	"repro/internal/tuple"
+	"repro/internal/wire"
 )
 
 // Tests for deterministic query completion: distributed EOS tracking
@@ -218,15 +219,12 @@ func TestEosTupleBufferedAfterReplay(t *testing.T) {
 	if stranded != 0 {
 		t.Fatalf("%d tuple(s) left in the pending buffer of a registered query", stranded)
 	}
-	q.eos.mu.Lock()
-	recv := q.eos.recv[chanKey{kind: chanAgg}]
-	q.eos.mu.Unlock()
-	if recv != 1 {
+	if recv := recvOf(q, chanKey{kind: chanAgg}); recv != 1 {
 		t.Fatalf("partials received = %d, want 1", recv)
 	}
 }
 
-// TestEosLedgerShipsWhen: what a member's shipper puts on the wire,
+// TestEosLedgerShipsWhen: what a member's outbox puts on the wire,
 // counted in frames. The heartbeat is an hour, so every frame is one the
 // books asked for. A stall of this goroutine can only add a frame (a
 // settle pause runs out between two calls), so each case is the least
@@ -251,17 +249,17 @@ func TestEosLedgerShipsWhen(t *testing.T) {
 		do   func(q *queryState)
 	}{
 		{"participation start and the end of a short scan", func(q *queryState) {
-			q.startEosShipper()
+			q.eosEnlist()
 			q.eosMarkScanDone()
 		}},
 		{"a burst of count movements", func(q *queryState) {
-			q.startEosShipper()
+			q.eosEnlist()
 			for i := 0; i < 200; i++ {
 				q.countSent(partials, 1)
 			}
 		}},
 		{"a drain acknowledgement behind a count movement", func(q *queryState) {
-			q.startEosShipper()
+			q.eosEnlist()
 			q.countSent(partials, 1)
 			q.drainLocal(1)
 		}},
@@ -343,7 +341,8 @@ func TestEosSettledFollowsCounts(t *testing.T) {
 	defer q.cancel()
 	settled := func(when string, round uint64, want bool) {
 		t.Helper()
-		if f := q.eosFrame(); f.DrainRound != round || f.Settled != want {
+		var f wire.EosFrame
+		if q.fillFrame(&f); f.DrainRound != round || f.Settled != want {
 			t.Errorf("%s: frame says round %d settled=%v, want round %d settled=%v",
 				when, f.DrainRound, f.Settled, round, want)
 		}

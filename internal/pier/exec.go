@@ -29,7 +29,7 @@ const (
 	tagJoin  = "pier.join"  // routed: rehashed join tuple toward collector
 
 	methRows  = "pier.rows"  // rpc to coordinator: result rows
-	methEos   = "pier.eos"   // rpc to coordinator: EOS ledger (scan done + books)
+	methEos   = "pier.eos"   // one-way to coordinator: EOS ledgers (scan done + books), a datagram per sender's wake
 	methStats = "pier.stats" // one-way to coordinator: EXPLAIN ANALYZE counters, trace spans
 )
 
@@ -102,11 +102,16 @@ type queryState struct {
 	// Snapshots replace rather than sum, so continuous queries can
 	// re-ship cumulative counters every window without double counting.
 	nodeStats map[string]*plan.Analysis
-	// ledgers holds the latest EOS ledger per participant; eosEval
-	// pokes the coordinator's completion evaluation. lastSeen is the
-	// per-member liveness clock fed by every arriving RPC (heartbeat
-	// ledgers included) — the coordinator's failure detector.
-	ledgers  map[string]*wire.EosFrame
+	// ledgers holds the latest EOS ledger per participant, ledgerAt
+	// its index by address; totals sums their channels, sorted by
+	// chanKey, and moved every count in them. eosEval pokes the
+	// coordinator's completion evaluation. lastSeen is the per-member
+	// liveness clock fed by every arriving RPC (heartbeat ledgers
+	// included) — the coordinator's failure detector.
+	ledgers  []*wire.EosFrame
+	ledgerAt map[string]int
+	totals   []wire.EosChannel
+	moved    uint64
 	lastSeen map[string]time.Time
 	eosEval  chan struct{}
 	// tree tallies the query broadcast's tree per depth (membership).
@@ -134,19 +139,39 @@ func (n *Node) dropQuery(qid uint64) {
 	delete(n.queries, qid)
 	n.mu.Unlock()
 	if q != nil {
-		q.shipStats()
-		if q.coord == q.node.Addr() {
-			// The coordinator's spans ship last, here: its root span
-			// only gets its completion detail after teardown, and the
-			// stop broadcast loops back into shipStats before that.
-			q.spans.CloseOpen()
-			if spans := q.spans.Snapshot(); len(spans) > 0 {
-				n.addTraceSpans(qid, spans)
-			}
-		}
-		q.cancel()
-		q.stopTimers()
+		n.teardown(q)
 	}
+}
+
+// expireQuery drops q if it is still its query's state: a participant
+// state MaxQueryLife after its arrival, whose stop broadcast never came.
+func (n *Node) expireQuery(q *queryState) {
+	n.mu.Lock()
+	mine := n.queries[q.id] == q
+	if mine {
+		delete(n.queries, q.id)
+	}
+	n.mu.Unlock()
+	if mine {
+		n.teardown(q)
+	}
+}
+
+// teardown ends a dropped query's state on this node.
+func (n *Node) teardown(q *queryState) {
+	n.outbox.drop(q)
+	q.shipStats()
+	if q.coord == q.node.Addr() {
+		// The coordinator's spans ship last, here: its root span
+		// only gets its completion detail after teardown, and the
+		// stop broadcast loops back into shipStats before that.
+		q.spans.CloseOpen()
+		if spans := q.spans.Snapshot(); len(spans) > 0 {
+			n.addTraceSpans(q.id, spans)
+		}
+	}
+	q.cancel()
+	q.stopTimers()
 }
 
 // stopTimers cancels any pending window-flush timers (coordinator
@@ -281,20 +306,23 @@ func (n *Node) sendStats(qid uint64, coord string, stats []plan.OpStats, spans [
 func (n *Node) newQueryState(qid uint64, spec *plan.Spec, coord string, members int) *queryState {
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &queryState{
-		id:         qid,
-		spec:       spec,
-		coord:      coord,
-		node:       n,
-		ctx:        ctx,
-		cancel:     cancel,
-		aggRows:    make(map[uint64]map[string]tuple.Tuple),
-		plainRows:  make(map[uint64][][]tuple.Tuple),
-		doneNodes:  make(map[string]bool),
-		winFlushed: make(map[uint64]bool),
-		winTimers:  make(map[uint64]*time.Timer),
-		eosEval:    make(chan struct{}, 1),
-		members:    members,
-		joinParts:  joinPartitions(members),
+		id:        qid,
+		spec:      spec,
+		coord:     coord,
+		node:      n,
+		ctx:       ctx,
+		cancel:    cancel,
+		eosEval:   make(chan struct{}, 1),
+		members:   members,
+		joinParts: joinPartitions(members),
+	}
+	if coord == n.Addr() {
+		// The coordinator's books; a participant elsewhere keeps none.
+		q.aggRows = make(map[uint64]map[string]tuple.Tuple)
+		q.plainRows = make(map[uint64][][]tuple.Tuple)
+		q.doneNodes = make(map[string]bool, members+1)
+		q.winFlushed = make(map[uint64]bool)
+		q.winTimers = make(map[uint64]*time.Timer)
 	}
 	if !spec.IsContinuous() {
 		q.eos = newEosTracker()
@@ -813,13 +841,14 @@ func (n *Node) registerHandlers() {
 	n.peer.Handle(methRows, n.onRows)
 	n.peer.Handle(methDrift, n.onDrift)
 	n.peer.Handle(methEos, func(from string, req []byte) ([]byte, error) {
-		f, err := wire.EosFrameFromBytes(req)
+		frames, err := wire.DecodeEosFrames(req)
 		if err != nil {
 			return nil, err
 		}
-		q := n.getQuery(f.Query, nil)
-		if q != nil && q.isCoord {
-			q.applyEosLedger(f)
+		for i := range frames {
+			if q := n.getQuery(frames[i].Query, nil); q != nil && q.isCoord {
+				q.applyEosLedger(&frames[i])
+			}
 		}
 		return nil, nil
 	})

@@ -54,7 +54,12 @@ func leftRow(oid int64) tuple.Tuple {
 func recvOf(q *queryState, k chanKey) uint64 {
 	q.eos.mu.Lock()
 	defer q.eos.mu.Unlock()
-	return q.eos.recv[k]
+	for _, ch := range q.eos.books {
+		if keyOf(&ch) == k {
+			return ch.Recv
+		}
+	}
+	return 0
 }
 
 // TestWrongWidthJoinTupleNotBooked: a rehashed tuple not of its stage
@@ -74,7 +79,7 @@ func TestWrongWidthJoinTupleNotBooked(t *testing.T) {
 		t.Fatalf("booked %d tuples received, want the 2 of the right width", got)
 	}
 	if st := q.eosStatus(0, nil); st.balanced {
-		t.Fatalf("books balanced with a tuple dropped: %s", st.canon)
+		t.Fatalf("books balanced with a tuple dropped: %s", q.booksText())
 	}
 }
 
@@ -93,7 +98,7 @@ func TestWrongWidthResultRowNotBooked(t *testing.T) {
 		t.Fatalf("stored %d rows, want 2", len(got))
 	}
 	if st := q.eosStatus(0, nil); st.balanced {
-		t.Fatalf("books balanced with a row dropped: %s", st.canon)
+		t.Fatalf("books balanced with a row dropped: %s", q.booksText())
 	}
 }
 
@@ -122,7 +127,7 @@ func TestCorruptRecordCostsOnlyItsFrame(t *testing.T) {
 		t.Fatalf("%d pushes, want 1", got)
 	}
 	if st := q.eosStatus(0, nil); st.balanced {
-		t.Fatalf("books balanced with a frame lost: %s", st.canon)
+		t.Fatalf("books balanced with a frame lost: %s", q.booksText())
 	}
 }
 

@@ -6,10 +6,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Coordinator-side failure detection. Participants heartbeat by
-// re-shipping their EOS ledger every Config.HeartbeatEvery (the
-// shipper starts at participation, not scan completion, so the
-// coordinator learns each member's address early). A member that
+// Coordinator-side failure detection. Participants heartbeat through
+// their node's ledger outbox: its one ticker ticks beatTicks times per
+// Config.HeartbeatEvery, and every query that has sent no ledger for
+// all but one tick of a beat re-ships it unchanged (a query enlists at
+// participation, not scan completion, so the coordinator learns each
+// member's address early). A member that
 // misses Config.SuspectAfter consecutive beats is suspected dead: the
 // query's completion evaluation drops it from the expected member set
 // and drain-round membership (its frozen books still fold into the
@@ -54,7 +56,7 @@ func (q *queryState) noteAlive(addr string) {
 	}
 	q.coMu.Lock()
 	if q.lastSeen == nil {
-		q.lastSeen = make(map[string]time.Time)
+		q.lastSeen = make(map[string]time.Time, q.members+1)
 	}
 	q.lastSeen[addr] = time.Now()
 	q.coMu.Unlock()

@@ -102,7 +102,7 @@ func (q *queryState) participateOneShot() {
 	// detector needs this member's address (and beats) before any
 	// scan finishes, or a node dying mid-scan would be
 	// indistinguishable from one that never joined the query.
-	q.startEosShipper()
+	q.eosEnlist()
 	pipe := physical.CompileOneShot(q.spec, q.pipelineEnv())
 	q.trackPipeline(pipe)
 	scanSpan := q.spans.Start("scan")
@@ -117,7 +117,7 @@ func (q *queryState) participateOneShot() {
 		// tables ran to end-of-stream.
 		q.eosMarkScansServed()
 	}
-	// Report end-of-scan with the ledger; the shipper keeps the
+	// Report end-of-scan with the ledger; the outbox keeps the
 	// coordinator's copy current as collector work moves the books.
 	q.eosMarkScanDone()
 }

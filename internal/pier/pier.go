@@ -53,12 +53,15 @@ type Config struct {
 	// reconciling. A one-shot query normally completes the instant they
 	// do. Default 400ms.
 	Quiet time.Duration
-	// MaxQueryLife caps one-shot query duration. Default 15s.
+	// MaxQueryLife caps one-shot query duration, at the coordinator
+	// and at every participant, whose state is dropped that long after
+	// the query arrived. Default 15s.
 	MaxQueryLife time.Duration
-	// HeartbeatEvery is how often a participant re-ships its EOS
-	// ledger to the coordinator even when nothing moved — the
-	// liveness heartbeat that churn detection rides on. Default
-	// Quiet/8, so suspicion ripens well inside the Quiet fallback.
+	// HeartbeatEvery is the longest a participant's node lets a query
+	// go without re-shipping its EOS ledger to the coordinator, even
+	// when nothing moved — the liveness heartbeat that churn detection
+	// rides on. Default Quiet/8, so suspicion ripens well inside the
+	// Quiet fallback.
 	HeartbeatEvery time.Duration
 	// SuspectAfter is how many consecutive missed heartbeats make the
 	// coordinator suspect a member is dead and exclude it from EOS
@@ -167,6 +170,10 @@ type Node struct {
 	pendMu  sync.Mutex
 	pending map[uint64][]pendingMsg
 
+	// outbox ships this node's EOS ledgers for every query it takes
+	// part in (outbox.go).
+	outbox ledgerOutbox
+
 	appMu        sync.Mutex
 	appBroadcast map[string]overlay.BroadcastFunc
 
@@ -239,8 +246,10 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 	}
 	n.registerMetrics()
 	n.registerHandlers()
-	n.wg.Add(1)
+	n.outbox.init()
+	n.wg.Add(2)
 	go n.statsDriftLoop()
+	go n.shipLedgersLoop()
 	return n, nil
 }
 

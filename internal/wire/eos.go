@@ -110,16 +110,25 @@ func (f *EosFrame) Encode(w *Writer) {
 	}
 }
 
-// Bytes serializes the frame into a fresh buffer.
-func (f *EosFrame) Bytes() []byte {
-	w := NewWriter(32 + 16*len(f.Channels))
-	f.Encode(w)
-	return w.Bytes()
+// EncodedLen is the length Encode writes.
+func (f *EosFrame) EncodedLen() int {
+	n := 8 + UvarintLen(uint64(len(f.Addr))) + len(f.Addr) + UvarintLen(f.Seq) +
+		UvarintLen(f.Depth) + UvarintLen(f.Fanout) + 1 + UvarintLen(f.DrainRound) + 1 +
+		UvarintLen(uint64(len(f.Channels))) + UvarintLen(uint64(len(f.Scans)))
+	for _, ch := range f.Channels {
+		n += 3 + UvarintLen(ch.Sent) + UvarintLen(ch.Recv)
+	}
+	for _, sc := range f.Scans {
+		n += UvarintLen(uint64(len(sc.Table))) + len(sc.Table) + 1
+	}
+	return n
 }
 
-// DecodeEosFrame reads a frame written by Encode.
-func DecodeEosFrame(r *Reader) (*EosFrame, error) {
-	f := &EosFrame{
+// decode reads a frame written by Encode into f. Its channels and scans
+// are appended to chans and scans, which it returns grown, so frames
+// decoded in a row share two arrays.
+func (f *EosFrame) decode(r *Reader, chans []EosChannel, scans []EosScan) ([]EosChannel, []EosScan, error) {
+	*f = EosFrame{
 		Query:    r.Uint64(),
 		Addr:     r.String(),
 		Seq:      r.Uvarint(),
@@ -128,16 +137,17 @@ func DecodeEosFrame(r *Reader) (*EosFrame, error) {
 		ScanDone: r.Bool(),
 	}
 	if f.Depth > MaxEosDepth || f.Fanout > MaxEosDepth {
-		return nil, fmt.Errorf("wire: eos frame at depth %d with fan-out %d", f.Depth, f.Fanout)
+		return chans, scans, fmt.Errorf("wire: eos frame at depth %d with fan-out %d", f.Depth, f.Fanout)
 	}
 	f.DrainRound = r.Uvarint()
 	f.Settled = r.Bool()
 	n := int(r.Uvarint())
 	if n > MaxEosChannels {
-		return nil, fmt.Errorf("wire: eos frame with %d channels", n)
+		return chans, scans, fmt.Errorf("wire: eos frame with %d channels", n)
 	}
+	first := len(chans)
 	for i := 0; i < n; i++ {
-		f.Channels = append(f.Channels, EosChannel{
+		chans = append(chans, EosChannel{
 			Kind:  r.Byte(),
 			Stage: r.Byte(),
 			Side:  r.Byte(),
@@ -145,33 +155,97 @@ func DecodeEosFrame(r *Reader) (*EosFrame, error) {
 			Recv:  r.Uvarint(),
 		})
 	}
+	if n > 0 {
+		f.Channels = chans[first:len(chans):len(chans)]
+	}
 	ns := int(r.Uvarint())
 	if ns > MaxEosScans {
-		return nil, fmt.Errorf("wire: eos frame with %d scans", ns)
+		return chans, scans, fmt.Errorf("wire: eos frame with %d scans", ns)
 	}
-	for i := 0; i < ns; i++ {
-		f.Scans = append(f.Scans, EosScan{
-			Table:  r.String(),
-			Served: r.Bool(),
-		})
+	first = len(scans)
+	for i := 0; i < ns && r.Err() == nil; i++ {
+		scans = append(scans, EosScan{Table: r.String(), Served: r.Bool()})
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
+	if ns > 0 {
+		f.Scans = scans[first:len(scans):len(scans)]
 	}
-	return f, nil
+	return chans, scans, r.Err()
 }
 
-// EosFrameFromBytes decodes a frame, rejecting trailing bytes.
-func EosFrameFromBytes(buf []byte) (*EosFrame, error) {
+// A ledger datagram carries the frames one node sends one coordinator
+// at once, for every query the two share: a frame count, then the
+// frames as Encode writes them. EosBatch builds it; DecodeEosFrames
+// reads it.
+
+// MaxEosFrames bounds a ledger datagram's frame count against corrupt
+// input (a datagram's frames are each at least minEosFrameLen bytes,
+// which bounds the count of a real one well below this).
+const MaxEosFrames = 1 << 12
+
+// minEosFrameLen is the shortest frame Encode writes: an empty address
+// and no channels or scans.
+const minEosFrameLen = 17
+
+// EosBatch builds one ledger datagram a frame at a time. The zero value
+// is empty; Reset empties it for reuse, keeping its buffer.
+type EosBatch struct {
+	body Writer
+	n    int
+	head [10]byte
+}
+
+// Add appends one frame.
+func (b *EosBatch) Add(f *EosFrame) {
+	f.Encode(&b.body)
+	b.n++
+}
+
+// Len is the number of frames added.
+func (b *EosBatch) Len() int { return b.n }
+
+// Size is the datagram's length so far.
+func (b *EosBatch) Size() int { return UvarintLen(uint64(b.n)) + b.body.Len() }
+
+// Parts returns the datagram as its count and its frames, to be sent
+// one after the other (rpc.Peer.NotifyParts). Both are valid until the
+// next Add or Reset.
+func (b *EosBatch) Parts() (head, body []byte) {
+	w := Writer{buf: b.head[:0]}
+	w.Uvarint(uint64(b.n))
+	return w.buf, b.body.buf
+}
+
+// Reset empties the batch.
+func (b *EosBatch) Reset() {
+	b.body.Reset()
+	b.n = 0
+}
+
+// DecodeEosFrames reads a ledger datagram, rejecting trailing bytes.
+// The frames' channel lists share one array and their scan lists
+// another.
+func DecodeEosFrames(buf []byte) ([]EosFrame, error) {
 	r := NewReader(buf)
-	f, err := DecodeEosFrame(r)
-	if err != nil {
-		return nil, err
+	n := r.Uvarint()
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	if n == 0 || n > MaxEosFrames || n > uint64(r.Remaining()/minEosFrameLen) {
+		return nil, fmt.Errorf("wire: eos datagram of %d frames in %d bytes", n, r.Remaining())
+	}
+	frames := make([]EosFrame, n)
+	chans := make([]EosChannel, 0, 4*n)
+	scans := make([]EosScan, 0, n)
+	var err error
+	for i := range frames {
+		if chans, scans, err = frames[i].decode(r, chans, scans); err != nil {
+			return nil, err
+		}
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	return f, nil
+	return frames, nil
 }
 
 // EncodeDrain frames a coordinator-issued drain round broadcast.
